@@ -1,27 +1,11 @@
 // Package tune is the negative golden fixture for the wirecompat
-// analyzer: it redefines the wire structs with exactly the
-// compatibility breaks the analyzer exists to catch.
+// analyzer: a wire struct with exactly the naming breaks the analyzer
+// exists to catch.
 package tune
 
-// Advice retags a manifest-pinned alias (which is also a snake_case
-// violation).
-type Advice struct {
-	Role         string             `json:"role"`
-	ShadowConfig map[string]float64 `json:"shadowConfig,omitempty"` // want `json tag "shadowConfig" on Advice.ShadowConfig is not snake_case` `pinned to json tag "shadow_config,omitempty" but has "shadowConfig,omitempty"`
-	ShadowUnit   string             `json:"shadow_unit,omitempty"`
-	RolloutPhase string             `json:"rollout_phase,omitempty"`
-}
-
-// Outcome drops the pinned shadow alias entirely.
-type Outcome struct { // want `deprecated alias Outcome.Shadow \(json "shadow,omitempty"\) was removed but is pinned in the manifest`
-	Perf float64 `json:"perf"`
-}
-
-// SessionInfo keeps its pinned alias but grows an untagged exported
-// field and a CamelCase tag.
+// SessionInfo grows an untagged exported field and a CamelCase tag.
 type SessionInfo struct {
-	ID           string `json:"id"`
-	RolloutPhase string `json:"rollout_phase,omitempty"`
-	StartedAtMs  int64  // want `exported field SessionInfo.StartedAtMs has no json tag`
-	NodeCount    int    `json:"NodeCount"` // want `json tag "NodeCount" on SessionInfo.NodeCount is not snake_case`
+	ID          string `json:"id"`
+	StartedAtMs int64  // want `exported field SessionInfo.StartedAtMs has no json tag`
+	NodeCount   int    `json:"NodeCount"` // want `json tag "NodeCount" on SessionInfo.NodeCount is not snake_case`
 }

@@ -1,24 +1,16 @@
 // Package tune is the positive golden fixture for the wirecompat
-// analyzer: every manifest-pinned alias is present with its exact tag
-// and every tag is snake_case, so the analyzer must stay silent.
+// analyzer: every exported field of every wire struct is tagged and
+// every tag is snake_case, so the analyzer must stay silent.
 package tune
 
 type Advice struct {
 	Role         string             `json:"role"`
 	Config       map[string]float64 `json:"config"`
-	ShadowConfig map[string]float64 `json:"shadow_config,omitempty"`
-	ShadowUnit   string             `json:"shadow_unit,omitempty"`
 	RolloutPhase string             `json:"rollout_phase,omitempty"`
 }
 
-type Outcome struct {
-	Perf   float64 `json:"perf"`
-	Shadow bool    `json:"shadow,omitempty"`
-}
-
 type SessionInfo struct {
-	ID           string `json:"id"`
-	RolloutPhase string `json:"rollout_phase,omitempty"`
+	ID string `json:"id"`
 }
 
 // Stats has no json tags anywhere: it is not wire surface, so field

@@ -1,28 +1,13 @@
-// Package wirecompat guards the HTTP wire surface two ways:
-//
-//  1. naming — exported structs that carry json tags in the wire
-//     packages (tune, internal/dbsim) must tag every exported field,
-//     and every tag name must be snake_case: the public API
-//     established in PR 3 is snake_case throughout, and one stray
-//     CamelCase tag is a silent wire break for every client;
-//  2. deprecation aliases — fields listed in the committed manifest
-//     (manifest.json, embedded) must keep existing with exactly their
-//     pinned tag. These are the deprecated-but-still-emitted aliases
-//     (Advice.ShadowConfig/ShadowUnit/RolloutPhase, Outcome.Shadow,
-//     SessionInfo.RolloutPhase) that pre-role-keyed clients still
-//     parse; removing or retagging one is a compatibility break that
-//     golden tests catch only if they happen to cover the field. The
-//     manifest makes the contract explicit: deleting an alias requires
-//     deleting its manifest entry in the same commit, which is exactly
-//     the reviewable act the analyzer exists to force.
+// Package wirecompat guards the naming of the HTTP wire surface:
+// exported structs that carry json tags in the wire packages (tune,
+// internal/dbsim) must tag every exported field, and every tag name
+// must be snake_case. The public API is snake_case throughout, and one
+// stray CamelCase tag is a silent wire break for every client.
 package wirecompat
 
 import (
-	_ "embed"
 	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/types"
 	"reflect"
 	"regexp"
 	"strings"
@@ -32,7 +17,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecompat",
-	Doc:  "wire structs must use snake_case json tags, and deprecated-alias fields pinned in manifest.json must not be removed or retagged",
+	Doc:  "wire structs must tag every exported field with a snake_case json name",
 	Run:  run,
 }
 
@@ -50,43 +35,12 @@ func inScope(path string) bool {
 	return false
 }
 
-//go:embed manifest.json
-var manifestData []byte
-
-// manifestEntry pins one deprecated alias: the struct field must exist
-// in the named type with exactly the given tag.
-type manifestEntry struct {
-	Pkg    string `json:"pkg"`  // package path suffix, e.g. "tune"
-	Type   string `json:"type"` // exported struct type name
-	Field  string `json:"field"`
-	Tag    string `json:"tag"`    // full json struct-tag value, e.g. "shadow_config,omitempty"
-	Reason string `json:"reason"` // why the alias is pinned (documentation)
-}
-
-type manifest struct {
-	Entries []manifestEntry `json:"entries"`
-}
-
-func loadManifest() (manifest, error) {
-	var m manifest
-	err := json.Unmarshal(manifestData, &m)
-	return m, err
-}
-
 var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 func run(pass *analysis.Pass) (any, error) {
-	// External _test packages neither define wire structs nor hold the
-	// pinned aliases; analyzing them would double-report the manifest.
-	if strings.HasSuffix(pass.Pkg.Path(), "_test") {
+	// External _test packages do not define wire structs.
+	if strings.HasSuffix(pass.Pkg.Path(), "_test") || !inScope(pass.Pkg.Path()) {
 		return nil, nil
-	}
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
-	man, err := loadManifest()
-	if err != nil {
-		return nil, fmt.Errorf("embedded manifest.json: %w", err)
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -101,7 +55,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	checkManifest(pass, man)
 	return nil, nil
 }
 
@@ -164,39 +117,4 @@ func strconv(lit string) (string, error) {
 	var out string
 	err := json.Unmarshal([]byte(lit), &out)
 	return out, err
-}
-
-// checkManifest verifies every pinned alias whose package matches the
-// one under analysis.
-func checkManifest(pass *analysis.Pass, man manifest) {
-	pkgPath := strings.TrimSuffix(pass.Pkg.Path(), "_test")
-	for _, e := range man.Entries {
-		if pkgPath != e.Pkg && !strings.HasSuffix(pkgPath, "/"+e.Pkg) {
-			continue
-		}
-		obj := pass.Pkg.Scope().Lookup(e.Type)
-		if obj == nil {
-			pass.Reportf(pass.Files[0].Pos(), "wire struct %s pinned in the deprecated-alias manifest no longer exists (field %s %q): removing it breaks clients still parsing the alias", e.Type, e.Field, e.Tag)
-			continue
-		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			pass.Reportf(obj.Pos(), "manifest-pinned %s is no longer a struct", e.Type)
-			continue
-		}
-		found := false
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i).Name() != e.Field {
-				continue
-			}
-			found = true
-			got, _ := reflect.StructTag(st.Tag(i)).Lookup("json")
-			if got != e.Tag {
-				pass.Reportf(st.Field(i).Pos(), "deprecated alias %s.%s is pinned to json tag %q but has %q: retagging breaks clients still parsing the alias (%s)", e.Type, e.Field, e.Tag, got, e.Reason)
-			}
-		}
-		if !found {
-			pass.Reportf(obj.Pos(), "deprecated alias %s.%s (json %q) was removed but is pinned in the manifest: %s", e.Type, e.Field, e.Tag, e.Reason)
-		}
-	}
 }

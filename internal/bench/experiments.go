@@ -33,7 +33,7 @@ func ExperimentIDs() []string {
 		"fig5tpcc", "fig5twitter", "fig5job", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "fig16", "fig17", "table1", "tableA1", "ext1",
-		"ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext9",
+		"ext2", "ext3", "ext4", "ext5", "ext7", "ext8", "ext9",
 	}
 }
 
@@ -97,10 +97,6 @@ func Experiment(id string, iters int, seed int64) (Report, error) {
 		return Ext4CrossEngine(orDefault(iters, 300), seed), nil
 	case "ext5":
 		return Ext5CanaryRollout(orDefault(iters, 300), seed), nil
-	case "ext6":
-		// 120 (not 300): every interval re-hydrates evicted sessions by
-		// replaying their whole history, so run time grows quadratically.
-		return Ext6FleetCheckpointing(orDefault(iters, 120), seed), nil
 	case "ext7":
 		// iters = intervals per session; the fleet itself is fixed at
 		// ext7Fleet sessions, so 20 intervals is already ~10k durable ops.

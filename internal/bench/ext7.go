@@ -63,7 +63,7 @@ func Ext7GroupCommit(iters int, seed int64) Report {
 				return fmt.Errorf("reference suggest: %w", err)
 			}
 			advs = append(advs, adv)
-			if err := s.Report(ext6Outcome(i)); err != nil {
+			if err := s.Report(ext7Outcome(i)); err != nil {
 				return fmt.Errorf("reference report: %w", err)
 			}
 		}
@@ -208,7 +208,7 @@ func ext7RunArm(name string, iters int, seed int64, refAdvice [][]tune.Advice, o
 			} else {
 				localDiv++
 			}
-			if _, err := m.Report(id(j), ext6Outcome(i)); err != nil {
+			if _, err := m.Report(id(j), ext7Outcome(i)); err != nil {
 				localFail++
 			}
 			localOps++
@@ -297,5 +297,28 @@ func ext7Failure(err error) Report {
 		Title:  "Extension: serving hot path — cross-session fsync group commit vs per-session fsyncs",
 		Body:   fmt.Sprintf("harness failure: %v\n", err),
 		Series: []*Series{s},
+	}
+}
+
+// ext7Outcome fabricates the deterministic synthetic interval
+// observation for iteration i (the same shape cmd/loadgen feeds the
+// server), so both durable arms and the in-memory reference see
+// byte-identical histories.
+func ext7Outcome(i int) tune.Outcome {
+	return tune.Outcome{
+		Workload: tune.Workload{
+			Statements: []tune.Statement{
+				{SQL: "SELECT c_balance FROM customer WHERE c_id = 42", Weight: 3},
+				{SQL: "UPDATE warehouse SET w_ytd = w_ytd + 7 WHERE w_id = 1", Weight: 1},
+			},
+			Unlimited: true,
+			ReadFrac:  0.75,
+			Skew:      0.5,
+			DataGB:    18,
+		},
+		Stats:       tune.OptimizerStats{RowsExamined: 120, FilterPct: 30, IndexUsedFrac: 1},
+		Metrics:     tune.Metrics{BufferPoolHitRate: 0.96, QPS: 20000 + float64(i)*100},
+		Performance: 20000 + float64(i)*100,
+		Baseline:    20000,
 	}
 }

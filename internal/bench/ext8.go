@@ -236,9 +236,9 @@ func ext8RunArm(name string, iters int, seed int64, warm bool) *ext8Arm {
 				Failed:      res.Failed,
 			}
 			if inCanary {
-				sres := shadow.Eval(adv.ShadowConfig, w, dbsim.EvalOptions{IntervalSec: 30})
-				o.Shadow = &tune.ShadowOutcome{
-					Performance: sres.Objective(false), Failed: sres.Failed,
+				sres := shadow.Eval(adv.Targets[tune.RoleStaged].Config, w, dbsim.EvalOptions{IntervalSec: 30})
+				o.Measurements = map[tune.Role]tune.ReplicaPerf{
+					tune.RoleStaged: {Performance: sres.Objective(false), Failed: sres.Failed},
 				}
 			}
 			if _, err := m.Report(id, o); err != nil {

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,7 +19,7 @@ import (
 // bgStep drives one suggest → eval → report interval of a bluegreen
 // session through the NEW wire surface: the staged replica's target
 // comes from Advice.Targets and both measurements go back role-keyed in
-// Outcome.Measurements (no flat Performance/Shadow fields at all).
+// Outcome.Measurements (no flat Performance/Failed fields at all).
 // Switchover intervals apply the cache-cold penalty to the serving
 // replica, as a real orchestrator would observe.
 func bgStep(t *testing.T, s *Session, serving, staged *dbsim.Instance, gen workload.Generator, i int) Advice {
@@ -51,9 +49,6 @@ func bgStep(t *testing.T, s *Session, serving, staged *dbsim.Instance, gen workl
 		},
 	}
 	if st, ok := adv.Targets[RoleStaged]; ok {
-		if !reflect.DeepEqual(st.Config, adv.ShadowConfig) {
-			t.Fatalf("iter %d: Targets[staged] %+v diverges from deprecated ShadowConfig %+v", i, st.Config, adv.ShadowConfig)
-		}
 		sres := staged.Eval(st.Config, w, dbsim.EvalOptions{})
 		o.Measurements[RoleStaged] = ReplicaPerf{Performance: sres.Objective(w.OLAP), Failed: sres.Failed}
 	}
@@ -232,53 +227,12 @@ func TestSnapshotRestoreBlueGreenProperty(t *testing.T) {
 	}
 }
 
-// TestSnapshotV4ForwardCompat pins forward compatibility for the last
-// pre-bluegreen format: a committed version-4 snapshot of a
-// rollout-enabled session (its config predates the mode field) must
-// restore with the mode defaulted to canary and re-snapshot at the
-// current version.
-func TestSnapshotV4ForwardCompat(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "snapshot_v4.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Restore(data)
-	if err != nil {
-		t.Fatalf("restoring v4 snapshot: %v", err)
-	}
-	if s.Iter() != 3 {
-		t.Fatalf("restored iter = %d, want 3", s.Iter())
-	}
-	st := s.Rollout()
-	if st.Mode != RolloutModeCanary {
-		t.Fatalf("v4 session rollout mode = %q, want canary (defaulted)", st.Mode)
-	}
-	if st.Promotions != 1 {
-		t.Fatalf("v4 session promotions = %d, want 1", st.Promotions)
-	}
-	if _, err := s.Suggest(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	reSnap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(reSnap, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Version != SnapshotVersion {
-		t.Fatalf("re-snapshot version = %d, want %d", doc.Version, SnapshotVersion)
-	}
-}
-
-// TestOutcomeWireCompat pins the report-body compatibility contract:
-// the deprecated flat form (performance/failed + shadow) and the
-// role-keyed Measurements form must drive two identical sessions to
-// bitwise-identical advice, and both bodies must survive the server's
-// strict unknown-field decoding.
+// TestOutcomeWireCompat pins the report-body contract for the primary's
+// measurement: the flat performance/failed fields and a
+// Measurements[primary] entry must drive two identical sessions to
+// bitwise-identical advice (the staged measurement has one spelling,
+// Measurements[staged], in both), and both bodies must survive the
+// server's strict unknown-field decoding.
 func TestOutcomeWireCompat(t *testing.T) {
 	cfg := Config{Space: "case5", Seed: 3, Rollout: &RolloutConfig{Window: 2}}
 	oldStyle, err := NewSession(cfg)
@@ -315,7 +269,7 @@ func TestOutcomeWireCompat(t *testing.T) {
 		ofl.Performance = perf
 		onw.Measurements = map[Role]ReplicaPerf{RolePrimary: {Performance: perf}}
 		if a.RolloutPhase == RolloutCanary {
-			ofl.Shadow = &ShadowOutcome{Performance: 130}
+			ofl.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: 130}}
 			onw.Measurements[RoleStaged] = ReplicaPerf{Performance: 130}
 		}
 		// Both forms must pass the server's DisallowUnknownFields gate.
@@ -347,8 +301,8 @@ func TestOutcomeWireCompat(t *testing.T) {
 	}
 }
 
-// TestAdviceWireGolden pins the advice wire format: the role-keyed
-// targets map and the deprecated flat shadow fields are both emitted,
+// TestAdviceWireGolden pins the advice wire format: the staged
+// candidate travels in the role-keyed targets map and nowhere else,
 // with exactly these names.
 func TestAdviceWireGolden(t *testing.T) {
 	adv := Advice{
@@ -361,8 +315,6 @@ func TestAdviceWireGolden(t *testing.T) {
 			RolePrimary: {Config: KnobConfig{"innodb_buffer_pool_size": 12884901888}, Unit: []float64{0.75}},
 			RoleStaged:  {Config: KnobConfig{"innodb_buffer_pool_size": 17179869184}, Unit: []float64{1}},
 		},
-		ShadowConfig: KnobConfig{"innodb_buffer_pool_size": 17179869184},
-		ShadowUnit:   []float64{1},
 	}
 	got, err := json.MarshalIndent(adv, "", "  ")
 	if err != nil {
@@ -395,13 +347,7 @@ func TestAdviceWireGolden(t *testing.T) {
         1
       ]
     }
-  },
-  "shadow_config": {
-    "innodb_buffer_pool_size": 17179869184
-  },
-  "shadow_unit": [
-    1
-  ]
+  }
 }`
 	if string(got) != want {
 		t.Fatalf("advice wire form drifted:\n got: %s\nwant: %s", got, want)
@@ -409,8 +355,8 @@ func TestAdviceWireGolden(t *testing.T) {
 }
 
 // TestBlueGreenOverHTTP mirrors the CI api-smoke bluegreen flow
-// in-process: session info carries the nested rollout object alongside
-// the deprecated flat phase, and the rollout endpoint reports mode,
+// in-process: session info carries the nested rollout object (and no
+// flat phase beside it), and the rollout endpoint reports mode,
 // replica roles, chain depth and the switchover metrics.
 func TestBlueGreenOverHTTP(t *testing.T) {
 	m, err := NewManager(t.TempDir())
@@ -423,10 +369,13 @@ func TestBlueGreenOverHTTP(t *testing.T) {
 	cfg := Config{Space: "case5", Seed: 3, Rollout: &RolloutConfig{Mode: RolloutModeBlueGreen, Window: 2}}
 	var raw json.RawMessage
 	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "bg", "config": cfg}, http.StatusCreated, &raw)
-	for _, frag := range []string{`"rollout_phase": "steady"`, `"mode": "bluegreen"`, `"phase": "steady"`} {
+	for _, frag := range []string{`"mode": "bluegreen"`, `"phase": "steady"`} {
 		if !strings.Contains(string(raw), frag) {
 			t.Fatalf("session info missing %s:\n%s", frag, raw)
 		}
+	}
+	if strings.Contains(string(raw), "rollout_phase") {
+		t.Fatalf("session info still carries the flat rollout_phase:\n%s", raw)
 	}
 	var info SessionInfo
 	if err := json.Unmarshal(raw, &info); err != nil {
@@ -434,9 +383,6 @@ func TestBlueGreenOverHTTP(t *testing.T) {
 	}
 	if info.Rollout == nil || info.Rollout.Mode != RolloutModeBlueGreen || info.Rollout.Phase != RolloutSteady {
 		t.Fatalf("nested rollout info: %+v", info.Rollout)
-	}
-	if info.RolloutPhase != RolloutSteady {
-		t.Fatalf("deprecated flat phase = %q", info.RolloutPhase)
 	}
 
 	// A session without rollout keeps the nested object for the direct

@@ -1,9 +1,8 @@
 package tune
 
 import (
+	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -11,17 +10,16 @@ import (
 // the full Restore replay over arbitrary bytes. Nearly every input is
 // rejected with an error — that is the correct outcome; the invariant
 // under fuzz is that no input panics or hangs. Seeds are the committed
-// v1–v4 golden snapshots plus a freshly generated current-version
-// snapshot, so the corpus tracks the live schema without a new golden
-// per version.
+// current-version golden, damaged copies of it that each reach one of
+// Restore's rejections (the retired version, a torn file, a log cut
+// short of its recorded iter), and a freshly generated snapshot, so the
+// corpus tracks the live schema.
 func FuzzParseSnapshot(f *testing.F) {
-	for _, name := range []string{"snapshot_golden.json", "snapshot_v1.json", "snapshot_v2.json", "snapshot_v4.json"} {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
+	golden := goldenAtVersion(f, SnapshotVersion)
+	f.Add(golden)
+	f.Add(goldenAtVersion(f, 5))
+	f.Add(golden[:len(golden)/2])
+	f.Add(bytes.Replace(golden, []byte(`"iter": 3`), []byte(`"iter": 4`), 1))
 	s, err := NewSession(Config{Space: "case5", Seed: 1})
 	if err != nil {
 		f.Fatal(err)
@@ -42,14 +40,14 @@ func FuzzParseSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v5, err := s.Snapshot()
+	fresh, err := s.Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v5)
+	f.Add(fresh)
 	f.Add([]byte(`{"kind":"tune.Session","version":99}`))
-	f.Add([]byte(`{"kind":"something.Else","version":1}`))
-	f.Add([]byte(`{"kind":"tune.Session","version":5,"config":{"space":"nope"}}`))
+	f.Add([]byte(`{"kind":"something.Else","version":6}`))
+	f.Add([]byte(`{"kind":"tune.Session","version":6,"config":{"space":"nope"}}`))
 	f.Add([]byte("{"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

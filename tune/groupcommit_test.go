@@ -57,7 +57,7 @@ func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 	// step drives one interval on the managed session and the reference,
 	// feeding canary-phase advice the given shadow measurement, and
 	// checks advice + rollout status stay identical.
-	step := func(i int, shadow ShadowOutcome) RolloutStatus {
+	step := func(i int, shadow ReplicaPerf) RolloutStatus {
 		t.Helper()
 		if i > 0 && i%25 == 0 {
 			restart()
@@ -83,8 +83,7 @@ func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 		o.Performance = 105 + float64(i%5)
 		o.Baseline = 90
 		if adv.RolloutPhase == RolloutCanary {
-			sh := shadow
-			o.Shadow = &sh
+			o.Measurements = map[Role]ReplicaPerf{RoleStaged: shadow}
 		}
 		if _, err := m.Report("canary", o); err != nil {
 			t.Fatalf("iter %d: %v", i, err)
@@ -106,7 +105,7 @@ func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 	i := 0
 	// Phase 1: a strong shadow promotes the candidate.
 	for ; i < maxIters; i++ {
-		if step(i, ShadowOutcome{Performance: 130}).Promotions > 0 {
+		if step(i, ReplicaPerf{Performance: 130}).Promotions > 0 {
 			break
 		}
 	}
@@ -116,7 +115,7 @@ func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 	// Phase 2: a failing shadow forces a rollback, across the same
 	// restart/eviction churn.
 	for ; i < maxIters; i++ {
-		if step(i, ShadowOutcome{Performance: 0, Failed: true}).Rollbacks > 0 {
+		if step(i, ReplicaPerf{Performance: 0, Failed: true}).Rollbacks > 0 {
 			break
 		}
 	}

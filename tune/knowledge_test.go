@@ -41,7 +41,7 @@ func driveInterval(t *testing.T, suggest func() (Advice, error), report func(Out
 	}
 	o := knowOutcome(i, 115+float64(i%4))
 	if adv.RolloutPhase == RolloutCanary {
-		o.Shadow = &ShadowOutcome{Performance: 125 + float64(i%3)}
+		o.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: 125 + float64(i%3)}}
 	}
 	if err := report(o); err != nil {
 		t.Fatal(err)

@@ -71,10 +71,6 @@ type ManagerOptions struct {
 	// For benchmarks and tests; a power failure may lose committed
 	// intervals.
 	NoFsync bool
-	// FullSnapshots restores the pre-WAL durability strategy (rewrite
-	// the whole <id>.json snapshot on every operation). Ablation arm
-	// for the ext6 benchmark — not for serving.
-	FullSnapshots bool
 	// CommitInterval enables cross-session fsync group commit: every
 	// session's WAL appends funnel into a shared journal whose single
 	// fsync per batch window makes the whole batch durable, so a fleet
@@ -168,8 +164,8 @@ type managerShard struct {
 // s is nil while the session lives only on disk.
 //
 // Concurrency: mu guards only the flags (busy, deleted) and is held for
-// microseconds. The heavyweight state — s, log, persisted, baseEvents,
-// legacy — is guarded by the op GATE (busy + cond): acquire claims it,
+// microseconds. The heavyweight state — s, log, persisted, baseEvents —
+// is guarded by the op GATE (busy + cond): acquire claims it,
 // release hands it off, and both transitions happen under mu, so gate
 // holders access the state without any lock held. That keeps candidate
 // scoring, checkpoint serialization and the group-commit fsync wait off
@@ -184,17 +180,13 @@ type managedSession struct {
 	busy    bool       // op gate: set while an operation owns the session
 	deleted bool
 	s       *Session // nil when evicted
-	log     *wal.Log // nil for legacy entries until first write
+	log     *wal.Log // nil until the first persist or hydration opens it
 	// persisted is the index into the session's event log up to which
 	// events are durable; everything at or past it is appended on the
 	// next persist (the retry path after a durability failure).
 	persisted int
 	// baseEvents is how many events the on-disk base snapshot holds.
 	baseEvents int
-	// legacy marks sessions persisted as a whole <id>.json snapshot
-	// (pre-WAL checkpoints, or FullSnapshots mode); cleared when the
-	// first write migrates them to base+log.
-	legacy bool
 
 	// elem is this entry's LRU node (nil when not resident or selected
 	// for eviction); guarded by Manager.lmu.
@@ -274,20 +266,11 @@ type SessionInfo struct {
 	Iter    int    `json:"iter"`
 	// Rollout is the session's rollout mode and phase.
 	Rollout *SessionRollout `json:"rollout,omitempty"`
-	// RolloutPhase is the deprecated flat form of Rollout.Phase, still
-	// emitted alongside it.
-	//
-	// Deprecated: use Rollout.Phase.
-	RolloutPhase string `json:"rollout_phase,omitempty"`
 }
 
-// withRollout fills the nested rollout summary (and its deprecated flat
-// alias) from a phase and the session's configured mode.
+// withRollout fills the nested rollout summary from a phase and the
+// session's configured mode.
 func (in SessionInfo) withRollout(mode, phase string) SessionInfo {
-	in.RolloutPhase = phase
-	if phase == "" {
-		return in
-	}
 	if phase == RolloutDirect {
 		mode = ""
 	}
@@ -372,8 +355,8 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tune: reading state dir: %w", err)
 	}
-	type diskSession struct{ base, wal, legacy bool }
-	found := map[string]*diskSession{}
+	// A session is its <id>.base.json; any file that is neither a base
+	// nor a tail is not ours and is left alone.
 	for _, de := range entries {
 		if de.IsDir() {
 			continue
@@ -388,41 +371,19 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 			}
 			continue
 		}
-		var id string
-		var mark func(*diskSession)
-		switch {
-		case strings.HasSuffix(name, ".base.json"):
-			id, mark = strings.TrimSuffix(name, ".base.json"), func(d *diskSession) { d.base = true }
-		case strings.HasSuffix(name, ".wal"):
-			id, mark = strings.TrimSuffix(name, ".wal"), func(d *diskSession) { d.wal = true }
-		case strings.HasSuffix(name, ".json"):
-			id, mark = strings.TrimSuffix(name, ".json"), func(d *diskSession) { d.legacy = true }
-		default:
+		if id, ok := strings.CutSuffix(name, ".wal"); ok && validID(id) == nil {
+			if _, err := os.Stat(m.basePath(id)); os.IsNotExist(err) {
+				// An orphan tail: the crash happened before the session's
+				// first base rename, so there is nothing to anchor a replay to.
+				os.Remove(m.walPath(id))
+			}
 			continue
 		}
-		if validID(id) != nil {
+		id, ok := strings.CutSuffix(name, ".base.json")
+		if !ok || validID(id) != nil {
 			continue
 		}
-		d := found[id]
-		if d == nil {
-			d = &diskSession{}
-			found[id] = d
-		}
-		mark(d)
-	}
-	for id, d := range found {
-		switch {
-		case !d.base && !d.legacy:
-			// An orphan tail: the crash happened before the session's first
-			// base rename, so there is nothing to anchor a replay to.
-			os.Remove(m.walPath(id))
-			continue
-		case d.base && d.legacy:
-			// Crash mid-migration: the base+log pair supersedes the legacy
-			// snapshot; finish removing it.
-			os.Remove(m.legacyPath(id))
-		}
-		e := &managedSession{id: id, legacy: !d.base}
+		e := &managedSession{id: id}
 		if err := m.peekInfo(e); err != nil {
 			return nil, fmt.Errorf("tune: scanning session %q: %w", id, err)
 		}
@@ -568,10 +529,6 @@ func validID(id string) error {
 	}
 	if strings.HasPrefix(id, ".") {
 		return fmt.Errorf("tune: %w: session id %q must not start with a dot", ErrInvalid, id)
-	}
-	if strings.HasSuffix(id, ".base") {
-		// "<x>.base"'s legacy file would collide with <x>'s base snapshot.
-		return fmt.Errorf("tune: %w: session id %q ends with reserved suffix %q", ErrInvalid, id, ".base")
 	}
 	return nil
 }
@@ -772,7 +729,7 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	}
 	// The entry is born holding its own op gate, so concurrent requests
 	// for the id queue behind the initial persist.
-	e := &managedSession{id: id, s: s, legacy: m.opts.FullSnapshots, busy: true}
+	e := &managedSession{id: id, s: s, busy: true}
 	sh := m.shard(id)
 	sh.mu.Lock()
 	if _, ok := sh.sessions[id]; ok {
@@ -857,7 +814,7 @@ func (m *Manager) Delete(id string) error {
 	e.dropLogLocked()
 	e.s = nil
 	if m.stateDir != "" {
-		for _, p := range []string{m.basePath(id), m.walPath(id), m.legacyPath(id)} {
+		for _, p := range []string{m.basePath(id), m.walPath(id)} {
 			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 				return err
 			}

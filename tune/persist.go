@@ -15,11 +15,8 @@ import (
 // On-disk layout of a durable session under the Manager's state
 // directory:
 //
-//	<id>.base.json  base snapshot (SnapshotVersion 3, full document)
+//	<id>.base.json  base snapshot (a full Snapshot document)
 //	<id>.wal        append-only tail: events since the base was compacted
-//	<id>.json       legacy whole-snapshot checkpoint (pre-WAL deployments
-//	                and FullSnapshots mode); migrated to base+wal on the
-//	                session's first write
 //	.<id>-*         in-flight atomic-write temps; swept at boot
 //
 // Recovery loads the base, replays the tail through the same
@@ -31,10 +28,6 @@ func (m *Manager) basePath(id string) string {
 
 func (m *Manager) walPath(id string) string {
 	return filepath.Join(m.stateDir, id+".wal")
-}
-
-func (m *Manager) legacyPath(id string) string {
-	return filepath.Join(m.stateDir, id+".json")
 }
 
 // walOptions are the Options every session log opens with: the manager
@@ -128,10 +121,9 @@ func (w *walEncoder) encode(evs []event, start, iter int, phase string) ([][]byt
 // events since the persisted cursor to the WAL and group-commit them —
 // O(1) I/O per operation, with the fsync itself shared fleet-wide when
 // the manager's committer is on. The full base snapshot is rewritten
-// only on the first write (creation or legacy migration), after a WAL
-// write error (the log is dropped so the next attempt re-bases
-// atomically), or when the tail has grown past the compaction
-// threshold.
+// only on the first write (creation), after a WAL write error (the log
+// is dropped so the next attempt re-bases atomically), or when the tail
+// has grown past the compaction threshold.
 func (m *Manager) tryPersistLocked(e *managedSession) error {
 	if m.stateDir == "" || e.s == nil {
 		return nil
@@ -141,9 +133,6 @@ func (m *Manager) tryPersistLocked(e *managedSession) error {
 		if err := m.checkpointFailure(); err != nil {
 			return err
 		}
-	}
-	if m.opts.FullSnapshots {
-		return m.persistFullLocked(e)
 	}
 	if e.log == nil {
 		return m.compactLocked(e)
@@ -225,8 +214,6 @@ func (m *Manager) compactThreshold(baseEvents int) int {
 // into place BEFORE the log is reset, so a crash at any point leaves
 // either the old base+tail or the new base with stale tail records
 // (skipped by index on recovery) — never a state that loses events.
-// Also the legacy-migration path: a pre-WAL <id>.json session gets its
-// first base+log pair here and the legacy file is removed.
 func (m *Manager) compactLocked(e *managedSession) error {
 	data, err := e.s.Snapshot()
 	if err != nil {
@@ -254,36 +241,7 @@ func (m *Manager) compactLocked(e *managedSession) error {
 	}
 	e.baseEvents = e.s.EventCount()
 	e.persisted = e.baseEvents
-	if e.legacy {
-		os.Remove(m.legacyPath(e.id)) // best-effort: boot prefers the base anyway
-		e.legacy = false
-	}
 	m.compactions.Add(1)
-	return nil
-}
-
-// persistFullLocked is the pre-WAL behavior, kept behind
-// ManagerOptions.FullSnapshots as the ablation arm the ext6 benchmark
-// measures against: rewrite the whole snapshot on every operation.
-func (m *Manager) persistFullLocked(e *managedSession) error {
-	data, err := e.s.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := m.writeAtomic(m.legacyPath(e.id), e.id, data); err != nil {
-		return err
-	}
-	m.checkpointBytes.Add(int64(len(data)))
-	n := e.s.EventCount()
-	e.persisted, e.baseEvents = n, n
-	if !e.legacy {
-		// A stale base+wal pair must not shadow the whole-snapshot file
-		// on the next boot.
-		e.dropLogLocked()
-		os.Remove(m.basePath(e.id))
-		os.Remove(m.walPath(e.id))
-		e.legacy = true
-	}
 	return nil
 }
 
@@ -320,71 +278,38 @@ func (m *Manager) writeAtomic(path, id string, data []byte) error {
 }
 
 // hydrateLocked loads an evicted (or never-resident) session back into
-// memory: read the base (or legacy) snapshot, open the WAL, replay the
-// tail. Deterministic replay makes the hydrated session bitwise
-// equivalent to the one that was evicted.
+// memory: read the base snapshot, open the WAL, replay the tail.
+// Deterministic replay makes the hydrated session bitwise equivalent to
+// the one that was evicted.
 func (m *Manager) hydrateLocked(e *managedSession) error {
 	if e.s != nil {
-		return nil
-	}
-	if e.legacy {
-		data, err := os.ReadFile(m.legacyPath(e.id))
-		if err != nil {
-			return fmt.Errorf("tune: reading session %q: %w", e.id, err)
-		}
-		s, n, err := restorePartsWith(data, nil, m.know)
-		if err != nil {
-			return fmt.Errorf("tune: restoring session %q: %w", e.id, err)
-		}
-		e.s, e.baseEvents, e.persisted = s, n, n
-		m.hydrations.Add(1)
 		return nil
 	}
 	data, err := os.ReadFile(m.basePath(e.id))
 	if err != nil {
 		return fmt.Errorf("tune: reading session %q: %w", e.id, err)
 	}
-	f, err := parseSnapshot(data)
-	if err != nil {
-		return fmt.Errorf("tune: restoring session %q: %w", e.id, err)
-	}
 	lg, recs, err := wal.Open(m.walPath(e.id), m.walOptions())
 	if err != nil {
 		return fmt.Errorf("tune: opening wal for session %q: %w", e.id, err)
 	}
-	tail, err := decodeTail(recs, len(f.Events))
-	if err != nil {
-		lg.Close()
-		return fmt.Errorf("tune: session %q: %w", e.id, err)
-	}
-	f.Config.fleet = m.know
-	s, err := restoreFile(f, tail)
+	s, baseEvents, err := restore(data, recs, m.know)
 	if err != nil {
 		lg.Close()
 		return fmt.Errorf("tune: restoring session %q: %w", e.id, err)
 	}
 	e.s, e.log = s, lg
-	e.baseEvents = len(f.Events)
+	e.baseEvents = baseEvents
 	e.persisted = s.EventCount()
 	m.hydrations.Add(1)
 	return nil
 }
 
-// snapshotHeader is the prefix of a snapshot document the boot scan
-// reads: every field snapshotFile marshals before the event log.
-type snapshotHeader struct {
-	Version      int
-	Kind         string
-	Config       Config
-	Iter         int
-	RolloutPhase string
-}
-
 // peekSnapshotHeader reads a snapshot's header fields without buffering
 // its event log or state: a streaming decode that stops at the "events"
-// key. snapshotFile marshals version/kind/config/iter/rollout_phase
-// first, so this touches only the head of the file — boot cost for a
-// fleet of sessions is O(#sessions), not O(total history).
+// key. snapshotFile marshals its header first, so this touches only the
+// head of the file — boot cost for a fleet of sessions is
+// O(#sessions), not O(total history).
 func peekSnapshotHeader(path string) (snapshotHeader, error) {
 	var h snapshotHeader
 	f, err := os.Open(path)
@@ -418,7 +343,7 @@ func peekSnapshotHeader(path string) (snapshotHeader, error) {
 		case "rollout_phase":
 			err = dec.Decode(&h.RolloutPhase)
 		case "events", "state":
-			return h, h.validate()
+			return h, h.check()
 		default:
 			var skip json.RawMessage
 			err = dec.Decode(&skip)
@@ -427,29 +352,15 @@ func peekSnapshotHeader(path string) (snapshotHeader, error) {
 			return h, err
 		}
 	}
-	return h, h.validate()
-}
-
-func (h snapshotHeader) validate() error {
-	if h.Kind != "" && h.Kind != snapshotKind {
-		return fmt.Errorf("snapshot kind %q is not %q", h.Kind, snapshotKind)
-	}
-	if h.Version < 1 || h.Version > SnapshotVersion {
-		return fmt.Errorf("snapshot version %d not supported (want 1..%d)", h.Version, SnapshotVersion)
-	}
-	return nil
+	return h, h.check()
 }
 
 // peekInfo fills a not-yet-hydrated entry's SessionInfo from disk:
-// header fields from the base (or legacy) snapshot, then — for base+wal
-// sessions — the iter/phase envelope of the WAL's final record, which
-// reflects every operation since the last compaction.
+// header fields from the base snapshot, then the iter/phase envelope of
+// the WAL's final record, which reflects every operation since the last
+// compaction.
 func (m *Manager) peekInfo(e *managedSession) error {
-	path := m.basePath(e.id)
-	if e.legacy {
-		path = m.legacyPath(e.id)
-	}
-	h, err := peekSnapshotHeader(path)
+	h, err := peekSnapshotHeader(m.basePath(e.id))
 	if err != nil {
 		return err
 	}
@@ -458,24 +369,16 @@ func (m *Manager) peekInfo(e *managedSession) error {
 		ID: e.id, Backend: cfg.Backend, Space: cfg.Space, Iter: h.Iter,
 	}
 	phase := h.RolloutPhase
-	if phase == "" && cfg.Rollout == nil {
-		// v1/v2 headers carry no phase; direct-apply sessions are always
-		// "direct". Rollout-enabled legacy sessions stay blank until
-		// hydrated.
-		phase = RolloutDirect
+	_, last, err := wal.Stat(m.walPath(e.id))
+	if err != nil {
+		return err
 	}
-	if !e.legacy {
-		_, last, err := wal.Stat(m.walPath(e.id))
-		if err != nil {
-			return err
-		}
-		if last != nil {
-			var rec walRecord
-			if err := json.Unmarshal(last, &rec); err == nil {
-				info.Iter = rec.Iter
-				if rec.Phase != "" {
-					phase = rec.Phase
-				}
+	if last != nil {
+		var rec walRecord
+		if err := json.Unmarshal(last, &rec); err == nil {
+			info.Iter = rec.Iter
+			if rec.Phase != "" {
+				phase = rec.Phase
 			}
 		}
 	}

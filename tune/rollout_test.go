@@ -2,11 +2,8 @@ package tune
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -38,11 +35,12 @@ func rolloutStep(t *testing.T, s *Session, primary, shadow *dbsim.Instance, gen 
 		Failed:      res.Failed,
 	}
 	if adv.RolloutPhase == RolloutCanary || adv.RolloutPhase == RolloutRevalidate {
-		if adv.ShadowConfig == nil || adv.ShadowUnit == nil {
-			t.Fatalf("iter %d: %s advice without a staged shadow configuration: %+v", i, adv.RolloutPhase, adv)
+		st, ok := adv.Targets[RoleStaged]
+		if !ok || st.Config == nil || st.Unit == nil {
+			t.Fatalf("iter %d: %s advice without a staged configuration: %+v", i, adv.RolloutPhase, adv)
 		}
-		sres := shadow.Eval(adv.ShadowConfig, w, dbsim.EvalOptions{})
-		o.Shadow = &ShadowOutcome{Performance: sres.Objective(w.OLAP), Failed: sres.Failed}
+		sres := shadow.Eval(st.Config, w, dbsim.EvalOptions{})
+		o.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: sres.Objective(w.OLAP), Failed: sres.Failed}}
 	}
 	if err := s.Report(o); err != nil {
 		t.Fatal(err)
@@ -153,48 +151,6 @@ func TestSnapshotRestoreRolloutProperty(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1ForwardCompat pins forward compatibility: a committed
-// pre-rollout (version 1) snapshot must restore into the current
-// session with the rollout defaulted to direct apply and keep serving.
-func TestSnapshotV1ForwardCompat(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Restore(data)
-	if err != nil {
-		t.Fatalf("restoring v1 snapshot: %v", err)
-	}
-	if s.Iter() != 3 {
-		t.Fatalf("restored iter = %d, want 3", s.Iter())
-	}
-	if got := s.Rollout().Phase; got != rollout.PhaseDirect {
-		t.Fatalf("v1 session rollout phase = %q, want direct (defaulted)", got)
-	}
-	adv, err := s.Suggest(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv.RolloutPhase != "" {
-		t.Fatalf("direct-apply advice reports rollout phase %q", adv.RolloutPhase)
-	}
-	// A re-snapshot of the restored session is written at the current
-	// version.
-	reSnap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(reSnap, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Version != SnapshotVersion {
-		t.Fatalf("re-snapshot version = %d, want %d", doc.Version, SnapshotVersion)
-	}
-}
-
 // TestRolloutOverHTTP mirrors the CI api-smoke flow in-process: a
 // rollout-enabled session is driven through the HTTP API to a canary
 // promote and a forced rollback, with the rollout endpoint reporting
@@ -210,8 +166,8 @@ func TestRolloutOverHTTP(t *testing.T) {
 	cfg := Config{Space: "case5", Seed: 3, Rollout: &RolloutConfig{Window: 2}}
 	var info SessionInfo
 	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "canary", "config": cfg}, http.StatusCreated, &info)
-	if info.RolloutPhase != RolloutSteady {
-		t.Fatalf("created session rollout phase = %q", info.RolloutPhase)
+	if info.Rollout == nil || info.Rollout.Phase != RolloutSteady {
+		t.Fatalf("created session rollout = %+v", info.Rollout)
 	}
 	var st RolloutStatus
 	doJSON(t, srv, "GET", "/v1/sessions/canary/rollout", nil, http.StatusOK, &st)
@@ -222,8 +178,8 @@ func TestRolloutOverHTTP(t *testing.T) {
 
 	// outcome fabricates a steady OLTP interval; the perf wiggle keeps
 	// the GP posterior non-degenerate so a canary eventually starts.
-	outcome := func(i int, shadow *ShadowOutcome) Outcome {
-		return Outcome{
+	outcome := func(i int, staged *ReplicaPerf) Outcome {
+		o := Outcome{
 			Workload: Workload{
 				Statements: []Statement{{SQL: "SELECT c_balance FROM customer WHERE c_id = 42"}},
 				Unlimited:  true, ReadFrac: 0.8, Skew: 0.5, DataGB: 18,
@@ -232,8 +188,11 @@ func TestRolloutOverHTTP(t *testing.T) {
 			Metrics:     Metrics{BufferPoolHitRate: 0.96, QPS: 20000},
 			Performance: 105 + float64(i%5),
 			Baseline:    90,
-			Shadow:      shadow,
 		}
+		if staged != nil {
+			o.Measurements = map[Role]ReplicaPerf{RoleStaged: *staged}
+		}
+		return o
 	}
 
 	// Drive to the first canary, then feed a strong shadow → promote.
@@ -242,9 +201,9 @@ func TestRolloutOverHTTP(t *testing.T) {
 		for i := 0; i < maxIters; i++ {
 			var adv Advice
 			doJSON(t, srv, "POST", "/v1/sessions/canary/suggest", nil, http.StatusOK, &adv)
-			var sh *ShadowOutcome
+			var sh *ReplicaPerf
 			if adv.RolloutPhase == RolloutCanary || adv.RolloutPhase == RolloutRevalidate {
-				sh = &ShadowOutcome{Performance: shadowPerf, Failed: shadowFailed}
+				sh = &ReplicaPerf{Performance: shadowPerf, Failed: shadowFailed}
 			}
 			doJSON(t, srv, "POST", "/v1/sessions/canary/report", outcome(i, sh), http.StatusOK, nil)
 			doJSON(t, srv, "GET", "/v1/sessions/canary/rollout", nil, http.StatusOK, &st)

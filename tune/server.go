@@ -66,7 +66,7 @@ func NewServer(m *Manager) http.Handler {
 			ID     string `json:"id"`
 			Config Config `json:"config"`
 		}
-		if err := decodeBody(r, &req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -90,7 +90,7 @@ func NewServer(m *Manager) http.Handler {
 
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := m.Delete(r.PathValue("id")); err != nil {
-			writeError(w, http.StatusNotFound, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"deleted": true})
@@ -107,7 +107,7 @@ func NewServer(m *Manager) http.Handler {
 
 	mux.HandleFunc("POST /v1/sessions/{id}/report", func(w http.ResponseWriter, r *http.Request) {
 		var o Outcome
-		if err := decodeBody(r, &o); err != nil {
+		if err := decodeBody(w, r, &o); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -180,10 +180,15 @@ func NewServer(m *Manager) http.Handler {
 // any honest export far below this.
 const maxImportBytes = 64 << 20
 
-// decodeBody parses a JSON request body, rejecting unknown fields so
-// typos in knob or option names fail loudly.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a create or report body. An honest report is a
+// few dozen sampled statements plus counters — kilobytes.
+const maxBodyBytes = 4 << 20
+
+// decodeBody parses a JSON request body of at most maxBodyBytes,
+// rejecting unknown fields so typos in knob or option names fail
+// loudly.
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("parsing request body: %w", err)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -256,6 +257,80 @@ func TestHealthzAndPG16SessionOverHTTP(t *testing.T) {
 	}
 }
 
+// TestDeleteStatusOverHTTP: DELETE maps Manager.Delete's errors like
+// every other handler — a missing session is the client's 404, a
+// failure removing the session's files is the server's 500.
+func TestDeleteStatusOverHTTP(t *testing.T) {
+	stateDir := t.TempDir()
+	m1, err := NewManagerOpts(stateDir, ManagerOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Create("db", Config{Space: "case5", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh manager holds the session evicted, with no handle on its
+	// files. Tests run as root, where permission bits stop nothing: make
+	// the removal fail by putting a non-empty directory where the log was.
+	m2, err := NewManagerOpts(stateDir, ManagerOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	walPath := filepath.Join(stateDir, "db.wal")
+	if err := os.Remove(walPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(walPath, "pin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(m2))
+	defer srv.Close()
+	doJSON(t, srv, "DELETE", "/v1/sessions/nope", nil, http.StatusNotFound, nil)
+	doJSON(t, srv, "DELETE", "/v1/sessions/db", nil, http.StatusInternalServerError, nil)
+}
+
+// TestReportBodyRefusals: a report the decoder must not accept leaves
+// the session where it was. An oversized body is cut off at
+// maxBodyBytes, and the retired "shadow" spelling of the staged
+// measurement is an unknown field the error names.
+func TestReportBodyRefusals(t *testing.T) {
+	m, err := NewManager("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "db", "config": Config{Space: "case5"}}, http.StatusCreated, nil)
+
+	huge := goldenOutcome(0)
+	huge.Workload.Statements[0].SQL = "SELECT " + strings.Repeat("x", maxBodyBytes)
+	doJSON(t, srv, "POST", "/v1/sessions/db/report", huge, http.StatusBadRequest, nil)
+
+	body := struct {
+		Outcome
+		Shadow ReplicaPerf `json:"shadow"`
+	}{goldenOutcome(0), ReplicaPerf{Performance: 130}}
+	var refusal struct {
+		Error string `json:"error"`
+	}
+	doJSON(t, srv, "POST", "/v1/sessions/db/report", body, http.StatusBadRequest, &refusal)
+	if !strings.Contains(refusal.Error, `unknown field "shadow"`) {
+		t.Fatalf("refusal %q does not name the unknown field", refusal.Error)
+	}
+
+	var info SessionInfo
+	doJSON(t, srv, "GET", "/v1/sessions/db", nil, http.StatusOK, &info)
+	if info.Iter != 0 {
+		t.Fatalf("refused reports advanced the session to iter %d", info.Iter)
+	}
+	// The same outcome without the stray field is accepted.
+	doJSON(t, srv, "POST", "/v1/sessions/db/report", body.Outcome, http.StatusOK, nil)
+}
+
 // TestManagerDeleteVsCheckpointRace hammers Delete against concurrent
 // Suggest checkpointing on the same id: once Delete returns and the
 // suggesters drain, no checkpoint file may remain (a racing checkpoint
@@ -286,7 +361,7 @@ func TestManagerDeleteVsCheckpointRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Wait()
-		for _, name := range []string{"db.json", "db.base.json", "db.wal"} {
+		for _, name := range []string{"db.base.json", "db.wal"} {
 			if _, err := os.Stat(filepath.Join(stateDir, name)); !os.IsNotExist(err) {
 				t.Fatalf("round %d: %s resurrected after delete (stat err: %v)", round, name, err)
 			}

@@ -110,12 +110,6 @@ type ReplicaPerf struct {
 	Failed bool `json:"failed,omitempty"`
 }
 
-// ShadowOutcome is the deprecated name for ReplicaPerf, kept so
-// pre-role-keyed callers (and the `shadow` wire field) keep working.
-//
-// Deprecated: use Outcome.Measurements[RoleStaged].
-type ShadowOutcome = ReplicaPerf
-
 // Outcome reports the measured result of running the last suggested
 // configuration (or the initial configuration before any suggestion)
 // for one interval.
@@ -145,22 +139,6 @@ type Outcome struct {
 	// RolePrimary entry, when present, overrides the flat
 	// Performance/Failed fields.
 	Measurements map[Role]ReplicaPerf `json:"measurements,omitempty"`
-	// Shadow is the deprecated flat form of Measurements[RoleStaged],
-	// still accepted on input. When both are present the role-keyed form
-	// wins.
-	//
-	// Deprecated: use Measurements[RoleStaged].
-	Shadow *ShadowOutcome `json:"shadow,omitempty"`
-}
-
-// stagedMeasurement resolves the staged replica's measurement: the
-// role-keyed form first, the deprecated Shadow alias second, nil when
-// neither was reported.
-func (o Outcome) stagedMeasurement() *ReplicaPerf {
-	if m, ok := o.Measurements[RoleStaged]; ok {
-		return &m
-	}
-	return o.Shadow
 }
 
 // clone deep-copies the outcome's reference fields, so a logged outcome
@@ -168,10 +146,6 @@ func (o Outcome) stagedMeasurement() *ReplicaPerf {
 func (o Outcome) clone() Outcome {
 	oc := o
 	oc.Workload.Statements = append([]Statement(nil), o.Workload.Statements...)
-	if o.Shadow != nil {
-		sh := *o.Shadow
-		oc.Shadow = &sh
-	}
 	if o.Measurements != nil {
 		oc.Measurements = make(map[Role]ReplicaPerf, len(o.Measurements))
 		for r, m := range o.Measurements {
@@ -242,12 +216,6 @@ type Advice struct {
 	// mirrors Config/Unit, RoleStaged (canary/tuning phase only) is the
 	// candidate to evaluate on the staged replica.
 	Targets map[Role]ConfigRef `json:"targets,omitempty"`
-	// ShadowConfig/ShadowUnit are the deprecated flat form of
-	// Targets[RoleStaged], still emitted alongside it.
-	//
-	// Deprecated: use Targets[RoleStaged].
-	ShadowConfig KnobConfig `json:"shadow_config,omitempty"`
-	ShadowUnit   []float64  `json:"shadow_unit,omitempty"`
 	// EI is the model's Expected Improvement of this configuration over
 	// the previously applied one (meaningful when HasEI).
 	EI    float64 `json:"ei,omitempty"`
@@ -405,18 +373,12 @@ func (s *Session) suggestLocked() Advice {
 				adv.IgnoredRule = rec.IgnoredRule.Name
 			}
 			adv.RolloutPhase = rec.RolloutPhase
-			if rec.ShadowUnit != nil {
-				adv.ShadowUnit = append([]float64(nil), rec.ShadowUnit...)
-				adv.ShadowConfig = rec.ShadowConfig.Clone()
-			}
 			if adv.RolloutPhase != "" {
-				// Role-keyed targets supersede the flat shadow fields; both
-				// forms are emitted during the deprecation window.
 				adv.Targets = map[Role]ConfigRef{
 					RolePrimary: {Config: adv.Config.Clone(), Unit: append([]float64(nil), adv.Unit...)},
 				}
-				if adv.ShadowUnit != nil {
-					adv.Targets[RoleStaged] = ConfigRef{Config: adv.ShadowConfig.Clone(), Unit: append([]float64(nil), adv.ShadowUnit...)}
+				if rec.ShadowUnit != nil {
+					adv.Targets[RoleStaged] = ConfigRef{Config: rec.ShadowConfig.Clone(), Unit: append([]float64(nil), rec.ShadowUnit...)}
 				}
 			}
 		}
@@ -455,11 +417,9 @@ func (s *Session) Report(o Outcome) error {
 // event log here, so a replayed log regenerates the identical decision
 // sequence for Restore to verify.
 func (s *Session) reportLocked(o Outcome) {
-	// Normalize the role-keyed wire form onto the flat fields: a
-	// RolePrimary measurement overrides Performance/Failed, and the
-	// staged measurement resolves through either form. Replay runs the
-	// same normalization, so logged outcomes replay identically
-	// whichever form the client used.
+	// A RolePrimary measurement overrides the flat Performance/Failed.
+	// Replay runs the same normalization, so logged outcomes replay
+	// identically whichever form the client used.
 	if m, ok := o.Measurements[RolePrimary]; ok {
 		o.Performance, o.Failed = m.Performance, m.Failed
 	}
@@ -470,7 +430,7 @@ func (s *Session) reportLocked(o Outcome) {
 		Tau: o.Baseline, OLAP: snap.OLAP, HW: s.hw,
 	}
 	staged := false
-	if sh := o.stagedMeasurement(); sh != nil {
+	if sh, ok := o.Measurements[RoleStaged]; ok {
 		if st, ok := s.tuner.(stagedTuner); ok && st.CanaryActive() {
 			st.FeedbackStaged(env, o.result(), sh.Performance, sh.Failed)
 			staged = true

@@ -8,24 +8,17 @@ import (
 	"repro/internal/rollout"
 )
 
-// SnapshotVersion is the version of the session snapshot JSON schema.
-// The schema is append-only within a version: fields may be added,
-// never renamed or repurposed. Version 2 added the canary rollout:
-// promote/rollback events in the log, Outcome.Shadow payloads, and the
-// rollout state summary. Version 3 added the top-level rollout_phase
-// header field (emitted before the event log so the Manager's boot scan
-// can summarize a session by reading only the head of its base
-// snapshot) and is the format WAL compaction writes as a session's base
-// snapshot. Version 4 added fleet-knowledge events: each query's advice
-// is logged so replay reproduces the session without the fleet store
-// (which other sessions keep mutating). Version 5 added the
-// mode-selectable rollout (canary | bluegreen): switchover and
-// chain-rollback events join the log, Outcome carries role-keyed
-// Measurements, and the rollout state summary gains mode, replicas,
-// chain depth and cost metrics. Version 1–4 snapshots restore
-// unchanged, with the rollout defaulted to direct apply for v1 and to
-// canary mode for rollout-enabled v2–v4 sessions.
-const SnapshotVersion = 5
+// SnapshotVersion is the version of the session snapshot JSON schema,
+// and the only one Restore and the Manager accept. The schema is
+// append-only within a version: fields may be added, never renamed,
+// repurposed or removed without a bump. Version 6 is the role-keyed
+// format: a header (config, iter, rollout_phase) emitted before the
+// event log so the Manager's boot scan can summarize a session from
+// the head of its base snapshot, a log of suggest, report, knowledge
+// and rollout-decision events whose outcomes carry the staged
+// replica's measurement only as Measurements[RoleStaged], and the
+// derived state summary.
+const SnapshotVersion = 6
 
 // snapshotKind tags the document so unrelated JSON is rejected early.
 const snapshotKind = "tune.Session"
@@ -81,19 +74,36 @@ type sessionState struct {
 	Rollout *RolloutStatus `json:"rollout,omitempty"`
 }
 
-// snapshotFile is the versioned JSON document Snapshot produces. Field
-// order matters: everything the Manager's boot scan needs (config,
-// iter, rollout_phase) is marshaled BEFORE the event log, so peeking a
-// base snapshot's header never reads past the head of the file.
-type snapshotFile struct {
+// snapshotHeader is the prefix of a snapshot document: everything the
+// Manager's boot scan needs, marshaled BEFORE the event log, so peeking
+// a base snapshot's header never reads past the head of the file.
+type snapshotHeader struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	Config  Config `json:"config"`
 	Iter    int    `json:"iter"`
-	// RolloutPhase duplicates State.Rollout.Phase in the header (v3+).
-	RolloutPhase string        `json:"rollout_phase,omitempty"`
-	Events       []event       `json:"events"`
-	State        *sessionState `json:"state,omitempty"`
+	// RolloutPhase duplicates State.Rollout.Phase in the header.
+	RolloutPhase string `json:"rollout_phase,omitempty"`
+}
+
+// check validates the version envelope: the one place a document's kind
+// and version are judged, for Restore and the boot scan alike.
+func (h snapshotHeader) check() error {
+	if h.Kind != snapshotKind {
+		return fmt.Errorf("tune: snapshot kind %q is not %q", h.Kind, snapshotKind)
+	}
+	if h.Version != SnapshotVersion {
+		return fmt.Errorf("tune: snapshot version %d not supported (want %d)", h.Version, SnapshotVersion)
+	}
+	return nil
+}
+
+// snapshotFile is the versioned JSON document Snapshot produces: the
+// header, then the event log, then the derived state summary.
+type snapshotFile struct {
+	snapshotHeader
+	Events []event       `json:"events"`
+	State  *sessionState `json:"state,omitempty"`
 }
 
 // Snapshot serializes the session as versioned JSON: its configuration,
@@ -104,13 +114,15 @@ type snapshotFile struct {
 func (s *Session) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	f := snapshotFile{
-		Version:      SnapshotVersion,
-		Kind:         snapshotKind,
-		Config:       s.cfg,
-		Iter:         s.iter,
-		RolloutPhase: string(s.rolloutLocked().Phase),
-		Events:       s.events,
-		State:        s.stateLocked(),
+		snapshotHeader: snapshotHeader{
+			Version:      SnapshotVersion,
+			Kind:         snapshotKind,
+			Config:       s.cfg,
+			Iter:         s.iter,
+			RolloutPhase: string(s.rolloutLocked().Phase),
+		},
+		Events: s.events,
+		State:  s.stateLocked(),
 	}
 	s.mu.Unlock()
 	// Marshal off-lock (the log can be large, and encoding it must not
@@ -148,57 +160,42 @@ func (s *Session) stateLocked() *sessionState {
 // session would have produced. The embedded state summary is verified
 // against the replayed tuner.
 func Restore(data []byte) (*Session, error) {
-	s, _, err := restoreParts(data, nil)
+	s, _, err := restore(data, nil, nil)
 	return s, err
 }
 
-// parseSnapshot validates the version envelope of a snapshot document.
+// parseSnapshot decodes a snapshot document and checks its envelope.
 func parseSnapshot(data []byte) (snapshotFile, error) {
 	var f snapshotFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return f, fmt.Errorf("tune: parsing snapshot: %w", err)
 	}
-	if f.Kind != "" && f.Kind != snapshotKind {
-		return f, fmt.Errorf("tune: snapshot kind %q is not %q", f.Kind, snapshotKind)
-	}
-	if f.Version < 1 || f.Version > SnapshotVersion {
-		return f, fmt.Errorf("tune: snapshot version %d not supported (want 1..%d)", f.Version, SnapshotVersion)
-	}
-	return f, nil
+	return f, f.check()
 }
 
-// restoreParts is snapshot+tail recovery: it rebuilds a session from a
-// base snapshot document plus the tail of events the Manager's
-// write-ahead log accumulated since that base was compacted. The base's
+// restore is snapshot+tail recovery: it rebuilds a session from a base
+// snapshot document plus the WAL records the Manager accumulated since
+// that base was compacted (none for a bare Restore). The base's
 // embedded state summary is verified at the base boundary, then the
-// tail replays through the same verification loop. It returns the
+// tail replays through the same verification loop. fleet is the
+// Manager's knowledge store, so a hydrated session resumes contributing
+// to (and querying) the live store once replay finishes; replay itself
+// never touches it — it consumes the logged advice. It returns the
 // restored session and the number of events the base contributed (the
 // tail's starting index in the combined log).
-func restoreParts(base []byte, tail []event) (*Session, int, error) {
-	return restorePartsWith(base, tail, nil)
-}
-
-// restorePartsWith is restoreParts with the Manager's fleet knowledge
-// store injected, so a hydrated session resumes contributing to (and
-// querying) the live store once replay finishes. Replay itself never
-// touches the store — it consumes the logged advice.
-func restorePartsWith(base []byte, tail []event, fleet *fleetKnowledge) (*Session, int, error) {
+func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, error) {
 	f, err := parseSnapshot(base)
 	if err != nil {
 		return nil, 0, err
 	}
+	tail, err := decodeTail(recs, len(f.Events))
+	if err != nil {
+		return nil, 0, err
+	}
 	f.Config.fleet = fleet
-	s, err := restoreFile(f, tail)
-	return s, len(f.Events), err
-}
-
-// restoreFile replays a parsed base document plus a tail of
-// WAL-recovered events (the Manager's hydration path parses the base
-// itself so it can filter the tail by the base's event count first).
-func restoreFile(f snapshotFile, tail []event) (*Session, error) {
 	s, err := NewSession(f.Config)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if s.know != nil {
 		// Feed the logged advice sequence to the adapter: replayed queries
@@ -212,24 +209,24 @@ func restoreFile(f snapshotFile, tail []event) (*Session, error) {
 	// ones (verified is the cursor into the regenerated sequence).
 	verified := 0
 	if err := s.replayEvents(f.Events, &verified); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// The base's iter and state summary describe the session at the
 	// base boundary — check them before replaying the tail on top.
 	if s.iter != f.Iter {
-		return nil, fmt.Errorf("tune: replay reached iter %d, snapshot recorded %d", s.iter, f.Iter)
+		return nil, 0, fmt.Errorf("tune: replay reached iter %d, snapshot recorded %d", s.iter, f.Iter)
 	}
 	if err := s.verifyState(f.State); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := s.replayEvents(tail, &verified); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if verified != len(s.events) {
-		return nil, fmt.Errorf("tune: replay produced %d rollout decisions, snapshot logged %d", len(s.events), verified)
+		return nil, 0, fmt.Errorf("tune: replay produced %d rollout decisions, snapshot logged %d", len(s.events), verified)
 	}
 	s.events = append(append([]event(nil), f.Events...), tail...)
-	return s, nil
+	return s, len(f.Events), nil
 }
 
 // replayEvents replays one stretch of logged events into s, advancing

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dbsim"
@@ -234,83 +236,48 @@ func TestSnapshotRestorePG16(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2ForwardCompat pins forward compatibility for version 2
-// (the pre-WAL whole-snapshot format): the committed v2 golden file
-// must restore into the current session bitwise-equivalently — its next
-// advice must match a reference session driven through the same
-// (deterministic) history — and re-snapshot at the current version.
-func TestSnapshotV2ForwardCompat(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Version != 2 {
-		t.Fatalf("fixture version = %d, want the frozen v2 format", doc.Version)
-	}
-	s, err := Restore(data)
-	if err != nil {
-		t.Fatalf("restoring v2 snapshot: %v", err)
-	}
-	if s.Iter() != 3 {
-		t.Fatalf("restored iter = %d, want 3", s.Iter())
-	}
-
-	// The fixture is the golden session (case5, seed 42, three
-	// goldenOutcome intervals): rebuild it live and compare advice.
-	ref, err := NewSession(Config{Space: "case5", Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := ref.Suggest(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Report(goldenOutcome(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.Suggest(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Suggest(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2-restored advice diverged from reference\nrestored:  %+v\nreference: %+v", got, want)
-	}
-
-	reSnap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(reSnap, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Version != SnapshotVersion {
-		t.Fatalf("re-snapshot version = %d, want %d", doc.Version, SnapshotVersion)
-	}
-}
-
 // TestRestoreRejectsGarbage covers the error paths of Restore.
 func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore([]byte("{")); err == nil {
 		t.Fatal("accepted truncated JSON")
 	}
-	if _, err := Restore([]byte(`{"version": 999, "kind": "tune.Session"}`)); err == nil {
-		t.Fatal("accepted unknown version")
-	}
-	if _, err := Restore([]byte(`{"version": 1, "kind": "something.Else"}`)); err == nil {
+	if _, err := Restore([]byte(`{"version": 6, "kind": "something.Else"}`)); err == nil {
 		t.Fatal("accepted wrong document kind")
 	}
-	if _, err := Restore([]byte(`{"version": 1, "kind": "tune.Session", "events": [{"kind": "report"}]}`)); err == nil {
+	if _, err := Restore([]byte(`{"version": 6, "kind": "tune.Session", "events": [{"kind": "report"}]}`)); err == nil {
 		t.Fatal("accepted report event without outcome")
+	}
+}
+
+// goldenAtVersion returns the committed golden snapshot with its
+// version field re-stamped as v.
+func goldenAtVersion(tb testing.TB, v int) []byte {
+	tb.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_golden.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.Replace(golden, []byte(`"version": 6`), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+}
+
+// TestRestoreRejectsOtherVersions: exactly one snapshot version
+// restores. The golden document re-stamped with any other version —
+// the one just retired, the next one, none — is refused with an error
+// naming the version found and the version wanted.
+func TestRestoreRejectsOtherVersions(t *testing.T) {
+	if _, err := Restore(goldenAtVersion(t, SnapshotVersion)); err != nil {
+		t.Fatalf("golden snapshot does not restore: %v", err)
+	}
+	for _, v := range []int{0, 1, 5, 7, 999} {
+		_, err := Restore(goldenAtVersion(t, v))
+		if err == nil {
+			t.Fatalf("restored a version-%d snapshot", v)
+		}
+		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 6"} {
+			//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name both versions), not on error identity
+			if !strings.Contains(err.Error(), frag) {
+				t.Fatalf("version-%d error %q does not mention %q", v, err, frag)
+			}
+		}
 	}
 }
