@@ -7,6 +7,12 @@
 // deliberately NOT encoded: they depend on the currently applied
 // configuration and would leak the tuner's own actions into the context.
 //
+// The query encoder is pre-trained once and only read while tuning, as in
+// the paper: Pretrain ends by freezing it into an inference-only
+// lstm.Encoder, and NewPretrained shares one frozen encoder between all
+// featurizers of a seed. Vocabulary, template cache and ablation switches
+// stay private to each featurizer.
+//
 // Because workloads repeat a small set of query templates (only the
 // literals change, and sqlparse.Tokenize strips literals), the featurizer
 // memoizes the frozen encoder's output per template signature in a
@@ -20,6 +26,9 @@ package featurize
 import (
 	"container/list"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dbsim"
 	"repro/internal/lstm"
@@ -65,7 +74,11 @@ type Featurizer struct {
 	UseData     bool
 
 	vocab *sqlparse.Vocab
-	enc   *lstm.Autoencoder
+	// enc is only read by Context. After pre-training it is frozen, and
+	// featurizers from NewPretrained share it; before, it is the live
+	// view of trainer's weights.
+	enc     *lstm.Encoder
+	trainer *lstm.Autoencoder // nil once pre-trained
 
 	// Template-keyed encoding cache (LRU, bound ≤ 0 disables).
 	cacheBound int
@@ -86,16 +99,22 @@ type Featurizer struct {
 // coldRef maps a query index to its cold-template batch position.
 type coldRef struct{ query, pos int }
 
-// New returns a featurizer with an untrained query encoder. Call Pretrain
-// before use so encodings are stable across the tuning run (the paper
-// pre-trains the encoder-decoder; training it online would drift the
-// context space under the GP).
+// New returns a featurizer with an untrained, private query encoder. Call
+// Pretrain before use so encodings are stable across the tuning run (the
+// paper pre-trains the encoder-decoder; training it online would drift
+// the context space under the GP).
 func New(seed int64) *Featurizer {
+	t := lstm.NewAutoencoder(256, 10, EncoderHidden, seed)
+	return newFeaturizer(sqlparse.NewVocab(256), t.Encoder, t)
+}
+
+func newFeaturizer(vocab *sqlparse.Vocab, enc *lstm.Encoder, trainer *lstm.Autoencoder) *Featurizer {
 	f := &Featurizer{
 		UseWorkload: true,
 		UseData:     true,
-		vocab:       sqlparse.NewVocab(256),
-		enc:         lstm.NewAutoencoder(256, 10, EncoderHidden, seed),
+		vocab:       vocab,
+		enc:         enc,
+		trainer:     trainer,
 		cacheBound:  DefaultCacheBound,
 		avgBuf:      make([]float64, EncoderHidden),
 		coldPos:     map[string]int{},
@@ -112,20 +131,78 @@ func (f *Featurizer) Dim() int { return ContextDim }
 // featurizer state a session snapshot records.
 func (f *Featurizer) Vocabulary() []string { return f.vocab.Tokens() }
 
-// NewPretrained builds a featurizer and pre-trains its query encoder on
-// the standard workload corpus (TPC-C, Twitter, JOB, YCSB, real-world) —
-// the deterministic construction every driver shares, so two featurizers
-// built from the same seed produce bitwise-identical contexts.
-func NewPretrained(seed int64) *Featurizer {
-	f := New(seed)
-	f.Pretrain([]workload.Generator{
+// memoBound is how many seeds' pre-trained encoders NewPretrained keeps
+// (≈ 30 KB each). A fleet that sends no seed uses one; the bound exists so
+// a stream of distinct seeds cannot grow the memo without limit. Past it
+// the least recently used seed is dropped and pre-trains again on return.
+const memoBound = 128
+
+// memoEntry is one seed's pre-trained encoder. once makes pre-training
+// single-flight: callers for the same unseen seed wait on this entry
+// only, never on the memo lock.
+type memoEntry struct {
+	seed  int64
+	once  sync.Once
+	enc   *lstm.Encoder
+	vocab *sqlparse.Vocab // as pre-training left it; cloned per caller
+}
+
+var memo struct {
+	sync.Mutex
+	entries []*memoEntry // most recently used first, at most memoBound
+}
+
+// memoFor returns seed's entry, moved to the front; a miss inserts an
+// untrained one and drops the entry at the back.
+func memoFor(seed int64) *memoEntry {
+	memo.Lock()
+	defer memo.Unlock()
+	i := slices.IndexFunc(memo.entries, func(p *memoEntry) bool { return p.seed == seed })
+	if i < 0 {
+		i = min(len(memo.entries), memoBound-1)
+		memo.entries = append(memo.entries[:i], &memoEntry{seed: seed})
+	}
+	p := memo.entries[i]
+	copy(memo.entries[1:i+1], memo.entries[:i])
+	memo.entries[0] = p
+	return p
+}
+
+var pretrainings atomic.Int64
+
+// Pretrainings returns how many pre-trainings (Pretrain calls, including
+// the ones NewPretrained runs on a memo miss) this process has performed.
+func Pretrainings() int64 { return pretrainings.Load() }
+
+// corpus is the standard pre-training corpus (TPC-C, Twitter, JOB, YCSB,
+// real-world) for a seed.
+func corpus(seed int64) []workload.Generator {
+	return []workload.Generator{
 		workload.NewTPCC(seed, false),
 		workload.NewTwitter(seed+1, false),
 		workload.NewJOB(seed+2, false),
 		workload.NewYCSB(seed + 3),
 		workload.NewRealWorld(seed + 4),
-	}, 2)
-	return f
+	}
+}
+
+// NewPretrained returns a featurizer whose query encoder was pre-trained
+// on the standard workload corpus — the deterministic construction every
+// driver shares, so two featurizers built from the same seed produce
+// bitwise-identical contexts. The pre-training runs once per seed per
+// process (at most memoBound seeds are remembered): callers with the same
+// seed share one frozen, read-only encoder, and each gets its own copy of
+// the post-pre-train vocabulary and its own template cache. Concurrent
+// calls with the same unseen seed train once; different seeds train in
+// parallel. Calling Pretrain on the result panics.
+func NewPretrained(seed int64) *Featurizer {
+	p := memoFor(seed)
+	p.once.Do(func() {
+		f := New(seed)
+		f.Pretrain(corpus(seed), 2)
+		p.enc, p.vocab = f.enc, f.vocab
+	})
+	return newFeaturizer(p.vocab.Clone(), p.enc, nil)
 }
 
 // SetCacheBound sets the LRU bound of the template encoding cache and
@@ -177,17 +254,25 @@ func (f *Featurizer) cachePut(e *cacheEntry) {
 }
 
 // Pretrain fits the query autoencoder on SQL sampled from the given
-// generators, then freezes it. Any memoized encodings are invalidated:
-// they were produced by the pre-training weights.
+// generators, then freezes it: the featurizer keeps an inference-only
+// copy of the encoder and drops the trainer (decoder, gradients, Adam
+// moments). Any memoized encodings are invalidated: they were produced by
+// the pre-training weights. A featurizer pre-trains at most once — a
+// second call, or a call on a featurizer from NewPretrained, panics.
 func (f *Featurizer) Pretrain(gens []workload.Generator, iters int) {
+	if f.trainer == nil {
+		panic("featurize: Pretrain on a featurizer whose encoder is already frozen")
+	}
 	for it := 0; it < iters; it++ {
 		for _, g := range gens {
 			snap := g.At(it)
 			for _, q := range snap.Queries {
-				f.enc.Train(f.vocab.Encode(q.SQL))
+				f.trainer.Train(f.vocab.Encode(q.SQL))
 			}
 		}
 	}
+	f.enc, f.trainer = f.trainer.Freeze(), nil
+	pretrainings.Add(1)
 	f.resetCache()
 }
 

@@ -3,56 +3,54 @@ package lstm
 import (
 	"math"
 	"math/rand"
-	"sync"
-
-	"repro/internal/mathx"
+	"slices"
 )
 
 // Autoencoder is the sequence-to-sequence autoencoder of §5.1.1: an
 // embedding layer, an LSTM encoder, and an LSTM decoder with a softmax
 // projection that reconstructs the input token sequence. The encoder's
 // final hidden state is the dense query encoding.
+//
+// Autoencoder is the trainer. The embedded Encoder is a live view of the
+// weights being trained (not safe to read during Train); Freeze copies it
+// out once training is over.
 type Autoencoder struct {
-	Vocab   int
-	EmbDim  int
-	Hidden  int
-	Emb     []float64 // Vocab × EmbDim
+	*Encoder
 	gradEmb []float64
-	Enc     *Cell
 	Dec     *Cell
 	Proj    []float64 // Vocab × Hidden
 	ProjB   []float64
 	gradPj  []float64
 	gradPjB []float64
 
-	opt    *adam
-	MaxLen int // sequences are truncated to this length
+	opt *adam
 
-	// inf pools inference scratch (state + preactivation buffers) so
-	// Encode/EncodeAll allocate nothing per token and stay safe under
-	// concurrent use of the frozen encoder.
-	inf sync.Pool
-}
-
-// infScratch is one worker's reusable inference state.
-type infScratch struct {
-	h, c, pre []float64
+	// BPTT scratch, grown to the longest sequence seen and reused by
+	// every Train call: one step cache per encoder and decoder timestep,
+	// one softmax row per decoder timestep, and the running gradients.
+	encCaches, decCaches []*stepCache
+	probs                [][]float64
+	zero                 State // the encoder's initial state; read-only
+	dH, dC, dX           []float64
 }
 
 // NewAutoencoder builds an autoencoder for the given vocabulary size.
 func NewAutoencoder(vocab, embDim, hidden int, seed int64) *Autoencoder {
 	rng := rand.New(rand.NewSource(seed))
+	emb := make([]float64, vocab*embDim)
+	enc := NewCell(embDim, hidden, rng)
 	a := &Autoencoder{
-		Vocab: vocab, EmbDim: embDim, Hidden: hidden,
-		Emb:     make([]float64, vocab*embDim),
+		Encoder: newEncoder(vocab, embDim, 32, emb, enc),
 		gradEmb: make([]float64, vocab*embDim),
-		Enc:     NewCell(embDim, hidden, rng),
 		Dec:     NewCell(embDim, hidden, rng),
 		Proj:    make([]float64, vocab*hidden),
 		ProjB:   make([]float64, vocab),
 		gradPj:  make([]float64, vocab*hidden),
 		gradPjB: make([]float64, vocab),
-		MaxLen:  32,
+		zero:    enc.NewState(),
+		dH:      make([]float64, hidden),
+		dC:      make([]float64, hidden),
+		dX:      make([]float64, embDim),
 	}
 	for i := range a.Emb {
 		a.Emb[i] = rng.NormFloat64() * 0.1
@@ -68,60 +66,15 @@ func NewAutoencoder(vocab, embDim, hidden int, seed int64) *Autoencoder {
 	params = append(append(params, pe...), pd...)
 	grads = append(append(grads, ge...), gd...)
 	a.opt = newAdam(0.01, params, grads)
-	a.inf.New = func() interface{} {
-		return &infScratch{
-			h:   make([]float64, hidden),
-			c:   make([]float64, hidden),
-			pre: make([]float64, 4*hidden),
-		}
-	}
 	return a
 }
 
-// embed looks up a token embedding (view, not copy).
-func (a *Autoencoder) embed(tok int) []float64 {
-	if tok < 0 || tok >= a.Vocab {
-		tok = 0
-	}
-	return a.Emb[tok*a.EmbDim : (tok+1)*a.EmbDim]
-}
-
-// Encode runs the encoder over a token sequence and returns the final
-// hidden state — the dense query encoding.
-func (a *Autoencoder) Encode(tokens []int) []float64 {
-	return a.EncodeInto(tokens, make([]float64, a.Hidden))
-}
-
-// EncodeInto is Encode writing the encoding into out (length Hidden),
-// which is also returned. It runs the allocation-free inference step with
-// pooled scratch buffers, so it is safe to call concurrently as long as
-// the encoder weights are frozen (no concurrent Train).
-func (a *Autoencoder) EncodeInto(tokens []int, out []float64) []float64 {
-	if len(tokens) > a.MaxLen {
-		tokens = tokens[:a.MaxLen]
-	}
-	s := a.inf.Get().(*infScratch)
-	for i := range s.h {
-		s.h[i], s.c[i] = 0, 0
-	}
-	for _, tok := range tokens {
-		a.Enc.StepInfer(a.embed(tok), s.h, s.c, s.pre)
-	}
-	copy(out, s.h)
-	a.inf.Put(s)
-	return out
-}
-
-// EncodeAll encodes a batch of token sequences, fanning the sequences
-// across mathx.ParallelFor's bounded worker pool — the cold-template path
-// of the featurizer's encoding cache.
-func (a *Autoencoder) EncodeAll(seqs [][]int) [][]float64 {
-	out := make([][]float64, len(seqs))
-	flat := make([]float64, len(seqs)*a.Hidden)
-	mathx.ParallelFor(len(seqs), func(i int) {
-		out[i] = a.EncodeInto(seqs[i], flat[i*a.Hidden:(i+1)*a.Hidden])
-	})
-	return out
+// Freeze returns the trained encoder as an immutable, inference-only
+// copy: embedding table and encoder cell weights, no decoder, gradients
+// or optimizer state. The copy is independent of the trainer, which can
+// be dropped (or trained further) without affecting it.
+func (a *Autoencoder) Freeze() *Encoder {
+	return newEncoder(a.Vocab, a.EmbDim, a.MaxLen, slices.Clone(a.Emb), a.Enc.frozen())
 }
 
 // Train runs one BPTT step reconstructing the token sequence (teacher
@@ -134,36 +87,36 @@ func (a *Autoencoder) Train(tokens []int) float64 {
 	if len(tokens) < 2 {
 		return 0
 	}
+	for len(a.encCaches) < len(tokens) {
+		a.encCaches = append(a.encCaches, a.Enc.newStepCache())
+		a.decCaches = append(a.decCaches, a.Dec.newStepCache())
+		a.probs = append(a.probs, make([]float64, a.Vocab))
+	}
 	a.zeroGrad()
 
 	// Encoder forward.
-	encCaches := make([]*stepCache, len(tokens))
-	s := a.Enc.NewState()
+	s := a.zero
 	for t, tok := range tokens {
-		s, encCaches[t] = a.Enc.Step(a.embed(tok), s)
+		s = a.Enc.Step(a.embed(tok), s, a.encCaches[t])
 	}
 
 	// Decoder forward with teacher forcing: input token t predicts t+1.
-	decCaches := make([]*stepCache, 0, len(tokens)-1)
-	probs := make([][]float64, 0, len(tokens)-1)
-	ds := State{H: append([]float64{}, s.H...), C: append([]float64{}, s.C...)}
+	steps := len(tokens) - 1
 	loss := 0.0
-	for t := 0; t+1 < len(tokens); t++ {
-		var cache *stepCache
-		ds, cache = a.Dec.Step(a.embed(tokens[t]), ds)
-		decCaches = append(decCaches, cache)
-		p := a.softmax(ds.H)
-		probs = append(probs, p)
+	for t := 0; t < steps; t++ {
+		s = a.Dec.Step(a.embed(tokens[t]), s, a.decCaches[t])
+		p := a.softmax(s.H, a.probs[t])
 		loss += -math.Log(math.Max(p[a.clampTok(tokens[t+1])], 1e-12))
 	}
-	loss /= float64(len(probs))
+	loss /= float64(steps)
 
 	// Decoder backward.
-	dH := make([]float64, a.Hidden)
-	dC := make([]float64, a.Hidden)
-	for t := len(decCaches) - 1; t >= 0; t-- {
+	dH, dC, dX := a.dH, a.dC, a.dX
+	clear(dH)
+	clear(dC)
+	for t := steps - 1; t >= 0; t-- {
 		// Softmax + cross-entropy gradient wrt decoder hidden output.
-		p := probs[t]
+		p := a.probs[t]
 		target := a.clampTok(tokens[t+1])
 		for v := 0; v < a.Vocab; v++ {
 			g := p[v]
@@ -173,37 +126,28 @@ func (a *Autoencoder) Train(tokens []int) float64 {
 			if g == 0 {
 				continue
 			}
-			g /= float64(len(probs))
+			g /= float64(steps)
 			a.gradPjB[v] += g
 			row := a.Proj[v*a.Hidden : (v+1)*a.Hidden]
 			gRow := a.gradPj[v*a.Hidden : (v+1)*a.Hidden]
 			for h := 0; h < a.Hidden; h++ {
-				gRow[h] += g * decCaches[t].hNew[h]
+				gRow[h] += g * a.decCaches[t].hNew[h]
 				dH[h] += g * row[h]
 			}
 		}
-		var dX []float64
-		dH, dC, dX = a.Dec.StepBack(decCaches[t], dH, dC)
+		a.Dec.StepBack(a.decCaches[t], dH, dC, dX)
 		a.accumEmbGrad(tokens[t], dX)
 	}
 
 	// Gradient flows from the decoder's initial state into the encoder.
-	for t := len(encCaches) - 1; t >= 0; t-- {
-		var dX []float64
-		dH, dC, dX = a.Enc.StepBack(encCaches[t], dH, dC)
+	for t := len(tokens) - 1; t >= 0; t-- {
+		a.Enc.StepBack(a.encCaches[t], dH, dC, dX)
 		a.accumEmbGrad(tokens[t], dX)
 	}
 
 	a.clip(5)
 	a.opt.step()
 	return loss
-}
-
-func (a *Autoencoder) clampTok(tok int) int {
-	if tok < 0 || tok >= a.Vocab {
-		return 0
-	}
-	return tok
 }
 
 func (a *Autoencoder) accumEmbGrad(tok int, dX []float64) {
@@ -214,8 +158,9 @@ func (a *Autoencoder) accumEmbGrad(tok int, dX []float64) {
 	}
 }
 
-func (a *Autoencoder) softmax(h []float64) []float64 {
-	logits := make([]float64, a.Vocab)
+// softmax writes the projection's output distribution for hidden state h
+// into logits (length Vocab) and returns it.
+func (a *Autoencoder) softmax(h, logits []float64) []float64 {
 	maxv := math.Inf(-1)
 	for v := 0; v < a.Vocab; v++ {
 		row := a.Proj[v*a.Hidden : (v+1)*a.Hidden]

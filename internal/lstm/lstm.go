@@ -2,11 +2,15 @@
 // workload featurization (§5.1.1): a sequence autoencoder over SQL token
 // streams whose final encoder hidden state is the dense query encoding.
 // Training is standard truncated BPTT with Adam; everything is stdlib.
+//
+// Autoencoder is the trainer; Encoder is the inference-only half that
+// Autoencoder.Freeze copies out, which is all that tuning reads.
 package lstm
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Cell is a single LSTM cell. Gate order in the stacked weights is
@@ -52,21 +56,45 @@ func (c *Cell) NewState() State {
 	return State{H: make([]float64, c.Hidden), C: make([]float64, c.Hidden)}
 }
 
-// stepCache stores the intermediates of one forward step for BPTT.
+// frozen returns a copy of the cell's weights without gradient buffers:
+// enough for StepInfer, unusable for StepBack.
+func (c *Cell) frozen() *Cell {
+	return &Cell{
+		InDim: c.InDim, Hidden: c.Hidden,
+		Wx: slices.Clone(c.Wx), Wh: slices.Clone(c.Wh), B: slices.Clone(c.B),
+	}
+}
+
+// stepCache stores the intermediates of one forward step for BPTT. It is
+// reusable: Step overwrites every field, and StepBack reuses pre (dead
+// once the gates are computed) for the preactivation gradients.
 type stepCache struct {
 	x          []float64
 	prev       State
+	pre        []float64 // 4H
 	i, f, g, o []float64
 	cNew, hNew []float64
 }
 
+// newStepCache allocates a cache for this cell's hidden width.
+func (c *Cell) newStepCache() *stepCache {
+	H := c.Hidden
+	return &stepCache{
+		pre: make([]float64, 4*H),
+		i:   make([]float64, H), f: make([]float64, H),
+		g: make([]float64, H), o: make([]float64, H),
+		cNew: make([]float64, H), hNew: make([]float64, H),
+	}
+}
+
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// Step advances the cell one timestep, returning the new state and the
-// cache needed for backprop.
-func (c *Cell) Step(x []float64, s State) (State, *stepCache) {
+// Step advances the cell one timestep, filling cache with what backprop
+// needs. The returned state aliases the cache and is valid until the cache
+// is reused.
+func (c *Cell) Step(x []float64, s State, cache *stepCache) State {
 	H := c.Hidden
-	pre := make([]float64, 4*H)
+	pre := cache.pre
 	copy(pre, c.B)
 	for r := 0; r < 4*H; r++ {
 		rowX := c.Wx[r*c.InDim : (r+1)*c.InDim]
@@ -80,12 +108,7 @@ func (c *Cell) Step(x []float64, s State) (State, *stepCache) {
 		}
 		pre[r] += acc
 	}
-	cache := &stepCache{
-		x: x, prev: s,
-		i: make([]float64, H), f: make([]float64, H),
-		g: make([]float64, H), o: make([]float64, H),
-		cNew: make([]float64, H), hNew: make([]float64, H),
-	}
+	cache.x, cache.prev = x, s
 	for h := 0; h < H; h++ {
 		cache.i[h] = sigmoid(pre[h])
 		cache.f[h] = sigmoid(pre[H+h])
@@ -94,7 +117,7 @@ func (c *Cell) Step(x []float64, s State) (State, *stepCache) {
 		cache.cNew[h] = cache.f[h]*s.C[h] + cache.i[h]*cache.g[h]
 		cache.hNew[h] = cache.o[h] * math.Tanh(cache.cNew[h])
 	}
-	return State{H: cache.hNew, C: cache.cNew}, cache
+	return State{H: cache.hNew, C: cache.cNew}
 }
 
 // StepInfer advances the cell one timestep for inference only, updating
@@ -126,13 +149,12 @@ func (c *Cell) StepInfer(x, h, cs, pre []float64) {
 	}
 }
 
-// StepBack backpropagates through one step. dH/dC are gradients flowing
-// into the step's outputs; it returns gradients for the previous state
-// and the input.
-func (c *Cell) StepBack(cache *stepCache, dH, dC []float64) (dPrevH, dPrevC, dX []float64) {
+// StepBack backpropagates through one step. dH/dC hold the gradients
+// flowing into the step's outputs and are overwritten with the gradients
+// for the previous state; dX (length InDim) receives the input gradient.
+func (c *Cell) StepBack(cache *stepCache, dH, dC, dX []float64) {
 	H := c.Hidden
-	dPre := make([]float64, 4*H)
-	dPrevC = make([]float64, H)
+	dPre := cache.pre
 	for h := 0; h < H; h++ {
 		tc := math.Tanh(cache.cNew[h])
 		do := dH[h] * tc
@@ -140,14 +162,16 @@ func (c *Cell) StepBack(cache *stepCache, dH, dC []float64) (dPrevH, dPrevC, dX 
 		di := dc * cache.g[h]
 		df := dc * cache.prev.C[h]
 		dg := dc * cache.i[h]
-		dPrevC[h] = dc * cache.f[h]
+		dC[h] = dc * cache.f[h]
 		dPre[h] = di * cache.i[h] * (1 - cache.i[h])
 		dPre[H+h] = df * cache.f[h] * (1 - cache.f[h])
 		dPre[2*H+h] = dg * (1 - cache.g[h]*cache.g[h])
 		dPre[3*H+h] = do * cache.o[h] * (1 - cache.o[h])
 	}
-	dPrevH = make([]float64, H)
-	dX = make([]float64, c.InDim)
+	// dH is fully consumed above, so it can take the previous-state
+	// gradient in place.
+	clear(dH)
+	clear(dX)
 	for r := 0; r < 4*H; r++ {
 		g := dPre[r]
 		if g == 0 {
@@ -164,10 +188,9 @@ func (c *Cell) StepBack(cache *stepCache, dH, dC []float64) (dPrevH, dPrevC, dX 
 		gRowH := c.GradWh[r*H : (r+1)*H]
 		for k, hv := range cache.prev.H {
 			gRowH[k] += g * hv
-			dPrevH[k] += g * rowH[k]
+			dH[k] += g * rowH[k]
 		}
 	}
-	return dPrevH, dPrevC, dX
 }
 
 // zeroGrad clears accumulated gradients.

@@ -11,12 +11,9 @@ func TestCellStepShapes(t *testing.T) {
 	c := NewCell(4, 6, rng)
 	s := c.NewState()
 	x := []float64{0.1, -0.2, 0.3, 0.4}
-	s2, cache := c.Step(x, s)
+	s2 := c.Step(x, s, c.newStepCache())
 	if len(s2.H) != 6 || len(s2.C) != 6 {
 		t.Fatalf("state dims %d/%d", len(s2.H), len(s2.C))
-	}
-	if cache == nil {
-		t.Fatal("cache missing")
 	}
 	for _, h := range s2.H {
 		if math.Abs(h) > 1 {
@@ -34,7 +31,7 @@ func TestCellGradientNumerically(t *testing.T) {
 
 	// Scalar loss: sum of final hidden.
 	loss := func() float64 {
-		out, _ := c.Step(x, s0)
+		out := c.Step(x, s0, c.newStepCache())
 		total := 0.0
 		for _, h := range out.H {
 			total += h
@@ -42,9 +39,10 @@ func TestCellGradientNumerically(t *testing.T) {
 		return total
 	}
 	c.zeroGrad()
-	_, cache := c.Step(x, s0)
-	ones := []float64{1, 1, 1}
-	_, _, dX := c.StepBack(cache, ones, make([]float64, 3))
+	cache := c.newStepCache()
+	c.Step(x, s0, cache)
+	dX := make([]float64, 2)
+	c.StepBack(cache, []float64{1, 1, 1}, make([]float64, 3), dX)
 
 	const eps = 1e-6
 	// Check a sample of Wx gradients.
@@ -64,11 +62,11 @@ func TestCellGradientNumerically(t *testing.T) {
 	for i := range x {
 		xp := append([]float64{}, x...)
 		xp[i] += eps
-		sp, _ := c.Step(xp, s0)
+		sp := c.Step(xp, s0, c.newStepCache())
 		lp := sp.H[0] + sp.H[1] + sp.H[2]
 		xm := append([]float64{}, x...)
 		xm[i] -= eps
-		sm, _ := c.Step(xm, s0)
+		sm := c.Step(xm, s0, c.newStepCache())
 		lm := sm.H[0] + sm.H[1] + sm.H[2]
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-dX[i]) > 1e-5*(1+math.Abs(num)) {
@@ -143,7 +141,7 @@ func encodeRef(a *Autoencoder, tokens []int) []float64 {
 	}
 	s := a.Enc.NewState()
 	for _, tok := range tokens {
-		s, _ = a.Enc.Step(a.embed(tok), s)
+		s = a.Enc.Step(a.embed(tok), s, a.Enc.newStepCache())
 	}
 	out := make([]float64, a.Hidden)
 	copy(out, s.H)

@@ -6,6 +6,7 @@
 package sqlparse
 
 import (
+	"maps"
 	"strings"
 	"unicode"
 )
@@ -119,6 +120,12 @@ func NewVocab(capacity int) *Vocab {
 		capacity = reservedSpecials + 1
 	}
 	return &Vocab{Cap: capacity, ids: make(map[string]int)}
+}
+
+// Clone returns an independent copy: admissions through either vocabulary
+// are invisible to the other.
+func (v *Vocab) Clone() *Vocab {
+	return &Vocab{Cap: v.Cap, ids: maps.Clone(v.ids)}
 }
 
 // Size returns the number of ids in use (reserved included).

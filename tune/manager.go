@@ -714,6 +714,16 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	if err := validID(id); err != nil {
 		return nil, err
 	}
+	// A taken id (resident or evicted) is refused before anything is
+	// built; the check under the write lock below settles a race between
+	// two creates of a free id.
+	sh := m.shard(id)
+	sh.mu.RLock()
+	_, taken := sh.sessions[id]
+	sh.mu.RUnlock()
+	if taken {
+		return nil, fmt.Errorf("tune: %w: %q", ErrExists, id)
+	}
 	if m.know != nil {
 		// Fleet knowledge is manager-wide: every session it creates joins
 		// the shared store. The flag round-trips through the snapshot, so a
@@ -721,8 +731,9 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 		cfg.Knowledge = true
 		cfg.fleet = m.know
 	}
-	// Build outside all locks: construction pre-trains the featurizer,
-	// and concurrent creates must not serialize behind it.
+	// Build outside all locks: construction pre-trains the featurizer on
+	// a seed this process has not seen, and concurrent creates must not
+	// serialize behind it.
 	s, err := NewSession(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("tune: %w: %w", ErrInvalid, err)
@@ -730,7 +741,6 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	// The entry is born holding its own op gate, so concurrent requests
 	// for the id queue behind the initial persist.
 	e := &managedSession{id: id, s: s, busy: true}
-	sh := m.shard(id)
 	sh.mu.Lock()
 	if _, ok := sh.sessions[id]; ok {
 		sh.mu.Unlock()

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/featurize"
 )
 
 // managedStep drives one suggest+report interval on session id through
@@ -566,5 +568,87 @@ func TestManagerEvictionRaceHammer(t *testing.T) {
 	}
 	if st := m.Stats(); st.Hydrated > 2 || st.Sessions != ids {
 		t.Fatalf("after hammer: %+v", st)
+	}
+}
+
+// freshSeeds returns n seeds no earlier test or -count repetition in this
+// process has pre-trained, so featurize.Pretrainings deltas are exact.
+func freshSeeds(n int64) int64 { return 1<<40 + nextFreshSeed.Add(n) - n }
+
+var nextFreshSeed atomic.Int64
+
+// TestHydrateDoesNotRetrain is the counter gate for the shared query
+// encoder: under MaxResident 1 every touch of another session is an
+// evict→hydrate, yet the process pre-trains once per seed — at create —
+// and a hydrated session's snapshot is byte-identical to the one it had
+// when it was evicted.
+func TestHydrateDoesNotRetrain(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{MaxResident: 1, CompactMin: 4, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ids := []string{"a", "b", "c"}
+	seed := freshSeeds(int64(len(ids)))
+	before := featurize.Pretrainings()
+	atEvict := map[string][]byte{}
+	for g, id := range ids {
+		if _, err := m.Create(id, Config{Space: "case5", Seed: seed + int64(g)}); err != nil {
+			t.Fatal(err)
+		}
+		if atEvict[id], err = m.Snapshot(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		id := ids[i%len(ids)]
+		hydrated, err := m.Snapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hydrated, atEvict[id]) {
+			t.Fatalf("touch %d: %s hydrated to a different snapshot than it was evicted with", i, id)
+		}
+		if _, err := m.Suggest(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Report(id, goldenOutcome(i)); err != nil {
+			t.Fatal(err)
+		}
+		if atEvict[id], err = m.Snapshot(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Hydrations < 30 {
+		t.Fatalf("expected every touch to hydrate under MaxResident 1: %+v", st)
+	}
+	if d := featurize.Pretrainings() - before; d != int64(len(ids)) {
+		t.Fatalf("%d pre-trainings for %d seeds across 30 hydrations", d, len(ids))
+	}
+}
+
+// TestDuplicateCreateBuildsNothing: creating a taken id answers ErrExists
+// before any session is built — a fresh seed in the duplicate's config is
+// never pre-trained — whether the holder is resident or evicted.
+func TestDuplicateCreateBuildsNothing(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{MaxResident: 1, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	seed := freshSeeds(3)
+	for g, id := range []string{"evicted", "resident"} {
+		if _, err := m.Create(id, Config{Space: "case5", Seed: seed + int64(g)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := featurize.Pretrainings()
+	for _, id := range []string{"evicted", "resident"} {
+		if _, err := m.Create(id, Config{Space: "case5", Seed: seed + 2}); !errors.Is(err, ErrExists) {
+			t.Fatalf("duplicate create of %s: %v, want ErrExists", id, err)
+		}
+	}
+	if d := featurize.Pretrainings() - before; d != 0 {
+		t.Fatalf("duplicate creates pre-trained %d times", d)
 	}
 }

@@ -2,10 +2,12 @@ package tune
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/dbsim"
+	"repro/internal/featurize"
 	"repro/internal/knobs"
 	"repro/internal/workload"
 )
@@ -116,4 +118,36 @@ func TestCoreConcurrentAccessors(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestConcurrentCreatesShareOnePretrain (run under -race): creates racing
+// on one unseen seed pre-train it once, and none of them holds a lock the
+// others need while it trains.
+func TestConcurrentCreatesShareOnePretrain(t *testing.T) {
+	m, err := NewManagerOpts("", ManagerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	seed := freshSeeds(1)
+	before := featurize.Pretrainings()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := fmt.Sprintf("db-%d", g)
+			if _, err := m.Create(id, Config{Space: "case5", Seed: seed}); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := m.Suggest(context.Background(), id); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if d := featurize.Pretrainings() - before; d != 1 {
+		t.Fatalf("8 concurrent creates on one seed pre-trained %d times, want 1", d)
+	}
 }
