@@ -20,7 +20,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/dbsim"
-	"repro/internal/featurize"
 	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/workload"
@@ -80,20 +79,13 @@ func BenchmarkTable1StaticWorkloads(b *testing.B) {
 func BenchmarkTableA1TimeBreakdown(b *testing.B) {
 	runExperiment(b, "tableA1", *benchIters)
 }
-func BenchmarkExt1Stopping(b *testing.B) { runExperiment(b, "ext1", *benchIters) }
-func BenchmarkExt2IncrementalSpeedup(b *testing.B) {
-	runExperiment(b, "ext2", *benchIters)
-}
-func BenchmarkExt3FeaturizeClusterSpeedup(b *testing.B) {
-	runExperiment(b, "ext3", *benchIters)
-}
+func BenchmarkExt1Stopping(b *testing.B)      { runExperiment(b, "ext1", *benchIters) }
 func BenchmarkExt4CrossEngine(b *testing.B)   { runExperiment(b, "ext4", *benchIters) }
 func BenchmarkExt5CanaryRollout(b *testing.B) { runExperiment(b, "ext5", *benchIters) }
 
 // BenchmarkFeaturizeContext measures context featurization over a
 // repeating-template workload snapshot at paper scale (the per-iteration
-// hot path outside the GP): the template-keyed encoding cache against
-// the uncached per-query LSTM encode. The cached path must show ≥5x.
+// hot path outside the GP) with the template-keyed encoding cache warm.
 func BenchmarkFeaturizeContext(b *testing.B) {
 	gen := workload.NewTPCC(1, true)
 	in := dbsim.New(knobs.MySQL57(), 1)
@@ -103,29 +95,23 @@ func BenchmarkFeaturizeContext(b *testing.B) {
 		snaps[i] = gen.At(i)
 		stats[i] = in.OptimizerStats(snaps[i])
 	}
-	run := func(b *testing.B, cacheBound int) {
-		f := bench.NewFeaturizer(1)
-		f.SetCacheBound(cacheBound)
-		var buf []float64
-		// Warm outside the timed region: vocabulary admission and the
-		// first cold encode per template are one-time costs.
-		for i := range snaps {
-			buf = f.ContextInto(buf, snaps[i], stats[i])
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := i % len(snaps)
-			buf = f.ContextInto(buf, snaps[s], stats[s])
-		}
+	f := bench.NewFeaturizer(1)
+	var buf []float64
+	// Warm outside the timed region: vocabulary admission and the
+	// first cold encode per template are one-time costs.
+	for i := range snaps {
+		buf = f.ContextInto(buf, snaps[i], stats[i])
 	}
-	b.Run("cached", func(b *testing.B) { run(b, featurize.DefaultCacheBound) })
-	b.Run("uncached", func(b *testing.B) { run(b, 0) })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i % len(snaps)
+		buf = f.ContextInto(buf, snaps[s], stats[s])
+	}
 }
 
-// BenchmarkDBSCAN compares the grid-indexed DBSCAN against the O(n²)
-// brute-force reference on clustered low-dimensional points (where the
-// grid prunes) and on 12-dimensional context-like points (where the
-// occupied-cell scan must at least hold its own).
+// BenchmarkDBSCAN measures the grid-indexed DBSCAN on uniform
+// low-dimensional points (where the grid prunes) and on 12-dimensional
+// context-like points (where the occupied-cell scan does the work).
 func BenchmarkDBSCAN(b *testing.B) {
 	uniform := func(n, dim int) [][]float64 {
 		rng := rand.New(rand.NewSource(3))
@@ -163,14 +149,9 @@ func BenchmarkDBSCAN(b *testing.B) {
 		{"n600_d12", blobs(600, 12), 0.5},
 	} {
 		pts := cfg.pts
-		b.Run("grid/"+cfg.name, func(b *testing.B) {
+		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cluster.DBSCAN(pts, cfg.eps, 4)
-			}
-		})
-		b.Run("brute/"+cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cluster.DBSCANBrute(pts, cfg.eps, 4)
 			}
 		})
 	}
@@ -195,25 +176,19 @@ func synthGPObs(n, dim int) (xs [][]float64, ys []float64) {
 	return xs, ys
 }
 
-// BenchmarkIncrementalGP compares conditioning a GP one observation at a
-// time with the incremental Cholesky extension (O(n²) per append) against
-// the full-refit path (O(n³) per append) at n=200 observations — the
-// inference hot path of every tuning iteration.
+// BenchmarkIncrementalGP conditions a GP one observation at a time with
+// the incremental Cholesky extension (O(n²) per append) up to n=200
+// observations — the inference hot path of every tuning iteration.
 func BenchmarkIncrementalGP(b *testing.B) {
 	xs, ys := synthGPObs(200, 6)
-	run := func(b *testing.B, fullRefit bool) {
-		for i := 0; i < b.N; i++ {
-			g := gp.New(gp.NewMatern52(1.0, 0.3), 1e-4)
-			g.FullRefitOnly = fullRefit
-			for j := range xs {
-				if err := g.Append(xs[j], ys[j]); err != nil {
-					b.Fatal(err)
-				}
+	for i := 0; i < b.N; i++ {
+		g := gp.New(gp.NewMatern52(1.0, 0.3), 1e-4)
+		for j := range xs {
+			if err := g.Append(xs[j], ys[j]); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("incremental", func(b *testing.B) { run(b, false) })
-	b.Run("full-refit", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkCandidateScoring compares batched posterior evaluation of 100

@@ -7,7 +7,7 @@
 //	benchrunner -all -iters 120            # everything, shortened
 //	benchrunner -all -workers 4            # bounded experiment concurrency
 //	benchrunner -all -json out/            # persist BENCH_<exp>.json artifacts
-//	benchrunner -exp ext3 -replicates 3    # multi-seed replicates (seed, seed+1, …)
+//	benchrunner -exp ext5 -replicates 3    # multi-seed replicates (seed, seed+1, …)
 //	benchrunner -list                      # list experiment ids
 package main
 

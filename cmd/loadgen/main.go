@@ -230,8 +230,8 @@ type healthCounters struct {
 	KnowledgeBytes         int64 `json:"knowledge_bytes,omitempty"`
 }
 
-// runResult is the -latency-json document: everything CI and ext7 need
-// to assert on a run without scraping stdout.
+// runResult is the -latency-json document: everything CI needs to
+// assert on a run without scraping stdout.
 type runResult struct {
 	Sessions        int            `json:"sessions"`
 	Intervals       int            `json:"intervals"`

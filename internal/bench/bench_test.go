@@ -114,22 +114,6 @@ func TestFig5SmallRunShape(t *testing.T) {
 	}
 }
 
-func TestExt3SmallRunEquivalence(t *testing.T) {
-	rep, err := Experiment("ext3", 15, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(rep.Body, "REGRESSION") {
-		t.Fatalf("ext3 reports a regression:\n%s", rep.Body)
-	}
-	if !strings.Contains(rep.Body, "diverged on 0/15 iterations") {
-		t.Fatalf("cached featurization diverged:\n%s", rep.Body)
-	}
-	if len(rep.Series) != 2 {
-		t.Fatalf("ext3 should carry both series, got %d", len(rep.Series))
-	}
-}
-
 func TestExt4CrossEngineMatrixShape(t *testing.T) {
 	rep, err := Experiment("ext4", 15, 1)
 	if err != nil {

@@ -33,7 +33,7 @@ func ExperimentIDs() []string {
 		"fig5tpcc", "fig5twitter", "fig5job", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "fig16", "fig17", "table1", "tableA1", "ext1",
-		"ext2", "ext3", "ext4", "ext5", "ext7", "ext8", "ext9",
+		"ext4", "ext5", "ext8", "ext9",
 	}
 }
 
@@ -89,18 +89,10 @@ func Experiment(id string, iters int, seed int64) (Report, error) {
 		return TableA1TimeBreakdown(orDefault(iters, 400), seed), nil
 	case "ext1":
 		return Ext1Stopping(orDefault(iters, 400), seed), nil
-	case "ext2":
-		return Ext2IncrementalSpeedup(orDefault(iters, 300), seed), nil
-	case "ext3":
-		return Ext3FeaturizeClusterSpeedup(orDefault(iters, 300), seed), nil
 	case "ext4":
 		return Ext4CrossEngine(orDefault(iters, 300), seed), nil
 	case "ext5":
 		return Ext5CanaryRollout(orDefault(iters, 300), seed), nil
-	case "ext7":
-		// iters = intervals per session; the fleet itself is fixed at
-		// ext7Fleet sessions, so 20 intervals is already ~10k durable ops.
-		return Ext7GroupCommit(orDefault(iters, 20), seed), nil
 	case "ext8":
 		// iters = intervals per session; the fleet is fixed at
 		// ext8Sessions sessions per arm, run sequentially on the 40-knob
@@ -396,11 +388,8 @@ func Fig8Overhead(iters int, seed int64) Report {
 	space := knobs.MySQL57()
 	gen := workload.NewJOB(seed, true)
 	feat := NewFeaturizer(seed)
-	fullOpts := tune.DefaultTunerOptions()
-	fullOpts.FullRefitGP = true
 	tuners := []tune.Tuner{
 		tune.NewOnlineTuner(space, feat.Dim(), space.DBADefault(), seed, tune.DefaultTunerOptions()),
-		tune.NewOnlineTunerNamed("OnlineTune-FullRefit", space, feat.Dim(), space.DBADefault(), seed, fullOpts),
 		baselines.NewBO(space, seed+1),
 		baselines.NewDDPG(space, seed+2),
 		baselines.NewResTune(space, seed+3),

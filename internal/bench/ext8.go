@@ -161,7 +161,7 @@ func (a *ext8Arm) transferSum() int {
 // ext8RunArm drives ext8Sessions sessions SEQUENTIALLY through one
 // manager: session j completes all its intervals before session j+1 is
 // created, which is the fleet-transfer scenario (a new instance joining
-// after others have tuned), not the concurrency scenario ext7 covers.
+// after others have tuned), not a concurrently driven fleet.
 func ext8RunArm(name string, iters int, seed int64, warm bool) *ext8Arm {
 	ar := &ext8Arm{
 		series:    &Series{Name: name},

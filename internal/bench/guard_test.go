@@ -156,12 +156,12 @@ func TestReplicateStem(t *testing.T) {
 		stem string
 		ok   bool
 	}{
-		{"BENCH_ext7_s2.json", "BENCH_ext7.json", true},
-		{"BENCH_ext7_s-3.json", "BENCH_ext7.json", true},
-		{"BENCH_ext7.json", "", false},
-		{"BENCH_ext7_s.json", "", false},
-		{"BENCH_ext7_sx.json", "", false},
-		{"BENCH_ext7_s2.txt", "", false},
+		{"BENCH_ext5_s2.json", "BENCH_ext5.json", true},
+		{"BENCH_ext5_s-3.json", "BENCH_ext5.json", true},
+		{"BENCH_ext5.json", "", false},
+		{"BENCH_ext5_s.json", "", false},
+		{"BENCH_ext5_sx.json", "", false},
+		{"BENCH_ext5_s2.txt", "", false},
 	}
 	for _, c := range cases {
 		stem, ok := replicateStem(c.name)
@@ -172,11 +172,11 @@ func TestReplicateStem(t *testing.T) {
 }
 
 func TestMedianArtifact(t *testing.T) {
-	primary := guardArtifact("ext7", 850, 0, 1)
-	r1, r2 := guardArtifact("ext7", 990, 2, 0), guardArtifact("ext7", 1000, 4, 0)
+	primary := guardArtifact("ext5", 850, 0, 1)
+	r1, r2 := guardArtifact("ext5", 990, 2, 0), guardArtifact("ext5", 1000, 4, 0)
 	r1.Seed, r2.Seed = 2, 3
 	med := MedianArtifact(primary, []Artifact{r1, r2})
-	if med.ID != "ext7" || med.Iters != 20 || med.Seed != 1 {
+	if med.ID != "ext5" || med.Iters != 20 || med.Seed != 1 {
 		t.Fatalf("median artifact config = %+v (must carry primary's Iters/Seed)", med)
 	}
 	s := med.Series[0]

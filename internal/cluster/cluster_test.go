@@ -5,7 +5,32 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mathx"
 )
+
+// dbscanBrute is the reference O(n²) implementation the grid index and
+// the cached distance matrix are checked against.
+func dbscanBrute(points [][]float64, eps float64, minPts int) DBSCANResult {
+	return dbscanFrom(&bruteSource{points: points, eps: eps}, minPts)
+}
+
+// bruteSource scans every point per query.
+type bruteSource struct {
+	points [][]float64
+	eps    float64
+}
+
+func (b *bruteSource) size() int { return len(b.points) }
+
+func (b *bruteSource) neighbors(i int, out []int) []int {
+	for j := range b.points {
+		if mathx.Dist2(b.points[i], b.points[j]) <= b.eps {
+			out = append(out, j)
+		}
+	}
+	return out
+}
 
 // twoBlobs returns two well-separated Gaussian blobs.
 func twoBlobs(rng *rand.Rand, n int) ([][]float64, []int) {
@@ -190,7 +215,7 @@ func TestQuickGridMatchesBrute(t *testing.T) {
 		eps := 0.2 + rng.Float64()
 		minPts := 2 + rng.Intn(4)
 		a := DBSCAN(pts, eps, minPts)
-		b := DBSCANBrute(pts, eps, minPts)
+		b := dbscanBrute(pts, eps, minPts)
 		if a.NumClusters != b.NumClusters {
 			return false
 		}
@@ -226,7 +251,7 @@ func TestQuickDistMatrixIncremental(t *testing.T) {
 		}
 		eps := fresh.SuggestEps(4)
 		a := inc.DBSCAN(eps, 3)
-		b := DBSCANBrute(pts, eps, 3)
+		b := dbscanBrute(pts, eps, 3)
 		if a.NumClusters != b.NumClusters {
 			return false
 		}

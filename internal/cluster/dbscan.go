@@ -31,8 +31,8 @@ type DBSCANResult struct {
 
 // neighborSource answers fixed-radius neighbor queries for dbscanFrom.
 // neighbors must append every j (self included) whose Euclidean distance
-// to point i is ≤ eps, in ascending index order — the order the
-// brute-force scan produces, so every source yields identical clusters.
+// to point i is ≤ eps, in ascending index order — the order a scan over
+// all points produces, so every source yields identical clusters.
 type neighborSource interface {
 	size() int
 	neighbors(i int, out []int) []int
@@ -42,32 +42,10 @@ type neighborSource interface {
 // Euclidean neighborhood radius (see the package comment); minPts the
 // density threshold (a point is core if its eps-neighborhood, itself
 // included, holds at least minPts points). Neighbor queries run over a
-// uniform grid index with a brute-force fallback in high dimension.
+// uniform grid index that scans every point in high dimension; the
+// package's tests check it against an O(n²) reference.
 func DBSCAN(points [][]float64, eps float64, minPts int) DBSCANResult {
 	return dbscanFrom(NewIndex(points, eps), minPts)
-}
-
-// DBSCANBrute is the reference O(n²) implementation, retained for the
-// grid-equivalence property tests and the BenchmarkDBSCAN baseline.
-func DBSCANBrute(points [][]float64, eps float64, minPts int) DBSCANResult {
-	return dbscanFrom(&bruteSource{points: points, eps: eps}, minPts)
-}
-
-// bruteSource scans every point per query.
-type bruteSource struct {
-	points [][]float64
-	eps    float64
-}
-
-func (b *bruteSource) size() int { return len(b.points) }
-
-func (b *bruteSource) neighbors(i int, out []int) []int {
-	for j := range b.points {
-		if mathx.Dist2(b.points[i], b.points[j]) <= b.eps {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // dbscanFrom is the DBSCAN core over any neighbor source.

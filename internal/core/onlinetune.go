@@ -57,12 +57,6 @@ type Options struct {
 	// (0 disables).
 	HyperoptEvery int
 
-	// FullRefitGP disables the incremental Cholesky extension in the
-	// cluster models' GPs so every observation triggers a full O(n³)
-	// refit — the pre-incremental cost profile, kept for the overhead
-	// benchmarks and as an ablation.
-	FullRefitGP bool
-
 	// Rollout configures the staged canary rollout: when enabled, every
 	// recommendation that differs from the primary's last-good
 	// configuration is staged on a shadow replica and only promoted
@@ -930,7 +924,6 @@ func (o *OnlineTune) newModelAt(idx int, center []float64) *model {
 		bestPerf:  math.Inf(-1),
 		evaluated: map[string]bool{},
 	}
-	m.gp.SetFullRefitOnly(o.Opts.FullRefitGP)
 	m.adapter.MinStep = minSteps(o.Space)
 	if d := o.Space.Dim(); d > 10 {
 		m.adapter.PerturbK = 8 // sparse coordinate perturbation in high dimension

@@ -205,11 +205,10 @@ func NewPretrained(seed int64) *Featurizer {
 	return newFeaturizer(p.vocab.Clone(), p.enc, nil)
 }
 
-// SetCacheBound sets the LRU bound of the template encoding cache and
+// setCacheBound sets the LRU bound of the template encoding cache and
 // clears it. n ≤ 0 disables memoization entirely — every Context call
-// re-encodes every query, the pre-cache cost profile kept for the ext3
-// equivalence run and the featurization benchmarks.
-func (f *Featurizer) SetCacheBound(n int) {
+// re-encodes every query, the reference the cache is tested against.
+func (f *Featurizer) setCacheBound(n int) {
 	f.cacheBound = n
 	f.resetCache()
 }
@@ -359,8 +358,7 @@ func (f *Featurizer) encodeQueries(queries []workload.Query) {
 	for qi, q := range queries {
 		toks := sqlparse.Tokenize(q.SQL)
 		if f.cacheBound <= 0 {
-			// Memoization disabled: sequential per-query encode, the
-			// original cost profile.
+			// Memoization disabled: sequential per-query encode.
 			f.perQuery[qi] = f.enc.Encode(f.vocab.EncodeTokens(toks))
 			continue
 		}

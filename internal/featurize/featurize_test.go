@@ -125,7 +125,7 @@ func TestCachedContextBitwiseIdentical(t *testing.T) {
 	}
 	cached := pretrained(t)
 	uncached := pretrained(t)
-	uncached.SetCacheBound(0)
+	uncached.setCacheBound(0)
 	for trial := 0; trial < 120; trial++ {
 		g := gens[rng.Intn(len(gens))]
 		w := g.At(rng.Intn(12)) // small range forces template revisits
@@ -153,7 +153,7 @@ func TestCachedContextBitwiseIdentical(t *testing.T) {
 func TestLRUEvictionPreservesResults(t *testing.T) {
 	in := dbsim.New(knobs.MySQL57(), 1)
 	tiny := pretrained(t)
-	tiny.SetCacheBound(2) // far below any workload's template count
+	tiny.setCacheBound(2) // far below any workload's template count
 	full := pretrained(t)
 	gens := []workload.Generator{workload.NewTPCC(1, true), workload.NewJOB(2, true)}
 	for round := 0; round < 3; round++ {

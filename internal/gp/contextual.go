@@ -106,10 +106,6 @@ func (c *ContextualGP) PredictAll(configs [][]float64, ctx []float64) (means, va
 	return c.gp.PredictAll(pts)
 }
 
-// SetFullRefitOnly toggles the underlying GP's incremental factor
-// updates off (true) or on (false). Used by benchmarks and ablations.
-func (c *ContextualGP) SetFullRefitOnly(v bool) { c.gp.FullRefitOnly = v }
-
 // Bounds returns the β-confidence interval [μ−βσ, μ+βσ] at (config, ctx).
 func (c *ContextualGP) Bounds(config, ctx []float64, beta float64) (lower, upper float64) {
 	return c.gp.ConfidenceBounds(Joint(config, ctx), beta)

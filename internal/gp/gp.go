@@ -25,12 +25,6 @@ type GP struct {
 	Kern  Kernel
 	Noise float64 // observation noise variance (in standardized units)
 
-	// FullRefitOnly disables the incremental factor extension so every
-	// Append rebuilds the Gram matrix and refactorizes from scratch —
-	// the pre-incremental cost profile, kept for benchmarks and as an
-	// ablation switch.
-	FullRefitOnly bool
-
 	x     [][]float64
 	yRaw  []float64 // targets in original units
 	y     []float64 // standardized targets
@@ -85,9 +79,6 @@ func (g *GP) Append(x []float64, y float64) error {
 	g.x = append(g.x, x)
 	g.yRaw = append(g.yRaw, y)
 	g.standardize()
-	if g.FullRefitOnly {
-		return g.refit()
-	}
 	n := len(g.x)
 	// Extend the cached Gram matrix with the new kernel row.
 	row := make([]float64, n)

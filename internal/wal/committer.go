@@ -253,9 +253,17 @@ func (c *Committer) Close() error {
 	return err
 }
 
+// full reports whether the pending batch has reached the early-commit
+// size.
+func (c *Committer) full() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.reqs) >= c.opts.batch()
+}
+
 // loop is the background committer: it sleeps until the first enqueue
-// of a batch, waits out the batch window (cut short when the batch
-// fills), then commits.
+// of a batch, waits out the batch window (skipped when the batch is
+// already full, cut short when it fills), then commits.
 func (c *Committer) loop() {
 	defer close(c.idle)
 	timer := time.NewTimer(time.Hour)
@@ -268,7 +276,10 @@ func (c *Committer) loop() {
 			return
 		case <-c.wake:
 		}
-		if iv := c.opts.interval(); iv > 0 {
+		// A batch can fill before this goroutine runs: Enqueue's wake is
+		// a non-blocking send, so the one sent at the batch size is
+		// dropped while the first is still unconsumed.
+		if iv := c.opts.interval(); iv > 0 && !c.full() {
 			timer.Reset(iv)
 		window:
 			for {
@@ -281,10 +292,7 @@ func (c *Committer) loop() {
 					}
 					return
 				case <-c.wake:
-					c.mu.Lock()
-					full := len(c.reqs) >= c.opts.batch()
-					c.mu.Unlock()
-					if full {
+					if c.full() {
 						if !timer.Stop() {
 							<-timer.C
 						}

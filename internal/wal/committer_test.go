@@ -213,6 +213,75 @@ func TestCommitterErrorAttribution(t *testing.T) {
 	lc.Close()
 }
 
+// TestCommitterFullBatchSkipsWindow pins CommitterOptions.Batch's
+// contract when the batch fills before the loop goroutine first runs:
+// Enqueue's wake is a non-blocking send, so the wake sent at the batch
+// size is dropped while the first is unconsumed, and the loop must
+// notice the full batch on its own instead of sleeping out the window.
+// The loop is started by hand after the enqueues so the interleaving
+// holds by construction; with an hour-long window the waiters are
+// released only if the commit is not timer-driven.
+func TestCommitterFullBatchSkipsWindow(t *testing.T) {
+	dir := t.TempDir()
+	const batch = 4
+	jpath := filepath.Join(dir, "fleet.journal")
+	j, _, err := Open(jpath, Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Committer{
+		opts:    CommitterOptions{Interval: time.Hour, Batch: batch, NoFsync: true},
+		journal: j,
+		jpath:   jpath,
+		dirty:   map[string]*Log{},
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		idle:    make(chan struct{}),
+	}
+	l, _, err := Open(filepath.Join(dir, "s.wal"), Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	waits := make([]func() error, batch)
+	for i := range waits {
+		payload := []byte(fmt.Sprintf("rec-%d", i))
+		if err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if waits[i], err = c.Enqueue("s", l, [][]byte{payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go c.loop()
+	defer c.Close()
+
+	released := make(chan error, 1)
+	go func() {
+		for _, wait := range waits {
+			if err := wait(); err != nil {
+				released <- err
+				return
+			}
+		}
+		released <- nil
+	}()
+	select {
+	case err := <-released:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second): // hang guard only; the passing path never waits on a timer
+		t.Fatal("a full batch waited for the commit window instead of committing")
+	}
+	if got := c.Batches(); got != 1 {
+		t.Fatalf("Batches = %d, want 1", got)
+	}
+}
+
 // TestCommitterJournalRecovery simulates a crash after journaled
 // commits: the session log's bytes may be lost (never fsynced), but
 // ReadJournal must yield every committed record in per-session order so

@@ -255,6 +255,88 @@ func TestManagerGroupCommitDurabilityHammer(t *testing.T) {
 	}
 }
 
+// TestManagerGroupCommitExactSyncPoints pins the coalescing contract as
+// exact counters: with the committer on, K operations in flight on K
+// sessions cost ONE sync point and ONE group commit; without it, K. The
+// window is an hour and CommitBatch is K, so a batch can only commit by
+// filling — nothing here depends on timing. Every advice must equal an
+// uninterrupted in-memory reference session's in both arms.
+func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
+	const k, rounds = 8, 4
+	id := func(g int) string { return fmt.Sprintf("db-%d", g) }
+	cfg := func(g int) Config { return Config{Space: "case5", Seed: int64(300 + g)} }
+
+	want := make([][]Advice, k)
+	for g := range want {
+		ref, err := NewSession(cfg(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rounds; i++ {
+			adv, err := ref.Suggest(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[g] = append(want[g], adv)
+			if err := ref.Report(goldenOutcome(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	arm := func(name string, opts ManagerOptions, wantFsyncs, wantGroupCommits int64) {
+		m, err := NewManagerOpts(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for g := 0; g < k; g++ {
+			if _, err := m.Create(id(g), cfg(g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// step runs op on all K sessions at once and checks what the K
+		// operations cost together.
+		step := func(what string, op func(g int) error) {
+			before := m.Stats()
+			var wg sync.WaitGroup
+			for g := 0; g < k; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					if err := op(g); err != nil {
+						t.Errorf("%s %s %s: %v", name, what, id(g), err)
+					}
+				}(g)
+			}
+			wg.Wait()
+			after := m.Stats()
+			if got := after.Fsyncs - before.Fsyncs; got != wantFsyncs {
+				t.Fatalf("%s %s: %d operations cost %d sync points, want %d (compactions %d)",
+					name, what, k, got, wantFsyncs, after.Compactions)
+			}
+			if got := after.GroupCommits - before.GroupCommits; got != wantGroupCommits {
+				t.Fatalf("%s %s: %d operations cost %d group commits, want %d", name, what, k, got, wantGroupCommits)
+			}
+		}
+		for i := 0; i < rounds; i++ {
+			step(fmt.Sprintf("suggest %d", i), func(g int) error {
+				adv, err := m.Suggest(context.Background(), id(g))
+				if err == nil && !reflect.DeepEqual(adv, want[g][i]) {
+					err = errors.New("advice diverged from the in-memory reference")
+				}
+				return err
+			})
+			step(fmt.Sprintf("report %d", i), func(g int) error {
+				_, err := m.Report(id(g), goldenOutcome(i))
+				return err
+			})
+		}
+	}
+	arm("group commit", ManagerOptions{NoFsync: true, CommitInterval: time.Hour, CommitBatch: k, MaxResident: -1}, 1, 1)
+	arm("per-session fsync", ManagerOptions{NoFsync: true, MaxResident: -1}, k, 0)
+}
+
 // TestManagerJournalBootRecovery reconstructs the crash the journal
 // exists for: a session log that lost its flushed-but-unfsynced tail
 // (power failure), with the group-commit journal holding the only

@@ -75,10 +75,10 @@ type ManagerOptions struct {
 	// session's WAL appends funnel into a shared journal whose single
 	// fsync per batch window makes the whole batch durable, so a fleet
 	// of N chatty sessions pays ~1 fsync per window instead of N.
-	// 0 disables the committer (each operation fsyncs its own log — the
-	// pre-group-commit behavior and the ext7 ablation arm); > 0 is the
-	// batch window; < 0 enables the committer with no window (each
-	// batch commits as soon as the committer picks it up — for tests).
+	// 0 disables the committer (each operation fsyncs its own log);
+	// > 0 is the batch window; < 0 enables the committer with no window
+	// (each batch commits as soon as the committer picks it up — for
+	// tests).
 	CommitInterval time.Duration
 	// CommitBatch caps a group-commit batch: once this many operations
 	// are waiting the batch commits without waiting out the window

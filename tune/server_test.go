@@ -296,7 +296,9 @@ func TestDeleteStatusOverHTTP(t *testing.T) {
 // TestReportBodyRefusals: a report the decoder must not accept leaves
 // the session where it was. An oversized body is cut off at
 // maxBodyBytes, and the retired "shadow" spelling of the staged
-// measurement is an unknown field the error names.
+// measurement is an unknown field the error names — as is the retired
+// FullRefitGP tuner option on create, which used to put a served session
+// on the O(n³) refit path.
 func TestReportBodyRefusals(t *testing.T) {
 	m, err := NewManager("")
 	if err != nil {
@@ -329,6 +331,13 @@ func TestReportBodyRefusals(t *testing.T) {
 	}
 	// The same outcome without the stray field is accepted.
 	doJSON(t, srv, "POST", "/v1/sessions/db/report", body.Outcome, http.StatusOK, nil)
+
+	create := json.RawMessage(`{"id": "slow", "config": {"space": "case5", "options": {"FullRefitGP": true}}}`)
+	doJSON(t, srv, "POST", "/v1/sessions", create, http.StatusBadRequest, &refusal)
+	if !strings.Contains(refusal.Error, `unknown field "FullRefitGP"`) {
+		t.Fatalf("refusal %q does not name the unknown field", refusal.Error)
+	}
+	doJSON(t, srv, "GET", "/v1/sessions/slow", nil, http.StatusNotFound, nil)
 }
 
 // TestManagerDeleteVsCheckpointRace hammers Delete against concurrent

@@ -249,6 +249,64 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRestoreIgnoresRetiredTunerOption: every session created with
+// explicit tuner options before the FullRefitGP switch was removed wrote
+// `"FullRefitGP": false` into its snapshot header. Such a snapshot must
+// still restore — the snapshot parser skips keys it does not know — and
+// continue with advice identical to an uninterrupted session's.
+func TestRestoreIgnoresRetiredTunerOption(t *testing.T) {
+	opts := DefaultTunerOptions()
+	cfg := Config{Space: "case5", Seed: 13, Options: &opts}
+	uninterrupted, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(s *Session, i int) Advice {
+		adv, err := s.Suggest(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Report(goldenOutcome(i)); err != nil {
+			t.Fatal(err)
+		}
+		return adv
+	}
+	const before, after = 6, 6
+	for i := 0; i < before; i++ {
+		step(uninterrupted, i)
+		step(old, i)
+	}
+	data, err := old.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := []byte(`"options": {`)
+	if bytes.Count(data, header) != 1 {
+		t.Fatalf("snapshot does not carry exactly one options object:\n%.400s", data)
+	}
+	stale := bytes.Replace(data, header, []byte(`"options": { "FullRefitGP": false,`), 1)
+	restored, err := Restore(stale)
+	if err != nil {
+		t.Fatalf("snapshot with the retired option does not restore: %v", err)
+	}
+	again, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("restoring a snapshot with the retired option changed the session's state")
+	}
+	for i := before; i < before+after; i++ {
+		if a, b := step(uninterrupted, i), step(restored, i); !reflect.DeepEqual(a, b) {
+			t.Fatalf("iter %d: advice diverged after restoring the old header\nuninterrupted: %+v\nrestored:      %+v", i, a, b)
+		}
+	}
+}
+
 // goldenAtVersion returns the committed golden snapshot with its
 // version field re-stamped as v.
 func goldenAtVersion(tb testing.TB, v int) []byte {
