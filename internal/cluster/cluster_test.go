@@ -306,3 +306,49 @@ func TestQuickDBSCANLabelRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// kDistanceSorted is the reference KDistance replaced: sort every row
+// of distances in full and take mathx.Quantile.
+func kDistanceSorted(m *DistMatrix, k int) []float64 {
+	n := m.Len()
+	out := make([]float64, n)
+	for i := range out {
+		var ds []float64
+		for j := 0; j < n; j++ {
+			if i != j {
+				ds = append(ds, m.Dist(i, j))
+			}
+		}
+		if len(ds) == 0 {
+			continue
+		}
+		kk := min(k, len(ds))
+		out[i] = mathx.Quantile(ds, float64(kk-1)/math.Max(1, float64(len(ds)-1)))
+	}
+	return out
+}
+
+// Selecting the k+1 smallest distances per row gives bit for bit what
+// sorting the row did, including where q·(len−1) rounds off k−1.
+func TestKDistanceBitIdenticalToSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{2, 5, 400} {
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), float64(rng.Intn(3))}
+		}
+		pts[n-1] = pts[0] // a duplicate: zero distances and ties
+		m := NewDistMatrix(pts)
+		for _, k := range []int{1, 4, n - 1, n + 3} {
+			got, want := m.KDistance(k), kDistanceSorted(m, k)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d k=%d point %d: KDistance %v, sorted reference %v", n, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if got := NewDistMatrix([][]float64{{1, 2}}).KDistance(4); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("single point: KDistance = %v, want [0]", got)
+	}
+}

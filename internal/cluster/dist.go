@@ -64,25 +64,40 @@ func (m *DistMatrix) Dist(i, j int) float64 {
 }
 
 // KDistance returns the distance from each point to its k-th nearest
-// neighbor, from cached distances.
+// neighbor, from cached distances. Each row keeps only its k+1 smallest
+// distances (sorted by insertion, O(n·k) per row) and interpolates
+// between them exactly as mathx.Quantile would over the sorted row:
+// q·(len−1) can land an ulp either side of k−1, so both neighbors of
+// the k-th order statistic are kept.
 func (m *DistMatrix) KDistance(k int) []float64 {
 	n := m.Len()
 	out := make([]float64, n)
+	if n < 2 {
+		return out
+	}
+	kk := min(k, n-1)
+	keep := max(1, min(kk+1, n-1))
+	q := float64(kk-1) / math.Max(1, float64(n-2))
 	mathx.ParallelFor(n, func(i int) {
-		ds := make([]float64, 0, n-1)
+		ds := make([]float64, 0, keep)
 		for j := 0; j < n; j++ {
-			if i != j {
-				ds = append(ds, m.Dist(i, j))
+			if i == j {
+				continue
+			}
+			// d joins at the tail — appended while the row is short, else
+			// replacing the largest kept distance — and sinks into place.
+			if d := m.Dist(i, j); len(ds) < keep {
+				ds = append(ds, d)
+			} else if d < ds[keep-1] {
+				ds[keep-1] = d
+			} else {
+				continue
+			}
+			for p := len(ds) - 1; p > 0 && ds[p] < ds[p-1]; p-- {
+				ds[p], ds[p-1] = ds[p-1], ds[p]
 			}
 		}
-		if len(ds) == 0 {
-			return
-		}
-		kk := k
-		if kk > len(ds) {
-			kk = len(ds)
-		}
-		out[i] = mathx.Quantile(ds, float64(kk-1)/math.Max(1, float64(len(ds)-1)))
+		out[i] = mathx.QuantileSorted(ds, n-1, q)
 	})
 	return out
 }

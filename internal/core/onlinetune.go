@@ -523,17 +523,7 @@ func (o *OnlineTune) regionCenter(m *model) []float64 {
 // contextNovel reports whether ctx is far from every context the model
 // has observed — the trigger for a conservative probe iteration.
 func (o *OnlineTune) contextNovel(m *model, ctx []float64) bool {
-	_, ctxs, _ := m.gp.Observations()
-	if len(ctxs) == 0 {
-		return false
-	}
-	min := math.Inf(1)
-	for _, c := range ctxs {
-		if d := mathx.Dist2(c, ctx); d < min {
-			min = d
-		}
-	}
-	return min > 0.10
+	return m.gp.Len() > 0 && m.gp.NearestContextDist(ctx) > 0.10
 }
 
 // unevaluatedSafeExhausted checks the switching-rule trigger: no safe
@@ -805,7 +795,8 @@ func (o *OnlineTune) observeLocked(iter int, ctx, unit []float64, perf, tau floa
 
 // appendCapped adds an observation to a model. Below the cluster cap P
 // the contextual GP extends its cached Cholesky factor in O(n²); at the
-// cap the oldest observation is dropped and the model refit — the
+// cap the window slides: the oldest observation is dropped, the new one
+// is measured against the rest, and the model is refactorized — the
 // sliding window is what bounds the GP's cost (§5.3), and a factor
 // downdate is not worth the complexity at window size P.
 func (o *OnlineTune) appendCapped(m *model, unit, ctx []float64, perf float64) {
@@ -813,13 +804,7 @@ func (o *OnlineTune) appendCapped(m *model, unit, ctx []float64, perf float64) {
 		_ = m.gp.Append(unit, ctx, perf)
 		return
 	}
-	configs, ctxs, perfs := m.gp.Observations()
-	configs = append(configs, mathx.VecClone(unit))
-	ctxs = append(ctxs, mathx.VecClone(ctx))
-	perfs = append(perfs, perf)
-	drop := len(configs) - o.Opts.ClusterCap
-	configs, ctxs, perfs = configs[drop:], ctxs[drop:], perfs[drop:]
-	_ = m.gp.Fit(configs, ctxs, perfs)
+	_ = m.gp.Slide(unit, ctx, perf)
 }
 
 // maybeRecluster implements Algorithm 1's Need_ReLearn: every

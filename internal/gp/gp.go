@@ -11,16 +11,19 @@ import (
 // refactorEvery bounds how many incremental Cholesky extensions are
 // applied before a full refactorization, for numerical hygiene: the
 // extension is backward-stable per step but errors compound, so the
-// factor is rebuilt from the cached Gram matrix every so often.
+// factor is rebuilt from the cached pair statistics every so often.
 const refactorEvery = 64
 
 // GP is an exact Gaussian-process regressor. Targets are standardized
 // internally; predictions are returned in the original units.
 //
-// Conditioning is incremental: the kernel Gram matrix and its Cholesky
-// factor are cached, so Append extends them in O(n²) instead of the
-// O(n³) full refit (with a periodic full refactorization, and a full
-// refit whenever the kernel hyperparameters change).
+// Every pair of training points is measured once: the GP keeps the
+// packed lower triangle of hyperparameter-free pair statistics (see
+// Kernel) and the Cholesky factor, not a Gram matrix. Append adds one
+// row of statistics and extends the factor in O(n²); Slide shifts the
+// triangle and adds one row; a change of hyperparameters rebuilds a
+// transient Gram matrix from the statistics and refactorizes, without
+// reading a coordinate.
 type GP struct {
 	Kern  Kernel
 	Noise float64 // observation noise variance (in standardized units)
@@ -31,8 +34,11 @@ type GP struct {
 	yMean float64
 	yStd  float64
 
-	gram    *mathx.Matrix // K + Noise·I for the current kernel
-	jitter  float64       // diagonal jitter baked into chol
+	// stats holds Kern.NumStats() floats for each training pair (i, j ≤ i)
+	// at pair offset i(i+1)/2 + j, allocated exact-size (every resident
+	// model keeps one, so spare capacity would be live heap).
+	stats   []float64
+	jitter  float64 // diagonal jitter baked into chol
 	chol    *mathx.Matrix
 	alpha   []float64
 	fresh   bool
@@ -47,14 +53,25 @@ func New(k Kernel, noise float64) *GP {
 // Len returns the number of training observations.
 func (g *GP) Len() int { return len(g.x) }
 
-// TrainX returns the training inputs (not copied; treat as read-only).
-func (g *GP) TrainX() [][]float64 { return g.x }
+// tri is the number of pairs (i, j ≤ i) in the first n rows.
+func tri(n int) int { return n * (n + 1) / 2 }
 
-// TrainYRaw returns the training targets in original units (not copied;
-// treat as read-only).
-func (g *GP) TrainYRaw() []float64 { return g.yRaw }
+// pair returns the statistics of training points i and j ≤ i.
+func (g *GP) pair(i, j, w int) []float64 {
+	o := (tri(i) + j) * w
+	return g.stats[o : o+w]
+}
 
-// Fit conditions the GP on inputs X and targets y.
+// measure fills row i of the statistic triangle: point i against every
+// earlier point and itself, i+1 Stats calls.
+func (g *GP) measure(i, w int) {
+	for j := 0; j <= i; j++ {
+		g.Kern.Stats(g.x[j], g.x[i], g.pair(i, j, w))
+	}
+}
+
+// Fit conditions the GP on inputs X and targets y. The outer slice of x
+// is copied (Append grows it); the rows are kept by reference.
 func (g *GP) Fit(x [][]float64, y []float64) error {
 	if len(x) != len(y) {
 		return errors.New("gp: X/y length mismatch")
@@ -62,16 +79,21 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 {
 		return errors.New("gp: empty training set")
 	}
-	g.x = x
+	g.x = append([][]float64(nil), x...)
 	g.yRaw = mathx.VecClone(y)
 	g.standardize()
-	return g.refit()
+	w := g.Kern.NumStats()
+	g.stats = make([]float64, tri(len(x))*w)
+	for i := range g.x {
+		g.measure(i, w)
+	}
+	return g.refactor()
 }
 
-// Append adds one observation. When a cached factor is available it is
-// extended in O(n²) (kernel row + rank-1 Cholesky extension + triangular
-// solves); otherwise — and periodically, for numerical hygiene — it
-// falls back to a full refactorization.
+// Append adds one observation: one new row of pair statistics and, when
+// a current factor is available, an O(n²) rank-1 Cholesky extension;
+// otherwise — and periodically, for numerical hygiene — a full
+// refactorization.
 func (g *GP) Append(x []float64, y float64) error {
 	if len(g.x) == 0 {
 		return g.Fit([][]float64{x}, []float64{y})
@@ -80,27 +102,26 @@ func (g *GP) Append(x []float64, y float64) error {
 	g.yRaw = append(g.yRaw, y)
 	g.standardize()
 	n := len(g.x)
-	// Extend the cached Gram matrix with the new kernel row.
-	row := make([]float64, n)
-	for i := 0; i < n-1; i++ {
-		row[i] = g.Kern.Eval(g.x[i], x)
-	}
-	row[n-1] = g.Kern.Eval(x, x) + g.Noise
-	if g.gram == nil || g.gram.Rows != n-1 {
-		return g.refit()
-	}
-	g.gram = extendSym(g.gram, row)
+	w := g.Kern.NumStats()
+	grown := make([]float64, tri(n)*w)
+	copy(grown, g.stats)
+	g.stats = grown
+	g.measure(n-1, w)
 	// !fresh covers a previously failed factorization: g.chol would be a
 	// stale factor of older training data, so extending it would silently
-	// produce an inconsistent posterior — refactor the (correct) Gram
-	// matrix instead.
+	// produce an inconsistent posterior — refactor instead.
 	if g.chol == nil || !g.fresh || g.appends >= refactorEvery {
 		return g.refactor()
 	}
+	row := make([]float64, n)
+	for j := range row {
+		row[j] = g.Kern.OfStats(g.pair(n-1, j, w))
+	}
+	row[n-1] += g.Noise
 	l, err := mathx.CholeskyExtend(g.chol, row[:n-1], row[n-1]+g.jitter)
 	if err != nil {
 		// Extension lost positive-definiteness: fall back to a fresh
-		// (jittered) factorization of the cached Gram matrix.
+		// (jittered) factorization.
 		return g.refactor()
 	}
 	g.chol = l
@@ -108,6 +129,29 @@ func (g *GP) Append(x []float64, y float64) error {
 	g.alpha = mathx.CholeskySolve(l, g.y)
 	g.fresh = true
 	return nil
+}
+
+// Slide drops the oldest observation and adds (x, y): the sliding
+// window that bounds a model's cost (§5.3). The statistic triangle
+// moves up one row and column in place and gains one measured row, and
+// the factor is rebuilt, so the result is bit-identical to Fit on the
+// shifted window at len(x) Stats calls instead of n(n+1)/2.
+func (g *GP) Slide(x []float64, y float64) error {
+	n := len(g.x)
+	if n == 0 {
+		return g.Fit([][]float64{x}, []float64{y})
+	}
+	copy(g.x, g.x[1:])
+	g.x[n-1] = x
+	copy(g.yRaw, g.yRaw[1:])
+	g.yRaw[n-1] = y
+	g.standardize()
+	w := g.Kern.NumStats()
+	for i := 1; i < n; i++ {
+		copy(g.stats[tri(i-1)*w:tri(i)*w], g.stats[(tri(i)+1)*w:])
+	}
+	g.measure(n-1, w)
+	return g.refactor()
 }
 
 // standardize recomputes the target standardization from yRaw. It is
@@ -136,40 +180,24 @@ func (g *GP) standardize() {
 	}
 }
 
-// extendSym returns the (n+1)×(n+1) symmetric matrix formed by bordering
-// a with row (row[n] is the new diagonal entry).
-func extendSym(a *mathx.Matrix, row []float64) *mathx.Matrix {
-	n := a.Rows
-	out := mathx.NewMatrix(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(out.Data[i*(n+1):i*(n+1)+n], a.Data[i*n:(i+1)*n])
-		out.Set(i, n, row[i])
-	}
-	copy(out.Data[n*(n+1):(n+1)*(n+1)], row)
-	return out
-}
-
-// refit rebuilds the Gram matrix from the kernel and refactorizes. Called
-// on Fit and whenever kernel hyperparameters change.
-func (g *GP) refit() error {
-	n := len(g.x)
-	k := mathx.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := g.Kern.Eval(g.x[i], g.x[j])
-			k.Set(i, j, v)
-			k.Set(j, i, v)
-		}
-	}
-	k.AddDiag(g.Noise)
-	g.gram = k
-	return g.refactor()
-}
-
-// refactor recomputes the Cholesky factor and weights from the cached
-// Gram matrix.
+// refactor rebuilds the factor and weights for the current kernel and
+// noise: a transient Gram matrix (lower triangle only, which is all
+// Cholesky reads) from the cached pair statistics, then a fresh
+// factorization. Called on Fit, Slide, periodically on Append, and
+// whenever hyperparameters change.
 func (g *GP) refactor() error {
-	l, jit, err := mathx.CholeskyJitter(g.gram, 1e-3)
+	n := len(g.x)
+	w := g.Kern.NumStats()
+	k := mathx.NewMatrix(n, n)
+	for i, o := 0, 0; i < n; i++ {
+		row := k.Data[i*n : i*n+i+1]
+		for j := range row {
+			row[j] = g.Kern.OfStats(g.stats[o : o+w])
+			o += w
+		}
+		row[i] += g.Noise
+	}
+	l, jit, err := mathx.CholeskyJitter(k, 1e-3)
 	if err != nil {
 		g.fresh = false
 		return err
@@ -183,24 +211,10 @@ func (g *GP) refactor() error {
 }
 
 // Predict returns the posterior mean and variance at x, in original units.
-// An unfitted GP returns the prior (mean 0, variance = k(x,x)+noise).
+// An unfitted GP returns the prior (mean 0, variance = k(x,x)).
 func (g *GP) Predict(x []float64) (mean, variance float64) {
-	prior := g.Kern.Eval(x, x)
-	if !g.fresh || len(g.x) == 0 {
-		return 0, prior
-	}
-	n := len(g.x)
-	kstar := make([]float64, n)
-	for i := 0; i < n; i++ {
-		kstar[i] = g.Kern.Eval(g.x[i], x)
-	}
-	mu := mathx.Dot(kstar, g.alpha)
-	v := mathx.SolveLower(g.chol, kstar)
-	varStd := prior - mathx.Dot(v, v)
-	if varStd < 1e-12 {
-		varStd = 1e-12
-	}
-	return mu*g.yStd + g.yMean, varStd * g.yStd * g.yStd
+	means, variances := g.PredictAll([][]float64{x})
+	return means[0], variances[0]
 }
 
 // predictBlock is how many candidates one PredictAll work unit scores:
@@ -211,20 +225,26 @@ const predictBlock = 16
 // PredictAll computes the posterior mean and variance at every point in
 // xs. The factor and weights are shared across all candidates, the
 // per-candidate kernel row and triangular solve reuse one scratch
-// buffer per block (no per-candidate allocation, unlike repeated
-// Predict calls), and blocks run on a bounded worker pool. Results are
-// identical to calling Predict per point.
+// buffer per block (no per-candidate allocation), and blocks run on a
+// bounded worker pool.
 func (g *GP) PredictAll(xs [][]float64) (means, variances []float64) {
-	m := len(xs)
+	return g.predictAll(len(xs),
+		func(j, i int, out []float64) { g.Kern.Stats(g.x[i], xs[j], out) },
+		func(j int, out []float64) { g.Kern.Stats(xs[j], xs[j], out) })
+}
+
+// predictAll scores m query points given their pair statistics: pair
+// writes query j's statistics against training point i, self its
+// statistics against itself. Both are called from worker goroutines and
+// must only read shared state.
+func (g *GP) predictAll(m int, pair func(j, i int, out []float64), self func(j int, out []float64)) (means, variances []float64) {
 	means = make([]float64, m)
 	variances = make([]float64, m)
-	if !g.fresh || len(g.x) == 0 {
-		for j, x := range xs {
-			variances[j] = g.Kern.Eval(x, x)
-		}
-		return means, variances
-	}
 	n := len(g.x)
+	if !g.fresh {
+		n = 0 // serve the prior
+	}
+	w := g.Kern.NumStats()
 	nb := (m + predictBlock - 1) / predictBlock
 	mathx.ParallelFor(nb, func(bi int) {
 		j0 := bi * predictBlock
@@ -233,14 +253,21 @@ func (g *GP) PredictAll(xs [][]float64) (means, variances []float64) {
 			j1 = m
 		}
 		buf := make([]float64, n)
+		s := make([]float64, w)
 		for j := j0; j < j1; j++ {
-			x := xs[j]
-			for i := 0; i < n; i++ {
-				buf[i] = g.Kern.Eval(g.x[i], x)
+			self(j, s)
+			prior := g.Kern.OfStats(s)
+			if n == 0 {
+				variances[j] = prior
+				continue
+			}
+			for i := range buf {
+				pair(j, i, s)
+				buf[i] = g.Kern.OfStats(s)
 			}
 			mu := mathx.Dot(buf, g.alpha)
 			mathx.SolveLowerInPlace(g.chol, buf)
-			varStd := g.Kern.Eval(x, x) - mathx.Dot(buf, buf)
+			varStd := prior - mathx.Dot(buf, buf)
 			if varStd < 1e-12 {
 				varStd = 1e-12
 			}
@@ -280,7 +307,7 @@ func (g *GP) Hyperparams() []float64 {
 }
 
 // SetHyperparams installs a hyperparameter vector in the Hyperparams
-// layout and refits any existing data. Vectors of the wrong length or
+// layout and refactorizes any existing data. Vectors of the wrong length or
 // with non-finite entries are rejected.
 func (g *GP) SetHyperparams(p []float64) error {
 	cur := g.Hyperparams()
@@ -295,11 +322,11 @@ func (g *GP) SetHyperparams(p []float64) error {
 	g.Kern.SetParams(p[:len(p)-1])
 	g.Noise = math.Exp(p[len(p)-1])
 	if len(g.x) > 0 {
-		if err := g.refit(); err != nil {
+		if err := g.refactor(); err != nil {
 			// Roll back so a bad transfer cannot brick a fitted model.
 			g.Kern.SetParams(cur[:len(cur)-1])
 			g.Noise = math.Exp(cur[len(cur)-1])
-			_ = g.refit()
+			_ = g.refactor()
 			return fmt.Errorf("gp: refit with transferred hyperparams: %w", err)
 		}
 	}
@@ -317,8 +344,10 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 	obj := func(p []float64) float64 {
 		kern := g.Kern.Clone()
 		kern.SetParams(p[:len(p)-1])
-		trial := &GP{Kern: kern, Noise: math.Exp(p[len(p)-1]), x: g.x, y: g.y}
-		if err := trial.refit(); err != nil {
+		// The trial shares the training set and its pair statistics
+		// read-only: a likelihood evaluation never reads a coordinate.
+		trial := &GP{Kern: kern, Noise: math.Exp(p[len(p)-1]), x: g.x, y: g.y, stats: g.stats}
+		if err := trial.refactor(); err != nil {
 			return math.Inf(1)
 		}
 		ll := trial.LogMarginalLikelihood()
@@ -341,10 +370,10 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 	}
 	g.Kern.SetParams(best[:len(best)-1])
 	g.Noise = math.Exp(best[len(best)-1])
-	if err := g.refit(); err != nil {
+	if err := g.refactor(); err != nil {
 		// Roll back to the previous hyperparameters on numerical failure.
 		g.Kern.SetParams(base[:len(base)-1])
 		g.Noise = math.Exp(base[len(base)-1])
-		_ = g.refit()
+		_ = g.refactor()
 	}
 }

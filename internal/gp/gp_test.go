@@ -9,27 +9,25 @@ import (
 
 func TestKernelSymmetryAndSelf(t *testing.T) {
 	kernels := []Kernel{
-		NewRBF(1.5, 0.7),
 		NewMatern52(2.0, 0.4),
 		NewLinear(0.5, 1.0),
 		NewSplit(2, NewMatern52(1, 0.3), NewLinear(0.2, 1)),
-		&Sum{A: NewRBF(1, 1), B: NewMatern52(1, 1)},
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, k := range kernels {
 		for trial := 0; trial < 20; trial++ {
 			a := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 			b := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-12 {
+			if math.Abs(Eval(k, a, b)-Eval(k, b, a)) > 1e-12 {
 				t.Fatalf("%s not symmetric", k.Name())
 			}
 		}
 		// Stationary kernels peak at zero distance.
 		a := []float64{0.1, 0.2, 0.3}
 		switch k.(type) {
-		case *RBF, *Matern52:
+		case *Matern52:
 			far := []float64{5, 5, 5}
-			if k.Eval(a, a) <= k.Eval(a, far) {
+			if Eval(k, a, a) <= Eval(k, a, far) {
 				t.Fatalf("%s should decay with distance", k.Name())
 			}
 		}
@@ -38,7 +36,6 @@ func TestKernelSymmetryAndSelf(t *testing.T) {
 
 func TestKernelParamsRoundTrip(t *testing.T) {
 	kernels := []Kernel{
-		NewRBF(1.5, 0.7),
 		NewMatern52(2.0, 0.4),
 		NewLinear(0.5, 1.0),
 		NewSplit(2, NewMatern52(1, 0.3), NewLinear(0.2, 1)),
@@ -49,7 +46,7 @@ func TestKernelParamsRoundTrip(t *testing.T) {
 		c.SetParams(p)
 		a := []float64{0.3, -0.2, 0.9}
 		b := []float64{-1.1, 0.4, 0.1}
-		if math.Abs(k.Eval(a, b)-c.Eval(a, b)) > 1e-12 {
+		if math.Abs(Eval(k, a, b)-Eval(c, a, b)) > 1e-12 {
 			t.Fatalf("%s params round-trip changed kernel", k.Name())
 		}
 		// Clone is independent.
@@ -57,7 +54,7 @@ func TestKernelParamsRoundTrip(t *testing.T) {
 		copy(mod, p)
 		mod[0] += 1
 		c.SetParams(mod)
-		if math.Abs(k.Eval(a, b)-c.Eval(a, b)) < 1e-9 {
+		if math.Abs(Eval(k, a, b)-Eval(c, a, b)) < 1e-9 {
 			t.Fatalf("%s clone shares state", k.Name())
 		}
 	}
@@ -94,7 +91,7 @@ func TestGPVarianceGrowsAwayFromData(t *testing.T) {
 }
 
 func TestGPPriorBeforeFit(t *testing.T) {
-	g := New(NewRBF(2, 1), 1e-3)
+	g := New(NewMatern52(2, 1), 1e-3)
 	mu, v := g.Predict([]float64{0.3})
 	if mu != 0 {
 		t.Fatalf("prior mean = %v", mu)
@@ -105,7 +102,7 @@ func TestGPPriorBeforeFit(t *testing.T) {
 }
 
 func TestGPFitErrors(t *testing.T) {
-	g := New(NewRBF(1, 1), 1e-3)
+	g := New(NewMatern52(1, 1), 1e-3)
 	if err := g.Fit(nil, nil); err == nil {
 		t.Fatal("expected error on empty fit")
 	}
@@ -125,9 +122,9 @@ func TestGPAppend(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	raw := g.TrainYRaw()
+	raw := g.yRaw
 	if math.Abs(raw[0]-1) > 1e-9 || math.Abs(raw[1]-2) > 1e-9 {
-		t.Fatalf("TrainYRaw = %v", raw)
+		t.Fatalf("yRaw = %v", raw)
 	}
 }
 
@@ -212,36 +209,14 @@ func TestContextualGPKnowledgeTransfer(t *testing.T) {
 	}
 }
 
-func TestContextualBestObserved(t *testing.T) {
-	cg := NewContextual(2, 1)
-	configs := [][]float64{{0.1, 0.1}, {0.9, 0.9}, {0.5, 0.5}}
-	ctxs := [][]float64{{0}, {0}, {10}}
-	ys := []float64{1, 5, 100}
-	if err := cg.Fit(configs, ctxs, ys); err != nil {
-		t.Fatal(err)
-	}
-	// Within radius of ctx=0, the best is config {0.9,0.9} (perf 5), not
-	// the global best at the distant context.
-	cfg, perf, ok := cg.BestObserved([]float64{0}, 1.0)
-	if !ok || perf != 5 || cfg[0] != 0.9 {
-		t.Fatalf("BestObserved = %v %v %v", cfg, perf, ok)
-	}
-	// With no nearby context, falls back to global best.
-	cfg, perf, ok = cg.BestObserved([]float64{-50}, 1.0)
-	if !ok || perf != 100 || cfg[0] != 0.5 {
-		t.Fatalf("global fallback = %v %v %v", cfg, perf, ok)
-	}
-}
-
-func TestContextualUCBAndSigma(t *testing.T) {
+func TestContextualSigma(t *testing.T) {
 	cg := NewContextual(1, 1)
 	if err := cg.Fit([][]float64{{0.5}}, [][]float64{{0}}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	mu, _ := cg.Predict([]float64{0.2}, []float64{0})
-	ucb := cg.UCB([]float64{0.2}, []float64{0}, 2)
-	if ucb < mu {
-		t.Fatalf("UCB %v below mean %v", ucb, mu)
+	if lo, hi := cg.Bounds([]float64{0.2}, []float64{0}, 2); !(lo < mu && mu < hi) {
+		t.Fatalf("bounds [%v, %v] do not bracket mean %v", lo, hi, mu)
 	}
 	if cg.Sigma([]float64{0.2}, []float64{0}) <= 0 {
 		t.Fatal("sigma should be positive")

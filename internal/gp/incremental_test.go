@@ -98,7 +98,7 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 
 // PredictAll on an unfitted GP returns the prior, like Predict.
 func TestPredictAllPriorBeforeFit(t *testing.T) {
-	g := New(NewRBF(2, 1), 1e-3)
+	g := New(NewMatern52(2, 1), 1e-3)
 	mus, vars := g.PredictAll([][]float64{{0.3}, {0.8}})
 	for j := range mus {
 		if mus[j] != 0 || math.Abs(vars[j]-2) > 1e-9 {
@@ -161,40 +161,54 @@ func TestContextualPredictAllMatchesPredict(t *testing.T) {
 	}
 }
 
-// countingKernel counts Eval calls on the kernel it wraps. The counter
-// is atomic because PredictAll may fan Eval out across goroutines.
+// countingKernel counts Stats and OfStats calls on the kernel it wraps,
+// clones included (hyperopt trials run on clones). The counters are
+// atomic because PredictAll fans out across goroutines.
 type countingKernel struct {
 	Kernel
-	evals *atomic.Int64
+	stats, ofStats *atomic.Int64
 }
 
-func (k countingKernel) Eval(a, b []float64) float64 {
-	k.evals.Add(1)
-	return k.Kernel.Eval(a, b)
+func counting(k Kernel) countingKernel {
+	return countingKernel{k, new(atomic.Int64), new(atomic.Int64)}
+}
+
+func (k countingKernel) Stats(a, b, out []float64) {
+	k.stats.Add(1)
+	k.Kernel.Stats(a, b, out)
+}
+
+func (k countingKernel) OfStats(s []float64) float64 {
+	k.ofStats.Add(1)
+	return k.Kernel.OfStats(s)
+}
+
+func (k countingKernel) Clone() Kernel {
+	return countingKernel{k.Kernel.Clone(), k.stats, k.ofStats}
 }
 
 // The incremental path must do an order less work than a full refit
-// per observation, counted in kernel evaluations so the assertion cannot
-// depend on machine load: n sequential appends evaluate the kernel O(n²)
-// times in total (one new Gram row each) against O(n³) for a fresh Fit
-// on every prefix, with identical predictions.
+// per observation, counted in pair measurements so the assertion cannot
+// depend on machine load: n sequential appends measure O(n²) pairs in
+// total (one new triangle row each) against O(n³) for a fresh Fit on
+// every prefix, with identical predictions.
 func TestIncrementalSpeedupOverFullRefit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 200
 	xs, ys := synthData(rng, n, 6)
 
 	condition := func(step func(g *GP, i int) error) (*GP, int64) {
-		var evals atomic.Int64
-		g := New(countingKernel{NewMatern52(1, 0.3), &evals}, 1e-4)
+		k := counting(NewMatern52(1, 0.3))
+		g := New(k, 1e-4)
 		for i := range xs {
 			if err := step(g, i); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return g, evals.Load()
+		return g, k.stats.Load()
 	}
-	inc, incEvals := condition(func(g *GP, i int) error { return g.Append(xs[i], ys[i]) })
-	full, fullEvals := condition(func(g *GP, i int) error { return g.Fit(xs[:i+1], ys[:i+1]) })
+	inc, incStats := condition(func(g *GP, i int) error { return g.Append(xs[i], ys[i]) })
+	full, fullStats := condition(func(g *GP, i int) error { return g.Fit(xs[:i+1], ys[:i+1]) })
 
 	qs, _ := synthData(rng, 50, 6)
 	mi, vi := inc.PredictAll(qs)
@@ -205,23 +219,25 @@ func TestIncrementalSpeedupOverFullRefit(t *testing.T) {
 				j, mi[j], mf[j], vi[j], vf[j])
 		}
 	}
-	// One row per append is n(n+1)/2 evaluations; one upper triangle per
+	// One row per append is n(n+1)/2 measurements; one triangle per
 	// append is n(n+1)(n+2)/6.
-	if incEvals > n*n {
-		t.Fatalf("incremental appends evaluated the kernel %d times, want O(n²) ≤ %d", incEvals, n*n)
+	if want := int64(tri(n)); incStats != want {
+		t.Fatalf("incremental appends measured %d pairs, want exactly %d", incStats, want)
 	}
-	if fullEvals < n*n*n/6 {
-		t.Fatalf("full-refit arm evaluated the kernel only %d times, want O(n³) ≥ %d: it is no longer the reference", fullEvals, n*n*n/6)
+	if fullStats < n*n*n/6 {
+		t.Fatalf("full-refit arm measured only %d pairs, want O(n³) ≥ %d: it is no longer the reference", fullStats, n*n*n/6)
 	}
 }
 
 // indefiniteKernel is positive-definite on non-negative inputs but
 // produces an indefinite Gram matrix (off-diagonal -2) as soon as any
 // negative coordinate appears — a handle for forcing factorization
-// failures in tests.
+// failures in tests. Its pair statistic is the kernel value itself.
 type indefiniteKernel struct{}
 
-func (indefiniteKernel) Eval(a, b []float64) float64 {
+func (indefiniteKernel) NumStats() int { return 1 }
+
+func (indefiniteKernel) Stats(a, b, out []float64) {
 	same := len(a) == len(b)
 	if same {
 		for i := range a {
@@ -231,18 +247,20 @@ func (indefiniteKernel) Eval(a, b []float64) float64 {
 			}
 		}
 	}
-	if same {
-		return 1
+	switch {
+	case same:
+		out[0] = 1
+	case a[0] < 0 || b[0] < 0:
+		out[0] = -2
+	default:
+		out[0] = 0.5
 	}
-	if a[0] < 0 || b[0] < 0 {
-		return -2
-	}
-	return 0.5
 }
-func (indefiniteKernel) Params() []float64   { return nil }
-func (indefiniteKernel) SetParams([]float64) {}
-func (k indefiniteKernel) Clone() Kernel     { return k }
-func (indefiniteKernel) Name() string        { return "indefinite-test" }
+func (indefiniteKernel) OfStats(s []float64) float64 { return s[0] }
+func (indefiniteKernel) Params() []float64           { return nil }
+func (indefiniteKernel) SetParams([]float64)         {}
+func (k indefiniteKernel) Clone() Kernel             { return k }
+func (indefiniteKernel) Name() string                { return "indefinite-test" }
 
 // After a failed Fit (factorization error), Append must not extend the
 // stale factor left over from the previous successful fit: it either

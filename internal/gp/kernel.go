@@ -1,5 +1,5 @@
 // Package gp implements Gaussian-process regression from scratch:
-// covariance kernels (RBF, Matérn-5/2, linear, additive/split), exact
+// covariance kernels (Matérn-5/2, linear, additive/split), exact
 // inference via Cholesky factorization, log-marginal-likelihood
 // hyperparameter fitting with Nelder–Mead, and the contextual GP used by
 // OnlineTune, which joins a Matérn kernel over configurations with a
@@ -14,11 +14,20 @@ import (
 )
 
 // Kernel is a positive-semidefinite covariance function over float
-// vectors. Hyperparameters are exposed in log space so optimizers can
-// search unconstrained.
+// vectors, factored as k(a,b) = f_θ(s(a,b)): Stats measures the pair
+// once, free of hyperparameters, and OfStats maps the measurement to the
+// covariance under the current hyperparameters. A GP caches the
+// statistics of its training pairs, so changing θ never touches
+// coordinates again. Hyperparameters are exposed in log space so
+// optimizers can search unconstrained.
 type Kernel interface {
-	// Eval returns k(a, b).
-	Eval(a, b []float64) float64
+	// NumStats is how many floats Stats writes per pair.
+	NumStats() int
+	// Stats writes the pair statistics of (a, b) to out[:NumStats()].
+	// It is bitwise symmetric in a and b.
+	Stats(a, b, out []float64)
+	// OfStats returns k(a, b) given Stats(a, b).
+	OfStats(s []float64) float64
 	// Params returns the kernel hyperparameters in log space.
 	Params() []float64
 	// SetParams assigns hyperparameters from log space; the slice length
@@ -30,34 +39,12 @@ type Kernel interface {
 	Name() string
 }
 
-// RBF is the squared-exponential kernel
-// k(a,b) = σ² exp(-‖a-b‖² / (2ℓ²)).
-type RBF struct {
-	Variance    float64
-	Lengthscale float64
+// Eval returns k(a, b).
+func Eval(k Kernel, a, b []float64) float64 {
+	s := make([]float64, k.NumStats())
+	k.Stats(a, b, s)
+	return k.OfStats(s)
 }
-
-// NewRBF returns an RBF kernel with the given signal variance and lengthscale.
-func NewRBF(variance, lengthscale float64) *RBF {
-	return &RBF{Variance: variance, Lengthscale: lengthscale}
-}
-
-func (k *RBF) Eval(a, b []float64) float64 {
-	d := mathx.Dist2(a, b)
-	return k.Variance * math.Exp(-d*d/(2*k.Lengthscale*k.Lengthscale))
-}
-
-func (k *RBF) Params() []float64 {
-	return []float64{math.Log(k.Variance), math.Log(k.Lengthscale)}
-}
-
-func (k *RBF) SetParams(p []float64) {
-	k.Variance = math.Exp(p[0])
-	k.Lengthscale = math.Exp(p[1])
-}
-
-func (k *RBF) Clone() Kernel { c := *k; return &c }
-func (k *RBF) Name() string  { return "rbf" }
 
 // Matern52 is the Matérn kernel with ν = 5/2:
 // k(r) = σ² (1 + √5 r/ℓ + 5r²/(3ℓ²)) exp(-√5 r/ℓ).
@@ -79,24 +66,35 @@ func NewMatern52(variance, lengthscale float64) *Matern52 {
 	return &Matern52{Variance: variance, Lengthscale: lengthscale}
 }
 
+// dist is the weighted Euclidean distance. Coordinates beyond
+// len(Weights) carry weight 1.
 func (k *Matern52) dist(a, b []float64) float64 {
 	if k.Weights == nil {
 		return mathx.Dist2(a, b)
 	}
+	w := k.Weights
+	if len(w) > len(a) {
+		w = w[:len(a)]
+	}
 	s := 0.0
-	for i := range a {
-		w := 1.0
-		if i < len(k.Weights) {
-			w = k.Weights[i]
-		}
-		d := w * (a[i] - b[i])
+	for i, wi := range w {
+		d := wi * (a[i] - b[i])
+		s += d * d
+	}
+	for i := len(w); i < len(a); i++ {
+		d := a[i] - b[i]
 		s += d * d
 	}
 	return math.Sqrt(s)
 }
 
-func (k *Matern52) Eval(a, b []float64) float64 {
-	r := k.dist(a, b) / k.Lengthscale
+func (k *Matern52) NumStats() int { return 1 }
+
+// Stats is the (weighted) distance between a and b.
+func (k *Matern52) Stats(a, b, out []float64) { out[0] = k.dist(a, b) }
+
+func (k *Matern52) OfStats(st []float64) float64 {
+	r := st[0] / k.Lengthscale
 	s := math.Sqrt(5) * r
 	return k.Variance * (1 + s + s*s/3) * math.Exp(-s)
 }
@@ -132,8 +130,13 @@ func NewLinear(variance, bias float64) *Linear {
 	return &Linear{Variance: variance, Bias: bias}
 }
 
-func (k *Linear) Eval(a, b []float64) float64 {
-	return k.Variance * (mathx.Dot(a, b) + k.Bias)
+func (k *Linear) NumStats() int { return 1 }
+
+// Stats is the dot product a·b.
+func (k *Linear) Stats(a, b, out []float64) { out[0] = mathx.Dot(a, b) }
+
+func (k *Linear) OfStats(s []float64) float64 {
+	return k.Variance * (s[0] + k.Bias)
 }
 
 func (k *Linear) Params() []float64 {
@@ -150,7 +153,8 @@ func (k *Linear) Name() string  { return "linear" }
 
 // Split is the additive contextual kernel of the paper:
 // inputs are joint vectors [θ ‖ c] with θ occupying the first Dim
-// coordinates, and k(x,x') = kΘ(θ,θ') + kC(c,c').
+// coordinates, and k(x,x') = kΘ(θ,θ') + kC(c,c'). Inputs with no
+// context coordinates get kC of two empty vectors, a constant.
 type Split struct {
 	Dim     int // number of leading coordinates belonging to the configuration
 	KConfig Kernel
@@ -163,14 +167,23 @@ func NewSplit(dim int, kConfig, kCtx Kernel) *Split {
 	return &Split{Dim: dim, KConfig: kConfig, KCtx: kCtx}
 }
 
-func (k *Split) Eval(a, b []float64) float64 {
+func (k *Split) NumStats() int { return k.KConfig.NumStats() + k.KCtx.NumStats() }
+
+// Stats is the configuration kernel's statistics followed by the
+// context kernel's.
+func (k *Split) Stats(a, b, out []float64) {
 	if len(a) < k.Dim || len(b) < k.Dim {
 		panic(fmt.Sprintf("gp: Split kernel input shorter than Dim=%d", k.Dim))
 	}
-	v := k.KConfig.Eval(a[:k.Dim], b[:k.Dim])
-	if len(a) > k.Dim {
-		v += k.KCtx.Eval(a[k.Dim:], b[k.Dim:])
-	}
+	nc := k.KConfig.NumStats()
+	k.KConfig.Stats(a[:k.Dim], b[:k.Dim], out[:nc])
+	k.KCtx.Stats(a[k.Dim:], b[k.Dim:], out[nc:])
+}
+
+func (k *Split) OfStats(s []float64) float64 {
+	nc := k.KConfig.NumStats()
+	v := k.KConfig.OfStats(s[:nc])
+	v += k.KCtx.OfStats(s[nc:])
 	return v
 }
 
@@ -191,21 +204,3 @@ func (k *Split) Clone() Kernel {
 func (k *Split) Name() string {
 	return fmt.Sprintf("split(%s+%s)", k.KConfig.Name(), k.KCtx.Name())
 }
-
-// Sum adds two kernels over the same input.
-type Sum struct{ A, B Kernel }
-
-func (k *Sum) Eval(a, b []float64) float64 { return k.A.Eval(a, b) + k.B.Eval(a, b) }
-
-func (k *Sum) Params() []float64 {
-	return append(mathx.VecClone(k.A.Params()), k.B.Params()...)
-}
-
-func (k *Sum) SetParams(p []float64) {
-	n := len(k.A.Params())
-	k.A.SetParams(p[:n])
-	k.B.SetParams(p[n:])
-}
-
-func (k *Sum) Clone() Kernel { return &Sum{A: k.A.Clone(), B: k.B.Clone()} }
-func (k *Sum) Name() string  { return fmt.Sprintf("sum(%s,%s)", k.A.Name(), k.B.Name()) }

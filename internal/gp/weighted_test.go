@@ -11,14 +11,14 @@ func TestMatern52WeightedDistance(t *testing.T) {
 	a := []float64{0, 0}
 	// A move of 0.5 along the down-weighted axis must correlate more
 	// strongly than the same move along the full-weight axis.
-	full := k.Eval(a, []float64{0.5, 0})
-	down := k.Eval(a, []float64{0, 0.5})
+	full := Eval(k, a, []float64{0.5, 0})
+	down := Eval(k, a, []float64{0, 0.5})
 	if down <= full {
 		t.Fatalf("down-weighted axis should stay more correlated: %v vs %v", down, full)
 	}
 	// Equal to the unweighted kernel at rescaled distance.
 	iso := NewMatern52(1, 0.3)
-	want := iso.Eval([]float64{0}, []float64{0.5 * 0.35})
+	want := Eval(iso, []float64{0}, []float64{0.5 * 0.35})
 	if math.Abs(down-want) > 1e-12 {
 		t.Fatalf("weighted eval %v, want %v", down, want)
 	}

@@ -10,8 +10,8 @@ import (
 var ErrNotPositiveDefinite = errors.New("mathx: matrix is not positive definite")
 
 // Cholesky computes the lower-triangular factor L with A = L Lᵀ.
-// A must be square and symmetric positive definite. The returned matrix
-// has zeros above the diagonal.
+// A must be square and symmetric positive definite; only its lower
+// triangle is read. The returned matrix has zeros above the diagonal.
 func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("mathx: Cholesky requires a square matrix")
@@ -19,22 +19,41 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	n := a.Rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			ljk := l.At(j, k)
+		lj := l.Data[j*n : j*n+j]
+		d := a.Data[j*n+j]
+		for _, ljk := range lj {
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+		l.Data[j*n+j] = ljj
+		// Column j below the diagonal, four rows at a time: each entry's
+		// sum runs over k in the same order as one row at a time would,
+		// but the four running sums do not wait on each other.
+		i := j + 1
+		for ; i+3 < n; i += 4 {
+			l0 := l.Data[i*n:][:len(lj)]
+			l1 := l.Data[(i+1)*n:][:len(lj)]
+			l2 := l.Data[(i+2)*n:][:len(lj)]
+			l3 := l.Data[(i+3)*n:][:len(lj)]
+			s0, s1, s2, s3 := a.Data[i*n+j], a.Data[(i+1)*n+j], a.Data[(i+2)*n+j], a.Data[(i+3)*n+j]
+			for k, ljk := range lj {
+				s0 -= l0[k] * ljk
+				s1 -= l1[k] * ljk
+				s2 -= l2[k] * ljk
+				s3 -= l3[k] * ljk
 			}
-			l.Set(i, j, s/ljj)
+			l.Data[i*n+j], l.Data[(i+1)*n+j], l.Data[(i+2)*n+j], l.Data[(i+3)*n+j] = s0/ljj, s1/ljj, s2/ljj, s3/ljj
+		}
+		for ; i < n; i++ {
+			li := l.Data[i*n:][:len(lj)]
+			s := a.Data[i*n+j]
+			for k, ljk := range lj {
+				s -= li[k] * ljk
+			}
+			l.Data[i*n+j] = s / ljj
 		}
 	}
 	return l, nil

@@ -152,3 +152,65 @@ func TestParallelForCoversAllIterationsOnce(t *testing.T) {
 	}
 	SetMaxWorkers(0)
 }
+
+// choleskyAt is the element-accessor factorization Cholesky replaced,
+// kept as the reference for its summation order.
+func choleskyAt(a *Matrix) (*Matrix, error) {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		for k := 0; k < j; k++ {
+			ljk := l.At(j, k)
+			d -= ljk * ljk
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, ErrNotPositiveDefinite
+		}
+		ljj := math.Sqrt(d)
+		l.Set(j, j, ljj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/ljj)
+		}
+	}
+	return l, nil
+}
+
+// Property: the row-slice Cholesky is bit-identical to the At-based
+// reference, reads only the lower triangle, and fails on the same input.
+func TestCholeskyBitIdenticalToAtReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 2, 7, 80} {
+		b := NewMatrix(n, n)
+		for i := range b.Data {
+			b.Data[i] = rng.NormFloat64()
+		}
+		a := b.Mul(b.T()).AddDiag(1e-3)
+		want, err := choleskyAt(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ { // poison the upper triangle
+			for j := i + 1; j < n; j++ {
+				a.Set(i, j, math.NaN())
+			}
+		}
+		got, err := Cholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("n=%d: factor differs from the At-based reference at %d: %v vs %v", n, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	indef := MatrixFromRows([][]float64{{1, 2}, {2, 1}})
+	if _, err := Cholesky(indef); err != ErrNotPositiveDefinite {
+		t.Fatalf("indefinite input: err = %v, want ErrNotPositiveDefinite", err)
+	}
+}

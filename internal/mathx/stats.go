@@ -42,13 +42,21 @@ func Quantile(v []float64, q float64) float64 {
 	}
 	s := VecClone(v)
 	sort.Float64s(s)
+	return QuantileSorted(s, len(s), q)
+}
+
+// QuantileSorted is Quantile for a sample of n values of which s holds
+// the smallest len(s), ascending; s must reach order statistic
+// ⌈q·(n−1)⌉, which lets a caller that needs a low quantile select a
+// short prefix instead of sorting the whole sample.
+func QuantileSorted(s []float64, n int, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}
 	if q >= 1 {
-		return s[len(s)-1]
+		return s[n-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
