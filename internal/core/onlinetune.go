@@ -421,16 +421,12 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	// ④ Safety assessment: black box...
 	t0 = time.Now() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
 	tauEff := tau + o.Opts.SafetyMargin*math.Abs(tau)
-	assess := safety.Assess(m.gp, ctx, candidates, o.Opts.Beta, tauEff)
 	if !o.Opts.UseSafety || !o.Opts.UseBlackBox {
-		// Without black-box safety every candidate is admissible.
-		for i := range assess.Safe {
-			if !assess.Safe[i] {
-				assess.Safe[i] = true
-				assess.NumSafe++
-			}
-		}
+		// Without black-box safety every candidate is admissible, and
+		// selection reads the bounds of them all.
+		tauEff = math.Inf(-1)
 	}
+	assess := safety.Assess(m.gp, ctx, candidates, o.Opts.Beta, tauEff)
 	// ...and white box.
 	var ignored *whitebox.Rule
 	vetoes := 0
@@ -1033,9 +1029,9 @@ func (o *OnlineTune) ExpectedImprovementAt(ctx, u, applied []float64) (float64, 
 	if m.gp.Len() == 0 {
 		return 0, false
 	}
-	muApplied, _ := m.gp.Predict(applied, ctx)
-	mu, v := m.gp.Predict(u, ctx)
-	sigma := math.Sqrt(v)
+	mus, vars := m.gp.PredictAll([][]float64{applied, u}, ctx)
+	muApplied, mu := mus[0], mus[1]
+	sigma := math.Sqrt(vars[1])
 	if sigma < 1e-12 {
 		return math.Max(0, mu-muApplied), true
 	}

@@ -38,15 +38,15 @@ func newContextual(kern *Split, ctxDim int) *ContextualGP {
 	return &ContextualGP{gp: New(kern, 1e-3), kern: kern, configDim: kern.Dim, ctxDim: ctxDim}
 }
 
-// ctxStats measures ctx against every training context: Len() groups
-// of KCtx.NumStats() floats, Len() Stats calls.
-func (c *ContextualGP) ctxStats(ctx []float64) []float64 {
-	w := c.kern.KCtx.NumStats()
-	out := make([]float64, len(c.gp.x)*w)
-	for i, x := range c.gp.x {
-		c.kern.KCtx.Stats(x[c.configDim:], ctx, out[i*w:(i+1)*w])
-	}
-	return out
+// ctxRow is the context kernel of ctx against every training context,
+// one value per training point: Len() pairs measured, in two row calls.
+func (c *ContextualGP) ctxRow(ctx []float64) []float64 {
+	n, w := len(c.gp.x), c.kern.KCtx.NumStats()
+	buf := make([]float64, n*w+n)
+	st, k := buf[:n*w], buf[n*w:]
+	c.kern.KCtx.StatsRow(c.gp.x, c.configDim, ctx, w, st)
+	c.kern.KCtx.AddOfStatsRow(st, w, k)
+	return k
 }
 
 // BestByPosterior returns the evaluated configuration with the highest
@@ -54,9 +54,9 @@ func (c *ContextualGP) ctxStats(ctx []float64) []float64 {
 // so far", robust to measurement noise (unlike the max of raw samples).
 // The distances between training configurations are already cached, so
 // scoring measures only ctx against each training context; the
-// configuration kernel is evaluated once per cached pair and the context
-// kernel once per row, then summed as Split.OfStats sums them. Means
-// only: no triangular solves.
+// configuration kernel is evaluated over the cached triangle in one row
+// call and the context kernel once per row, then summed as Split.OfStats
+// sums them. Means only: no triangular solves.
 func (c *ContextualGP) BestByPosterior(ctx []float64) (config []float64, mean float64, ok bool) {
 	g := c.gp
 	n := g.Len()
@@ -65,17 +65,10 @@ func (c *ContextualGP) BestByPosterior(ctx []float64) (config []float64, mean fl
 	}
 	bestIdx, bestMu := 0, 0.0 // an unfactorized model serves the prior mean
 	if g.fresh {
-		nc, w, wx := c.kern.KConfig.NumStats(), c.kern.NumStats(), c.kern.KCtx.NumStats()
-		kCfg := make([]float64, tri(n))
-		for q := range kCfg {
-			kCfg[q] = c.kern.KConfig.OfStats(g.stats[q*w : q*w+nc])
-		}
-		cs := c.ctxStats(ctx)
-		kCtx := make([]float64, n)
-		for i := range kCtx {
-			kCtx[i] = c.kern.KCtx.OfStats(cs[i*wx : (i+1)*wx])
-		}
-		kstar := make([]float64, n)
+		buf := make([]float64, tri(n)+n)
+		kCfg, kstar := buf[:tri(n)], buf[tri(n):]
+		c.kern.KConfig.AddOfStatsRow(g.stats, c.kern.NumStats(), kCfg)
+		kCtx := c.ctxRow(ctx)
 		bestMu = math.Inf(-1)
 		for p := 0; p < n; p++ {
 			for i := range kstar {
@@ -147,25 +140,29 @@ func (c *ContextualGP) Predict(config, ctx []float64) (mean, variance float64) {
 
 // PredictAll returns posterior means and variances for every
 // configuration under a shared context in one batched pass: the factor,
-// the weights and the context-kernel statistics are shared, per-candidate
-// solves reuse scratch buffers, and candidate blocks are fanned across a
-// bounded worker pool.
+// the weights and the context-kernel row are shared, the configuration
+// kernel is called once per candidate row on per-block scratch, and
+// candidate blocks are fanned across a bounded worker pool.
 func (c *ContextualGP) PredictAll(configs [][]float64, ctx []float64) (means, variances []float64) {
-	xs, d := c.gp.x, c.configDim
-	kc, nc := c.kern.KConfig, c.kern.KConfig.NumStats()
-	w := c.kern.KCtx.NumStats()
-	rows := c.ctxStats(ctx)
-	self := make([]float64, w)
-	c.kern.KCtx.Stats(ctx, ctx, self)
-	return c.gp.predictAll(len(configs),
-		func(j, i int, out []float64) {
-			kc.Stats(xs[i][:d], configs[j][:d], out[:nc])
-			copy(out[nc:], rows[i*w:])
-		},
-		func(j int, out []float64) {
-			kc.Stats(configs[j][:d], configs[j][:d], out[:nc])
-			copy(out[nc:], self)
-		})
+	return c.PredictAbove(configs, ctx, math.Inf(-1))
+}
+
+// PredictAbove is PredictAll with the triangular solve behind a variance
+// spent only on configurations whose mean is at least floor; the others
+// report variance 0.
+func (c *ContextualGP) PredictAbove(configs [][]float64, ctx []float64, floor float64) (means, variances []float64) {
+	d, kc, w := c.configDim, c.kern.KConfig, c.kern.KConfig.NumStats()
+	kCtx, ctxPrior := c.ctxRow(ctx), Eval(c.kern.KCtx, ctx, ctx)
+	return c.gp.predictAll(len(configs), w, floor, func(j int, st, k []float64) float64 {
+		q := configs[j][:d]
+		kc.StatsRow(c.gp.x[:len(k)], 0, q, w, st)
+		kc.AddOfStatsRow(st, w, k)
+		for i := range k {
+			k[i] += kCtx[i]
+		}
+		kc.Stats(q, q, st[:w])
+		return kc.OfStats(st[:w]) + ctxPrior
+	})
 }
 
 // Bounds returns the β-confidence interval [μ−βσ, μ+βσ] at (config, ctx).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/mathx"
 )
@@ -23,7 +24,9 @@ const refactorEvery = 64
 // row of statistics and extends the factor in O(n²); Slide shifts the
 // triangle and adds one row; a change of hyperparameters rebuilds a
 // transient Gram matrix from the statistics and refactorizes, without
-// reading a coordinate.
+// reading a coordinate. The Gram matrix is pooled scratch and the new
+// factor and weights overwrite the old ones when the size is unchanged,
+// so conditioning at a fixed size allocates nothing.
 type GP struct {
 	Kern  Kernel
 	Noise float64 // observation noise variance (in standardized units)
@@ -56,18 +59,15 @@ func (g *GP) Len() int { return len(g.x) }
 // tri is the number of pairs (i, j ≤ i) in the first n rows.
 func tri(n int) int { return n * (n + 1) / 2 }
 
-// pair returns the statistics of training points i and j ≤ i.
-func (g *GP) pair(i, j, w int) []float64 {
-	o := (tri(i) + j) * w
-	return g.stats[o : o+w]
+// statsRow is row i of the statistic triangle: the i+1 pairs (i, j ≤ i).
+func (g *GP) statsRow(i, w int) []float64 {
+	return g.stats[tri(i)*w : tri(i+1)*w]
 }
 
 // measure fills row i of the statistic triangle: point i against every
-// earlier point and itself, i+1 Stats calls.
+// earlier point and itself, i+1 pairs.
 func (g *GP) measure(i, w int) {
-	for j := 0; j <= i; j++ {
-		g.Kern.Stats(g.x[j], g.x[i], g.pair(i, j, w))
-	}
+	g.Kern.StatsRow(g.x[:i+1], 0, g.x[i], w, g.statsRow(i, w))
 }
 
 // Fit conditions the GP on inputs X and targets y. The outer slice of x
@@ -114,9 +114,7 @@ func (g *GP) Append(x []float64, y float64) error {
 		return g.refactor()
 	}
 	row := make([]float64, n)
-	for j := range row {
-		row[j] = g.Kern.OfStats(g.pair(n-1, j, w))
-	}
+	g.Kern.AddOfStatsRow(g.statsRow(n-1, w), w, row)
 	row[n-1] += g.Noise
 	l, err := mathx.CholeskyExtend(g.chol, row[:n-1], row[n-1]+g.jitter)
 	if err != nil {
@@ -180,32 +178,57 @@ func (g *GP) standardize() {
 	}
 }
 
+// gramPool holds the transient Gram matrices of refactor. A GC cycle
+// empties it, so the scratch is never part of a model's resident size.
+var gramPool sync.Pool
+
+// getGram returns an n×n matrix with arbitrary contents.
+func getGram(n int) *mathx.Matrix {
+	if m, ok := gramPool.Get().(*mathx.Matrix); ok && cap(m.Data) >= n*n {
+		m.Rows, m.Cols, m.Data = n, n, m.Data[:n*n]
+		return m
+	}
+	return mathx.NewMatrix(n, n)
+}
+
 // refactor rebuilds the factor and weights for the current kernel and
-// noise: a transient Gram matrix (lower triangle only, which is all
-// Cholesky reads) from the cached pair statistics, then a fresh
-// factorization. Called on Fit, Slide, periodically on Append, and
-// whenever hyperparameters change.
+// noise. Called on Fit, Slide, periodically on Append, and whenever
+// hyperparameters change.
 func (g *GP) refactor() error {
+	gram := getGram(len(g.x))
+	defer gramPool.Put(gram)
+	return g.factorize(gram)
+}
+
+// factorize is refactor on the caller's n×n scratch: the Gram matrix
+// from the cached pair statistics, one kernel call per row (the lower
+// triangle only, which is all Cholesky reads, so the scratch needs no
+// clearing), then a factorization over the old factor. Every reader of
+// the factor checks fresh first, so a failure may leave it half-written.
+func (g *GP) factorize(gram *mathx.Matrix) error {
 	n := len(g.x)
 	w := g.Kern.NumStats()
-	k := mathx.NewMatrix(n, n)
-	for i, o := 0, 0; i < n; i++ {
-		row := k.Data[i*n : i*n+i+1]
-		for j := range row {
-			row[j] = g.Kern.OfStats(g.stats[o : o+w])
-			o += w
-		}
+	for i := 0; i < n; i++ {
+		row := gram.Data[i*n : i*n+i+1]
+		clear(row)
+		g.Kern.AddOfStatsRow(g.statsRow(i, w), w, row)
 		row[i] += g.Noise
 	}
-	l, jit, err := mathx.CholeskyJitter(k, 1e-3)
+	if g.chol == nil || g.chol.Rows != n {
+		g.chol = mathx.NewMatrix(n, n)
+	}
+	if len(g.alpha) != n {
+		g.alpha = make([]float64, n)
+	}
+	g.fresh = false
+	jit, err := mathx.CholeskyJitter(g.chol, gram, 1e-3)
 	if err != nil {
-		g.fresh = false
 		return err
 	}
-	g.chol = l
 	g.jitter = jit
 	g.appends = 0
-	g.alpha = mathx.CholeskySolve(l, g.y)
+	copy(g.alpha, g.y)
+	mathx.CholeskySolveInPlace(g.chol, g.alpha)
 	g.fresh = true
 	return nil
 }
@@ -218,60 +241,58 @@ func (g *GP) Predict(x []float64) (mean, variance float64) {
 }
 
 // predictBlock is how many candidates one PredictAll work unit scores:
-// blocks are fanned across the worker pool, and each worker reuses a
-// single scratch buffer for its kernel rows and triangular solves.
+// blocks are fanned across the worker pool, and each block owns one
+// scratch buffer for its statistics, kernel rows and triangular solves.
 const predictBlock = 16
 
 // PredictAll computes the posterior mean and variance at every point in
 // xs. The factor and weights are shared across all candidates, the
-// per-candidate kernel row and triangular solve reuse one scratch
-// buffer per block (no per-candidate allocation), and blocks run on a
-// bounded worker pool.
+// kernel is called once per candidate row, and blocks run on a bounded
+// worker pool.
 func (g *GP) PredictAll(xs [][]float64) (means, variances []float64) {
-	return g.predictAll(len(xs),
-		func(j, i int, out []float64) { g.Kern.Stats(g.x[i], xs[j], out) },
-		func(j int, out []float64) { g.Kern.Stats(xs[j], xs[j], out) })
+	w := g.Kern.NumStats()
+	return g.predictAll(len(xs), w, math.Inf(-1), func(j int, st, k []float64) float64 {
+		g.Kern.StatsRow(g.x[:len(k)], 0, xs[j], w, st)
+		g.Kern.AddOfStatsRow(st, w, k)
+		g.Kern.Stats(xs[j], xs[j], st[:w])
+		return g.Kern.OfStats(st[:w])
+	})
 }
 
-// predictAll scores m query points given their pair statistics: pair
-// writes query j's statistics against training point i, self its
-// statistics against itself. Both are called from worker goroutines and
-// must only read shared state.
-func (g *GP) predictAll(m int, pair func(j, i int, out []float64), self func(j int, out []float64)) (means, variances []float64) {
+// predictAll scores m query points. row adds query j's covariance with
+// each of the len(k) conditioning points to the zeroed k, measuring into
+// st (w floats per point, at least w), and returns the query's prior
+// variance; it is called from worker goroutines and must only read
+// shared state. Every query gets its mean; the triangular solve behind a
+// variance is spent only on queries whose mean reaches floor, and the
+// rest report 0.
+func (g *GP) predictAll(m, w int, floor float64, row func(j int, st, k []float64) float64) (means, variances []float64) {
 	means = make([]float64, m)
 	variances = make([]float64, m)
 	n := len(g.x)
 	if !g.fresh {
 		n = 0 // serve the prior
 	}
-	w := g.Kern.NumStats()
 	nb := (m + predictBlock - 1) / predictBlock
 	mathx.ParallelFor(nb, func(bi int) {
-		j0 := bi * predictBlock
-		j1 := j0 + predictBlock
-		if j1 > m {
-			j1 = m
-		}
-		buf := make([]float64, n)
-		s := make([]float64, w)
-		for j := j0; j < j1; j++ {
-			self(j, s)
-			prior := g.Kern.OfStats(s)
+		buf := make([]float64, n+max(n, 1)*w)
+		k, st := buf[:n], buf[n:]
+		for j := bi * predictBlock; j < min(m, (bi+1)*predictBlock); j++ {
+			clear(k)
+			prior := row(j, st, k)
 			if n == 0 {
 				variances[j] = prior
 				continue
 			}
-			for i := range buf {
-				pair(j, i, s)
-				buf[i] = g.Kern.OfStats(s)
+			means[j] = mathx.Dot(k, g.alpha)*g.yStd + g.yMean
+			if means[j] < floor {
+				continue
 			}
-			mu := mathx.Dot(buf, g.alpha)
-			mathx.SolveLowerInPlace(g.chol, buf)
-			varStd := prior - mathx.Dot(buf, buf)
+			mathx.SolveLowerInPlace(g.chol, k)
+			varStd := prior - mathx.Dot(k, k)
 			if varStd < 1e-12 {
 				varStd = 1e-12
 			}
-			means[j] = mu*g.yStd + g.yMean
 			variances[j] = varStd * g.yStd * g.yStd
 		}
 	})
@@ -341,13 +362,17 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 		return // too few points: keep priors
 	}
 	base := append(g.Kern.Params(), math.Log(g.Noise))
+	// One trial model serves every evaluation: it shares the training set
+	// and its pair statistics read-only (a likelihood evaluation never
+	// reads a coordinate), and keeps one kernel clone, one factor and one
+	// weight vector, rebuilt in place on one Gram scratch.
+	gram := getGram(len(g.x))
+	defer gramPool.Put(gram)
+	trial := &GP{Kern: g.Kern.Clone(), x: g.x, y: g.y, stats: g.stats}
 	obj := func(p []float64) float64 {
-		kern := g.Kern.Clone()
-		kern.SetParams(p[:len(p)-1])
-		// The trial shares the training set and its pair statistics
-		// read-only: a likelihood evaluation never reads a coordinate.
-		trial := &GP{Kern: kern, Noise: math.Exp(p[len(p)-1]), x: g.x, y: g.y, stats: g.stats}
-		if err := trial.refactor(); err != nil {
+		trial.Kern.SetParams(p[:len(p)-1])
+		trial.Noise = math.Exp(p[len(p)-1])
+		if err := trial.factorize(gram); err != nil {
 			return math.Inf(1)
 		}
 		ll := trial.LogMarginalLikelihood()
@@ -370,10 +395,10 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 	}
 	g.Kern.SetParams(best[:len(best)-1])
 	g.Noise = math.Exp(best[len(best)-1])
-	if err := g.refactor(); err != nil {
+	if err := g.factorize(gram); err != nil {
 		// Roll back to the previous hyperparameters on numerical failure.
 		g.Kern.SetParams(base[:len(base)-1])
 		g.Noise = math.Exp(base[len(base)-1])
-		_ = g.refactor()
+		_ = g.factorize(gram)
 	}
 }

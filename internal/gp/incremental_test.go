@@ -161,9 +161,11 @@ func TestContextualPredictAllMatchesPredict(t *testing.T) {
 	}
 }
 
-// countingKernel counts Stats and OfStats calls on the kernel it wraps,
-// clones included (hyperopt trials run on clones). The counters are
-// atomic because PredictAll fans out across goroutines.
+// countingKernel counts the pairs measured (Stats) and the kernel
+// values computed (OfStats) on the kernel it wraps, one per entry
+// whether they go through the per-pair or the row forms, clones included
+// (hyperopt trials run on clones). The counters are atomic because
+// PredictAll fans out across goroutines.
 type countingKernel struct {
 	Kernel
 	stats, ofStats *atomic.Int64
@@ -181,6 +183,16 @@ func (k countingKernel) Stats(a, b, out []float64) {
 func (k countingKernel) OfStats(s []float64) float64 {
 	k.ofStats.Add(1)
 	return k.Kernel.OfStats(s)
+}
+
+func (k countingKernel) StatsRow(rows [][]float64, lo int, q []float64, stride int, out []float64) {
+	k.stats.Add(int64(len(rows)))
+	k.Kernel.StatsRow(rows, lo, q, stride, out)
+}
+
+func (k countingKernel) AddOfStatsRow(s []float64, stride int, out []float64) {
+	k.ofStats.Add(int64(len(out)))
+	k.Kernel.AddOfStatsRow(s, stride, out)
 }
 
 func (k countingKernel) Clone() Kernel {
@@ -257,10 +269,23 @@ func (indefiniteKernel) Stats(a, b, out []float64) {
 	}
 }
 func (indefiniteKernel) OfStats(s []float64) float64 { return s[0] }
-func (indefiniteKernel) Params() []float64           { return nil }
-func (indefiniteKernel) SetParams([]float64)         {}
-func (k indefiniteKernel) Clone() Kernel             { return k }
-func (indefiniteKernel) Name() string                { return "indefinite-test" }
+
+// The row forms of a test kernel are their definition: a loop over the
+// per-pair forms.
+func (k indefiniteKernel) StatsRow(rows [][]float64, lo int, q []float64, stride int, out []float64) {
+	for i, x := range rows {
+		k.Stats(x[lo:lo+len(q)], q, out[i*stride:])
+	}
+}
+func (k indefiniteKernel) AddOfStatsRow(s []float64, stride int, out []float64) {
+	for i := range out {
+		out[i] += k.OfStats(s[i*stride:])
+	}
+}
+func (indefiniteKernel) Params() []float64   { return nil }
+func (indefiniteKernel) SetParams([]float64) {}
+func (k indefiniteKernel) Clone() Kernel     { return k }
+func (indefiniteKernel) Name() string        { return "indefinite-test" }
 
 // After a failed Fit (factorization error), Append must not extend the
 // stale factor left over from the previous successful fit: it either

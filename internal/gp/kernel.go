@@ -18,8 +18,11 @@ import (
 // once, free of hyperparameters, and OfStats maps the measurement to the
 // covariance under the current hyperparameters. A GP caches the
 // statistics of its training pairs, so changing θ never touches
-// coordinates again. Hyperparameters are exposed in log space so
-// optimizers can search unconstrained.
+// coordinates again. Stats and OfStats define the kernel; the GP's
+// loops call the row forms, which compute the same values bit for bit
+// with one dynamic call per row instead of several per pair.
+// Hyperparameters are exposed in log space so optimizers can search
+// unconstrained.
 type Kernel interface {
 	// NumStats is how many floats Stats writes per pair.
 	NumStats() int
@@ -28,6 +31,17 @@ type Kernel interface {
 	Stats(a, b, out []float64)
 	// OfStats returns k(a, b) given Stats(a, b).
 	OfStats(s []float64) float64
+	// StatsRow measures q against every row: pair i is
+	// Stats(rows[i][lo:lo+len(q)], q), written at out[i*stride:]. The
+	// offset and the stride let a composite kernel hand each part its
+	// coordinates and its slots of a packed row; out holds at least
+	// NumStats() floats even when there are no rows.
+	StatsRow(rows [][]float64, lo int, q []float64, stride int, out []float64)
+	// AddOfStatsRow adds k to out for the len(out) pairs packed in s:
+	// out[i] += OfStats(s[i*stride : i*stride+NumStats()]). A composite
+	// adds its parts one after the other, as its OfStats sums them, so
+	// on a zeroed out the result is OfStats bit for bit.
+	AddOfStatsRow(s []float64, stride int, out []float64)
 	// Params returns the kernel hyperparameters in log space.
 	Params() []float64
 	// SetParams assigns hyperparameters from log space; the slice length
@@ -93,10 +107,36 @@ func (k *Matern52) NumStats() int { return 1 }
 // Stats is the (weighted) distance between a and b.
 func (k *Matern52) Stats(a, b, out []float64) { out[0] = k.dist(a, b) }
 
-func (k *Matern52) OfStats(st []float64) float64 {
-	r := st[0] / k.Lengthscale
+func (k *Matern52) OfStats(st []float64) float64 { return k.of(st[0]) }
+
+// of is the kernel value at distance d.
+func (k *Matern52) of(d float64) float64 {
+	r := d / k.Lengthscale
 	s := math.Sqrt(5) * r
 	return k.Variance * (1 + s + s*s/3) * math.Exp(-s)
+}
+
+func (k *Matern52) StatsRow(rows [][]float64, lo int, q []float64, stride int, out []float64) {
+	for i, x := range rows {
+		out[i*stride] = k.dist(span(x, lo, len(q)), q)
+	}
+}
+
+func (k *Matern52) AddOfStatsRow(s []float64, stride int, out []float64) {
+	for i := range out {
+		// The conversion rounds the product before the sum, as a call to
+		// OfStats does, on targets where the compiler may fuse the two.
+		out[i] += float64(k.of(s[i*stride]))
+	}
+}
+
+// span is row[lo:lo+n]. A row too short for it is a caller's bug, and
+// must not read on into the slice's spare capacity.
+func span(row []float64, lo, n int) []float64 {
+	if len(row) < lo+n {
+		panic(fmt.Sprintf("gp: kernel input of %d coordinates, want at least %d", len(row), lo+n))
+	}
+	return row[lo : lo+n]
 }
 
 func (k *Matern52) Params() []float64 {
@@ -139,6 +179,18 @@ func (k *Linear) OfStats(s []float64) float64 {
 	return k.Variance * (s[0] + k.Bias)
 }
 
+func (k *Linear) StatsRow(rows [][]float64, lo int, q []float64, stride int, out []float64) {
+	for i, x := range rows {
+		out[i*stride] = mathx.Dot(span(x, lo, len(q)), q)
+	}
+}
+
+func (k *Linear) AddOfStatsRow(s []float64, stride int, out []float64) {
+	for i := range out {
+		out[i] += float64(k.Variance * (s[i*stride] + k.Bias)) // rounded first: see Matern52
+	}
+}
+
 func (k *Linear) Params() []float64 {
 	return []float64{math.Log(k.Variance), math.Log(k.Bias)}
 }
@@ -159,12 +211,13 @@ type Split struct {
 	Dim     int // number of leading coordinates belonging to the configuration
 	KConfig Kernel
 	KCtx    Kernel
+	nConfig int // len(KConfig.Params()), so SetParams need not build them
 }
 
 // NewSplit builds the additive configuration+context kernel. dim is the
 // configuration dimensionality; coordinates ≥ dim are context.
 func NewSplit(dim int, kConfig, kCtx Kernel) *Split {
-	return &Split{Dim: dim, KConfig: kConfig, KCtx: kCtx}
+	return &Split{Dim: dim, KConfig: kConfig, KCtx: kCtx, nConfig: len(kConfig.Params())}
 }
 
 func (k *Split) NumStats() int { return k.KConfig.NumStats() + k.KCtx.NumStats() }
@@ -187,18 +240,30 @@ func (k *Split) OfStats(s []float64) float64 {
 	return v
 }
 
+func (k *Split) StatsRow(rows [][]float64, lo int, q []float64, stride int, out []float64) {
+	if len(q) < k.Dim {
+		panic(fmt.Sprintf("gp: Split kernel input shorter than Dim=%d", k.Dim))
+	}
+	k.KConfig.StatsRow(rows, lo, q[:k.Dim], stride, out)
+	k.KCtx.StatsRow(rows, lo+k.Dim, q[k.Dim:], stride, out[k.KConfig.NumStats():])
+}
+
+func (k *Split) AddOfStatsRow(s []float64, stride int, out []float64) {
+	k.KConfig.AddOfStatsRow(s, stride, out)
+	k.KCtx.AddOfStatsRow(s[k.KConfig.NumStats():], stride, out)
+}
+
 func (k *Split) Params() []float64 {
 	return append(mathx.VecClone(k.KConfig.Params()), k.KCtx.Params()...)
 }
 
 func (k *Split) SetParams(p []float64) {
-	n := len(k.KConfig.Params())
-	k.KConfig.SetParams(p[:n])
-	k.KCtx.SetParams(p[n:])
+	k.KConfig.SetParams(p[:k.nConfig])
+	k.KCtx.SetParams(p[k.nConfig:])
 }
 
 func (k *Split) Clone() Kernel {
-	return &Split{Dim: k.Dim, KConfig: k.KConfig.Clone(), KCtx: k.KCtx.Clone()}
+	return &Split{Dim: k.Dim, KConfig: k.KConfig.Clone(), KCtx: k.KCtx.Clone(), nConfig: k.nConfig}
 }
 
 func (k *Split) Name() string {

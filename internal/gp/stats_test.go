@@ -125,8 +125,8 @@ func evalFit(t *testing.T, k Kernel, noise float64, xs [][]float64, y []float64)
 		}
 	}
 	gram.AddDiag(noise)
-	l, _, err := mathx.CholeskyJitter(gram, 1e-3)
-	if err != nil {
+	l = mathx.NewMatrix(n, n)
+	if _, err := mathx.CholeskyJitter(l, gram, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 	return l, mathx.CholeskySolve(l, y)

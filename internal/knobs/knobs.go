@@ -160,12 +160,12 @@ func (k *Knob) unit(raw float64) float64 {
 		}
 		return k.ClampRaw(raw) / n
 	default:
+		if k.Max == k.Min {
+			return 0
+		}
 		v := math.Min(k.Max, math.Max(k.Min, raw))
 		if k.Log {
 			return (math.Log(v) - math.Log(k.Min)) / (math.Log(k.Max) - math.Log(k.Min))
-		}
-		if k.Max == k.Min {
-			return 0
 		}
 		return (v - k.Min) / (k.Max - k.Min)
 	}
@@ -216,11 +216,20 @@ func (s *Space) Decode(u []float64) Config {
 	return c
 }
 
-// Quantize snaps a unit point to the nearest representable configuration
-// (round-trips through Decode/Encode). Tuners use this so that candidate
-// distances reflect actually distinct configurations.
+// Quantize snaps a unit point to the nearest representable configuration:
+// Encode(Decode(u)), one coordinate at a time, without the Config between
+// them. Tuners use this so that candidate distances reflect actually
+// distinct configurations.
 func (s *Space) Quantize(u []float64) []float64 {
-	return s.Encode(s.Decode(u))
+	if len(u) != len(s.Knobs) {
+		panic(fmt.Sprintf("knobs: Quantize got %d dims, want %d", len(u), len(s.Knobs)))
+	}
+	q := make([]float64, len(u))
+	for i := range s.Knobs {
+		k := &s.Knobs[i]
+		q[i] = k.unit(k.raw(u[i]))
+	}
+	return q
 }
 
 // Names returns the knob names in order.

@@ -121,6 +121,71 @@ func TestQuantizeIdempotent(t *testing.T) {
 	}
 }
 
+// Quantize is Encode(Decode(u)) bit for bit, for every registered space:
+// random points, points outside the cube, NaN, and points that are
+// already representable.
+func TestQuantizeBitIdenticalToEncodeDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, name := range SpaceNames() {
+		s, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(u []float64) []float64 {
+			t.Helper()
+			got, want := s.Quantize(u), s.Encode(s.Decode(u))
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s knob %s at %v: Quantize %v, Encode(Decode) %v", name, s.Knobs[i].Name, u[i], got[i], want[i])
+				}
+			}
+			return got
+		}
+		for trial := 0; trial < 50; trial++ {
+			u := make([]float64, s.Dim())
+			for i := range u {
+				u[i] = rng.Float64()
+				switch rng.Intn(8) {
+				case 0:
+					u[i] = -0.5 - rng.Float64()
+				case 1:
+					u[i] = 1.5 + rng.Float64()
+				case 2:
+					u[i] = float64(rng.Intn(2))
+				case 3:
+					u[i] = math.NaN()
+				}
+			}
+			check(check(u)) // the second pass quantizes a representable point
+		}
+		check(s.Encode(s.Default()))
+		check(s.Encode(s.DBADefault()))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Quantize accepted a point of the wrong dimension")
+		}
+	}()
+	MySQL57().Quantize([]float64{0.5})
+}
+
+// A knob pinned to one value encodes to 0 on either scale; the log scale
+// used to divide by log Max − log Min = 0.
+func TestUnitOfDegenerateRange(t *testing.T) {
+	s := NewSpace([]Knob{
+		{Name: "pinned_log", Type: TypeInt, Min: 8, Max: 8, Default: 8, DBADefault: 8, Log: true},
+		{Name: "pinned_lin", Type: TypeFloat, Min: 0.5, Max: 0.5, Default: 0.5, DBADefault: 0.5},
+	})
+	for _, u := range [][]float64{s.Encode(s.Default()), s.Quantize([]float64{0.3, 0.9})} {
+		if u[0] != 0 || u[1] != 0 {
+			t.Fatalf("a one-value knob encodes to %v, want 0", u)
+		}
+	}
+	if c := s.Decode([]float64{0.7, 0.7}); c["pinned_log"] != 8 || c["pinned_lin"] != 0.5 {
+		t.Fatalf("a one-value knob decodes to %v", c)
+	}
+}
+
 func TestConfigClone(t *testing.T) {
 	c := Config{"a": 1}
 	d := c.Clone()

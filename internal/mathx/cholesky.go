@@ -16,8 +16,18 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("mathx: Cholesky requires a square matrix")
 	}
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := choleskyInto(l, a); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyInto writes the factor of the n×n matrix a over the lower
+// triangle of the n×n matrix l. It reads a's lower triangle and touches
+// nothing above l's diagonal; on failure l's lower triangle is garbage.
+func choleskyInto(l, a *Matrix) error {
 	n := a.Rows
-	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
 		lj := l.Data[j*n : j*n+j]
 		d := a.Data[j*n+j]
@@ -25,7 +35,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(d)
 		l.Data[j*n+j] = ljj
@@ -56,7 +66,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			l.Data[i*n+j] = s / ljj
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // CholeskyExtend extends the lower Cholesky factor L of an n×n matrix A
@@ -96,20 +106,33 @@ func CholeskyExtend(l *Matrix, k []float64, d float64) (*Matrix, error) {
 	return out, nil
 }
 
-// CholeskyJitter is Cholesky with progressive diagonal jitter: if the
-// factorization fails it retries with jitter 1e-10, 1e-9, ... up to maxJitter.
-// It returns the factor and the jitter that was finally used.
-func CholeskyJitter(a *Matrix, maxJitter float64) (*Matrix, float64, error) {
-	if l, err := Cholesky(a); err == nil {
-		return l, 0, nil
+// CholeskyJitter factors the n×n matrix a into the lower triangle of the
+// n×n matrix l, leaving what is above l's diagonal alone (zeros, in a
+// fresh matrix or an earlier factor). If the factorization fails it
+// retries with 1e-10, 1e-9, ... up to maxJitter added to a's diagonal,
+// in place. It returns the jitter that was finally used; on error l's
+// lower triangle is garbage.
+func CholeskyJitter(l, a *Matrix, maxJitter float64) (float64, error) {
+	n := a.Rows
+	if a.Cols != n || l.Rows != n || l.Cols != n {
+		return 0, errors.New("mathx: CholeskyJitter requires square matrices of one size")
+	}
+	if choleskyInto(l, a) == nil {
+		return 0, nil
+	}
+	diag := make([]float64, n)
+	for i := range diag {
+		diag[i] = a.Data[i*n+i]
 	}
 	for jit := 1e-10; jit <= maxJitter; jit *= 10 {
-		aj := a.Clone().AddDiag(jit)
-		if l, err := Cholesky(aj); err == nil {
-			return l, jit, nil
+		for i, d := range diag {
+			a.Data[i*n+i] = d + jit
+		}
+		if choleskyInto(l, a) == nil {
+			return jit, nil
 		}
 	}
-	return nil, 0, ErrNotPositiveDefinite
+	return 0, ErrNotPositiveDefinite
 }
 
 // SolveLower solves L x = b for lower-triangular L by forward substitution.
@@ -137,118 +160,35 @@ func SolveLowerInPlace(l *Matrix, b []float64) {
 	}
 }
 
-// SolveUpperT solves Lᵀ x = b for lower-triangular L (i.e. an
-// upper-triangular solve against the transpose) by back substitution.
-func SolveUpperT(l *Matrix, b []float64) []float64 {
+// SolveUpperTInPlace solves Lᵀ x = b for lower-triangular L (i.e. an
+// upper-triangular solve against the transpose) by back substitution,
+// overwriting b with the solution.
+func SolveUpperTInPlace(l *Matrix, b []float64) {
 	n := l.Rows
 	if len(b) != n {
-		panic("mathx: SolveUpperT dimension mismatch")
+		panic("mathx: SolveUpperTInPlace dimension mismatch")
 	}
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= l.At(k, i) * b[k]
 		}
-		x[i] = s / l.At(i, i)
+		b[i] = s / l.At(i, i)
 	}
-	return x
 }
 
 // CholeskySolve solves A x = b given the Cholesky factor L of A.
 func CholeskySolve(l *Matrix, b []float64) []float64 {
-	return SolveUpperT(l, SolveLower(l, b))
-}
-
-// solveBlock is the column-block width for the multi-right-hand-side
-// triangular solves: columns are independent, so blocks of this width
-// are fanned across the worker pool while staying contiguous in memory.
-const solveBlock = 16
-
-// SolveLowerMulti solves L X = B for lower-triangular L and an n×m
-// right-hand-side matrix B by forward substitution, sharing the factor
-// traversal across all m columns and fanning independent column blocks
-// across the worker pool. It is the general-purpose batched solve; note
-// that gp's candidate-scoring hot path instead reuses a scratch vector
-// with SolveLowerInPlace per candidate, which benchmarks faster there
-// because the dot-product formulation pipelines better at that size.
-func SolveLowerMulti(l *Matrix, b *Matrix) *Matrix {
-	n := l.Rows
-	if b.Rows != n {
-		panic("mathx: SolveLowerMulti dimension mismatch")
-	}
-	m := b.Cols
-	x := b.Clone()
-	nb := (m + solveBlock - 1) / solveBlock
-	ParallelFor(nb, func(bi int) {
-		j0 := bi * solveBlock
-		j1 := j0 + solveBlock
-		if j1 > m {
-			j1 = m
-		}
-		for i := 0; i < n; i++ {
-			xrow := x.Data[i*m+j0 : i*m+j1 : i*m+j1]
-			lrow := l.Data[i*l.Cols : i*l.Cols+i]
-			for k, lv := range lrow {
-				if lv == 0 {
-					continue
-				}
-				xk := x.Data[k*m+j0 : k*m+j1 : k*m+j1]
-				for j := range xrow {
-					xrow[j] -= lv * xk[j]
-				}
-			}
-			inv := 1 / l.At(i, i)
-			for j := range xrow {
-				xrow[j] *= inv
-			}
-		}
-	})
+	x := VecClone(b)
+	CholeskySolveInPlace(l, x)
 	return x
 }
 
-// SolveUpperTMulti solves Lᵀ X = B for lower-triangular L and an n×m
-// right-hand side by back substitution across all columns, with the
-// same column-block parallelism as SolveLowerMulti.
-func SolveUpperTMulti(l *Matrix, b *Matrix) *Matrix {
-	n := l.Rows
-	if b.Rows != n {
-		panic("mathx: SolveUpperTMulti dimension mismatch")
-	}
-	m := b.Cols
-	x := b.Clone()
-	nb := (m + solveBlock - 1) / solveBlock
-	ParallelFor(nb, func(bi int) {
-		j0 := bi * solveBlock
-		j1 := j0 + solveBlock
-		if j1 > m {
-			j1 = m
-		}
-		for i := n - 1; i >= 0; i-- {
-			xrow := x.Data[i*m+j0 : i*m+j1 : i*m+j1]
-			for k := i + 1; k < n; k++ {
-				lv := l.At(k, i)
-				if lv == 0 {
-					continue
-				}
-				xk := x.Data[k*m+j0 : k*m+j1 : k*m+j1]
-				for j := range xrow {
-					xrow[j] -= lv * xk[j]
-				}
-			}
-			inv := 1 / l.At(i, i)
-			for j := range xrow {
-				xrow[j] *= inv
-			}
-		}
-	})
-	return x
-}
-
-// CholeskySolveMulti solves A X = B for an n×m right-hand side given the
-// Cholesky factor L of A.
-func CholeskySolveMulti(l *Matrix, b *Matrix) *Matrix {
-	return SolveUpperTMulti(l, SolveLowerMulti(l, b))
+// CholeskySolveInPlace solves A x = b in place given the Cholesky
+// factor L of A: a forward and a back substitution.
+func CholeskySolveInPlace(l *Matrix, b []float64) {
+	SolveLowerInPlace(l, b)
+	SolveUpperTInPlace(l, b)
 }
 
 // LogDetFromCholesky returns log |A| = 2 Σ log L_ii.
@@ -258,53 +198,4 @@ func LogDetFromCholesky(l *Matrix) float64 {
 		s += math.Log(l.At(i, i))
 	}
 	return 2 * s
-}
-
-// SolveLinear solves the general square system A x = b by Gaussian
-// elimination with partial pivoting. Used for small systems (SVM bias,
-// linear probes) where A is not necessarily positive definite.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols || a.Rows != len(b) {
-		return nil, errors.New("mathx: SolveLinear dimension mismatch")
-	}
-	n := a.Rows
-	m := a.Clone()
-	x := VecClone(b)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv, pv := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if av := math.Abs(m.At(r, col)); av > pv {
-				piv, pv = r, av
-			}
-		}
-		if pv < 1e-14 {
-			return nil, errors.New("mathx: SolveLinear singular matrix")
-		}
-		if piv != col {
-			for j := 0; j < n; j++ {
-				m.Data[col*n+j], m.Data[piv*n+j] = m.Data[piv*n+j], m.Data[col*n+j]
-			}
-			x[col], x[piv] = x[piv], x[col]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Add(r, j, -f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
 }

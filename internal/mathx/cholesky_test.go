@@ -69,53 +69,6 @@ func TestCholeskyExtendDimensionErrors(t *testing.T) {
 	}
 }
 
-// Property: the multi-right-hand-side solves agree with the single-RHS
-// solves column by column, and CholeskySolveMulti reconstructs solutions
-// of A X = B.
-func TestSolveMultiMatchesSingle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(12)
-		m := 1 + rng.Intn(40)
-		a := randSPD(rng, n)
-		l, err := Cholesky(a)
-		if err != nil {
-			return false
-		}
-		b := NewMatrix(n, m)
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
-		}
-		lo := SolveLowerMulti(l, b)
-		up := SolveUpperTMulti(l, b)
-		full := CholeskySolveMulti(l, b)
-		for j := 0; j < m; j++ {
-			col := b.Col(j)
-			wantLo := SolveLower(l, col)
-			wantUp := SolveUpperT(l, col)
-			wantFull := CholeskySolve(l, col)
-			for i := 0; i < n; i++ {
-				if math.Abs(lo.At(i, j)-wantLo[i]) > 1e-10 ||
-					math.Abs(up.At(i, j)-wantUp[i]) > 1e-10 ||
-					math.Abs(full.At(i, j)-wantFull[i]) > 1e-10 {
-					return false
-				}
-			}
-		}
-		// CholeskySolveMulti solves A X = B: check the residual.
-		recon := a.Mul(full)
-		for i := range recon.Data {
-			if math.Abs(recon.Data[i]-b.Data[i]) > 1e-7 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSolveLowerInPlaceMatchesSolveLower(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(rng, 8)

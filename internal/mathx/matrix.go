@@ -65,22 +65,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)

@@ -97,18 +97,33 @@ func TestCholeskyRejectsNonPD(t *testing.T) {
 	}
 }
 
+// A singular matrix is factored after jitter is added to its diagonal
+// in place, and the factor is the one Cholesky gives for a copy with that
+// jitter: retries restart from the original diagonal, not the last try's.
 func TestCholeskyJitterRecovers(t *testing.T) {
-	// Singular PSD matrix: rank 1.
-	a := MatrixFromRows([][]float64{{1, 1}, {1, 1}})
-	l, jit, err := CholeskyJitter(a, 1e-3)
+	a := MatrixFromRows([][]float64{{1, 1}, {1, 1}}) // rank 1
+	l := NewMatrix(2, 2)
+	jit, err := CholeskyJitter(l, a, 1e-3)
 	if err != nil {
 		t.Fatalf("jitter failed: %v", err)
 	}
 	if jit == 0 {
 		t.Fatal("expected nonzero jitter")
 	}
-	if l.At(0, 0) <= 0 {
-		t.Fatal("invalid factor")
+	want, err := Cholesky(MatrixFromRows([][]float64{{1, 1}, {1, 1}}).AddDiag(jit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if math.Float64bits(l.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("factor %v, want Cholesky of the matrix plus %v on its diagonal: %v", l.Data, jit, want.Data)
+		}
+	}
+	if _, err := CholeskyJitter(NewMatrix(3, 3), a, 1e-3); err == nil {
+		t.Fatal("expected a size-mismatch error")
+	}
+	if _, err := CholeskyJitter(l, MatrixFromRows([][]float64{{1, 2}, {2, 1}}), 1e-3); err != ErrNotPositiveDefinite {
+		t.Fatalf("indefinite input: err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
 
@@ -132,20 +147,6 @@ func TestCholeskySolve(t *testing.T) {
 				t.Fatalf("solve mismatch at %d: %v vs %v", i, got[i], x[i])
 			}
 		}
-	}
-}
-
-func TestSolveLinear(t *testing.T) {
-	a := MatrixFromRows([][]float64{{0, 2}, {3, 0}}) // needs pivoting
-	x, err := SolveLinear(a, []float64{4, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 3, 1e-12) || !almostEq(x[1], 2, 1e-12) {
-		t.Fatalf("SolveLinear = %v", x)
-	}
-	if _, err := SolveLinear(MatrixFromRows([][]float64{{1, 1}, {1, 1}}), []float64{1, 2}); err == nil {
-		t.Fatal("expected singular error")
 	}
 }
 

@@ -101,13 +101,18 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts *NelderMeadOptions
 		}
 	}
 
+	// The trial points live in three buffers that trade places with the
+	// simplex's worst vertex, so an iteration allocates nothing.
+	centroid := make([]float64, dim)
+	reflectPt := make([]float64, dim)
+	trialPt := make([]float64, dim)
 	for evals < opts.MaxIter {
 		order()
 		if math.Abs(vals[dim]-vals[0]) < opts.Tol {
 			break
 		}
 		// Centroid of all but the worst point.
-		centroid := make([]float64, dim)
+		clear(centroid)
 		for i := 0; i < dim; i++ {
 			for j := 0; j < dim; j++ {
 				centroid[j] += pts[i][j]
@@ -118,28 +123,28 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts *NelderMeadOptions
 		}
 
 		worst := pts[dim]
-		reflectPt := clip(vecAffine(centroid, worst, 1+opts.Reflect, -opts.Reflect))
+		clip(vecAffine(reflectPt, centroid, worst, 1+opts.Reflect, -opts.Reflect))
 		reflectVal := f(reflectPt)
 		evals++
 
 		switch {
 		case reflectVal < vals[0]:
-			expandPt := clip(vecAffine(centroid, worst, 1+opts.Reflect*opts.Expand, -opts.Reflect*opts.Expand))
-			expandVal := f(expandPt)
+			clip(vecAffine(trialPt, centroid, worst, 1+opts.Reflect*opts.Expand, -opts.Reflect*opts.Expand))
+			expandVal := f(trialPt)
 			evals++
 			if expandVal < reflectVal {
-				pts[dim], vals[dim] = expandPt, expandVal
+				pts[dim], trialPt, vals[dim] = trialPt, worst, expandVal
 			} else {
-				pts[dim], vals[dim] = reflectPt, reflectVal
+				pts[dim], reflectPt, vals[dim] = reflectPt, worst, reflectVal
 			}
 		case reflectVal < vals[dim-1]:
-			pts[dim], vals[dim] = reflectPt, reflectVal
+			pts[dim], reflectPt, vals[dim] = reflectPt, worst, reflectVal
 		default:
-			contractPt := clip(vecAffine(centroid, worst, 1-opts.Contract, opts.Contract))
-			contractVal := f(contractPt)
+			clip(vecAffine(trialPt, centroid, worst, 1-opts.Contract, opts.Contract))
+			contractVal := f(trialPt)
 			evals++
 			if contractVal < vals[dim] {
-				pts[dim], vals[dim] = contractPt, contractVal
+				pts[dim], trialPt, vals[dim] = trialPt, worst, contractVal
 			} else {
 				// Shrink the whole simplex towards the best point.
 				for i := 1; i <= dim; i++ {
@@ -157,9 +162,8 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts *NelderMeadOptions
 	return pts[0], vals[0]
 }
 
-// vecAffine returns a*ca + b*cb element-wise.
-func vecAffine(a, b []float64, ca, cb float64) []float64 {
-	out := make([]float64, len(a))
+// vecAffine writes a*ca + b*cb element-wise to out and returns it.
+func vecAffine(out, a, b []float64, ca, cb float64) []float64 {
 	for i := range a {
 		out[i] = ca*a[i] + cb*b[i]
 	}

@@ -7,11 +7,12 @@ package safety
 import "math"
 
 // Model is the posterior the assessment queries: a batched predictor
-// returning the mean and variance of performance for every candidate
-// configuration under one context. gp.ContextualGP implements it; tests
-// may substitute degenerate models.
+// returning, under one context, the mean performance of every candidate
+// configuration and the variance of those whose mean is at least floor
+// (the rest may report 0). gp.ContextualGP implements it; tests may
+// substitute degenerate models.
 type Model interface {
-	PredictAll(configs [][]float64, ctx []float64) (means, variances []float64)
+	PredictAbove(configs [][]float64, ctx []float64, floor float64) (means, variances []float64)
 }
 
 // Assessment holds the per-candidate safety information of one round.
@@ -29,7 +30,10 @@ type Assessment struct {
 // and marks those whose lower bound clears tau. beta follows Srinivas et
 // al. (2010); the paper sets it per that analysis. All candidates are
 // scored in one batched posterior pass (shared factor and weights,
-// candidate blocks fanned across a bounded worker pool).
+// candidate blocks fanned across a bounded worker pool). A variance is
+// asked for only where the mean reaches tau: for beta ≥ 0 no other
+// candidate can be safe (μ − βσ ≥ τ needs μ ≥ τ), and the bounds of an
+// unsafe candidate are never read. Pass tau = −Inf to bound them all.
 func Assess(model Model, ctx []float64, candidates [][]float64, beta, tau float64) *Assessment {
 	a := &Assessment{
 		Candidates: candidates,
@@ -38,7 +42,11 @@ func Assess(model Model, ctx []float64, candidates [][]float64, beta, tau float6
 		Sigma:      make([]float64, len(candidates)),
 		Safe:       make([]bool, len(candidates)),
 	}
-	mus, vars := model.PredictAll(candidates, ctx)
+	floor := tau
+	if !(beta >= 0) {
+		floor = math.Inf(-1)
+	}
+	mus, vars := model.PredictAbove(candidates, ctx, floor)
 	for i := range candidates {
 		// A near-singular posterior can report a tiny negative variance
 		// (float cancellation in the Schur complement); clamp to zero

@@ -105,6 +105,81 @@ func TestBetaWidensBounds(t *testing.T) {
 	}
 }
 
+// screenedModel is the contextual GP with its triangular solves
+// counted and, when unscreened is set, the floor ignored. A variance the
+// GP solved for is never 0 (it is clamped from below at a positive
+// value), so the nonzero ones are the solves.
+type screenedModel struct {
+	gp         *gp.ContextualGP
+	unscreened bool
+	solves     int
+}
+
+func (m *screenedModel) PredictAbove(configs [][]float64, ctx []float64, floor float64) ([]float64, []float64) {
+	if m.unscreened {
+		floor = math.Inf(-1)
+	}
+	mus, vars := m.gp.PredictAbove(configs, ctx, floor)
+	for _, v := range vars {
+		if v != 0 {
+			m.solves++
+		}
+	}
+	return mus, vars
+}
+
+// The screen: one triangular solve per candidate whose mean reaches τ,
+// none for the rest, and an assessment equal to the unscreened one in
+// everything that is ever read — Safe, NumSafe, and the bounds of the
+// safe. A negative β, under which a mean below τ can still be safe, and
+// τ = −Inf (the ablations' "bound them all") solve for every candidate.
+func TestAssessScreenSolvesOnlyWhereMeanReachesTau(t *testing.T) {
+	g := fitted(t)
+	ctx := []float64{0}
+	var cands [][]float64
+	for th := 0.0; th <= 1; th += 0.0125 {
+		cands = append(cands, []float64{th})
+	}
+	mus, _ := g.PredictAll(cands, ctx)
+	bits := math.Float64bits
+	mixed := false // some case must split the candidates
+	for _, tc := range []struct{ beta, tau float64 }{
+		{2, 7}, {2, 9.5}, {0, 8}, {2.5, 100}, {2, math.Inf(-1)}, {-1, 8}, {math.NaN(), 8},
+	} {
+		want := 0
+		for _, mu := range mus {
+			if mu >= tc.tau || !(tc.beta >= 0) {
+				want++
+			}
+		}
+		mixed = mixed || 0 < want && want < len(cands)
+		screened, full := &screenedModel{gp: g}, &screenedModel{gp: g, unscreened: true}
+		a, ref := Assess(screened, ctx, cands, tc.beta, tc.tau), Assess(full, ctx, cands, tc.beta, tc.tau)
+		if screened.solves != want || full.solves != len(cands) {
+			t.Fatalf("β=%v τ=%v: %d solves screened and %d unscreened, want %d and %d",
+				tc.beta, tc.tau, screened.solves, full.solves, want, len(cands))
+		}
+		if a.NumSafe != ref.NumSafe {
+			t.Fatalf("β=%v τ=%v: NumSafe %d, unscreened %d", tc.beta, tc.tau, a.NumSafe, ref.NumSafe)
+		}
+		for i := range cands {
+			if a.Safe[i] != ref.Safe[i] {
+				t.Fatalf("β=%v τ=%v candidate %d: Safe %v, unscreened %v", tc.beta, tc.tau, i, a.Safe[i], ref.Safe[i])
+			}
+			if a.Safe[i] && (bits(a.Lower[i]) != bits(ref.Lower[i]) || bits(a.Upper[i]) != bits(ref.Upper[i]) || bits(a.Sigma[i]) != bits(ref.Sigma[i])) {
+				t.Fatalf("β=%v τ=%v safe candidate %d: bounds [%v, %v] σ=%v, unscreened [%v, %v] σ=%v",
+					tc.beta, tc.tau, i, a.Lower[i], a.Upper[i], a.Sigma[i], ref.Lower[i], ref.Upper[i], ref.Sigma[i])
+			}
+		}
+		if a.ArgMaxUCB() != ref.ArgMaxUCB() || a.ArgMaxBoundary() != ref.ArgMaxBoundary() {
+			t.Fatalf("β=%v τ=%v: the screened assessment picks differently", tc.beta, tc.tau)
+		}
+	}
+	if !mixed {
+		t.Fatal("no case had means on both sides of τ")
+	}
+}
+
 // degenerateModel is a safety.Model stub whose posterior reports the
 // given variances verbatim — including the tiny negative values a
 // near-singular Gram matrix produces through float cancellation.
@@ -112,7 +187,7 @@ type degenerateModel struct {
 	mus, vars []float64
 }
 
-func (d degenerateModel) PredictAll(configs [][]float64, ctx []float64) ([]float64, []float64) {
+func (d degenerateModel) PredictAbove(configs [][]float64, ctx []float64, floor float64) ([]float64, []float64) {
 	return d.mus, d.vars
 }
 
