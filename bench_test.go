@@ -109,52 +109,26 @@ func BenchmarkFeaturizeContext(b *testing.B) {
 	}
 }
 
-// BenchmarkDBSCAN measures the grid-indexed DBSCAN on uniform
-// low-dimensional points (where the grid prunes) and on 12-dimensional
-// context-like points (where the occupied-cell scan does the work).
+// BenchmarkDBSCAN measures DBSCAN over the cached distance matrix on
+// 12-dimensional context-like points (tight blobs), the shape the
+// re-cluster check serves: the matrix is already built when it runs.
 func BenchmarkDBSCAN(b *testing.B) {
-	uniform := func(n, dim int) [][]float64 {
-		rng := rand.New(rand.NewSource(3))
-		pts := make([][]float64, n)
-		for i := range pts {
-			p := make([]float64, dim)
-			for d := range p {
-				p[d] = rng.Float64()
-			}
-			pts[i] = p
+	rng := rand.New(rand.NewSource(3))
+	pts := make([][]float64, 600)
+	for i := range pts {
+		c := float64(rng.Intn(4)) + 0.25
+		p := make([]float64, 12)
+		for d := range p {
+			p[d] = c + 0.05*rng.NormFloat64()
 		}
-		return pts
+		pts[i] = p
 	}
-	// Context-like clusters: tight blobs sitting mid-cell, the shape the
-	// occupied-cell scan exploits in high dimension.
-	blobs := func(n, dim int) [][]float64 {
-		rng := rand.New(rand.NewSource(3))
-		pts := make([][]float64, n)
-		for i := range pts {
-			c := float64(rng.Intn(4)) + 0.25
-			p := make([]float64, dim)
-			for d := range p {
-				p[d] = c + 0.05*rng.NormFloat64()
-			}
-			pts[i] = p
+	m := cluster.NewDistMatrix(pts)
+	b.Run("n600_d12", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.DBSCAN(0.5, 4)
 		}
-		return pts
-	}
-	for _, cfg := range []struct {
-		name string
-		pts  [][]float64
-		eps  float64
-	}{
-		{"n2000_d3", uniform(2000, 3), 0.1},
-		{"n600_d12", blobs(600, 12), 0.5},
-	} {
-		pts := cfg.pts
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cluster.DBSCAN(pts, cfg.eps, 4)
-			}
-		})
-	}
+	})
 }
 
 // synthGPObs generates a deterministic synthetic training set for the

@@ -61,8 +61,8 @@ func TestBOProposesValidConfigs(t *testing.T) {
 	if len(perfs) != 30 {
 		t.Fatal("missing iterations")
 	}
-	if bo.ObservationCount() != 30 {
-		t.Fatalf("surrogate holds %d obs", bo.ObservationCount())
+	if len(bo.y) != 30 {
+		t.Fatalf("surrogate holds %d obs", len(bo.y))
 	}
 }
 

@@ -126,7 +126,3 @@ func (b *BO) Feedback(env TuneEnv, cfg knobs.Config, res dbsim.Result) {
 		b.g.OptimizeHyperparams(40)
 	}
 }
-
-// ObservationCount reports how many observations the surrogate holds
-// (used by the overhead benchmark).
-func (b *BO) ObservationCount() int { return len(b.y) }

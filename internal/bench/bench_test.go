@@ -137,6 +137,35 @@ func TestExt4CrossEngineMatrixShape(t *testing.T) {
 	}
 }
 
+// TestExt5CanaryArmNeverWedgesInHold pins that ext5's canary arm keeps
+// tuning: every staged phase (canary and a chain target's revalidate
+// window alike) is fed paired observations, so a hold never outlasts
+// the comparison window. A loop that pairs only some staged phases
+// starves the controller and holds forever.
+func TestExt5CanaryArmNeverWedgesInHold(t *testing.T) {
+	const window = 5 // ext5's Policy.Window
+	rep, err := Experiment("ext5", 150, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canary := rep.Series[0]
+	if canary.Name != "OnlineTune-Canary" {
+		t.Fatalf("ext5 series 0 is %q, want the canary arm", canary.Name)
+	}
+	run, longest := 0, 0
+	for _, k := range canary.RegionKinds {
+		if k != "hold" {
+			run = 0
+			continue
+		}
+		run++
+		longest = max(longest, run)
+	}
+	if longest == 0 || longest > window {
+		t.Fatalf("canary arm's longest run of hold intervals is %d, want 1..%d: staged feedback is not reaching the controller", longest, window)
+	}
+}
+
 func TestFinalWindow(t *testing.T) {
 	s := &Series{Perf: []float64{0, 0, 0, 0, 0, 10, 10, 10, 10, 10}}
 	if got := finalWindow(s); got != 10 {

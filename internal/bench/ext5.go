@@ -2,24 +2,17 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"time"
 
-	"repro/internal/baselines"
-	"repro/internal/dbsim"
-	"repro/internal/knobs"
 	"repro/internal/rollout"
-	"repro/internal/workload"
-	"repro/tune"
 )
 
 // Ext5CanaryRollout evaluates the staged canary rollout against direct
 // apply on a drifting TPC-C workload (the scenario where an online
 // tuner must keep exploring and therefore keeps risking the primary).
-// Both arms run the identical OnlineTune configuration; the canary arm
-// routes every new candidate through a shadow dbsim replica and a
-// comparison window, the direct arm applies candidates straight to the
-// primary — the ablation switch.
+// Both arms run the identical OnlineTune configuration through
+// runRolloutArm; the canary arm routes every new candidate through a
+// shadow dbsim replica and a comparison window, the direct arm applies
+// candidates straight to the primary — the ablation switch.
 //
 // Unlike the noisy per-interval safety counters of the other
 // experiments, the headline metric here is ground truth: an interval
@@ -29,139 +22,21 @@ import (
 // That is exactly the guarantee the rollout subsystem claims to make
 // operational: such configurations must never reach the primary.
 func Ext5CanaryRollout(iters int, seed int64) Report {
-	space := knobs.CaseStudy5()
 	feat := NewFeaturizer(seed)
-	thr := rollout.Policy{}.WithDefaults().RegressionThreshold
-	// Short 60-second measurement intervals (§7.3.3's noisy setting):
-	// per-interval noise is ~1.7x the default, which is what makes
-	// pre-apply prediction alone fallible — and what the comparison
-	// window averages away. Ground-truth regression counting below is
-	// noise-free either way.
-	const intervalSec = 60
-
-	type armResult struct {
-		series *Series
-		// regressions counts regressing CONFIGS applied: intervals where
-		// a configuration newly reached the primary while its true
-		// performance was below τ−threshold.
-		regressions int
-		// regIntervals counts every interval the primary truly ran below
-		// τ−threshold — including a once-healthy configuration decaying
-		// under drift (bounded by the drift rollback, never preventable
-		// by any apply-time discipline).
-		regIntervals int
-		promotions   int
-		rollbacks    int
-		canaryIters  int
-		promoteLatMu float64 // mean intervals from canary start to promote
+	canary := runRolloutArm("OnlineTune-Canary", rollout.Policy{Enabled: true, Window: 5}, feat, iters, seed)
+	direct := runRolloutArm("OnlineTune-Direct", rollout.Policy{}, feat, iters, seed)
+	st := canary.status
+	// Mean intervals from a candidate's first paired observation to its
+	// promotion.
+	promoteLatMu := 0.0
+	if lat := st.Metrics.PromoteLatency; lat.Count > 0 {
+		promoteLatMu = float64(lat.Sum) / float64(lat.Count)
 	}
-
-	runArm := func(name string, canary bool) armResult {
-		in := dbsim.New(space, seed)
-		shadow := dbsim.New(space, seed+1000)
-		gen := workload.NewDriftedTPCC(seed, 0.004)
-		opts := tune.DefaultTunerOptions()
-		if canary {
-			opts.Rollout = rollout.Policy{Enabled: true, Window: 5}
-		}
-		tn := tune.NewOnlineTunerNamed(name, space, feat.Dim(), space.DBADefault(), seed, opts)
-
-		ar := armResult{series: &Series{Name: name}}
-		s := ar.series
-		var lastMetrics dbsim.InternalMetrics
-		var ctx []float64
-		var prevUnit []float64
-		cum := 0.0
-		canaryStart := -1
-		promoteLatSum, promoted := 0, 0
-		for i := 0; i < iters; i++ {
-			w := gen.At(i)
-			ctx = feat.ContextInto(ctx, w, in.OptimizerStats(w))
-			tauRes := in.DBAResult(w)
-			tau := tauRes.Objective(false)
-			env := baselines.TuneEnv{
-				Iter: i, Snapshot: w, Ctx: ctx, Metrics: lastMetrics,
-				Tau: tau, OLAP: false, HW: in.HW,
-			}
-
-			start := time.Now()
-			cfg := tn.Propose(env)
-			proposeMs := float64(time.Since(start).Microseconds()) / 1000
-			rec := tn.Last()
-
-			res := in.Eval(cfg, w, dbsim.EvalOptions{IntervalSec: intervalSec})
-			perf := res.Objective(false)
-			trueRes := in.Eval(cfg, w, dbsim.EvalOptions{NoNoise: true})
-			trueApplied := trueRes.Objective(false)
-			badNow := res.Failed || trueApplied < tau-thr*math.Abs(tau)
-			if badNow {
-				ar.regIntervals++
-			}
-			// A regressing CONFIG reached the primary: the applied unit
-			// changed this interval and is regressing right now.
-			if badNow && (prevUnit == nil || !sameUnit(prevUnit, rec.Unit)) {
-				ar.regressions++
-			}
-			prevUnit = rec.Unit
-
-			start = time.Now()
-			// rec is never nil: Propose always records a recommendation.
-			inCanary := canary && rec.RolloutPhase == string(rollout.PhaseCanary)
-			if inCanary {
-				if canaryStart < 0 {
-					canaryStart = i
-				}
-				sres := shadow.Eval(rec.ShadowConfig, w, dbsim.EvalOptions{IntervalSec: intervalSec})
-				tn.FeedbackStaged(env, res, sres.Objective(false), sres.Failed)
-				ar.canaryIters++
-			} else {
-				tn.Feedback(env, cfg, res)
-			}
-			feedbackMs := float64(time.Since(start).Microseconds()) / 1000
-
-			if canary {
-				st := tn.T.RolloutStatus()
-				if st.Promotions+st.Rollbacks > ar.promotions+ar.rollbacks {
-					if st.Promotions > ar.promotions && canaryStart >= 0 {
-						promoteLatSum += i - canaryStart + 1
-						promoted++
-					}
-					ar.promotions, ar.rollbacks = st.Promotions, st.Rollbacks
-					canaryStart = -1
-				}
-			}
-
-			lastMetrics = res.Metrics
-			cum += perf
-			s.Perf = append(s.Perf, perf)
-			s.Tau = append(s.Tau, tau)
-			s.Cum = append(s.Cum, cum)
-			s.ProposeMs = append(s.ProposeMs, proposeMs)
-			s.FeedbackMs = append(s.FeedbackMs, feedbackMs)
-			s.Units = append(s.Units, rec.Unit)
-			if res.Failed {
-				s.Failures++
-			}
-			s.SafetySetSizes = append(s.SafetySetSizes, rec.SafetySetSize)
-			s.RegionKinds = append(s.RegionKinds, rec.RegionKind)
-			s.ModelIndices = append(s.ModelIndices, rec.ModelIndex)
-		}
-		// The ground-truth regression count doubles as the artifact's
-		// unsafe metric, so benchguard gates it across PRs.
-		s.Unsafe = ar.regressions
-		if promoted > 0 {
-			ar.promoteLatMu = float64(promoteLatSum) / float64(promoted)
-		}
-		return ar
-	}
-
-	canary := runArm("OnlineTune-Canary", true)
-	direct := runArm("OnlineTune-Direct", false)
 
 	t := NewTable("arm", "cumulative_txn", "regressing_configs_applied", "regressing_intervals",
 		"failures", "promotions", "rollbacks", "canary_iters", "mean_iters_to_promote")
 	t.Add(canary.series.Name, canary.series.CumFinal(), canary.regressions, canary.regIntervals,
-		canary.series.Failures, canary.promotions, canary.rollbacks, canary.canaryIters, canary.promoteLatMu)
+		canary.series.Failures, st.Promotions, st.Rollbacks, canary.paired, promoteLatMu)
 	t.Add(direct.series.Name, direct.series.CumFinal(), direct.regressions, direct.regIntervals,
 		direct.series.Failures, 0, 0, 0, 0.0)
 
@@ -174,13 +49,13 @@ func Ext5CanaryRollout(iters int, seed int64) Report {
 	case direct.regressions > 0:
 		verdict = fmt.Sprintf(
 			"The canary path applied ZERO regressing configurations to the primary while direct apply let %d through (%d candidate(s) rolled back, %d promoted after a mean %.1f-interval window; drift exposure %d vs %d regressing intervals) — the staged rollout turns pre-apply safety prediction into an operational guarantee at %.1f%% of cumulative direct-apply throughput.",
-			direct.regressions, canary.rollbacks, canary.promotions, canary.promoteLatMu,
+			direct.regressions, st.Rollbacks, st.Promotions, promoteLatMu,
 			canary.regIntervals, direct.regIntervals,
 			100*canary.series.CumFinal()/direct.series.CumFinal())
 	default:
 		verdict = fmt.Sprintf(
 			"Neither arm applied a truly regressing configuration at this scale (%d iters); the canary arm rolled back %d candidate(s) and promoted %d. Run at the default 300 iterations for the full drift scenario.",
-			iters, canary.rollbacks, canary.promotions)
+			iters, st.Rollbacks, st.Promotions)
 	}
 	return Report{
 		ID:     "ext5",

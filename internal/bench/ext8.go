@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
@@ -222,7 +223,7 @@ func ext8RunArm(name string, iters int, seed int64, warm bool) *ext8Arm {
 			trueRes := in.Eval(adv.Config, w, dbsim.EvalOptions{NoNoise: true})
 			trueApplied := trueRes.Objective(false)
 			bad := res.Failed || trueApplied < tau-thr*math.Abs(tau)
-			if bad && (prevUnit == nil || !sameUnit(prevUnit, adv.Unit)) {
+			if bad && (prevUnit == nil || !slices.Equal(prevUnit, adv.Unit)) {
 				ar.regressions++
 			}
 			prevUnit = adv.Unit

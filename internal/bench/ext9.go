@@ -3,10 +3,12 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/dbsim"
+	"repro/internal/featurize"
 	"repro/internal/knobs"
 	"repro/internal/rollout"
 	"repro/internal/workload"
@@ -45,143 +47,28 @@ const ext9CumTolerance = 0.005
 // reached the serving primary while its NOISE-FREE performance (warm,
 // without the transient switchover penalty) was below τ−threshold.
 func Ext9BlueGreenRollout(iters int, seed int64) Report {
-	space := knobs.CaseStudy5()
 	feat := NewFeaturizer(seed)
-	thr := rollout.Policy{}.WithDefaults().RegressionThreshold
-	const intervalSec = 60
-
-	type armResult struct {
-		series       *Series
-		regressions  int
-		regIntervals int
-		promotions   int
-		coldCost     float64
-		rollbacks    int
-		switchovers  int
-		downtimeSum  int
-		downtimeMax  int
-		inFlight     int
-		chainRolls   int
+	// PromoteMargin = the regression threshold: the zero-regression gate
+	// below demands that a config clear τ on the staged replica by at
+	// least the margin a serving config may dip below it, so borderline
+	// configs cannot ride a favorable noise draw onto the primary.
+	staged := func(mode string) rollout.Policy {
+		return rollout.Policy{Enabled: true, Mode: mode, Window: 5, PromoteMargin: rollout.DefaultThreshold}
 	}
-
-	runArm := func(name, mode string) armResult {
-		in := dbsim.New(space, seed)
-		staged := dbsim.New(space, seed+1000)
-		gen := workload.NewDriftedTPCC(seed, 0.004)
-		opts := tune.DefaultTunerOptions()
-		if mode != "" {
-			// PromoteMargin = the regression threshold: the zero-regression
-			// gate below demands that a config clear τ on the staged
-			// replica by at least the margin a serving config may dip
-			// below it, so borderline configs cannot ride a favorable
-			// noise draw onto the primary.
-			opts.Rollout = rollout.Policy{Enabled: true, Mode: mode, Window: 5, PromoteMargin: thr}
-		}
-		tn := tune.NewOnlineTunerNamed(name, space, feat.Dim(), space.DBADefault(), seed, opts)
-
-		ar := armResult{series: &Series{Name: name}}
-		s := ar.series
-		var lastMetrics dbsim.InternalMetrics
-		var ctx []float64
-		var prevUnit []float64
-		cum := 0.0
-		for i := 0; i < iters; i++ {
-			w := gen.At(i)
-			ctx = feat.ContextInto(ctx, w, in.OptimizerStats(w))
-			tauRes := in.DBAResult(w)
-			tau := tauRes.Objective(false)
-			env := baselines.TuneEnv{
-				Iter: i, Snapshot: w, Ctx: ctx, Metrics: lastMetrics,
-				Tau: tau, OLAP: false, HW: in.HW,
-			}
-
-			start := time.Now()
-			cfg := tn.Propose(env)
-			proposeMs := float64(time.Since(start).Microseconds()) / 1000
-			rec := tn.Last()
-
-			// The switchover interval runs the newly serving replica
-			// cache-cold; every other interval is warm.
-			evalOpt := dbsim.EvalOptions{IntervalSec: intervalSec}
-			if rec.RolloutPhase == string(rollout.PhaseSwitchover) {
-				evalOpt.SwitchoverColdSec = dbsim.DefaultSwitchoverColdSec
-			}
-			res := in.Eval(cfg, w, evalOpt)
-			perf := res.Objective(false)
-			if evalOpt.SwitchoverColdSec > 0 {
-				// Meter the cold start's throughput cost exactly: the same
-				// interval evaluated warm, minus what the cold replica
-				// actually served. The cum-vs-canary verdict nets this
-				// out — the cold dip itself is capped by the downtime
-				// bound, and the canary arm's instant, free config swap
-				// has no counterpart cost to compare it against.
-				warm := in.Eval(cfg, w, dbsim.EvalOptions{IntervalSec: intervalSec})
-				ar.coldCost += warm.Objective(false) - perf
-			}
-			// Ground truth judges the CONFIGURATION, not the transient
-			// cold start: noise-free and warm.
-			trueRes := in.Eval(cfg, w, dbsim.EvalOptions{NoNoise: true})
-			trueApplied := trueRes.Objective(false)
-			badNow := res.Failed || trueApplied < tau-thr*math.Abs(tau)
-			if badNow {
-				ar.regIntervals++
-			}
-			if badNow && (prevUnit == nil || !sameUnit(prevUnit, rec.Unit)) {
-				ar.regressions++
-			}
-			prevUnit = rec.Unit
-
-			start = time.Now()
-			inPaired := mode != "" && (rec.RolloutPhase == string(rollout.PhaseCanary) ||
-				rec.RolloutPhase == string(rollout.PhaseTuning) ||
-				rec.RolloutPhase == string(rollout.PhaseRevalidate))
-			if inPaired {
-				sres := staged.Eval(rec.ShadowConfig, w, dbsim.EvalOptions{IntervalSec: intervalSec})
-				tn.FeedbackStaged(env, res, sres.Objective(false), sres.Failed)
-			} else {
-				tn.Feedback(env, cfg, res)
-			}
-			feedbackMs := float64(time.Since(start).Microseconds()) / 1000
-
-			lastMetrics = res.Metrics
-			cum += perf
-			s.Perf = append(s.Perf, perf)
-			s.Tau = append(s.Tau, tau)
-			s.Cum = append(s.Cum, cum)
-			s.ProposeMs = append(s.ProposeMs, proposeMs)
-			s.FeedbackMs = append(s.FeedbackMs, feedbackMs)
-			s.Units = append(s.Units, rec.Unit)
-			if res.Failed {
-				s.Failures++
-			}
-			s.SafetySetSizes = append(s.SafetySetSizes, rec.SafetySetSize)
-			s.RegionKinds = append(s.RegionKinds, rec.RegionKind)
-			s.ModelIndices = append(s.ModelIndices, rec.ModelIndex)
-		}
-		s.Unsafe = ar.regressions
-		if mode != "" {
-			st := tn.T.RolloutStatus()
-			ar.promotions, ar.rollbacks = st.Promotions, st.Rollbacks
-			ar.switchovers = st.Metrics.Switchovers
-			ar.downtimeSum = st.Metrics.SwitchoverDowntime.Sum
-			ar.downtimeMax = st.Metrics.SwitchoverDowntime.Max
-			ar.inFlight = st.Metrics.InFlightFailures
-			ar.chainRolls = st.Metrics.ChainRollbacks
-		}
-		return ar
-	}
-
-	bg := runArm("OnlineTune-BlueGreen", rollout.ModeBlueGreen)
-	canary := runArm("OnlineTune-Canary", rollout.ModeCanary)
-	direct := runArm("OnlineTune-Direct", "")
+	bg := runRolloutArm("OnlineTune-BlueGreen", staged(rollout.ModeBlueGreen), feat, iters, seed)
+	canary := runRolloutArm("OnlineTune-Canary", staged(rollout.ModeCanary), feat, iters, seed)
+	direct := runRolloutArm("OnlineTune-Direct", rollout.Policy{}, feat, iters, seed)
+	bgm := bg.status.Metrics
 
 	t := NewTable("arm", "cumulative_txn", "regressing_configs_applied", "regressing_intervals",
 		"failures", "promotions", "rollbacks", "chain_rollbacks", "switchovers",
 		"downtime_sum", "downtime_max", "in_flight_failures")
 	t.Add(bg.series.Name, bg.series.CumFinal(), bg.regressions, bg.regIntervals, bg.series.Failures,
-		bg.promotions, bg.rollbacks, bg.chainRolls, bg.switchovers, bg.downtimeSum, bg.downtimeMax, bg.inFlight)
+		bg.status.Promotions, bg.status.Rollbacks, bgm.ChainRollbacks, bgm.Switchovers,
+		bgm.SwitchoverDowntime.Sum, bgm.SwitchoverDowntime.Max, bgm.InFlightFailures)
 	t.Add(canary.series.Name, canary.series.CumFinal(), canary.regressions, canary.regIntervals,
-		canary.series.Failures, canary.promotions, canary.rollbacks, canary.chainRolls, 0, 0, 0, 0)
+		canary.series.Failures, canary.status.Promotions, canary.status.Rollbacks,
+		canary.status.Metrics.ChainRollbacks, 0, 0, 0, 0)
 	t.Add(direct.series.Name, direct.series.CumFinal(), direct.regressions, direct.regIntervals,
 		direct.series.Failures, 0, 0, 0, 0, 0, 0, 0)
 
@@ -191,10 +78,10 @@ func Ext9BlueGreenRollout(iters int, seed int64) Report {
 		verdict = fmt.Sprintf(
 			"REGRESSION: the blue/green path let %d truly regressing configuration(s) reach the serving primary.",
 			bg.regressions)
-	case bg.downtimeMax > ext9DowntimeBound:
+	case bgm.SwitchoverDowntime.Max > ext9DowntimeBound:
 		verdict = fmt.Sprintf(
 			"REGRESSION: a switchover dipped below τ for %d interval(s), over the pinned bound of %d.",
-			bg.downtimeMax, ext9DowntimeBound)
+			bgm.SwitchoverDowntime.Max, ext9DowntimeBound)
 	case bg.series.CumFinal()+bg.coldCost < canary.series.CumFinal()*(1-ext9CumTolerance):
 		verdict = fmt.Sprintf(
 			"REGRESSION: blue/green cumulative throughput %.0f (plus the %.0f txn metered switchover cost) fell below the canary arm's %.0f beyond the %.1f%% equivalence band — beyond the explicitly bounded cold starts, the live second replica must never cost serving throughput.",
@@ -202,10 +89,10 @@ func Ext9BlueGreenRollout(iters int, seed int64) Report {
 	default:
 		verdict = fmt.Sprintf(
 			"Blue/green applied ZERO regressing configurations to the serving primary, every switchover stayed within the %d-interval downtime bound (%d switchover(s), %d total downtime interval(s), %d in-flight failure(s), %.0f txn metered cold-start cost), and cumulative throughput net of that metered cost matched canary (%.1f%% gross) / reached %.1f%% of direct apply. %d promotion(s), %d rollback(s) of which %d stepped back through the previous-good chain.",
-			ext9DowntimeBound, bg.switchovers, bg.downtimeSum, bg.inFlight, bg.coldCost,
+			ext9DowntimeBound, bgm.Switchovers, bgm.SwitchoverDowntime.Sum, bgm.InFlightFailures, bg.coldCost,
 			100*bg.series.CumFinal()/canary.series.CumFinal(),
 			100*bg.series.CumFinal()/direct.series.CumFinal(),
-			bg.promotions, bg.rollbacks, bg.chainRolls)
+			bg.status.Promotions, bg.status.Rollbacks, bgm.ChainRollbacks)
 	}
 	return Report{
 		ID:     "ext9",
@@ -213,4 +100,126 @@ func Ext9BlueGreenRollout(iters int, seed int64) Report {
 		Body:   t.String() + "\n" + verdict + "\n",
 		Series: []*Series{bg.series, canary.series, direct.series},
 	}
+}
+
+// rolloutArm is what one arm of a staged-rollout experiment measured.
+type rolloutArm struct {
+	series *Series
+	// regressions counts regressing CONFIGS applied: intervals where a
+	// configuration newly reached the primary while its true performance
+	// was below τ−threshold.
+	regressions int
+	// regIntervals counts every interval the primary truly ran below
+	// τ−threshold — including a once-healthy configuration decaying
+	// under drift (bounded by the drift rollback, never preventable by
+	// any apply-time discipline).
+	regIntervals int
+	// coldCost is the metered throughput cost of cache-cold switchover
+	// intervals; paired counts intervals fed a primary/staged pair.
+	coldCost float64
+	paired   int
+	// status is the controller's final state, nil under direct apply.
+	status *rollout.Status
+}
+
+// runRolloutArm drives one OnlineTune arm under policy (the zero policy
+// is direct apply) over drifted TPC-C on a primary and a staged dbsim
+// replica. Short 60-second measurement intervals (§7.3.3's noisy
+// setting): per-interval noise is ~1.7x the default, which is what makes
+// pre-apply prediction alone fallible — and what the comparison window
+// averages away. Ground-truth regression counting is noise-free either
+// way.
+func runRolloutArm(name string, policy rollout.Policy, feat *featurize.Featurizer, iters int, seed int64) rolloutArm {
+	const intervalSec = 60
+	space := knobs.CaseStudy5()
+	in := dbsim.New(space, seed)
+	staged := dbsim.New(space, seed+1000)
+	gen := workload.NewDriftedTPCC(seed, 0.004)
+	opts := tune.DefaultTunerOptions()
+	opts.Rollout = policy
+	tn := tune.NewOnlineTunerNamed(name, space, feat.Dim(), space.DBADefault(), seed, opts)
+
+	ar := rolloutArm{series: &Series{Name: name}}
+	s := ar.series
+	var lastMetrics dbsim.InternalMetrics
+	var ctx []float64
+	var prevUnit []float64
+	cum := 0.0
+	for i := 0; i < iters; i++ {
+		w := gen.At(i)
+		ctx = feat.ContextInto(ctx, w, in.OptimizerStats(w))
+		tauRes := in.DBAResult(w)
+		tau := tauRes.Objective(false)
+		env := baselines.TuneEnv{
+			Iter: i, Snapshot: w, Ctx: ctx, Metrics: lastMetrics,
+			Tau: tau, OLAP: false, HW: in.HW,
+		}
+
+		start := time.Now()
+		cfg := tn.Propose(env)
+		proposeMs := float64(time.Since(start).Microseconds()) / 1000
+		rec := tn.Last() // never nil: Propose always records a recommendation
+
+		// The switchover interval runs the newly serving replica
+		// cache-cold; every other interval is warm. Canary mode never
+		// enters the phase.
+		evalOpt := dbsim.EvalOptions{IntervalSec: intervalSec}
+		if rec.RolloutPhase == string(rollout.PhaseSwitchover) {
+			evalOpt.SwitchoverColdSec = dbsim.DefaultSwitchoverColdSec
+		}
+		res := in.Eval(cfg, w, evalOpt)
+		perf := res.Objective(false)
+		if evalOpt.SwitchoverColdSec > 0 {
+			// Meter the cold start's throughput cost exactly: the same
+			// interval evaluated warm, minus what the cold replica
+			// actually served. The cum-vs-canary verdict nets this
+			// out — the cold dip itself is capped by the downtime
+			// bound, and the canary arm's instant, free config swap
+			// has no counterpart cost to compare it against.
+			warm := in.Eval(cfg, w, dbsim.EvalOptions{IntervalSec: intervalSec})
+			ar.coldCost += warm.Objective(false) - perf
+		}
+		// Ground truth judges the CONFIGURATION, not the transient
+		// cold start: noise-free and warm.
+		trueRes := in.Eval(cfg, w, dbsim.EvalOptions{NoNoise: true})
+		trueApplied := trueRes.Objective(false)
+		badNow := res.Failed || trueApplied < tau-rollout.DefaultThreshold*math.Abs(tau)
+		if badNow {
+			ar.regIntervals++
+		}
+		if badNow && !slices.Equal(prevUnit, rec.Unit) { // nil before the first interval
+			ar.regressions++
+		}
+		prevUnit = rec.Unit
+
+		start = time.Now()
+		if tn.CanaryActive() {
+			sres := staged.Eval(rec.ShadowConfig, w, dbsim.EvalOptions{IntervalSec: intervalSec})
+			tn.FeedbackStaged(env, res, sres.Objective(false), sres.Failed)
+			ar.paired++
+		} else {
+			tn.Feedback(env, cfg, res)
+		}
+		feedbackMs := float64(time.Since(start).Microseconds()) / 1000
+
+		lastMetrics = res.Metrics
+		cum += perf
+		s.Perf = append(s.Perf, perf)
+		s.Tau = append(s.Tau, tau)
+		s.Cum = append(s.Cum, cum)
+		s.ProposeMs = append(s.ProposeMs, proposeMs)
+		s.FeedbackMs = append(s.FeedbackMs, feedbackMs)
+		s.Units = append(s.Units, rec.Unit)
+		if res.Failed {
+			s.Failures++
+		}
+		s.SafetySetSizes = append(s.SafetySetSizes, rec.SafetySetSize)
+		s.RegionKinds = append(s.RegionKinds, rec.RegionKind)
+		s.ModelIndices = append(s.ModelIndices, rec.ModelIndex)
+	}
+	// The ground-truth regression count doubles as the artifact's unsafe
+	// metric, so benchguard gates it across PRs.
+	s.Unsafe = ar.regressions
+	ar.status = tn.T.RolloutStatus()
+	return ar
 }

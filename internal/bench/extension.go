@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/knobs"
 	"repro/internal/workload"
@@ -23,7 +24,7 @@ func Ext1Stopping(iters int, seed int64) Report {
 		s := Run(tn, RunConfig{Space: space, Gen: workload.NewYCSB(seed), Iters: iters, Seed: seed, Feat: feat})
 		reconfigs := 0
 		for i, u := range s.Units {
-			if i == 0 || !sameUnit(s.Units[i-1], u) {
+			if i == 0 || !slices.Equal(s.Units[i-1], u) {
 				reconfigs++
 			}
 		}
@@ -42,25 +43,6 @@ func Ext1Stopping(iters int, seed int64) Report {
 		"\nThe stopping variant holds the applied configuration during stable plateaus\n"+
 			"(%.0f%% of intervals) and cuts reconfigurations %dx while keeping cumulative\n"+
 			"performance within a few percent — the paper's proposed availability win.\n",
-		100*pausedFraction, maxInt(1, alwaysRe/maxInt(1, stopRe)))
+		100*pausedFraction, max(1, alwaysRe/max(1, stopRe)))
 	return Report{ID: "ext1", Title: "Extension (§8): stopping-and-triggering mechanism", Body: body}
-}
-
-func sameUnit(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

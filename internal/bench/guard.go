@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,7 +114,7 @@ func CompareArtifacts(base, fresh Artifact, tol Tolerances) []GuardFinding {
 		bCum, fCum := bs.CumFinal(), fs.CumFinal()
 		// Objectives are maximized (negative for OLAP exec time /
 		// latency), so regression means drifting down beyond tolerance.
-		at(bs.Name, "cum_final", bCum, fCum, fCum < bCum-tol.PerfRel*abs(bCum), "")
+		at(bs.Name, "cum_final", bCum, fCum, fCum < bCum-tol.PerfRel*math.Abs(bCum), "")
 		at(bs.Name, "unsafe", float64(bs.Unsafe), float64(fs.Unsafe), fs.Unsafe > bs.Unsafe+tol.UnsafeSlack, "")
 		at(bs.Name, "failures", float64(bs.Failures), float64(fs.Failures), fs.Failures > bs.Failures+tol.FailureSlack, "")
 	}

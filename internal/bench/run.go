@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/baselines"
@@ -154,7 +155,7 @@ func Run(t tune.Tuner, rc RunConfig) *Series {
 		if res.Failed {
 			s.Failures++
 			s.Unsafe++
-		} else if perf < tau-UnsafeMargin*abs(tau) {
+		} else if perf < tau-UnsafeMargin*math.Abs(tau) {
 			s.Unsafe++
 		}
 		if ot, ok := t.(interface{ Last() *core.Recommendation }); ok {
@@ -166,13 +167,6 @@ func Run(t tune.Tuner, rc RunConfig) *Series {
 		}
 	}
 	return s
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // StandardTuners builds the paper's baseline set for a knob space:

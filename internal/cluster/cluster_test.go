@@ -9,8 +9,8 @@ import (
 	"repro/internal/mathx"
 )
 
-// dbscanBrute is the reference O(n²) implementation the grid index and
-// the cached distance matrix are checked against.
+// dbscanBrute is the reference O(n²) implementation the cached distance
+// matrix is checked against.
 func dbscanBrute(points [][]float64, eps float64, minPts int) DBSCANResult {
 	return dbscanFrom(&bruteSource{points: points, eps: eps}, minPts)
 }
@@ -185,7 +185,8 @@ func TestEpsIsEuclideanRadius(t *testing.T) {
 	if res := DBSCAN(apart, 2.0, 2); res.NumClusters != 1 {
 		t.Fatal("eps compared as squared distance: 1.5-apart points with eps=2 must cluster under Euclidean semantics")
 	}
-	// The index and the cached matrix share the same semantics.
+	// The package-level entry point and a caller-held matrix share the
+	// same semantics.
 	m := NewDistMatrix(apart)
 	if res := m.DBSCAN(2.0, 2); res.NumClusters != 1 {
 		t.Fatal("DistMatrix.DBSCAN changed eps semantics")
@@ -195,10 +196,10 @@ func TestEpsIsEuclideanRadius(t *testing.T) {
 	}
 }
 
-// Property: grid-indexed DBSCAN is identical to the brute-force
-// reference across dimensions covering all three index strategies
-// (3^d enumeration, occupied-cell scan, brute fallback).
-func TestQuickGridMatchesBrute(t *testing.T) {
+// Property: DBSCAN over the cached distance matrix is identical to the
+// brute-force reference across dimensions 1–40 (contexts are
+// 12-dimensional; knob spaces reach 40).
+func TestQuickMatrixMatchesBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dims := []int{1, 2, 3, 7, 12, 40}[rng.Intn(6)]
@@ -272,16 +273,9 @@ func TestQuickDistMatrixIncremental(t *testing.T) {
 func TestKDistanceMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts, _ := twoBlobs(rng, 20)
-	kd := KDistance(pts, 4)
 	m := NewDistMatrix(pts)
-	km := m.KDistance(4)
-	for i := range kd {
-		if kd[i] != km[i] {
-			t.Fatalf("KDistance[%d]: %v vs matrix %v", i, kd[i], km[i])
-		}
-	}
-	if SuggestEps(pts, 4) != m.SuggestEps(4) {
-		t.Fatal("SuggestEps must match matrix path")
+	if eps := SuggestEps(pts, 4); eps != m.SuggestEps(4) || eps != mathx.Quantile(m.KDistance(4), 0.90) {
+		t.Fatalf("SuggestEps = %v, want the 0.90 quantile of the matrix's k-distances", eps)
 	}
 }
 

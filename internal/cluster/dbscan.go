@@ -7,8 +7,8 @@
 // (L2) radius, compared against mathx.Dist2 — whose trailing "2" names
 // the norm order, NOT a squared distance. A point at Euclidean distance
 // exactly eps is inside the neighborhood. TestEpsIsEuclideanRadius pins
-// this down so the grid index (grid.go) and the cached distance matrix
-// (dist.go) cannot silently change it.
+// this down so the cached distance matrix (dist.go), the one neighbor
+// source, cannot silently change it.
 package cluster
 
 import (
@@ -32,7 +32,8 @@ type DBSCANResult struct {
 // neighborSource answers fixed-radius neighbor queries for dbscanFrom.
 // neighbors must append every j (self included) whose Euclidean distance
 // to point i is ≤ eps, in ascending index order — the order a scan over
-// all points produces, so every source yields identical clusters.
+// all points produces, so every source yields identical clusters. The
+// tests' O(n²) scan is the reference the matrix is checked against.
 type neighborSource interface {
 	size() int
 	neighbors(i int, out []int) []int
@@ -41,11 +42,9 @@ type neighborSource interface {
 // DBSCAN clusters points by density (Ester et al., 1996). eps is the
 // Euclidean neighborhood radius (see the package comment); minPts the
 // density threshold (a point is core if its eps-neighborhood, itself
-// included, holds at least minPts points). Neighbor queries run over a
-// uniform grid index that scans every point in high dimension; the
-// package's tests check it against an O(n²) reference.
+// included, holds at least minPts points).
 func DBSCAN(points [][]float64, eps float64, minPts int) DBSCANResult {
-	return dbscanFrom(NewIndex(points, eps), minPts)
+	return NewDistMatrix(points).DBSCAN(eps, minPts)
 }
 
 // dbscanFrom is the DBSCAN core over any neighbor source.
@@ -119,13 +118,6 @@ func (r *DBSCANResult) assignNearest(dist func(i, j int) float64) {
 		}
 		r.Labels[i] = best
 	}
-}
-
-// KDistance returns the distance from each point to its k-th nearest
-// neighbor — the standard heuristic for choosing DBSCAN's eps (use a
-// high quantile of the returned values).
-func KDistance(points [][]float64, k int) []float64 {
-	return NewDistMatrix(points).KDistance(k)
 }
 
 // SuggestEps picks an eps for DBSCAN from the k-distance distribution.

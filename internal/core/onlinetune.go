@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/forest"
@@ -300,10 +299,10 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.times.Iters++
-	t0 := time.Now() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	t0 := now()
 	mi := o.selectModel(ctx)
 	m := o.models[mi]
-	o.times.ModelSelect += time.Since(t0) //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	o.times.ModelSelect += since(t0)
 
 	// A holding rollout state pins the recommendation: an in-flight
 	// canary/tuning window keeps the primary on last-good and the
@@ -392,7 +391,7 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	}
 
 	// ③ Subspace adaptation (or the whole space for the ablation).
-	t0 = time.Now() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	t0 = now()
 	var candidates [][]float64
 	regionKind := "global"
 	if o.Opts.UseSubspace && o.Opts.UseSafety {
@@ -416,10 +415,10 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	}
 	// Fleet transfers ride the same assessment as local candidates.
 	candidates = o.appendTransfers(m, candidates)
-	o.times.SubspaceAdapt += time.Since(t0) //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	o.times.SubspaceAdapt += since(t0)
 
 	// ④ Safety assessment: black box...
-	t0 = time.Now() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	t0 = now()
 	tauEff := tau + o.Opts.SafetyMargin*math.Abs(tau)
 	if !o.Opts.UseSafety || !o.Opts.UseBlackBox {
 		// Without black-box safety every candidate is admissible, and
@@ -434,10 +433,10 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 		ignored, vetoes = o.applyWhiteBox(assess, env)
 	}
 
-	o.times.SafetyAssess += time.Since(t0) //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	o.times.SafetyAssess += since(t0)
 
 	// ⑤ Candidate selection: ε-greedy between UCB and safe boundary.
-	t0 = time.Now() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	t0 = now()
 	boundary := o.rng.Float64() < o.Opts.Epsilon
 	var pick int
 	if boundary {
@@ -467,7 +466,7 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	}
 	rec.Config = o.Space.Decode(rec.Unit)
 	o.pendingRule = rec.IgnoredRule
-	o.times.CandidateSelect += time.Since(t0) //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	o.times.CandidateSelect += since(t0)
 	return o.finishRecommend(rec)
 }
 
@@ -622,8 +621,8 @@ func (o *OnlineTune) applyWhiteBox(assess *safety.Assessment, env whitebox.Env) 
 func (o *OnlineTune) Observe(iter int, ctx, unit []float64, perf, tau float64, failed bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	t0 := time.Now()                                         //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
-	defer func() { o.times.ModelUpdate += time.Since(t0) }() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	t0 := now()
+	defer func() { o.times.ModelUpdate += since(t0) }()
 	// A switchover interval measures the newly serving replica during
 	// its expected cache-cold dip: the measurement feeds the rollout
 	// controller's cost accounting (downtime, in-flight failures) but
@@ -652,8 +651,8 @@ func (o *OnlineTune) Observe(iter int, ctx, unit []float64, perf, tau float64, f
 func (o *OnlineTune) ObservePair(iter int, ctx []float64, primaryPerf, shadowPerf, tau float64, primaryFailed, shadowFailed bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	t0 := time.Now()                                         //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
-	defer func() { o.times.ModelUpdate += time.Since(t0) }() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+	t0 := now()
+	defer func() { o.times.ModelUpdate += since(t0) }()
 	if o.roll == nil || !o.roll.CanaryActive() {
 		// Attribute the measurement to what the primary actually ran —
 		// the last recommendation. The controller's last-good can be
@@ -918,14 +917,6 @@ func (o *OnlineTune) NumModels() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return len(o.models)
-}
-
-// ModelBest returns model i's best unit configuration and performance.
-func (o *OnlineTune) ModelBest(i int) ([]float64, float64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m := o.models[i]
-	return mathx.VecClone(o.bestCenter(m)), m.bestPerf
 }
 
 // Best returns the best configuration and performance across all cluster

@@ -111,7 +111,7 @@ func TestObserveTracksBest(t *testing.T) {
 	u2 := append([]float64{}, u1...)
 	u2[0] = 0.9
 	tuner.Observe(1, ctx, u2, 150, 90, false)
-	best, perf := tuner.ModelBest(0)
+	best, perf := tuner.Best()
 	if perf != 150 || best[0] != 0.9 {
 		t.Fatalf("best not tracked: %v %v", best, perf)
 	}
@@ -119,7 +119,7 @@ func TestObserveTracksBest(t *testing.T) {
 	u3 := append([]float64{}, u1...)
 	u3[1] = 0.9
 	tuner.Observe(2, ctx, u3, 200, 300, false) // perf < tau: unsafe
-	_, perf = tuner.ModelBest(0)
+	_, perf = tuner.Best()
 	if perf != 150 {
 		t.Fatalf("unsafe observation replaced best: %v", perf)
 	}

@@ -19,3 +19,12 @@ func (o *OnlineTune) Timings() StageTimes {
 	defer o.mu.Unlock()
 	return o.times
 }
+
+// now and since are core's only wall-clock reads; both feed StageTimes.
+func now() time.Time {
+	return time.Now() //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+}
+
+func since(t0 time.Time) time.Duration {
+	return time.Since(t0) //tunevet:ignore determinism -- Timings are operator-facing wall-clock metrics; they never enter the event log, snapshots, or any recommendation, so replay is unaffected
+}

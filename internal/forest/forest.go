@@ -237,19 +237,6 @@ func (f *Forest) mse(x [][]float64, y []float64) float64 {
 	return s / float64(len(x))
 }
 
-// TopK returns the indices of the k largest importances, descending.
-func TopK(importance []float64, k int) []int {
-	idx := make([]int, len(importance))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return importance[idx[a]] > importance[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
 // R2 returns the coefficient of determination of the forest on (x, y).
 func (f *Forest) R2(x [][]float64, y []float64) float64 {
 	if len(x) == 0 {

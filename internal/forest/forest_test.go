@@ -119,17 +119,6 @@ func TestImportanceDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	imp := []float64{0.1, 0.5, 0.2, 0.15, 0.05}
-	top := TopK(imp, 3)
-	if top[0] != 1 || top[1] != 2 || top[2] != 3 {
-		t.Fatalf("TopK = %v", top)
-	}
-	if len(TopK(imp, 99)) != 5 {
-		t.Fatal("TopK should cap at length")
-	}
-}
-
 func TestForestEmpty(t *testing.T) {
 	fr := NewForest(5, 3, 2)
 	fr.Fit(nil, nil, 1)

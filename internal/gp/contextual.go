@@ -84,12 +84,6 @@ func (c *ContextualGP) BestByPosterior(ctx []float64) (config []float64, mean fl
 	return mathx.VecClone(g.x[bestIdx][:c.configDim]), bestMu, true
 }
 
-// ConfigDim returns the configuration dimensionality.
-func (c *ContextualGP) ConfigDim() int { return c.configDim }
-
-// CtxDim returns the context dimensionality.
-func (c *ContextualGP) CtxDim() int { return c.ctxDim }
-
 // Len returns the number of conditioning observations.
 func (c *ContextualGP) Len() int { return c.gp.Len() }
 

@@ -232,15 +232,6 @@ func (s *Space) Quantize(u []float64) []float64 {
 	return q
 }
 
-// Names returns the knob names in order.
-func (s *Space) Names() []string {
-	out := make([]string, len(s.Knobs))
-	for i, k := range s.Knobs {
-		out[i] = k.Name
-	}
-	return out
-}
-
 // Subspace returns a new Space containing only the named knobs, in the
 // given order, preserving the engine tag. It panics if a name is
 // unknown.

@@ -58,13 +58,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
@@ -115,14 +108,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
 // AddMat adds b element-wise in place and returns m.
 func (m *Matrix) AddMat(b *Matrix) *Matrix {
 	if m.Rows != b.Rows || m.Cols != b.Cols {
@@ -157,17 +142,6 @@ func (m *Matrix) Trace() float64 {
 		s += m.At(i, i)
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for empty matrices.
-func (m *Matrix) MaxAbs() float64 {
-	best := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
 }
 
 // Dot returns the inner product of two equal-length vectors.

@@ -169,26 +169,3 @@ func vecAffine(out, a, b []float64, ca, cb float64) []float64 {
 	}
 	return out
 }
-
-// GoldenSection minimizes a one-dimensional function on [lo, hi] using
-// golden-section search with the given number of iterations.
-func GoldenSection(f func(float64) float64, lo, hi float64, iters int) (float64, float64) {
-	const phi = 0.6180339887498949 // (sqrt(5)-1)/2
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := f(c), f(d)
-	for i := 0; i < iters; i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = f(d)
-		}
-	}
-	x := (a + b) / 2
-	return x, f(x)
-}

@@ -102,20 +102,6 @@ func ArgMax(v []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the smallest element, or -1 for empty input.
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v {
-		if x < v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // NormalPDF returns the standard normal density at x.
 func NormalPDF(x float64) float64 {
 	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
@@ -134,56 +120,6 @@ func Sigmoid(x float64) float64 {
 	}
 	z := math.Exp(x)
 	return z / (1 + z)
-}
-
-// Logistic maps x through a logistic curve with midpoint m and steepness k.
-func Logistic(x, m, k float64) float64 { return Sigmoid(k * (x - m)) }
-
-// Standardize returns (v - mean)/std for each element, along with the mean
-// and std that were used. A zero std is replaced by 1 to avoid division by
-// zero (the output is then all zeros).
-func Standardize(v []float64) (out []float64, mean, std float64) {
-	mean = Mean(v)
-	std = StdDev(v)
-	if std == 0 {
-		std = 1
-	}
-	out = make([]float64, len(v))
-	for i, x := range v {
-		out[i] = (x - mean) / std
-	}
-	return out, mean, std
-}
-
-// Pearson returns the Pearson correlation coefficient of a and b, or 0
-// when either input has zero variance.
-func Pearson(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	ma, mb := Mean(a), Mean(b)
-	var num, da, db float64
-	for i := range a {
-		xa, xb := a[i]-ma, b[i]-mb
-		num += xa * xb
-		da += xa * xa
-		db += xb * xb
-	}
-	if da == 0 || db == 0 {
-		return 0
-	}
-	return num / math.Sqrt(da*db)
-}
-
-// CumSum returns the running sums of v.
-func CumSum(v []float64) []float64 {
-	out := make([]float64, len(v))
-	s := 0.0
-	for i, x := range v {
-		s += x
-		out[i] = s
-	}
-	return out
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

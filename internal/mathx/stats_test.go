@@ -39,11 +39,11 @@ func TestMinMaxArg(t *testing.T) {
 	if Min(v) != 1 || Max(v) != 5 {
 		t.Fatal("Min/Max wrong")
 	}
-	if ArgMax(v) != 4 || ArgMin(v) != 1 {
-		t.Fatal("ArgMax/ArgMin wrong")
+	if ArgMax(v) != 4 {
+		t.Fatal("ArgMax wrong")
 	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Fatal("empty Arg* should be -1")
+	if ArgMax(nil) != -1 {
+		t.Fatal("empty ArgMax should be -1")
 	}
 }
 
@@ -83,44 +83,7 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func TestStandardize(t *testing.T) {
-	v := []float64{2, 4, 6}
-	out, mean, std := Standardize(v)
-	if mean != 4 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if !almostEq(Mean(out), 0, 1e-12) || !almostEq(StdDev(out), 1, 1e-12) {
-		t.Fatalf("standardized stats wrong: %v %v", Mean(out), StdDev(out))
-	}
-	_ = std
-	// Constant vector: no NaNs.
-	out2, _, _ := Standardize([]float64{5, 5, 5})
-	for _, x := range out2 {
-		if math.IsNaN(x) || x != 0 {
-			t.Fatal("constant vector should standardize to zeros")
-		}
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if !almostEq(Pearson(a, a), 1, 1e-12) {
-		t.Fatal("self-correlation != 1")
-	}
-	b := []float64{4, 3, 2, 1}
-	if !almostEq(Pearson(a, b), -1, 1e-12) {
-		t.Fatal("anti-correlation != -1")
-	}
-	if Pearson(a, []float64{7, 7, 7, 7}) != 0 {
-		t.Fatal("zero-variance should give 0")
-	}
-}
-
 func TestCumSumLinspace(t *testing.T) {
-	cs := CumSum([]float64{1, 2, 3})
-	if cs[2] != 6 || cs[0] != 1 {
-		t.Fatalf("CumSum = %v", cs)
-	}
 	ls := Linspace(0, 1, 5)
 	if ls[0] != 0 || ls[4] != 1 || !almostEq(ls[2], 0.5, 1e-12) {
 		t.Fatalf("Linspace = %v", ls)
@@ -173,13 +136,6 @@ func TestNelderMeadClipped(t *testing.T) {
 	}
 	if x[0] < 0.99 {
 		t.Fatalf("did not reach clip boundary: %v", x[0])
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	x, v := GoldenSection(func(x float64) float64 { return (x - 2) * (x - 2) }, -10, 10, 60)
-	if !almostEq(x, 2, 1e-4) || v > 1e-6 {
-		t.Fatalf("GoldenSection min at %v (%v)", x, v)
 	}
 }
 

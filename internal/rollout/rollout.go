@@ -400,9 +400,6 @@ func NewController(p Policy, initial []float64) *Controller {
 	}
 }
 
-// Mode returns the active rollout mode.
-func (c *Controller) Mode() string { return c.policy.Mode }
-
 // CanaryActive reports whether a candidate is staged on the non-serving
 // replica (canary phase in canary mode, tuning phase in bluegreen).
 func (c *Controller) CanaryActive() bool { return c.candidate != nil }

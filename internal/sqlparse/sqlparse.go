@@ -73,38 +73,6 @@ func Tokenize(sql string) []string {
 	return toks
 }
 
-// Class is a coarse statement classification.
-type Class int
-
-// Statement classes.
-const (
-	ClassSelect Class = iota
-	ClassInsert
-	ClassUpdate
-	ClassDelete
-	ClassOther
-)
-
-// Classify returns the statement class from the leading keyword.
-func Classify(sql string) Class {
-	t := Tokenize(sql)
-	if len(t) == 0 {
-		return ClassOther
-	}
-	switch t[0] {
-	case "select":
-		return ClassSelect
-	case "insert", "replace":
-		return ClassInsert
-	case "update":
-		return ClassUpdate
-	case "delete":
-		return ClassDelete
-	default:
-		return ClassOther
-	}
-}
-
 // Vocab maps tokens to bounded integer ids. New tokens are admitted until
 // the capacity is reached; after that they map to TokUnk. This bounds the
 // LSTM's embedding table while generalizing across workloads.
@@ -183,10 +151,4 @@ func (v *Vocab) EncodeTokens(toks []string) []int {
 // featurizer's template-keyed encoding cache.
 func TemplateKey(toks []string) string {
 	return strings.Join(toks, " ")
-}
-
-// Template returns the template signature of a raw SQL statement:
-// Template(sql) == TemplateKey(Tokenize(sql)).
-func Template(sql string) string {
-	return TemplateKey(Tokenize(sql))
 }

@@ -6,21 +6,15 @@ import (
 )
 
 func TestTemplateSharedAcrossLiterals(t *testing.T) {
-	a := Template("SELECT c FROM t WHERE id = 42 AND name = 'bob'")
-	b := Template("select c from t where id = 90210 and name = 'alice'")
+	template := func(sql string) string { return TemplateKey(Tokenize(sql)) }
+	a := template("SELECT c FROM t WHERE id = 42 AND name = 'bob'")
+	b := template("select c from t where id = 90210 and name = 'alice'")
 	if a != b {
 		t.Fatalf("literal-only variants should share a template:\n%q\n%q", a, b)
 	}
-	c := Template("SELECT c FROM t WHERE id = 42 OR name = 'bob'")
+	c := template("SELECT c FROM t WHERE id = 42 OR name = 'bob'")
 	if a == c {
 		t.Fatal("structurally different statements must not share a template")
-	}
-}
-
-func TestTemplateKeyMatchesTokenize(t *testing.T) {
-	sql := "UPDATE t SET v = 3.5 WHERE k >= 10"
-	if Template(sql) != TemplateKey(Tokenize(sql)) {
-		t.Fatal("Template must equal TemplateKey∘Tokenize")
 	}
 }
 
@@ -106,23 +100,6 @@ func TestTokenizeFloatAndEmpty(t *testing.T) {
 	}
 	if len(Tokenize("   ")) != 0 {
 		t.Fatal("whitespace should yield no tokens")
-	}
-}
-
-func TestClassify(t *testing.T) {
-	cases := map[string]Class{
-		"SELECT 1":             ClassSelect,
-		"insert into t values": ClassInsert,
-		"REPLACE INTO t":       ClassInsert,
-		"Update t set x = 1":   ClassUpdate,
-		"DELETE FROM t":        ClassDelete,
-		"BEGIN":                ClassOther,
-		"":                     ClassOther,
-	}
-	for sql, want := range cases {
-		if got := Classify(sql); got != want {
-			t.Fatalf("Classify(%q) = %v, want %v", sql, got, want)
-		}
 	}
 }
 

@@ -205,6 +205,3 @@ func (m *Multiclass) Predict(p []float64) int {
 	}
 	return best
 }
-
-// NumClasses returns the number of classes seen at fit time.
-func (m *Multiclass) NumClasses() int { return len(m.classes) }

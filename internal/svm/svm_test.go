@@ -81,8 +81,8 @@ func TestMulticlassThreeBlobs(t *testing.T) {
 	}
 	m := NewMulticlass(5, RBFKernel(0.5))
 	m.Fit(x, y, 11)
-	if m.NumClasses() != 3 {
-		t.Fatalf("NumClasses = %d", m.NumClasses())
+	if len(m.classes) != 3 {
+		t.Fatalf("NumClasses = %d", len(m.classes))
 	}
 	errs := 0
 	for i := range x {

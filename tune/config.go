@@ -110,8 +110,9 @@ type Config struct {
 	// Stopping configures the "stopping" backend; ignored otherwise.
 	// Zero fields take the defaults (EITrigger 0.05, Patience 4).
 	Stopping *StoppingConfig `json:"stopping,omitempty"`
-	// Options overrides every algorithm option at once (ablations,
-	// benchmark variants). DisableSafety still applies on top.
+	// Options replaces every algorithm option at once and must be a
+	// complete safety-on set (validateOptions). DisableSafety still
+	// applies on top.
 	Options *TunerOptions `json:"options,omitempty"`
 	// Hardware overrides the instance description the white-box rules
 	// reason about; defaults to the paper's 8 vCPU / 16 GB instance.
@@ -204,6 +205,37 @@ func (c Config) options() core.Options {
 		opts.Knowledge = c.know
 	}
 	return opts
+}
+
+// validateOptions rejects an explicit options object that is not a
+// complete safety-on set. Options replaces the defaults wholesale and
+// decodes every omitted field to zero, so a partial object would switch
+// safety off by omission or divide by a zero ReclusterEvery on the first
+// report. disable_safety is the one deliberate opt-out and
+// config.rollout the one way to enable the rollout.
+func (c Config) validateOptions() error {
+	o := c.Options
+	if o == nil {
+		return nil
+	}
+	for _, check := range []struct {
+		ok   bool
+		want string
+	}{
+		{o.UseSafety && o.UseBlackBox && o.UseWhiteBox && o.UseSubspace && o.UseClustering,
+			"all five Use* switches true (disable_safety is the opt-out)"},
+		{o.Rollout == rollout.Policy{}, "Rollout unset (config.rollout enables it)"},
+		{o.Beta > 0 && o.SafetyMargin >= 0, "Beta > 0 and SafetyMargin >= 0"},
+		{o.Epsilon >= 0 && o.Epsilon <= 1 && o.MIThreshold >= 0 && o.MIThreshold <= 1, "Epsilon and MIThreshold in [0,1]"},
+		{o.Candidates >= 1 && o.ReclusterEvery >= 1 && o.MinRecluster >= 1, "Candidates, ReclusterEvery and MinRecluster >= 1"},
+		{o.ClusterCap >= 2, "ClusterCap >= 2"},
+		{o.HyperoptEvery >= 0 && o.RepoCap >= 0, "HyperoptEvery and RepoCap >= 0"},
+	} {
+		if !check.ok {
+			return fmt.Errorf("tune: %w: options must be a complete safety-on set: want %s", ErrInvalid, check.want)
+		}
+	}
+	return nil
 }
 
 // stopping resolves the stopping-backend parameters.

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -436,6 +437,62 @@ func TestManagerJournalBootRecovery(t *testing.T) {
 		t.Fatal("recovery materialized a log for the ghost session")
 	}
 	managedStep(t, m2, "db", ref, iters)
+}
+
+// TestJournalDropsDeletedIncarnationOnRecreate: an id deleted and
+// recreated between two journal rotations leaves both incarnations'
+// records in the journal. After kill -9 (every byte reached the OS, no
+// Close ran) boot recovery must patch nothing from the dead incarnation
+// — its indices continue past the new log's tail and would otherwise be
+// appended as if they extended it.
+func TestJournalDropsDeletedIncarnationOnRecreate(t *testing.T) {
+	stateDir := t.TempDir()
+	opts := ManagerOptions{NoFsync: true, CompactMin: 1000, CommitInterval: 200 * time.Microsecond}
+	m, err := NewManagerOpts(stateDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close() // after m2's: the "killed" process never closes in time to matter
+	run := func(seed int64, iters int) *Session {
+		cfg := Config{Space: "case5", Seed: seed}
+		if _, err := m.Create("db", cfg); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < iters; i++ {
+			managedStep(t, m, "db", ref, i)
+		}
+		return ref
+	}
+	run(7, 6)
+	if err := m.Delete("db"); err != nil {
+		t.Fatal(err)
+	}
+	ref := run(8, 2)
+	acked, err := m.Snapshot("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManagerOpts(stateDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if st := m2.Stats(); st.JournalPatchedRecords != 0 {
+		t.Fatalf("boot patched %d journal records into a log that had lost none", st.JournalPatchedRecords)
+	}
+	got, err := m2.Snapshot("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, acked) {
+		t.Fatal("recreated session recovered to a snapshot other than the one acked before the crash")
+	}
+	managedStep(t, m2, "db", ref, 2)
 }
 
 // TestWalEncoderMatchesMarshal pins the zero-alloc encoder's contract:

@@ -424,8 +424,8 @@ func (m *Manager) journalPath() string {
 // each session's journal records that contiguously extend its log's
 // intact tail are appended — and fsynced — before the journal is
 // truncated. Records for sessions with no on-disk files (deleted before
-// the crash) and records out of sequence (a deleted-then-recreated id's
-// stale leftovers) are dropped: a genuine tail is always contiguous,
+// the crash), records out of sequence and a deleted-then-recreated id's
+// earlier incarnation are dropped: a genuine tail is always contiguous,
 // because rotation fsyncs every log before the journal truncates.
 func (m *Manager) recoverJournal() error {
 	recovered, err := wal.ReadJournal(m.journalPath())
@@ -492,16 +492,27 @@ func (m *Manager) patchSessionLog(id string, payloads [][]byte) (int, error) {
 		}
 		next = len(f.Events)
 	}
-	patched := 0
-	for _, p := range payloads {
+	// Each event is journaled once and in order, so one incarnation's
+	// indices strictly increase: everything up to the last non-increase
+	// belongs to a deleted incarnation of a since-recreated id, and only
+	// what follows may extend this log.
+	idxs := make([]int, len(payloads))
+	live := 0
+	for i, p := range payloads {
 		var rec walRecord
 		if err := json.Unmarshal(p, &rec); err != nil {
-			return patched, fmt.Errorf("journal payload: %w", err)
+			return 0, fmt.Errorf("journal payload: %w", err)
 		}
-		if rec.Idx != next {
-			continue // already in the log, pre-base stale, or a recreated id's leftovers
+		if idxs[i] = rec.Idx; i > 0 && rec.Idx <= idxs[i-1] {
+			live = i
 		}
-		if err := lg.Append(p); err != nil {
+	}
+	patched := 0
+	for i := live; i < len(payloads); i++ {
+		if idxs[i] != next {
+			continue // already in the log or pre-base stale
+		}
+		if err := lg.Append(payloads[i]); err != nil {
 			return patched, err
 		}
 		next++
@@ -651,7 +662,10 @@ func (m *Manager) evictOne(v *managedSession) {
 	v.busy = true
 	v.mu.Unlock()
 	defer v.release()
-	if v.deleted || v.s == nil || v.elem != nil {
+	m.lmu.Lock()
+	relisted := v.elem != nil // another victim pop may be clearing it
+	m.lmu.Unlock()
+	if v.deleted || v.s == nil || relisted {
 		return
 	}
 	// Flushing the pending tail is enough: hydration replays base+tail,

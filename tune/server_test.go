@@ -340,6 +340,77 @@ func TestReportBodyRefusals(t *testing.T) {
 	doJSON(t, srv, "GET", "/v1/sessions/slow", nil, http.StatusNotFound, nil)
 }
 
+// TestCreateOptionsBodies: an explicit options object replaces the
+// defaults wholesale, so create accepts it only as a complete safety-on
+// set. A partial body (every omitted switch decodes to false, every
+// omitted count to zero) is a 400, not a session with safety off or one
+// that divides by a zero ReclusterEvery on its first report.
+func TestCreateOptionsBodies(t *testing.T) {
+	m, err := NewManager("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+
+	for i, tc := range []struct {
+		name    string
+		partial map[string]any      // a partial options object, or
+		edit    func(*TunerOptions) // an edit to the full default set
+		disable bool                // config.disable_safety
+		status  int
+	}{
+		{name: "partial, one number", partial: map[string]any{"Beta": 3}, status: http.StatusBadRequest},
+		{name: "partial, one switch", partial: map[string]any{"UseClustering": true}, status: http.StatusBadRequest},
+		{name: "full defaults", edit: func(*TunerOptions) {}, status: http.StatusCreated},
+		{name: "full, wider margin", edit: func(o *TunerOptions) { o.SafetyMargin = 0.05 }, status: http.StatusCreated},
+		{name: "full, disable_safety", edit: func(*TunerOptions) {}, disable: true, status: http.StatusCreated},
+		{name: "full, white box off", edit: func(o *TunerOptions) { o.UseWhiteBox = false }, status: http.StatusBadRequest},
+		{name: "full, safety off", edit: func(o *TunerOptions) { o.UseSafety = false }, status: http.StatusBadRequest},
+		{name: "full, rollout inside", edit: func(o *TunerOptions) { o.Rollout.Enabled = true }, status: http.StatusBadRequest},
+		{name: "full, zero ReclusterEvery", edit: func(o *TunerOptions) { o.ReclusterEvery = 0 }, status: http.StatusBadRequest},
+	} {
+		id := fmt.Sprintf("s%d", i)
+		var options any = tc.partial
+		want := DefaultTunerOptions()
+		if tc.edit != nil {
+			tc.edit(&want)
+			options = want
+		}
+		want.UseSafety = !tc.disable
+		body := map[string]any{"id": id, "config": map[string]any{
+			"space": "case5", "options": options, "disable_safety": tc.disable}}
+		if tc.status != http.StatusCreated {
+			var refusal struct {
+				Error string `json:"error"`
+			}
+			doJSON(t, srv, "POST", "/v1/sessions", body, tc.status, &refusal)
+			if !strings.Contains(refusal.Error, "complete safety-on set") {
+				t.Fatalf("%s: refusal %q does not say what an options object must be", tc.name, refusal.Error)
+			}
+			doJSON(t, srv, "GET", "/v1/sessions/"+id, nil, http.StatusNotFound, nil)
+			continue
+		}
+		doJSON(t, srv, "POST", "/v1/sessions", body, tc.status, nil)
+		var got TunerOptions
+		if err := m.withSession(id, func(e *managedSession) error {
+			got = e.s.Config().options()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+		for f := 0; f < gv.NumField(); f++ {
+			if g, w := gv.Field(f).Interface(), wv.Field(f).Interface(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: resolved %s = %v, want %v", tc.name, gv.Type().Field(f).Name, g, w)
+			}
+		}
+		// The accepted session serves an interval end to end.
+		doJSON(t, srv, "POST", "/v1/sessions/"+id+"/suggest", nil, http.StatusOK, nil)
+		doJSON(t, srv, "POST", "/v1/sessions/"+id+"/report", goldenOutcome(0), http.StatusOK, nil)
+	}
+}
+
 // TestManagerDeleteVsCheckpointRace hammers Delete against concurrent
 // Suggest checkpointing on the same id: once Delete returns and the
 // suggesters drain, no checkpoint file may remain (a racing checkpoint

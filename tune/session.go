@@ -259,6 +259,9 @@ func NewSession(cfg Config) (*Session, error) {
 	if err := cfg.Rollout.validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.validateOptions(); err != nil {
+		return nil, err
+	}
 	if cfg.Initial != nil {
 		cfg.Initial = cfg.Initial.Clone() // detach from the caller's map
 	}
