@@ -40,7 +40,7 @@ func (o *OnlineTune) applyAdvice(m *model, adv *knowledge.Advice, cold bool) {
 			continue
 		}
 		dup := false
-		for _, t := range m.transfer {
+		for _, t := range m.Transfer {
 			if key(t) == key(u) {
 				dup = true
 				break
@@ -49,16 +49,16 @@ func (o *OnlineTune) applyAdvice(m *model, adv *knowledge.Advice, cold bool) {
 		if dup {
 			continue
 		}
-		m.transfer = append(m.transfer, u)
-		if cold && (m.warmCenter == nil || m.evaluated[key(m.warmCenter)]) {
+		m.Transfer = append(m.Transfer, u)
+		if cold && (m.WarmCenter == nil || m.evaluated[key(m.WarmCenter)]) {
 			// Advice configs arrive best-first (promoted, then score). A
 			// warm center the model has since measured (e.g. one picked by
 			// the contextless first query and rolled back) yields to a
 			// fresh transfer.
-			m.warmCenter = mathx.VecClone(u)
+			m.WarmCenter = mathx.VecClone(u)
 		}
 	}
-	if len(adv.Hyper) > 0 && !m.hyperTuned {
+	if len(adv.Hyper) > 0 && !m.HyperTuned {
 		// Fleet-median hyperparameters replace the generic priors until
 		// the model optimizes its own — a model that already ran
 		// hyperopt keeps what it fit.
@@ -94,10 +94,10 @@ func (o *OnlineTune) warmApply(m *model, env whitebox.Env) []float64 {
 		}
 		return true
 	}
-	if admissible(m.warmCenter) {
-		return mathx.VecClone(m.warmCenter)
+	if admissible(m.WarmCenter) {
+		return mathx.VecClone(m.WarmCenter)
 	}
-	for _, t := range m.transfer {
+	for _, t := range m.Transfer {
 		if admissible(t) {
 			return mathx.VecClone(t)
 		}
@@ -110,18 +110,18 @@ func (o *OnlineTune) warmApply(m *model, env whitebox.Env) []float64 {
 // evaluated are retired; the rest ride along through safety.Assess and
 // the white-box rules exactly like locally sampled candidates.
 func (o *OnlineTune) appendTransfers(m *model, candidates [][]float64) [][]float64 {
-	if len(m.transfer) == 0 {
+	if len(m.Transfer) == 0 {
 		return candidates
 	}
-	kept := m.transfer[:0]
-	for _, t := range m.transfer {
+	kept := m.Transfer[:0]
+	for _, t := range m.Transfer {
 		if m.evaluated[key(t)] {
 			continue
 		}
 		kept = append(kept, t)
 		candidates = append(candidates, mathx.VecClone(t))
 	}
-	m.transfer = kept
+	m.Transfer = kept
 	return candidates
 }
 
@@ -133,7 +133,7 @@ func (o *OnlineTune) contribute(m *model, ctx, unit []float64, perf, tau float64
 		return
 	}
 	var hyper []float64
-	if m.hyperTuned {
+	if m.HyperTuned {
 		hyper = m.gp.Hyperparams()
 	}
 	o.Opts.Knowledge.Contribute(ctx, knowledge.SafeConfig{

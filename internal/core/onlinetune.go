@@ -11,7 +11,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/cluster"
@@ -97,62 +96,70 @@ func DefaultOptions() Options {
 
 // model is one cluster's contextual GP with its subspace state.
 type model struct {
-	gp       *gp.ContextualGP
-	adapter  *subspace.Adapter
-	bestUnit []float64
-	bestPerf float64
-	lastPerf float64
-	hasLast  bool
+	gp      *gp.ContextualGP
+	adapter *subspace.Adapter
 	// evaluated remembers quantized candidates already tried, to detect
 	// an exhausted safety set (a switching-rule trigger).
 	evaluated map[string]bool
-	obsCount  int
-	// coolDown > 0 forces conservative fallback recommendations after an
-	// unsafe evaluation (the paper's immediate tightening reaction).
-	coolDown int
+	bestPerf  float64 // −Inf before the first safe observation
+	modelState
+}
 
-	// Fleet-transfer state: transfer holds advised configurations not
+// modelState is a cluster model's bookkeeping, exported as is.
+type modelState struct {
+	BestUnit []float64 `json:"best_unit"`
+	LastPerf float64   `json:"last_perf,omitempty"`
+	HasLast  bool      `json:"has_last,omitempty"`
+	ObsCount int       `json:"obs_count"`
+	// CoolDown > 0 forces conservative fallback recommendations after an
+	// unsafe evaluation (the paper's immediate tightening reaction).
+	CoolDown int `json:"cool_down,omitempty"`
+
+	// Fleet-transfer state: Transfer holds advised configurations not
 	// yet evaluated locally (injected into assessed candidate rounds),
-	// warmCenter centers the subspace until a measured incumbent exists,
-	// and hyperTuned marks that this model has optimized its own GP
+	// WarmCenter centers the subspace until a measured incumbent exists,
+	// and HyperTuned marks that this model has optimized its own GP
 	// hyperparameters (the gate for contributing them to the fleet).
-	transfer   [][]float64
-	warmCenter []float64
-	hyperTuned bool
+	Transfer   [][]float64 `json:"transfer,omitempty"`
+	WarmCenter []float64   `json:"warm_center,omitempty"`
+	HyperTuned bool        `json:"hyper_tuned,omitempty"`
 }
 
 // Recommendation describes one recommended configuration and the
 // decision path that produced it (for the case-study visualizations).
+// Its JSON form leaves out what State restores from other fields: the
+// configurations (decoded from the units) and the ignored rule (stored by
+// name).
 type Recommendation struct {
-	Unit   []float64
-	Config knobs.Config
+	Unit   []float64    `json:"unit"`
+	Config knobs.Config `json:"-"`
 	// Boundary reports whether the ε-greedy branch picked the safe
 	// boundary point rather than the UCB maximizer.
-	Boundary bool
+	Boundary bool `json:"boundary,omitempty"`
 	// Fallback reports that the safe set was empty and the tuner stayed
 	// at the best known configuration.
-	Fallback bool
+	Fallback bool `json:"fallback,omitempty"`
 	// SafetySetSize is the number of safe candidates this round.
-	SafetySetSize int
+	SafetySetSize int `json:"safety_set_size,omitempty"`
 	// ModelIndex is the selected cluster model.
-	ModelIndex int
+	ModelIndex int `json:"model_index,omitempty"`
 	// IgnoredRule is the white-box rule bypassed by conflict relaxation.
-	IgnoredRule *whitebox.Rule
+	IgnoredRule *whitebox.Rule `json:"-"`
 	// RegionKind is the subspace type used ("hypercube"/"line").
-	RegionKind string
+	RegionKind string `json:"region_kind,omitempty"`
 	// WhiteBoxVetoes counts candidates the rule engine rejected this
 	// round (white-box rule hits).
-	WhiteBoxVetoes int
+	WhiteBoxVetoes int `json:"white_box_vetoes,omitempty"`
 	// RolloutPhase reports the canary rollout state this recommendation
 	// was routed through: "" (rollout disabled — direct apply), "steady"
 	// (no candidate in flight, Unit goes straight to the primary), or
 	// "canary" (Unit/Config carry the primary's last-good configuration
 	// while ShadowUnit/ShadowConfig carry the candidate staged on the
 	// shadow replica; report the pair through ObservePair).
-	RolloutPhase string
+	RolloutPhase string `json:"rollout_phase,omitempty"`
 	// ShadowUnit/ShadowConfig are the staged candidate during a canary.
-	ShadowUnit   []float64
-	ShadowConfig knobs.Config
+	ShadowUnit   []float64    `json:"shadow_unit,omitempty"`
+	ShadowConfig knobs.Config `json:"-"`
 }
 
 // OnlineTune is the tuner. It is safe for concurrent use: Recommend,
@@ -176,6 +183,7 @@ type OnlineTune struct {
 	models     []*model
 	labels     []int // cluster label per repo observation
 	classifier *svm.Multiclass
+	src        *mathx.Source // rng's source, counting its draws
 	rng        *rand.Rand
 	seed       int64
 
@@ -210,11 +218,12 @@ func New(space *knobs.Space, ctxDim int, initialSafe []float64, seed int64, opts
 		White:        whitebox.NewEngineFor(space.Engine),
 		Repo:         repo.NewBounded(opts.RepoCap),
 		ctxDim:       ctxDim,
-		rng:          rand.New(rand.NewSource(seed)),
+		src:          mathx.NewSource(seed, 0),
 		seed:         seed,
 		initialUnit:  mathx.VecClone(initialSafe),
 		reclusterIdx: cluster.NewDistMatrix(nil),
 	}
+	o.rng = rand.New(o.src)
 	if opts.Rollout.Enabled {
 		o.roll = rollout.NewController(opts.Rollout, initialSafe)
 	}
@@ -374,16 +383,16 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	// Recenter on the posterior-mean best for this context (robust to
 	// noisy samples).
 	if bu, mu, ok := m.gp.BestByPosterior(ctx); ok && mu >= tau {
-		m.bestUnit = bu
+		m.BestUnit = bu
 	}
 
 	// Novel context or post-unsafe cooldown: measure the evaluated-best
 	// configuration conservatively before exploring (§7.2: after an
 	// unsafe evaluation the safety estimate is tightened and conservative
 	// configurations near the evaluated-best are recommended).
-	if o.Opts.UseSafety && (m.coolDown > 0 || o.contextNovel(m, ctx)) {
-		if m.coolDown > 0 {
-			m.coolDown--
+	if o.Opts.UseSafety && (m.CoolDown > 0 || o.contextNovel(m, ctx)) {
+		if m.CoolDown > 0 {
+			m.CoolDown--
 		}
 		u := mathx.VecClone(o.bestCenter(m))
 		rec := Recommendation{Unit: u, Config: o.Space.Decode(u), Fallback: true, ModelIndex: mi, RegionKind: "probe"}
@@ -500,7 +509,7 @@ func (o *OnlineTune) bestCenter(m *model) []float64 {
 	if math.IsInf(m.bestPerf, -1) {
 		return o.initialUnit
 	}
-	return m.bestUnit
+	return m.BestUnit
 }
 
 // regionCenter is the subspace anchor: the measured incumbent when one
@@ -509,8 +518,8 @@ func (o *OnlineTune) bestCenter(m *model) []float64 {
 // else the initial safe configuration. Only the region center — what is
 // *applied* still goes through bestCenter and the assessed candidates.
 func (o *OnlineTune) regionCenter(m *model) []float64 {
-	if math.IsInf(m.bestPerf, -1) && m.warmCenter != nil {
-		return m.warmCenter
+	if math.IsInf(m.bestPerf, -1) && m.WarmCenter != nil {
+		return m.WarmCenter
 	}
 	return o.bestCenter(m)
 }
@@ -737,28 +746,28 @@ func (o *OnlineTune) observeLocked(iter int, ctx, unit []float64, perf, tau floa
 	}
 	o.appendCapped(m, unit, ctx, target)
 	m.evaluated[key(o.Space.Quantize(unit))] = true
-	m.obsCount++
-	if o.Opts.HyperoptEvery > 0 && m.obsCount%o.Opts.HyperoptEvery == 0 {
+	m.ObsCount++
+	if o.Opts.HyperoptEvery > 0 && m.ObsCount%o.Opts.HyperoptEvery == 0 {
 		m.gp.OptimizeHyperparams(60)
-		m.hyperTuned = true
+		m.HyperTuned = true
 	}
 
 	// Subspace success/failure accounting.
-	success := m.hasLast && perf > m.lastPerf && !failed
+	success := m.HasLast && perf > m.LastPerf && !failed
 	rel := 0.0
-	if m.hasLast && m.lastPerf != 0 {
-		rel = (perf - m.lastPerf) / math.Abs(m.lastPerf)
+	if m.HasLast && m.LastPerf != 0 {
+		rel = (perf - m.LastPerf) / math.Abs(m.LastPerf)
 	}
 	m.adapter.Report(success, rel)
 	if !safe {
 		m.adapter.ReportUnsafe()
-		m.coolDown = 1
+		m.CoolDown = 1
 	}
-	m.lastPerf = perf
-	m.hasLast = true
+	m.LastPerf = perf
+	m.HasLast = true
 	if !failed && perf > m.bestPerf && safe {
 		m.bestPerf = perf
-		m.bestUnit = mathx.VecClone(unit)
+		m.BestUnit = mathx.VecClone(unit)
 	}
 
 	// White-box outcome for a bypassed rule.
@@ -866,7 +875,7 @@ func (o *OnlineTune) adoptClustering(res cluster.DBSCANResult) {
 		buckets[c] = append(buckets[c], triple{ob.Unit, ob.Context, target})
 		if !ob.Failed && ob.Safe && ob.Perf > newModels[c].bestPerf {
 			newModels[c].bestPerf = ob.Perf
-			newModels[c].bestUnit = mathx.VecClone(ob.Unit)
+			newModels[c].BestUnit = mathx.VecClone(ob.Unit)
 		}
 		newModels[c].evaluated[key(o.Space.Quantize(ob.Unit))] = true
 	}
@@ -884,25 +893,28 @@ func (o *OnlineTune) adoptClustering(res cluster.DBSCANResult) {
 			configs[i], ctxs[i], perfs[i] = t.unit, t.ctx, t.perf
 		}
 		_ = newModels[c].gp.Fit(configs, ctxs, perfs)
-		newModels[c].obsCount = len(b)
+		newModels[c].ObsCount = len(b)
 	}
 	o.models = newModels
 	o.labels = append([]int{}, res.Labels...)
 
 	// Decision boundary for unseen contexts.
-	clf := svm.NewMulticlass(5, svm.RBFKernel(2.0))
+	clf := newClassifier()
 	clf.Fit(o.Repo.Contexts(), o.labels, o.seed)
 	o.classifier = clf
 }
 
+// newClassifier is the untrained context-space classifier.
+func newClassifier() *svm.Multiclass { return svm.NewMulticlass(5, svm.RBFKernel(2.0)) }
+
 // newModelAt builds a model with a distinct adapter seed.
 func (o *OnlineTune) newModelAt(idx int, center []float64) *model {
 	m := &model{
-		gp:        gp.NewContextualWeighted(o.Space.Dim(), o.ctxDim, kernelWeights(o.Space)),
-		adapter:   subspace.NewAdapter(o.Space.Dim(), o.seed+int64(idx)*131+17),
-		bestUnit:  mathx.VecClone(center),
-		bestPerf:  math.Inf(-1),
-		evaluated: map[string]bool{},
+		gp:         gp.NewContextualWeighted(o.Space.Dim(), o.ctxDim, kernelWeights(o.Space)),
+		adapter:    subspace.NewAdapter(o.Space.Dim(), o.seed+int64(idx)*131+17),
+		bestPerf:   math.Inf(-1),
+		evaluated:  map[string]bool{},
+		modelState: modelState{BestUnit: mathx.VecClone(center)},
 	}
 	m.adapter.MinStep = minSteps(o.Space)
 	if d := o.Space.Dim(); d > 10 {
@@ -960,52 +972,6 @@ func (o *OnlineTune) Labels() []int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return append([]int(nil), o.labels...)
-}
-
-// ModelSnapshot is the externally visible state of one cluster model,
-// exported for session snapshots: the GP's training observations, the
-// incumbent, and the evaluated-configuration keys (the model's safe-set
-// memory, hex-encoded).
-type ModelSnapshot struct {
-	Units     [][]float64 `json:"units"`
-	Contexts  [][]float64 `json:"contexts"`
-	Perfs     []float64   `json:"perfs"`
-	BestUnit  []float64   `json:"best_unit"`
-	BestPerf  float64     `json:"best_perf"`
-	Evaluated []string    `json:"evaluated,omitempty"`
-	ObsCount  int         `json:"obs_count"`
-}
-
-// ModelSnapshotAt exports model i's state. Evaluated keys are sorted so
-// the snapshot is deterministic.
-func (o *OnlineTune) ModelSnapshotAt(i int) ModelSnapshot {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m := o.models[i]
-	units, ctxs, perfs := m.gp.Observations()
-	ms := ModelSnapshot{
-		Units: units, Contexts: ctxs, Perfs: perfs,
-		BestUnit: mathx.VecClone(o.bestCenter(m)), ObsCount: m.obsCount,
-	}
-	if !math.IsInf(m.bestPerf, -1) {
-		ms.BestPerf = m.bestPerf
-	}
-	for k := range m.evaluated {
-		ms.Evaluated = append(ms.Evaluated, hexKey(k))
-	}
-	sort.Strings(ms.Evaluated)
-	return ms
-}
-
-const hexDigits = "0123456789abcdef"
-
-// hexKey renders an evaluated-set key (raw quantized bytes) printable.
-func hexKey(k string) string {
-	out := make([]byte, 0, len(k)*2)
-	for i := 0; i < len(k); i++ {
-		out = append(out, hexDigits[k[i]>>4], hexDigits[k[i]&0xf])
-	}
-	return string(out)
 }
 
 // ExpectedImprovementAt returns the Expected Improvement of candidate u

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mathx"
@@ -24,13 +25,28 @@ type StoppingTuner struct {
 	// before pausing.
 	Patience int
 
-	applied   []float64
-	lowStreak int
-	paused    bool
+	StoppingState
+}
+
+// StoppingState is a StoppingTuner's pause/trigger bookkeeping.
+type StoppingState struct {
+	Applied   []float64 `json:"applied,omitempty"`
+	LowStreak int       `json:"low_streak,omitempty"`
+	Holding   bool      `json:"paused,omitempty"`
 	// PauseCount / ChangeCount instrument how often the mechanism held
 	// the configuration steady vs reconfigured.
-	PauseCount  int
-	ChangeCount int
+	PauseCount  int `json:"pause_count,omitempty"`
+	ChangeCount int `json:"change_count,omitempty"`
+}
+
+// SetState installs exported bookkeeping, rejecting an applied
+// configuration that does not fit the space.
+func (s *StoppingTuner) SetState(st StoppingState) error {
+	if (st.Applied != nil && len(st.Applied) != s.T.Space.Dim()) || st.LowStreak < 0 {
+		return fmt.Errorf("core: stopping state does not fit a %d-knob space", s.T.Space.Dim())
+	}
+	s.StoppingState = st
+	return nil
 }
 
 // NewStoppingTuner wraps an OnlineTune with the pause/trigger policy.
@@ -40,34 +56,34 @@ func NewStoppingTuner(t *OnlineTune, eiTrigger float64, patience int) *StoppingT
 
 // Paused reports whether the tuner is currently holding the applied
 // configuration.
-func (s *StoppingTuner) Paused() bool { return s.paused }
+func (s *StoppingTuner) Paused() bool { return s.Holding }
 
 // Recommend either holds the applied configuration (paused) or delegates
 // to OnlineTune. The EI computation runs every iteration regardless, as
 // the paper describes.
 func (s *StoppingTuner) Recommend(ctx []float64, env whitebox.Env, tau float64) Recommendation {
-	if s.applied != nil {
-		ei := s.T.ExpectedImprovementOver(ctx, s.applied)
+	if s.Applied != nil {
+		ei := s.T.ExpectedImprovementOver(ctx, s.Applied)
 		trigger := s.EITrigger * math.Abs(tau)
 		if ei < trigger {
-			s.lowStreak++
+			s.LowStreak++
 		} else {
-			s.lowStreak = 0
-			s.paused = false
+			s.LowStreak = 0
+			s.Holding = false
 		}
-		if s.lowStreak >= s.Patience {
-			s.paused = true
+		if s.LowStreak >= s.Patience {
+			s.Holding = true
 		}
-		if s.paused {
+		if s.Holding {
 			s.PauseCount++
-			u := mathx.VecClone(s.applied)
+			u := mathx.VecClone(s.Applied)
 			rec := Recommendation{Unit: u, Config: s.T.Space.Decode(u), Fallback: true, RegionKind: "paused"}
 			s.T.setLastRec(&rec)
 			return rec
 		}
 	}
 	rec := s.T.Recommend(ctx, env, tau)
-	s.applied = mathx.VecClone(rec.Unit)
+	s.Applied = mathx.VecClone(rec.Unit)
 	s.ChangeCount++
 	return rec
 }
@@ -78,8 +94,8 @@ func (s *StoppingTuner) Observe(iter int, ctx, unit []float64, perf, tau float64
 	s.T.Observe(iter, ctx, unit, perf, tau, failed)
 	if failed || perf < tau {
 		// An unsafe interval always resumes configuring.
-		s.paused = false
-		s.lowStreak = 0
+		s.Holding = false
+		s.LowStreak = 0
 	}
 }
 

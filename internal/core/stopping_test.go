@@ -94,9 +94,9 @@ func TestStoppingResumesAfterUnsafe(t *testing.T) {
 	space := knobs.CaseStudy5()
 	base := New(space, 1, space.Encode(space.DBADefault()), 1, DefaultOptions())
 	st := NewStoppingTuner(base, 0.02, 1)
-	st.paused = true
-	st.applied = space.Encode(space.DBADefault())
-	st.Observe(0, []float64{0}, st.applied, 50, 100, false) // unsafe: perf < τ
+	st.Holding = true
+	st.Applied = space.Encode(space.DBADefault())
+	st.Observe(0, []float64{0}, st.Applied, 50, 100, false) // unsafe: perf < τ
 	if st.Paused() {
 		t.Fatal("unsafe observation must resume configuring")
 	}

@@ -25,6 +25,7 @@ package featurize
 
 import (
 	"container/list"
+	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -130,6 +131,21 @@ func (f *Featurizer) Dim() int { return ContextDim }
 // order. Token admission is sticky, so the list only grows; it is the
 // featurizer state a session snapshot records.
 func (f *Featurizer) Vocabulary() []string { return f.vocab.Tokens() }
+
+// SetVocabulary admits tokens in order, so that Vocabulary returns them:
+// restoring a vocabulary onto the pre-trained one it grew from gives
+// every token its old id. A list that cannot be reproduced that way (a
+// different pre-training, a repeated or special token, more than the
+// capacity) is rejected.
+func (f *Featurizer) SetVocabulary(tokens []string) error {
+	for _, tok := range tokens {
+		f.vocab.ID(tok)
+	}
+	if !slices.Equal(f.vocab.Tokens(), tokens) {
+		return errors.New("featurize: vocabulary is not an admission order of this encoder's")
+	}
+	return nil
+}
 
 // memoBound is how many seeds' pre-trained encoders NewPretrained keeps
 // (≈ 30 KB each). A fleet that sends no seed uses one; the bound exists so

@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mathx"
@@ -97,11 +98,45 @@ func Joint(config, ctx []float64) []float64 {
 // Fit conditions the model on aligned configurations, contexts and
 // observed performances.
 func (c *ContextualGP) Fit(configs, ctxs [][]float64, perf []float64) error {
-	joint := make([][]float64, len(configs))
-	for i := range configs {
-		joint[i] = Joint(configs[i], ctxs[i])
+	joint, err := c.joint(configs, ctxs)
+	if err != nil {
+		return err
 	}
 	return c.gp.Fit(joint, perf)
+}
+
+// joint pairs configurations with contexts into input vectors, rejecting
+// a pair of the wrong dimensions.
+func (c *ContextualGP) joint(configs, ctxs [][]float64) ([][]float64, error) {
+	if len(ctxs) != len(configs) {
+		return nil, fmt.Errorf("gp: %d contexts for %d configurations", len(ctxs), len(configs))
+	}
+	joint := make([][]float64, len(configs))
+	for i := range configs {
+		if len(configs[i]) != c.configDim || len(ctxs[i]) != c.ctxDim {
+			return nil, fmt.Errorf("gp: observation %d has %d configuration and %d context coordinates, want %d and %d",
+				i, len(configs[i]), len(ctxs[i]), c.configDim, c.ctxDim)
+		}
+		joint[i] = Joint(configs[i], ctxs[i])
+	}
+	return joint, nil
+}
+
+// State returns copies of the training configurations, contexts and raw
+// targets, and the GP's state: what SetState needs to reproduce the
+// model.
+func (c *ContextualGP) State() (configs, ctxs [][]float64, perf []float64, st State) {
+	configs, ctxs, perf = c.Observations()
+	return configs, ctxs, perf, c.gp.State()
+}
+
+// SetState makes an unfitted model the one that exported its State.
+func (c *ContextualGP) SetState(configs, ctxs [][]float64, perf []float64, st State) error {
+	joint, err := c.joint(configs, ctxs)
+	if err != nil {
+		return err
+	}
+	return c.gp.SetState(joint, perf, st)
 }
 
 // Append adds one (config, ctx, perf) observation and refits.

@@ -79,6 +79,14 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 {
 		return errors.New("gp: empty training set")
 	}
+	g.condition(x, y)
+	return g.refactor()
+}
+
+// condition installs a training set and what is derived from it: the
+// standardized targets and the statistic triangle, one measured row per
+// point as Append measures it.
+func (g *GP) condition(x [][]float64, y []float64) {
 	g.x = append([][]float64(nil), x...)
 	g.yRaw = mathx.VecClone(y)
 	g.standardize()
@@ -87,7 +95,69 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	for i := range g.x {
 		g.measure(i, w)
 	}
-	return g.refactor()
+}
+
+// State is a GP's exact state apart from its training set, which the
+// owner exports in its own form: the hyperparameters as held, and the
+// factor with the jitter baked into it. It is stored, not recomputed,
+// because an appended factor (CholeskyExtend) rounds differently from a
+// fresh one. SetState rebuilds the rest from the training set.
+type State struct {
+	Kern  []float64 `json:"kern"`
+	Noise float64   `json:"noise"`
+	// Chol is the factor's lower triangle, row by row (only when Fresh).
+	Chol    mathx.Floats `json:"chol,omitempty"`
+	Alpha   mathx.Floats `json:"alpha,omitempty"`
+	Jitter  float64      `json:"jitter,omitempty"`
+	Appends int          `json:"appends,omitempty"`
+	Fresh   bool         `json:"fresh,omitempty"`
+}
+
+// State exports the GP's state (see State).
+func (g *GP) State() State {
+	st := State{Kern: g.Kern.Hyper(), Noise: g.Noise, Jitter: g.jitter, Appends: g.appends, Fresh: g.fresh}
+	if g.fresh {
+		n := len(g.x)
+		st.Chol = make(mathx.Floats, 0, tri(n))
+		for i := 0; i < n; i++ {
+			st.Chol = append(st.Chol, g.chol.Data[i*n:i*n+i+1]...)
+		}
+		st.Alpha = mathx.VecClone(g.alpha)
+	}
+	return st
+}
+
+// SetState makes an unfitted GP the one that exported st on the
+// training set x, y: the statistic triangle and standardized targets are
+// rebuilt bit for bit, the factor and weights installed as stored. A
+// state whose shapes do not fit the training set or the kernel is
+// rejected.
+func (g *GP) SetState(x [][]float64, y []float64, st State) error {
+	n := len(x)
+	switch {
+	case len(y) != n:
+		return fmt.Errorf("gp: %d targets for %d inputs", len(y), n)
+	case len(st.Kern) != len(g.Kern.Hyper()):
+		return fmt.Errorf("gp: %d kernel hyperparameters, want %d", len(st.Kern), len(g.Kern.Hyper()))
+	case st.Fresh && (len(st.Chol) != tri(n) || len(st.Alpha) != n):
+		return fmt.Errorf("gp: a factor of %d entries and %d weights for %d inputs, want %d and %d", len(st.Chol), len(st.Alpha), n, tri(n), n)
+	case st.Appends < 0:
+		return fmt.Errorf("gp: negative extension count %d", st.Appends)
+	}
+	g.Kern.SetHyper(st.Kern)
+	g.Noise = st.Noise
+	if n > 0 {
+		g.condition(x, y)
+	}
+	if st.Fresh {
+		g.chol = mathx.NewMatrix(n, n)
+		for i, off := 0, 0; i < n; i, off = i+1, off+i+1 {
+			copy(g.chol.Data[i*n:i*n+i+1], st.Chol[off:])
+		}
+		g.alpha = st.Alpha
+	}
+	g.jitter, g.appends, g.fresh = st.Jitter, st.Appends, st.Fresh
+	return nil
 }
 
 // Append adds one observation: one new row of pair statistics and, when

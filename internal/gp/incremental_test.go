@@ -284,6 +284,8 @@ func (k indefiniteKernel) AddOfStatsRow(s []float64, stride int, out []float64) 
 }
 func (indefiniteKernel) Params() []float64   { return nil }
 func (indefiniteKernel) SetParams([]float64) {}
+func (indefiniteKernel) Hyper() []float64    { return nil }
+func (indefiniteKernel) SetHyper([]float64)  {}
 func (k indefiniteKernel) Clone() Kernel     { return k }
 func (indefiniteKernel) Name() string        { return "indefinite-test" }
 

@@ -47,6 +47,11 @@ type Kernel interface {
 	// SetParams assigns hyperparameters from log space; the slice length
 	// must match Params().
 	SetParams(p []float64)
+	// Hyper returns the hyperparameters as the kernel holds them, and
+	// SetHyper assigns such a slice back bit for bit (a round trip
+	// through Params' log space need not).
+	Hyper() []float64
+	SetHyper(h []float64)
 	// Clone returns a deep copy.
 	Clone() Kernel
 	// Name identifies the kernel for diagnostics.
@@ -148,6 +153,10 @@ func (k *Matern52) SetParams(p []float64) {
 	k.Lengthscale = math.Exp(p[1])
 }
 
+func (k *Matern52) Hyper() []float64 { return []float64{k.Variance, k.Lengthscale} }
+
+func (k *Matern52) SetHyper(h []float64) { k.Variance, k.Lengthscale = h[0], h[1] }
+
 func (k *Matern52) Clone() Kernel {
 	c := *k
 	if k.Weights != nil {
@@ -199,6 +208,10 @@ func (k *Linear) SetParams(p []float64) {
 	k.Variance = math.Exp(p[0])
 	k.Bias = math.Exp(p[1])
 }
+
+func (k *Linear) Hyper() []float64 { return []float64{k.Variance, k.Bias} }
+
+func (k *Linear) SetHyper(h []float64) { k.Variance, k.Bias = h[0], h[1] }
 
 func (k *Linear) Clone() Kernel { c := *k; return &c }
 func (k *Linear) Name() string  { return "linear" }
@@ -260,6 +273,13 @@ func (k *Split) Params() []float64 {
 func (k *Split) SetParams(p []float64) {
 	k.KConfig.SetParams(p[:k.nConfig])
 	k.KCtx.SetParams(p[k.nConfig:])
+}
+
+func (k *Split) Hyper() []float64 { return append(k.KConfig.Hyper(), k.KCtx.Hyper()...) }
+
+func (k *Split) SetHyper(h []float64) {
+	k.KConfig.SetHyper(h[:k.nConfig])
+	k.KCtx.SetHyper(h[k.nConfig:])
 }
 
 func (k *Split) Clone() Kernel {

@@ -1,0 +1,112 @@
+package gp
+
+import (
+	"encoding/json"
+	"math/rand"
+	"testing"
+)
+
+// roundTrip exports c through JSON and imports it into a fresh model of
+// the same shape.
+func roundTrip(t *testing.T, c *ContextualGP, dim, ctxDim int, weights []float64) *ContextualGP {
+	t.Helper()
+	configs, ctxs, perf, st := c.State()
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back State
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	r := NewContextualWeighted(dim, ctxDim, weights)
+	if err := r.SetState(configs, ctxs, perf, back); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// sameModel compares everything a prediction, an Append or a
+// hyperparameter search reads, bit for bit.
+func sameModel(t *testing.T, step string, a, b *ContextualGP) {
+	t.Helper()
+	ga, gb := a.gp, b.gp
+	if !sameBits(ga.Kern.Hyper(), gb.Kern.Hyper()) || ga.Noise != gb.Noise || ga.fresh != gb.fresh ||
+		ga.appends != gb.appends || ga.jitter != gb.jitter || ga.yMean != gb.yMean || ga.yStd != gb.yStd ||
+		!sameBits(ga.y, gb.y) || !sameBits(ga.stats, gb.stats) || !sameBits(ga.alpha, gb.alpha) {
+		t.Fatalf("%s: restored model state differs", step)
+	}
+	if ga.fresh && !sameBits(ga.chol.Data, gb.chol.Data) {
+		t.Fatalf("%s: restored factor differs", step)
+	}
+}
+
+// TestStateRoundTripBitIdentical: a model restored from its exported
+// state through JSON equals the live one in every field its posterior
+// reads — across incremental appends, hyperparameter searches and the
+// at-cap sliding window — and both stay equal as they keep learning.
+func TestStateRoundTripBitIdentical(t *testing.T) {
+	const dim, ctxDim, cap = 6, 3, 24
+	weights := []float64{1, 1, 0.35, 1, 0.35, 1}
+	rng := rand.New(rand.NewSource(5))
+	configs, perfs := synthData(rng, 60, dim)
+	ctxs, _ := synthData(rng, 60, ctxDim)
+	live := NewContextualWeighted(dim, ctxDim, weights)
+	restored := roundTrip(t, live, dim, ctxDim, weights)
+	for i := range configs {
+		for _, c := range []*ContextualGP{live, restored} {
+			var err error
+			if c.Len() < cap {
+				err = c.Append(configs[i], ctxs[i], perfs[i])
+			} else {
+				err = c.Slide(configs[i], ctxs[i], perfs[i])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%10 == 9 {
+				c.OptimizeHyperparams(30)
+			}
+		}
+		sameModel(t, "continued", live, restored)
+		if i%7 == 3 {
+			restored = roundTrip(t, live, dim, ctxDim, weights)
+			sameModel(t, "restored", live, restored)
+		}
+	}
+	q, _ := synthData(rng, 20, dim)
+	mu1, v1 := live.PredictAll(q, ctxs[0])
+	mu2, v2 := restored.PredictAll(q, ctxs[0])
+	if !sameBits(mu1, mu2) || !sameBits(v1, v2) {
+		t.Fatal("restored model predicts differently")
+	}
+}
+
+// TestSetStateRejectsMisshapenState: shapes that do not fit the training
+// set or the kernel are errors, not panics.
+func TestSetStateRejectsMisshapenState(t *testing.T) {
+	const dim, ctxDim = 4, 2
+	rng := rand.New(rand.NewSource(9))
+	configs, perfs := synthData(rng, 8, dim)
+	ctxs, _ := synthData(rng, 8, ctxDim)
+	live := NewContextual(dim, ctxDim)
+	if err := live.Fit(configs, ctxs, perfs); err != nil {
+		t.Fatal(err)
+	}
+	c, x, y, st := live.State()
+	for name, damage := range map[string]func(){
+		"truncated factor": func() { st.Chol = st.Chol[:len(st.Chol)-1] },
+		"short weights":    func() { st.Alpha = st.Alpha[1:] },
+		"short unit":       func() { c[3] = c[3][:dim-1] },
+		"long context":     func() { x[2] = append(x[2], 0) },
+		"missing target":   func() { y = y[1:] },
+		"kernel params":    func() { st.Kern = st.Kern[:1] },
+		"negative appends": func() { st.Appends = -1 },
+	} {
+		c, x, y, st = live.State()
+		damage()
+		if err := NewContextual(dim, ctxDim).SetState(c, x, y, st); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

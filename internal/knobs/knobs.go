@@ -148,8 +148,19 @@ func (s *Space) DBADefault() Config {
 	return c
 }
 
-// unit maps one raw knob value into [0,1].
-func (k *Knob) unit(raw float64) float64 {
+// logBounds returns log Min and log Max of a log-scaled knob (zeros for
+// any other), taken once per coordinate and handed to unit and raw, so
+// Quantize pays three logarithms and one exponential per log-scaled
+// coordinate.
+func (k *Knob) logBounds() (lo, hi float64) {
+	if !k.Log {
+		return 0, 0
+	}
+	return math.Log(k.Min), math.Log(k.Max)
+}
+
+// unit maps one raw knob value into [0,1]; lo and hi are logBounds().
+func (k *Knob) unit(raw, lo, hi float64) float64 {
 	switch k.Type {
 	case TypeBool:
 		return k.ClampRaw(raw)
@@ -165,14 +176,15 @@ func (k *Knob) unit(raw float64) float64 {
 		}
 		v := math.Min(k.Max, math.Max(k.Min, raw))
 		if k.Log {
-			return (math.Log(v) - math.Log(k.Min)) / (math.Log(k.Max) - math.Log(k.Min))
+			return (math.Log(v) - lo) / (hi - lo)
 		}
 		return (v - k.Min) / (k.Max - k.Min)
 	}
 }
 
-// raw maps one unit value in [0,1] back to the knob's raw domain.
-func (k *Knob) raw(u float64) float64 {
+// raw maps one unit value in [0,1] back to the knob's raw domain; lo and
+// hi are logBounds().
+func (k *Knob) raw(u, lo, hi float64) float64 {
 	u = math.Min(1, math.Max(0, u))
 	switch k.Type {
 	case TypeBool:
@@ -182,7 +194,7 @@ func (k *Knob) raw(u float64) float64 {
 	default:
 		var v float64
 		if k.Log {
-			v = math.Exp(math.Log(k.Min) + u*(math.Log(k.Max)-math.Log(k.Min)))
+			v = math.Exp(lo + u*(hi-lo))
 		} else {
 			v = k.Min + u*(k.Max-k.Min)
 		}
@@ -194,12 +206,14 @@ func (k *Knob) raw(u float64) float64 {
 // order. Missing knobs take their vendor default.
 func (s *Space) Encode(c Config) []float64 {
 	u := make([]float64, len(s.Knobs))
-	for i, k := range s.Knobs {
+	for i := range s.Knobs {
+		k := &s.Knobs[i]
 		v, ok := c[k.Name]
 		if !ok {
 			v = k.Default
 		}
-		u[i] = k.unit(v)
+		lo, hi := k.logBounds()
+		u[i] = k.unit(v, lo, hi)
 	}
 	return u
 }
@@ -210,8 +224,10 @@ func (s *Space) Decode(u []float64) Config {
 		panic(fmt.Sprintf("knobs: Decode got %d dims, want %d", len(u), len(s.Knobs)))
 	}
 	c := make(Config, len(s.Knobs))
-	for i, k := range s.Knobs {
-		c[k.Name] = k.raw(u[i])
+	for i := range s.Knobs {
+		k := &s.Knobs[i]
+		lo, hi := k.logBounds()
+		c[k.Name] = k.raw(u[i], lo, hi)
 	}
 	return c
 }
@@ -227,7 +243,8 @@ func (s *Space) Quantize(u []float64) []float64 {
 	q := make([]float64, len(u))
 	for i := range s.Knobs {
 		k := &s.Knobs[i]
-		q[i] = k.unit(k.raw(u[i]))
+		lo, hi := k.logBounds()
+		q[i] = k.unit(k.raw(u[i], lo, hi), lo, hi)
 	}
 	return q
 }

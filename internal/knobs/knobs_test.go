@@ -69,11 +69,11 @@ func TestEnumBoolEncoding(t *testing.T) {
 	if !ok || k.Cardinality() != 3 {
 		t.Fatalf("flush_log knob wrong: %+v", k)
 	}
-	if k.unit(0) != 0 || k.unit(2) != 1 || k.unit(1) != 0.5 {
-		t.Fatalf("enum unit encoding wrong: %v %v %v", k.unit(0), k.unit(1), k.unit(2))
+	if k.unit(0, 0, 0) != 0 || k.unit(2, 0, 0) != 1 || k.unit(1, 0, 0) != 0.5 {
+		t.Fatalf("enum unit encoding wrong: %v %v %v", k.unit(0, 0, 0), k.unit(1, 0, 0), k.unit(2, 0, 0))
 	}
 	b, _ := s.Get("innodb_doublewrite")
-	if b.Cardinality() != 2 || b.raw(0.7) != 1 || b.raw(0.2) != 0 {
+	if b.Cardinality() != 2 || b.raw(0.7, 0, 0) != 1 || b.raw(0.2, 0, 0) != 0 {
 		t.Fatal("bool decode wrong")
 	}
 }
@@ -83,7 +83,8 @@ func TestLogScaledKnobResolution(t *testing.T) {
 	k, _ := s.Get("innodb_buffer_pool_size")
 	// Midpoint of the log scale should be the geometric mean, not the
 	// arithmetic mean.
-	mid := k.raw(0.5)
+	lo, hi := k.logBounds()
+	mid := k.raw(0.5, lo, hi)
 	geo := math.Sqrt(k.Min * k.Max)
 	if math.Abs(mid-geo)/geo > 0.01 {
 		t.Fatalf("log midpoint %v, want ~%v", mid, geo)

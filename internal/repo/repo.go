@@ -7,29 +7,39 @@ package repo
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"sync"
+
+	"repro/internal/mathx"
 )
 
-// Observation is one tuning-iteration record.
+// Observation is one tuning-iteration record. Its vectors encode
+// exactly and compactly in JSON (mathx.Floats).
 type Observation struct {
-	Iter    int       `json:"iter"`
-	Context []float64 `json:"context"`
-	Unit    []float64 `json:"unit"` // configuration in unit encoding
-	Perf    float64   `json:"perf"`
-	Tau     float64   `json:"tau"`  // safety threshold at that iteration
-	Safe    bool      `json:"safe"` // measured perf ≥ τ
-	Failed  bool      `json:"failed"`
+	Iter    int          `json:"iter"`
+	Context mathx.Floats `json:"context"`
+	Unit    mathx.Floats `json:"unit"` // configuration in unit encoding
+	Perf    float64      `json:"perf"`
+	Tau     float64      `json:"tau"`  // safety threshold at that iteration
+	Safe    bool         `json:"safe"` // measured perf ≥ τ
+	Failed  bool         `json:"failed"`
 }
 
 // Repo stores observations. Safe for concurrent use. A positive cap
 // bounds memory: once full, Add evicts the oldest observations first.
 type Repo struct {
-	mu      sync.RWMutex
-	obs     []Observation
-	cap     int // 0 = unbounded
-	added   int64
-	evicted int64
+	mu  sync.RWMutex
+	cap int // 0 = unbounded
+	st  State
+}
+
+// State is a repository's contents and lifetime counters.
+type State struct {
+	Obs     []Observation `json:"obs,omitempty"`
+	Added   int64         `json:"added"`
+	Evicted int64         `json:"evicted"`
 }
 
 // Stats reports lifetime counters alongside the current size.
@@ -58,17 +68,17 @@ func NewBounded(cap int) *Repo {
 func (r *Repo) Add(o Observation) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.added++
+	r.st.Added++
 	ev := 0
-	if r.cap > 0 && len(r.obs) >= r.cap {
+	if r.cap > 0 && len(r.st.Obs) >= r.cap {
 		// Shift in place: the slice never grows past cap, so the copy
 		// is bounded and the backing array is reused.
-		n := copy(r.obs, r.obs[1:])
-		r.obs = r.obs[:n]
+		n := copy(r.st.Obs, r.st.Obs[1:])
+		r.st.Obs = r.st.Obs[:n]
 		ev = 1
-		r.evicted++
+		r.st.Evicted++
 	}
-	r.obs = append(r.obs, o)
+	r.st.Obs = append(r.st.Obs, o)
 	return ev
 }
 
@@ -76,22 +86,43 @@ func (r *Repo) Add(o Observation) int {
 func (r *Repo) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return Stats{Len: len(r.obs), Cap: r.cap, Added: r.added, Evicted: r.evicted}
+	return Stats{Len: len(r.st.Obs), Cap: r.cap, Added: r.st.Added, Evicted: r.st.Evicted}
+}
+
+// State returns a copy of the repository's state.
+func (r *Repo) State() State {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	st := r.st
+	st.Obs = slices.Clone(st.Obs)
+	return st
+}
+
+// SetState installs an exported state, rejecting one that breaks the
+// repository's cap or its counters' invariant (added = evicted + held).
+func (r *Repo) SetState(st State) error {
+	if (r.cap > 0 && len(st.Obs) > r.cap) || st.Evicted < 0 || st.Added != st.Evicted+int64(len(st.Obs)) {
+		return fmt.Errorf("repo: %d observations, %d added and %d evicted do not fit cap %d", len(st.Obs), st.Added, st.Evicted, r.cap)
+	}
+	r.mu.Lock()
+	r.st = st
+	r.mu.Unlock()
+	return nil
 }
 
 // Len returns the number of stored observations.
 func (r *Repo) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.obs)
+	return len(r.st.Obs)
 }
 
 // All returns a copy of all observations.
 func (r *Repo) All() []Observation {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Observation, len(r.obs))
-	copy(out, r.obs)
+	out := make([]Observation, len(r.st.Obs))
+	copy(out, r.st.Obs)
 	return out
 }
 
@@ -99,8 +130,8 @@ func (r *Repo) All() []Observation {
 func (r *Repo) Contexts() [][]float64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([][]float64, len(r.obs))
-	for i, o := range r.obs {
+	out := make([][]float64, len(r.st.Obs))
+	for i, o := range r.st.Obs {
 		c := make([]float64, len(o.Context))
 		copy(c, o.Context)
 		out[i] = c
@@ -111,7 +142,7 @@ func (r *Repo) Contexts() [][]float64 {
 // Save writes the repository to a JSON file.
 func (r *Repo) Save(path string) error {
 	r.mu.RLock()
-	data, err := json.MarshalIndent(r.obs, "", " ")
+	data, err := json.MarshalIndent(r.st.Obs, "", " ")
 	r.mu.RUnlock()
 	if err != nil {
 		return err
@@ -129,7 +160,7 @@ func Load(path string) (*Repo, error) {
 	if err := json.Unmarshal(data, &obs); err != nil {
 		return nil, err
 	}
-	return &Repo{obs: obs}, nil
+	return &Repo{st: State{Obs: obs}}, nil
 }
 
 // ErrEmpty is returned by operations that need at least one observation.
@@ -139,8 +170,8 @@ var ErrEmpty = errors.New("repo: empty repository")
 func (r *Repo) Last() (Observation, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.obs) == 0 {
+	if len(r.st.Obs) == 0 {
 		return Observation{}, ErrEmpty
 	}
-	return r.obs[len(r.obs)-1], nil
+	return r.st.Obs[len(r.st.Obs)-1], nil
 }

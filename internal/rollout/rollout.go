@@ -336,87 +336,131 @@ type Controller struct {
 	// initial is the known-safe anchor configuration (the DBA default
 	// whose performance defines τ) — the final rollback target once the
 	// previous-good chain is exhausted.
-	initial  []float64
-	lastGood []float64
-	// candidate is non-nil exactly while a canary/tuning window is in
-	// flight.
-	candidate []float64
-	primary   []float64
-	shadow    []float64
-	taus      []float64
-	// steadyBad counts consecutive steady-phase intervals where the
-	// applied configuration measured below τ by more than the threshold.
-	steadyBad int
-	// stagedStart is the iter of the in-flight candidate's first paired
-	// observation (promote-latency accounting).
-	stagedStart int
+	initial []float64
+	st      State
+}
 
-	// chain is the previous-good stack: configurations that each
+// State is a controller's mutable state: everything but its policy and
+// anchor, metrics included.
+type State struct {
+	LastGood []float64 `json:"last_good"`
+	// Candidate is non-nil exactly while a canary/tuning window is in
+	// flight.
+	Candidate []float64 `json:"candidate,omitempty"`
+	Primary   []float64 `json:"primary,omitempty"`
+	Shadow    []float64 `json:"shadow,omitempty"`
+	Taus      []float64 `json:"taus,omitempty"`
+	// SteadyBad counts consecutive steady-phase intervals where the
+	// applied configuration measured below τ by more than the threshold.
+	SteadyBad int `json:"steady_bad,omitempty"`
+	// StagedStart is the iter of the in-flight candidate's first paired
+	// observation (promote-latency accounting).
+	StagedStart int `json:"staged_start"`
+
+	// Chain is the previous-good stack: configurations that each
 	// survived a full promotion window, oldest first. The initial
 	// anchor is its implicit bottom and is never pushed.
-	chain [][]float64
-	// revalidating marks the in-flight candidate as a previous-good
+	Chain [][]float64 `json:"chain,omitempty"`
+	// Revalidating marks the in-flight candidate as a previous-good
 	// chain target on probation after a drift rollback: it fills a
 	// shortened paired window on the staged replica while the primary
 	// serves the initial anchor, and only sticks on promotion.
-	revalidating bool
+	Revalidating bool `json:"revalidating,omitempty"`
 
-	// Bluegreen switchover state: servingBlue tracks which replica
-	// serves; switchLeft counts the remaining switchover intervals;
-	// switchDowntime/switchFailures accumulate the in-flight cost;
-	// recovering/recoverIntervals track the post-switch window until
+	// Bluegreen switchover state: ServingBlue tracks which replica
+	// serves; SwitchLeft counts the remaining switchover intervals;
+	// SwitchDowntime/SwitchFailures accumulate the in-flight cost;
+	// Recovering/RecoverIntervals track the post-switch window until
 	// throughput re-clears τ.
-	servingBlue      bool
-	switchLeft       int
-	switchDowntime   int
-	switchFailures   int
-	recovering       bool
-	recoverIntervals int
+	ServingBlue      bool `json:"serving_blue"`
+	SwitchLeft       int  `json:"switch_left,omitempty"`
+	SwitchDowntime   int  `json:"switch_downtime,omitempty"`
+	SwitchFailures   int  `json:"switch_failures,omitempty"`
+	Recovering       bool `json:"recovering,omitempty"`
+	RecoverIntervals int  `json:"recover_intervals,omitempty"`
 
 	// Replica health: the most recent observed interval's failure flag
 	// per role.
-	servingFailed bool
-	stagedFailed  bool
+	ServingFailed bool `json:"serving_failed,omitempty"`
+	StagedFailed  bool `json:"staged_failed,omitempty"`
 
-	promotions int
-	rollbacks  int
-	metrics    Metrics
-	lastEvent  *Event
+	Promotions int     `json:"promotions"`
+	Rollbacks  int     `json:"rollbacks"`
+	Metrics    Metrics `json:"metrics"`
+	LastEvent  *Event  `json:"last_event,omitempty"`
 }
 
 // NewController returns a controller whose primary currently runs the
 // initial configuration (unit coordinates).
 func NewController(p Policy, initial []float64) *Controller {
 	return &Controller{
-		policy:      p.WithDefaults(),
-		initial:     mathx.VecClone(initial),
-		lastGood:    mathx.VecClone(initial),
-		servingBlue: true,
-		metrics: Metrics{
-			PromoteLatency:     newHistogram(),
-			SwitchoverDowntime: newHistogram(),
-			SwitchoverRecovery: newHistogram(),
+		policy:  p.WithDefaults(),
+		initial: mathx.VecClone(initial),
+		st: State{
+			LastGood:    mathx.VecClone(initial),
+			ServingBlue: true,
+			Metrics: Metrics{
+				PromoteLatency:     newHistogram(),
+				SwitchoverDowntime: newHistogram(),
+				SwitchoverRecovery: newHistogram(),
+			},
 		},
 	}
 }
 
+// State returns a copy of the controller's state.
+func (c *Controller) State() State {
+	st := c.st
+	st.Primary = slices.Clone(st.Primary)
+	st.Shadow = slices.Clone(st.Shadow)
+	st.Taus = slices.Clone(st.Taus)
+	st.Chain = slices.Clone(st.Chain)
+	st.Metrics = st.Metrics.clone()
+	if st.LastEvent != nil {
+		ev := *st.LastEvent
+		st.LastEvent = &ev
+	}
+	return st
+}
+
+// SetState installs an exported state, rejecting one whose
+// configurations do not fit the anchor's dimension or whose window and
+// histograms are misshapen.
+func (c *Controller) SetState(st State) error {
+	dim := len(c.initial)
+	fits := func(u []float64) bool { return len(u) == dim }
+	ok := fits(st.LastGood) && (st.Candidate == nil || fits(st.Candidate)) &&
+		len(st.Shadow) == len(st.Primary) && len(st.Taus) == len(st.Primary)
+	for _, u := range st.Chain {
+		ok = ok && fits(u)
+	}
+	for _, h := range []Histogram{st.Metrics.PromoteLatency, st.Metrics.SwitchoverDowntime, st.Metrics.SwitchoverRecovery} {
+		ok = ok && slices.Equal(h.Bounds, histBounds) && len(h.Counts) == len(histBounds)+1
+	}
+	if !ok {
+		return fmt.Errorf("rollout: state does not fit a %d-dimensional controller", dim)
+	}
+	c.st = st
+	return nil
+}
+
 // CanaryActive reports whether a candidate is staged on the non-serving
 // replica (canary phase in canary mode, tuning phase in bluegreen).
-func (c *Controller) CanaryActive() bool { return c.candidate != nil }
+func (c *Controller) CanaryActive() bool { return c.st.Candidate != nil }
 
 // Phase returns the controller's phase without copying any state (the
 // cheap alternative to Status for phase-only checks).
 func (c *Controller) Phase() Phase {
 	switch {
-	case c.candidate != nil:
-		if c.revalidating {
+	case c.st.Candidate != nil:
+		if c.st.Revalidating {
 			return PhaseRevalidate
 		}
 		if c.policy.Mode == ModeBlueGreen {
 			return PhaseTuning
 		}
 		return PhaseCanary
-	case c.switchLeft > 0:
+	case c.st.SwitchLeft > 0:
 		return PhaseSwitchover
 	default:
 		return PhaseSteady
@@ -431,20 +475,20 @@ func (c *Controller) Phase() Phase {
 // staged candidate (nil during a switchover). Held iterations consume
 // no randomness, so replay stays exact.
 func (c *Controller) Hold() (primary, staged []float64, phase Phase, ok bool) {
-	if c.candidate == nil && c.switchLeft == 0 {
+	if c.st.Candidate == nil && c.st.SwitchLeft == 0 {
 		return nil, nil, PhaseSteady, false
 	}
-	return c.lastGood, c.candidate, c.Phase(), true
+	return c.st.LastGood, c.st.Candidate, c.Phase(), true
 }
 
 // LastGood returns the configuration currently applied to the primary.
-func (c *Controller) LastGood() []float64 { return c.lastGood }
+func (c *Controller) LastGood() []float64 { return c.st.LastGood }
 
 // Candidate returns the staged candidate (nil outside canary/tuning).
-func (c *Controller) Candidate() []float64 { return c.candidate }
+func (c *Controller) Candidate() []float64 { return c.st.Candidate }
 
 // ChainDepth returns the previous-good chain's current depth.
-func (c *Controller) ChainDepth() int { return len(c.chain) }
+func (c *Controller) ChainDepth() int { return len(c.st.Chain) }
 
 // Submit routes a freshly recommended candidate. It returns the
 // configuration to apply on the primary and the configuration to stage
@@ -453,21 +497,21 @@ func (c *Controller) ChainDepth() int { return len(c.chain) }
 // mid-switchover/revalidation). Submitting during an active window
 // holds the staged state unchanged.
 func (c *Controller) Submit(candidate []float64) (primary, staged []float64) {
-	if c.candidate != nil {
-		return c.lastGood, c.candidate
+	if c.st.Candidate != nil {
+		return c.st.LastGood, c.st.Candidate
 	}
-	if c.switchLeft > 0 {
-		return c.lastGood, nil
+	if c.st.SwitchLeft > 0 {
+		return c.st.LastGood, nil
 	}
-	if slices.Equal(candidate, c.lastGood) {
-		return c.lastGood, nil
+	if slices.Equal(candidate, c.st.LastGood) {
+		return c.st.LastGood, nil
 	}
-	c.candidate = mathx.VecClone(candidate)
-	c.primary = c.primary[:0]
-	c.shadow = c.shadow[:0]
-	c.taus = c.taus[:0]
-	c.stagedStart = -1
-	return c.lastGood, c.candidate
+	c.st.Candidate = mathx.VecClone(candidate)
+	c.st.Primary = c.st.Primary[:0]
+	c.st.Shadow = c.st.Shadow[:0]
+	c.st.Taus = c.st.Taus[:0]
+	c.st.StagedStart = -1
+	return c.st.LastGood, c.st.Candidate
 }
 
 // ObservePair records one paired interval measurement — the primary
@@ -482,23 +526,23 @@ func (c *Controller) Submit(candidate []float64) (primary, staged []float64) {
 // to the initial safe anchor rather than holding the window open
 // against a sick baseline.
 func (c *Controller) ObservePair(iter int, primaryPerf, shadowPerf, tau float64, primaryFailed, shadowFailed bool) string {
-	if c.candidate == nil {
+	if c.st.Candidate == nil {
 		return ""
 	}
 	// The pair is recorded before any decision so failure rollbacks
 	// carry the failing interval's actual measurements in their
 	// provenance instead of empty-window zeros.
-	c.primary = append(c.primary, primaryPerf)
-	c.shadow = append(c.shadow, shadowPerf)
-	c.taus = append(c.taus, tau)
-	if c.stagedStart < 0 {
-		c.stagedStart = iter
+	c.st.Primary = append(c.st.Primary, primaryPerf)
+	c.st.Shadow = append(c.st.Shadow, shadowPerf)
+	c.st.Taus = append(c.st.Taus, tau)
+	if c.st.StagedStart < 0 {
+		c.st.StagedStart = iter
 	}
-	c.servingFailed = primaryFailed
-	c.stagedFailed = shadowFailed
+	c.st.ServingFailed = primaryFailed
+	c.st.StagedFailed = shadowFailed
 	if shadowFailed {
 		reason := "staged replica failed under the candidate configuration"
-		if c.revalidating {
+		if c.st.Revalidating {
 			reason = "chain target failed on the staged replica during revalidation"
 		}
 		return c.discard(iter, reason)
@@ -506,20 +550,20 @@ func (c *Controller) ObservePair(iter int, primaryPerf, shadowPerf, tau float64,
 	if primaryFailed {
 		kind := c.decide(iter, EventRollback,
 			"primary failed under the last-good configuration mid-canary; candidate discarded and primary reverted to the initial safe configuration")
-		c.revalidating = false
-		c.lastGood = mathx.VecClone(c.initial)
-		c.chain = c.chain[:0]
+		c.st.Revalidating = false
+		c.st.LastGood = mathx.VecClone(c.initial)
+		c.st.Chain = c.st.Chain[:0]
 		return kind
 	}
 	win := c.policy.Window
-	if c.revalidating {
+	if c.st.Revalidating {
 		win = c.revalWindow()
 	}
-	if len(c.primary) < win {
+	if len(c.st.Primary) < win {
 		return ""
 	}
 
-	pm, sm, tm := mathx.Mean(c.primary), mathx.Mean(c.shadow), mathx.Mean(c.taus)
+	pm, sm, tm := mathx.Mean(c.st.Primary), mathx.Mean(c.st.Shadow), mathx.Mean(c.st.Taus)
 	thr := c.policy.RegressionThreshold
 	switch {
 	case sm < pm-thr*math.Abs(pm):
@@ -540,7 +584,7 @@ func (c *Controller) ObservePair(iter int, primaryPerf, shadowPerf, tau float64,
 	default:
 		return c.decide(iter, EventPromote, fmt.Sprintf(
 			"staged mean %.4g cleared primary mean %.4g and threshold mean %.4g over %d paired intervals",
-			sm, pm, tm, len(c.primary)))
+			sm, pm, tm, len(c.st.Primary)))
 	}
 }
 
@@ -552,21 +596,21 @@ func (c *Controller) ObservePair(iter int, primaryPerf, shadowPerf, tau float64,
 // the controller settle at the anchor with a classic EventRollback.
 func (c *Controller) discard(iter int, reason string) string {
 	kind := EventRollback
-	if c.revalidating && len(c.chain) > 0 {
+	if c.st.Revalidating && len(c.st.Chain) > 0 {
 		kind = EventChainRollback
-		reason += fmt.Sprintf("; staging the previous promoted configuration (chain depth %d) for revalidation", len(c.chain))
-	} else if c.revalidating {
+		reason += fmt.Sprintf("; staging the previous promoted configuration (chain depth %d) for revalidation", len(c.st.Chain))
+	} else if c.st.Revalidating {
 		reason += "; chain exhausted, primary stays at the initial safe configuration"
 	}
 	ret := c.decide(iter, kind, reason)
-	if c.revalidating {
-		if n := len(c.chain); n > 0 {
-			c.candidate = c.chain[n-1]
-			c.chain = c.chain[:n-1]
-			c.stagedStart = -1
-			c.lastEvent.ChainDepth = len(c.chain) + 1
+	if c.st.Revalidating {
+		if n := len(c.st.Chain); n > 0 {
+			c.st.Candidate = c.st.Chain[n-1]
+			c.st.Chain = c.st.Chain[:n-1]
+			c.st.StagedStart = -1
+			c.st.LastEvent.ChainDepth = len(c.st.Chain) + 1
 		} else {
-			c.revalidating = false
+			c.st.Revalidating = false
 		}
 	}
 	return ret
@@ -588,41 +632,41 @@ func (c *Controller) discard(iter int, reason string) string {
 // before the primary actually switches, and a measurement of some other
 // configuration says nothing about last-good's health.
 func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, failed bool) string {
-	if c.candidate != nil {
-		c.steadyBad = 0
+	if c.st.Candidate != nil {
+		c.st.SteadyBad = 0
 		return ""
 	}
-	if !slices.Equal(unit, c.lastGood) {
+	if !slices.Equal(unit, c.st.LastGood) {
 		return ""
 	}
-	c.servingFailed = failed
+	c.st.ServingFailed = failed
 
 	// Switchover in progress: the interval measures the newly serving
 	// replica during the cache-cold dip. The dip is expected, so it
 	// feeds the cost accounting, not the drift counter.
-	if c.switchLeft > 0 {
+	if c.st.SwitchLeft > 0 {
 		if failed {
-			c.switchFailures++
-			c.metrics.InFlightFailures++
+			c.st.SwitchFailures++
+			c.st.Metrics.InFlightFailures++
 		}
 		if failed || perf < tau {
-			c.switchDowntime++
+			c.st.SwitchDowntime++
 		}
-		c.switchLeft--
-		if c.switchLeft > 0 {
+		c.st.SwitchLeft--
+		if c.st.SwitchLeft > 0 {
 			return ""
 		}
-		c.metrics.Switchovers++
-		c.metrics.SwitchoverDowntime.Observe(c.switchDowntime)
-		c.recovering = true
-		c.recoverIntervals = 0
-		c.lastEvent = &Event{
-			Kind: EventSwitchover, Iter: iter, Candidate: mathx.VecClone(c.lastGood),
+		c.st.Metrics.Switchovers++
+		c.st.Metrics.SwitchoverDowntime.Observe(c.st.SwitchDowntime)
+		c.st.Recovering = true
+		c.st.RecoverIntervals = 0
+		c.st.LastEvent = &Event{
+			Kind: EventSwitchover, Iter: iter, Candidate: mathx.VecClone(c.st.LastGood),
 			PrimaryMean: perf, TauMean: tau, Pairs: c.policy.SwitchoverIntervals,
-			Downtime: c.switchDowntime, InFlightFailures: c.switchFailures,
+			Downtime: c.st.SwitchDowntime, InFlightFailures: c.st.SwitchFailures,
 			Reason: fmt.Sprintf(
 				"switchover complete: %s now serves the promoted configuration (%d downtime interval(s), %d in-flight failure(s) over %d interval(s))",
-				c.servingName(), c.switchDowntime, c.switchFailures, c.policy.SwitchoverIntervals),
+				c.servingName(), c.st.SwitchDowntime, c.st.SwitchFailures, c.policy.SwitchoverIntervals),
 		}
 		return EventSwitchover
 	}
@@ -630,12 +674,12 @@ func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, 
 	// Post-switch recovery: count intervals until throughput re-clears
 	// τ. Passive — a dip long enough to trip the drift counter below
 	// still rolls back, closing the recovery window with it.
-	if c.recovering {
+	if c.st.Recovering {
 		if !failed && perf >= tau {
-			c.metrics.SwitchoverRecovery.Observe(c.recoverIntervals)
-			c.recovering = false
+			c.st.Metrics.SwitchoverRecovery.Observe(c.st.RecoverIntervals)
+			c.st.Recovering = false
 		} else {
-			c.recoverIntervals++
+			c.st.RecoverIntervals++
 		}
 	}
 
@@ -645,16 +689,16 @@ func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, 
 	// recovery accounting above — so a promotion that happens to
 	// re-promote the anchor's configuration still drains its switchover
 	// window.
-	if slices.Equal(c.lastGood, c.initial) {
-		c.steadyBad = 0
+	if slices.Equal(c.st.LastGood, c.initial) {
+		c.st.SteadyBad = 0
 		return ""
 	}
 	if !failed && perf >= tau-c.policy.RegressionThreshold*math.Abs(tau) {
-		c.steadyBad = 0
+		c.st.SteadyBad = 0
 		return ""
 	}
-	c.steadyBad++
-	if !failed && c.steadyBad < c.policy.Window {
+	c.st.SteadyBad++
+	if !failed && c.st.SteadyBad < c.policy.Window {
 		return ""
 	}
 	return c.rollBack(iter, perf, tau, failed)
@@ -665,46 +709,46 @@ func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, 
 // chain exhausted, reverts to the initial anchor (EventRollback, the
 // pre-chain behavior).
 func (c *Controller) rollBack(iter int, perf, tau float64, failed bool) string {
-	demoted := c.lastGood
-	streak := c.steadyBad
-	c.steadyBad = 0
-	if c.recovering {
-		c.metrics.SwitchoverRecovery.Observe(c.recoverIntervals)
-		c.recovering = false
+	demoted := c.st.LastGood
+	streak := c.st.SteadyBad
+	c.st.SteadyBad = 0
+	if c.st.Recovering {
+		c.st.Metrics.SwitchoverRecovery.Observe(c.st.RecoverIntervals)
+		c.st.Recovering = false
 	}
-	c.rollbacks++
+	c.st.Rollbacks++
 	// The primary reverts to the known-safe anchor either way: a
 	// demoted configuration never keeps serving, and a chain target is
 	// never applied unvalidated.
-	c.lastGood = mathx.VecClone(c.initial)
+	c.st.LastGood = mathx.VecClone(c.initial)
 
-	if n := len(c.chain); n > 0 {
+	if n := len(c.st.Chain); n > 0 {
 		// The most recent previous-good entry goes on probation: it is
 		// staged on the non-serving replica and must clear a shortened
 		// paired window (revalWindow) against the anchor before it is
 		// promoted back — drift may have invalidated it too, and an
 		// unvalidated config must not reach the serving primary.
-		target := c.chain[n-1]
-		c.chain = c.chain[:n-1]
-		c.candidate = target
-		c.revalidating = true
-		c.primary = c.primary[:0]
-		c.shadow = c.shadow[:0]
-		c.taus = c.taus[:0]
-		c.stagedStart = -1
-		c.stagedFailed = false
-		c.metrics.ChainRollbacks++
+		target := c.st.Chain[n-1]
+		c.st.Chain = c.st.Chain[:n-1]
+		c.st.Candidate = target
+		c.st.Revalidating = true
+		c.st.Primary = c.st.Primary[:0]
+		c.st.Shadow = c.st.Shadow[:0]
+		c.st.Taus = c.st.Taus[:0]
+		c.st.StagedStart = -1
+		c.st.StagedFailed = false
+		c.st.Metrics.ChainRollbacks++
 		reason := fmt.Sprintf(
 			"applied configuration measured below the safety threshold for %d consecutive steady interval(s); primary reverted to the anchor and the previous promoted configuration (chain depth %d) staged for a %d-interval revalidation window",
-			streak, len(c.chain)+1, c.revalWindow())
+			streak, len(c.st.Chain)+1, c.revalWindow())
 		if failed {
 			reason = fmt.Sprintf(
 				"primary failed under the applied configuration; primary reverted to the anchor and the previous promoted configuration (chain depth %d) staged for a %d-interval revalidation window",
-				len(c.chain)+1, c.revalWindow())
+				len(c.st.Chain)+1, c.revalWindow())
 		}
-		c.lastEvent = &Event{
+		c.st.LastEvent = &Event{
 			Kind: EventChainRollback, Iter: iter, Candidate: mathx.VecClone(demoted),
-			PrimaryMean: perf, TauMean: tau, Pairs: streak, ChainDepth: len(c.chain) + 1,
+			PrimaryMean: perf, TauMean: tau, Pairs: streak, ChainDepth: len(c.st.Chain) + 1,
 			Reason: reason,
 		}
 		return EventChainRollback
@@ -715,7 +759,7 @@ func (c *Controller) rollBack(iter int, perf, tau float64, failed bool) string {
 	if failed {
 		reason = "primary failed under the applied configuration; rolled back to the initial safe configuration"
 	}
-	c.lastEvent = &Event{
+	c.st.LastEvent = &Event{
 		Kind: EventRollback, Iter: iter, Candidate: mathx.VecClone(demoted),
 		PrimaryMean: perf, TauMean: tau, Pairs: streak, Reason: reason,
 	}
@@ -730,49 +774,49 @@ func (c *Controller) revalWindow() int { return (c.policy.Window + 1) / 2 }
 // decide finalizes the in-flight canary/tuning window.
 func (c *Controller) decide(iter int, kind, reason string) string {
 	ev := &Event{
-		Kind: kind, Iter: iter, Candidate: mathx.VecClone(c.candidate),
-		PrimaryMean: mathx.Mean(c.primary), ShadowMean: mathx.Mean(c.shadow), TauMean: mathx.Mean(c.taus),
-		Pairs: len(c.primary), Reason: reason,
+		Kind: kind, Iter: iter, Candidate: mathx.VecClone(c.st.Candidate),
+		PrimaryMean: mathx.Mean(c.st.Primary), ShadowMean: mathx.Mean(c.st.Shadow), TauMean: mathx.Mean(c.st.Taus),
+		Pairs: len(c.st.Primary), Reason: reason,
 	}
 	if kind == EventChainRollback {
-		c.metrics.ChainRollbacks++
+		c.st.Metrics.ChainRollbacks++
 	}
 	if kind == EventPromote {
-		c.revalidating = false
-		c.promotions++
-		if c.stagedStart >= 0 {
-			c.metrics.PromoteLatency.Observe(iter - c.stagedStart + 1)
+		c.st.Revalidating = false
+		c.st.Promotions++
+		if c.st.StagedStart >= 0 {
+			c.st.Metrics.PromoteLatency.Observe(iter - c.st.StagedStart + 1)
 		}
 		// The demoted incumbent joins the previous-good chain (the
 		// initial anchor is the chain's implicit bottom and never
 		// pushed); the chain is bounded, dropping oldest entries.
-		if !slices.Equal(c.lastGood, c.initial) {
-			c.chain = append(c.chain, c.lastGood)
-			if len(c.chain) > c.policy.MaxChain {
-				c.chain = slices.Delete(c.chain, 0, len(c.chain)-c.policy.MaxChain)
+		if !slices.Equal(c.st.LastGood, c.initial) {
+			c.st.Chain = append(c.st.Chain, c.st.LastGood)
+			if len(c.st.Chain) > c.policy.MaxChain {
+				c.st.Chain = slices.Delete(c.st.Chain, 0, len(c.st.Chain)-c.policy.MaxChain)
 			}
 		}
-		c.lastGood = c.candidate
+		c.st.LastGood = c.st.Candidate
 		if c.policy.Mode == ModeBlueGreen {
 			// The roles swap: the staged replica, already warm on the
 			// candidate, becomes the serving primary. The cutover cost
 			// is measured over the next SwitchoverIntervals intervals.
-			c.servingBlue = !c.servingBlue
-			c.servingFailed, c.stagedFailed = c.stagedFailed, c.servingFailed
-			c.switchLeft = c.policy.SwitchoverIntervals
-			c.switchDowntime = 0
-			c.switchFailures = 0
+			c.st.ServingBlue = !c.st.ServingBlue
+			c.st.ServingFailed, c.st.StagedFailed = c.st.StagedFailed, c.st.ServingFailed
+			c.st.SwitchLeft = c.policy.SwitchoverIntervals
+			c.st.SwitchDowntime = 0
+			c.st.SwitchFailures = 0
 			ev.Reason += fmt.Sprintf("; switching traffic to %s", c.servingName())
 		}
 	} else {
-		c.rollbacks++
+		c.st.Rollbacks++
 	}
-	c.candidate = nil
-	c.primary = c.primary[:0]
-	c.shadow = c.shadow[:0]
-	c.taus = c.taus[:0]
-	c.stagedFailed = false
-	c.lastEvent = ev
+	c.st.Candidate = nil
+	c.st.Primary = c.st.Primary[:0]
+	c.st.Shadow = c.st.Shadow[:0]
+	c.st.Taus = c.st.Taus[:0]
+	c.st.StagedFailed = false
+	c.st.LastEvent = ev
 	return kind
 }
 
@@ -781,7 +825,7 @@ func (c *Controller) servingName() string {
 	if c.policy.Mode != ModeBlueGreen {
 		return "primary"
 	}
-	if c.servingBlue {
+	if c.st.ServingBlue {
 		return "blue"
 	}
 	return "green"
@@ -792,7 +836,7 @@ func (c *Controller) stagedName() string {
 	if c.policy.Mode != ModeBlueGreen {
 		return "shadow"
 	}
-	if c.servingBlue {
+	if c.st.ServingBlue {
 		return "green"
 	}
 	return "blue"
@@ -800,14 +844,14 @@ func (c *Controller) stagedName() string {
 
 // replicas assembles the per-replica view for Status.
 func (c *Controller) replicas() []Replica {
-	serving := Replica{Name: c.servingName(), Role: RoleServing, Config: mathx.VecClone(c.lastGood), Healthy: !c.servingFailed}
-	staged := Replica{Name: c.stagedName(), Role: RoleStandby, Healthy: !c.stagedFailed}
-	if c.candidate != nil {
+	serving := Replica{Name: c.servingName(), Role: RoleServing, Config: mathx.VecClone(c.st.LastGood), Healthy: !c.st.ServingFailed}
+	staged := Replica{Name: c.stagedName(), Role: RoleStandby, Healthy: !c.st.StagedFailed}
+	if c.st.Candidate != nil {
 		staged.Role = RoleStaged
-		staged.Config = mathx.VecClone(c.candidate)
+		staged.Config = mathx.VecClone(c.st.Candidate)
 	} else if c.policy.Mode == ModeBlueGreen {
 		// The bluegreen standby is live and warm at last-good.
-		staged.Config = mathx.VecClone(c.lastGood)
+		staged.Config = mathx.VecClone(c.st.LastGood)
 	}
 	return []Replica{serving, staged}
 }
@@ -817,22 +861,22 @@ func (c *Controller) Status() Status {
 	st := Status{
 		Phase:               c.Phase(),
 		Mode:                c.policy.Mode,
-		LastGood:            mathx.VecClone(c.lastGood),
+		LastGood:            mathx.VecClone(c.st.LastGood),
 		Replicas:            c.replicas(),
-		ChainDepth:          len(c.chain),
-		Pairs:               len(c.primary),
+		ChainDepth:          len(c.st.Chain),
+		Pairs:               len(c.st.Primary),
 		Window:              c.policy.Window,
 		RegressionThreshold: c.policy.RegressionThreshold,
-		Promotions:          c.promotions,
-		Rollbacks:           c.rollbacks,
-		Metrics:             c.metrics.clone(),
+		Promotions:          c.st.Promotions,
+		Rollbacks:           c.st.Rollbacks,
+		Metrics:             c.st.Metrics.clone(),
 	}
-	if c.candidate != nil {
-		st.Candidate = mathx.VecClone(c.candidate)
+	if c.st.Candidate != nil {
+		st.Candidate = mathx.VecClone(c.st.Candidate)
 	}
-	if c.lastEvent != nil {
-		ev := *c.lastEvent
-		ev.Candidate = mathx.VecClone(c.lastEvent.Candidate)
+	if c.st.LastEvent != nil {
+		ev := *c.st.LastEvent
+		ev.Candidate = mathx.VecClone(c.st.LastEvent.Candidate)
 		st.LastEvent = &ev
 	}
 	return st

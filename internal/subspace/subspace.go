@@ -8,6 +8,7 @@
 package subspace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -25,18 +26,19 @@ const (
 
 // Region is the current optimization subspace.
 type Region struct {
-	Kind   Kind
-	Center []float64 // θbest in unit coordinates
-	Radius float64   // hypercube half-width (max-norm)
-	Dir    []float64 // line direction (unit vector)
+	Kind   Kind      `json:"kind"`
+	Center []float64 `json:"center"`           // θbest in unit coordinates
+	Radius float64   `json:"radius,omitempty"` // hypercube half-width (max-norm)
+	Dir    []float64 `json:"dir,omitempty"`    // line direction (unit vector)
 	// MinStep optionally gives each dimension a minimum perturbation
 	// radius. Categorical knobs need it: a 3-value enum's neighbor is
 	// 0.5 away in unit coordinates, unreachable inside a 5% radius.
-	MinStep []float64
+	// An adapter's regions share its MinStep, so its state omits it.
+	MinStep []float64 `json:"-"`
 	// PerturbK, when positive, perturbs only that many randomly chosen
 	// coordinates per candidate (the rest stay at the center) — the
 	// standard trick for trust regions in high dimension.
-	PerturbK int
+	PerturbK int `json:"perturb_k,omitempty"`
 }
 
 // radiusAt returns the effective radius for one dimension.
@@ -188,16 +190,26 @@ type Adapter struct {
 	MinStep  []float64
 	PerturbK int
 
-	rng          *rand.Rand
-	region       *Region
-	succ, fail   int
-	lineAge      int
-	phaseImprove float64 // relative improvement accumulated this phase
+	st  State
+	src *mathx.Source
+	rng *rand.Rand
+}
+
+// State is an Adapter's mutable state: the region, the streak counters
+// and its generator's seed and position.
+type State struct {
+	Region       *Region `json:"region,omitempty"`
+	Succ         int     `json:"succ,omitempty"`
+	Fail         int     `json:"fail,omitempty"`
+	LineAge      int     `json:"line_age,omitempty"`
+	PhaseImprove float64 `json:"phase_improve,omitempty"` // relative improvement accumulated this phase
+	Seed         int64   `json:"seed"`
+	Draws        int64   `json:"draws"`
 }
 
 // NewAdapter returns an adapter for a dim-dimensional unit space.
 func NewAdapter(dim int, seed int64) *Adapter {
-	return &Adapter{
+	a := &Adapter{
 		Dim:              dim,
 		RBase:            0.05,
 		RMin:             0.01,
@@ -206,20 +218,57 @@ func NewAdapter(dim int, seed int64) *Adapter {
 		EtaFail:          3,
 		LineIters:        8,
 		ImproveThreshold: 0.01,
-		rng:              rand.New(rand.NewSource(seed)),
+		st:               State{Seed: seed},
 	}
+	a.src = mathx.NewSource(seed, 0)
+	a.rng = rand.New(a.src)
+	return a
+}
+
+// State returns a copy of the adapter's state.
+func (a *Adapter) State() State {
+	st := a.st
+	if st.Region != nil {
+		r := *st.Region
+		st.Region = &r
+	}
+	st.Draws = a.src.Draws()
+	return st
+}
+
+// SetState installs an exported state. The region's shape must fit the
+// adapter's space; its MinStep is the adapter's own.
+func (a *Adapter) SetState(st State) error {
+	if r := st.Region; r != nil {
+		switch {
+		case r.Kind != Hypercube && r.Kind != Line:
+			return fmt.Errorf("subspace: unknown region kind %d", r.Kind)
+		case len(r.Center) != a.Dim || (r.Kind == Line && len(r.Dir) != a.Dim):
+			return fmt.Errorf("subspace: region of %d center and %d direction coordinates in a %d-dimensional space", len(r.Center), len(r.Dir), a.Dim)
+		case r.PerturbK < 0 || r.PerturbK > a.Dim:
+			return fmt.Errorf("subspace: region perturbs %d of %d coordinates", r.PerturbK, a.Dim)
+		}
+		r.MinStep = a.MinStep
+	}
+	if st.Draws < 0 {
+		return fmt.Errorf("subspace: negative draw count %d", st.Draws)
+	}
+	a.st = st
+	a.src = mathx.NewSource(st.Seed, st.Draws)
+	a.rng = rand.New(a.src)
+	return nil
 }
 
 // Region returns the current region (nil before the first Adapt).
-func (a *Adapter) Region() *Region { return a.region }
+func (a *Adapter) Region() *Region { return a.st.Region }
 
 // ReportUnsafe reacts to an unsafe evaluation: the hypercube snaps back
 // to the base radius and the streak counters reset, so the next
 // recommendations stay near the evaluated-best configuration.
 func (a *Adapter) ReportUnsafe() {
-	a.succ, a.fail = 0, 0
-	if a.region != nil && a.region.Kind == Hypercube && a.region.Radius > a.RBase {
-		a.region.Radius = a.RBase
+	a.st.Succ, a.st.Fail = 0, 0
+	if a.st.Region != nil && a.st.Region.Kind == Hypercube && a.st.Region.Radius > a.RBase {
+		a.st.Region.Radius = a.RBase
 	}
 }
 
@@ -227,17 +276,17 @@ func (a *Adapter) ReportUnsafe() {
 // previous one ("success") and the relative improvement magnitude.
 func (a *Adapter) Report(success bool, relImprove float64) {
 	if success {
-		a.succ++
-		a.fail = 0
+		a.st.Succ++
+		a.st.Fail = 0
 		if relImprove > 0 {
-			a.phaseImprove += relImprove
+			a.st.PhaseImprove += relImprove
 		}
 	} else {
-		a.fail++
-		a.succ = 0
+		a.st.Fail++
+		a.st.Succ = 0
 	}
-	if a.region != nil && a.region.Kind == Line {
-		a.lineAge++
+	if a.st.Region != nil && a.st.Region.Kind == Line {
+		a.st.LineAge++
 	}
 }
 
@@ -246,46 +295,46 @@ func (a *Adapter) Report(success bool, relImprove float64) {
 // and line regions. noUnevaluatedSafe signals that the safety set inside
 // the current region is exhausted — one of the paper's switch triggers.
 func (a *Adapter) Adapt(best []float64, noUnevaluatedSafe bool) *Region {
-	if a.region == nil {
-		a.region = &Region{Kind: Hypercube, Center: mathx.VecClone(best), Radius: a.RBase, MinStep: a.MinStep, PerturbK: a.PerturbK}
-		return a.region
+	if a.st.Region == nil {
+		a.st.Region = &Region{Kind: Hypercube, Center: mathx.VecClone(best), Radius: a.RBase, MinStep: a.MinStep, PerturbK: a.PerturbK}
+		return a.st.Region
 	}
-	a.region.Center = mathx.VecClone(best)
+	a.st.Region.Center = mathx.VecClone(best)
 
-	switch a.region.Kind {
+	switch a.st.Region.Kind {
 	case Hypercube:
-		if a.succ > a.EtaSucc {
-			a.region.Radius = math.Min(a.RMax, 2*a.region.Radius)
-			a.succ, a.fail = 0, 0
+		if a.st.Succ > a.EtaSucc {
+			a.st.Region.Radius = math.Min(a.RMax, 2*a.st.Region.Radius)
+			a.st.Succ, a.st.Fail = 0, 0
 		}
-		if a.fail > a.EtaFail {
-			a.region.Radius = math.Max(a.RMin, a.region.Radius/2)
-			a.fail, a.succ = 0, 0
+		if a.st.Fail > a.EtaFail {
+			a.st.Region.Radius = math.Max(a.RMin, a.st.Region.Radius/2)
+			a.st.Fail, a.st.Succ = 0, 0
 			// Persistent failure at minimum radius triggers the switch.
-			if a.region.Radius <= a.RMin {
+			if a.st.Region.Radius <= a.RMin {
 				noUnevaluatedSafe = true
 			}
 		}
 		if noUnevaluatedSafe {
-			a.region = &Region{Kind: Line, Center: a.region.Center, Dir: a.generateDirection(), MinStep: a.MinStep}
-			a.lineAge = 0
-			a.phaseImprove = 0
+			a.st.Region = &Region{Kind: Line, Center: a.st.Region.Center, Dir: a.generateDirection(), MinStep: a.MinStep}
+			a.st.LineAge = 0
+			a.st.PhaseImprove = 0
 		}
 	default: // Line
-		if noUnevaluatedSafe || a.lineAge >= a.LineIters {
-			a.region = &Region{Kind: Hypercube, Center: a.region.Center, Radius: a.RBase, MinStep: a.MinStep, PerturbK: a.PerturbK}
-			a.succ, a.fail = 0, 0
-			a.phaseImprove = 0
+		if noUnevaluatedSafe || a.st.LineAge >= a.LineIters {
+			a.st.Region = &Region{Kind: Hypercube, Center: a.st.Region.Center, Radius: a.RBase, MinStep: a.MinStep, PerturbK: a.PerturbK}
+			a.st.Succ, a.st.Fail = 0, 0
+			a.st.PhaseImprove = 0
 		}
 	}
-	return a.region
+	return a.st.Region
 }
 
 // generateDirection draws the line direction: random when the previous
 // hypercube phase improved little (explore), otherwise axis-aligned with
 // one of the top-5 important knobs (exploit), per Appendix A3.2.
 func (a *Adapter) generateDirection() []float64 {
-	useImportant := a.ImportanceFn != nil && a.phaseImprove >= a.ImproveThreshold
+	useImportant := a.ImportanceFn != nil && a.st.PhaseImprove >= a.ImproveThreshold
 	if useImportant {
 		imp := a.ImportanceFn()
 		if len(imp) == a.Dim {

@@ -104,13 +104,13 @@ func mNorm(v []float64) float64 {
 func TestImportantDirectionOracle(t *testing.T) {
 	a := NewAdapter(5, 3)
 	a.ImportanceFn = func() []float64 { return []float64{0, 0, 1, 0, 0} }
-	a.phaseImprove = 1 // exploit branch
+	a.st.PhaseImprove = 1 // exploit branch
 	d := a.generateDirection()
 	if d[2] != 1 {
 		t.Fatalf("important direction should align with knob 2: %v", d)
 	}
 	// Low improvement: random (not necessarily axis-aligned).
-	a.phaseImprove = 0
+	a.st.PhaseImprove = 0
 	d2 := a.generateDirection()
 	if math.Abs(mNorm(d2)-1) > 1e-9 {
 		t.Fatalf("random direction not unit: %v", d2)

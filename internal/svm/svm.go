@@ -5,8 +5,10 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/mathx"
 )
@@ -29,14 +31,22 @@ func LinearKernel() Kernel {
 
 // Binary is a two-class SVM with labels in {-1, +1}.
 type Binary struct {
-	C      float64 // box constraint
-	Kern   Kernel
-	Tol    float64
-	MaxIt  int
-	alphas []float64
-	b      float64
-	x      [][]float64
-	y      []float64
+	C     float64 // box constraint
+	Kern  Kernel
+	Tol   float64
+	MaxIt int
+	Fitted
+}
+
+// Fitted is a trained binary SVM: its support vectors (the training
+// points whose multiplier is non-zero, in training order), their labels
+// and multipliers, and the bias. Decision sums over exactly these, so
+// keeping only them changes no decision value.
+type Fitted struct {
+	X      [][]float64 `json:"x,omitempty"`
+	Y      []float64   `json:"y,omitempty"`
+	Alphas []float64   `json:"alphas,omitempty"`
+	B      float64     `json:"b"`
 }
 
 // NewBinary returns a binary SVM with the given box constraint and kernel.
@@ -49,9 +59,7 @@ func NewBinary(c float64, k Kernel) *Binary {
 // working-set choice.
 func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 	n := len(x)
-	s.x, s.y = x, y
-	s.alphas = make([]float64, n)
-	s.b = 0
+	s.Fitted = Fitted{Alphas: make([]float64, n)}
 	if n == 0 {
 		return
 	}
@@ -68,10 +76,10 @@ func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 		}
 	}
 	f := func(i int) float64 {
-		out := s.b
+		out := s.B
 		for j := 0; j < n; j++ {
-			if s.alphas[j] != 0 {
-				out += s.alphas[j] * y[j] * k.At(j, i)
+			if s.Alphas[j] != 0 {
+				out += s.Alphas[j] * y[j] * k.At(j, i)
 			}
 		}
 		return out
@@ -82,7 +90,7 @@ func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - y[i]
-			if !((y[i]*ei < -s.Tol && s.alphas[i] < s.C) || (y[i]*ei > s.Tol && s.alphas[i] > 0)) {
+			if !((y[i]*ei < -s.Tol && s.Alphas[i] < s.C) || (y[i]*ei > s.Tol && s.Alphas[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(n - 1)
@@ -90,7 +98,7 @@ func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 				j++
 			}
 			ej := f(j) - y[j]
-			ai, aj := s.alphas[i], s.alphas[j]
+			ai, aj := s.Alphas[i], s.Alphas[j]
 			var lo, hi float64
 			if y[i] != y[j] {
 				lo = math.Max(0, aj-ai)
@@ -112,17 +120,17 @@ func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 				continue
 			}
 			aiNew := ai + y[i]*y[j]*(aj-ajNew)
-			b1 := s.b - ei - y[i]*(aiNew-ai)*k.At(i, i) - y[j]*(ajNew-aj)*k.At(i, j)
-			b2 := s.b - ej - y[i]*(aiNew-ai)*k.At(i, j) - y[j]*(ajNew-aj)*k.At(j, j)
+			b1 := s.B - ei - y[i]*(aiNew-ai)*k.At(i, i) - y[j]*(ajNew-aj)*k.At(i, j)
+			b2 := s.B - ej - y[i]*(aiNew-ai)*k.At(i, j) - y[j]*(ajNew-aj)*k.At(j, j)
 			switch {
 			case aiNew > 0 && aiNew < s.C:
-				s.b = b1
+				s.B = b1
 			case ajNew > 0 && ajNew < s.C:
-				s.b = b2
+				s.B = b2
 			default:
-				s.b = (b1 + b2) / 2
+				s.B = (b1 + b2) / 2
 			}
-			s.alphas[i], s.alphas[j] = aiNew, ajNew
+			s.Alphas[i], s.Alphas[j] = aiNew, ajNew
 			changed++
 		}
 		if changed == 0 {
@@ -131,14 +139,21 @@ func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 			passes = 0
 		}
 	}
+	sv := Fitted{B: s.B}
+	for i, a := range s.Alphas {
+		if a != 0 {
+			sv.X, sv.Y, sv.Alphas = append(sv.X, x[i]), append(sv.Y, y[i]), append(sv.Alphas, a)
+		}
+	}
+	s.Fitted = sv
 }
 
 // Decision returns the signed decision value for a point.
 func (s *Binary) Decision(p []float64) float64 {
-	out := s.b
-	for i, a := range s.alphas {
+	out := s.B
+	for i, a := range s.Alphas {
 		if a != 0 {
-			out += a * s.y[i] * s.Kern(s.x[i], p)
+			out += a * s.Y[i] * s.Kern(s.X[i], p)
 		}
 	}
 	return out
@@ -189,6 +204,44 @@ func (m *Multiclass) Fit(x [][]float64, y []int, seed int64) {
 		b.Fit(x, lbl, seed+int64(ci))
 		m.models[ci] = b
 	}
+}
+
+// State is a trained multiclass classifier: its classes and one fitted
+// binary model per class.
+type State struct {
+	Classes []int    `json:"classes"`
+	Models  []Fitted `json:"models"`
+}
+
+// State returns the classifier's trained state.
+func (m *Multiclass) State() State {
+	st := State{Classes: slices.Clone(m.classes)}
+	for _, b := range m.models {
+		st.Models = append(st.Models, b.Fitted)
+	}
+	return st
+}
+
+// SetState installs a trained state, rejecting one whose models and
+// classes do not pair up or whose support vectors are not dim long.
+func (m *Multiclass) SetState(st State, dim int) error {
+	if len(st.Models) != len(st.Classes) {
+		return fmt.Errorf("svm: %d models for %d classes", len(st.Models), len(st.Classes))
+	}
+	m.classes, m.models = st.Classes, make([]*Binary, len(st.Models))
+	for i, f := range st.Models {
+		if len(f.Y) != len(f.X) || len(f.Alphas) != len(f.X) {
+			return fmt.Errorf("svm: model %d has %d support vectors, %d labels and %d multipliers", i, len(f.X), len(f.Y), len(f.Alphas))
+		}
+		for _, x := range f.X {
+			if len(x) != dim {
+				return fmt.Errorf("svm: model %d has a %d-dimensional support vector, want %d", i, len(x), dim)
+			}
+		}
+		m.models[i] = NewBinary(m.C, m.Kern)
+		m.models[i].Fitted = f
+	}
+	return nil
 }
 
 // Predict returns the class whose binary model scores highest. With no

@@ -14,6 +14,7 @@
 package whitebox
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/dbsim"
@@ -58,10 +59,16 @@ type Rule struct {
 	// max_connections).
 	ApplyCfg func(env Env, cfg knobs.Config) (Range, bool)
 
-	conflicts     int
-	conflictSafe  int
-	relaxations   int
-	ignoredActive bool
+	st RuleState
+}
+
+// RuleState is a rule's relaxation state: its conflict counters, how
+// many times it has been relaxed, and whether it is currently ignored.
+type RuleState struct {
+	Conflicts    int  `json:"conflicts,omitempty"`
+	ConflictSafe int  `json:"conflict_safe,omitempty"`
+	Relaxations  int  `json:"relaxations,omitempty"`
+	Ignored      bool `json:"ignored,omitempty"`
 }
 
 // apply evaluates the rule's restriction for a candidate configuration.
@@ -229,6 +236,47 @@ func DefaultRules() []*Rule {
 	}
 }
 
+// State returns every rule's relaxation state, in rule order.
+func (e *Engine) State() []RuleState {
+	out := make([]RuleState, len(e.Rules))
+	for i, r := range e.Rules {
+		out[i] = r.st
+	}
+	return out
+}
+
+// SetState installs exported rule states on a fresh engine, re-applying
+// each rule's relaxations, and rejects a list that does not match the
+// rule table.
+func (e *Engine) SetState(st []RuleState) error {
+	if len(st) != len(e.Rules) {
+		return fmt.Errorf("whitebox: %d rule states for %d rules", len(st), len(e.Rules))
+	}
+	for i, rs := range st {
+		if rs.Conflicts < 0 || rs.ConflictSafe < 0 || rs.Relaxations < 0 {
+			return fmt.Errorf("whitebox: rule %q has negative counters %+v", e.Rules[i].Name, rs)
+		}
+	}
+	for i, rs := range st {
+		r := e.Rules[i]
+		for r.st.Relaxations < rs.Relaxations {
+			r.relax()
+		}
+		r.st = rs
+	}
+	return nil
+}
+
+// Rule returns the engine's rule named name, or nil.
+func (e *Engine) Rule(name string) *Rule {
+	for _, r := range e.Rules {
+		if r.Name == name {
+			return r
+		}
+	}
+	return nil
+}
+
 // Verdict reports the engine's judgment of one configuration.
 type Verdict struct {
 	OK bool
@@ -255,7 +303,7 @@ func (e *Engine) Check(cfg knobs.Config, env Env) Verdict {
 		if satisfies(cfg, rg) {
 			continue
 		}
-		if r.ignoredActive && v.IgnoredRule == nil {
+		if r.st.Ignored && v.IgnoredRule == nil {
 			v.IgnoredRule = r
 			continue // bypassed this once
 		}
@@ -286,9 +334,9 @@ func satisfies(cfg knobs.Config, rg Range) bool {
 // (scaled by credibility), the rule enters the ignored state so the next
 // controversial recommendation can go through.
 func (e *Engine) ReportConflict(r *Rule) {
-	r.conflicts++
-	if r.conflicts >= e.ConflictThreshold+r.Credibility {
-		r.ignoredActive = true
+	r.st.Conflicts++
+	if r.st.Conflicts >= e.ConflictThreshold+r.Credibility {
+		r.st.Ignored = true
 	}
 }
 
@@ -297,17 +345,17 @@ func (e *Engine) ReportConflict(r *Rule) {
 // toward permanent relaxation; an unsafe outcome re-arms the rule.
 func (e *Engine) ReportOutcome(r *Rule, safe bool) {
 	if !safe {
-		r.ignoredActive = false
-		r.conflicts = 0
-		r.conflictSafe = 0
+		r.st.Ignored = false
+		r.st.Conflicts = 0
+		r.st.ConflictSafe = 0
 		return
 	}
-	r.conflictSafe++
-	if r.conflictSafe >= e.RelaxThreshold {
+	r.st.ConflictSafe++
+	if r.st.ConflictSafe >= e.RelaxThreshold {
 		r.relax()
-		r.ignoredActive = false
-		r.conflicts = 0
-		r.conflictSafe = 0
+		r.st.Ignored = false
+		r.st.Conflicts = 0
+		r.st.ConflictSafe = 0
 	}
 }
 
@@ -315,7 +363,7 @@ func (e *Engine) ReportOutcome(r *Rule, safe bool) {
 // a range expansion (each relaxation widens by 50% around the range
 // midpoint, and drops exclusion bands).
 func (r *Rule) relax() {
-	r.relaxations++
+	r.st.Relaxations++
 	widen := func(rg Range, ok bool) (Range, bool) {
 		if !ok {
 			return rg, ok
@@ -348,7 +396,7 @@ func (r *Rule) relax() {
 
 // Relaxations returns how many times a rule has been relaxed (for
 // diagnostics and the case-study visualization).
-func (r *Rule) Relaxations() int { return r.relaxations }
+func (r *Rule) Relaxations() int { return r.st.Relaxations }
 
 // Ignored reports whether the rule is currently bypassable.
-func (r *Rule) Ignored() bool { return r.ignoredActive }
+func (r *Rule) Ignored() bool { return r.st.Ignored }

@@ -3,21 +3,23 @@ package tune
 import (
 	"bytes"
 	"context"
+	"maps"
+	"slices"
 	"testing"
 )
 
 // FuzzParseSnapshot drives the snapshot version-envelope parser and
-// the full Restore replay over arbitrary bytes. Nearly every input is
-// rejected with an error — that is the correct outcome; the invariant
-// under fuzz is that no input panics or hangs. Seeds are the committed
-// current-version golden, damaged copies of it that each reach one of
-// Restore's rejections (the retired version, a torn file, a log cut
-// short of its recorded iter), and a freshly generated snapshot, so the
-// corpus tracks the live schema.
+// the full Restore — state import and replay — over arbitrary bytes.
+// Nearly every input is rejected with an error — that is the correct
+// outcome; the invariant under fuzz is that no input panics or hangs.
+// Seeds are the committed current-version golden, damaged copies of it
+// that each reach one of Restore's rejections (the retired version, a
+// torn file, and each broken state block of damagedGoldens), and a
+// freshly generated snapshot, so the corpus tracks the live schema.
 func FuzzParseSnapshot(f *testing.F) {
 	golden := goldenAtVersion(f, SnapshotVersion)
 	f.Add(golden)
-	f.Add(goldenAtVersion(f, 5))
+	f.Add(goldenAtVersion(f, 6))
 	f.Add(golden[:len(golden)/2])
 	f.Add(bytes.Replace(golden, []byte(`"iter": 3`), []byte(`"iter": 4`), 1))
 	s, err := NewSession(Config{Space: "case5", Seed: 1})
@@ -46,9 +48,13 @@ func FuzzParseSnapshot(f *testing.F) {
 	}
 	f.Add(fresh)
 	f.Add([]byte(`{"kind":"tune.Session","version":99}`))
-	f.Add([]byte(`{"kind":"something.Else","version":6}`))
-	f.Add([]byte(`{"kind":"tune.Session","version":6,"config":{"space":"nope"}}`))
+	f.Add([]byte(`{"kind":"something.Else","version":7}`))
+	f.Add([]byte(`{"kind":"tune.Session","version":7,"config":{"space":"nope"}}`))
 	f.Add([]byte("{"))
+	damaged := damagedGoldens(f)
+	for _, name := range slices.Sorted(maps.Keys(damaged)) {
+		f.Add(damaged[name])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = parseSnapshot(data)

@@ -88,20 +88,18 @@ func (k *knowAdapter) endReplay() {
 }
 
 // knowledgeQueue extracts the logged advice sequence (including misses)
-// from stretches of the event log, in query order.
-func knowledgeQueue(stretches ...[]event) []*knowledge.Advice {
+// from the events to replay, in query order.
+func knowledgeQueue(events []event) []*knowledge.Advice {
 	var q []*knowledge.Advice
-	for _, evs := range stretches {
-		for _, ev := range evs {
-			if ev.Kind != eventKnowledge {
-				continue
-			}
-			var adv *knowledge.Advice
-			if ev.Knowledge != nil {
-				adv = ev.Knowledge.Advice
-			}
-			q = append(q, adv)
+	for _, ev := range events {
+		if ev.Kind != eventKnowledge {
+			continue
 		}
+		var adv *knowledge.Advice
+		if ev.Knowledge != nil {
+			adv = ev.Knowledge.Advice
+		}
+		q = append(q, adv)
 	}
 	return q
 }

@@ -51,7 +51,7 @@ const (
 	// compacted on-disk form.
 	DefaultMaxResident = 1024
 	// DefaultCompactMin is the minimum WAL tail length before a
-	// compaction folds it into the base snapshot.
+	// compaction writes a new base snapshot.
 	DefaultCompactMin = 64
 )
 
@@ -63,9 +63,10 @@ type ManagerOptions struct {
 	// their compacted base+log form and re-hydrated on first touch.
 	MaxResident int
 	// CompactMin is the minimum tail length before compaction
-	// (0 = DefaultCompactMin). The effective threshold grows with the
-	// base (max(CompactMin, base events)), keeping lifetime checkpoint
-	// I/O linear in session length.
+	// (0 = DefaultCompactMin). Compaction also waits for the tail's bytes
+	// to reach the base's, which keeps lifetime checkpoint I/O within
+	// twice the record bytes and a hydrate's replay within the state's
+	// size.
 	CompactMin int
 	// NoFsync skips fsyncs on WAL commits and base-snapshot writes.
 	// For benchmarks and tests; a power failure may lose committed
@@ -98,22 +99,24 @@ type ManagerOptions struct {
 //
 // Durability: each operation appends its events to the session's
 // write-ahead log (<id>.wal) with one group-commit fsync — O(1) I/O per
-// interval — and a periodic compaction folds the tail into an atomic
-// base snapshot (<id>.base.json), so lifetime checkpoint bytes stay
-// linear in session length instead of quadratic. With CommitInterval
+// interval — and a periodic compaction writes the session's exact state
+// as an atomic base snapshot (<id>.base.json) and resets the tail, so
+// lifetime checkpoint bytes stay linear in session length instead of
+// quadratic. With CommitInterval
 // set, the fsync itself is shared fleet-wide: appends land in the
 // session log unsynced and in a shared journal (fleet.journal) whose
 // single fsync per batch window makes every session in the batch
 // durable at once; session logs settle their sync debt lazily at
-// journal rotation, compaction, eviction and shutdown. Recovery loads the
-// base and replays the tail through the snapshot verification
-// machinery; deterministic replay makes the recovered session
-// bitwise-identical to the one that crashed.
+// journal rotation, compaction, eviction and shutdown. Recovery installs
+// the base's state and replays the tail through the snapshot
+// verification machinery; deterministic replay makes the recovered
+// session bitwise-identical to the one that crashed.
 //
 // Memory: sessions hydrate lazily. Boot reads only snapshot headers and
-// WAL tails (O(#sessions)); a session's history is replayed on its
-// first touch, and once more sessions are resident than MaxResident the
-// least-recently-used is compacted and dropped from memory. A fleet of
+// WAL tails (O(#sessions)); a session's base is decoded and its tail
+// replayed on its first touch, and once more sessions are resident than
+// MaxResident the least-recently-used flushes its tail and is dropped
+// from memory. A resident session keeps no persisted events. A fleet of
 // thousands of mostly-idle sessions costs a bounded working set.
 type Manager struct {
 	stateDir string
@@ -135,6 +138,7 @@ type Manager struct {
 	resident int
 
 	hydrations        atomic.Int64
+	replayedEvents    atomic.Int64
 	evictions         atomic.Int64
 	compactions       atomic.Int64
 	checkpointBytes   atomic.Int64
@@ -164,7 +168,7 @@ type managerShard struct {
 // s is nil while the session lives only on disk.
 //
 // Concurrency: mu guards only the flags (busy, deleted) and is held for
-// microseconds. The heavyweight state — s, log, persisted, baseEvents —
+// microseconds. The heavyweight state — s, log, persisted, baseBytes —
 // is guarded by the op GATE (busy + cond): acquire claims it,
 // release hands it off, and both transitions happen under mu, so gate
 // holders access the state without any lock held. That keeps candidate
@@ -181,12 +185,12 @@ type managedSession struct {
 	deleted bool
 	s       *Session // nil when evicted
 	log     *wal.Log // nil until the first persist or hydration opens it
-	// persisted is the index into the session's event log up to which
-	// events are durable; everything at or past it is appended on the
-	// next persist (the retry path after a durability failure).
+	// persisted is the global event index up to which events are
+	// durable; everything at or past it is appended on the next persist
+	// (the retry path after a durability failure).
 	persisted int
-	// baseEvents is how many events the on-disk base snapshot holds.
-	baseEvents int
+	// baseBytes is the size of the on-disk base snapshot.
+	baseBytes int64
 
 	// elem is this entry's LRU node (nil when not resident or selected
 	// for eviction); guarded by Manager.lmu.
@@ -290,6 +294,9 @@ type ManagerStats struct {
 	Hydrations  int64 `json:"hydrations"`
 	Evictions   int64 `json:"evictions"`
 	Compactions int64 `json:"compactions"`
+	// ReplayedEvents counts the logged events hydrations replayed: the
+	// WAL tails on top of their bases.
+	ReplayedEvents int64 `json:"replayed_events"`
 	// CheckpointBytes is the total bytes written for durability (WAL
 	// frames plus base snapshots) since the manager started.
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
@@ -481,16 +488,12 @@ func (m *Manager) patchSessionLog(id string, payloads [][]byte) (int, error) {
 		}
 		next = last.Idx + 1
 	} else {
-		// An empty log anchors at the base snapshot's event count.
-		data, err := os.ReadFile(m.basePath(id))
+		// An empty log anchors at the base snapshot's next event.
+		h, err := peekSnapshotHeader(m.basePath(id))
 		if err != nil {
 			return 0, err
 		}
-		f, err := parseSnapshot(data)
-		if err != nil {
-			return 0, err
-		}
-		next = len(f.Events)
+		next = h.Next
 	}
 	// Each event is journaled once and in order, so one incarnation's
 	// indices strictly increase: everything up to the last non-increase
@@ -672,7 +675,7 @@ func (m *Manager) evictOne(v *managedSession) {
 	// so eviction must NOT force a compaction — under LRU churn that
 	// would rewrite the base snapshot on every eviction and reintroduce
 	// the quadratic lifetime I/O the WAL exists to avoid. Compaction
-	// stays on its geometric schedule inside tryPersistLocked.
+	// stays on its byte schedule inside tryPersistLocked.
 	if err := m.tryPersistLocked(v); err != nil {
 		m.reinsert(v)
 		return
@@ -881,6 +884,7 @@ func (m *Manager) Stats() ManagerStats {
 	}
 	st.Evicted = st.Sessions - st.Hydrated
 	st.Hydrations = m.hydrations.Load()
+	st.ReplayedEvents = m.replayedEvents.Load()
 	st.Evictions = m.evictions.Load()
 	st.Compactions = m.compactions.Load()
 	st.CheckpointBytes = m.checkpointBytes.Load()

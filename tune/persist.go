@@ -15,11 +15,12 @@ import (
 // On-disk layout of a durable session under the Manager's state
 // directory:
 //
-//	<id>.base.json  base snapshot (a full Snapshot document)
+//	<id>.base.json  base snapshot (a compact Snapshot document: the
+//	                session's exact state when the base was written)
 //	<id>.wal        append-only tail: events since the base was compacted
 //	.<id>-*         in-flight atomic-write temps; swept at boot
 //
-// Recovery loads the base, replays the tail through the same
+// Recovery installs the base's state, replays the tail through the same
 // rollout-verification cursor Restore uses, and arrives at a session
 // bitwise-identical to one that never restarted.
 func (m *Manager) basePath(id string) string {
@@ -39,11 +40,11 @@ func (m *Manager) walOptions() wal.Options {
 // walRecord is the JSON payload of one WAL frame: a single session
 // event plus enough envelope to recover without parsing the base first.
 // Idx is the event's index in the session's global event log, so replay
-// can skip records that predate the current base (a crash between the
-// base's rename and the log's reset leaves such stale records) and
-// detect gaps. Iter and Phase mirror the session counters AFTER the
-// batch containing this record, so the boot scan can summarize an
-// evicted session from the log's final record alone.
+// can skip records that predate the current base (its header's Next; a
+// crash between the base's rename and the log's reset leaves such stale
+// records) and detect gaps. Iter and Phase mirror the session counters
+// AFTER the batch containing this record, so the boot scan can summarize
+// an evicted session from the log's final record alone.
 type walRecord struct {
 	Idx   int    `json:"idx"`
 	Iter  int    `json:"iter"`
@@ -52,12 +53,11 @@ type walRecord struct {
 }
 
 // decodeTail turns recovered WAL payloads into the event tail that
-// follows a base snapshot holding baseEvents events. Records with
-// Idx < baseEvents are stale remnants of the pre-compaction log and are
+// follows a base snapshot whose next event is next. Records with
+// Idx < next are stale remnants of the pre-compaction log and are
 // skipped; anything else must be contiguous.
-func decodeTail(recs [][]byte, baseEvents int) ([]event, error) {
+func decodeTail(recs [][]byte, next int) ([]event, error) {
 	var tail []event
-	next := baseEvents
 	for i, data := range recs {
 		var rec walRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
@@ -120,10 +120,10 @@ func (w *walEncoder) encode(evs []event, start, iter int, phase string) ([][]byt
 // handles retries and ErrDurability wrapping). Normal path: append the
 // events since the persisted cursor to the WAL and group-commit them —
 // O(1) I/O per operation, with the fsync itself shared fleet-wide when
-// the manager's committer is on. The full base snapshot is rewritten
-// only on the first write (creation), after a WAL write error (the log
-// is dropped so the next attempt re-bases atomically), or when the tail
-// has grown past the compaction threshold.
+// the manager's committer is on — then let the session drop them. The
+// base snapshot is rewritten only on the first write (creation), after
+// a WAL write error (the log is dropped so the next attempt re-bases
+// atomically), or when compaction is due.
 func (m *Manager) tryPersistLocked(e *managedSession) error {
 	if m.stateDir == "" || e.s == nil {
 		return nil
@@ -163,8 +163,9 @@ func (m *Manager) tryPersistLocked(e *managedSession) error {
 		return err
 	}
 	e.persisted += len(evs)
+	e.s.dropPersisted(e.persisted)
 	m.checkpointBytes.Add(e.log.Size() - before)
-	if e.log.Count() >= m.compactThreshold(e.baseEvents) {
+	if m.compactDue(e) {
 		return m.compactLocked(e)
 	}
 	return nil
@@ -193,29 +194,28 @@ func (m *Manager) commitTail(e *managedSession, payloads [][]byte) error {
 	return wait()
 }
 
-// compactThreshold is the tail length that triggers folding the log
-// into a new base. Growing it with the base size keeps total lifetime
-// checkpoint I/O linear in the event count (each event is rewritten
-// into O(1) bases), i.e. O(1) amortized bytes per operation.
-func (m *Manager) compactThreshold(baseEvents int) int {
+// compactDue reports whether the WAL tail should fold into a new base:
+// once it holds at least CompactMin events and as many bytes as the
+// base. Every base is then paid for by at least its own size in
+// records, so lifetime checkpoint bytes stay within twice the record
+// bytes, and a hydrate replays at most about a base's worth of records:
+// bounded by the state's size, not the session's age.
+func (m *Manager) compactDue(e *managedSession) bool {
 	min := m.opts.CompactMin
 	if min <= 0 {
 		min = DefaultCompactMin
 	}
-	if baseEvents > min {
-		return baseEvents
-	}
-	return min
+	return e.log.Count() >= min && e.log.Size() >= e.baseBytes
 }
 
-// compactLocked folds the session's full event log into a fresh base
-// snapshot and resets the WAL tail. Ordering is the crash-safety
-// invariant: the base is written to a temp file, fsynced and renamed
-// into place BEFORE the log is reset, so a crash at any point leaves
-// either the old base+tail or the new base with stale tail records
-// (skipped by index on recovery) — never a state that loses events.
+// compactLocked writes the session's snapshot as a fresh base and
+// resets the WAL tail. Ordering is the crash-safety invariant: the base
+// is written to a temp file, fsynced and renamed into place BEFORE the
+// log is reset, so a crash at any point leaves either the old base+tail
+// or the new base with stale tail records (skipped by index on
+// recovery) — never a state that loses events.
 func (m *Manager) compactLocked(e *managedSession) error {
-	data, err := e.s.Snapshot()
+	data, next, err := e.s.snapshot(false)
 	if err != nil {
 		return err
 	}
@@ -239,8 +239,8 @@ func (m *Manager) compactLocked(e *managedSession) error {
 		// session: release the rotation hold on its log.
 		m.committer.Forget(e.log.Path())
 	}
-	e.baseEvents = e.s.EventCount()
-	e.persisted = e.baseEvents
+	e.persisted, e.baseBytes = next, int64(len(data))
+	e.s.dropPersisted(next)
 	m.compactions.Add(1)
 	return nil
 }
@@ -278,9 +278,9 @@ func (m *Manager) writeAtomic(path, id string, data []byte) error {
 }
 
 // hydrateLocked loads an evicted (or never-resident) session back into
-// memory: read the base snapshot, open the WAL, replay the tail.
-// Deterministic replay makes the hydrated session bitwise equivalent to
-// the one that was evicted.
+// memory: read the base snapshot, open the WAL, install the base's
+// state and replay the tail. The hydrated session is bitwise equivalent
+// to the one that was evicted.
 func (m *Manager) hydrateLocked(e *managedSession) error {
 	if e.s != nil {
 		return nil
@@ -293,23 +293,24 @@ func (m *Manager) hydrateLocked(e *managedSession) error {
 	if err != nil {
 		return fmt.Errorf("tune: opening wal for session %q: %w", e.id, err)
 	}
-	s, baseEvents, err := restore(data, recs, m.know)
+	s, err := restore(data, recs, m.know)
 	if err != nil {
 		lg.Close()
 		return fmt.Errorf("tune: restoring session %q: %w", e.id, err)
 	}
 	e.s, e.log = s, lg
-	e.baseEvents = baseEvents
-	e.persisted = s.EventCount()
+	e.persisted, e.baseBytes = s.nextEvent(), int64(len(data))
+	m.replayedEvents.Add(int64(s.EventCount()))
+	s.dropPersisted(e.persisted)
 	m.hydrations.Add(1)
 	return nil
 }
 
 // peekSnapshotHeader reads a snapshot's header fields without buffering
-// its event log or state: a streaming decode that stops at the "events"
-// key. snapshotFile marshals its header first, so this touches only the
-// head of the file — boot cost for a fleet of sessions is
-// O(#sessions), not O(total history).
+// its state or event log: a streaming decode that stops at the "state"
+// or "events" key. snapshotFile marshals its header first, so this
+// touches only the head of the file — boot cost for a fleet of sessions
+// is O(#sessions), not O(total state).
 func peekSnapshotHeader(path string) (snapshotHeader, error) {
 	var h snapshotHeader
 	f, err := os.Open(path)
@@ -340,6 +341,8 @@ func peekSnapshotHeader(path string) (snapshotHeader, error) {
 			err = dec.Decode(&h.Config)
 		case "iter":
 			err = dec.Decode(&h.Iter)
+		case "next":
+			err = dec.Decode(&h.Next)
 		case "rollout_phase":
 			err = dec.Decode(&h.RolloutPhase)
 		case "events", "state":

@@ -225,9 +225,10 @@ type Advice struct {
 // Session is a durable tuning session for one database. It wraps a
 // backend Tuner with internal context featurization, so callers hand it
 // raw observations and receive configuration advice. Safe for
-// concurrent use; every operation is appended to an event log that
-// Snapshot serializes, which is how a restored session reproduces the
-// exact tuner state (see Restore).
+// concurrent use. Snapshot serializes the session's exact state (see
+// Restore); every operation is also appended to an event log, which a
+// Manager appends to the session's WAL and replays on top of the last
+// snapshot when it recovers the session.
 type Session struct {
 	mu    sync.Mutex
 	cfg   Config
@@ -250,7 +251,12 @@ type Session struct {
 	lastUnit []float64
 	lastCfg  KnobConfig
 
+	// events holds the logged events from global index evBase on: once
+	// a Manager has persisted them it drops them (dropPersisted), unless
+	// the backend cannot export its state, whose whole log every
+	// snapshot carries.
 	events []event
+	evBase int
 }
 
 // NewSession creates a session from a declarative Config.
@@ -318,23 +324,63 @@ func (s *Session) Iter() int {
 }
 
 // EventCount returns the number of logged events (suggests, reports and
-// rollout decisions) — the length of the log a Snapshot would carry.
+// rollout decisions) the session holds in memory: those a Manager has
+// not yet persisted, or the whole log of a backend that cannot export
+// its state.
 func (s *Session) EventCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.events)
 }
 
-// eventsSince returns a copy of the logged events from index n on — the
-// not-yet-persisted suffix the Manager appends to the session's
+// stateful reports whether the session's backend exports its exact
+// state, so that a snapshot carries the state instead of the event log.
+func (s *Session) stateful() bool {
+	switch s.tuner.(type) {
+	case *OnlineTuner, *StoppingTuner:
+		return true
+	}
+	return false
+}
+
+// nextEventLocked is the global index of the next event to be logged.
+func (s *Session) nextEventLocked() int { return s.evBase + len(s.events) }
+
+// nextEvent is nextEventLocked under the lock.
+func (s *Session) nextEvent() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nextEventLocked()
+}
+
+// eventsSince returns a copy of the logged events from global index n on
+// — the not-yet-persisted suffix the Manager appends to the session's
 // write-ahead log after each operation.
 func (s *Session) eventsSince(n int) []event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n < 0 || n >= len(s.events) {
+	i := max(n-s.evBase, 0)
+	if i >= len(s.events) {
 		return nil
 	}
-	return append([]event(nil), s.events[n:]...)
+	return append([]event(nil), s.events[i:]...)
+}
+
+// dropPersisted forgets the events before global index n once a Manager
+// has made them durable — a snapshot carries the state, so they are
+// never needed again. A session whose backend cannot export its state
+// keeps its whole log.
+func (s *Session) dropPersisted(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := min(n-s.evBase, len(s.events))
+	if k <= 0 || !s.stateful() {
+		return
+	}
+	kept := copy(s.events, s.events[k:])
+	clear(s.events[kept:])
+	s.events = s.events[:kept]
+	s.evBase += k
 }
 
 // Suggest recommends a configuration for the next interval, based on

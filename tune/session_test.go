@@ -87,7 +87,7 @@ func TestSessionSuggestReportRoundTrip(t *testing.T) {
 	}
 
 	// The underlying repository recorded every observation.
-	if obs := s.stateLocked().Observations; obs != 60 {
+	if obs := s.exportLocked().Observations; obs != 60 {
 		t.Fatalf("repository holds %d observations", obs)
 	}
 }

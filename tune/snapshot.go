@@ -2,6 +2,7 @@ package tune
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -11,14 +12,13 @@ import (
 // SnapshotVersion is the version of the session snapshot JSON schema,
 // and the only one Restore and the Manager accept. The schema is
 // append-only within a version: fields may be added, never renamed,
-// repurposed or removed without a bump. Version 6 is the role-keyed
-// format: a header (config, iter, rollout_phase) emitted before the
-// event log so the Manager's boot scan can summarize a session from
-// the head of its base snapshot, a log of suggest, report, knowledge
-// and rollout-decision events whose outcomes carry the staged
-// replica's measurement only as Measurements[RoleStaged], and the
-// derived state summary.
-const SnapshotVersion = 6
+// repurposed or removed without a bump. Version 7 is the state format:
+// a header (config, iter, the global index of the next event,
+// rollout_phase) emitted first so the Manager's boot scan can summarize
+// a session from the head of its base snapshot, then the session's
+// exact state — or, for a backend that cannot export its state, the
+// whole log of suggest, report, knowledge and rollout-decision events.
+const SnapshotVersion = 7
 
 // snapshotKind tags the document so unrelated JSON is rejected early.
 const snapshotKind = "tune.Session"
@@ -38,13 +38,11 @@ const (
 	eventKnowledge = "knowledge"
 )
 
-// event is one logged session operation. The tuner's evolution is a
-// deterministic function of its Config and the ordered event log, so
-// the log IS the durable state: Restore replays it through a freshly
-// built session and arrives at a bitwise-identical tuner (GP Cholesky
-// factors, RNG stream, cluster assignments, rule-relaxation counters,
-// rollout state and all) — a fidelity no field-by-field serialization
-// of float state could guarantee as cheaply.
+// event is one logged session operation. Every source of randomness is
+// seeded, so replaying events on a session restored from a snapshot
+// reproduces the session that logged them bit for bit: the WAL tail on
+// top of a base's state, or a base's whole log for a backend that
+// cannot export its state.
 type event struct {
 	Kind    string   `json:"kind"`
 	Outcome *Outcome `json:"outcome,omitempty"`
@@ -54,35 +52,46 @@ type event struct {
 	Knowledge *knowledgeEvent `json:"knowledge,omitempty"`
 }
 
-// sessionState is the derived, human-inspectable state summary embedded
-// in a snapshot: the per-cluster GP observations, the cluster
-// assignment of every historical observation, each model's safe-set
-// memory, and the featurizer's vocabulary. Restore uses it as an
-// integrity check on the replayed session.
+// sessionState is the exact state of a session whose backend is built on
+// core.OnlineTune: everything the next Suggest or Report reads that
+// NewSession does not derive from the Config. The tuner's state is
+// embedded, so its observation count and cluster models sit at the top
+// of the block.
 type sessionState struct {
-	// Observations is the total number of repository observations.
-	Observations int `json:"observations"`
-	// ClusterLabels is the cluster assignment per observation.
-	ClusterLabels []int `json:"cluster_labels,omitempty"`
-	// Models holds each cluster model's GP observations, incumbent and
-	// evaluated safe-set keys.
-	Models []core.ModelSnapshot `json:"models,omitempty"`
-	// Vocabulary is the featurizer's admitted token list in id order.
-	Vocabulary []string `json:"vocabulary,omitempty"`
-	// Rollout summarizes the canary rollout controller (nil when the
-	// session applies recommendations directly).
-	Rollout *RolloutStatus `json:"rollout,omitempty"`
+	// LastWorkload is the last reported workload (absent before the
+	// first report); the other Last fields complete the observation the
+	// next Suggest plans with and what the last one advised.
+	LastWorkload *Workload `json:"last_workload,omitempty"`
+	LastCtx      []float64 `json:"last_ctx"`
+	LastMet      Metrics   `json:"last_metrics"`
+	LastTau      float64   `json:"last_tau"`
+	LastUnit     []float64 `json:"last_unit"`
+	// LastConfig is stored, not decoded from LastUnit: before the first
+	// suggest it is the configured initial configuration.
+	LastConfig KnobConfig `json:"last_config"`
+	// TunerUnit is the backend adapter's last proposal, and Stopping the
+	// stopping backend's pause bookkeeping.
+	TunerUnit []float64           `json:"tuner_unit"`
+	Stopping  *core.StoppingState `json:"stopping,omitempty"`
+	// Vocabulary is the featurizer's admitted tokens in admission order.
+	Vocabulary []string `json:"vocabulary"`
+	core.State
 }
 
 // snapshotHeader is the prefix of a snapshot document: everything the
-// Manager's boot scan needs, marshaled BEFORE the event log, so peeking
-// a base snapshot's header never reads past the head of the file.
+// Manager's boot scan needs, marshaled BEFORE the state and events, so
+// peeking a base snapshot's header never reads past the head of the
+// file.
 type snapshotHeader struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	Config  Config `json:"config"`
 	Iter    int    `json:"iter"`
-	// RolloutPhase duplicates State.Rollout.Phase in the header.
+	// Next is the global index of the session's next event: the snapshot
+	// reflects every event before it, and WAL records from it on are the
+	// tail a recovery replays.
+	Next int `json:"next"`
+	// RolloutPhase duplicates State.Rollout's phase in the header.
 	RolloutPhase string `json:"rollout_phase,omitempty"`
 }
 
@@ -99,19 +108,25 @@ func (h snapshotHeader) check() error {
 }
 
 // snapshotFile is the versioned JSON document Snapshot produces: the
-// header, then the event log, then the derived state summary.
+// header, then either the state or the whole event log.
 type snapshotFile struct {
 	snapshotHeader
-	Events []event       `json:"events"`
 	State  *sessionState `json:"state,omitempty"`
+	Events []event       `json:"events,omitempty"`
 }
 
-// Snapshot serializes the session as versioned JSON: its configuration,
-// the full event log, and a derived state summary (GP observations,
-// cluster assignments, safe sets, featurizer vocabulary). The bytes are
-// self-contained — Restore rebuilds an equivalent session from them
-// alone.
+// Snapshot serializes the session as versioned, indented JSON: its
+// configuration and its exact state now (or, for a backend that cannot
+// export its state, its whole event log). The bytes are self-contained
+// — Restore rebuilds an equivalent session from them alone.
 func (s *Session) Snapshot() ([]byte, error) {
+	data, _, err := s.snapshot(true)
+	return data, err
+}
+
+// snapshot serializes the session, indented or compact (the form of the
+// Manager's base files), and returns the snapshot's Next.
+func (s *Session) snapshot(indent bool) ([]byte, int, error) {
 	s.mu.Lock()
 	f := snapshotFile{
 		snapshotHeader: snapshotHeader{
@@ -119,49 +134,102 @@ func (s *Session) Snapshot() ([]byte, error) {
 			Kind:         snapshotKind,
 			Config:       s.cfg,
 			Iter:         s.iter,
+			Next:         s.nextEventLocked(),
 			RolloutPhase: string(s.rolloutLocked().Phase),
 		},
-		Events: s.events,
-		State:  s.stateLocked(),
+		State: s.exportLocked(),
+	}
+	if f.State == nil {
+		f.Events = s.events
 	}
 	s.mu.Unlock()
-	// Marshal off-lock (the log can be large, and encoding it must not
-	// stall concurrent Suggest/Report): every reference f carries is
-	// safe to read unlocked — State and RolloutPhase are deep copies
-	// built under the lock, Config is immutable after NewSession, and
-	// Events is a fixed-length prefix of an append-only log whose
-	// entries are never mutated after being appended.
+	// Marshal off-lock (encoding must not stall concurrent Suggest/Report):
+	// State is a deep copy built under the lock, Config is immutable after
+	// NewSession, and a log without state is never trimmed, only appended
+	// to, and its entries are never mutated.
+	if !indent {
+		data, err := json.Marshal(f)
+		return data, f.Next, err
+	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return append(data, '\n'), nil
+	return append(data, '\n'), f.Next, nil
 }
 
-// stateLocked exports the derived state summary.
-func (s *Session) stateLocked() *sessionState {
-	st := &sessionState{Vocabulary: s.feat.Vocabulary()}
-	if ct, ok := s.tuner.(coreTuner); ok {
-		t := ct.Core()
-		st.Observations = t.Repo.Len()
-		st.ClusterLabels = t.Labels()
-		for i := 0; i < t.NumModels(); i++ {
-			st.Models = append(st.Models, t.ModelSnapshotAt(i))
-		}
-		st.Rollout = t.RolloutStatus()
+// exportLocked returns a copy of the session's exact state, or nil when
+// its backend cannot export one.
+func (s *Session) exportLocked() *sessionState {
+	st := &sessionState{}
+	switch a := s.tuner.(type) {
+	case *OnlineTuner:
+		st.TunerUnit = a.lastUnit
+	case *StoppingTuner:
+		st.TunerUnit = a.lastUnit
+		ss := a.S.StoppingState
+		st.Stopping = &ss
+	default:
+		return nil
 	}
+	st.State = s.tuner.(coreTuner).Core().State()
+	if s.iter > 0 {
+		w := WorkloadFromSnapshot(s.lastSnap)
+		st.LastWorkload = &w
+	}
+	st.LastCtx, st.LastMet, st.LastTau = s.lastCtx, s.lastMet, s.lastTau
+	st.LastUnit, st.LastConfig = s.lastUnit, s.lastCfg
+	st.Vocabulary = s.feat.Vocabulary()
 	return st
 }
 
-// Restore rebuilds a session from Snapshot bytes by replaying its event
-// log through a freshly constructed session with the same Config. Every
-// source of randomness is seeded, so the restored session's subsequent
-// recommendations are bitwise-identical to those an uninterrupted
-// session would have produced. The embedded state summary is verified
-// against the replayed tuner.
+// importState installs the state a snapshot header describes on a
+// session fresh from NewSession, rejecting one that does not fit its
+// space or featurizer.
+func (s *Session) importState(h snapshotHeader, st *sessionState) error {
+	iter := h.Iter
+	dim := s.space.Dim()
+	if iter < 0 || (iter > 0) != (st.LastWorkload != nil) || len(st.LastCtx) != s.feat.Dim() ||
+		len(st.LastUnit) != dim || len(st.TunerUnit) != dim {
+		return errors.New("tune: snapshot state does not fit the session's space")
+	}
+	if err := s.feat.SetVocabulary(st.Vocabulary); err != nil {
+		return err
+	}
+	switch a := s.tuner.(type) {
+	case *OnlineTuner:
+		a.lastUnit = st.TunerUnit
+	case *StoppingTuner:
+		a.lastUnit = st.TunerUnit
+		if st.Stopping == nil {
+			return errors.New("tune: snapshot state lacks the stopping backend's bookkeeping")
+		}
+		if err := a.S.SetState(*st.Stopping); err != nil {
+			return err
+		}
+	}
+	// Each suggest, one event, makes at most one recommendation.
+	if err := s.tuner.(coreTuner).Core().SetState(st.State, h.Next); err != nil {
+		return err
+	}
+	s.iter = iter
+	if st.LastWorkload != nil {
+		s.lastSnap = st.LastWorkload.snapshot(iter - 1)
+		s.lastOLAP = s.lastSnap.OLAP
+	}
+	s.lastCtx, s.lastMet, s.lastTau = st.LastCtx, st.LastMet, st.LastTau
+	s.lastUnit, s.lastCfg = st.LastUnit, st.LastConfig
+	return nil
+}
+
+// Restore rebuilds a session from Snapshot bytes: it installs the
+// snapshot's state on a freshly constructed session with the same
+// Config, or replays its event log through one. Every source of
+// randomness is seeded or restored by position, so the restored
+// session's subsequent recommendations are bitwise-identical to those an
+// uninterrupted session would have produced.
 func Restore(data []byte) (*Session, error) {
-	s, _, err := restore(data, nil, nil)
-	return s, err
+	return restore(data, nil, nil)
 }
 
 // parseSnapshot decodes a snapshot document and checks its envelope.
@@ -175,62 +243,62 @@ func parseSnapshot(data []byte) (snapshotFile, error) {
 
 // restore is snapshot+tail recovery: it rebuilds a session from a base
 // snapshot document plus the WAL records the Manager accumulated since
-// that base was compacted (none for a bare Restore). The base's
-// embedded state summary is verified at the base boundary, then the
-// tail replays through the same verification loop. fleet is the
-// Manager's knowledge store, so a hydrated session resumes contributing
-// to (and querying) the live store once replay finishes; replay itself
-// never touches it — it consumes the logged advice. It returns the
-// restored session and the number of events the base contributed (the
-// tail's starting index in the combined log).
-func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, error) {
+// that base was compacted (none for a bare Restore), replaying the
+// base's log (if it has no state) and the tail in one verification
+// loop. fleet is the Manager's knowledge store, so a hydrated session
+// resumes contributing to (and querying) the live store once replay
+// finishes; replay itself never touches it — it consumes the logged
+// advice. The restored session holds the replayed events.
+func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, error) {
 	f, err := parseSnapshot(base)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	tail, err := decodeTail(recs, len(f.Events))
+	tail, err := decodeTail(recs, f.Next)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f.Config.fleet = fleet
 	s, err := NewSession(f.Config)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
+	switch {
+	case (f.State != nil) != s.stateful():
+		return nil, fmt.Errorf("tune: snapshot state does not match backend %q", s.cfg.Backend)
+	case f.State == nil && len(f.Events) != f.Next:
+		return nil, fmt.Errorf("tune: snapshot logs %d events, its header counts %d", len(f.Events), f.Next)
+	case f.State != nil && len(f.Events) > 0:
+		return nil, errors.New("tune: snapshot carries both a state and events")
+	case f.State != nil:
+		if err := s.importState(f.snapshotHeader, f.State); err != nil {
+			return nil, err
+		}
+	}
+	events := append(f.Events, tail...)
 	if s.know != nil {
 		// Feed the logged advice sequence to the adapter: replayed queries
 		// pop it in order, so the tuner sees exactly what it saw live.
-		s.know.beginReplay(knowledgeQueue(f.Events, tail))
+		s.know.beginReplay(knowledgeQueue(events))
 		defer s.know.endReplay()
 	}
-	// Rollout decisions are derived from the replayed reports — during
-	// replay s.events accumulates exactly the regenerated promote/
-	// rollback events, which must line up one-to-one with the logged
-	// ones (verified is the cursor into the regenerated sequence).
+	// Rollout decisions and knowledge queries are derived from the
+	// replayed reports and suggests — during replay s.events accumulates
+	// exactly the regenerated ones, which must line up one-to-one with the
+	// logged ones (verified is the cursor into the regenerated sequence).
 	verified := 0
-	if err := s.replayEvents(f.Events, &verified); err != nil {
-		return nil, 0, err
-	}
-	// The base's iter and state summary describe the session at the
-	// base boundary — check them before replaying the tail on top.
-	if s.iter != f.Iter {
-		return nil, 0, fmt.Errorf("tune: replay reached iter %d, snapshot recorded %d", s.iter, f.Iter)
-	}
-	if err := s.verifyState(f.State); err != nil {
-		return nil, 0, err
-	}
-	if err := s.replayEvents(tail, &verified); err != nil {
-		return nil, 0, err
+	if err := s.replayEvents(events, &verified); err != nil {
+		return nil, err
 	}
 	if verified != len(s.events) {
-		return nil, 0, fmt.Errorf("tune: replay produced %d rollout decisions, snapshot logged %d", len(s.events), verified)
+		return nil, fmt.Errorf("tune: replay produced %d rollout decisions, snapshot logged %d", len(s.events), verified)
 	}
-	s.events = append(append([]event(nil), f.Events...), tail...)
-	return s, len(f.Events), nil
+	s.events, s.evBase = events, f.Next-len(f.Events)
+	return s, nil
 }
 
-// replayEvents replays one stretch of logged events into s, advancing
-// the rollout-decision verification cursor.
+// replayEvents replays logged events into s, advancing the
+// rollout-decision verification cursor.
 func (s *Session) replayEvents(events []event, verified *int) error {
 	for i, ev := range events {
 		switch ev.Kind {
@@ -261,32 +329,6 @@ func (s *Session) replayEvents(events []event, verified *int) error {
 			*verified++
 		default:
 			return fmt.Errorf("tune: snapshot event %d: unknown kind %q", i, ev.Kind)
-		}
-	}
-	return nil
-}
-
-// verifyState cross-checks the snapshot's derived state summary against
-// the replayed session.
-func (s *Session) verifyState(want *sessionState) error {
-	if want == nil {
-		return nil
-	}
-	got := s.stateLocked()
-	if want.Observations != got.Observations {
-		return fmt.Errorf("tune: replayed repository holds %d observations, snapshot recorded %d", got.Observations, want.Observations)
-	}
-	if len(want.Models) != 0 && len(want.Models) != len(got.Models) {
-		return fmt.Errorf("tune: replay produced %d cluster models, snapshot recorded %d", len(got.Models), len(want.Models))
-	}
-	if len(want.Vocabulary) != 0 && len(want.Vocabulary) != len(got.Vocabulary) {
-		return fmt.Errorf("tune: replayed vocabulary holds %d tokens, snapshot recorded %d", len(got.Vocabulary), len(want.Vocabulary))
-	}
-	if want.Rollout != nil {
-		gr := got.Rollout
-		if gr == nil || gr.Phase != want.Rollout.Phase ||
-			gr.Promotions != want.Rollout.Promotions || gr.Rollbacks != want.Rollout.Rollbacks {
-			return fmt.Errorf("tune: replayed rollout state %+v does not match snapshot %+v", gr, want.Rollout)
 		}
 	}
 	return nil

@@ -83,7 +83,7 @@ func TestSnapshotGolden(t *testing.T) {
 	if err := json.Unmarshal(got, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"version", "kind", "config", "iter", "events", "state"} {
+	for _, key := range []string{"version", "kind", "config", "iter", "next", "state"} {
 		if _, ok := doc[key]; !ok {
 			t.Fatalf("snapshot missing %q section", key)
 		}
@@ -241,10 +241,10 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore([]byte("{")); err == nil {
 		t.Fatal("accepted truncated JSON")
 	}
-	if _, err := Restore([]byte(`{"version": 6, "kind": "something.Else"}`)); err == nil {
+	if _, err := Restore([]byte(`{"version": 7, "kind": "something.Else"}`)); err == nil {
 		t.Fatal("accepted wrong document kind")
 	}
-	if _, err := Restore([]byte(`{"version": 6, "kind": "tune.Session", "events": [{"kind": "report"}]}`)); err == nil {
+	if _, err := Restore([]byte(`{"version": 7, "kind": "tune.Session", "config": {"backend": "bo"}, "next": 1, "events": [{"kind": "report"}]}`)); err == nil {
 		t.Fatal("accepted report event without outcome")
 	}
 }
@@ -315,7 +315,7 @@ func goldenAtVersion(tb testing.TB, v int) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return bytes.Replace(golden, []byte(`"version": 6`), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+	return bytes.Replace(golden, []byte(`"version": 7`), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
 }
 
 // TestRestoreRejectsOtherVersions: exactly one snapshot version
@@ -326,12 +326,12 @@ func TestRestoreRejectsOtherVersions(t *testing.T) {
 	if _, err := Restore(goldenAtVersion(t, SnapshotVersion)); err != nil {
 		t.Fatalf("golden snapshot does not restore: %v", err)
 	}
-	for _, v := range []int{0, 1, 5, 7, 999} {
+	for _, v := range []int{0, 1, 6, 8, 999} {
 		_, err := Restore(goldenAtVersion(t, v))
 		if err == nil {
 			t.Fatalf("restored a version-%d snapshot", v)
 		}
-		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 6"} {
+		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 7"} {
 			//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name both versions), not on error identity
 			if !strings.Contains(err.Error(), frag) {
 				t.Fatalf("version-%d error %q does not mention %q", v, err, frag)
