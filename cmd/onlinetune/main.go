@@ -1,12 +1,12 @@
 // Command onlinetune runs the OnlineTune tuner (or a baseline) against
 // the simulated cloud database on a chosen workload schedule, streaming
 // per-iteration results and writing the observation repository to disk.
-// Backends are selected through the public tune registry.
+// -tuner picks one of bench.StandardTuners by name.
 //
 // Usage:
 //
 //	onlinetune -workload tpcc -iters 200
-//	onlinetune -workload ycsb -space case5 -tuner bo
+//	onlinetune -workload ycsb -space case5 -tuner BO
 //	onlinetune -workload cycle -iters 400 -repo obs.json
 package main
 
@@ -24,7 +24,7 @@ import (
 func main() {
 	wl := flag.String("workload", "tpcc", "workload: tpcc, twitter, job, ycsb, realworld, cycle")
 	spaceName := flag.String("space", "mysql57", "knob space: "+strings.Join(tune.Spaces(), ", "))
-	tunerName := flag.String("tuner", "onlinetune", "tuner backend: "+strings.Join(tune.Backends(), ", "))
+	tunerName := flag.String("tuner", "OnlineTune", "tuner: OnlineTune, BO, DDPG, ResTune, QTune, MysqlTuner, MysqlDefault or DBADefault")
 	iters := flag.Int("iters", 200, "tuning iterations")
 	seed := flag.Int64("seed", 1, "random seed")
 	interval := flag.Float64("interval", 180, "interval length in seconds")
@@ -51,18 +51,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	tn, err := tune.Open(*tunerName, tune.Config{Space: *spaceName, Seed: *seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	space, err := tune.OpenSpace(*spaceName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
 	feat := bench.NewFeaturizer(*seed)
+	var tn tune.Tuner
+	for _, t := range bench.StandardTuners(space, feat.Dim(), *seed) {
+		if t.Name() == *tunerName {
+			tn = t
+		}
+	}
+	if tn == nil {
+		fmt.Fprintf(os.Stderr, "unknown tuner %q\n", *tunerName)
+		os.Exit(2)
+	}
+
 	fmt.Printf("tuning %s on %s (%d knobs, %d iterations, %.0fs intervals)\n",
 		*wl, tn.Name(), space.Dim(), *iters, *interval)
 	s := bench.Run(tn, bench.RunConfig{
@@ -83,7 +88,7 @@ func main() {
 			}
 			fmt.Println("observation repository written to", *repoPath)
 		} else {
-			fmt.Fprintln(os.Stderr, "-repo only applies to the onlinetune tuner")
+			fmt.Fprintln(os.Stderr, "-repo only applies to the OnlineTune tuner")
 		}
 	}
 }

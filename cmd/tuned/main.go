@@ -13,6 +13,10 @@
 // syncs once per batch window, so checkpoint durability costs ~1 fsync
 // per window instead of one per operation per session.
 //
+// SIGINT or SIGTERM shuts the server down cleanly: in-flight requests
+// drain, then the manager flushes the committer and closes every log,
+// and the process exits 0.
+//
 // Usage:
 //
 //	tuned -addr :8080 -state /var/lib/tuned -max-resident 1024 -commit-interval 2ms
@@ -28,12 +32,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/tune"
@@ -90,12 +98,41 @@ func main() {
 		handler = mux
 		log.Printf("tuned: pprof exposed under /debug/pprof/")
 	}
-	log.Printf("tuned: listening on %s (backends: %v)", *addr, tune.Backends())
-	if err := http.ListenAndServe(*addr, handler); err != nil {
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	log.Printf("tuned: listening on %s", *addr)
+	select {
+	case err := <-served:
+		fmt.Fprintln(os.Stderr, "tuned:", err)
+		os.Exit(1)
+	case <-ctx.Done():
+	}
+	log.Printf("tuned: shutting down")
+	drain, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	err = errors.Join(srv.Shutdown(drain), m.Close())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tuned:", err)
 		os.Exit(1)
 	}
 }
+
+// Connection limits: a client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout;
+// a shutdown waits at most shutdownTimeout for in-flight requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 30 * time.Second
+)
 
 // commitWindow renders the -commit-interval value for the boot log.
 func commitWindow(d time.Duration) string {

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/bench"
 	"repro/internal/knobs"
 	"repro/internal/workload"
@@ -21,18 +22,10 @@ func main() {
 
 	fmt.Println("tuning dynamic TPC-C (40 knobs) — OnlineTune vs BO vs DBA default")
 	rows := [][]interface{}{}
-	bo, err := tune.Open("bo", tune.Config{Space: "mysql57", Seed: 8})
-	if err != nil {
-		panic(err)
-	}
-	dba, err := tune.Open("dba", tune.Config{Space: "mysql57"})
-	if err != nil {
-		panic(err)
-	}
 	for _, tn := range []tune.Tuner{
 		tune.NewOnlineTuner(space, feat.Dim(), space.DBADefault(), 7, tune.DefaultTunerOptions()),
-		bo,
-		dba,
+		baselines.NewBO(space, 8),
+		baselines.NewFixed("DBADefault", space.DBADefault()),
 	} {
 		s := bench.Run(tn, bench.RunConfig{Space: space, Gen: gen, Iters: 150, Seed: 7, Feat: feat})
 		rows = append(rows, []interface{}{tn.Name(), s.CumFinal(), s.Unsafe, s.Failures})

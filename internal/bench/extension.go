@@ -15,7 +15,7 @@ import (
 // a threshold, and resumes when context changes make the EI spike. The
 // experiment compares the always-configure tuner against the stopping
 // variant on a workload with long stable plateaus (YCSB). Both variants
-// are driven through the public tune backends.
+// are driven through the public tune adapters.
 func Ext1Stopping(iters int, seed int64) Report {
 	space := knobs.CaseStudy5()
 	feat := NewFeaturizer(seed)

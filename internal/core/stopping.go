@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/mathx"
@@ -25,28 +24,15 @@ type StoppingTuner struct {
 	// before pausing.
 	Patience int
 
-	StoppingState
-}
-
-// StoppingState is a StoppingTuner's pause/trigger bookkeeping.
-type StoppingState struct {
-	Applied   []float64 `json:"applied,omitempty"`
-	LowStreak int       `json:"low_streak,omitempty"`
-	Holding   bool      `json:"paused,omitempty"`
+	// Pause/trigger bookkeeping: the applied configuration, the run of
+	// low-EI iterations, and whether reconfiguration is held.
+	Applied   []float64
+	LowStreak int
+	Holding   bool
 	// PauseCount / ChangeCount instrument how often the mechanism held
 	// the configuration steady vs reconfigured.
-	PauseCount  int `json:"pause_count,omitempty"`
-	ChangeCount int `json:"change_count,omitempty"`
-}
-
-// SetState installs exported bookkeeping, rejecting an applied
-// configuration that does not fit the space.
-func (s *StoppingTuner) SetState(st StoppingState) error {
-	if (st.Applied != nil && len(st.Applied) != s.T.Space.Dim()) || st.LowStreak < 0 {
-		return fmt.Errorf("core: stopping state does not fit a %d-knob space", s.T.Space.Dim())
-	}
-	s.StoppingState = st
-	return nil
+	PauseCount  int
+	ChangeCount int
 }
 
 // NewStoppingTuner wraps an OnlineTune with the pause/trigger policy.

@@ -7,25 +7,6 @@ import (
 	"repro/internal/whitebox"
 )
 
-// lastRecommender is implemented by adapters whose backend exposes the
-// full decision path of its latest recommendation.
-type lastRecommender interface {
-	Last() *core.Recommendation
-}
-
-// coreTuner is implemented by adapters built on core.OnlineTune; it
-// grants sessions access to the tuner's exportable state.
-type coreTuner interface {
-	Core() *core.OnlineTune
-}
-
-// stagedTuner is implemented by adapters whose backend runs the canary
-// rollout and can consume a paired primary/shadow observation.
-type stagedTuner interface {
-	CanaryActive() bool
-	FeedbackStaged(env Env, primary Result, shadowPerf float64, shadowFailed bool)
-}
-
 // OnlineTuner adapts core.OnlineTune (Algorithm 3) to the unified Tuner
 // interface. It is the only place outside the core package's own tests
 // that constructs the tuner.
@@ -35,7 +16,7 @@ type OnlineTuner struct {
 	name     string
 }
 
-// NewOnlineTuner builds the OnlineTune backend. initial is the initial
+// NewOnlineTuner builds the OnlineTune tuner. initial is the initial
 // safety-set configuration (raw values); the paper uses the DBA default.
 func NewOnlineTuner(space *knobs.Space, ctxDim int, initial KnobConfig, seed int64, opts TunerOptions) *OnlineTuner {
 	u := space.Encode(initial)
@@ -77,9 +58,6 @@ func (a *OnlineTuner) Feedback(env Env, cfg KnobConfig, res Result) {
 // Last returns the decision path of the latest recommendation.
 func (a *OnlineTuner) Last() *core.Recommendation { return a.T.LastRecommendation() }
 
-// Core exposes the underlying tuner for state export.
-func (a *OnlineTuner) Core() *core.OnlineTune { return a.T }
-
 // CanaryActive reports whether a candidate is staged on the non-serving
 // replica — the canary phase in canary mode, the tuning phase in
 // bluegreen mode, and the revalidate phase in both (a chain-rollback
@@ -96,44 +74,27 @@ func (a *OnlineTuner) FeedbackStaged(env Env, primary Result, shadowPerf float64
 	a.T.ObservePair(env.Iter, env.Ctx, primary.Objective(env.OLAP), shadowPerf, env.Tau, primary.Failed, shadowFailed)
 }
 
-// Best returns the best configuration found so far across all cluster
-// models and its measured performance (-Inf before any safe
-// observation).
-func (a *OnlineTuner) Best() (KnobConfig, float64) {
-	u, perf := a.T.Best()
-	return a.T.Space.Decode(u), perf
-}
-
 // StoppingTuner adapts core.StoppingTuner — OnlineTune with the
 // stopping-and-triggering extension (§8) — to the unified Tuner
 // interface.
 type StoppingTuner struct {
 	S        *core.StoppingTuner
-	T        *core.OnlineTune
 	lastUnit []float64
-	name     string
 }
 
-// NewStoppingTuner builds the stopping backend: OnlineTune that pauses
+// NewStoppingTuner builds the stopping variant: OnlineTune that pauses
 // reconfiguration after patience consecutive intervals whose best
 // Expected Improvement stays below eiTrigger·|τ|.
 func NewStoppingTuner(space *knobs.Space, ctxDim int, initial KnobConfig, seed int64, opts TunerOptions, eiTrigger float64, patience int) *StoppingTuner {
 	u := space.Encode(initial)
-	base := core.New(space, ctxDim, u, seed, opts)
 	return &StoppingTuner{
-		S:        core.NewStoppingTuner(base, eiTrigger, patience),
-		T:        base,
+		S:        core.NewStoppingTuner(core.New(space, ctxDim, u, seed, opts), eiTrigger, patience),
 		lastUnit: u,
 	}
 }
 
 // Name implements Tuner.
-func (a *StoppingTuner) Name() string {
-	if a.name != "" {
-		return a.name
-	}
-	return "OnlineTune+Stopping"
-}
+func (a *StoppingTuner) Name() string { return "OnlineTune+Stopping" }
 
 // Propose implements Tuner.
 func (a *StoppingTuner) Propose(env Env) KnobConfig {
@@ -148,16 +109,4 @@ func (a *StoppingTuner) Feedback(env Env, cfg KnobConfig, res Result) {
 }
 
 // Last returns the decision path of the latest recommendation.
-func (a *StoppingTuner) Last() *core.Recommendation { return a.T.LastRecommendation() }
-
-// Core exposes the underlying tuner for state export.
-//
-// StoppingTuner deliberately does NOT implement stagedTuner: its paused
-// iterations hold the applied configuration without consulting the
-// rollout controller, so the canary rollout is unsupported for this
-// backend (the "stopping" registry factory rejects the combination).
-func (a *StoppingTuner) Core() *core.OnlineTune { return a.T }
-
-// Paused reports whether the backend is currently holding the applied
-// configuration.
-func (a *StoppingTuner) Paused() bool { return a.S.Paused() }
+func (a *StoppingTuner) Last() *core.Recommendation { return a.S.T.LastRecommendation() }

@@ -307,7 +307,6 @@ func TestOutcomeWireCompat(t *testing.T) {
 func TestAdviceWireGolden(t *testing.T) {
 	adv := Advice{
 		Iter:         4,
-		Backend:      "onlinetune",
 		Config:       KnobConfig{"innodb_buffer_pool_size": 12884901888},
 		Unit:         []float64{0.75},
 		RolloutPhase: RolloutTuning,
@@ -322,7 +321,6 @@ func TestAdviceWireGolden(t *testing.T) {
 	}
 	const want = `{
   "iter": 4,
-  "backend": "onlinetune",
   "config": {
     "innodb_buffer_pool_size": 12884901888
   },

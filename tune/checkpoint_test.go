@@ -209,17 +209,17 @@ func TestRestoreRejectsDamagedState(t *testing.T) {
 			t.Errorf("%s: restored", name)
 		}
 	}
-	// A state next to an event log is ambiguous.
+	// Every snapshot carries a state: a null one is an error.
 	doc, err := parseSnapshot(goldenAtVersion(t, SnapshotVersion))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.Events = []event{{Kind: eventSuggest}}
+	doc.State = nil
 	data, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Restore(data); err == nil {
-		t.Error("restored a snapshot carrying both a state and events")
+		t.Error("restored a snapshot whose state is null")
 	}
 }

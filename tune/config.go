@@ -16,12 +16,11 @@ type TunerOptions = core.Options
 // DefaultTunerOptions mirrors the paper's settings.
 func DefaultTunerOptions() TunerOptions { return core.DefaultOptions() }
 
-// RolloutConfig enables the staged rollout for OnlineTune-based
-// backends: recommendations that differ from the primary's last-good
-// configuration are staged on a second replica and promoted only after
-// a clean comparison window (see the README's "Blue/green rollout"
-// section). Zero fields take the rollout defaults (canary mode,
-// window 3, threshold 2%).
+// RolloutConfig enables the staged rollout: recommendations that
+// differ from the primary's last-good configuration are staged on a
+// second replica and promoted only after a clean comparison window (see
+// the README's "Blue/green rollout" section). Zero fields take the
+// rollout defaults (canary mode, window 3, threshold 2%).
 type RolloutConfig struct {
 	// Mode selects the rollout mode: "canary" (default) stages
 	// candidates on a non-serving shadow replica; "bluegreen" keeps two
@@ -71,18 +70,9 @@ func (c Config) rolloutMode() string {
 	return c.Rollout.Mode
 }
 
-// StoppingConfig tunes the stopping-and-triggering backend: pause
-// reconfiguration after Patience consecutive intervals whose best
-// Expected Improvement stays below EITrigger·|τ|.
-type StoppingConfig struct {
-	EITrigger float64 `json:"ei_trigger,omitempty"`
-	Patience  int     `json:"patience,omitempty"`
-}
-
-// Config declaratively describes a tuning session: the knob space and
-// backend by name, the seed, and the safety/stopping options. The zero
-// value is valid — OnlineTune on the full 40-knob MySQL space with the
-// paper's defaults.
+// Config declaratively describes an OnlineTune session: the knob space
+// by name, the seed, and the safety and rollout options. The zero value
+// is valid — the full 40-knob MySQL space with the paper's defaults.
 type Config struct {
 	// Space selects the knob space by name from the engine-keyed
 	// registry (Spaces lists them): "mysql57" (default, 40 knobs; "full"
@@ -91,9 +81,6 @@ type Config struct {
 	// subset). The space's engine tag selects the simulator behavior
 	// and white-box rule set.
 	Space string `json:"space,omitempty"`
-	// Backend selects the tuner by registry name (Backends lists them);
-	// default "onlinetune".
-	Backend string `json:"backend,omitempty"`
 	// Seed makes every random choice — candidate sampling, featurizer
 	// pre-training, exploration — deterministic.
 	Seed int64 `json:"seed,omitempty"`
@@ -107,9 +94,6 @@ type Config struct {
 	// (recommendations go straight to the primary — the ablation and
 	// the pre-rollout behavior).
 	Rollout *RolloutConfig `json:"rollout,omitempty"`
-	// Stopping configures the "stopping" backend; ignored otherwise.
-	// Zero fields take the defaults (EITrigger 0.05, Patience 4).
-	Stopping *StoppingConfig `json:"stopping,omitempty"`
 	// Options replaces every algorithm option at once and must be a
 	// complete safety-on set (validateOptions). DisableSafety still
 	// applies on top.
@@ -147,9 +131,6 @@ func OpenSpace(name string) (*knobs.Space, error) {
 func (c Config) withDefaults() Config {
 	if c.Space == "" {
 		c.Space = "mysql57"
-	}
-	if c.Backend == "" {
-		c.Backend = "onlinetune"
 	}
 	return c
 }
@@ -236,20 +217,6 @@ func (c Config) validateOptions() error {
 		}
 	}
 	return nil
-}
-
-// stopping resolves the stopping-backend parameters.
-func (c Config) stopping() StoppingConfig {
-	sc := StoppingConfig{EITrigger: 0.05, Patience: 4}
-	if c.Stopping != nil {
-		if c.Stopping.EITrigger > 0 {
-			sc.EITrigger = c.Stopping.EITrigger
-		}
-		if c.Stopping.Patience > 0 {
-			sc.Patience = c.Stopping.Patience
-		}
-	}
-	return sc
 }
 
 // hardware resolves the instance description.

@@ -24,7 +24,6 @@ func Example_session() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("backend:", advice.Backend)
 	fmt.Println("knobs advised:", len(advice.Config))
 	fmt.Println("fallback to initial safe config:", advice.Fallback)
 
@@ -60,7 +59,6 @@ func Example_session() {
 	fmt.Println("restored at interval:", restored.Iter())
 
 	// Output:
-	// backend: onlinetune
 	// knobs advised: 5
 	// fallback to initial safe config: true
 	// intervals reported: 1

@@ -29,7 +29,7 @@ var (
 	// ErrExists marks creation of a session id that is already taken.
 	ErrExists = errors.New("session already exists")
 	// ErrInvalid marks requests rejected by validation (bad session id,
-	// unknown space/backend/knob in the config).
+	// unknown space or knob in the config).
 	ErrInvalid = errors.New("invalid request")
 	// ErrDurability marks an operation whose in-memory effect succeeded
 	// but whose checkpoint failed twice: the session advanced, the write
@@ -264,10 +264,9 @@ type SessionRollout struct {
 
 // SessionInfo summarizes one managed session.
 type SessionInfo struct {
-	ID      string `json:"id"`
-	Backend string `json:"backend"`
-	Space   string `json:"space"`
-	Iter    int    `json:"iter"`
+	ID    string `json:"id"`
+	Space string `json:"space"`
+	Iter  int    `json:"iter"`
 	// Rollout is the session's rollout mode and phase.
 	Rollout *SessionRollout `json:"rollout,omitempty"`
 }

@@ -89,7 +89,7 @@ func TestManagerLazyHydration(t *testing.T) {
 		t.Fatalf("listed %d sessions, want %d", len(list), n)
 	}
 	for _, info := range list {
-		if info.Iter != iters || info.Backend != "onlinetune" || info.Space != "case5" || info.Rollout == nil || info.Rollout.Phase != RolloutDirect {
+		if info.Iter != iters || info.Space != "case5" || info.Rollout == nil || info.Rollout.Phase != RolloutDirect {
 			t.Fatalf("boot summary %+v", info)
 		}
 	}
@@ -253,14 +253,14 @@ func TestManagerIgnoresStrayJSON(t *testing.T) {
 // the current one fails boot with an error naming both versions.
 func TestManagerBootRejectsOtherVersion(t *testing.T) {
 	stateDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(stateDir, "db.base.json"), goldenAtVersion(t, 6), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(stateDir, "db.base.json"), goldenAtVersion(t, 7), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := NewManagerOpts(stateDir, ManagerOptions{NoFsync: true})
 	if err == nil {
-		t.Fatal("booted over a version-6 base snapshot")
+		t.Fatal("booted over a version-7 base snapshot")
 	}
-	for _, frag := range []string{`"db"`, "version 6", "want 7"} {
+	for _, frag := range []string{`"db"`, "version 7", "want 8"} {
 		//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name the session and both versions), not on error identity
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("boot error %q does not mention %s", err, frag)

@@ -368,9 +368,7 @@ func (m *Manager) peekInfo(e *managedSession) error {
 		return err
 	}
 	cfg := h.Config.withDefaults()
-	info := SessionInfo{
-		ID: e.id, Backend: cfg.Backend, Space: cfg.Space, Iter: h.Iter,
-	}
+	info := SessionInfo{ID: e.id, Space: cfg.Space, Iter: h.Iter}
 	phase := h.RolloutPhase
 	_, last, err := wal.Stat(m.walPath(e.id))
 	if err != nil {

@@ -65,7 +65,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 				default:
 					s.Iter()
 					s.Best()
-					s.Backend()
+					s.RolloutPhase()
 				}
 			}
 		}()

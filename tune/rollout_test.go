@@ -226,17 +226,3 @@ func TestRolloutOverHTTP(t *testing.T) {
 		t.Fatal("rollback event missing its reason")
 	}
 }
-
-// TestStoppingBackendRejectsRollout pins the unsupported combination:
-// the stopping backend's paused iterations bypass the rollout routing,
-// so enabling the canary rollout must fail loudly at session creation.
-func TestStoppingBackendRejectsRollout(t *testing.T) {
-	_, err := NewSession(Config{Space: "case5", Backend: "stopping", Rollout: &RolloutConfig{}})
-	if err == nil {
-		t.Fatal("stopping backend accepted a rollout config")
-	}
-	// Without rollout the backend still opens.
-	if _, err := NewSession(Config{Space: "case5", Backend: "stopping"}); err != nil {
-		t.Fatalf("plain stopping backend failed: %v", err)
-	}
-}

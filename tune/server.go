@@ -18,7 +18,6 @@ import (
 //	POST   /v1/sessions/{id}/report    ← Outcome, → {"iter": n}
 //	GET    /v1/sessions/{id}/rollout   → canary rollout status
 //	GET    /v1/sessions/{id}/snapshot  → versioned snapshot JSON
-//	GET    /v1/backends                registered backend names
 //	GET    /v1/knowledge/stats         fleet knowledge base counters
 //	GET    /v1/knowledge/export        fleet knowledge snapshot JSON
 //	POST   /v1/knowledge/import        ← knowledge snapshot, → {"merged": n}
@@ -51,10 +50,6 @@ func NewServer(m *Manager) http.Handler {
 			resp["knowledge_bytes"] = st.Knowledge.Bytes
 		}
 		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"backends": Backends(), "spaces": Spaces()})
 	})
 
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
@@ -217,7 +212,7 @@ func statusFor(err error) int {
 
 func sessionInfo(id string, s *Session) SessionInfo {
 	cfg := s.Config()
-	info := SessionInfo{ID: id, Backend: cfg.Backend, Space: cfg.Space, Iter: s.Iter()}
+	info := SessionInfo{ID: id, Space: cfg.Space, Iter: s.Iter()}
 	return info.withRollout(cfg.rolloutMode(), s.RolloutPhase())
 }
 

@@ -65,13 +65,15 @@ func TestTunedServerSmokeWithRestart(t *testing.T) {
 	cfg := Config{Space: "case5", Seed: 21}
 	var info SessionInfo
 	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "db1", "config": cfg}, http.StatusCreated, &info)
-	if info.ID != "db1" || info.Backend != "onlinetune" {
+	if info.ID != "db1" || info.Space != "case5" {
 		t.Fatalf("created %+v", info)
 	}
-	// Duplicate id → 409; invalid id → 400; unknown backend → 400.
+	// Duplicate id → 409; invalid id → 400; the removed backend and
+	// stopping fields are unknown → 400.
 	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "db1", "config": cfg}, http.StatusConflict, nil)
 	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "../evil", "config": cfg}, http.StatusBadRequest, nil)
-	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "db2", "config": Config{Backend: "nope"}}, http.StatusBadRequest, nil)
+	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "db2", "config": map[string]any{"backend": "bo"}}, http.StatusBadRequest, nil)
+	doJSON(t, srv, "POST", "/v1/sessions", map[string]any{"id": "db2", "config": map[string]any{"stopping": map[string]any{}}}, http.StatusBadRequest, nil)
 
 	// The uninterrupted reference session, driven with the same calls.
 	ref, err := NewSession(cfg)
@@ -353,33 +355,10 @@ func TestCreateOptionsBodies(t *testing.T) {
 	srv := httptest.NewServer(NewServer(m))
 	defer srv.Close()
 
-	for i, tc := range []struct {
-		name    string
-		partial map[string]any      // a partial options object, or
-		edit    func(*TunerOptions) // an edit to the full default set
-		disable bool                // config.disable_safety
-		status  int
-	}{
-		{name: "partial, one number", partial: map[string]any{"Beta": 3}, status: http.StatusBadRequest},
-		{name: "partial, one switch", partial: map[string]any{"UseClustering": true}, status: http.StatusBadRequest},
-		{name: "full defaults", edit: func(*TunerOptions) {}, status: http.StatusCreated},
-		{name: "full, wider margin", edit: func(o *TunerOptions) { o.SafetyMargin = 0.05 }, status: http.StatusCreated},
-		{name: "full, disable_safety", edit: func(*TunerOptions) {}, disable: true, status: http.StatusCreated},
-		{name: "full, white box off", edit: func(o *TunerOptions) { o.UseWhiteBox = false }, status: http.StatusBadRequest},
-		{name: "full, safety off", edit: func(o *TunerOptions) { o.UseSafety = false }, status: http.StatusBadRequest},
-		{name: "full, rollout inside", edit: func(o *TunerOptions) { o.Rollout.Enabled = true }, status: http.StatusBadRequest},
-		{name: "full, zero ReclusterEvery", edit: func(o *TunerOptions) { o.ReclusterEvery = 0 }, status: http.StatusBadRequest},
-	} {
+	for i, tc := range createOptionsCases() {
 		id := fmt.Sprintf("s%d", i)
-		var options any = tc.partial
-		want := DefaultTunerOptions()
-		if tc.edit != nil {
-			tc.edit(&want)
-			options = want
-		}
-		want.UseSafety = !tc.disable
-		body := map[string]any{"id": id, "config": map[string]any{
-			"space": "case5", "options": options, "disable_safety": tc.disable}}
+		want := tc.want()
+		body := tc.body(id)
 		if tc.status != http.StatusCreated {
 			var refusal struct {
 				Error string `json:"error"`
@@ -409,6 +388,53 @@ func TestCreateOptionsBodies(t *testing.T) {
 		doJSON(t, srv, "POST", "/v1/sessions/"+id+"/suggest", nil, http.StatusOK, nil)
 		doJSON(t, srv, "POST", "/v1/sessions/"+id+"/report", goldenOutcome(0), http.StatusOK, nil)
 	}
+}
+
+// createOptionsCase is one create body of TestCreateOptionsBodies: a
+// partial options object or an edit to the full default set, and the
+// status create must answer with.
+type createOptionsCase struct {
+	name    string
+	partial map[string]any      // a partial options object, or
+	edit    func(*TunerOptions) // an edit to the full default set
+	disable bool                // config.disable_safety
+	status  int
+}
+
+func createOptionsCases() []createOptionsCase {
+	return []createOptionsCase{
+		{name: "partial, one number", partial: map[string]any{"Beta": 3}, status: http.StatusBadRequest},
+		{name: "partial, one switch", partial: map[string]any{"UseClustering": true}, status: http.StatusBadRequest},
+		{name: "full defaults", edit: func(*TunerOptions) {}, status: http.StatusCreated},
+		{name: "full, wider margin", edit: func(o *TunerOptions) { o.SafetyMargin = 0.05 }, status: http.StatusCreated},
+		{name: "full, disable_safety", edit: func(*TunerOptions) {}, disable: true, status: http.StatusCreated},
+		{name: "full, white box off", edit: func(o *TunerOptions) { o.UseWhiteBox = false }, status: http.StatusBadRequest},
+		{name: "full, safety off", edit: func(o *TunerOptions) { o.UseSafety = false }, status: http.StatusBadRequest},
+		{name: "full, rollout inside", edit: func(o *TunerOptions) { o.Rollout.Enabled = true }, status: http.StatusBadRequest},
+		{name: "full, zero ReclusterEvery", edit: func(o *TunerOptions) { o.ReclusterEvery = 0 }, status: http.StatusBadRequest},
+	}
+}
+
+// want is the options an accepted body resolves to.
+func (tc createOptionsCase) want() TunerOptions {
+	want := DefaultTunerOptions()
+	if tc.edit != nil {
+		tc.edit(&want)
+	}
+	want.UseSafety = !tc.disable
+	return want
+}
+
+// body is the create request for session id.
+func (tc createOptionsCase) body(id string) map[string]any {
+	var options any = tc.partial
+	if tc.edit != nil {
+		opts := DefaultTunerOptions()
+		tc.edit(&opts)
+		options = opts
+	}
+	return map[string]any{"id": id, "config": map[string]any{
+		"space": "case5", "options": options, "disable_safety": tc.disable}}
 }
 
 // TestManagerDeleteVsCheckpointRace hammers Delete against concurrent

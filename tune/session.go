@@ -155,7 +155,7 @@ func (o Outcome) clone() Outcome {
 	return oc
 }
 
-// result reconstructs the raw interval result backends consume.
+// result reconstructs the raw interval result tuners consume.
 func (o Outcome) result() Result {
 	r := Result{Failed: o.Failed, Metrics: o.Metrics, P99LatencyMs: o.P99LatencyMs}
 	if o.Workload.OLAP {
@@ -171,14 +171,12 @@ func (o Outcome) result() Result {
 type Advice struct {
 	// Iter is the tuning interval the advice targets.
 	Iter int `json:"iter"`
-	// Backend is the registry name of the tuner that produced it.
-	Backend string `json:"backend"`
 	// Config is the recommended configuration (raw knob values).
 	Config KnobConfig `json:"config"`
 	// Unit is the same configuration in unit-hypercube encoding.
 	Unit []float64 `json:"unit"`
 
-	// Safety provenance (OnlineTune backends; zero for baselines).
+	// Safety provenance.
 
 	// Boundary reports that ε-greedy exploration picked the safe
 	// boundary point rather than the UCB maximizer.
@@ -191,16 +189,13 @@ type Advice struct {
 	// ModelIndex is the cluster model that produced the advice.
 	ModelIndex int `json:"model_index,omitempty"`
 	// RegionKind is the subspace type used ("hypercube", "line",
-	// "global", "probe", "init", "paused").
+	// "global", "probe", "init", "hold").
 	RegionKind string `json:"region_kind,omitempty"`
 	// WhiteBoxVetoes counts candidates the rule engine rejected.
 	WhiteBoxVetoes int `json:"white_box_vetoes,omitempty"`
 	// IgnoredRule names the white-box rule bypassed by conflict
 	// relaxation, if any.
 	IgnoredRule string `json:"ignored_rule,omitempty"`
-	// Paused reports that the stopping backend is holding the applied
-	// configuration.
-	Paused bool `json:"paused,omitempty"`
 	// RolloutPhase is the rollout state this advice was routed through:
 	// empty (rollout disabled — Config goes straight to the primary),
 	// "steady" (no candidate in flight), "canary"/"tuning" (Config/Unit
@@ -222,8 +217,8 @@ type Advice struct {
 	HasEI bool    `json:"has_ei,omitempty"`
 }
 
-// Session is a durable tuning session for one database. It wraps a
-// backend Tuner with internal context featurization, so callers hand it
+// Session is a durable tuning session for one database. It wraps
+// OnlineTune with internal context featurization, so callers hand it
 // raw observations and receive configuration advice. Safe for
 // concurrent use. Snapshot serializes the session's exact state (see
 // Restore); every operation is also appended to an event log, which a
@@ -234,7 +229,7 @@ type Session struct {
 	cfg   Config
 	space *knobs.Space
 	feat  *featurize.Featurizer
-	tuner Tuner
+	tuner *OnlineTuner
 	hw    Hardware
 
 	// know is the session's fleet-knowledge adapter (nil unless
@@ -252,9 +247,7 @@ type Session struct {
 	lastCfg  KnobConfig
 
 	// events holds the logged events from global index evBase on: once
-	// a Manager has persisted them it drops them (dropPersisted), unless
-	// the backend cannot export its state, whose whole log every
-	// snapshot carries.
+	// a Manager has persisted them it drops them (dropPersisted).
 	events []event
 	evBase int
 }
@@ -280,7 +273,7 @@ func NewSession(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	if cfg.Knowledge {
-		// Built before Open so cfg.options() can hand it to the tuner; the
+		// Built before the tuner so cfg.options() can hand it over; the
 		// engine+space pair is the fleet store's transfer-compatibility key.
 		cfg.know = &knowAdapter{
 			fleet:  cfg.fleet,
@@ -288,15 +281,11 @@ func NewSession(cfg Config) (*Session, error) {
 			space:  cfg.Space,
 		}
 	}
-	tuner, err := Open(cfg.Backend, cfg)
-	if err != nil {
-		return nil, err
-	}
 	s := &Session{
 		cfg:      cfg,
 		space:    space,
 		feat:     featurize.NewPretrained(cfg.Seed),
-		tuner:    tuner,
+		tuner:    NewOnlineTuner(space, featurize.ContextDim, initial, cfg.Seed, cfg.options()),
 		hw:       cfg.hardware(),
 		know:     cfg.know,
 		lastCfg:  initial,
@@ -325,22 +314,11 @@ func (s *Session) Iter() int {
 
 // EventCount returns the number of logged events (suggests, reports and
 // rollout decisions) the session holds in memory: those a Manager has
-// not yet persisted, or the whole log of a backend that cannot export
-// its state.
+// not yet persisted.
 func (s *Session) EventCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.events)
-}
-
-// stateful reports whether the session's backend exports its exact
-// state, so that a snapshot carries the state instead of the event log.
-func (s *Session) stateful() bool {
-	switch s.tuner.(type) {
-	case *OnlineTuner, *StoppingTuner:
-		return true
-	}
-	return false
 }
 
 // nextEventLocked is the global index of the next event to be logged.
@@ -368,13 +346,12 @@ func (s *Session) eventsSince(n int) []event {
 
 // dropPersisted forgets the events before global index n once a Manager
 // has made them durable — a snapshot carries the state, so they are
-// never needed again. A session whose backend cannot export its state
-// keeps its whole log.
+// never needed again.
 func (s *Session) dropPersisted(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := min(n-s.evBase, len(s.events))
-	if k <= 0 || !s.stateful() {
+	if k <= 0 {
 		return
 	}
 	kept := copy(s.events, s.events[k:])
@@ -403,42 +380,32 @@ func (s *Session) suggestLocked() Advice {
 	env := s.envLocked()
 	prevUnit := s.lastUnit
 	cfg := s.tuner.Propose(env)
+	rec := s.tuner.Last() // never nil: Propose always records a recommendation
 	adv := Advice{
-		Iter:    s.iter,
-		Backend: s.cfg.Backend,
-		Config:  cfg.Clone(),
-		Unit:    s.space.Encode(cfg),
+		Iter:           s.iter,
+		Config:         cfg.Clone(),
+		Unit:           append([]float64(nil), rec.Unit...),
+		Boundary:       rec.Boundary,
+		Fallback:       rec.Fallback,
+		SafetySetSize:  rec.SafetySetSize,
+		ModelIndex:     rec.ModelIndex,
+		RegionKind:     rec.RegionKind,
+		WhiteBoxVetoes: rec.WhiteBoxVetoes,
+		RolloutPhase:   rec.RolloutPhase,
 	}
-	if lr, ok := s.tuner.(lastRecommender); ok {
-		if rec := lr.Last(); rec != nil {
-			adv.Unit = append([]float64(nil), rec.Unit...)
-			adv.Boundary = rec.Boundary
-			adv.Fallback = rec.Fallback
-			adv.SafetySetSize = rec.SafetySetSize
-			adv.ModelIndex = rec.ModelIndex
-			adv.RegionKind = rec.RegionKind
-			adv.WhiteBoxVetoes = rec.WhiteBoxVetoes
-			if rec.IgnoredRule != nil {
-				adv.IgnoredRule = rec.IgnoredRule.Name
-			}
-			adv.RolloutPhase = rec.RolloutPhase
-			if adv.RolloutPhase != "" {
-				adv.Targets = map[Role]ConfigRef{
-					RolePrimary: {Config: adv.Config.Clone(), Unit: append([]float64(nil), adv.Unit...)},
-				}
-				if rec.ShadowUnit != nil {
-					adv.Targets[RoleStaged] = ConfigRef{Config: rec.ShadowConfig.Clone(), Unit: append([]float64(nil), rec.ShadowUnit...)}
-				}
-			}
+	if rec.IgnoredRule != nil {
+		adv.IgnoredRule = rec.IgnoredRule.Name
+	}
+	if adv.RolloutPhase != "" {
+		adv.Targets = map[Role]ConfigRef{
+			RolePrimary: {Config: adv.Config.Clone(), Unit: append([]float64(nil), adv.Unit...)},
+		}
+		if rec.ShadowUnit != nil {
+			adv.Targets[RoleStaged] = ConfigRef{Config: rec.ShadowConfig.Clone(), Unit: append([]float64(nil), rec.ShadowUnit...)}
 		}
 	}
-	if st, ok := s.tuner.(*StoppingTuner); ok {
-		adv.Paused = st.Paused()
-	}
-	if ct, ok := s.tuner.(coreTuner); ok {
-		if ei, ok := ct.Core().ExpectedImprovementAt(env.Ctx, adv.Unit, prevUnit); ok && !math.IsInf(ei, 0) && !math.IsNaN(ei) {
-			adv.EI, adv.HasEI = ei, true
-		}
+	if ei, ok := s.tuner.T.ExpectedImprovementAt(env.Ctx, adv.Unit, prevUnit); ok && !math.IsInf(ei, 0) && !math.IsNaN(ei) {
+		adv.EI, adv.HasEI = ei, true
 	}
 	// Store private copies: the returned Advice is the caller's to
 	// mutate, and must not alias the session's record of what was
@@ -450,7 +417,7 @@ func (s *Session) suggestLocked() Advice {
 
 // Report feeds the measured outcome of the last suggested configuration
 // back into the session: the raw workload is featurized into the
-// interval's context, the backend observes the measurement, and the
+// interval's context, the tuner observes the measurement, and the
 // context becomes the basis of the next Suggest.
 func (s *Session) Report(o Outcome) error {
 	s.mu.Lock()
@@ -478,14 +445,9 @@ func (s *Session) reportLocked(o Outcome) {
 		Iter: s.iter, Snapshot: snap, Ctx: ctx, Metrics: o.Metrics,
 		Tau: o.Baseline, OLAP: snap.OLAP, HW: s.hw,
 	}
-	staged := false
-	if sh, ok := o.Measurements[RoleStaged]; ok {
-		if st, ok := s.tuner.(stagedTuner); ok && st.CanaryActive() {
-			st.FeedbackStaged(env, o.result(), sh.Performance, sh.Failed)
-			staged = true
-		}
-	}
-	if !staged {
+	if sh, ok := o.Measurements[RoleStaged]; ok && s.tuner.CanaryActive() {
+		s.tuner.FeedbackStaged(env, o.result(), sh.Performance, sh.Failed)
+	} else {
 		s.tuner.Feedback(env, s.lastCfg, o.result())
 	}
 	s.recordRolloutEventLocked()
@@ -511,11 +473,7 @@ func (s *Session) envLocked() Env {
 // being applied (identified by its iteration) to the session's event
 // log.
 func (s *Session) recordRolloutEventLocked() {
-	ct, ok := s.tuner.(coreTuner)
-	if !ok {
-		return
-	}
-	st := ct.Core().RolloutStatus()
+	st := s.tuner.T.RolloutStatus()
 	if st == nil || st.LastEvent == nil || st.LastEvent.Iter != s.iter {
 		return
 	}
@@ -524,8 +482,8 @@ func (s *Session) recordRolloutEventLocked() {
 }
 
 // Rollout returns the session's canary rollout status. Sessions whose
-// rollout is disabled (or whose backend has none) report PhaseDirect:
-// recommendations apply straight to the primary.
+// rollout is disabled report PhaseDirect: recommendations apply
+// straight to the primary.
 func (s *Session) Rollout() RolloutStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -533,10 +491,8 @@ func (s *Session) Rollout() RolloutStatus {
 }
 
 func (s *Session) rolloutLocked() RolloutStatus {
-	if ct, ok := s.tuner.(coreTuner); ok {
-		if st := ct.Core().RolloutStatus(); st != nil {
-			return *st
-		}
+	if st := s.tuner.T.RolloutStatus(); st != nil {
+		return *st
 	}
 	return RolloutStatus{Phase: rollout.PhaseDirect}
 }
@@ -548,32 +504,17 @@ func (s *Session) rolloutLocked() RolloutStatus {
 func (s *Session) RolloutPhase() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ct, ok := s.tuner.(coreTuner); ok {
-		return string(ct.Core().RolloutPhase())
-	}
-	return RolloutDirect
+	return string(s.tuner.T.RolloutPhase())
 }
 
 // Best returns the best configuration the session has measured and its
-// performance; ok is false for backends that do not track an incumbent
-// or before any safe observation.
+// performance; ok is false before any safe observation.
 func (s *Session) Best() (KnobConfig, float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ct, ok := s.tuner.(coreTuner)
-	if !ok {
-		return nil, 0, false
-	}
-	u, perf := ct.Core().Best()
+	u, perf := s.tuner.T.Best()
 	if math.IsInf(perf, -1) {
 		return nil, 0, false
 	}
 	return s.space.Decode(u), perf, true
-}
-
-// Backend returns the session's tuner name (display form).
-func (s *Session) Backend() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tuner.Name()
 }

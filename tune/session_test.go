@@ -112,73 +112,12 @@ func TestSessionComputesEI(t *testing.T) {
 	}
 }
 
-func TestSessionBaselineBackend(t *testing.T) {
-	s, err := NewSession(Config{Space: "case5", Backend: "bo", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	advices := driveSession(t, s, knobs.CaseStudy5(), workload.NewYCSB(2), 10, 2)
-	if len(advices) != 10 {
-		t.Fatal("missing advice")
-	}
-	if advices[0].Backend != "bo" {
-		t.Fatalf("backend label %q", advices[0].Backend)
-	}
-	if _, _, ok := s.Best(); ok {
-		t.Fatal("baseline backends do not track an incumbent")
-	}
-}
-
-func TestSessionStoppingBackendPauses(t *testing.T) {
-	s, err := NewSession(Config{Space: "case5", Backend: "stopping", Seed: 4,
-		Stopping: &StoppingConfig{EITrigger: 0.5, Patience: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	advices := driveSession(t, s, knobs.CaseStudy5(), workload.NewYCSB(4), 40, 4)
-	paused := 0
-	for _, a := range advices {
-		if a.Paused {
-			paused++
-		}
-	}
-	if paused == 0 {
-		t.Fatal("aggressive stopping config never paused in 40 stable intervals")
-	}
-}
-
 func TestOpenRejectsUnknownNames(t *testing.T) {
-	if _, err := Open("nope", Config{}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
 	if _, err := NewSession(Config{Space: "nope"}); err == nil {
 		t.Fatal("unknown space accepted")
 	}
 	if _, err := NewSession(Config{Initial: KnobConfig{"not_a_knob": 1}}); err == nil {
 		t.Fatal("unknown initial knob accepted")
-	}
-}
-
-func TestBackendsRegistryComplete(t *testing.T) {
-	want := []string{"bo", "dba", "ddpg", "mysql", "mysqltuner", "onlinetune", "qtune", "restune", "stopping"}
-	got := Backends()
-	for _, name := range want {
-		found := false
-		for _, g := range got {
-			if g == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("backend %q not registered (have %v)", name, got)
-		}
-		tn, err := Open(name, Config{Space: "case5", Seed: 1})
-		if err != nil {
-			t.Fatalf("Open(%q): %v", name, err)
-		}
-		if tn.Name() == "" {
-			t.Fatalf("backend %q has empty display name", name)
-		}
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 // SnapshotVersion is the version of the session snapshot JSON schema,
 // and the only one Restore and the Manager accept. The schema is
 // append-only within a version: fields may be added, never renamed,
-// repurposed or removed without a bump. Version 7 is the state format:
-// a header (config, iter, the global index of the next event,
-// rollout_phase) emitted first so the Manager's boot scan can summarize
-// a session from the head of its base snapshot, then the session's
-// exact state — or, for a backend that cannot export its state, the
-// whole log of suggest, report, knowledge and rollout-decision events.
-const SnapshotVersion = 7
+// repurposed or removed without a bump. Version 8 is the OnlineTune-only
+// state format: a header (config, iter, the global index of the next
+// event, rollout_phase) emitted first so the Manager's boot scan can
+// summarize a session from the head of its base snapshot, then the
+// session's exact state.
+const SnapshotVersion = 8
 
 // snapshotKind tags the document so unrelated JSON is rejected early.
 const snapshotKind = "tune.Session"
@@ -41,8 +40,7 @@ const (
 // event is one logged session operation. Every source of randomness is
 // seeded, so replaying events on a session restored from a snapshot
 // reproduces the session that logged them bit for bit: the WAL tail on
-// top of a base's state, or a base's whole log for a backend that
-// cannot export its state.
+// top of a base's state.
 type event struct {
 	Kind    string   `json:"kind"`
 	Outcome *Outcome `json:"outcome,omitempty"`
@@ -52,11 +50,10 @@ type event struct {
 	Knowledge *knowledgeEvent `json:"knowledge,omitempty"`
 }
 
-// sessionState is the exact state of a session whose backend is built on
-// core.OnlineTune: everything the next Suggest or Report reads that
-// NewSession does not derive from the Config. The tuner's state is
-// embedded, so its observation count and cluster models sit at the top
-// of the block.
+// sessionState is the exact state of a session: everything the next
+// Suggest or Report reads that NewSession does not derive from the
+// Config. The tuner's state is embedded, so its observation count and
+// cluster models sit at the top of the block.
 type sessionState struct {
 	// LastWorkload is the last reported workload (absent before the
 	// first report); the other Last fields complete the observation the
@@ -69,17 +66,15 @@ type sessionState struct {
 	// LastConfig is stored, not decoded from LastUnit: before the first
 	// suggest it is the configured initial configuration.
 	LastConfig KnobConfig `json:"last_config"`
-	// TunerUnit is the backend adapter's last proposal, and Stopping the
-	// stopping backend's pause bookkeeping.
-	TunerUnit []float64           `json:"tuner_unit"`
-	Stopping  *core.StoppingState `json:"stopping,omitempty"`
+	// TunerUnit is the tuner adapter's last proposal.
+	TunerUnit []float64 `json:"tuner_unit"`
 	// Vocabulary is the featurizer's admitted tokens in admission order.
 	Vocabulary []string `json:"vocabulary"`
 	core.State
 }
 
 // snapshotHeader is the prefix of a snapshot document: everything the
-// Manager's boot scan needs, marshaled BEFORE the state and events, so
+// Manager's boot scan needs, marshaled BEFORE the state, so
 // peeking a base snapshot's header never reads past the head of the
 // file.
 type snapshotHeader struct {
@@ -108,16 +103,14 @@ func (h snapshotHeader) check() error {
 }
 
 // snapshotFile is the versioned JSON document Snapshot produces: the
-// header, then either the state or the whole event log.
+// header, then the state.
 type snapshotFile struct {
 	snapshotHeader
-	State  *sessionState `json:"state,omitempty"`
-	Events []event       `json:"events,omitempty"`
+	State *sessionState `json:"state"`
 }
 
 // Snapshot serializes the session as versioned, indented JSON: its
-// configuration and its exact state now (or, for a backend that cannot
-// export its state, its whole event log). The bytes are self-contained
+// configuration and its exact state now. The bytes are self-contained
 // — Restore rebuilds an equivalent session from them alone.
 func (s *Session) Snapshot() ([]byte, error) {
 	data, _, err := s.snapshot(true)
@@ -139,14 +132,10 @@ func (s *Session) snapshot(indent bool) ([]byte, int, error) {
 		},
 		State: s.exportLocked(),
 	}
-	if f.State == nil {
-		f.Events = s.events
-	}
 	s.mu.Unlock()
 	// Marshal off-lock (encoding must not stall concurrent Suggest/Report):
-	// State is a deep copy built under the lock, Config is immutable after
-	// NewSession, and a log without state is never trimmed, only appended
-	// to, and its entries are never mutated.
+	// State is a deep copy built under the lock and Config is immutable
+	// after NewSession.
 	if !indent {
 		data, err := json.Marshal(f)
 		return data, f.Next, err
@@ -158,21 +147,9 @@ func (s *Session) snapshot(indent bool) ([]byte, int, error) {
 	return append(data, '\n'), f.Next, nil
 }
 
-// exportLocked returns a copy of the session's exact state, or nil when
-// its backend cannot export one.
+// exportLocked returns a copy of the session's exact state.
 func (s *Session) exportLocked() *sessionState {
-	st := &sessionState{}
-	switch a := s.tuner.(type) {
-	case *OnlineTuner:
-		st.TunerUnit = a.lastUnit
-	case *StoppingTuner:
-		st.TunerUnit = a.lastUnit
-		ss := a.S.StoppingState
-		st.Stopping = &ss
-	default:
-		return nil
-	}
-	st.State = s.tuner.(coreTuner).Core().State()
+	st := &sessionState{TunerUnit: s.tuner.lastUnit, State: s.tuner.T.State()}
 	if s.iter > 0 {
 		w := WorkloadFromSnapshot(s.lastSnap)
 		st.LastWorkload = &w
@@ -196,20 +173,9 @@ func (s *Session) importState(h snapshotHeader, st *sessionState) error {
 	if err := s.feat.SetVocabulary(st.Vocabulary); err != nil {
 		return err
 	}
-	switch a := s.tuner.(type) {
-	case *OnlineTuner:
-		a.lastUnit = st.TunerUnit
-	case *StoppingTuner:
-		a.lastUnit = st.TunerUnit
-		if st.Stopping == nil {
-			return errors.New("tune: snapshot state lacks the stopping backend's bookkeeping")
-		}
-		if err := a.S.SetState(*st.Stopping); err != nil {
-			return err
-		}
-	}
+	s.tuner.lastUnit = st.TunerUnit
 	// Each suggest, one event, makes at most one recommendation.
-	if err := s.tuner.(coreTuner).Core().SetState(st.State, h.Next); err != nil {
+	if err := s.tuner.T.SetState(st.State, h.Next); err != nil {
 		return err
 	}
 	s.iter = iter
@@ -224,7 +190,7 @@ func (s *Session) importState(h snapshotHeader, st *sessionState) error {
 
 // Restore rebuilds a session from Snapshot bytes: it installs the
 // snapshot's state on a freshly constructed session with the same
-// Config, or replays its event log through one. Every source of
+// Config. Every source of
 // randomness is seeded or restored by position, so the restored
 // session's subsequent recommendations are bitwise-identical to those an
 // uninterrupted session would have produced.
@@ -243,9 +209,9 @@ func parseSnapshot(data []byte) (snapshotFile, error) {
 
 // restore is snapshot+tail recovery: it rebuilds a session from a base
 // snapshot document plus the WAL records the Manager accumulated since
-// that base was compacted (none for a bare Restore), replaying the
-// base's log (if it has no state) and the tail in one verification
-// loop. fleet is the Manager's knowledge store, so a hydrated session
+// that base was compacted (none for a bare Restore): it installs the
+// base's state, then replays only the tail. fleet is the Manager's
+// knowledge store, so a hydrated session
 // resumes contributing to (and querying) the live store once replay
 // finishes; replay itself never touches it — it consumes the logged
 // advice. The restored session holds the replayed events.
@@ -258,28 +224,21 @@ func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, error
 	if err != nil {
 		return nil, err
 	}
+	if f.State == nil {
+		return nil, errors.New("tune: snapshot carries no state")
+	}
 	f.Config.fleet = fleet
 	s, err := NewSession(f.Config)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case (f.State != nil) != s.stateful():
-		return nil, fmt.Errorf("tune: snapshot state does not match backend %q", s.cfg.Backend)
-	case f.State == nil && len(f.Events) != f.Next:
-		return nil, fmt.Errorf("tune: snapshot logs %d events, its header counts %d", len(f.Events), f.Next)
-	case f.State != nil && len(f.Events) > 0:
-		return nil, errors.New("tune: snapshot carries both a state and events")
-	case f.State != nil:
-		if err := s.importState(f.snapshotHeader, f.State); err != nil {
-			return nil, err
-		}
+	if err := s.importState(f.snapshotHeader, f.State); err != nil {
+		return nil, err
 	}
-	events := append(f.Events, tail...)
 	if s.know != nil {
 		// Feed the logged advice sequence to the adapter: replayed queries
 		// pop it in order, so the tuner sees exactly what it saw live.
-		s.know.beginReplay(knowledgeQueue(events))
+		s.know.beginReplay(knowledgeQueue(tail))
 		defer s.know.endReplay()
 	}
 	// Rollout decisions and knowledge queries are derived from the
@@ -287,13 +246,13 @@ func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, error
 	// exactly the regenerated ones, which must line up one-to-one with the
 	// logged ones (verified is the cursor into the regenerated sequence).
 	verified := 0
-	if err := s.replayEvents(events, &verified); err != nil {
+	if err := s.replayEvents(tail, &verified); err != nil {
 		return nil, err
 	}
 	if verified != len(s.events) {
 		return nil, fmt.Errorf("tune: replay produced %d rollout decisions, snapshot logged %d", len(s.events), verified)
 	}
-	s.events, s.evBase = events, f.Next-len(f.Events)
+	s.events, s.evBase = tail, f.Next
 	return s, nil
 }
 

@@ -241,11 +241,25 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore([]byte("{")); err == nil {
 		t.Fatal("accepted truncated JSON")
 	}
-	if _, err := Restore([]byte(`{"version": 7, "kind": "something.Else"}`)); err == nil {
+	if _, err := Restore([]byte(`{"version": 8, "kind": "something.Else"}`)); err == nil {
 		t.Fatal("accepted wrong document kind")
 	}
-	if _, err := Restore([]byte(`{"version": 7, "kind": "tune.Session", "config": {"backend": "bo"}, "next": 1, "events": [{"kind": "report"}]}`)); err == nil {
+	// A report tail record without an outcome is refused; the same record
+	// with one restores on the same base, so the error is the outcome's.
+	base := goldenAtVersion(t, SnapshotVersion)
+	tailRecord := func(ev event) [][]byte {
+		data, err := json.Marshal(walRecord{Idx: 6, Iter: 4, Event: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]byte{data}
+	}
+	if _, err := restore(base, tailRecord(event{Kind: eventReport}), nil); err == nil {
 		t.Fatal("accepted report event without outcome")
+	}
+	oc := goldenOutcome(3)
+	if _, err := restore(base, tailRecord(event{Kind: eventReport, Outcome: &oc}), nil); err != nil {
+		t.Fatalf("well-formed report tail record: %v", err)
 	}
 }
 
@@ -315,7 +329,7 @@ func goldenAtVersion(tb testing.TB, v int) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return bytes.Replace(golden, []byte(`"version": 7`), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+	return bytes.Replace(golden, []byte(fmt.Sprintf(`"version": %d`, SnapshotVersion)), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
 }
 
 // TestRestoreRejectsOtherVersions: exactly one snapshot version
@@ -326,12 +340,12 @@ func TestRestoreRejectsOtherVersions(t *testing.T) {
 	if _, err := Restore(goldenAtVersion(t, SnapshotVersion)); err != nil {
 		t.Fatalf("golden snapshot does not restore: %v", err)
 	}
-	for _, v := range []int{0, 1, 6, 8, 999} {
+	for _, v := range []int{0, 1, 7, 9, 999} {
 		_, err := Restore(goldenAtVersion(t, v))
 		if err == nil {
 			t.Fatalf("restored a version-%d snapshot", v)
 		}
-		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 7"} {
+		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 8"} {
 			//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name both versions), not on error identity
 			if !strings.Contains(err.Error(), frag) {
 				t.Fatalf("version-%d error %q does not mention %q", v, err, frag)

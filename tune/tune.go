@@ -4,19 +4,19 @@
 //
 // Three layers:
 //
-//   - Tuner is the unified per-interval interface every backend
-//     implements (OnlineTune, the stopping variant, and every baseline
-//     from the paper's evaluation). Backends are selected by name
-//     through the Register/Open registry.
+//   - Tuner is the unified per-interval interface OnlineTune, its
+//     stopping variant and every baseline from the paper's evaluation
+//     implement. Drivers construct tuners directly; internal/bench
+//     builds the baselines.
 //
-//   - Session is a durable, stateful tuning session for one database:
+//   - Session is a durable OnlineTune session for one database:
 //     it accepts raw observations (SQL statements + metrics +
 //     performance, not pre-featurized vectors), runs context
 //     featurization internally, and exposes Suggest/Report with a rich
 //     Advice struct carrying the safety provenance of each
-//     recommendation. Snapshot/Restore serialize a session as versioned
-//     JSON such that a restored session produces bitwise-identical
-//     recommendations.
+//     recommendation. Snapshot/Restore serialize a session's exact
+//     state as versioned JSON such that a restored session produces
+//     bitwise-identical recommendations.
 //
 //   - Manager multiplexes many concurrent sessions behind sharded
 //     locks and checkpoints them to a state directory; NewServer wraps a
@@ -87,7 +87,7 @@ const (
 // the safety threshold.
 type Env = baselines.TuneEnv
 
-// Tuner is the unified interface every tuning backend implements:
+// Tuner is the unified interface every tuner implements:
 // propose a configuration for the next interval, then receive the
 // measured result. Implementations need not be safe for concurrent use;
 // Session serializes access.
