@@ -24,6 +24,8 @@
 // API (see tune.NewServer):
 //
 //	POST   /v1/sessions                {"id": "db1", "config": {"space": "mysql57"}}
+//	                                   + "seed", "initial", "rollout": {mode, window, promote_margin},
+//	                                   "options": an overlay on the defaults, e.g. {"beta": 3}
 //	POST   /v1/sessions/db1/suggest    → configuration advice
 //	POST   /v1/sessions/db1/report     ← raw interval observation
 //	GET    /v1/sessions/db1/rollout    → canary rollout status

@@ -1,8 +1,10 @@
 // Package wirecompat guards the naming of the HTTP wire surface:
 // exported structs that carry json tags in the wire packages (tune,
-// internal/dbsim) must tag every exported field, and every tag name
-// must be snake_case. The public API is snake_case throughout, and one
-// stray CamelCase tag is a silent wire break for every client.
+// internal/dbsim, and internal/core, internal/rollout and
+// internal/knowledge, whose types reach the wire through tune's aliases)
+// must tag every exported field, and every tag name must be snake_case.
+// The public API is snake_case throughout, and one stray CamelCase tag
+// is a silent wire break for every client.
 package wirecompat
 
 import (
@@ -23,7 +25,7 @@ var Analyzer = &analysis.Analyzer{
 
 // scoped are the packages whose exported structs form the HTTP wire
 // surface.
-var scoped = []string{"tune", "internal/dbsim"}
+var scoped = []string{"tune", "internal/dbsim", "internal/core", "internal/rollout", "internal/knowledge"}
 
 func inScope(path string) bool {
 	path = strings.TrimSuffix(path, "_test")

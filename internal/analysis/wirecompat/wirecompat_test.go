@@ -8,5 +8,5 @@ import (
 )
 
 func TestWirecompat(t *testing.T) {
-	analysistest.Run(t, "testdata", wirecompat.Analyzer, "tune", "badwire/tune")
+	analysistest.Run(t, "testdata", wirecompat.Analyzer, "tune", "badwire/tune", "badwire/internal/core")
 }

@@ -23,8 +23,8 @@ import (
 // operational: such configurations must never reach the primary.
 func Ext5CanaryRollout(iters int, seed int64) Report {
 	feat := NewFeaturizer(seed)
-	canary := runRolloutArm("OnlineTune-Canary", rollout.Policy{Enabled: true, Window: 5}, feat, iters, seed)
-	direct := runRolloutArm("OnlineTune-Direct", rollout.Policy{}, feat, iters, seed)
+	canary := runRolloutArm("OnlineTune-Canary", &rollout.Policy{Window: 5}, feat, iters, seed)
+	direct := runRolloutArm("OnlineTune-Direct", nil, feat, iters, seed)
 	st := canary.status
 	// Mean intervals from a candidate's first paired observation to its
 	// promotion.

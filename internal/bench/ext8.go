@@ -180,7 +180,6 @@ func ext8RunArm(name string, iters int, seed int64, warm bool) *ext8Arm {
 	}
 	defer func() { m.Close() }()
 
-	thr := rollout.Policy{}.WithDefaults().RegressionThreshold
 	s := ar.series
 	cum := 0.0
 	for j := 0; j < ext8Sessions; j++ {
@@ -216,13 +215,13 @@ func ext8RunArm(name string, iters int, seed int64, warm bool) *ext8Arm {
 			if adv.SafetySetSize > 0 && ar.firstSafe[j] > iters {
 				ar.firstSafe[j] = i + 1
 			}
-			inCanary := adv.RolloutPhase == tune.RolloutCanary || adv.RolloutPhase == tune.RolloutRevalidate
+			staged, inCanary := adv.Targets[tune.RoleStaged]
 
 			res := in.Eval(adv.Config, w, dbsim.EvalOptions{IntervalSec: 30})
 			perf := res.Objective(false)
 			trueRes := in.Eval(adv.Config, w, dbsim.EvalOptions{NoNoise: true})
 			trueApplied := trueRes.Objective(false)
-			bad := res.Failed || trueApplied < tau-thr*math.Abs(tau)
+			bad := res.Failed || trueApplied < tau-rollout.DefaultThreshold*math.Abs(tau)
 			if bad && (prevUnit == nil || !slices.Equal(prevUnit, adv.Unit)) {
 				ar.regressions++
 			}
@@ -237,7 +236,7 @@ func ext8RunArm(name string, iters int, seed int64, warm bool) *ext8Arm {
 				Failed:      res.Failed,
 			}
 			if inCanary {
-				sres := shadow.Eval(adv.Targets[tune.RoleStaged].Config, w, dbsim.EvalOptions{IntervalSec: 30})
+				sres := shadow.Eval(staged.Config, w, dbsim.EvalOptions{IntervalSec: 30})
 				o.Measurements = map[tune.Role]tune.ReplicaPerf{
 					tune.RoleStaged: {Performance: sres.Objective(false), Failed: sres.Failed},
 				}

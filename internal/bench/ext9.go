@@ -52,12 +52,12 @@ func Ext9BlueGreenRollout(iters int, seed int64) Report {
 	// below demands that a config clear τ on the staged replica by at
 	// least the margin a serving config may dip below it, so borderline
 	// configs cannot ride a favorable noise draw onto the primary.
-	staged := func(mode string) rollout.Policy {
-		return rollout.Policy{Enabled: true, Mode: mode, Window: 5, PromoteMargin: rollout.DefaultThreshold}
+	staged := func(mode string) *rollout.Policy {
+		return &rollout.Policy{Mode: mode, Window: 5, PromoteMargin: rollout.DefaultThreshold}
 	}
 	bg := runRolloutArm("OnlineTune-BlueGreen", staged(rollout.ModeBlueGreen), feat, iters, seed)
 	canary := runRolloutArm("OnlineTune-Canary", staged(rollout.ModeCanary), feat, iters, seed)
-	direct := runRolloutArm("OnlineTune-Direct", rollout.Policy{}, feat, iters, seed)
+	direct := runRolloutArm("OnlineTune-Direct", nil, feat, iters, seed)
 	bgm := bg.status.Metrics
 
 	t := NewTable("arm", "cumulative_txn", "regressing_configs_applied", "regressing_intervals",
@@ -122,14 +122,14 @@ type rolloutArm struct {
 	status *rollout.Status
 }
 
-// runRolloutArm drives one OnlineTune arm under policy (the zero policy
-// is direct apply) over drifted TPC-C on a primary and a staged dbsim
+// runRolloutArm drives one OnlineTune arm under policy (nil is direct
+// apply) over drifted TPC-C on a primary and a staged dbsim
 // replica. Short 60-second measurement intervals (§7.3.3's noisy
 // setting): per-interval noise is ~1.7x the default, which is what makes
 // pre-apply prediction alone fallible — and what the comparison window
 // averages away. Ground-truth regression counting is noise-free either
 // way.
-func runRolloutArm(name string, policy rollout.Policy, feat *featurize.Featurizer, iters int, seed int64) rolloutArm {
+func runRolloutArm(name string, policy *rollout.Policy, feat *featurize.Featurizer, iters int, seed int64) rolloutArm {
 	const intervalSec = 60
 	space := knobs.CaseStudy5()
 	in := dbsim.New(space, seed)
@@ -193,7 +193,7 @@ func runRolloutArm(name string, policy rollout.Policy, feat *featurize.Featurize
 		prevUnit = rec.Unit
 
 		start = time.Now()
-		if tn.CanaryActive() {
+		if tn.T.CanaryActive() {
 			sres := staged.Eval(rec.ShadowConfig, w, dbsim.EvalOptions{IntervalSec: intervalSec})
 			tn.FeedbackStaged(env, res, sres.Objective(false), sres.Failed)
 			ar.paired++

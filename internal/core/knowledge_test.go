@@ -56,7 +56,7 @@ func TestWarmStartStagesTransferOnShadow(t *testing.T) {
 	store, kb, good := seededSpaceKB(space, ctx)
 
 	opts := DefaultOptions()
-	opts.Rollout = rollout.Policy{Enabled: true}
+	opts.Rollout = &rollout.Policy{}
 	opts.Knowledge = kb
 	init := space.Encode(space.DBADefault())
 	tuner := New(space, len(ctx), init, 1, opts)
@@ -152,7 +152,7 @@ func TestWarmStartDeterministic(t *testing.T) {
 	run := func() []Recommendation {
 		_, kb, _ := seededSpaceKB(space, ctx)
 		opts := DefaultOptions()
-		opts.Rollout = rollout.Policy{Enabled: true, Window: 2}
+		opts.Rollout = &rollout.Policy{Window: 2}
 		opts.Knowledge = kb
 		init := space.Encode(space.DBADefault())
 		tuner := New(space, len(ctx), init, 7, opts)
@@ -200,7 +200,7 @@ func TestSafeObservationsContribute(t *testing.T) {
 
 	// Promotion path: canary with a winning shadow.
 	opts2 := DefaultOptions()
-	opts2.Rollout = rollout.Policy{Enabled: true, Window: 2}
+	opts2.Rollout = &rollout.Policy{Window: 2}
 	opts2.Knowledge = kb
 	tuner2 := New(space, len(ctx), init, 3, opts2)
 	before := store.Stats().Contributions

@@ -9,6 +9,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -26,51 +28,63 @@ import (
 	"repro/internal/whitebox"
 )
 
-// Options configures OnlineTune. The Use* switches implement the paper's
-// ablations (§7.3).
+// Options configures OnlineTune. Its ten snake_case tunables are what a
+// served session may set, as an overlay on DefaultOptions (UnmarshalJSON).
+// The Use* switches implement the paper's ablations (§7.3) and, like
+// Rollout and Knowledge, exist in process only.
 type Options struct {
-	Beta    float64 // confidence-bound width (Srinivas et al.)
-	Epsilon float64 // ε-greedy boundary-exploration probability
+	Beta    float64 `json:"beta"`    // confidence-bound width (Srinivas et al.)
+	Epsilon float64 `json:"epsilon"` // ε-greedy boundary-exploration probability
 	// SafetyMargin inflates τ by this fraction of |τ| during assessment,
 	// absorbing measurement noise so that borderline configurations are
 	// not declared safe on the strength of a lucky sample.
-	SafetyMargin float64
+	SafetyMargin float64 `json:"safety_margin"`
 
-	Candidates int // subspace discretization size per iteration
-	ClusterCap int // P: max observations per cluster model
+	Candidates int `json:"candidates"`  // subspace discretization size per iteration
+	ClusterCap int `json:"cluster_cap"` // P: max observations per cluster model
 
-	ReclusterEvery int     // simulate a fresh clustering every K observations
-	MIThreshold    float64 // re-learn when MI(current, simulated) < threshold
-	MinRecluster   int     // observations needed before any clustering
+	ReclusterEvery int     `json:"recluster_every"` // simulate a fresh clustering every K observations
+	MIThreshold    float64 `json:"mi_threshold"`    // re-learn when MI(current, simulated) < threshold
+	MinRecluster   int     `json:"min_recluster"`   // observations needed before any clustering
 
-	UseWhiteBox   bool
-	UseBlackBox   bool
-	UseSubspace   bool
-	UseClustering bool
+	UseWhiteBox, UseBlackBox, UseSubspace, UseClustering bool `json:"-"`
 	// UseSafety false disables all safety machinery (vanilla contextual
 	// BO, the paper's OnlineTune-w/o-safe).
-	UseSafety bool
+	UseSafety bool `json:"-"`
 
 	// HyperoptEvery refits GP hyperparameters every N observations
 	// (0 disables).
-	HyperoptEvery int
+	HyperoptEvery int `json:"hyperopt_every"`
 
-	// Rollout configures the staged canary rollout: when enabled, every
-	// recommendation that differs from the primary's last-good
-	// configuration is staged on a shadow replica and only promoted
-	// after a clean comparison window (see internal/rollout). The zero
-	// value keeps direct apply — the pre-rollout behavior and the ext5
-	// ablation switch.
-	Rollout rollout.Policy
+	// Rollout stages every recommendation that differs from the primary's
+	// last-good configuration on a second replica until a clean comparison
+	// window promotes it (see internal/rollout); nil keeps direct apply.
+	Rollout *rollout.Policy `json:"-"`
 
 	// RepoCap bounds the data repository's resident observations
 	// (oldest evicted first); 0 keeps it unbounded.
-	RepoCap int
+	RepoCap int `json:"repo_cap"`
 
 	// Knowledge connects the tuner to a fleet knowledge base for
 	// cross-session transfer (nil = isolated session). Excluded from
 	// serialized snapshots; the owner re-injects it on restore.
 	Knowledge Knowledge `json:"-"`
+}
+
+// UnmarshalJSON decodes an options object as an overlay on
+// DefaultOptions: omitted tunables keep the paper's settings, and a key
+// that names no tunable — an ablation switch, the rollout policy, a typo
+// — is an unknown-field error.
+func (o *Options) UnmarshalJSON(data []byte) error {
+	type tunables Options // drops the method, so Decode does not recurse
+	t := tunables(DefaultOptions())
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&t)
+	if err == nil {
+		*o = Options(t)
+	}
+	return err
 }
 
 // DefaultOptions mirrors the paper's settings.
@@ -224,8 +238,8 @@ func New(space *knobs.Space, ctxDim int, initialSafe []float64, seed int64, opts
 		reclusterIdx: cluster.NewDistMatrix(nil),
 	}
 	o.rng = rand.New(o.src)
-	if opts.Rollout.Enabled {
-		o.roll = rollout.NewController(opts.Rollout, initialSafe)
+	if opts.Rollout != nil {
+		o.roll = rollout.NewController(*opts.Rollout, initialSafe)
 	}
 	o.models = []*model{o.newModel(initialSafe)}
 	return o
@@ -688,7 +702,7 @@ func (o *OnlineTune) ObservePair(iter int, ctx []float64, primaryPerf, shadowPer
 
 // RolloutPhase returns the rollout phase alone — PhaseDirect when the
 // rollout is disabled — without the state copies RolloutStatus makes,
-// for the phase-only checks on every report and session listing.
+// for session listings polled per request.
 func (o *OnlineTune) RolloutPhase() rollout.Phase {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -696,6 +710,14 @@ func (o *OnlineTune) RolloutPhase() rollout.Phase {
 		return rollout.PhaseDirect
 	}
 	return o.roll.Phase()
+}
+
+// CanaryActive reports whether a candidate is staged on the non-serving
+// replica (canary, tuning or revalidate): the next report is a pair.
+func (o *OnlineTune) CanaryActive() bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.roll != nil && o.roll.CanaryActive()
 }
 
 // RolloutStatus returns a copy of the canary rollout controller's

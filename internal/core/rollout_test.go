@@ -28,7 +28,7 @@ func TestRolloutStagesEveryNewConfig(t *testing.T) {
 	feat.Pretrain([]workload.Generator{gen}, 2)
 
 	opts := DefaultOptions()
-	opts.Rollout = rollout.Policy{Enabled: true}
+	opts.Rollout = &rollout.Policy{}
 	initial := space.Encode(space.DBADefault())
 	tuner := New(space, feat.Dim(), initial, 11, opts)
 
@@ -90,7 +90,7 @@ func TestRolloutBlocksRegressingCandidate(t *testing.T) {
 	gen := workload.NewYCSB(5)
 	feat.Pretrain([]workload.Generator{gen}, 2)
 	opts := DefaultOptions()
-	opts.Rollout = rollout.Policy{Enabled: true, Window: 2}
+	opts.Rollout = &rollout.Policy{Window: 2}
 	initial := space.Encode(space.DBADefault())
 	tuner := New(space, feat.Dim(), initial, 3, opts)
 
@@ -165,7 +165,7 @@ func vecEq(a, b []float64) bool {
 func TestPendingRuleDeferredDuringCanary(t *testing.T) {
 	space := knobs.CaseStudy5()
 	opts := DefaultOptions()
-	opts.Rollout = rollout.Policy{Enabled: true, Window: 2}
+	opts.Rollout = &rollout.Policy{Window: 2}
 	initial := space.Encode(space.DBADefault())
 	tuner := New(space, 3, initial, 3, opts)
 	ctx := []float64{0, 0, 0}

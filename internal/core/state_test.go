@@ -35,7 +35,7 @@ func TestStateRoundTripContinuesBitIdentical(t *testing.T) {
 	init := space.Encode(space.DBADefault())
 	opts := DefaultOptions()
 	opts.MinRecluster, opts.ReclusterEvery, opts.HyperoptEvery = 30, 15, 10
-	opts.Rollout = rollout.Policy{Enabled: true, Window: 2}
+	opts.Rollout = &rollout.Policy{Window: 2}
 	build := func() *OnlineTune { return New(space, 2, init, 5, opts) }
 	live := build()
 	var restored *OnlineTune

@@ -32,7 +32,7 @@
 //	  │   │    discarded  ▼
 //	  │   │  ┌────────────────────┐  bluegreen only: roles swap,
 //	  │   └──│     switchover     │  downtime/failure cost recorded
-//	  │      └────────────────────┘  over SwitchoverIntervals
+//	  │      └────────────────────┘  over DefaultSwitchoverIntervals
 //	  │  drift rollback pops the previous-good chain:
 //	  │      ┌────────────────────┐  chain target re-validated by a
 //	  └──────│     revalidate     │  short PAIRED window on the staged
@@ -100,26 +100,27 @@ const (
 	EventChainRollback = "chain_rollback"
 )
 
-// Defaults.
+// Policy defaults and the controller's fixed constants.
 const (
 	// DefaultWindow is the number of paired observations a promotion
 	// decision requires.
 	DefaultWindow = 3
-	// DefaultThreshold is the relative regression beyond which a
-	// candidate is rolled back.
+	// DefaultThreshold is the relative regression tolerance against the
+	// incumbent and, in the steady-phase drift rollback, against τ. The
+	// promotion gate's τ floor has NO slack: τ is the performance the
+	// operator was promised (the untuned default).
 	DefaultThreshold = 0.02
-	// DefaultMaxChain bounds the previous-good chain depth.
+	// DefaultMaxChain bounds the previous-good chain the drift rollback
+	// walks back through before reverting to the initial anchor.
 	DefaultMaxChain = 8
 	// DefaultSwitchoverIntervals is how many intervals a bluegreen
 	// switchover occupies (the cache-cold dip window).
 	DefaultSwitchoverIntervals = 1
 )
 
-// Policy configures the staged rollout.
+// Policy configures the staged rollout (a tuner without one applies
+// directly); the other rollout parameters are the constants above.
 type Policy struct {
-	// Enabled turns the rollout on. The zero value keeps the
-	// pre-rollout direct-apply behavior (the ext5 ablation).
-	Enabled bool `json:"enabled,omitempty"`
 	// Mode selects the rollout mode: ModeCanary (default) stages
 	// candidates on a non-serving shadow replica; ModeBlueGreen keeps
 	// two live replicas and swaps them on promotion.
@@ -127,32 +128,15 @@ type Policy struct {
 	// Window is the number of paired primary/staged observations the
 	// promotion decision requires (0 = DefaultWindow).
 	Window int `json:"window,omitempty"`
-	// RegressionThreshold is the relative regression tolerance against
-	// the incumbent: a candidate whose staged mean falls below the
-	// primary mean by more than this fraction is rolled back (0 =
-	// DefaultThreshold). The safety threshold τ is a hard floor on top
-	// of it — a staged mean strictly below the mean τ rolls back with
-	// NO slack, because τ is the performance the operator was promised
-	// (the untuned default); the threshold only softens the
-	// incumbent-vs-candidate comparison, and the steady-phase drift
-	// rollback, where single noisy measurements rather than window
-	// means are judged.
-	RegressionThreshold float64 `json:"regression_threshold,omitempty"`
-	// MaxChain bounds the previous-good chain: the drift rollback walks
-	// back through at most this many previously promoted configurations
-	// before reverting to the initial anchor (0 = DefaultMaxChain).
-	MaxChain int `json:"max_chain,omitempty"`
-	// SwitchoverIntervals is how many intervals a bluegreen switchover
-	// occupies (0 = DefaultSwitchoverIntervals). Canary mode ignores it.
-	SwitchoverIntervals int `json:"switchover_intervals,omitempty"`
 	// PromoteMargin is the fraction of the mean safety threshold τ a
 	// staged mean must clear ABOVE τ before promotion. The default 0
 	// promotes any candidate whose staged mean merely touches τ —
 	// maximum tuning velocity, but a config truly sitting just under τ
 	// can ride a favorable noise draw onto the serving primary. Setting
-	// it to RegressionThreshold makes the promote gate symmetric with
-	// the drift rollback: a candidate must clear τ by at least the
-	// margin a serving config is allowed to dip below it.
+	// it to DefaultThreshold makes the promote gate symmetric with the
+	// drift rollback: a candidate must clear τ by at least the margin a
+	// serving config is allowed to dip below it. Validate refuses a
+	// negative margin, which would promote below τ.
 	PromoteMargin float64 `json:"promote_margin,omitempty"`
 }
 
@@ -164,16 +148,21 @@ func (p Policy) WithDefaults() Policy {
 	if p.Window <= 0 {
 		p.Window = DefaultWindow
 	}
-	if p.RegressionThreshold <= 0 {
-		p.RegressionThreshold = DefaultThreshold
-	}
-	if p.MaxChain <= 0 {
-		p.MaxChain = DefaultMaxChain
-	}
-	if p.SwitchoverIntervals <= 0 {
-		p.SwitchoverIntervals = DefaultSwitchoverIntervals
-	}
 	return p
+}
+
+// Validate rejects a policy the controller must not run: an unknown
+// mode, or a negative promote margin, which would lower the τ floor.
+func (p Policy) Validate() error {
+	switch p.Mode {
+	case "", ModeCanary, ModeBlueGreen:
+	default:
+		return fmt.Errorf("rollout: unknown mode %q (want %q or %q)", p.Mode, ModeCanary, ModeBlueGreen)
+	}
+	if !(p.PromoteMargin >= 0) {
+		return fmt.Errorf("rollout: promote_margin %g is negative: it would promote below the safety threshold", p.PromoteMargin)
+	}
+	return nil
 }
 
 // Event is one rollout decision — promote, rollback, switchover, or
@@ -316,7 +305,7 @@ type Status struct {
 	// Pairs/Window report the comparison window's fill level.
 	Pairs  int `json:"pairs"`
 	Window int `json:"window"`
-	// RegressionThreshold echoes the active policy.
+	// RegressionThreshold echoes DefaultThreshold.
 	RegressionThreshold float64 `json:"regression_threshold"`
 	// Promotions/Rollbacks count decisions over the controller's life.
 	Promotions int `json:"promotions"`
@@ -564,11 +553,10 @@ func (c *Controller) ObservePair(iter int, primaryPerf, shadowPerf, tau float64,
 	}
 
 	pm, sm, tm := mathx.Mean(c.st.Primary), mathx.Mean(c.st.Shadow), mathx.Mean(c.st.Taus)
-	thr := c.policy.RegressionThreshold
 	switch {
-	case sm < pm-thr*math.Abs(pm):
+	case sm < pm-DefaultThreshold*math.Abs(pm):
 		return c.discard(iter, fmt.Sprintf(
-			"staged mean %.4g regressed more than %.1f%% below primary mean %.4g", sm, 100*thr, pm))
+			"staged mean %.4g regressed more than %.1f%% below primary mean %.4g", sm, 100*DefaultThreshold, pm))
 	case sm < tm+c.policy.PromoteMargin*math.Abs(tm):
 		// With a PromoteMargin, promotion demands headroom above τ: a
 		// config that merely touches the safety threshold on the staged
@@ -662,11 +650,11 @@ func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, 
 		c.st.RecoverIntervals = 0
 		c.st.LastEvent = &Event{
 			Kind: EventSwitchover, Iter: iter, Candidate: mathx.VecClone(c.st.LastGood),
-			PrimaryMean: perf, TauMean: tau, Pairs: c.policy.SwitchoverIntervals,
+			PrimaryMean: perf, TauMean: tau, Pairs: DefaultSwitchoverIntervals,
 			Downtime: c.st.SwitchDowntime, InFlightFailures: c.st.SwitchFailures,
 			Reason: fmt.Sprintf(
 				"switchover complete: %s now serves the promoted configuration (%d downtime interval(s), %d in-flight failure(s) over %d interval(s))",
-				c.servingName(), c.st.SwitchDowntime, c.st.SwitchFailures, c.policy.SwitchoverIntervals),
+				c.servingName(), c.st.SwitchDowntime, c.st.SwitchFailures, DefaultSwitchoverIntervals),
 		}
 		return EventSwitchover
 	}
@@ -693,7 +681,7 @@ func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, 
 		c.st.SteadyBad = 0
 		return ""
 	}
-	if !failed && perf >= tau-c.policy.RegressionThreshold*math.Abs(tau) {
+	if !failed && perf >= tau-DefaultThreshold*math.Abs(tau) {
 		c.st.SteadyBad = 0
 		return ""
 	}
@@ -792,18 +780,18 @@ func (c *Controller) decide(iter int, kind, reason string) string {
 		// pushed); the chain is bounded, dropping oldest entries.
 		if !slices.Equal(c.st.LastGood, c.initial) {
 			c.st.Chain = append(c.st.Chain, c.st.LastGood)
-			if len(c.st.Chain) > c.policy.MaxChain {
-				c.st.Chain = slices.Delete(c.st.Chain, 0, len(c.st.Chain)-c.policy.MaxChain)
+			if len(c.st.Chain) > DefaultMaxChain {
+				c.st.Chain = slices.Delete(c.st.Chain, 0, len(c.st.Chain)-DefaultMaxChain)
 			}
 		}
 		c.st.LastGood = c.st.Candidate
 		if c.policy.Mode == ModeBlueGreen {
 			// The roles swap: the staged replica, already warm on the
 			// candidate, becomes the serving primary. The cutover cost
-			// is measured over the next SwitchoverIntervals intervals.
+			// is measured over the next DefaultSwitchoverIntervals intervals.
 			c.st.ServingBlue = !c.st.ServingBlue
 			c.st.ServingFailed, c.st.StagedFailed = c.st.StagedFailed, c.st.ServingFailed
-			c.st.SwitchLeft = c.policy.SwitchoverIntervals
+			c.st.SwitchLeft = DefaultSwitchoverIntervals
 			c.st.SwitchDowntime = 0
 			c.st.SwitchFailures = 0
 			ev.Reason += fmt.Sprintf("; switching traffic to %s", c.servingName())
@@ -866,7 +854,7 @@ func (c *Controller) Status() Status {
 		ChainDepth:          len(c.st.Chain),
 		Pairs:               len(c.st.Primary),
 		Window:              c.policy.Window,
-		RegressionThreshold: c.policy.RegressionThreshold,
+		RegressionThreshold: DefaultThreshold,
 		Promotions:          c.st.Promotions,
 		Rollbacks:           c.st.Rollbacks,
 		Metrics:             c.st.Metrics.clone(),

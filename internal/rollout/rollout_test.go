@@ -3,11 +3,12 @@ package rollout
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
 func newC() *Controller {
-	return NewController(Policy{Enabled: true, Window: 3, RegressionThreshold: 0.02}, []float64{0.5, 0.5})
+	return NewController(Policy{Window: 3}, []float64{0.5, 0.5})
 }
 
 func TestSubmitSameAsLastGoodStaysSteady(t *testing.T) {
@@ -76,13 +77,30 @@ func TestCanaryRollsBackOnRegression(t *testing.T) {
 }
 
 func TestCanaryRollsBackBelowTau(t *testing.T) {
-	// The shadow stays within the primary threshold but below the safety
-	// threshold τ: the candidate must not be promoted.
-	c := NewController(Policy{Enabled: true, Window: 2, RegressionThreshold: 0.10}, []float64{0.5})
+	// The shadow stays within the 2% regression threshold of the primary
+	// but below the safety threshold τ: the candidate must not be promoted.
+	c := NewController(Policy{Window: 2}, []float64{0.5})
 	c.Submit([]float64{0.7})
-	c.ObservePair(0, 100, 96, 99, false, false)
-	if d := c.ObservePair(1, 100, 96, 99, false, false); d != EventRollback {
+	c.ObservePair(0, 100, 99, 99.5, false, false)
+	if d := c.ObservePair(1, 100, 99, 99.5, false, false); d != EventRollback {
 		t.Fatalf("decision = %q, want rollback (shadow mean below tau mean)", d)
+	}
+	if ev := c.Status().LastEvent; !strings.Contains(ev.Reason, "below the safety threshold") {
+		t.Fatalf("rollback reason %q is not the τ floor", ev.Reason)
+	}
+}
+
+// TestNegativePromoteMarginRefused: a negative margin would promote a
+// staged mean below τ, so Validate refuses it; the zero margin still
+// holds the τ floor.
+func TestNegativePromoteMarginRefused(t *testing.T) {
+	if err := (Policy{Window: 1, PromoteMargin: -0.5}).Validate(); err == nil {
+		t.Fatal("Validate accepted a negative promote margin")
+	}
+	c := NewController(Policy{Window: 1}, []float64{0.5})
+	c.Submit([]float64{0.7})
+	if d := c.ObservePair(0, 90, 95, 100, false, false); d != EventRollback {
+		t.Fatalf("staged mean 95 against τ 100 decided %q, want rollback", d)
 	}
 }
 
@@ -141,7 +159,7 @@ func TestNegativeObjectives(t *testing.T) {
 	// OLAP objectives are negative (−execution time); the relative
 	// threshold must still work. Shadow −102 vs primary −100 is a 2%
 	// regression at threshold 2%... just beyond, so rollback.
-	c := NewController(Policy{Enabled: true, Window: 1, RegressionThreshold: 0.02}, []float64{0.5})
+	c := NewController(Policy{Window: 1}, []float64{0.5})
 	c.Submit([]float64{0.6})
 	if d := c.ObservePair(0, -100, -102.5, -103, false, false); d != EventRollback {
 		t.Fatal("2.5% regression on a negative objective must roll back")
@@ -153,9 +171,12 @@ func TestNegativeObjectives(t *testing.T) {
 }
 
 func TestPolicyDefaults(t *testing.T) {
-	p := Policy{Enabled: true}.WithDefaults()
-	if p.Window != DefaultWindow || p.RegressionThreshold != DefaultThreshold {
+	p := Policy{}.WithDefaults()
+	if p.Mode != ModeCanary || p.Window != DefaultWindow {
 		t.Fatalf("defaults not applied: %+v", p)
+	}
+	if p := (Policy{Mode: ModeBlueGreen, Window: 5}).WithDefaults(); p.Mode != ModeBlueGreen || p.Window != 5 {
+		t.Fatalf("set fields overwritten: %+v", p)
 	}
 }
 
@@ -322,15 +343,15 @@ func TestRevalidationFailurePopsChainAgain(t *testing.T) {
 	}
 }
 
-// TestChainBounded: the chain keeps at most MaxChain entries, dropping
-// the oldest.
+// TestChainBounded: the chain keeps at most DefaultMaxChain entries,
+// dropping the oldest.
 func TestChainBounded(t *testing.T) {
-	c := NewController(Policy{Enabled: true, Window: 1, MaxChain: 2}, []float64{0.5})
-	for i := 0; i < 5; i++ {
+	c := NewController(Policy{Window: 1}, []float64{0.5})
+	for i := 0; i < DefaultMaxChain+3; i++ {
 		promote(t, c, []float64{0.5 + 0.01*float64(i+1)}, i*10)
 	}
-	if c.ChainDepth() != 2 {
-		t.Fatalf("chain depth = %d, want MaxChain=2", c.ChainDepth())
+	if c.ChainDepth() != DefaultMaxChain {
+		t.Fatalf("chain depth = %d, want DefaultMaxChain=%d", c.ChainDepth(), DefaultMaxChain)
 	}
 }
 
@@ -340,7 +361,7 @@ func TestChainBounded(t *testing.T) {
 // failures) recorded into the metrics, and post-switch recovery time
 // measured until throughput re-clears τ.
 func TestBlueGreenSwitchover(t *testing.T) {
-	c := NewController(Policy{Enabled: true, Mode: ModeBlueGreen, Window: 2}, []float64{0.5, 0.5})
+	c := NewController(Policy{Mode: ModeBlueGreen, Window: 2}, []float64{0.5, 0.5})
 	cand := []float64{0.7, 0.7}
 	c.Submit(cand)
 	if c.Phase() != PhaseTuning {
@@ -395,18 +416,15 @@ func TestBlueGreenSwitchover(t *testing.T) {
 	}
 }
 
-// TestBlueGreenInFlightFailure counts failed intervals during the
-// switchover window into the in-flight metric.
+// TestBlueGreenInFlightFailure counts a failed interval during the
+// one-interval switchover window into the in-flight metric.
 func TestBlueGreenInFlightFailure(t *testing.T) {
-	c := NewController(Policy{Enabled: true, Mode: ModeBlueGreen, Window: 1, SwitchoverIntervals: 2}, []float64{0.5})
+	c := NewController(Policy{Mode: ModeBlueGreen, Window: 1}, []float64{0.5})
 	c.Submit([]float64{0.7})
 	if d := c.ObservePair(0, 100, 120, 98, false, false); d != EventPromote {
 		t.Fatal("setup: promote")
 	}
-	if d := c.ObserveSteady(1, []float64{0.7}, 0, 98, true); d != "" {
-		t.Fatalf("mid-switchover interval decided %q", d)
-	}
-	if d := c.ObserveSteady(2, []float64{0.7}, 110, 98, false); d != EventSwitchover {
+	if d := c.ObserveSteady(1, []float64{0.7}, 0, 98, true); d != EventSwitchover {
 		t.Fatalf("completion = %q", d)
 	}
 	m := c.Status().Metrics
@@ -417,8 +435,8 @@ func TestBlueGreenInFlightFailure(t *testing.T) {
 	if ev.Downtime != 1 || ev.InFlightFailures != 1 {
 		t.Fatalf("switchover event cost: %+v", ev)
 	}
-	// The final interval cleared τ, so recovery closes at 0 intervals.
-	c.ObserveSteady(3, []float64{0.7}, 110, 98, false)
+	// The next interval clears τ, so recovery closes at 0 intervals.
+	c.ObserveSteady(2, []float64{0.7}, 110, 98, false)
 	if m := c.Status().Metrics; m.SwitchoverRecovery.Count != 1 || m.SwitchoverRecovery.Sum != 0 {
 		t.Fatalf("recovery: %+v", m.SwitchoverRecovery)
 	}
@@ -439,11 +457,16 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestPolicyModeDefaults covers the new policy defaults.
+// TestPolicyModeDefaults: Validate accepts the defaulted and both named
+// modes and rejects any other.
 func TestPolicyModeDefaults(t *testing.T) {
-	p := Policy{Enabled: true}.WithDefaults()
-	if p.Mode != ModeCanary || p.MaxChain != DefaultMaxChain || p.SwitchoverIntervals != DefaultSwitchoverIntervals {
-		t.Fatalf("defaults not applied: %+v", p)
+	for _, mode := range []string{"", ModeCanary, ModeBlueGreen} {
+		if err := (Policy{Mode: mode}).Validate(); err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+	}
+	if err := (Policy{Mode: "purple"}).Validate(); err == nil {
+		t.Fatal("Validate accepted an unknown mode")
 	}
 }
 
@@ -452,7 +475,7 @@ func TestPolicyModeDefaults(t *testing.T) {
 // borderline candidate is discarded; without the margin it promotes.
 func TestPromoteMarginHoldsBorderlineCandidate(t *testing.T) {
 	mk := func(margin float64) *Controller {
-		return NewController(Policy{Enabled: true, Window: 1, PromoteMargin: margin}, []float64{0.5})
+		return NewController(Policy{Window: 1, PromoteMargin: margin}, []float64{0.5})
 	}
 	c := mk(0.02)
 	c.Submit([]float64{0.7})

@@ -3,7 +3,6 @@ package tune
 import (
 	"repro/internal/core"
 	"repro/internal/knobs"
-	"repro/internal/rollout"
 	"repro/internal/whitebox"
 )
 
@@ -57,15 +56,6 @@ func (a *OnlineTuner) Feedback(env Env, cfg KnobConfig, res Result) {
 
 // Last returns the decision path of the latest recommendation.
 func (a *OnlineTuner) Last() *core.Recommendation { return a.T.LastRecommendation() }
-
-// CanaryActive reports whether a candidate is staged on the non-serving
-// replica — the canary phase in canary mode, the tuning phase in
-// bluegreen mode, and the revalidate phase in both (a chain-rollback
-// target filling its paired probation window).
-func (a *OnlineTuner) CanaryActive() bool {
-	ph := a.T.RolloutPhase()
-	return ph == rollout.PhaseCanary || ph == rollout.PhaseTuning || ph == rollout.PhaseRevalidate
-}
 
 // FeedbackStaged consumes one paired canary observation: the primary
 // measured under the last-good configuration and the shadow under the

@@ -9,8 +9,9 @@ import (
 	"repro/internal/rollout"
 )
 
-// TunerOptions are the OnlineTune algorithm options (confidence-bound
-// width, subspace/clustering/safety switches, …).
+// TunerOptions are the OnlineTune algorithm options: ten snake_case
+// tunables (β, ε, the safety margin, …) Config.Options sets, and the
+// in-process ablation switches, rollout policy and knowledge hook.
 type TunerOptions = core.Options
 
 // DefaultTunerOptions mirrors the paper's settings.
@@ -20,43 +21,8 @@ func DefaultTunerOptions() TunerOptions { return core.DefaultOptions() }
 // differ from the primary's last-good configuration are staged on a
 // second replica and promoted only after a clean comparison window (see
 // the README's "Blue/green rollout" section). Zero fields take the
-// rollout defaults (canary mode, window 3, threshold 2%).
-type RolloutConfig struct {
-	// Mode selects the rollout mode: "canary" (default) stages
-	// candidates on a non-serving shadow replica; "bluegreen" keeps two
-	// live replicas (blue serves while green is tuned) and swaps them
-	// with an explicit, cost-measured switchover on promotion.
-	Mode string `json:"mode,omitempty"`
-	// Window is the number of paired primary/staged observations a
-	// promotion decision requires.
-	Window int `json:"window,omitempty"`
-	// RegressionThreshold is the relative staged-vs-primary regression
-	// beyond which a candidate is rolled back.
-	RegressionThreshold float64 `json:"regression_threshold,omitempty"`
-	// MaxChain bounds the previous-good rollback chain depth (0 = 8).
-	MaxChain int `json:"max_chain,omitempty"`
-	// SwitchoverIntervals is how many intervals a bluegreen switchover
-	// occupies (0 = 1); canary mode ignores it.
-	SwitchoverIntervals int `json:"switchover_intervals,omitempty"`
-	// PromoteMargin is the fraction of τ a staged mean must clear ABOVE
-	// the safety threshold before promotion (0 = promote on touching τ,
-	// the default). Set it to the regression threshold for a promote
-	// gate symmetric with the drift rollback.
-	PromoteMargin float64 `json:"promote_margin,omitempty"`
-}
-
-// validate rejects unknown rollout modes at session creation.
-func (rc *RolloutConfig) validate() error {
-	if rc == nil {
-		return nil
-	}
-	switch rc.Mode {
-	case "", rollout.ModeCanary, rollout.ModeBlueGreen:
-		return nil
-	default:
-		return fmt.Errorf("tune: unknown rollout mode %q (want %q or %q)", rc.Mode, rollout.ModeCanary, rollout.ModeBlueGreen)
-	}
-}
+// rollout defaults (canary mode, window 3, promotion on touching τ).
+type RolloutConfig = rollout.Policy
 
 // rolloutMode resolves the configured rollout mode ("" when the rollout
 // is disabled).
@@ -64,10 +30,7 @@ func (c Config) rolloutMode() string {
 	if c.Rollout == nil {
 		return ""
 	}
-	if c.Rollout.Mode == "" {
-		return rollout.ModeCanary
-	}
-	return c.Rollout.Mode
+	return c.Rollout.WithDefaults().Mode
 }
 
 // Config declaratively describes an OnlineTune session: the knob space
@@ -87,16 +50,14 @@ type Config struct {
 	// Initial is the initial safety-set configuration; defaults to the
 	// space's DBA default. Missing knobs keep their DBA default.
 	Initial KnobConfig `json:"initial,omitempty"`
-	// DisableSafety turns off all safety machinery (vanilla contextual
-	// BO — the paper's OnlineTune-w/o-safe ablation).
-	DisableSafety bool `json:"disable_safety,omitempty"`
-	// Rollout enables the staged canary rollout; nil keeps direct apply
+	// Rollout enables the staged rollout; nil keeps direct apply
 	// (recommendations go straight to the primary — the ablation and
 	// the pre-rollout behavior).
 	Rollout *RolloutConfig `json:"rollout,omitempty"`
-	// Options replaces every algorithm option at once and must be a
-	// complete safety-on set (validateOptions). DisableSafety still
-	// applies on top.
+	// Options overrides algorithm tunables: an options object decodes
+	// onto the defaults, so it names only the tunables it changes. Its
+	// in-process fields (the Use* switches, Rollout, Knowledge) must stay
+	// at their defaults; the rollout is set through Rollout.
 	Options *TunerOptions `json:"options,omitempty"`
 	// Hardware overrides the instance description the white-box rules
 	// reason about; defaults to the paper's 8 vCPU / 16 GB instance.
@@ -137,11 +98,7 @@ func (c Config) withDefaults() Config {
 
 // space resolves the named knob space through the engine registry.
 func (c Config) space() (*knobs.Space, error) {
-	name := c.Space
-	if name == "" {
-		name = "mysql57"
-	}
-	s, err := knobs.Lookup(name)
+	s, err := knobs.Lookup(c.withDefaults().Space)
 	if err != nil {
 		return nil, fmt.Errorf("tune: %w", err)
 	}
@@ -168,32 +125,21 @@ func (c Config) options() core.Options {
 	if c.Options != nil {
 		opts = *c.Options
 	}
-	if c.DisableSafety {
-		opts.UseSafety = false
-	}
-	if c.Rollout != nil {
-		opts.Rollout = rollout.Policy{
-			Enabled:             true,
-			Mode:                c.Rollout.Mode,
-			Window:              c.Rollout.Window,
-			RegressionThreshold: c.Rollout.RegressionThreshold,
-			MaxChain:            c.Rollout.MaxChain,
-			SwitchoverIntervals: c.Rollout.SwitchoverIntervals,
-			PromoteMargin:       c.Rollout.PromoteMargin,
-		}
-	}
+	opts.Rollout = c.Rollout
 	if c.know != nil {
 		opts.Knowledge = c.know
 	}
 	return opts
 }
 
-// validateOptions rejects an explicit options object that is not a
-// complete safety-on set. Options replaces the defaults wholesale and
-// decodes every omitted field to zero, so a partial object would switch
-// safety off by omission or divide by a zero ReclusterEvery on the first
-// report. disable_safety is the one deliberate opt-out and
-// config.rollout the one way to enable the rollout.
+// maxCandidates bounds Options.Candidates, 100x the paper's 100: every
+// acquisition round allocates and scores that many candidates, so an
+// unbounded count lets one create request exhaust the server's memory.
+const maxCandidates = 10000
+
+// validateOptions range-checks an explicit options object's tunables and
+// refuses in-process fields off their defaults: a snapshot does not carry
+// them, so a restore could not reproduce the session.
 func (c Config) validateOptions() error {
 	o := c.Options
 	if o == nil {
@@ -203,17 +149,17 @@ func (c Config) validateOptions() error {
 		ok   bool
 		want string
 	}{
-		{o.UseSafety && o.UseBlackBox && o.UseWhiteBox && o.UseSubspace && o.UseClustering,
-			"all five Use* switches true (disable_safety is the opt-out)"},
-		{o.Rollout == rollout.Policy{}, "Rollout unset (config.rollout enables it)"},
-		{o.Beta > 0 && o.SafetyMargin >= 0, "Beta > 0 and SafetyMargin >= 0"},
-		{o.Epsilon >= 0 && o.Epsilon <= 1 && o.MIThreshold >= 0 && o.MIThreshold <= 1, "Epsilon and MIThreshold in [0,1]"},
-		{o.Candidates >= 1 && o.ReclusterEvery >= 1 && o.MinRecluster >= 1, "Candidates, ReclusterEvery and MinRecluster >= 1"},
-		{o.ClusterCap >= 2, "ClusterCap >= 2"},
-		{o.HyperoptEvery >= 0 && o.RepoCap >= 0, "HyperoptEvery and RepoCap >= 0"},
+		{o.UseSafety && o.UseBlackBox && o.UseWhiteBox && o.UseSubspace && o.UseClustering && o.Rollout == nil && o.Knowledge == nil,
+			"the in-process fields (Use* switches, Rollout, Knowledge) at their defaults"},
+		{o.Beta > 0 && o.SafetyMargin >= 0, "beta > 0 and safety_margin >= 0"},
+		{o.Epsilon >= 0 && o.Epsilon <= 1 && o.MIThreshold >= 0 && o.MIThreshold <= 1, "epsilon and mi_threshold in [0,1]"},
+		{o.Candidates >= 1 && o.Candidates <= maxCandidates, fmt.Sprintf("candidates in [1,%d]", maxCandidates)},
+		{o.ReclusterEvery >= 1 && o.MinRecluster >= 1, "recluster_every and min_recluster >= 1"},
+		{o.ClusterCap >= 2, "cluster_cap >= 2"},
+		{o.HyperoptEvery >= 0 && o.RepoCap >= 0, "hyperopt_every and repo_cap >= 0"},
 	} {
 		if !check.ok {
-			return fmt.Errorf("tune: %w: options must be a complete safety-on set: want %s", ErrInvalid, check.want)
+			return fmt.Errorf("tune: %w: options: want %s", ErrInvalid, check.want)
 		}
 	}
 	return nil

@@ -22,7 +22,7 @@ import (
 func FuzzParseSnapshot(f *testing.F) {
 	golden := goldenAtVersion(f, SnapshotVersion)
 	f.Add(golden)
-	f.Add(goldenAtVersion(f, 7))
+	f.Add(goldenAtVersion(f, SnapshotVersion-1))
 	f.Add(golden[:len(golden)/2])
 	f.Add(bytes.Replace(golden, []byte(`"iter": 3`), []byte(`"iter": 4`), 1))
 	s, err := NewSession(Config{Space: "case5", Seed: 1})
@@ -51,8 +51,8 @@ func FuzzParseSnapshot(f *testing.F) {
 	}
 	f.Add(fresh)
 	f.Add([]byte(`{"kind":"tune.Session","version":99}`))
-	f.Add([]byte(`{"kind":"something.Else","version":8}`))
-	f.Add([]byte(`{"kind":"tune.Session","version":8,"config":{"space":"nope"}}`))
+	f.Add([]byte(`{"kind":"something.Else","version":9}`))
+	f.Add([]byte(`{"kind":"tune.Session","version":9,"config":{"space":"nope"}}`))
 	f.Add([]byte("{"))
 	damaged := damagedGoldens(f)
 	for _, name := range slices.Sorted(maps.Keys(damaged)) {

@@ -253,14 +253,14 @@ func TestManagerIgnoresStrayJSON(t *testing.T) {
 // the current one fails boot with an error naming both versions.
 func TestManagerBootRejectsOtherVersion(t *testing.T) {
 	stateDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(stateDir, "db.base.json"), goldenAtVersion(t, 7), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(stateDir, "db.base.json"), goldenAtVersion(t, 8), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := NewManagerOpts(stateDir, ManagerOptions{NoFsync: true})
 	if err == nil {
-		t.Fatal("booted over a version-7 base snapshot")
+		t.Fatal("booted over a version-8 base snapshot")
 	}
-	for _, frag := range []string{`"db"`, "version 7", "want 8"} {
+	for _, frag := range []string{`"db"`, "version 8", "want 9"} {
 		//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name the session and both versions), not on error identity
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("boot error %q does not mention %s", err, frag)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -342,11 +343,11 @@ func TestReportBodyRefusals(t *testing.T) {
 	doJSON(t, srv, "GET", "/v1/sessions/slow", nil, http.StatusNotFound, nil)
 }
 
-// TestCreateOptionsBodies: an explicit options object replaces the
-// defaults wholesale, so create accepts it only as a complete safety-on
-// set. A partial body (every omitted switch decodes to false, every
-// omitted count to zero) is a 400, not a session with safety off or one
-// that divides by a zero ReclusterEvery on its first report.
+// TestCreateOptionsBodies: an options object is an overlay on the
+// defaults that names only tunables, so a partial body is a session with
+// the paper's settings plus its edits. An ablation switch, a rollout
+// policy nested in options, a retired config or rollout field, an
+// out-of-range tunable and a negative promote margin are each a 400.
 func TestCreateOptionsBodies(t *testing.T) {
 	m, err := NewManager("")
 	if err != nil {
@@ -357,15 +358,14 @@ func TestCreateOptionsBodies(t *testing.T) {
 
 	for i, tc := range createOptionsCases() {
 		id := fmt.Sprintf("s%d", i)
-		want := tc.want()
 		body := tc.body(id)
 		if tc.status != http.StatusCreated {
 			var refusal struct {
 				Error string `json:"error"`
 			}
 			doJSON(t, srv, "POST", "/v1/sessions", body, tc.status, &refusal)
-			if !strings.Contains(refusal.Error, "complete safety-on set") {
-				t.Fatalf("%s: refusal %q does not say what an options object must be", tc.name, refusal.Error)
+			if !strings.Contains(refusal.Error, tc.refusal) {
+				t.Fatalf("%s: refusal %q does not name %q", tc.name, refusal.Error, tc.refusal)
 			}
 			doJSON(t, srv, "GET", "/v1/sessions/"+id, nil, http.StatusNotFound, nil)
 			continue
@@ -377,6 +377,10 @@ func TestCreateOptionsBodies(t *testing.T) {
 			return nil
 		}); err != nil {
 			t.Fatal(err)
+		}
+		want := DefaultTunerOptions()
+		if tc.edit != nil {
+			tc.edit(&want)
 		}
 		gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 		for f := 0; f < gv.NumField(); f++ {
@@ -390,51 +394,58 @@ func TestCreateOptionsBodies(t *testing.T) {
 	}
 }
 
-// createOptionsCase is one create body of TestCreateOptionsBodies: a
-// partial options object or an edit to the full default set, and the
-// status create must answer with.
+// createOptionsCase is one create body of TestCreateOptionsBodies and
+// the status create must answer with: an accepted body resolves to the
+// defaults with edit applied, a refused one's error names refusal.
 type createOptionsCase struct {
 	name    string
-	partial map[string]any      // a partial options object, or
-	edit    func(*TunerOptions) // an edit to the full default set
-	disable bool                // config.disable_safety
+	config  map[string]any // the body's config besides its space
+	edit    func(*TunerOptions)
 	status  int
+	refusal string
 }
 
 func createOptionsCases() []createOptionsCase {
+	options := func(o map[string]any) map[string]any { return map[string]any{"options": o} }
 	return []createOptionsCase{
-		{name: "partial, one number", partial: map[string]any{"Beta": 3}, status: http.StatusBadRequest},
-		{name: "partial, one switch", partial: map[string]any{"UseClustering": true}, status: http.StatusBadRequest},
-		{name: "full defaults", edit: func(*TunerOptions) {}, status: http.StatusCreated},
-		{name: "full, wider margin", edit: func(o *TunerOptions) { o.SafetyMargin = 0.05 }, status: http.StatusCreated},
-		{name: "full, disable_safety", edit: func(*TunerOptions) {}, disable: true, status: http.StatusCreated},
-		{name: "full, white box off", edit: func(o *TunerOptions) { o.UseWhiteBox = false }, status: http.StatusBadRequest},
-		{name: "full, safety off", edit: func(o *TunerOptions) { o.UseSafety = false }, status: http.StatusBadRequest},
-		{name: "full, rollout inside", edit: func(o *TunerOptions) { o.Rollout.Enabled = true }, status: http.StatusBadRequest},
-		{name: "full, zero ReclusterEvery", edit: func(o *TunerOptions) { o.ReclusterEvery = 0 }, status: http.StatusBadRequest},
+		{name: "empty options", config: options(map[string]any{}), status: http.StatusCreated},
+		{name: "one tunable", config: options(map[string]any{"beta": 3}),
+			edit: func(o *TunerOptions) { o.Beta = 3 }, status: http.StatusCreated},
+		{name: "wider margin", config: options(map[string]any{"safety_margin": 0.05}),
+			edit: func(o *TunerOptions) { o.SafetyMargin = 0.05 }, status: http.StatusCreated},
+		{name: "every tunable", config: map[string]any{"options": DefaultTunerOptions()}, status: http.StatusCreated},
+		{name: "promote margin", config: map[string]any{"rollout": map[string]any{"promote_margin": 0.02}},
+			edit: func(o *TunerOptions) { o.Rollout = &RolloutConfig{PromoteMargin: 0.02} }, status: http.StatusCreated},
+		{name: "ablation switch", config: options(map[string]any{"UseSafety": false}),
+			status: http.StatusBadRequest, refusal: `unknown field "UseSafety"`},
+		{name: "rollout inside options", config: options(map[string]any{"Rollout": map[string]any{"Mode": "canary"}}),
+			status: http.StatusBadRequest, refusal: `unknown field "Rollout"`},
+		{name: "retired option", config: options(map[string]any{"FullRefitGP": true}),
+			status: http.StatusBadRequest, refusal: `unknown field "FullRefitGP"`},
+		{name: "zero recluster_every", config: options(map[string]any{"recluster_every": 0}),
+			status: http.StatusBadRequest, refusal: "recluster_every"},
+		{name: "negative beta", config: options(map[string]any{"beta": -1}),
+			status: http.StatusBadRequest, refusal: "beta > 0"},
+		{name: "candidates over the bound", config: options(map[string]any{"candidates": 1 << 40}),
+			status: http.StatusBadRequest, refusal: "candidates in"},
+		{name: "disable_safety", config: map[string]any{"disable_safety": true},
+			status: http.StatusBadRequest, refusal: `unknown field "disable_safety"`},
+		{name: "negative promote margin", config: map[string]any{"rollout": map[string]any{"promote_margin": -0.5}},
+			status: http.StatusBadRequest, refusal: "promote_margin"},
+		{name: "regression_threshold", config: map[string]any{"rollout": map[string]any{"regression_threshold": 0.1}},
+			status: http.StatusBadRequest, refusal: `unknown field "regression_threshold"`},
+		{name: "max_chain", config: map[string]any{"rollout": map[string]any{"max_chain": 2}},
+			status: http.StatusBadRequest, refusal: `unknown field "max_chain"`},
+		{name: "switchover_intervals", config: map[string]any{"rollout": map[string]any{"switchover_intervals": 2}},
+			status: http.StatusBadRequest, refusal: `unknown field "switchover_intervals"`},
 	}
-}
-
-// want is the options an accepted body resolves to.
-func (tc createOptionsCase) want() TunerOptions {
-	want := DefaultTunerOptions()
-	if tc.edit != nil {
-		tc.edit(&want)
-	}
-	want.UseSafety = !tc.disable
-	return want
 }
 
 // body is the create request for session id.
 func (tc createOptionsCase) body(id string) map[string]any {
-	var options any = tc.partial
-	if tc.edit != nil {
-		opts := DefaultTunerOptions()
-		tc.edit(&opts)
-		options = opts
-	}
-	return map[string]any{"id": id, "config": map[string]any{
-		"space": "case5", "options": options, "disable_safety": tc.disable}}
+	config := map[string]any{"space": "case5"}
+	maps.Copy(config, tc.config)
+	return map[string]any{"id": id, "config": config}
 }
 
 // TestManagerDeleteVsCheckpointRace hammers Delete against concurrent

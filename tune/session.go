@@ -2,6 +2,7 @@ package tune
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 
@@ -255,15 +256,20 @@ type Session struct {
 // NewSession creates a session from a declarative Config.
 func NewSession(cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Rollout.validate(); err != nil {
-		return nil, err
+	if cfg.Rollout != nil {
+		if err := cfg.Rollout.Validate(); err != nil {
+			return nil, fmt.Errorf("tune: %w", err)
+		}
 	}
 	if err := cfg.validateOptions(); err != nil {
 		return nil, err
 	}
+	// Detach from the caller's map and pointers: Snapshot encodes the
+	// config, which must keep describing the tuner built from it.
 	if cfg.Initial != nil {
-		cfg.Initial = cfg.Initial.Clone() // detach from the caller's map
+		cfg.Initial = cfg.Initial.Clone()
 	}
+	cfg.Rollout, cfg.Options, cfg.Hardware = clonePtr(cfg.Rollout), clonePtr(cfg.Options), clonePtr(cfg.Hardware)
 	space, err := cfg.space()
 	if err != nil {
 		return nil, err
@@ -296,6 +302,15 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	s.lastCtx = make([]float64, s.feat.Dim())
 	return s, nil
+}
+
+// clonePtr returns a pointer to a shallow copy of *p, nil for nil.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // Config returns the session's (defaulted) configuration.
@@ -445,7 +460,7 @@ func (s *Session) reportLocked(o Outcome) {
 		Iter: s.iter, Snapshot: snap, Ctx: ctx, Metrics: o.Metrics,
 		Tau: o.Baseline, OLAP: snap.OLAP, HW: s.hw,
 	}
-	if sh, ok := o.Measurements[RoleStaged]; ok && s.tuner.CanaryActive() {
+	if sh, ok := o.Measurements[RoleStaged]; ok && s.tuner.T.CanaryActive() {
 		s.tuner.FeedbackStaged(env, o.result(), sh.Performance, sh.Failed)
 	} else {
 		s.tuner.Feedback(env, s.lastCfg, o.result())

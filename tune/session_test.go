@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dbsim"
@@ -185,6 +186,54 @@ func TestSessionDetachedFromCallerBuffers(t *testing.T) {
 	}
 	if !bytes.Equal(wantSnap, gotSnap) {
 		t.Fatal("caller-side mutation leaked into the session snapshot")
+	}
+
+	// The config's options, rollout and hardware pointers are the
+	// caller's too: mutating them after create changes neither the
+	// snapshot nor what a restore of it continues with.
+	newConfig := func() Config {
+		opts, roll, hw := DefaultTunerOptions(), RolloutConfig{Window: 2}, dbsim.DefaultHardware()
+		return Config{Space: "case5", Seed: 6, Options: &opts, Rollout: &roll, Hardware: &hw}
+	}
+	twin, err := NewSession(newConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := newConfig()
+	live, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Options.SafetyMargin, cfg.Rollout.Mode, cfg.Hardware.VCPUs = 0.5, RolloutModeBlueGreen, 1
+	step := func(s *Session, i int) Advice {
+		adv, err := s.Suggest(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Report(goldenOutcome(i)); err != nil {
+			t.Fatal(err)
+		}
+		return adv
+	}
+	for i := 0; i < 4; i++ {
+		step(twin, i)
+		step(live, i)
+	}
+	liveSnap, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twinSnap, err := twin.Snapshot(); err != nil || !bytes.Equal(liveSnap, twinSnap) {
+		t.Fatalf("mutating the caller's config pointers changed the session snapshot (err %v)", err)
+	}
+	restored, err := Restore(liveSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 4; i < 10; i++ {
+		if a, b := step(live, i), step(restored, i); !reflect.DeepEqual(a, b) {
+			t.Fatalf("iter %d: restored session diverged from the live one\nlive:     %+v\nrestored: %+v", i, a, b)
+		}
 	}
 }
 

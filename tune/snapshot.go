@@ -12,12 +12,12 @@ import (
 // SnapshotVersion is the version of the session snapshot JSON schema,
 // and the only one Restore and the Manager accept. The schema is
 // append-only within a version: fields may be added, never renamed,
-// repurposed or removed without a bump. Version 8 is the OnlineTune-only
+// repurposed or removed without a bump. Version 9 is the OnlineTune-only
 // state format: a header (config, iter, the global index of the next
 // event, rollout_phase) emitted first so the Manager's boot scan can
 // summarize a session from the head of its base snapshot, then the
 // session's exact state.
-const SnapshotVersion = 8
+const SnapshotVersion = 9
 
 // snapshotKind tags the document so unrelated JSON is rejected early.
 const snapshotKind = "tune.Session"

@@ -241,7 +241,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore([]byte("{")); err == nil {
 		t.Fatal("accepted truncated JSON")
 	}
-	if _, err := Restore([]byte(`{"version": 8, "kind": "something.Else"}`)); err == nil {
+	if _, err := Restore([]byte(`{"version": 9, "kind": "something.Else"}`)); err == nil {
 		t.Fatal("accepted wrong document kind")
 	}
 	// A report tail record without an outcome is refused; the same record
@@ -260,64 +260,6 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	oc := goldenOutcome(3)
 	if _, err := restore(base, tailRecord(event{Kind: eventReport, Outcome: &oc}), nil); err != nil {
 		t.Fatalf("well-formed report tail record: %v", err)
-	}
-}
-
-// TestRestoreIgnoresRetiredTunerOption: every session created with
-// explicit tuner options before the FullRefitGP switch was removed wrote
-// `"FullRefitGP": false` into its snapshot header. Such a snapshot must
-// still restore — the snapshot parser skips keys it does not know — and
-// continue with advice identical to an uninterrupted session's.
-func TestRestoreIgnoresRetiredTunerOption(t *testing.T) {
-	opts := DefaultTunerOptions()
-	cfg := Config{Space: "case5", Seed: 13, Options: &opts}
-	uninterrupted, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := func(s *Session, i int) Advice {
-		adv, err := s.Suggest(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Report(goldenOutcome(i)); err != nil {
-			t.Fatal(err)
-		}
-		return adv
-	}
-	const before, after = 6, 6
-	for i := 0; i < before; i++ {
-		step(uninterrupted, i)
-		step(old, i)
-	}
-	data, err := old.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := []byte(`"options": {`)
-	if bytes.Count(data, header) != 1 {
-		t.Fatalf("snapshot does not carry exactly one options object:\n%.400s", data)
-	}
-	stale := bytes.Replace(data, header, []byte(`"options": { "FullRefitGP": false,`), 1)
-	restored, err := Restore(stale)
-	if err != nil {
-		t.Fatalf("snapshot with the retired option does not restore: %v", err)
-	}
-	again, err := restored.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, data) {
-		t.Fatal("restoring a snapshot with the retired option changed the session's state")
-	}
-	for i := before; i < before+after; i++ {
-		if a, b := step(uninterrupted, i), step(restored, i); !reflect.DeepEqual(a, b) {
-			t.Fatalf("iter %d: advice diverged after restoring the old header\nuninterrupted: %+v\nrestored:      %+v", i, a, b)
-		}
 	}
 }
 
@@ -340,12 +282,12 @@ func TestRestoreRejectsOtherVersions(t *testing.T) {
 	if _, err := Restore(goldenAtVersion(t, SnapshotVersion)); err != nil {
 		t.Fatalf("golden snapshot does not restore: %v", err)
 	}
-	for _, v := range []int{0, 1, 7, 9, 999} {
+	for _, v := range []int{0, 1, 8, 10, 999} {
 		_, err := Restore(goldenAtVersion(t, v))
 		if err == nil {
 			t.Fatalf("restored a version-%d snapshot", v)
 		}
-		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 8"} {
+		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 9"} {
 			//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name both versions), not on error identity
 			if !strings.Contains(err.Error(), frag) {
 				t.Fatalf("version-%d error %q does not mention %q", v, err, frag)
