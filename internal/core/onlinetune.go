@@ -433,9 +433,7 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	} else {
 		candidates = o.globalCandidates(o.Opts.Candidates)
 	}
-	for i := range candidates {
-		candidates[i] = o.Space.Quantize(candidates[i])
-	}
+	candidates = o.Space.QuantizeAll(candidates)
 	// Fleet transfers ride the same assessment as local candidates.
 	candidates = o.appendTransfers(m, candidates)
 	o.times.SubspaceAdapt += since(t0)
@@ -547,10 +545,7 @@ func (o *OnlineTune) contextNovel(m *model, ctx []float64) bool {
 // unevaluatedSafeExhausted checks the switching-rule trigger: no safe
 // candidate in the current region remains unevaluated.
 func (o *OnlineTune) unevaluatedSafeExhausted(m *model, ctx []float64, region *subspace.Region, tau float64) bool {
-	cands := region.Candidates(40, o.rng)
-	for i := range cands {
-		cands[i] = o.Space.Quantize(cands[i])
-	}
+	cands := o.Space.QuantizeAll(region.Candidates(40, o.rng))
 	assess := safety.Assess(m.gp, ctx, cands, o.Opts.Beta, tau)
 	for i := range cands {
 		if assess.Safe[i] && !m.evaluated[key(cands[i])] {

@@ -36,7 +36,9 @@ func NewContextualWeighted(configDim, ctxDim int, weights []float64) *Contextual
 }
 
 func newContextual(kern *Split, ctxDim int) *ContextualGP {
-	return &ContextualGP{gp: New(kern, 1e-3), kern: kern, configDim: kern.Dim, ctxDim: ctxDim}
+	g := New(kern, 1e-3)
+	g.res, g.rest = kern.KConfig, kern.KCtx
+	return &ContextualGP{gp: g, kern: kern, configDim: kern.Dim, ctxDim: ctxDim}
 }
 
 // ctxRow is the context kernel of ctx against every training context,
@@ -53,11 +55,10 @@ func (c *ContextualGP) ctxRow(ctx []float64) []float64 {
 // BestByPosterior returns the evaluated configuration with the highest
 // posterior mean under ctx — the paper's "best configuration estimated
 // so far", robust to measurement noise (unlike the max of raw samples).
-// The distances between training configurations are already cached, so
-// scoring measures only ctx against each training context; the
-// configuration kernel is evaluated over the cached triangle in one row
-// call and the context kernel once per row, then summed as Split.OfStats
-// sums them. Means only: no triangular solves.
+// The configuration kernel's value for every training pair is resident,
+// so scoring evaluates only the context kernel, once per training
+// context, and sums the two as Split.OfStats sums them. Means only: no
+// triangular solves.
 func (c *ContextualGP) BestByPosterior(ctx []float64) (config []float64, mean float64, ok bool) {
 	g := c.gp
 	n := g.Len()
@@ -66,14 +67,12 @@ func (c *ContextualGP) BestByPosterior(ctx []float64) (config []float64, mean fl
 	}
 	bestIdx, bestMu := 0, 0.0 // an unfactorized model serves the prior mean
 	if g.fresh {
-		buf := make([]float64, tri(n)+n)
-		kCfg, kstar := buf[:tri(n)], buf[tri(n):]
-		c.kern.KConfig.AddOfStatsRow(g.stats, c.kern.NumStats(), kCfg)
+		kstar := make([]float64, n)
 		kCtx := c.ctxRow(ctx)
 		bestMu = math.Inf(-1)
 		for p := 0; p < n; p++ {
 			for i := range kstar {
-				v := kCfg[tri(max(i, p))+min(i, p)]
+				v := g.kres[tri(max(i, p))+min(i, p)]
 				v += kCtx[i]
 				kstar[i] = v
 			}

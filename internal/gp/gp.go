@@ -20,13 +20,15 @@ const refactorEvery = 64
 //
 // Every pair of training points is measured once: the GP keeps the
 // packed lower triangle of hyperparameter-free pair statistics (see
-// Kernel) and the Cholesky factor, not a Gram matrix. Append adds one
-// row of statistics and extends the factor in O(n²); Slide shifts the
-// triangle and adds one row; a change of hyperparameters rebuilds a
-// transient Gram matrix from the statistics and refactorizes, without
-// reading a coordinate. The Gram matrix is pooled scratch and the new
-// factor and weights overwrite the old ones when the size is unchanged,
-// so conditioning at a fixed size allocates nothing.
+// Kernel), a packed triangle of kernel values at the current
+// hyperparameters and the packed Cholesky factor, not a Gram matrix.
+// Append adds one row to each triangle and extends the factor in O(n²);
+// Slide shifts the triangles and adds one row; a change of
+// hyperparameters re-evaluates the value triangle from the statistics,
+// without reading a coordinate. The Gram matrix and the factorization
+// are pooled scratch and the new factor and weights overwrite the old
+// ones when the size is unchanged, so conditioning at a fixed size
+// allocates nothing.
 type GP struct {
 	Kern  Kernel
 	Noise float64 // observation noise variance (in standardized units)
@@ -40,17 +42,25 @@ type GP struct {
 	// stats holds Kern.NumStats() floats for each training pair (i, j ≤ i)
 	// at pair offset i(i+1)/2 + j, allocated exact-size (every resident
 	// model keeps one, so spare capacity would be live heap).
-	stats   []float64
-	jitter  float64 // diagonal jitter baked into chol
-	chol    *mathx.Matrix
-	alpha   []float64
-	fresh   bool
-	appends int // incremental extensions since the last full factorization
+	stats []float64
+	// kres holds res's value for each training pair at the current
+	// hyperparameters, one float per pair, packed like stats. The Gram
+	// matrix is kres plus the values of rest, whose statistics follow
+	// res's in each pair, summed as Split sums its parts. New makes the
+	// whole kernel resident; a contextual GP keeps only its configuration
+	// kernel, whose Matérn values are the costly ones.
+	kres      []float64
+	res, rest Kernel
+	jitter    float64   // diagonal jitter baked into chol
+	chol      []float64 // the factor's lower triangle, row by row
+	alpha     []float64
+	fresh     bool
+	appends   int // incremental extensions since the last full factorization
 }
 
 // New returns an unfitted GP with the given kernel and noise variance.
 func New(k Kernel, noise float64) *GP {
-	return &GP{Kern: k, Noise: noise}
+	return &GP{Kern: k, Noise: noise, res: k}
 }
 
 // Len returns the number of training observations.
@@ -64,10 +74,31 @@ func (g *GP) statsRow(i, w int) []float64 {
 	return g.stats[tri(i)*w : tri(i+1)*w]
 }
 
-// measure fills row i of the statistic triangle: point i against every
-// earlier point and itself, i+1 pairs.
+// measure fills row i of the statistic triangle, point i against every
+// earlier point and itself, and then row i of the value triangle.
 func (g *GP) measure(i, w int) {
 	g.Kern.StatsRow(g.x[:i+1], 0, g.x[i], w, g.statsRow(i, w))
+	r := g.kres[tri(i):tri(i+1)]
+	clear(r)
+	g.res.AddOfStatsRow(g.statsRow(i, w), w, r)
+}
+
+// rebuild re-evaluates the value triangle after a change of
+// hyperparameters: one row call over the whole statistic triangle.
+func (g *GP) rebuild() {
+	if len(g.kres) != tri(len(g.x)) {
+		g.kres = make([]float64, tri(len(g.x)))
+	}
+	clear(g.kres)
+	g.res.AddOfStatsRow(g.stats, g.Kern.NumStats(), g.kres)
+}
+
+// gramRow writes row i of the Gram matrix, noise aside, to row.
+func (g *GP) gramRow(i, w int, row []float64) {
+	copy(row, g.kres[tri(i):])
+	if g.rest != nil {
+		g.rest.AddOfStatsRow(g.statsRow(i, w)[g.res.NumStats():], w, row)
+	}
 }
 
 // Fit conditions the GP on inputs X and targets y. The outer slice of x
@@ -84,7 +115,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 }
 
 // condition installs a training set and what is derived from it: the
-// standardized targets and the statistic triangle, one measured row per
+// standardized targets and the two triangles, one measured row per
 // point as Append measures it.
 func (g *GP) condition(x [][]float64, y []float64) {
 	g.x = append([][]float64(nil), x...)
@@ -92,6 +123,7 @@ func (g *GP) condition(x [][]float64, y []float64) {
 	g.standardize()
 	w := g.Kern.NumStats()
 	g.stats = make([]float64, tri(len(x))*w)
+	g.kres = make([]float64, tri(len(x)))
 	for i := range g.x {
 		g.measure(i, w)
 	}
@@ -117,19 +149,14 @@ type State struct {
 func (g *GP) State() State {
 	st := State{Kern: g.Kern.Hyper(), Noise: g.Noise, Jitter: g.jitter, Appends: g.appends, Fresh: g.fresh}
 	if g.fresh {
-		n := len(g.x)
-		st.Chol = make(mathx.Floats, 0, tri(n))
-		for i := 0; i < n; i++ {
-			st.Chol = append(st.Chol, g.chol.Data[i*n:i*n+i+1]...)
-		}
-		st.Alpha = mathx.VecClone(g.alpha)
+		st.Chol, st.Alpha = mathx.VecClone(g.chol), mathx.VecClone(g.alpha)
 	}
 	return st
 }
 
 // SetState makes an unfitted GP the one that exported st on the
-// training set x, y: the statistic triangle and standardized targets are
-// rebuilt bit for bit, the factor and weights installed as stored. A
+// training set x, y: the triangles and standardized targets are rebuilt
+// bit for bit, the factor and weights installed as stored. A
 // state whose shapes do not fit the training set or the kernel is
 // rejected.
 func (g *GP) SetState(x [][]float64, y []float64, st State) error {
@@ -150,18 +177,14 @@ func (g *GP) SetState(x [][]float64, y []float64, st State) error {
 		g.condition(x, y)
 	}
 	if st.Fresh {
-		g.chol = mathx.NewMatrix(n, n)
-		for i, off := 0, 0; i < n; i, off = i+1, off+i+1 {
-			copy(g.chol.Data[i*n:i*n+i+1], st.Chol[off:])
-		}
-		g.alpha = st.Alpha
+		g.chol, g.alpha = mathx.VecClone(st.Chol), st.Alpha
 	}
 	g.jitter, g.appends, g.fresh = st.Jitter, st.Appends, st.Fresh
 	return nil
 }
 
-// Append adds one observation: one new row of pair statistics and, when
-// a current factor is available, an O(n²) rank-1 Cholesky extension;
+// Append adds one observation: one new row of each triangle and, when a
+// current factor is available, an O(n²) rank-1 Cholesky extension;
 // otherwise — and periodically, for numerical hygiene — a full
 // refactorization.
 func (g *GP) Append(x []float64, y float64) error {
@@ -173,18 +196,17 @@ func (g *GP) Append(x []float64, y float64) error {
 	g.standardize()
 	n := len(g.x)
 	w := g.Kern.NumStats()
-	grown := make([]float64, tri(n)*w)
-	copy(grown, g.stats)
-	g.stats = grown
+	g.stats = append(make([]float64, 0, tri(n)*w), g.stats...)[:tri(n)*w]
+	g.kres = append(make([]float64, 0, tri(n)), g.kres...)[:tri(n)]
 	g.measure(n-1, w)
 	// !fresh covers a previously failed factorization: g.chol would be a
 	// stale factor of older training data, so extending it would silently
 	// produce an inconsistent posterior — refactor instead.
-	if g.chol == nil || !g.fresh || g.appends >= refactorEvery {
+	if !g.fresh || g.appends >= refactorEvery {
 		return g.refactor()
 	}
 	row := make([]float64, n)
-	g.Kern.AddOfStatsRow(g.statsRow(n-1, w), w, row)
+	g.gramRow(n-1, w, row)
 	row[n-1] += g.Noise
 	l, err := mathx.CholeskyExtend(g.chol, row[:n-1], row[n-1]+g.jitter)
 	if err != nil {
@@ -200,10 +222,11 @@ func (g *GP) Append(x []float64, y float64) error {
 }
 
 // Slide drops the oldest observation and adds (x, y): the sliding
-// window that bounds a model's cost (§5.3). The statistic triangle
-// moves up one row and column in place and gains one measured row, and
-// the factor is rebuilt, so the result is bit-identical to Fit on the
-// shifted window at len(x) Stats calls instead of n(n+1)/2.
+// window that bounds a model's cost (§5.3). Both triangles move up one
+// row and column in place and gain one measured row, and the factor is
+// rebuilt, so the result is bit-identical to Fit on the shifted window
+// at n pair measurements and n resident-kernel values instead of
+// n(n+1)/2 of each.
 func (g *GP) Slide(x []float64, y float64) error {
 	n := len(g.x)
 	if n == 0 {
@@ -217,6 +240,7 @@ func (g *GP) Slide(x []float64, y float64) error {
 	w := g.Kern.NumStats()
 	for i := 1; i < n; i++ {
 		copy(g.stats[tri(i-1)*w:tri(i)*w], g.stats[(tri(i)+1)*w:])
+		copy(g.kres[tri(i-1):tri(i)], g.kres[tri(i)+1:])
 	}
 	g.measure(n-1, w)
 	return g.refactor()
@@ -248,8 +272,9 @@ func (g *GP) standardize() {
 	}
 }
 
-// gramPool holds the transient Gram matrices of refactor. A GC cycle
-// empties it, so the scratch is never part of a model's resident size.
+// gramPool holds the transient Gram matrices and factorizations of
+// refactor. A GC cycle empties it, so the scratch is never part of a
+// model's resident size.
 var gramPool sync.Pool
 
 // getGram returns an n×n matrix with arbitrary contents.
@@ -265,36 +290,38 @@ func getGram(n int) *mathx.Matrix {
 // noise. Called on Fit, Slide, periodically on Append, and whenever
 // hyperparameters change.
 func (g *GP) refactor() error {
-	gram := getGram(len(g.x))
+	gram, l := getGram(len(g.x)), getGram(len(g.x))
 	defer gramPool.Put(gram)
-	return g.factorize(gram)
+	defer gramPool.Put(l)
+	return g.factorize(gram, l)
 }
 
-// factorize is refactor on the caller's n×n scratch: the Gram matrix
-// from the cached pair statistics, one kernel call per row (the lower
-// triangle only, which is all Cholesky reads, so the scratch needs no
-// clearing), then a factorization over the old factor. Every reader of
-// the factor checks fresh first, so a failure may leave it half-written.
-func (g *GP) factorize(gram *mathx.Matrix) error {
+// factorize is refactor on the caller's two n×n scratch matrices: the
+// Gram matrix from the value triangle and the statistics (the lower
+// triangle only, which is all Cholesky reads and writes, so the scratch
+// needs no clearing), its factorization, and the factor's triangle
+// copied over the old one. Every reader of the factor checks fresh
+// first.
+func (g *GP) factorize(gram, l *mathx.Matrix) error {
 	n := len(g.x)
 	w := g.Kern.NumStats()
 	for i := 0; i < n; i++ {
 		row := gram.Data[i*n : i*n+i+1]
-		clear(row)
-		g.Kern.AddOfStatsRow(g.statsRow(i, w), w, row)
+		g.gramRow(i, w, row)
 		row[i] += g.Noise
 	}
-	if g.chol == nil || g.chol.Rows != n {
-		g.chol = mathx.NewMatrix(n, n)
+	if len(g.chol) != tri(n) {
+		g.chol = make([]float64, tri(n))
 	}
 	if len(g.alpha) != n {
 		g.alpha = make([]float64, n)
 	}
 	g.fresh = false
-	jit, err := mathx.CholeskyJitter(g.chol, gram, 1e-3)
+	jit, err := mathx.CholeskyJitter(l, gram, 1e-3)
 	if err != nil {
 		return err
 	}
+	mathx.PackLower(g.chol, l)
 	g.jitter = jit
 	g.appends = 0
 	copy(g.alpha, g.y)
@@ -399,29 +426,38 @@ func (g *GP) Hyperparams() []float64 {
 
 // SetHyperparams installs a hyperparameter vector in the Hyperparams
 // layout and refactorizes any existing data. Vectors of the wrong length or
-// with non-finite entries are rejected.
+// with non-finite entries are rejected, and a vector the data cannot be
+// factorized under leaves the model exactly as it was.
 func (g *GP) SetHyperparams(p []float64) error {
-	cur := g.Hyperparams()
-	if len(p) != len(cur) {
-		return fmt.Errorf("gp: hyperparam length %d, want %d", len(p), len(cur))
+	if want := len(g.Kern.Params()) + 1; len(p) != want {
+		return fmt.Errorf("gp: hyperparam length %d, want %d", len(p), want)
 	}
 	for _, v := range p {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("gp: non-finite hyperparam %v", v)
 		}
 	}
+	hyper, noise := g.Kern.Hyper(), g.Noise
 	g.Kern.SetParams(p[:len(p)-1])
 	g.Noise = math.Exp(p[len(p)-1])
 	if len(g.x) > 0 {
+		g.rebuild()
 		if err := g.refactor(); err != nil {
 			// Roll back so a bad transfer cannot brick a fitted model.
-			g.Kern.SetParams(cur[:len(cur)-1])
-			g.Noise = math.Exp(cur[len(cur)-1])
+			g.restore(hyper, noise)
 			_ = g.refactor()
 			return fmt.Errorf("gp: refit with transferred hyperparams: %w", err)
 		}
 	}
 	return nil
+}
+
+// restore reinstates hyperparameters as Kern.Hyper and Noise held them,
+// bit for bit, and the value triangle with them.
+func (g *GP) restore(hyper []float64, noise float64) {
+	g.Kern.SetHyper(hyper)
+	g.Noise = noise
+	g.rebuild()
 }
 
 // OptimizeHyperparams maximizes the log marginal likelihood over the
@@ -431,18 +467,23 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 	if len(g.x) < 3 {
 		return // too few points: keep priors
 	}
+	hyper, noise := g.Kern.Hyper(), g.Noise
 	base := append(g.Kern.Params(), math.Log(g.Noise))
 	// One trial model serves every evaluation: it shares the training set
 	// and its pair statistics read-only (a likelihood evaluation never
-	// reads a coordinate), and keeps one kernel clone, one factor and one
-	// weight vector, rebuilt in place on one Gram scratch.
-	gram := getGram(len(g.x))
+	// reads a coordinate), and keeps one kernel clone, resident whole, one
+	// value triangle, one factor and one weight vector, rebuilt in place
+	// on one pair of scratch matrices.
+	gram, l := getGram(len(g.x)), getGram(len(g.x))
 	defer gramPool.Put(gram)
-	trial := &GP{Kern: g.Kern.Clone(), x: g.x, y: g.y, stats: g.stats}
+	defer gramPool.Put(l)
+	kern := g.Kern.Clone()
+	trial := &GP{Kern: kern, res: kern, x: g.x, y: g.y, stats: g.stats}
 	obj := func(p []float64) float64 {
 		trial.Kern.SetParams(p[:len(p)-1])
 		trial.Noise = math.Exp(p[len(p)-1])
-		if err := trial.factorize(gram); err != nil {
+		trial.rebuild()
+		if err := trial.factorize(gram, l); err != nil {
 			return math.Inf(1)
 		}
 		ll := trial.LogMarginalLikelihood()
@@ -465,10 +506,10 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 	}
 	g.Kern.SetParams(best[:len(best)-1])
 	g.Noise = math.Exp(best[len(best)-1])
-	if err := g.factorize(gram); err != nil {
+	g.rebuild()
+	if err := g.factorize(gram, l); err != nil {
 		// Roll back to the previous hyperparameters on numerical failure.
-		g.Kern.SetParams(base[:len(base)-1])
-		g.Noise = math.Exp(base[len(base)-1])
-		_ = g.factorize(gram)
+		g.restore(hyper, noise)
+		_ = g.factorize(gram, l)
 	}
 }

@@ -163,16 +163,27 @@ func TestContextualPredictAllMatchesPredict(t *testing.T) {
 
 // countingKernel counts the pairs measured (Stats) and the kernel
 // values computed (OfStats) on the kernel it wraps, one per entry
-// whether they go through the per-pair or the row forms, clones included
-// (hyperopt trials run on clones). The counters are atomic because
-// PredictAll fans out across goroutines.
+// whether they go through the per-pair or the row forms, and the
+// SetParams calls, clones included (hyperopt trials run on clones). The
+// counters are atomic because PredictAll fans out across goroutines.
 type countingKernel struct {
 	Kernel
-	stats, ofStats *atomic.Int64
+	stats, ofStats, params *atomic.Int64
 }
 
 func counting(k Kernel) countingKernel {
-	return countingKernel{k, new(atomic.Int64), new(atomic.Int64)}
+	return countingKernel{k, new(atomic.Int64), new(atomic.Int64), new(atomic.Int64)}
+}
+
+func (k countingKernel) reset() {
+	k.stats.Store(0)
+	k.ofStats.Store(0)
+	k.params.Store(0)
+}
+
+func (k countingKernel) SetParams(p []float64) {
+	k.params.Add(1)
+	k.Kernel.SetParams(p)
 }
 
 func (k countingKernel) Stats(a, b, out []float64) {
@@ -196,7 +207,7 @@ func (k countingKernel) AddOfStatsRow(s []float64, stride int, out []float64) {
 }
 
 func (k countingKernel) Clone() Kernel {
-	return countingKernel{k.Kernel.Clone(), k.stats, k.ofStats}
+	return countingKernel{k.Kernel.Clone(), k.stats, k.ofStats, k.params}
 }
 
 // The incremental path must do an order less work than a full refit

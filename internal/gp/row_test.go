@@ -160,9 +160,9 @@ func TestHyperoptAllocsDoNotGrowWithEvaluations(t *testing.T) {
 }
 
 // At the window cap one observation conditions in place: the statistic
-// triangle shifts, the Gram matrix is pooled scratch and the factor and
-// weights are overwritten, so a Slide allocates far less than one n×n
-// matrix. The race detector makes sync.Pool drop what is put into it at
+// and value triangles shift, the Gram matrix and its factorization are
+// pooled scratch and the packed factor and weights are overwritten, so a
+// Slide allocates far less than one n×n matrix. The race detector makes sync.Pool drop what is put into it at
 // random, so under it only the resident buffers are checked.
 func TestSlideAllocatesNoMatrix(t *testing.T) {
 	const n, slides = 80, 16
@@ -176,15 +176,15 @@ func TestSlideAllocatesNoMatrix(t *testing.T) {
 		}
 	}
 	slide(slides) // fills the pool
-	factor, weights := &cg.gp.chol.Data[0], &cg.gp.alpha[0]
+	stats, values, factor, weights := &cg.gp.stats[0], &cg.gp.kres[0], &cg.gp.chol[0], &cg.gp.alpha[0]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < slides; i++ {
 		slide(i)
 	}
 	runtime.ReadMemStats(&after)
-	if factor != &cg.gp.chol.Data[0] || weights != &cg.gp.alpha[0] {
-		t.Fatal("Slide at an unchanged size replaced the factor or the weights instead of overwriting them")
+	if stats != &cg.gp.stats[0] || values != &cg.gp.kres[0] || factor != &cg.gp.chol[0] || weights != &cg.gp.alpha[0] {
+		t.Fatal("Slide at an unchanged size replaced a triangle, the factor or the weights instead of overwriting them")
 	}
 	if perSlide := (after.TotalAlloc - before.TotalAlloc) / slides; !raceEnabled && perSlide >= n*n*8/4 {
 		t.Fatalf("Slide allocated %d bytes, want well under one %d×%d matrix (%d)", perSlide, n, n, n*n*8)

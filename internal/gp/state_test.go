@@ -33,10 +33,10 @@ func sameModel(t *testing.T, step string, a, b *ContextualGP) {
 	ga, gb := a.gp, b.gp
 	if !sameBits(ga.Kern.Hyper(), gb.Kern.Hyper()) || ga.Noise != gb.Noise || ga.fresh != gb.fresh ||
 		ga.appends != gb.appends || ga.jitter != gb.jitter || ga.yMean != gb.yMean || ga.yStd != gb.yStd ||
-		!sameBits(ga.y, gb.y) || !sameBits(ga.stats, gb.stats) || !sameBits(ga.alpha, gb.alpha) {
+		!sameBits(ga.y, gb.y) || !sameBits(ga.stats, gb.stats) || !sameBits(ga.kres, gb.kres) || !sameBits(ga.alpha, gb.alpha) {
 		t.Fatalf("%s: restored model state differs", step)
 	}
-	if ga.fresh && !sameBits(ga.chol.Data, gb.chol.Data) {
+	if ga.fresh && !sameBits(ga.chol, gb.chol) {
 		t.Fatalf("%s: restored factor differs", step)
 	}
 }

@@ -149,9 +149,7 @@ func (s *Space) DBADefault() Config {
 }
 
 // logBounds returns log Min and log Max of a log-scaled knob (zeros for
-// any other), taken once per coordinate and handed to unit and raw, so
-// Quantize pays three logarithms and one exponential per log-scaled
-// coordinate.
+// any other), taken once per knob and handed to unit and raw.
 func (k *Knob) logBounds() (lo, hi float64) {
 	if !k.Log {
 		return 0, 0
@@ -236,17 +234,40 @@ func (s *Space) Decode(u []float64) Config {
 // Encode(Decode(u)), one coordinate at a time, without the Config between
 // them. Tuners use this so that candidate distances reflect actually
 // distinct configurations.
-func (s *Space) Quantize(u []float64) []float64 {
-	if len(u) != len(s.Knobs) {
-		panic(fmt.Sprintf("knobs: Quantize got %d dims, want %d", len(u), len(s.Knobs)))
+func (s *Space) Quantize(u []float64) []float64 { return s.QuantizeAll([][]float64{u})[0] }
+
+// QuantizeAll is Quantize of every point, in new slices. Each knob's log
+// bounds are taken once per call, and since a coordinate's result
+// depends on its bits alone, a coordinate whose bits repeat the previous
+// point's reuses its result: candidates drawn around one center differ
+// from it in a few coordinates.
+func (s *Space) QuantizeAll(us [][]float64) [][]float64 {
+	type memo struct {
+		lo, hi, q float64
+		in        uint64
 	}
-	q := make([]float64, len(u))
-	for i := range s.Knobs {
-		k := &s.Knobs[i]
-		lo, hi := k.logBounds()
-		q[i] = k.unit(k.raw(u[i], lo, hi), lo, hi)
+	d := len(s.Knobs)
+	ms := make([]memo, d)
+	for i := range ms {
+		ms[i].lo, ms[i].hi = s.Knobs[i].logBounds()
 	}
-	return q
+	out := make([][]float64, len(us))
+	for j, u := range us {
+		if len(u) != d {
+			panic(fmt.Sprintf("knobs: Quantize got %d dims, want %d", len(u), d))
+		}
+		q := make([]float64, d)
+		for i, v := range u {
+			m := &ms[i]
+			if b := math.Float64bits(v); j == 0 || b != m.in {
+				k := &s.Knobs[i]
+				m.in, m.q = b, k.unit(k.raw(v, m.lo, m.hi), m.lo, m.hi)
+			}
+			q[i] = m.q
+		}
+		out[j] = q
+	}
+	return out
 }
 
 // Subspace returns a new Space containing only the named knobs, in the

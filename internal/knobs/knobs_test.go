@@ -170,6 +170,90 @@ func TestQuantizeBitIdenticalToEncodeDecode(t *testing.T) {
 	MySQL57().Quantize([]float64{0.5})
 }
 
+// Property: QuantizeAll is per-point Quantize, and Encode(Decode(u)), bit
+// for bit, for every registered space, over batches drawn the way a
+// hypercube region draws them — a center and candidates that perturb at
+// most 8 of its coordinates — with repeated, -0, NaN, out-of-range,
+// one-ulp-apart and already-quantized coordinates mixed in. A point of the wrong dimension
+// anywhere in a batch panics.
+func TestQuantizeAllBitIdenticalToQuantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	coord := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return -0.5 - rng.Float64()
+		case 1:
+			return 1.5 + rng.Float64()
+		case 2:
+			return math.Copysign(0, -1)
+		case 3:
+			return math.NaN()
+		case 4:
+			return float64(rng.Intn(2))
+		default:
+			return rng.Float64()
+		}
+	}
+	for _, name := range SpaceNames() {
+		s, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 20; trial++ {
+			center := make([]float64, s.Dim())
+			for i := range center {
+				center[i] = coord()
+			}
+			if trial%2 == 1 {
+				center = s.Quantize(center)
+			}
+			batch := [][]float64{center}
+			for len(batch) < 40 {
+				p := append([]float64(nil), center...)
+				for k := rng.Intn(min(8, s.Dim()) + 1); k > 0; k-- {
+					i := rng.Intn(len(p))
+					if p[i] = coord(); rng.Intn(4) == 0 {
+						p[i] = math.Nextafter(center[i], 2) // one ulp from the center's
+					}
+				}
+				if rng.Intn(4) == 0 {
+					p = s.Quantize(p)
+				}
+				batch = append(batch, p)
+				if rng.Intn(8) == 0 {
+					batch = append(batch, p) // a repeated point
+				}
+			}
+			got := s.QuantizeAll(batch)
+			for j, u := range batch {
+				if want := s.Quantize(u); !bitsEqual(got[j], want) || !bitsEqual(want, s.Encode(s.Decode(u))) {
+					t.Fatalf("%s trial %d point %d: QuantizeAll %v, Quantize %v, Encode(Decode) %v", name, trial, j, got[j], want, s.Encode(s.Decode(u)))
+				}
+			}
+		}
+	}
+	s := MySQL57()
+	ok := make([]float64, s.Dim())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("QuantizeAll accepted a point of the wrong dimension")
+		}
+	}()
+	s.QuantizeAll([][]float64{ok, ok, {0.5}, ok})
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // A knob pinned to one value encodes to 0 on either scale; the log scale
 // used to divide by log Max − log Min = 0.
 func TestUnitOfDegenerateRange(t *testing.T) {

@@ -5,23 +5,9 @@ import (
 	"math"
 )
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
-// not (numerically) symmetric positive definite even after jitter.
+// ErrNotPositiveDefinite is returned when a matrix to factorize is not
+// (numerically) symmetric positive definite, even after jitter.
 var ErrNotPositiveDefinite = errors.New("mathx: matrix is not positive definite")
-
-// Cholesky computes the lower-triangular factor L with A = L Lᵀ.
-// A must be square and symmetric positive definite; only its lower
-// triangle is read. The returned matrix has zeros above the diagonal.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("mathx: Cholesky requires a square matrix")
-	}
-	l := NewMatrix(a.Rows, a.Rows)
-	if err := choleskyInto(l, a); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
 
 // choleskyInto writes the factor of the n×n matrix a over the lower
 // triangle of the n×n matrix l. It reads a's lower triangle and touches
@@ -69,26 +55,42 @@ func choleskyInto(l, a *Matrix) error {
 	return nil
 }
 
-// CholeskyExtend extends the lower Cholesky factor L of an n×n matrix A
-// to the factor of the bordered (n+1)×(n+1) matrix
+// tri is the length of the packed lower triangle of an n×n matrix,
+// n(n+1)/2: row i starts at tri(i) and holds i+1 entries.
+func tri(n int) int { return n * (n + 1) / 2 }
+
+// PackLower copies the lower triangle of the n×n matrix l into dst,
+// row by row; dst has n(n+1)/2 entries. The solves below take a factor in
+// this packed form.
+func PackLower(dst []float64, l *Matrix) {
+	n := l.Rows
+	for i := 0; i < n; i++ {
+		copy(dst[tri(i):tri(i+1)], l.Data[i*n:])
+	}
+}
+
+// CholeskyExtend extends the packed lower Cholesky factor L of an n×n
+// matrix A to the factor of the bordered (n+1)×(n+1) matrix
 //
 //	[ A   k ]
 //	[ kᵀ  d ]
 //
-// in O(n²): the new off-diagonal row is c = L⁻¹k and the new diagonal
-// entry is √(d − cᵀc). It returns ErrNotPositiveDefinite when the
-// extension loses positive-definiteness (d − cᵀc ≤ 0 or numerically
-// negligible relative to d); callers should then refactorize from
-// scratch, typically via CholeskyJitter.
-func CholeskyExtend(l *Matrix, k []float64, d float64) (*Matrix, error) {
-	n := l.Rows
-	if l.Cols != n {
-		return nil, errors.New("mathx: CholeskyExtend requires a square factor")
-	}
-	if len(k) != n {
+// in O(n²): the new row's off-diagonal is c = L⁻¹k and its diagonal
+// entry is √(d − cᵀc), appended after L's rows in an exact-size slice.
+// It returns ErrNotPositiveDefinite when the extension loses
+// positive-definiteness (d − cᵀc ≤ 0 or numerically negligible relative
+// to d); callers should then refactorize from scratch, typically via
+// CholeskyJitter.
+func CholeskyExtend(l, k []float64, d float64) ([]float64, error) {
+	n := len(k)
+	if len(l) != tri(n) {
 		return nil, errors.New("mathx: CholeskyExtend border length mismatch")
 	}
-	c := SolveLower(l, k)
+	out := make([]float64, tri(n+1))
+	copy(out, l)
+	c := out[len(l) : len(l)+n]
+	copy(c, k)
+	SolveLowerInPlace(l, c)
 	s := d - Dot(c, c)
 	// Guard against a numerically tiny pivot as well as a negative one: a
 	// pivot many orders of magnitude below the diagonal scale means the
@@ -97,12 +99,7 @@ func CholeskyExtend(l *Matrix, k []float64, d float64) (*Matrix, error) {
 	if s <= 0 || math.IsNaN(s) || s < 1e-12*math.Abs(d) {
 		return nil, ErrNotPositiveDefinite
 	}
-	out := NewMatrix(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(out.Data[i*(n+1):i*(n+1)+i+1], l.Data[i*n:i*n+i+1])
-	}
-	copy(out.Data[n*(n+1):n*(n+1)+n], c)
-	out.Set(n, n, math.Sqrt(s))
+	out[len(out)-1] = math.Sqrt(s)
 	return out, nil
 }
 
@@ -135,67 +132,58 @@ func CholeskyJitter(l, a *Matrix, maxJitter float64) (float64, error) {
 	return 0, ErrNotPositiveDefinite
 }
 
-// SolveLower solves L x = b for lower-triangular L by forward substitution.
-func SolveLower(l *Matrix, b []float64) []float64 {
-	x := VecClone(b)
-	SolveLowerInPlace(l, x)
-	return x
-}
-
-// SolveLowerInPlace solves L x = b in place, overwriting b with the
-// solution. It is the allocation-free core of SolveLower for hot loops
-// that reuse a scratch buffer.
-func SolveLowerInPlace(l *Matrix, b []float64) {
-	n := l.Rows
-	if len(b) != n {
+// SolveLowerInPlace solves L x = b in place for the packed
+// lower-triangular L by forward substitution, overwriting b with the
+// solution.
+func SolveLowerInPlace(l, b []float64) {
+	if len(l) != tri(len(b)) {
 		panic("mathx: SolveLowerInPlace dimension mismatch")
 	}
-	for i := 0; i < n; i++ {
+	for i, off := 0, 0; i < len(b); i, off = i+1, off+i+1 {
 		s := b[i]
-		row := l.Data[i*l.Cols : i*l.Cols+i]
-		for k, lv := range row {
+		for k, lv := range l[off : off+i] {
 			s -= lv * b[k]
 		}
-		b[i] = s / l.At(i, i)
+		b[i] = s / l[off+i]
 	}
 }
 
-// SolveUpperTInPlace solves Lᵀ x = b for lower-triangular L (i.e. an
-// upper-triangular solve against the transpose) by back substitution,
-// overwriting b with the solution.
-func SolveUpperTInPlace(l *Matrix, b []float64) {
-	n := l.Rows
-	if len(b) != n {
+// SolveUpperTInPlace solves Lᵀ x = b for the packed lower-triangular L
+// (an upper-triangular solve against the transpose) by back
+// substitution, overwriting b with the solution.
+func SolveUpperTInPlace(l, b []float64) {
+	n := len(b)
+	if len(l) != tri(n) {
 		panic("mathx: SolveUpperTInPlace dimension mismatch")
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * b[k]
+		for k, off := i+1, tri(i+1); k < n; k, off = k+1, off+k+1 {
+			s -= l[off+i] * b[k]
 		}
-		b[i] = s / l.At(i, i)
+		b[i] = s / l[tri(i+1)-1]
 	}
 }
 
-// CholeskySolve solves A x = b given the Cholesky factor L of A.
-func CholeskySolve(l *Matrix, b []float64) []float64 {
+// CholeskySolve solves A x = b given the packed Cholesky factor L of A.
+func CholeskySolve(l, b []float64) []float64 {
 	x := VecClone(b)
 	CholeskySolveInPlace(l, x)
 	return x
 }
 
-// CholeskySolveInPlace solves A x = b in place given the Cholesky
+// CholeskySolveInPlace solves A x = b in place given the packed Cholesky
 // factor L of A: a forward and a back substitution.
-func CholeskySolveInPlace(l *Matrix, b []float64) {
+func CholeskySolveInPlace(l, b []float64) {
 	SolveLowerInPlace(l, b)
 	SolveUpperTInPlace(l, b)
 }
 
-// LogDetFromCholesky returns log |A| = 2 Σ log L_ii.
-func LogDetFromCholesky(l *Matrix) float64 {
+// LogDetFromCholesky returns log |A| = 2 Σ log L_ii for the packed L.
+func LogDetFromCholesky(l []float64) float64 {
 	s := 0.0
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
+	for i, d := 0, 0; d < len(l); i, d = i+1, d+i+2 {
+		s += math.Log(l[d])
 	}
 	return 2 * s
 }

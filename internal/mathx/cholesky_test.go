@@ -7,6 +7,26 @@ import (
 	"testing/quick"
 )
 
+// cholesky is the n×n factor of a without jitter.
+func cholesky(a *Matrix) (*Matrix, error) {
+	l := NewMatrix(a.Rows, a.Rows)
+	if _, err := CholeskyJitter(l, a, 0); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// packed is cholesky's factor in the packed form the solves take.
+func packed(a *Matrix) ([]float64, error) {
+	l, err := cholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	p := make([]float64, tri(a.Rows))
+	PackLower(p, l)
+	return p, nil
+}
+
 // Property: extending a factor one bordered row at a time reproduces the
 // from-scratch Cholesky factor of the full matrix.
 func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
@@ -14,7 +34,7 @@ func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(18)
 		a := randSPD(rng, n)
-		l, err := Cholesky(&Matrix{Rows: 1, Cols: 1, Data: []float64{a.At(0, 0)}})
+		l, err := packed(&Matrix{Rows: 1, Cols: 1, Data: []float64{a.At(0, 0)}})
 		if err != nil {
 			return false
 		}
@@ -28,12 +48,12 @@ func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
 				return false
 			}
 		}
-		full, err := Cholesky(a)
-		if err != nil {
+		full, err := packed(a)
+		if err != nil || len(l) != len(full) {
 			return false
 		}
-		for i := range full.Data {
-			if math.Abs(full.Data[i]-l.Data[i]) > 1e-8 {
+		for i := range full {
+			if math.Abs(full[i]-l[i]) > 1e-8 {
 				return false
 			}
 		}
@@ -47,7 +67,7 @@ func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
 func TestCholeskyExtendRejectsNonPD(t *testing.T) {
 	// Extending I₂ with a border that makes the matrix singular
 	// (duplicate row) must fail rather than produce a NaN factor.
-	l, err := Cholesky(Identity(2))
+	l, err := packed(Identity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,32 +80,53 @@ func TestCholeskyExtendRejectsNonPD(t *testing.T) {
 }
 
 func TestCholeskyExtendDimensionErrors(t *testing.T) {
-	l, _ := Cholesky(Identity(3))
+	l, _ := packed(Identity(3))
 	if _, err := CholeskyExtend(l, []float64{1, 2}, 5); err == nil {
 		t.Fatal("expected border length error")
 	}
-	if _, err := CholeskyExtend(&Matrix{Rows: 2, Cols: 3, Data: make([]float64, 6)}, []float64{1, 2}, 5); err == nil {
-		t.Fatal("expected non-square error")
+	if _, err := CholeskyExtend(make([]float64, 4), []float64{1, 2}, 5); err == nil {
+		t.Fatal("expected an error for a factor that is no packed triangle")
 	}
 }
 
+// The packed solves are forward and back substitution on the full
+// factor through At, bit for bit.
 func TestSolveLowerInPlaceMatchesSolveLower(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(rng, 8)
-	l, err := Cholesky(a)
+	l, err := packed(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, _ := cholesky(a)
 	b := make([]float64, 8)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	want := SolveLower(l, b)
+	ref := VecClone(b)
+	for i := 0; i < 8; i++ {
+		for k := 0; k < i; k++ {
+			ref[i] -= full.At(i, k) * ref[k]
+		}
+		ref[i] /= full.At(i, i)
+	}
 	got := VecClone(b)
 	SolveLowerInPlace(l, got)
-	for i := range want {
-		if math.Abs(want[i]-got[i]) > 1e-12 {
-			t.Fatalf("in-place solve diverged at %d: %v vs %v", i, got[i], want[i])
+	for i := range ref {
+		if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("packed forward substitution differs from the full-matrix reference at %d: %v vs %v", i, got[i], ref[i])
+		}
+	}
+	for i := 7; i >= 0; i-- {
+		for k := i + 1; k < 8; k++ {
+			ref[i] -= full.At(k, i) * ref[k]
+		}
+		ref[i] /= full.At(i, i)
+	}
+	got = CholeskySolve(l, b)
+	for i := range ref {
+		if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("packed solve differs from the full-matrix reference at %d: %v vs %v", i, got[i], ref[i])
 		}
 	}
 }
@@ -152,7 +193,7 @@ func TestCholeskyBitIdenticalToAtReference(t *testing.T) {
 				a.Set(i, j, math.NaN())
 			}
 		}
-		got, err := Cholesky(a)
+		got, err := cholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +204,7 @@ func TestCholeskyBitIdenticalToAtReference(t *testing.T) {
 		}
 	}
 	indef := MatrixFromRows([][]float64{{1, 2}, {2, 1}})
-	if _, err := Cholesky(indef); err != ErrNotPositiveDefinite {
+	if _, err := cholesky(indef); err != ErrNotPositiveDefinite {
 		t.Fatalf("indefinite input: err = %v, want ErrNotPositiveDefinite", err)
 	}
 }

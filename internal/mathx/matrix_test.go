@@ -77,7 +77,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(12)
 		a := randSPD(rng, n)
-		l, err := Cholesky(a)
+		l, err := cholesky(a)
 		if err != nil {
 			t.Fatalf("Cholesky failed on SPD matrix: %v", err)
 		}
@@ -92,7 +92,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 
 func TestCholeskyRejectsNonPD(t *testing.T) {
 	a := MatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
+	if _, err := cholesky(a); err == nil {
 		t.Fatal("expected error for indefinite matrix")
 	}
 }
@@ -110,7 +110,7 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	if jit == 0 {
 		t.Fatal("expected nonzero jitter")
 	}
-	want, err := Cholesky(MatrixFromRows([][]float64{{1, 1}, {1, 1}}).AddDiag(jit))
+	want, err := cholesky(MatrixFromRows([][]float64{{1, 1}, {1, 1}}).AddDiag(jit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCholeskySolve(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(x)
-		l, err := Cholesky(a)
+		l, err := packed(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestCholeskySolve(t *testing.T) {
 
 func TestLogDetFromCholesky(t *testing.T) {
 	a := MatrixFromRows([][]float64{{4, 0}, {0, 9}})
-	l, err := Cholesky(a)
+	l, err := packed(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestQuickCholeskyRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		l, err := Cholesky(a)
+		l, err := packed(a)
 		if err != nil {
 			return false
 		}

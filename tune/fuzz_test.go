@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -118,6 +121,80 @@ func FuzzCreateSession(f *testing.F) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("suggest on a created session answered %d for %q", resp.StatusCode, body)
+		}
+	})
+}
+
+// FuzzReportBody posts arbitrary bodies to the report route of a server
+// over an in-memory Manager, for an arbitrary session id. The
+// invariants: report answers 200, 400 or 404 — never a 5xx, never a
+// panic — and a 400 leaves the session's interval count where it was.
+// Seeds are the bodies of TestReportBodyRefusals (the accepted outcome
+// and the retired "shadow" spelling), an unknown session, and damaged
+// JSON.
+func FuzzReportBody(f *testing.F) {
+	accepted, err := json.Marshal(goldenOutcome(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	shadow, err := json.Marshal(struct {
+		Outcome
+		Shadow ReplicaPerf `json:"shadow"`
+	}{goldenOutcome(0), ReplicaPerf{Performance: 130}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("db", accepted)
+	f.Add("db", shadow)
+	f.Add("nope", accepted)
+	f.Add("db", accepted[:len(accepted)/2])
+	f.Add("db", []byte(`{"performance": 1e308, "baseline": -1e308}`))
+	f.Add("db", []byte(`{"measurements": {"staged": {"performance": 21000}}}`))
+	f.Add("db", []byte(`null`))
+
+	m, err := NewManagerOpts("", ManagerOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+	// iter is the session's interval count. Accepted reports age it, so
+	// it is recreated young to keep every input as cheap as the seeds.
+	iter := func(t *testing.T) int {
+		s, err := m.Get("db")
+		if err == nil && s.Iter() < 50 {
+			return s.Iter()
+		}
+		if err == nil {
+			err = m.Delete("db")
+		}
+		if errors.Is(err, ErrNotFound) || err == nil {
+			_, err = m.Create("db", Config{Space: "case5"})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return 0
+	}
+
+	f.Fuzz(func(t *testing.T, id string, body []byte) {
+		if id == "" || id == "." || id == ".." || strings.Contains(id, "/") {
+			t.Skip("the router cleans such a path before matching it")
+		}
+		before := iter(t)
+		resp, err := srv.Client().Post(srv.URL+"/v1/sessions/"+url.PathEscape(id)+"/report", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK, http.StatusNotFound:
+		case http.StatusBadRequest:
+			if after := iter(t); after != before {
+				t.Fatalf("a refused report moved the session from interval %d to %d: %q", before, after, body)
+			}
+		default:
+			t.Fatalf("report to %q answered %d for %q", id, resp.StatusCode, body)
 		}
 	})
 }
