@@ -91,9 +91,6 @@ func Fig11YCSBCaseStudy(iters int, seed int64) Report {
 	for _, rr := range []float64{1.0, 0.75, 0.5, 0.4} {
 		bestFor[rr] = gridBest(in, space, rr)
 	}
-	bestTuner := baselines.NewFixed("Best", nil)
-	// Fixed tuner with nil config can't express per-context switching;
-	// run Best manually below instead.
 
 	var b strings.Builder
 	t := NewTable("tuner", "cumulative_txn", "unsafe", "failures")
@@ -106,7 +103,6 @@ func Fig11YCSBCaseStudy(iters int, seed int64) Report {
 		}
 	}
 	// The Best reference: apply the per-plateau optimum each iteration.
-	_ = bestTuner
 	cumBest := 0.0
 	bestIter := make([]float64, iters)
 	for i := 0; i < iters; i++ {
@@ -183,8 +179,6 @@ func Fig12KnobTraces(iters int, seed int64) Report {
 	space := knobs.CaseStudy5()
 	gen := workload.NewYCSB(seed)
 	feat := NewFeaturizer(seed)
-	spinIdx := space.Index("innodb_spin_wait_delay")
-	heapIdx := space.Index("max_heap_table_size")
 
 	var b strings.Builder
 	b.WriteString("Approximate unsafe region: innodb_spin_wait_delay ≥ ~700 under write mixes;\n")
@@ -209,8 +203,6 @@ func Fig12KnobTraces(iters int, seed int64) Report {
 		}
 		fmt.Fprintf(&b, "%s (iterations with spin≥700: %d):\n%s\n", tn.Name(), spinHigh, t.String())
 	}
-	_ = spinIdx
-	_ = heapIdx
 	return Report{ID: "fig12", Title: "Figure 12: applied values of the top-2 important knobs (YCSB)", Body: b.String()}
 }
 

@@ -108,17 +108,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// AddMat adds b element-wise in place and returns m.
-func (m *Matrix) AddMat(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mathx: AddMat shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-	return m
-}
-
 // AddDiag adds v to every diagonal element in place and returns m.
 func (m *Matrix) AddDiag(v float64) *Matrix {
 	n := m.Rows

@@ -432,20 +432,10 @@ func DecodeJournalRecord(rec []byte) (id string, payload []byte, err error) {
 // order. Boot uses it to patch records whose only durable copy was the
 // journal back into their session logs before serving.
 func ReadJournal(path string) (map[string][][]byte, error) {
-	count, _, err := Stat(path)
-	if err != nil {
+	recs, err := readIntact(path)
+	if err != nil || len(recs) == 0 {
 		return nil, err
 	}
-	if count == 0 {
-		return nil, nil
-	}
-	// Stat confirmed the file exists with intact records; scan them all
-	// through a read-only open that tolerates the torn tail.
-	l, recs, err := Open(path, Options{NoFsync: true})
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
 	out := map[string][][]byte{}
 	for i, rec := range recs {
 		id, payload, err := DecodeJournalRecord(rec)

@@ -37,6 +37,7 @@ func FuzzOpenRecovery(f *testing.F) {
 	corrupt := append([]byte{}, a...)
 	corrupt[len(corrupt)-1] ^= 0xff // CRC mismatch
 	f.Add(corrupt)
+	f.Add(append(append([]byte{}, corrupt...), b...)) // intact frame after a corrupt one
 	huge := make([]byte, headerSize)
 	binary.BigEndian.PutUint32(huge[0:4], MaxRecord+1) // length field past the cap
 	f.Add(huge)
@@ -47,9 +48,22 @@ func FuzzOpenRecovery(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// Stat reads the raw input before Open truncates anything, and
+		// must summarize exactly what Open then recovers.
+		rawN, rawLast, err := Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		l, recs, err := Open(path, Options{NoFsync: true})
 		if err != nil {
 			return // an I/O-level error is acceptable; a panic is the bug
+		}
+		var wantLast []byte
+		if len(recs) > 0 {
+			wantLast = recs[len(recs)-1]
+		}
+		if rawN != len(recs) || !bytes.Equal(rawLast, wantLast) {
+			t.Fatalf("Stat on the raw input (%d, %q) disagrees with Open (%d, %q)", rawN, rawLast, len(recs), wantLast)
 		}
 		if l.Size()+l.Truncated() != int64(len(data)) {
 			t.Fatalf("intact prefix %d + discarded tail %d != input %d", l.Size(), l.Truncated(), len(data))

@@ -48,7 +48,7 @@ type Options struct {
 
 // Log is an open append-only log positioned at its intact end.
 // Not safe for concurrent use; callers serialize (tune.Manager holds
-// the per-session lock across Append/Commit).
+// the session's op gate across Append/Commit).
 type Log struct {
 	f       *os.File
 	w       *bufio.Writer
@@ -248,54 +248,31 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Stat inspects the log at path without opening it for writing: it hops
-// frame headers (reading payloads only as needed for the final record's
-// CRC check) and returns the intact record count and the last record's
-// payload. A missing file is an empty log. Used by tune.Manager's boot
-// scan to summarize evicted sessions in O(tail) header reads without
-// hydrating them.
+// Stat inspects the log at path without opening it for writing and
+// returns the intact record count and the last intact record's payload:
+// exactly what Open would recover, since both run scan. A missing file
+// is an empty log. Used by tune.Manager's boot scan to summarize evicted
+// sessions without hydrating them.
 func Stat(path string) (count int, last []byte, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil, nil
-		}
+	recs, err := readIntact(path)
+	if len(recs) == 0 {
 		return 0, nil, err
+	}
+	return len(recs), recs[len(recs)-1], nil
+}
+
+// readIntact scans the log at path through a read-only descriptor and
+// returns its intact records, leaving any torn tail on disk. A missing
+// file is an empty log.
+func readIntact(path string) ([][]byte, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, nil, err
-	}
-	total := st.Size()
-	var off, lastOff int64
-	var lastLen uint32
-	var hdr [headerSize]byte
-	for off+headerSize <= total {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			break
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n > MaxRecord || off+headerSize+int64(n) > total {
-			break // torn or corrupt tail: stop at the intact prefix
-		}
-		lastOff, lastLen = off, n
-		off += headerSize + int64(n)
-		count++
-	}
-	if count == 0 {
-		return 0, nil, nil
-	}
-	last = make([]byte, lastLen)
-	if _, err := f.ReadAt(last, lastOff+headerSize); err != nil {
-		return count, nil, err
-	}
-	if _, err := f.ReadAt(hdr[:], lastOff); err != nil {
-		return count, nil, err
-	}
-	if crc32.ChecksumIEEE(last) != binary.BigEndian.Uint32(hdr[4:8]) {
-		// The final record is corrupt; report the prefix before it.
-		return count - 1, nil, nil
-	}
-	return count, last, nil
+	recs, _, _, err := scan(f)
+	return recs, err
 }

@@ -257,3 +257,60 @@ func TestStat(t *testing.T) {
 		t.Fatalf("Stat after tear = %d, %q", n, last)
 	}
 }
+
+// TestStatAgreesWithOpenOnCorruptFrames: a CRC-corrupt frame anywhere in
+// the log ends the intact prefix for Stat exactly as it does for Open,
+// so the boot scan's summary is the state hydration recovers.
+func TestStatAgreesWithOpenOnCorruptFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		corrupt  int // index of the frame whose payload is flipped
+		wantN    int
+		wantLast string
+	}{
+		{"final frame", 3, 3, "payload-2"},
+		{"second frame", 1, 1, "payload-0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "s.wal")
+			l, _, err := Open(path, Options{NoFsync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ends []int64
+			for i := 0; i < 4; i++ {
+				if err := l.Append([]byte(fmt.Sprintf("payload-%d", i))); err != nil {
+					t.Fatal(err)
+				}
+				ends = append(ends, l.Size())
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[ends[tc.corrupt]-1] ^= 0xFF // last payload byte of the frame
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			n, last, err := Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l2, recs, err := Open(path, Options{NoFsync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			if len(recs) != tc.wantN || string(recs[len(recs)-1]) != tc.wantLast {
+				t.Fatalf("Open recovered %d records ending %q, want %d ending %q", len(recs), recs[len(recs)-1], tc.wantN, tc.wantLast)
+			}
+			if n != len(recs) || !bytes.Equal(last, recs[len(recs)-1]) {
+				t.Fatalf("Stat = (%d, %q), Open = (%d, %q)", n, last, len(recs), recs[len(recs)-1])
+			}
+		})
+	}
+}

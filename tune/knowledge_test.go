@@ -278,6 +278,57 @@ func TestManagerKnowledgeConcurrent(t *testing.T) {
 	}
 }
 
+// TestKnowledgeLogFailureRebases covers the contribution WAL's failure
+// path: a contribution whose commit fails folds the store into a fresh
+// base snapshot instead, the store keeps serving queries, and a restart
+// recovers every contribution from that base.
+func TestKnowledgeLogFailureRebases(t *testing.T) {
+	dir := t.TempDir()
+	opts := ManagerOptions{Knowledge: true, NoFsync: true}
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := []float64{0.2, 0.4}
+	contribution := func(i int) knowledge.Contribution {
+		return knowledge.Contribution{Engine: "mysql", Space: "case5", Context: ctx,
+			Config: knowledge.SafeConfig{Unit: []float64{0.1 * float64(i), 0.5}, Perf: 110 + float64(i), Tau: 100}}
+	}
+	m.know.Contribute(contribution(1))
+	if _, err := os.Stat(m.knowledgeBasePath()); !os.IsNotExist(err) {
+		t.Fatalf("a committed contribution wrote a base (stat err: %v)", err)
+	}
+	// Close the log's file under the store: the next append buffers, and
+	// its commit fails.
+	if err := m.know.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m.know.Contribute(contribution(2))
+	if _, err := os.Stat(m.knowledgeBasePath()); err != nil {
+		t.Fatalf("no fresh base after the failed commit: %v", err)
+	}
+	want, _ := m.KnowledgeStats()
+	if want.Contributions != 2 || want.Entries == 0 {
+		t.Fatalf("store after the failed commit: %+v", want)
+	}
+	if adv := m.know.Query("mysql", "case5", ctx); adv == nil || len(adv.Configs) == 0 {
+		t.Fatalf("store stopped serving queries: %+v", adv)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	got, _ := m2.KnowledgeStats()
+	if got.Contributions != want.Contributions || got.Entries != want.Entries {
+		t.Fatalf("restart recovered %+v, want %+v", got, want)
+	}
+}
+
 // TestKnowledgeExportImport round-trips the store across two managers.
 func TestKnowledgeExportImport(t *testing.T) {
 	src, err := NewManagerOpts(t.TempDir(), ManagerOptions{Knowledge: true, NoFsync: true})

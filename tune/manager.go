@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,11 +37,6 @@ var (
 	// back off instead of resubmitting the same interval.
 	ErrDurability = errors.New("durability failure")
 )
-
-// managerShards is the number of session-map shards. Session operations
-// themselves serialize per session; the shards only bound contention on
-// the id→session lookup, so a modest constant suffices.
-const managerShards = 16
 
 // Defaults for ManagerOptions zero values.
 const (
@@ -93,9 +87,15 @@ type ManagerOptions struct {
 	Knowledge bool
 }
 
-// Manager multiplexes many concurrent tuning sessions behind sharded
-// locks, optionally persisting every session to a state directory and
-// reloading on demand.
+// Manager multiplexes many concurrent tuning sessions, optionally
+// persisting every session to a state directory and reloading on demand.
+//
+// Concurrency: one mutex, mu, guards the registry — the id→entry map,
+// the LRU list, the resident count and each entry's gate flags, LRU node
+// and cached summary — and is held only around those map, list and flag
+// updates. Operations run under their session's op gate instead (see
+// managedSession), with no mutex held, so one session's model work,
+// hydration or fsync never blocks another session, List or Stats.
 //
 // Durability: each operation appends its events to the session's
 // write-ahead log (<id>.wal) with one group-commit fsync — O(1) I/O per
@@ -121,7 +121,6 @@ type ManagerOptions struct {
 type Manager struct {
 	stateDir string
 	opts     ManagerOptions
-	shards   [managerShards]managerShard
 
 	// committer is the shared group-commit pipeline (nil when
 	// CommitInterval is 0 or the manager is in-memory only).
@@ -130,11 +129,9 @@ type Manager struct {
 	// know is the fleet knowledge base (nil unless ManagerOptions.Knowledge).
 	know *fleetKnowledge
 
-	// lmu guards the LRU list of resident (hydrated) sessions and the
-	// resident count. It never nests with a session's mu or op gate:
-	// LRU bookkeeping runs under the gate alone.
-	lmu      sync.Mutex
-	lru      *list.List // of *managedSession, front = most recent
+	mu       sync.Mutex
+	sessions map[string]*managedSession
+	lru      *list.List // of resident *managedSession, front = most recent
 	resident int
 
 	hydrations        atomic.Int64
@@ -159,71 +156,49 @@ type Manager struct {
 	checkpointFailure func() error
 }
 
-type managerShard struct {
-	mu       sync.RWMutex
-	sessions map[string]*managedSession
-}
-
 // managedSession is one registry entry. The entry outlives eviction:
 // s is nil while the session lives only on disk.
 //
-// Concurrency: mu guards only the flags (busy, deleted) and is held for
-// microseconds. The heavyweight state — s, log, persisted, baseBytes —
-// is guarded by the op GATE (busy + cond): acquire claims it,
-// release hands it off, and both transitions happen under mu, so gate
-// holders access the state without any lock held. That keeps candidate
-// scoring, checkpoint serialization and the group-commit fsync wait off
-// every mutex while same-session operations still serialize (single
-// flight) and replay stays bitwise-deterministic. Methods with the
-// Locked suffix require the gate, not mu.
+// Concurrency: the registry fields are guarded by Manager.mu. The
+// heavyweight state — s, log, persisted, baseBytes — is guarded by the
+// op GATE (busy + cond): acquire claims it and release hands it off,
+// both under Manager.mu, so gate holders access the state without any
+// lock held. That keeps candidate scoring, checkpoint serialization and
+// the group-commit fsync wait off the mutex while same-session
+// operations still serialize (single flight) and replay stays
+// bitwise-deterministic. Methods with the Locked suffix require the
+// entry's gate, not Manager.mu.
 type managedSession struct {
 	id string
 
-	mu      sync.Mutex
-	cond    *sync.Cond // lazily initialized under mu; signals gate release
-	busy    bool       // op gate: set while an operation owns the session
-	deleted bool
-	s       *Session // nil when evicted
-	log     *wal.Log // nil until the first persist or hydration opens it
+	// Guarded by Manager.mu.
+	cond    *sync.Cond    // bound to Manager.mu, created on first wait; signals gate release
+	busy    bool          // op gate: set while an operation owns the session
+	deleted bool          // set as the entry leaves the map
+	elem    *list.Element // LRU node; nil when not resident or selected for eviction
+	info    SessionInfo   // cached summary List and Info serve without hydrating
+
+	// Guarded by the op gate.
+	s   *Session // nil when evicted
+	log *wal.Log // nil until the first persist or hydration opens it
 	// persisted is the global event index up to which events are
 	// durable; everything at or past it is appended on the next persist
 	// (the retry path after a durability failure).
 	persisted int
 	// baseBytes is the size of the on-disk base snapshot.
 	baseBytes int64
-
-	// elem is this entry's LRU node (nil when not resident or selected
-	// for eviction); guarded by Manager.lmu.
-	elem *list.Element
-
-	// info is the cached summary List and the boot scan serve without
-	// hydrating the session.
-	infoMu sync.Mutex
-	info   SessionInfo
 }
 
-func (e *managedSession) Info() SessionInfo {
-	e.infoMu.Lock()
-	defer e.infoMu.Unlock()
-	return e.info
-}
-
-func (e *managedSession) setInfo(in SessionInfo) {
-	e.infoMu.Lock()
-	e.info = in
-	e.infoMu.Unlock()
-}
-
-// acquire claims the entry's op gate, blocking behind the current
-// holder. It returns false — without the gate — if the entry was
-// deleted, in which case the caller re-resolves the id (it may have
-// been recreated under a fresh entry).
-func (e *managedSession) acquire() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// acquire claims e's op gate, blocking behind the current holder. It
+// returns false — without the gate — if e was deleted, in which case
+// the caller re-resolves the id (it may have been recreated under a
+// fresh entry).
+func (m *Manager) acquire(e *managedSession) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for e.busy && !e.deleted {
 		if e.cond == nil {
-			e.cond = sync.NewCond(&e.mu)
+			e.cond = sync.NewCond(&m.mu)
 		}
 		e.cond.Wait()
 	}
@@ -234,14 +209,14 @@ func (e *managedSession) acquire() bool {
 	return true
 }
 
-// release hands the gate back and wakes waiters.
-func (e *managedSession) release() {
-	e.mu.Lock()
+// release hands e's gate back and wakes its waiters.
+func (m *Manager) release(e *managedSession) {
+	m.mu.Lock()
 	e.busy = false
 	if e.cond != nil {
 		e.cond.Broadcast()
 	}
-	e.mu.Unlock()
+	m.mu.Unlock()
 }
 
 // dropLogLocked closes and forgets the WAL handle after a write error
@@ -332,10 +307,7 @@ func NewManager(stateDir string) (*Manager, error) {
 
 // NewManagerOpts is NewManager with explicit ManagerOptions.
 func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
-	m := &Manager{stateDir: stateDir, opts: opts, lru: list.New()}
-	for i := range m.shards {
-		m.shards[i].sessions = map[string]*managedSession{}
-	}
+	m := &Manager{stateDir: stateDir, opts: opts, sessions: map[string]*managedSession{}, lru: list.New()}
 	if stateDir == "" {
 		if opts.Knowledge {
 			k, err := m.openKnowledge()
@@ -389,11 +361,11 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 		if !ok || validID(id) != nil {
 			continue
 		}
-		e := &managedSession{id: id}
-		if err := m.peekInfo(e); err != nil {
+		info, err := m.peekInfo(id)
+		if err != nil {
 			return nil, fmt.Errorf("tune: scanning session %q: %w", id, err)
 		}
-		m.shard(id).sessions[id] = e
+		m.sessions[id] = &managedSession{id: id, info: info}
 	}
 	if opts.Knowledge {
 		k, err := m.openKnowledge()
@@ -546,25 +518,18 @@ func validID(id string) error {
 	return nil
 }
 
-func (m *Manager) shard(id string) *managerShard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &m.shards[h.Sum32()%managerShards]
-}
-
 // entry looks up the session entry under id and claims its op gate. An
 // entry deleted while waiting for the gate is retried: the id may have
 // been recreated under a fresh entry.
 func (m *Manager) entry(id string) (*managedSession, error) {
 	for {
-		sh := m.shard(id)
-		sh.mu.RLock()
-		e, ok := sh.sessions[id]
-		sh.mu.RUnlock()
+		m.mu.Lock()
+		e, ok := m.sessions[id]
+		m.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("tune: %w: %q", ErrNotFound, id)
 		}
-		if e.acquire() {
+		if m.acquire(e) {
 			return e, nil
 		}
 	}
@@ -584,7 +549,7 @@ func (m *Manager) withSession(id string, fn func(e *managedSession) error) error
 	}
 	var victims []*managedSession
 	err = func() error {
-		defer e.release()
+		defer m.release(e)
 		if err := m.hydrateLocked(e); err != nil {
 			return err
 		}
@@ -611,8 +576,8 @@ func (m *Manager) maxResident() int {
 // hold e's op gate; the returned victims must be evicted AFTER
 // releasing it.
 func (m *Manager) noteResident(e *managedSession) []*managedSession {
-	m.lmu.Lock()
-	defer m.lmu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if e.elem != nil {
 		m.lru.MoveToFront(e.elem)
 	} else {
@@ -637,9 +602,9 @@ func (m *Manager) noteResident(e *managedSession) []*managedSession {
 	return victims
 }
 
-// evict persists and drops each victim from memory. A victim touched
-// between selection and here has re-entered the LRU (elem != nil) and
-// is skipped; one whose flush fails is re-inserted rather than dropped,
+// evict persists and drops each victim from memory. A victim deleted or
+// touched between selection and here (it re-entered the LRU) is
+// skipped; one whose flush fails is re-inserted rather than dropped,
 // since losing un-persisted events is never acceptable.
 func (m *Manager) evict(victims []*managedSession) {
 	for _, v := range victims {
@@ -648,26 +613,24 @@ func (m *Manager) evict(victims []*managedSession) {
 }
 
 func (m *Manager) evictOne(v *managedSession) {
-	v.mu.Lock()
-	if v.deleted {
-		v.mu.Unlock()
+	m.mu.Lock()
+	switch {
+	case v.deleted || v.elem != nil:
+		m.mu.Unlock()
 		return
-	}
-	if v.busy {
-		v.mu.Unlock()
+	case v.busy:
 		// An operation re-touched the victim after it was popped; its own
 		// noteResident ran before the pop, so nothing re-inserts it — put
 		// it back ourselves rather than leaking a resident session.
-		m.reinsert(v)
+		v.elem = m.lru.PushBack(v)
+		m.resident++
+		m.mu.Unlock()
 		return
 	}
 	v.busy = true
-	v.mu.Unlock()
-	defer v.release()
-	m.lmu.Lock()
-	relisted := v.elem != nil // another victim pop may be clearing it
-	m.lmu.Unlock()
-	if v.deleted || v.s == nil || relisted {
+	m.mu.Unlock()
+	defer m.release(v)
+	if v.s == nil {
 		return
 	}
 	// Flushing the pending tail is enough: hydration replays base+tail,
@@ -696,20 +659,24 @@ func (m *Manager) evictOne(v *managedSession) {
 
 // reinsert puts a victim that could not be evicted back on the LRU.
 func (m *Manager) reinsert(v *managedSession) {
-	m.lmu.Lock()
+	m.mu.Lock()
 	if v.elem == nil {
 		v.elem = m.lru.PushBack(v)
 		m.resident++
 	}
-	m.lmu.Unlock()
+	m.mu.Unlock()
 }
 
 // persistLocked makes the entry's pending events durable, retrying once
 // and wrapping a double failure in ErrDurability. The in-memory session
 // has already advanced either way — the persisted cursor keeps the
 // unflushed events queued, so the next successful operation self-heals.
+// The cached summary is refreshed in every case.
 func (m *Manager) persistLocked(e *managedSession) error {
-	defer e.setInfo(sessionInfo(e.id, e.s))
+	info := sessionInfo(e.id, e.s)
+	m.mu.Lock()
+	e.info = info
+	m.mu.Unlock()
 	if m.stateDir == "" {
 		return nil
 	}
@@ -731,12 +698,11 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	// A taken id (resident or evicted) is refused before anything is
-	// built; the check under the write lock below settles a race between
-	// two creates of a free id.
-	sh := m.shard(id)
-	sh.mu.RLock()
-	_, taken := sh.sessions[id]
-	sh.mu.RUnlock()
+	// built; the check at publication below settles a race between two
+	// creates of a free id.
+	m.mu.Lock()
+	_, taken := m.sessions[id]
+	m.mu.Unlock()
 	if taken {
 		return nil, fmt.Errorf("tune: %w: %q", ErrExists, id)
 	}
@@ -755,38 +721,34 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("tune: %w: %w", ErrInvalid, err)
 	}
 	// The entry is born holding its own op gate, so concurrent requests
-	// for the id queue behind the initial persist.
-	e := &managedSession{id: id, s: s, busy: true}
-	sh.mu.Lock()
-	if _, ok := sh.sessions[id]; ok {
-		sh.mu.Unlock()
+	// for the id queue behind the initial persist, and with its summary,
+	// so List never shows it blank.
+	e := &managedSession{id: id, s: s, busy: true, info: sessionInfo(id, s)}
+	m.mu.Lock()
+	if _, ok := m.sessions[id]; ok {
+		m.mu.Unlock()
 		return nil, fmt.Errorf("tune: %w: %q", ErrExists, id)
 	}
-	sh.sessions[id] = e
-	sh.mu.Unlock()
+	m.sessions[id] = e
+	m.mu.Unlock()
 
 	var victims []*managedSession
 	err = func() error {
-		defer e.release()
+		defer m.release(e)
 		if m.stateDir != "" {
 			if perr := m.tryPersistLocked(e); perr != nil {
 				// Roll the registration back: a session that could not be
 				// made durable must not exist in memory only, or a client
 				// retry hits "already exists" for a session that would
 				// vanish on restart.
-				e.mu.Lock()
+				m.mu.Lock()
 				e.deleted = true
-				e.mu.Unlock()
+				delete(m.sessions, id)
+				m.mu.Unlock()
 				e.dropLogLocked()
-				sh.mu.Lock()
-				if sh.sessions[id] == e {
-					delete(sh.sessions, id)
-				}
-				sh.mu.Unlock()
 				return perr
 			}
 		}
-		e.setInfo(sessionInfo(id, s))
 		victims = m.noteResident(e)
 		return nil
 	}()
@@ -815,23 +777,17 @@ func (m *Manager) Delete(id string) error {
 	if err != nil {
 		return err
 	}
-	defer e.release()
-	e.mu.Lock()
+	defer m.release(e)
+	// The gate keeps e registered under id until here.
+	m.mu.Lock()
 	e.deleted = true
-	e.mu.Unlock()
-	sh := m.shard(id)
-	sh.mu.Lock()
-	if sh.sessions[id] == e {
-		delete(sh.sessions, id)
-	}
-	sh.mu.Unlock()
-	m.lmu.Lock()
+	delete(m.sessions, id)
 	if e.elem != nil {
 		m.lru.Remove(e.elem)
 		e.elem = nil
 		m.resident--
 	}
-	m.lmu.Unlock()
+	m.mu.Unlock()
 	if m.committer != nil && e.log != nil {
 		// Journal records for a deleted session are moot; release the
 		// rotation hold so the handle's close cannot stall truncation.
@@ -853,34 +809,34 @@ func (m *Manager) Delete(id string) error {
 // served from their cached summaries — listing a fleet never hydrates
 // anything.
 func (m *Manager) List() []SessionInfo {
-	var out []SessionInfo
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.sessions {
-			out = append(out, e.Info())
-		}
-		sh.mu.RUnlock()
+	m.mu.Lock()
+	out := make([]SessionInfo, 0, len(m.sessions))
+	for _, e := range m.sessions {
+		out = append(out, e.info)
 	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// Info returns the cached summary of the session under id, like List:
+// a status probe never hydrates a session or evicts another.
+func (m *Manager) Info(id string) (SessionInfo, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.sessions[id]
+	if !ok {
+		return SessionInfo{}, fmt.Errorf("tune: %w: %q", ErrNotFound, id)
+	}
+	return e.info, nil
 }
 
 // Stats reports serving and durability counters.
 func (m *Manager) Stats() ManagerStats {
 	var st ManagerStats
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		st.Sessions += len(sh.sessions)
-		sh.mu.RUnlock()
-	}
-	m.lmu.Lock()
-	st.Hydrated = m.resident
-	m.lmu.Unlock()
-	if st.Hydrated > st.Sessions {
-		st.Hydrated = st.Sessions
-	}
+	m.mu.Lock()
+	st.Sessions, st.Hydrated = len(m.sessions), m.resident
+	m.mu.Unlock()
 	st.Evicted = st.Sessions - st.Hydrated
 	st.Hydrations = m.hydrations.Load()
 	st.ReplayedEvents = m.replayedEvents.Load()
@@ -1000,26 +956,23 @@ func (m *Manager) Close() error {
 			first = err
 		}
 	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		es := make([]*managedSession, 0, len(sh.sessions))
-		for _, e := range sh.sessions {
-			es = append(es, e) //tunevet:ignore determinism -- shutdown close order: each log's Close is independent and nothing here feeds the event log or the wire
+	m.mu.Lock()
+	es := make([]*managedSession, 0, len(m.sessions))
+	for _, e := range m.sessions {
+		es = append(es, e) //tunevet:ignore determinism -- shutdown close order: each log's Close is independent and nothing here feeds the event log or the wire
+	}
+	m.mu.Unlock()
+	for _, e := range es {
+		if !m.acquire(e) {
+			continue // deleted concurrently
 		}
-		sh.mu.RUnlock()
-		for _, e := range es {
-			if !e.acquire() {
-				continue // deleted concurrently
+		if e.log != nil {
+			if err := e.log.Close(); err != nil && first == nil {
+				first = err
 			}
-			if e.log != nil {
-				if err := e.log.Close(); err != nil && first == nil {
-					first = err
-				}
-				e.log = nil
-			}
-			e.release()
+			e.log = nil
 		}
+		m.release(e)
 	}
 	return first
 }

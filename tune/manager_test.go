@@ -571,6 +571,87 @@ func TestManagerEvictionRaceHammer(t *testing.T) {
 	}
 }
 
+// TestManagerListDuringCreate: a session is published with its summary,
+// so a List racing its first persist (milliseconds of disk I/O in
+// production) never shows a blank entry.
+func TestManagerListDuringCreate(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	m.checkpointFailure = func() error {
+		once.Do(func() { close(entered) })
+		<-unblock
+		return nil
+	}
+	created := make(chan error, 1)
+	go func() {
+		_, err := m.Create("db", Config{Space: "case5", Seed: 1})
+		created <- err
+	}()
+	select {
+	case <-entered: // Create holds the gate inside its first persist
+	case err := <-created:
+		t.Fatalf("Create returned before its first persist: %v", err)
+	}
+	list := m.List()
+	close(unblock)
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 {
+		t.Fatalf("List during create = %+v, want the one session", list)
+	}
+	for _, info := range list {
+		if info.ID == "" || info.Space != "case5" {
+			t.Fatalf("List during create shows a blank session: %+v", info)
+		}
+	}
+}
+
+// TestManagerInfoProbeDoesNotHydrate: GET /v1/sessions/{id} answers from
+// the cached summary, so probing an evicted session neither hydrates it
+// nor evicts the resident one, and still reports its current iteration.
+func TestManagerInfoProbeDoesNotHydrate(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{MaxResident: 1, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Create("cold", Config{Space: "case5", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m.Suggest(context.Background(), "cold"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Report("cold", goldenOutcome(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Create("hot", Config{Space: "case5", Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats()
+	if before.Evicted != 1 {
+		t.Fatalf("setup: want cold evicted, got %+v", before)
+	}
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+	var info SessionInfo
+	doJSON(t, srv, "GET", "/v1/sessions/cold", nil, http.StatusOK, &info)
+	if info.ID != "cold" || info.Space != "case5" || info.Iter != 2 {
+		t.Fatalf("probe of the evicted session = %+v", info)
+	}
+	doJSON(t, srv, "GET", "/v1/sessions/nope", nil, http.StatusNotFound, nil)
+	if after := m.Stats(); after.Hydrations != before.Hydrations || after.Evictions != before.Evictions {
+		t.Fatalf("status probe moved residency: before %+v, after %+v", before, after)
+	}
+}
+
 // freshSeeds returns n seeds no earlier test or -count repetition in this
 // process has pre-trained, so featurize.Pretrainings deltas are exact.
 func freshSeeds(n int64) int64 { return 1<<40 + nextFreshSeed.Add(n) - n }

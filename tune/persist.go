@@ -358,21 +358,21 @@ func peekSnapshotHeader(path string) (snapshotHeader, error) {
 	return h, h.check()
 }
 
-// peekInfo fills a not-yet-hydrated entry's SessionInfo from disk:
-// header fields from the base snapshot, then the iter/phase envelope of
-// the WAL's final record, which reflects every operation since the last
-// compaction.
-func (m *Manager) peekInfo(e *managedSession) error {
-	h, err := peekSnapshotHeader(m.basePath(e.id))
+// peekInfo summarizes a not-yet-hydrated session from disk: header
+// fields from the base snapshot, then the iter/phase envelope of the
+// WAL's final intact record, which reflects every operation since the
+// last compaction that hydration will replay.
+func (m *Manager) peekInfo(id string) (SessionInfo, error) {
+	h, err := peekSnapshotHeader(m.basePath(id))
 	if err != nil {
-		return err
+		return SessionInfo{}, err
 	}
 	cfg := h.Config.withDefaults()
-	info := SessionInfo{ID: e.id, Space: cfg.Space, Iter: h.Iter}
+	info := SessionInfo{ID: id, Space: cfg.Space, Iter: h.Iter}
 	phase := h.RolloutPhase
-	_, last, err := wal.Stat(m.walPath(e.id))
+	_, last, err := wal.Stat(m.walPath(id))
 	if err != nil {
-		return err
+		return SessionInfo{}, err
 	}
 	if last != nil {
 		var rec walRecord
@@ -383,6 +383,5 @@ func (m *Manager) peekInfo(e *managedSession) error {
 			}
 		}
 	}
-	e.setInfo(info.withRollout(cfg.rolloutMode(), phase))
-	return nil
+	return info.withRollout(cfg.rolloutMode(), phase), nil
 }

@@ -74,13 +74,12 @@ func NewServer(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		s, err := m.Get(id)
+		info, err := m.Info(r.PathValue("id"))
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sessionInfo(id, s))
+		writeJSON(w, http.StatusOK, info)
 	})
 
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -486,8 +486,9 @@ func TestManagerDeleteVsCheckpointRace(t *testing.T) {
 	}
 }
 
-// TestManagerConcurrentSessions exercises the sharded session map:
-// many sessions created and driven concurrently through one manager.
+// TestManagerConcurrentSessions exercises the one-mutex registry: many
+// sessions created and driven concurrently through one manager, each
+// operation under its own session's gate.
 func TestManagerConcurrentSessions(t *testing.T) {
 	m, err := NewManager("")
 	if err != nil {

@@ -18,9 +18,10 @@
 //     state as versioned JSON such that a restored session produces
 //     bitwise-identical recommendations.
 //
-//   - Manager multiplexes many concurrent sessions behind sharded
-//     locks and checkpoints them to a state directory; NewServer wraps a
-//     Manager in an HTTP/JSON API (cmd/tuned).
+//   - Manager multiplexes many concurrent sessions — one registry mutex,
+//     plus a per-session op gate under which each operation runs with
+//     no lock held — and checkpoints them to a state directory;
+//     NewServer wraps a Manager in an HTTP/JSON API (cmd/tuned).
 package tune
 
 import (
