@@ -58,6 +58,25 @@ func NewBinary(c float64, k Kernel) *Binary {
 // (Platt, 1998; the Stanford CS229 variant). seed randomizes the second
 // working-set choice.
 func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
+	s.fit(x, y, gram(s.Kern, x), seed)
+}
+
+// gram is x's kernel matrix; training sets here are small (the cluster
+// count times per-cluster cap).
+func gram(kern Kernel, x [][]float64) *mathx.Matrix {
+	k := mathx.NewMatrix(len(x), len(x))
+	for i := range x {
+		for j := i; j < len(x); j++ {
+			v := kern(x[i], x[j])
+			k.Set(i, j, v)
+			k.Set(j, i, v)
+		}
+	}
+	return k
+}
+
+// fit runs SMO given x's kernel matrix k.
+func (s *Binary) fit(x [][]float64, y []float64, k *mathx.Matrix, seed int64) {
 	n := len(x)
 	s.Fitted = Fitted{Alphas: make([]float64, n)}
 	if n == 0 {
@@ -65,24 +84,19 @@ func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	// Precompute the kernel matrix; training sets here are small (the
-	// cluster count times per-cluster cap).
-	k := mathx.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := s.Kern(x[i], x[j])
-			k.Set(i, j, v)
-			k.Set(j, i, v)
-		}
-	}
+	// f(i) sums over the non-zero multipliers in ascending index order —
+	// the terms and order of a full scan — and is cached until the next
+	// update: most passes change nothing.
+	var nz []int
+	fv, fresh := make([]float64, n), make([]bool, n)
 	f := func(i int) float64 {
-		out := s.B
-		for j := 0; j < n; j++ {
-			if s.Alphas[j] != 0 {
-				out += s.Alphas[j] * y[j] * k.At(j, i)
+		if !fresh[i] {
+			fv[i], fresh[i] = s.B, true
+			for _, j := range nz {
+				fv[i] += s.Alphas[j] * y[j] * k.At(j, i)
 			}
 		}
-		return out
+		return fv[i]
 	}
 
 	passes := 0
@@ -131,6 +145,13 @@ func (s *Binary) Fit(x [][]float64, y []float64, seed int64) {
 				s.B = (b1 + b2) / 2
 			}
 			s.Alphas[i], s.Alphas[j] = aiNew, ajNew
+			nz = nz[:0]
+			for l, a := range s.Alphas {
+				if a != 0 {
+					nz = append(nz, l)
+				}
+			}
+			clear(fresh)
 			changed++
 		}
 		if changed == 0 {
@@ -191,6 +212,7 @@ func (m *Multiclass) Fit(x [][]float64, y []int, seed int64) {
 		}
 	}
 	m.models = make([]*Binary, len(m.classes))
+	k := gram(m.Kern, x)
 	for ci, c := range m.classes {
 		lbl := make([]float64, len(y))
 		for i, l := range y {
@@ -201,7 +223,7 @@ func (m *Multiclass) Fit(x [][]float64, y []int, seed int64) {
 			}
 		}
 		b := NewBinary(m.C, m.Kern)
-		b.Fit(x, lbl, seed+int64(ci))
+		b.fit(x, lbl, k, seed+int64(ci))
 		m.models[ci] = b
 	}
 }

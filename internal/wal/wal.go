@@ -173,13 +173,24 @@ func (l *Log) Commit() error {
 
 // Flush writes every buffered append to the OS without fsyncing. The
 // records become visible to readers of the file (same-process
-// re-hydration after an eviction reads them back), but are not durable
-// against power failure until a sync covers them — either the log's own
-// Commit/SyncFile or a Committer's journal fsync. Callers funneling
-// appends into a shared Committer flush BEFORE enqueueing, so the
-// committer's rotation fsync covers everything enqueued so far.
+// re-hydration after an eviction reads them back) and survive the
+// process being killed, but are not durable against power failure until
+// a sync covers them — the log's own Commit/SyncFile or a Committer's
+// journal fsync. Flushed appends stay pending, so the next Commit (or
+// Close) syncs them. Callers funneling appends into a shared Committer
+// flush BEFORE enqueueing, so the committer's rotation fsync covers
+// everything enqueued so far.
 func (l *Log) Flush() error {
 	return l.w.Flush()
+}
+
+// MarkDurable records that a sync outside Commit (a Committer's journal
+// fsync or SyncFile) covered every flushed append, so Commit and Close
+// do not sync them again.
+func (l *Log) MarkDurable() {
+	if l.w.Buffered() == 0 {
+		l.pending = 0
+	}
 }
 
 // SyncFile fsyncs the log's file descriptor without touching the write
@@ -187,7 +198,7 @@ func (l *Log) Flush() error {
 // from another goroutine (it only issues the syscall on the fd), which
 // is how the shared Committer makes flushed-but-unsynced logs durable
 // during journal rotation and degraded (journal-less) batches. It does
-// not clear the pending count — only Commit observes buffer state.
+// not clear the pending count: the log's owner calls MarkDurable.
 func (l *Log) SyncFile() error {
 	return l.syncNow()
 }

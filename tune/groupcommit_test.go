@@ -257,10 +257,12 @@ func TestManagerGroupCommitDurabilityHammer(t *testing.T) {
 }
 
 // TestManagerGroupCommitExactSyncPoints pins the coalescing contract as
-// exact counters: with the committer on, K operations in flight on K
-// sessions cost ONE sync point and ONE group commit; without it, K. The
-// window is an hour and CommitBatch is K, so a batch can only commit by
-// filling — nothing here depends on timing. Every advice must equal an
+// exact counters: K suggests in flight on K sessions cost no sync point
+// and no group commit in either arm (each is written, and its session's
+// next commit syncs it); K reports cost ONE sync point and ONE group
+// commit with the committer on, K sync points without it. The window is
+// an hour and CommitBatch is K, so a batch can only commit by filling —
+// nothing here depends on timing. Every advice must equal an
 // uninterrupted in-memory reference session's in both arms.
 func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 	const k, rounds = 8, 4
@@ -285,7 +287,8 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 		}
 	}
 
-	arm := func(name string, opts ManagerOptions, wantFsyncs, wantGroupCommits int64) {
+	type cost struct{ fsyncs, groupCommits int64 }
+	arm := func(name string, opts ManagerOptions, reports cost) {
 		m, err := NewManagerOpts(t.TempDir(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -298,7 +301,7 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 		}
 		// step runs op on all K sessions at once and checks what the K
 		// operations cost together.
-		step := func(what string, op func(g int) error) {
+		step := func(what string, want cost, op func(g int) error) {
 			before := m.Stats()
 			var wg sync.WaitGroup
 			for g := 0; g < k; g++ {
@@ -312,30 +315,30 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 			}
 			wg.Wait()
 			after := m.Stats()
-			if got := after.Fsyncs - before.Fsyncs; got != wantFsyncs {
+			if got := after.Fsyncs - before.Fsyncs; got != want.fsyncs {
 				t.Fatalf("%s %s: %d operations cost %d sync points, want %d (compactions %d)",
-					name, what, k, got, wantFsyncs, after.Compactions)
+					name, what, k, got, want.fsyncs, after.Compactions)
 			}
-			if got := after.GroupCommits - before.GroupCommits; got != wantGroupCommits {
-				t.Fatalf("%s %s: %d operations cost %d group commits, want %d", name, what, k, got, wantGroupCommits)
+			if got := after.GroupCommits - before.GroupCommits; got != want.groupCommits {
+				t.Fatalf("%s %s: %d operations cost %d group commits, want %d", name, what, k, got, want.groupCommits)
 			}
 		}
 		for i := 0; i < rounds; i++ {
-			step(fmt.Sprintf("suggest %d", i), func(g int) error {
+			step(fmt.Sprintf("suggest %d", i), cost{}, func(g int) error {
 				adv, err := m.Suggest(context.Background(), id(g))
 				if err == nil && !reflect.DeepEqual(adv, want[g][i]) {
 					err = errors.New("advice diverged from the in-memory reference")
 				}
 				return err
 			})
-			step(fmt.Sprintf("report %d", i), func(g int) error {
+			step(fmt.Sprintf("report %d", i), reports, func(g int) error {
 				_, err := m.Report(id(g), goldenOutcome(i))
 				return err
 			})
 		}
 	}
-	arm("group commit", ManagerOptions{NoFsync: true, CommitInterval: time.Hour, CommitBatch: k, MaxResident: -1}, 1, 1)
-	arm("per-session fsync", ManagerOptions{NoFsync: true, MaxResident: -1}, k, 0)
+	arm("group commit", ManagerOptions{NoFsync: true, CommitInterval: time.Hour, CommitBatch: k, MaxResident: -1}, cost{1, 1})
+	arm("per-session fsync", ManagerOptions{NoFsync: true, MaxResident: -1}, cost{k, 0})
 }
 
 // TestManagerJournalBootRecovery reconstructs the crash the journal
@@ -493,6 +496,386 @@ func TestJournalDropsDeletedIncarnationOnRecreate(t *testing.T) {
 		t.Fatal("recreated session recovered to a snapshot other than the one acked before the crash")
 	}
 	managedStep(t, m2, "db", ref, 2)
+}
+
+// syncArms are the two commit paths: each log's own fsync, and the
+// shared committer with no batch window. CompactMin keeps every record
+// in the log's tail, so cutting the tail models what power loss drops.
+var syncArms = []struct {
+	name string
+	opts ManagerOptions
+}{
+	{"per-session fsync", ManagerOptions{NoFsync: true, CompactMin: 1000}},
+	{"group commit", ManagerOptions{NoFsync: true, CompactMin: 1000, CommitInterval: -1}},
+}
+
+// syncTracker follows one session's log through a manager's operations
+// and keeps its size at the last sync point: what a power failure
+// leaves of it.
+type syncTracker struct {
+	t       *testing.T
+	m       *Manager
+	path    string
+	last    ManagerStats
+	durable int64
+}
+
+func newSyncTracker(t *testing.T, m *Manager, dir, id string) *syncTracker {
+	tr := &syncTracker{t: t, m: m, path: filepath.Join(dir, id+".wal")}
+	tr.note()
+	return tr
+}
+
+func (tr *syncTracker) size() int64 {
+	tr.t.Helper()
+	fi, err := os.Stat(tr.path)
+	if err != nil {
+		tr.t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// note accounts for the operations since the last note: it returns the
+// sync points and group commits they cost, and the stats after them. If
+// they cost a sync point, the log's current size is durable.
+func (tr *syncTracker) note() (fsyncs, groupCommits int64, st ManagerStats) {
+	tr.t.Helper()
+	st = tr.m.Stats()
+	fsyncs, groupCommits = st.Fsyncs-tr.last.Fsyncs, st.GroupCommits-tr.last.GroupCommits
+	tr.last = st
+	if fsyncs > 0 {
+		tr.durable = tr.size()
+	}
+	return fsyncs, groupCommits, st
+}
+
+// crashCopy copies the state directory dir, as the disk holds it when
+// the process dies, into a fresh directory and opens a manager on it.
+// A walSize ≥ 0 cuts the copy of id's log to that many bytes, as a power
+// failure keeps only what a sync covered; the journal is kept as is.
+func crashCopy(t *testing.T, dir, id string, walSize int64, opts ManagerOptions) *Manager {
+	t.Helper()
+	cp := filepath.Join(t.TempDir(), "state")
+	if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if walSize >= 0 {
+		if err := os.Truncate(filepath.Join(cp, id+".wal"), walSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManagerOpts(cp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// sameSnapshot fails unless the session id serializes to the same bytes
+// on both managers.
+func sameSnapshot(t *testing.T, a, b *Manager, id string) {
+	t.Helper()
+	sa, err := a.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sa, sb) {
+		t.Fatal("recovered session's snapshot differs from the live session's")
+	}
+}
+
+// continueBoth reports the same outcomes to session id on the live
+// manager and on each recovered one for n intervals, starting with the
+// report of the suggest they all hold; every later advice must agree
+// with the live one, and so must the final snapshots.
+func continueBoth(t *testing.T, id string, from, n int, live *Manager, recovered ...*Manager) {
+	t.Helper()
+	all := append([]*Manager{live}, recovered...)
+	for i := from; i < from+n; i++ {
+		var want Advice
+		for k, m := range all {
+			if _, err := m.Report(id, goldenOutcome(i)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Suggest(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == 0 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("interval %d: recovered session's advice diverged", i)
+			}
+		}
+	}
+	for _, m := range recovered {
+		sameSnapshot(t, live, m, id)
+	}
+}
+
+// runAckedSuggest drives a case5 session through n intervals, then one
+// more Suggest, and checks that the acked suggest cost no sync point yet
+// was written to the log before its ack.
+func runAckedSuggest(t *testing.T, dir string, opts ManagerOptions, n int) (*Manager, *syncTracker, Advice) {
+	t.Helper()
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	cfg := Config{Space: "case5", Seed: 11}
+	if _, err := m.Create("db", cfg); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newSyncTracker(t, m, dir, "db")
+	for i := 0; i < n; i++ {
+		managedStep(t, m, "db", ref, i)
+	}
+	tr.note()
+	adv, err := m.Suggest(context.Background(), "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs, gc, _ := tr.note(); fs != 0 || gc != 0 {
+		t.Fatalf("an acked suggest cost %d sync points and %d group commits, want 0 and 0", fs, gc)
+	}
+	if tr.size() == tr.durable {
+		t.Fatal("the suggest's record was not written to the log before its ack")
+	}
+	return m, tr, adv
+}
+
+// TestManagerSuggestPowerLoss: a suggest is acked before any sync covers
+// it, so a power failure may drop its record. The log is cut back to its
+// size at the last report's ack; with the committer it is also cut to
+// nothing, as its own bytes were never synced after the creation's reset
+// and the journal alone holds its records. A Manager on each cut state
+// must answer the retried Suggest with the very advice that was acked,
+// and the sessions must then stay bit-identical.
+func TestManagerSuggestPowerLoss(t *testing.T) {
+	const n = 6
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, tr, acked := runAckedSuggest(t, dir, arm.opts, n)
+			cuts := []int64{tr.durable}
+			if arm.opts.CommitInterval != 0 {
+				cuts = append(cuts, 0)
+			}
+			var recovered []*Manager
+			for _, cut := range cuts {
+				m2 := crashCopy(t, dir, "db", cut, arm.opts)
+				retried, err := m2.Suggest(context.Background(), "db")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(retried, acked) {
+					t.Fatalf("log cut to %d bytes: retried suggest diverged from the acked one\nacked:   %+v\nretried: %+v", cut, acked, retried)
+				}
+				recovered = append(recovered, m2)
+			}
+			continueBoth(t, "db", n, 4, m, recovered...)
+		})
+	}
+}
+
+// TestManagerSuggestKill9: the acked suggest's record reached the OS
+// before the ack, so a killed process loses nothing — a Manager on the
+// state as it stands hydrates with the suggest applied and continues
+// bit-identically.
+func TestManagerSuggestKill9(t *testing.T) {
+	const n = 6
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, _, _ := runAckedSuggest(t, dir, arm.opts, n)
+			m2 := crashCopy(t, dir, "db", -1, arm.opts)
+			sameSnapshot(t, m, m2, "db")
+			continueBoth(t, "db", n, 4, m, m2)
+		})
+	}
+}
+
+// TestManagerKnowledgeSuggestSyncs: a suggest that queried the fleet
+// store logged an input the session's log cannot re-derive, so it costs
+// one sync point before it returns (one group commit with the
+// committer), and a power failure right after its ack keeps it; every
+// other suggest costs nothing.
+func TestManagerKnowledgeSuggestSyncs(t *testing.T) {
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := arm.opts
+			opts.Knowledge = true
+			m, err := NewManagerOpts(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if _, err := m.Create("db", Config{Space: "case5", Seed: 5}); err != nil {
+				t.Fatal(err)
+			}
+			tr := newSyncTracker(t, m, dir, "db")
+			queried, plain := 0, 0
+			for i := 0; i < 8; i++ {
+				before := tr.last.Knowledge.Queries
+				if _, err := m.Suggest(context.Background(), "db"); err != nil {
+					t.Fatal(err)
+				}
+				fs, gc, st := tr.note()
+				if st.Knowledge.Queries == before {
+					plain++
+					if fs != 0 || gc != 0 {
+						t.Fatalf("suggest %d: queried nothing yet cost %d sync points and %d group commits", i, fs, gc)
+					}
+				} else {
+					queried++
+					wantGC := int64(0)
+					if opts.CommitInterval != 0 {
+						wantGC = 1
+					}
+					if fs != 1 || gc != wantGC {
+						t.Fatalf("suggest %d: queried the fleet store and cost %d sync points and %d group commits, want 1 and %d", i, fs, gc, wantGC)
+					}
+					m2 := crashCopy(t, dir, "db", tr.durable, opts)
+					sameSnapshot(t, m, m2, "db")
+					m2.Close()
+				}
+				if _, err := m.Report("db", goldenOutcome(i)); err != nil {
+					t.Fatal(err)
+				}
+				tr.note()
+			}
+			if queried == 0 || plain == 0 {
+				t.Fatalf("%d suggests queried the fleet store and %d did not; the test needs both", queried, plain)
+			}
+		})
+	}
+}
+
+// TestManagerEvictionSyncsOnce: each log is synced once. With
+// MaxResident 1, a Report on an evicted session evicts the other, whose
+// log holds a written but unsynced suggest: the report's commit and the
+// eviction's sync cost 2 sync points in both arms. Closing afterwards
+// costs the committer's final sync of the resident log plus the
+// journal's reset, and nothing without the committer.
+func TestManagerEvictionSyncsOnce(t *testing.T) {
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			opts := arm.opts
+			opts.MaxResident = 1
+			dir := t.TempDir()
+			m, err := NewManagerOpts(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, id := range []string{"a", "b"} {
+				if _, err := m.Create(id, Config{Space: "case5", Seed: int64(20 + g)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []string{"a", "b"} {
+				if _, err := m.Suggest(context.Background(), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := m.Stats()
+			if _, err := m.Report("a", goldenOutcome(0)); err != nil {
+				t.Fatal(err)
+			}
+			after := m.Stats()
+			if got := after.Evictions - before.Evictions; got != 1 {
+				t.Fatalf("the report evicted %d sessions, want 1", got)
+			}
+			if got := after.Fsyncs - before.Fsyncs; got != 2 {
+				t.Fatalf("a report that evicts a session cost %d sync points, want 2", got)
+			}
+			wantGC, wantClose := int64(0), int64(0)
+			if opts.CommitInterval != 0 {
+				wantGC, wantClose = 1, 2
+			}
+			if got := after.GroupCommits - before.GroupCommits; got != wantGC {
+				t.Fatalf("the report cost %d group commits, want %d", got, wantGC)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Stats().Fsyncs - after.Fsyncs; got != wantClose {
+				t.Fatalf("Close with one resident session cost %d sync points, want %d", got, wantClose)
+			}
+		})
+	}
+}
+
+// TestManagerSyncBudget pins one sync point per interval as an exact
+// budget over case5 sessions at seeds 1 and 2. Without the committer
+// every sync point is a report's commit or one of a compaction's two
+// (its base write and its log reset); with it, every group commit is a
+// report's or that of a suggest that queried the fleet store.
+func TestManagerSyncBudget(t *testing.T) {
+	const intervals = 100
+	ids := []string{"s1", "s2"}
+	run := func(opts ManagerOptions) (reports, queried int64, st ManagerStats) {
+		m, err := NewManagerOpts(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for g, id := range ids {
+			if _, err := m.Create(id, Config{Space: "case5", Seed: int64(g + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		queries := func() int64 {
+			if ks, ok := m.KnowledgeStats(); ok {
+				return ks.Queries
+			}
+			return 0
+		}
+		for i := 0; i < intervals; i++ {
+			for _, id := range ids {
+				before := queries()
+				if _, err := m.Suggest(context.Background(), id); err != nil {
+					t.Fatal(err)
+				}
+				if queries() > before {
+					queried++
+				}
+				if _, err := m.Report(id, goldenOutcome(i)); err != nil {
+					t.Fatal(err)
+				}
+				reports++
+			}
+		}
+		return reports, queried, m.Stats()
+	}
+
+	reports, _, st := run(ManagerOptions{NoFsync: true})
+	if st.Compactions <= int64(len(ids)) {
+		t.Fatalf("only %d compactions; the budget needs some beyond the creations'", st.Compactions)
+	}
+	if want := reports + 2*st.Compactions; st.Fsyncs != want {
+		t.Fatalf("per-session fsync: %d sync points for %d reports and %d compactions, want %d",
+			st.Fsyncs, reports, st.Compactions, want)
+	}
+
+	reports, queried, st := run(ManagerOptions{NoFsync: true, CommitInterval: -1, Knowledge: true})
+	if queried == 0 {
+		t.Fatal("no suggest queried the fleet store")
+	}
+	if want := reports + queried; st.GroupCommits != want {
+		t.Fatalf("group commit: %d group commits for %d reports and %d suggests that queried the fleet store, want %d",
+			st.GroupCommits, reports, queried, want)
+	}
 }
 
 // TestWalEncoderMatchesMarshal pins the zero-alloc encoder's contract:

@@ -70,7 +70,7 @@ type ManagerOptions struct {
 	// session's WAL appends funnel into a shared journal whose single
 	// fsync per batch window makes the whole batch durable, so a fleet
 	// of N chatty sessions pays ~1 fsync per window instead of N.
-	// 0 disables the committer (each operation fsyncs its own log);
+	// 0 disables the committer (each report fsyncs its own log);
 	// > 0 is the batch window; < 0 enables the committer with no window
 	// (each batch commits as soon as the committer picks it up — for
 	// tests).
@@ -98,11 +98,11 @@ type ManagerOptions struct {
 // hydration or fsync never blocks another session, List or Stats.
 //
 // Durability: each operation appends its events to the session's
-// write-ahead log (<id>.wal) with one group-commit fsync — O(1) I/O per
-// interval — and a periodic compaction writes the session's exact state
-// as an atomic base snapshot (<id>.base.json) and resets the tail, so
-// lifetime checkpoint bytes stay linear in session length instead of
-// quadratic. With CommitInterval
+// write-ahead log (<id>.wal), one fsync per interval — a suggest's are
+// written and ride on its report's — and a periodic compaction writes
+// the session's exact state as an atomic base snapshot (<id>.base.json)
+// and resets the tail, so lifetime checkpoint bytes stay linear in
+// session length instead of quadratic. With CommitInterval
 // set, the fsync itself is shared fleet-wide: appends land in the
 // session log unsynced and in a shared journal (fleet.journal) whose
 // single fsync per batch window makes every session in the batch
@@ -187,6 +187,10 @@ type managedSession struct {
 	persisted int
 	// baseBytes is the size of the on-disk base snapshot.
 	baseBytes int64
+	// held are the suggest payloads written to log since its last sync,
+	// with the committer on: the next commit journals them ahead of its
+	// own records.
+	held [][]byte
 }
 
 // acquire claims e's op gate, blocking behind the current holder. It
@@ -227,6 +231,7 @@ func (e *managedSession) dropLogLocked() {
 		e.log.Close()
 		e.log = nil
 	}
+	e.held = nil
 }
 
 // SessionRollout is the rollout summary nested in SessionInfo: the
@@ -650,6 +655,7 @@ func (m *Manager) evictOne(v *managedSession) {
 			m.reinsert(v)
 			return
 		}
+		v.log.MarkDurable()
 		m.committer.Forget(v.log.Path())
 	}
 	v.dropLogLocked()

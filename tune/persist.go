@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/wal"
@@ -118,11 +119,12 @@ func (w *walEncoder) encode(evs []event, start, iter int, phase string) ([][]byt
 
 // tryPersistLocked makes the session's state durable once (the caller
 // handles retries and ErrDurability wrapping). Normal path: append the
-// events since the persisted cursor to the WAL and group-commit them —
-// O(1) I/O per operation, with the fsync itself shared fleet-wide when
-// the manager's committer is on — then let the session drop them. The
-// base snapshot is rewritten only on the first write (creation), after
-// a WAL write error (the log is dropped so the next attempt re-bases
+// events since the persisted cursor to the WAL and commit them — one
+// sync point per interval, as a batch of suggests alone rides on the
+// next commit (see commitTail), and that one shared fleet-wide when the
+// manager's committer is on — then let the session drop them. The base
+// snapshot is rewritten only on the first write (creation), after a WAL
+// write error (the log is dropped so the next attempt re-bases
 // atomically), or when compaction is due.
 func (m *Manager) tryPersistLocked(e *managedSession) error {
 	if m.stateDir == "" || e.s == nil {
@@ -155,7 +157,7 @@ func (m *Manager) tryPersistLocked(e *managedSession) error {
 			return err
 		}
 	}
-	if err := m.commitTail(e, payloads); err != nil {
+	if err := m.commitTail(e, evs, payloads); err != nil {
 		// The buffered frames may have hit disk partially; appending after
 		// an unknown flush state could tear the middle of the log. Drop
 		// the handle — the retry path rewrites an atomic base instead.
@@ -171,27 +173,45 @@ func (m *Manager) tryPersistLocked(e *managedSession) error {
 	return nil
 }
 
-// commitTail makes the records just appended to e.log durable. Without
-// a committer this is the log's own flush+fsync. With one, the log is
-// flushed to the OS and the payloads enqueue with the shared committer:
-// the wait returns when the journal's batch fsync (or, degraded, this
-// log's own fsync) covers them — same durability contract, ~1/batch the
-// fsyncs. Enqueue copies the payloads before returning, so the pooled
-// encoder backing them can be reused as soon as this returns.
-func (m *Manager) commitTail(e *managedSession, payloads [][]byte) error {
+// commitTail makes the records just appended to e.log durable — except
+// a batch of suggests alone, which is only flushed to the OS: kill -9
+// loses nothing, and the session's next commit (or eviction, compaction
+// or Close) syncs it. A suggest is a pure function of the state its log
+// holds, so one that a power failure loses is re-derived bit for bit on
+// retry; one that queried the fleet store logged a knowledge event and
+// commits like any other batch. Without a committer a commit is the
+// log's own flush+fsync. With one, the log is flushed and the held
+// suggest payloads enqueue ahead of the batch's, in index order, so the
+// journal holds one contiguous run; the wait returns when the journal's
+// batch fsync (or, degraded, this log's own) covers them. Enqueue copies
+// the payloads, so the pooled encoder can be reused once this returns.
+func (m *Manager) commitTail(e *managedSession, evs []event, payloads [][]byte) error {
+	if !slices.ContainsFunc(evs, func(ev event) bool { return ev.Kind != eventSuggest }) {
+		if m.committer != nil {
+			for _, p := range payloads {
+				e.held = append(e.held, bytes.Clone(p))
+			}
+		}
+		return e.log.Flush()
+	}
 	if m.committer == nil {
 		return e.log.Commit()
 	}
 	if err := e.log.Flush(); err != nil {
 		return err
 	}
-	wait, err := m.committer.Enqueue(e.id, e.log, payloads)
+	wait, err := m.committer.Enqueue(e.id, e.log, append(e.held, payloads...))
 	if err != nil {
 		// Committer already shut down (a request racing Close): degrade
 		// to a per-session fsync rather than failing the operation.
-		return e.log.Commit()
+		err = e.log.Commit()
+	} else if err = wait(); err == nil {
+		e.log.MarkDurable()
 	}
-	return wait()
+	if err == nil {
+		e.held = nil
+	}
+	return err
 }
 
 // compactDue reports whether the WAL tail should fold into a new base:
@@ -234,6 +254,7 @@ func (m *Manager) compactLocked(e *managedSession) error {
 		e.dropLogLocked()
 		return err
 	}
+	e.held = nil // the fsynced base holds them now
 	if m.committer != nil {
 		// The fsynced base now supersedes every journal record for this
 		// session: release the rotation hold on its log.
