@@ -109,9 +109,10 @@ func BenchmarkFeaturizeContext(b *testing.B) {
 	}
 }
 
-// BenchmarkDBSCAN measures DBSCAN over the cached distance matrix on
+// BenchmarkDBSCAN measures DBSCAN over the distance index on
 // 12-dimensional context-like points (tight blobs), the shape the
-// re-cluster check serves: the matrix is already built when it runs.
+// re-cluster check serves: the index is already built when it runs, and
+// each call recomputes the eps-neighborhoods.
 func BenchmarkDBSCAN(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	pts := make([][]float64, 600)

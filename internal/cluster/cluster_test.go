@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,77 +197,100 @@ func TestEpsIsEuclideanRadius(t *testing.T) {
 	}
 }
 
-// Property: DBSCAN over the cached distance matrix is identical to the
+// tiedPoints draws n points in dims dimensions around a few blob
+// centers. Some coordinates snap to a 0.25 grid, so distances tie, and
+// some points repeat an earlier one, so distances are zero.
+func tiedPoints(rng *rand.Rand, n, dims int) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		if i > 0 && rng.Intn(8) == 0 {
+			pts[i] = pts[rng.Intn(i)]
+			continue
+		}
+		snap := rng.Intn(3) == 0
+		p := make([]float64, dims)
+		for d := range p {
+			p[d] = float64(rng.Intn(3)) + 0.3*rng.NormFloat64()
+			if snap {
+				p[d] = math.Round(4*p[d]) / 4
+			}
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// sameLabels reports whether two clusterings agree label for label.
+func sameLabels(a, b DBSCANResult) bool {
+	return a.NumClusters == b.NumClusters && slices.Equal(a.Labels, b.Labels)
+}
+
+// Property: DBSCAN over the distance index is identical to the
 // brute-force reference across dimensions 1–40 (contexts are
-// 12-dimensional; knob spaces reach 40).
+// 12-dimensional; knob spaces reach 40) and sizes up to 600, with
+// duplicates and tied distances.
 func TestQuickMatrixMatchesBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dims := []int{1, 2, 3, 7, 12, 40}[rng.Intn(6)]
-		n := 2 + rng.Intn(60)
-		pts := make([][]float64, n)
-		for i := range pts {
-			p := make([]float64, dims)
-			for d := range p {
-				// Mixture of a few blob centers so clusters actually form.
-				p[d] = float64(rng.Intn(3)) + 0.3*rng.NormFloat64()
-			}
-			pts[i] = p
-		}
+		n := 2 + rng.Intn(599)
+		pts := tiedPoints(rng, n, dims)
 		eps := 0.2 + rng.Float64()
 		minPts := 2 + rng.Intn(4)
-		a := DBSCAN(pts, eps, minPts)
-		b := dbscanBrute(pts, eps, minPts)
-		if a.NumClusters != b.NumClusters {
-			return false
-		}
-		for i := range a.Labels {
-			if a.Labels[i] != b.Labels[i] {
-				return false
-			}
-		}
-		return true
+		return sameLabels(DBSCAN(pts, eps, minPts), dbscanBrute(pts, eps, minPts))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: the incrementally extended distance matrix produces the same
-// eps suggestion, clustering and noise assignment as computing from
-// scratch — the core re-cluster check's reuse contract.
+// Property: an index extended in chunks of random size produces the
+// same k-distances, clustering and noise assignment as the brute-force
+// references over the same points — the core re-cluster
+// check's reuse contract.
 func TestQuickDistMatrixIncremental(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(40)
-		pts := make([][]float64, n)
-		for i := range pts {
-			pts[i] = []float64{float64(rng.Intn(2)) * 3, rng.NormFloat64()}
+		n := 4 + rng.Intn(597)
+		pts := tiedPoints(rng, n, 1+rng.Intn(12))
+		// Grow in stages, as successive re-cluster checks do; a chunk
+		// may span several of Extend's blocks.
+		inc := NewDistMatrix(nil)
+		for m := 0; m < n; {
+			m = min(n, m+1+rng.Intn(150))
+			inc.Extend(pts[:m])
 		}
-		// Grow in two stages, as successive re-cluster checks do.
-		inc := NewDistMatrix(pts[:n/2])
-		inc.Extend(pts)
-		fresh := NewDistMatrix(pts)
-		if inc.SuggestEps(4) != fresh.SuggestEps(4) {
-			return false
+		got, want := inc.KDistance(4), kDistanceSorted(pts, 4)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
 		}
-		eps := fresh.SuggestEps(4)
-		a := inc.DBSCAN(eps, 3)
-		b := dbscanBrute(pts, eps, 3)
-		if a.NumClusters != b.NumClusters {
+		eps := inc.SuggestEps(4)
+		a, b := inc.DBSCAN(eps, 4), dbscanBrute(pts, eps, 4)
+		if !sameLabels(a, b) {
 			return false
 		}
 		inc.AssignNearest(&a)
 		b.AssignNearest(pts)
-		for i := range a.Labels {
-			if a.Labels[i] != b.Labels[i] {
-				return false
-			}
-		}
-		return true
+		return sameLabels(a, b)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The index stays O(n·k) resident: after 3,000 points it holds at most
+// nearestKept distances per point, where a pairwise matrix would hold
+// 4,498,500.
+func TestDistMatrixHeldIsLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 3000
+	pts := tiedPoints(rng, n, 12)
+	m := NewDistMatrix(pts[:n/2])
+	m.Extend(pts)
+	if held := m.Held(); held > n*nearestKept {
+		t.Fatalf("index over %d points holds %d distances, want ≤ %d", n, held, n*nearestKept)
 	}
 }
 
@@ -301,16 +325,15 @@ func TestQuickDBSCANLabelRange(t *testing.T) {
 	}
 }
 
-// kDistanceSorted is the reference KDistance replaced: sort every row
-// of distances in full and take mathx.Quantile.
-func kDistanceSorted(m *DistMatrix, k int) []float64 {
-	n := m.Len()
-	out := make([]float64, n)
+// kDistanceSorted is the brute reference for KDistance: measure every
+// pair, sort every row of distances in full and take mathx.Quantile.
+func kDistanceSorted(pts [][]float64, k int) []float64 {
+	out := make([]float64, len(pts))
 	for i := range out {
 		var ds []float64
-		for j := 0; j < n; j++ {
+		for j := range pts {
 			if i != j {
-				ds = append(ds, m.Dist(i, j))
+				ds = append(ds, mathx.Dist2(pts[i], pts[j]))
 			}
 		}
 		if len(ds) == 0 {
@@ -322,8 +345,9 @@ func kDistanceSorted(m *DistMatrix, k int) []float64 {
 	return out
 }
 
-// Selecting the k+1 smallest distances per row gives bit for bit what
-// sorting the row did, including where q·(len−1) rounds off k−1.
+// The kept nearest distances give bit for bit what sorting each row of
+// distances does, including where q·(len−1) rounds off k−1; a k beyond
+// the kept lists falls back to sorting full rows.
 func TestKDistanceBitIdenticalToSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{2, 5, 400} {
@@ -334,7 +358,7 @@ func TestKDistanceBitIdenticalToSortedReference(t *testing.T) {
 		pts[n-1] = pts[0] // a duplicate: zero distances and ties
 		m := NewDistMatrix(pts)
 		for _, k := range []int{1, 4, n - 1, n + 3} {
-			got, want := m.KDistance(k), kDistanceSorted(m, k)
+			got, want := m.KDistance(k), kDistanceSorted(pts, k)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("n=%d k=%d point %d: KDistance %v, sorted reference %v", n, k, i, got[i], want[i])

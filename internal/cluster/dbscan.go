@@ -7,8 +7,8 @@
 // (L2) radius, compared against mathx.Dist2 — whose trailing "2" names
 // the norm order, NOT a squared distance. A point at Euclidean distance
 // exactly eps is inside the neighborhood. TestEpsIsEuclideanRadius pins
-// this down so the cached distance matrix (dist.go), the one neighbor
-// source, cannot silently change it.
+// this down so the distance index (dist.go), the one neighbor source,
+// cannot silently change it.
 package cluster
 
 import (
@@ -33,7 +33,7 @@ type DBSCANResult struct {
 // neighbors must append every j (self included) whose Euclidean distance
 // to point i is ≤ eps, in ascending index order — the order a scan over
 // all points produces, so every source yields identical clusters. The
-// tests' O(n²) scan is the reference the matrix is checked against.
+// tests' per-query scan is the reference the index is checked against.
 type neighborSource interface {
 	size() int
 	neighbors(i int, out []int) []int
@@ -44,7 +44,7 @@ type neighborSource interface {
 // density threshold (a point is core if its eps-neighborhood, itself
 // included, holds at least minPts points).
 func DBSCAN(points [][]float64, eps float64, minPts int) DBSCANResult {
-	return NewDistMatrix(points).DBSCAN(eps, minPts)
+	return (&DistMatrix{pts: points}).DBSCAN(eps, minPts) // needs no nearest lists
 }
 
 // dbscanFrom is the DBSCAN core over any neighbor source.

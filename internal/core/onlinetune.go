@@ -207,10 +207,10 @@ type OnlineTune struct {
 	// sessions that already tuned the new regime.
 	reseed bool
 
-	// reclusterIdx caches pairwise context distances across re-cluster
-	// checks; contexts are append-only, so each check only computes the
-	// rows for contexts observed since the previous one. Kept resident
-	// only up to reclusterMatrixCap contexts.
+	// reclusterIdx keeps each context's nearest distances across
+	// re-cluster checks, O(n·k) resident: until the repository first
+	// evicts, contexts are append-only, so each check only measures the
+	// contexts observed since the previous one.
 	reclusterIdx *cluster.DistMatrix
 
 	initialUnit []float64
@@ -299,12 +299,6 @@ func (o *OnlineTune) selectModel(ctx []float64) int {
 	}
 	return idx
 }
-
-// reclusterMatrixCap bounds the resident size of the incremental
-// re-cluster distance cache: at the cap the lower triangle holds
-// ~4096²/2 float64s ≈ 64 MB. Longer runs fall back to a transient
-// matrix per check.
-const reclusterMatrixCap = 4096
 
 func key(u []float64) string {
 	b := make([]byte, 0, len(u)*2)
@@ -833,9 +827,8 @@ func (o *OnlineTune) appendCapped(m *model, unit, ctx []float64, perf float64) {
 // contexts; if its normalized mutual information against the maintained
 // labels falls below the threshold, adopt it — refit per-cluster models
 // and retrain the SVM boundary. The check runs over the incrementally
-// extended distance matrix, so eps estimation, the DBSCAN neighbor scans
-// and noise assignment all reuse cached distances instead of rebuilding
-// the O(n²) pairwise work from scratch each period.
+// extended nearest-distance index, so eps estimation reads kept
+// k-distances instead of redoing the O(n²) pairwise work each period.
 func (o *OnlineTune) maybeRecluster() {
 	st := o.Repo.Stats()
 	// The schedule runs on lifetime observations so a bounded repository
@@ -845,20 +838,15 @@ func (o *OnlineTune) maybeRecluster() {
 		return
 	}
 	ctxs := o.Repo.Contexts()
-	m := o.reclusterIdx
-	if st.Evicted == 0 && len(ctxs) <= reclusterMatrixCap {
-		// Extend assumes append-only contexts, which eviction breaks.
-		m.Extend(ctxs)
+	if st.Evicted == 0 {
+		o.reclusterIdx.Extend(ctxs)
 	} else {
-		// Beyond the cap a resident matrix would hold O(n²/2) floats for
-		// the tuner's lifetime; release the cache and recompute transiently
-		// (freed after the check), trading the incremental CPU win for
-		// bounded heap on very long runs.
-		if o.reclusterIdx.Len() > 0 {
-			o.reclusterIdx = cluster.NewDistMatrix(nil)
-		}
-		m = cluster.NewDistMatrix(ctxs)
+		// A full repository evicts on every add, so the contexts have
+		// shifted since the last check and the index is no longer a
+		// prefix of them: rebuild it.
+		o.reclusterIdx = cluster.NewDistMatrix(ctxs)
 	}
+	m := o.reclusterIdx
 	res := m.DBSCAN(m.SuggestEps(4), 4)
 	m.AssignNearest(&res)
 	if res.NumClusters < 1 {

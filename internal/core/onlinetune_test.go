@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dbsim"
 	"repro/internal/featurize"
 	"repro/internal/knobs"
@@ -180,6 +183,66 @@ func TestReclusteringCreatesModels(t *testing.T) {
 	b := tuner.selectModel([]float64{5, 5})
 	if a == b {
 		t.Fatal("distinct contexts should select distinct models")
+	}
+}
+
+// observeRegimes feeds a tuner n observations whose 3-dimensional
+// contexts rotate through three regimes in blocks of 20, so the
+// clustering of any window of contexts depends on where it starts.
+// after runs after every observation with the lifetime count.
+func observeRegimes(tuner *OnlineTune, n int, after func(added int)) {
+	rng := rand.New(rand.NewSource(5))
+	init := tuner.Space.Encode(tuner.Space.DBADefault())
+	for i := range n {
+		c := float64((i/20)%3) * 5
+		ctx := []float64{c + 0.3*rng.NormFloat64(), c + 0.3*rng.NormFloat64(), 0.3 * rng.NormFloat64()}
+		u := slices.Clone(init)
+		u[0] = float64(i%10) / 10
+		tuner.Observe(i, ctx, u, 100+float64(i%7), 90, false)
+		after(i + 1)
+	}
+}
+
+// The re-cluster check's index describes the resident contexts at every
+// check, also once a small repository cap evicts on every add: its eps,
+// clusters and noise assignment equal a from-scratch DBSCAN over
+// Repo.Contexts().
+func TestReclusterIndexMatchesFromScratch(t *testing.T) {
+	opts := DefaultOptions()
+	opts.RepoCap = 64
+	space := knobs.CaseStudy5()
+	tuner := New(space, 3, space.Encode(space.DBADefault()), 1, opts)
+	checks := 0
+	observeRegimes(tuner, 300, func(added int) {
+		if added < opts.MinRecluster || added%opts.ReclusterEvery != 0 {
+			return
+		}
+		checks++
+		ctxs := tuner.Repo.Contexts()
+		eps := cluster.SuggestEps(ctxs, 4)
+		want := cluster.DBSCAN(ctxs, eps, 4)
+		want.AssignNearest(ctxs)
+		m := tuner.reclusterIdx
+		got := m.DBSCAN(m.SuggestEps(4), 4)
+		m.AssignNearest(&got)
+		if m.SuggestEps(4) != eps || got.NumClusters != want.NumClusters || !slices.Equal(got.Labels, want.Labels) {
+			t.Fatalf("check at %d observations: index labels %v (eps %v), from scratch %v (eps %v)",
+				added, got.Labels, m.SuggestEps(4), want.Labels, eps)
+		}
+	})
+	if checks != 11 {
+		t.Fatalf("%d re-cluster checks, want 11", checks)
+	}
+}
+
+// The re-cluster index stays O(n·k): after 1,000 observations it holds
+// at most 5 distances per context, where a pairwise matrix held 499,500.
+func TestReclusterIndexIsLinear(t *testing.T) {
+	space := knobs.CaseStudy5()
+	tuner := New(space, 3, space.Encode(space.DBADefault()), 1, DefaultOptions())
+	observeRegimes(tuner, 1000, func(int) {})
+	if n, held := tuner.reclusterIdx.Len(), tuner.reclusterIdx.Held(); n != 1000 || held > 5*n {
+		t.Fatalf("index over %d contexts holds %d distances, want 1000 contexts and ≤ %d", n, held, 5*n)
 	}
 }
 

@@ -137,6 +137,12 @@ func (c Config) options() core.Options {
 // unbounded count lets one create request exhaust the server's memory.
 const maxCandidates = 10000
 
+// maxRepoCap bounds Options.RepoCap at the paper-scale default: every
+// re-cluster check is quadratic in the resident contexts, so an
+// unbounded repository (repo_cap 0) or a huge cap lets one session's
+// checks grow without limit.
+const maxRepoCap = 4096
+
 // validateOptions range-checks an explicit options object's tunables and
 // refuses in-process fields off their defaults: a snapshot does not carry
 // them, so a restore could not reproduce the session.
@@ -156,7 +162,8 @@ func (c Config) validateOptions() error {
 		{o.Candidates >= 1 && o.Candidates <= maxCandidates, fmt.Sprintf("candidates in [1,%d]", maxCandidates)},
 		{o.ReclusterEvery >= 1 && o.MinRecluster >= 1, "recluster_every and min_recluster >= 1"},
 		{o.ClusterCap >= 2, "cluster_cap >= 2"},
-		{o.HyperoptEvery >= 0 && o.RepoCap >= 0, "hyperopt_every and repo_cap >= 0"},
+		{o.HyperoptEvery >= 0, "hyperopt_every >= 0"},
+		{o.RepoCap >= 1 && o.RepoCap <= maxRepoCap, fmt.Sprintf("repo_cap in [1,%d]", maxRepoCap)},
 	} {
 		if !check.ok {
 			return fmt.Errorf("tune: %w: options: want %s", ErrInvalid, check.want)

@@ -428,6 +428,14 @@ func createOptionsCases() []createOptionsCase {
 			status: http.StatusBadRequest, refusal: "beta > 0"},
 		{name: "candidates over the bound", config: options(map[string]any{"candidates": 1 << 40}),
 			status: http.StatusBadRequest, refusal: "candidates in"},
+		{name: "unbounded repository", config: options(map[string]any{"repo_cap": 0}),
+			status: http.StatusBadRequest, refusal: "repo_cap in"},
+		{name: "repository over the bound", config: options(map[string]any{"repo_cap": 4097}),
+			status: http.StatusBadRequest, refusal: "repo_cap in"},
+		{name: "huge repository", config: options(map[string]any{"repo_cap": 1 << 40}),
+			status: http.StatusBadRequest, refusal: "repo_cap in"},
+		{name: "small repository", config: options(map[string]any{"repo_cap": 64}),
+			edit: func(o *TunerOptions) { o.RepoCap = 64 }, status: http.StatusCreated},
 		{name: "disable_safety", config: map[string]any{"disable_safety": true},
 			status: http.StatusBadRequest, refusal: `unknown field "disable_safety"`},
 		{name: "negative promote margin", config: map[string]any{"rollout": map[string]any{"promote_margin": -0.5}},
