@@ -186,7 +186,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		}},
 	}
 	art := NewArtifact(rep, 2, 7, 1500*time.Millisecond)
-	path, err := WriteJSON(dir, art, false)
+	path, err := WriteJSON(dir, art)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if len(back.Overhead) != 1 || back.Overhead[0].MeanProposeMs != 1 || back.Overhead[0].MaxIterMs != 2 {
 		t.Fatalf("overhead stats wrong: %+v", back.Overhead)
-	}
-	// Replicate artifacts get a seed suffix.
-	p2, err := WriteJSON(dir, art, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(p2) != "BENCH_unit_s7.json" {
-		t.Fatalf("replicate name = %s", filepath.Base(p2))
 	}
 }
 

@@ -218,7 +218,7 @@ func runRolloutArm(name string, policy *rollout.Policy, feat *featurize.Featuriz
 		s.ModelIndices = append(s.ModelIndices, rec.ModelIndex)
 	}
 	// The ground-truth regression count doubles as the artifact's unsafe
-	// metric, so benchguard gates it across PRs.
+	// metric, so the golden bench/baseline files pin it.
 	s.Unsafe = ar.regressions
 	ar.status = tn.T.RolloutStatus()
 	return ar

@@ -12,17 +12,18 @@ import (
 
 // Artifact is the machine-readable form of one experiment run, persisted
 // as BENCH_<exp>.json so the performance trajectory is comparable across
-// PRs. Schema changes must stay backward-readable: add fields, never
-// rename them.
+// changes. Schema changes must stay backward-readable: add fields, never
+// rename them. The timing fields are omitted when empty, so a golden
+// file under bench/baseline holds only deterministic data.
 type Artifact struct {
 	ID           string         `json:"id"`
 	Title        string         `json:"title"`
 	Iters        int            `json:"iters"` // 0 = paper setting
 	Seed         int64          `json:"seed"`
-	WallClockSec float64        `json:"wall_clock_sec"`
+	WallClockSec float64        `json:"wall_clock_sec,omitempty"`
 	Overhead     []OverheadStat `json:"overhead,omitempty"`
 	Series       []*Series      `json:"series,omitempty"`
-	Body         string         `json:"body"`
+	Body         string         `json:"body,omitempty"`
 }
 
 // OverheadStat summarizes one tuner's computation cost in a run.
@@ -72,25 +73,23 @@ func EnsureArtifactDir(dir string) error {
 	return nil
 }
 
-// WriteJSON persists an artifact into dir as BENCH_<id>.json (suffix
-// "_s<seed>" when suffixSeed is set, for multi-seed replicates) and
-// returns the written path.
-func WriteJSON(dir string, a Artifact, suffixSeed bool) (string, error) {
+// marshalArtifact renders an artifact as the bytes of a BENCH_*.json
+// file: indented JSON with a trailing newline.
+func marshalArtifact(a Artifact) ([]byte, error) {
+	data, err := json.MarshalIndent(a, "", "  ")
+	return append(data, '\n'), err
+}
+
+// WriteJSON persists an artifact into dir as BENCH_<id>.json and returns
+// the written path.
+func WriteJSON(dir string, a Artifact) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	name := fmt.Sprintf("BENCH_%s.json", a.ID)
-	if suffixSeed {
-		name = fmt.Sprintf("BENCH_%s_s%d.json", a.ID, a.Seed)
-	}
-	path := filepath.Join(dir, name)
-	data, err := json.MarshalIndent(a, "", "  ")
+	data, err := marshalArtifact(a)
 	if err != nil {
 		return "", err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
+	path := filepath.Join(dir, "BENCH_"+a.ID+".json")
+	return path, os.WriteFile(path, data, 0o644)
 }

@@ -76,8 +76,8 @@ type Series struct {
 	Unsafe   int       `json:"unsafe"`
 	Failures int       `json:"failures"`
 	// ProposeMs / FeedbackMs are per-iteration tuner computation times.
-	ProposeMs  []float64 `json:"propose_ms"`
-	FeedbackMs []float64 `json:"feedback_ms"`
+	ProposeMs  []float64 `json:"propose_ms,omitempty"`
+	FeedbackMs []float64 `json:"feedback_ms,omitempty"`
 	// SafetySetSizes and RegionKinds are OnlineTune diagnostics (empty
 	// for baselines).
 	SafetySetSizes []int    `json:"safety_set_sizes,omitempty"`

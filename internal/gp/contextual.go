@@ -213,9 +213,6 @@ func (c *ContextualGP) Hyperparams() []float64 { return c.gp.Hyperparams() }
 // SetHyperparams delegates to the underlying GP.
 func (c *ContextualGP) SetHyperparams(p []float64) error { return c.gp.SetHyperparams(p) }
 
-// LogMarginalLikelihood delegates to the underlying GP.
-func (c *ContextualGP) LogMarginalLikelihood() float64 { return c.gp.LogMarginalLikelihood() }
-
 // Observations returns copies of the training configurations, contexts
 // and raw targets.
 func (c *ContextualGP) Observations() (configs, ctxs [][]float64, perf []float64) {

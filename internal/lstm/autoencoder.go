@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	"repro/internal/nn"
 )
 
 // Autoencoder is the sequence-to-sequence autoencoder of §5.1.1: an
@@ -23,7 +25,8 @@ type Autoencoder struct {
 	gradPj  []float64
 	gradPjB []float64
 
-	opt *adam
+	opt   *nn.Adam
+	grads [][]float64 // every gradient slice, aligned with opt's parameters
 
 	// BPTT scratch, grown to the longest sequence seen and reused by
 	// every Train call: one step cache per encoder and decoder timestep,
@@ -65,7 +68,7 @@ func NewAutoencoder(vocab, embDim, hidden int, seed int64) *Autoencoder {
 	pd, gd := a.Dec.params()
 	params = append(append(params, pe...), pd...)
 	grads = append(append(grads, ge...), gd...)
-	a.opt = newAdam(0.01, params, grads)
+	a.opt, a.grads = nn.NewAdam(0.01, params, grads), grads
 	return a
 }
 
@@ -145,8 +148,8 @@ func (a *Autoencoder) Train(tokens []int) float64 {
 		a.accumEmbGrad(tokens[t], dX)
 	}
 
-	a.clip(5)
-	a.opt.step()
+	nn.ClipGrads(a.grads, 5)
+	a.opt.Step()
 	return loss
 }
 
@@ -196,57 +199,4 @@ func (a *Autoencoder) zeroGrad() {
 	}
 	a.Enc.zeroGrad()
 	a.Dec.zeroGrad()
-}
-
-func (a *Autoencoder) clip(c float64) {
-	total := 0.0
-	for _, g := range a.opt.grads {
-		for _, x := range g {
-			total += x * x
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm <= c || norm == 0 {
-		return
-	}
-	scale := c / norm
-	for _, g := range a.opt.grads {
-		for i := range g {
-			g[i] *= scale
-		}
-	}
-}
-
-// adam is a private Adam optimizer over aligned param/grad slices (the
-// nn package has its own; duplicating ~30 lines avoids a dependency
-// cycle risk and keeps lstm self-contained).
-type adam struct {
-	lr, b1, b2, eps float64
-	t               int
-	m, v            [][]float64
-	params, grads   [][]float64
-}
-
-func newAdam(lr float64, params, grads [][]float64) *adam {
-	a := &adam{lr: lr, b1: 0.9, b2: 0.999, eps: 1e-8, params: params, grads: grads}
-	for _, p := range params {
-		a.m = append(a.m, make([]float64, len(p)))
-		a.v = append(a.v, make([]float64, len(p)))
-	}
-	return a
-}
-
-func (a *adam) step() {
-	a.t++
-	c1 := 1 - math.Pow(a.b1, float64(a.t))
-	c2 := 1 - math.Pow(a.b2, float64(a.t))
-	for pi, p := range a.params {
-		g := a.grads[pi]
-		m, v := a.m[pi], a.v[pi]
-		for i := range p {
-			m[i] = a.b1*m[i] + (1-a.b1)*g[i]
-			v[i] = a.b2*v[i] + (1-a.b2)*g[i]*g[i]
-			p[i] -= a.lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.eps)
-		}
-	}
 }

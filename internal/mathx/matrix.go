@@ -55,9 +55,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Add increments element (i, j) by v.
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)

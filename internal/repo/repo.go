@@ -1,12 +1,11 @@
 // Package repo is OnlineTune's data repository (Appendix A1): the store
 // of historical ⟨context, configuration, performance⟩ observations kept
-// on the tuning server, with JSON persistence so tuning sessions can
-// resume.
+// on the tuning server. A session's state checkpoint carries it (State),
+// so tuning sessions resume; Save exports it as JSON.
 package repo
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -148,30 +147,4 @@ func (r *Repo) Save(path string) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// Load reads a repository from a JSON file.
-func Load(path string) (*Repo, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var obs []Observation
-	if err := json.Unmarshal(data, &obs); err != nil {
-		return nil, err
-	}
-	return &Repo{st: State{Obs: obs}}, nil
-}
-
-// ErrEmpty is returned by operations that need at least one observation.
-var ErrEmpty = errors.New("repo: empty repository")
-
-// Last returns the most recent observation.
-func (r *Repo) Last() (Observation, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.st.Obs) == 0 {
-		return Observation{}, ErrEmpty
-	}
-	return r.st.Obs[len(r.st.Obs)-1], nil
 }

@@ -1,6 +1,8 @@
 package repo
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -27,18 +29,6 @@ func TestAddLenAll(t *testing.T) {
 	}
 }
 
-func TestLast(t *testing.T) {
-	r := New()
-	if _, err := r.Last(); err != ErrEmpty {
-		t.Fatal("empty Last should error")
-	}
-	r.Add(Observation{Iter: 7})
-	last, err := r.Last()
-	if err != nil || last.Iter != 7 {
-		t.Fatalf("Last = %+v, %v", last, err)
-	}
-}
-
 func TestContextsCopied(t *testing.T) {
 	r := New()
 	ctx := []float64{1, 2}
@@ -59,25 +49,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := r.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Load(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Len() != 2 {
-		t.Fatalf("loaded %d observations", r2.Len())
+	var obs []Observation
+	if err := json.Unmarshal(data, &obs); err != nil {
+		t.Fatal(err)
 	}
-	obs := r2.All()
+	if len(obs) != 2 {
+		t.Fatalf("loaded %d observations", len(obs))
+	}
 	if obs[0].Perf != 42 || !obs[0].Safe || obs[0].Context[1] != 0.2 {
 		t.Fatalf("first obs corrupted: %+v", obs[0])
 	}
 	if !obs[1].Failed {
 		t.Fatal("failure flag lost")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load("/nonexistent/path.json"); err == nil {
-		t.Fatal("expected error")
 	}
 }
 
@@ -125,7 +112,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				r.Add(Observation{Iter: k*100 + j})
 				_ = r.Len()
-				_, _ = r.Last()
+				_ = r.All()
 			}
 		}(i)
 	}

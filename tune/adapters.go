@@ -97,6 +97,3 @@ func (a *StoppingTuner) Propose(env Env) KnobConfig {
 func (a *StoppingTuner) Feedback(env Env, cfg KnobConfig, res Result) {
 	a.S.Observe(env.Iter, env.Ctx, a.lastUnit, res.Objective(env.OLAP), env.Tau, res.Failed)
 }
-
-// Last returns the decision path of the latest recommendation.
-func (a *StoppingTuner) Last() *core.Recommendation { return a.S.T.LastRecommendation() }

@@ -143,6 +143,14 @@ const maxCandidates = 10000
 // checks grow without limit.
 const maxRepoCap = 4096
 
+// maxClusterCap bounds Options.ClusterCap at 3.2x the paper's P = 80:
+// each cluster model's GP grows to that many rows, and hyperparameter
+// optimization is cubic and a window slide quadratic in them. On a
+// 2-vCPU Xeon VM, with 40 knobs and 8 context features, one model's
+// OptimizeHyperparams(60) takes 11 ms at 80 rows and 0.19 s at 256, and
+// a Slide 0.07 ms and 2.1 ms.
+const maxClusterCap = 256
+
 // validateOptions range-checks an explicit options object's tunables and
 // refuses in-process fields off their defaults: a snapshot does not carry
 // them, so a restore could not reproduce the session.
@@ -161,7 +169,7 @@ func (c Config) validateOptions() error {
 		{o.Epsilon >= 0 && o.Epsilon <= 1 && o.MIThreshold >= 0 && o.MIThreshold <= 1, "epsilon and mi_threshold in [0,1]"},
 		{o.Candidates >= 1 && o.Candidates <= maxCandidates, fmt.Sprintf("candidates in [1,%d]", maxCandidates)},
 		{o.ReclusterEvery >= 1 && o.MinRecluster >= 1, "recluster_every and min_recluster >= 1"},
-		{o.ClusterCap >= 2, "cluster_cap >= 2"},
+		{o.ClusterCap >= 2 && o.ClusterCap <= maxClusterCap, fmt.Sprintf("cluster_cap in [2,%d]", maxClusterCap)},
 		{o.HyperoptEvery >= 0, "hyperopt_every >= 0"},
 		{o.RepoCap >= 1 && o.RepoCap <= maxRepoCap, fmt.Sprintf("repo_cap in [1,%d]", maxRepoCap)},
 	} {

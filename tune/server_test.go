@@ -436,6 +436,12 @@ func createOptionsCases() []createOptionsCase {
 			status: http.StatusBadRequest, refusal: "repo_cap in"},
 		{name: "small repository", config: options(map[string]any{"repo_cap": 64}),
 			edit: func(o *TunerOptions) { o.RepoCap = 64 }, status: http.StatusCreated},
+		{name: "cluster models over the bound", config: options(map[string]any{"cluster_cap": 257}),
+			status: http.StatusBadRequest, refusal: "cluster_cap in"},
+		{name: "huge cluster models", config: options(map[string]any{"cluster_cap": 1 << 40}),
+			status: http.StatusBadRequest, refusal: "cluster_cap in"},
+		{name: "cluster models at the bound", config: options(map[string]any{"cluster_cap": 256}),
+			edit: func(o *TunerOptions) { o.ClusterCap = 256 }, status: http.StatusCreated},
 		{name: "disable_safety", config: map[string]any{"disable_safety": true},
 			status: http.StatusBadRequest, refusal: `unknown field "disable_safety"`},
 		{name: "negative promote margin", config: map[string]any{"rollout": map[string]any{"promote_margin": -0.5}},
