@@ -1,17 +1,25 @@
 package core
 
 import (
+	"repro/internal/gp"
 	"repro/internal/knowledge"
 	"repro/internal/mathx"
 	"repro/internal/whitebox"
 )
 
-// Knowledge is the tuner's hook into a fleet knowledge base. The tuner
-// queries it when a cluster model is cold (and again after a drift
-// rollback) and contributes every safe observation and canary promotion.
-// Implementations stamp the engine and space identity; the tuner only
-// supplies the context. Calls happen under the tuner mutex and must not
-// call back into the tuner.
+// Knowledge is the tuner's hook into a fleet knowledge base and into
+// the log of what each of its operations derived. Fleet reports whether
+// the tuner queries the fleet store (when a cluster model is cold, and
+// again after a drift rollback) and contributes every safe observation
+// and canary promotion; implementations stamp the engine and space
+// identity, the tuner only supplies the context. Refit and Recluster
+// wrap each hyperparameter refit point and each re-cluster check, so an
+// owner that logs an operation's derivations with it — the advice its
+// queries returned, the hyperparameters a refit installed, whether a
+// check adopted a new clustering — can hand them back when it replays
+// the log, and the tuner installs what the logged operation derived
+// instead of recomputing it. Calls happen under the tuner mutex and
+// must not call back into the tuner.
 //
 // Transferred configurations are advisory, never trusted blindly: they
 // enter the regular candidate pool where safety.Assess and the white-box
@@ -20,8 +28,27 @@ import (
 // the staged canary rollout, which measures it on the shadow replica
 // first.
 type Knowledge interface {
+	// Fleet reports whether a fleet store backs Query and Contribute.
+	Fleet() bool
 	Query(ctx []float64) *knowledge.Advice
 	Contribute(ctx []float64, cfg knowledge.SafeConfig, hyper []float64)
+	// Refit runs one refit point. Live it calls fit, which optimizes the
+	// model's hyperparameters and returns what it installed (nil when it
+	// changed nothing), and returns nil; in a replay it returns the
+	// logged refit without calling fit, for the tuner to install.
+	Refit(fit func() *gp.Refit) *gp.Refit
+	// Recluster runs one re-cluster check: live it calls check, which
+	// reports whether the check adopted a new clustering; in a replay it
+	// calls check only where the logged check adopted one.
+	Recluster(check func() bool)
+}
+
+// fleet returns the knowledge hook when it reaches a fleet store.
+func (o *OnlineTune) fleet() Knowledge {
+	if k := o.Opts.Knowledge; k != nil && k.Fleet() {
+		return k
+	}
+	return nil
 }
 
 // applyAdvice folds fleet advice into a cluster model: transferred
@@ -129,14 +156,15 @@ func (o *OnlineTune) appendTransfers(m *model, candidates [][]float64) [][]float
 // store, attaching the model's GP hyperparameters once the model has
 // actually optimized them — prior hyperparameters carry no fleet signal.
 func (o *OnlineTune) contribute(m *model, ctx, unit []float64, perf, tau float64, promoted bool) {
-	if o.Opts.Knowledge == nil {
+	k := o.fleet()
+	if k == nil {
 		return
 	}
 	var hyper []float64
 	if m.HyperTuned {
 		hyper = m.gp.Hyperparams()
 	}
-	o.Opts.Knowledge.Contribute(ctx, knowledge.SafeConfig{
+	k.Contribute(ctx, knowledge.SafeConfig{
 		Unit: mathx.VecClone(unit), Perf: perf, Tau: tau, Promoted: promoted,
 	}, hyper)
 }

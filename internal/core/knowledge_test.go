@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dbsim"
+	"repro/internal/gp"
 	"repro/internal/knobs"
 	"repro/internal/knowledge"
 	"repro/internal/rollout"
@@ -29,6 +30,10 @@ func (k *testKB) Contribute(ctx []float64, cfg knowledge.SafeConfig, hyper []flo
 		Engine: k.engine, Space: k.space, Context: ctx, Config: cfg, Hyper: hyper,
 	})
 }
+
+func (k *testKB) Fleet() bool                          { return true }
+func (k *testKB) Refit(fit func() *gp.Refit) *gp.Refit { fit(); return nil }
+func (k *testKB) Recluster(check func() bool)          { check() }
 
 func kbFor(space *knobs.Space) (*knowledge.Store, *testKB) {
 	s := knowledge.NewStore(knowledge.Params{})

@@ -66,8 +66,9 @@ type Options struct {
 	RepoCap int `json:"repo_cap"`
 
 	// Knowledge connects the tuner to a fleet knowledge base for
-	// cross-session transfer (nil = isolated session). Excluded from
-	// serialized snapshots; the owner re-injects it on restore.
+	// cross-session transfer and to its owner's op log (nil = an
+	// isolated tuner that logs nothing). Excluded from serialized
+	// snapshots; the owner re-injects it on restore.
 	Knowledge Knowledge `json:"-"`
 }
 
@@ -350,8 +351,8 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	// flag cannot linger; consumes no randomness.
 	if o.reseed {
 		o.reseed = false
-		if o.Opts.Knowledge != nil {
-			if adv := o.Opts.Knowledge.Query(ctx); adv != nil {
+		if k := o.fleet(); k != nil {
+			if adv := k.Query(ctx); adv != nil {
 				o.applyAdvice(m, adv, false)
 			}
 		}
@@ -364,8 +365,8 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	// whereas the next few proposes carry real contexts; applyAdvice
 	// dedups, so repeat hits are cheap, and a degenerate early warm
 	// center is superseded once it has been evaluated.
-	if o.Opts.Knowledge != nil && m.gp.Len() <= warmQueryMaxObs {
-		if adv := o.Opts.Knowledge.Query(ctx); adv != nil {
+	if k := o.fleet(); k != nil && m.gp.Len() <= warmQueryMaxObs {
+		if adv := k.Query(ctx); adv != nil {
 			o.applyAdvice(m, adv, math.IsInf(m.bestPerf, -1))
 		}
 	}
@@ -742,7 +743,7 @@ func (o *OnlineTune) observeLocked(iter int, ctx, unit []float64, perf, tau floa
 			// The promoted configuration decayed under drift: arm a fleet
 			// re-query so the next Recommend can pick up transfers from
 			// sessions that already tuned the drifted regime.
-			o.reseed = o.Opts.Knowledge != nil
+			o.reseed = o.fleet() != nil
 		}
 	}
 	mi := o.selectModel(ctx)
@@ -759,7 +760,7 @@ func (o *OnlineTune) observeLocked(iter int, ctx, unit []float64, perf, tau floa
 	m.evaluated[key(o.Space.Quantize(unit))] = true
 	m.ObsCount++
 	if o.Opts.HyperoptEvery > 0 && m.ObsCount%o.Opts.HyperoptEvery == 0 {
-		m.gp.OptimizeHyperparams(60)
+		o.refit(m)
 		m.HyperTuned = true
 	}
 
@@ -822,21 +823,46 @@ func (o *OnlineTune) appendCapped(m *model, unit, ctx []float64, perf float64) {
 	_ = m.gp.Slide(unit, ctx, perf)
 }
 
+// refit runs a hyperparameter refit point: a 60-evaluation search live,
+// the installation of the logged search's result in a replay.
+func (o *OnlineTune) refit(m *model) {
+	fit := func() *gp.Refit {
+		o.times.Refits++
+		return m.gp.OptimizeHyperparams(60)
+	}
+	if k := o.Opts.Knowledge; k == nil {
+		fit()
+	} else if r := k.Refit(fit); r != nil {
+		_ = m.gp.InstallRefit(*r) // as the search's own final factorization, a failure leaves the model unfactorized
+	}
+}
+
 // maybeRecluster implements Algorithm 1's Need_ReLearn: every
 // ReclusterEvery observations, simulate a fresh DBSCAN clustering of all
 // contexts; if its normalized mutual information against the maintained
 // labels falls below the threshold, adopt it — refit per-cluster models
-// and retrain the SVM boundary. The check runs over the incrementally
-// extended nearest-distance index, so eps estimation reads kept
-// k-distances instead of redoing the O(n²) pairwise work each period.
+// and retrain the SVM boundary.
 func (o *OnlineTune) maybeRecluster() {
-	st := o.Repo.Stats()
 	// The schedule runs on lifetime observations so a bounded repository
 	// (whose resident count pins at the cap) keeps re-clustering.
-	n := int(st.Added)
+	n := int(o.Repo.Stats().Added)
 	if n < o.Opts.MinRecluster || n%o.Opts.ReclusterEvery != 0 {
 		return
 	}
+	if k := o.Opts.Knowledge; k != nil {
+		k.Recluster(o.reclusterCheck)
+	} else {
+		o.reclusterCheck()
+	}
+}
+
+// reclusterCheck runs one check and reports whether it adopted a new
+// clustering. It runs over the incrementally extended nearest-distance
+// index, so eps estimation reads kept k-distances instead of redoing the
+// O(n²) pairwise work each period; a check skipped in a replay leaves
+// the index short, and the next one extends it over the contexts since.
+func (o *OnlineTune) reclusterCheck() bool {
+	st := o.Repo.Stats()
 	ctxs := o.Repo.Contexts()
 	if st.Evicted == 0 {
 		o.reclusterIdx.Extend(ctxs)
@@ -849,13 +875,13 @@ func (o *OnlineTune) maybeRecluster() {
 	m := o.reclusterIdx
 	res := m.DBSCAN(m.SuggestEps(4), 4)
 	m.AssignNearest(&res)
-	if res.NumClusters < 1 {
-		return
-	}
-	if mi := cluster.MutualInfo(o.labels, res.Labels); mi >= o.Opts.MIThreshold {
-		return // clustering still agrees; keep it
+	if res.NumClusters < 1 || cluster.MutualInfo(o.labels, res.Labels) >= o.Opts.MIThreshold {
+		o.times.KeptChecks++
+		return false // none found, or it still agrees: keep the current one
 	}
 	o.adoptClustering(res)
+	o.times.AdoptedChecks++
+	return true
 }
 
 // adoptClustering rebuilds models and the SVM boundary from a clustering.

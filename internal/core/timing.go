@@ -3,7 +3,9 @@ package core
 import "time"
 
 // StageTimes accumulates per-stage wall time across Recommend/Observe
-// calls — the Table A1 breakdown.
+// calls — the Table A1 breakdown — and counts the costly derivations the
+// tuner computed rather than installed from a replayed log:
+// hyperparameter searches and re-cluster checks by verdict.
 type StageTimes struct {
 	ModelSelect     time.Duration
 	SubspaceAdapt   time.Duration
@@ -11,6 +13,8 @@ type StageTimes struct {
 	CandidateSelect time.Duration
 	ModelUpdate     time.Duration
 	Iters           int
+
+	Refits, KeptChecks, AdoptedChecks int
 }
 
 // Timings returns a copy of the accumulated stage times.

@@ -205,7 +205,12 @@ func (c *ContextualGP) Sigma(config, ctx []float64) float64 {
 }
 
 // OptimizeHyperparams delegates to the underlying GP.
-func (c *ContextualGP) OptimizeHyperparams(maxEvals int) { c.gp.OptimizeHyperparams(maxEvals) }
+func (c *ContextualGP) OptimizeHyperparams(maxEvals int) *Refit {
+	return c.gp.OptimizeHyperparams(maxEvals)
+}
+
+// InstallRefit delegates to the underlying GP.
+func (c *ContextualGP) InstallRefit(r Refit) error { return c.gp.InstallRefit(r) }
 
 // Hyperparams delegates to the underlying GP.
 func (c *ContextualGP) Hyperparams() []float64 { return c.gp.Hyperparams() }

@@ -460,12 +460,37 @@ func (g *GP) restore(hyper []float64, noise float64) {
 	g.rebuild()
 }
 
+// Refit is what one OptimizeHyperparams installed: the kernel's
+// hyperparameters as Kern.Hyper holds them and the noise variance, bit
+// for bit. InstallRefit reproduces the optimized model from it without
+// the search.
+type Refit struct {
+	Hyper []float64 `json:"hyper"`
+	Noise float64   `json:"noise"`
+}
+
+// InstallRefit installs the hyperparameters a refit logged and
+// refactorizes as OptimizeHyperparams did on installing them: one value
+// triangle rebuild and one factorization, so the model is bit-identical
+// to the one the search left. A refit that does not fit the kernel is
+// refused and changes nothing; a factorization failure leaves the model
+// unfactorized, as the search's final factorization would have.
+func (g *GP) InstallRefit(r Refit) error {
+	if len(r.Hyper) != len(g.Kern.Hyper()) {
+		return fmt.Errorf("gp: refit of %d hyperparameters, want %d", len(r.Hyper), len(g.Kern.Hyper()))
+	}
+	g.restore(r.Hyper, r.Noise)
+	return g.refactor()
+}
+
 // OptimizeHyperparams maximizes the log marginal likelihood over the
 // kernel's log-space hyperparameters and the log noise variance using
-// Nelder–Mead. maxEvals bounds the number of likelihood evaluations.
-func (g *GP) OptimizeHyperparams(maxEvals int) {
+// Nelder–Mead. maxEvals bounds the number of likelihood evaluations. It
+// returns what it installed, nil when it changed nothing: a rollback
+// after a failed factorization still refactorized, so it is returned.
+func (g *GP) OptimizeHyperparams(maxEvals int) *Refit {
 	if len(g.x) < 3 {
-		return // too few points: keep priors
+		return nil // too few points: keep priors
 	}
 	hyper, noise := g.Kern.Hyper(), g.Noise
 	base := append(g.Kern.Params(), math.Log(g.Noise))
@@ -502,7 +527,7 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 		MaxIter: maxEvals, InitStep: 0.5, LowerClip: lo, UpperClip: hi,
 	})
 	if math.IsInf(bestVal, 1) {
-		return
+		return nil
 	}
 	g.Kern.SetParams(best[:len(best)-1])
 	g.Noise = math.Exp(best[len(best)-1])
@@ -511,5 +536,7 @@ func (g *GP) OptimizeHyperparams(maxEvals int) {
 		// Roll back to the previous hyperparameters on numerical failure.
 		g.restore(hyper, noise)
 		_ = g.factorize(gram, l)
+		return &Refit{Hyper: hyper, Noise: noise}
 	}
+	return &Refit{Hyper: g.Kern.Hyper(), Noise: g.Noise}
 }

@@ -82,6 +82,64 @@ func TestStateRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestInstallRefitReproducesSearch: installing what a hyperparameter
+// search returned, through JSON, leaves a model bit-identical to the one
+// the search left — incremental factors included, which a refit
+// replaces — and a search that changes nothing returns nil.
+func TestInstallRefitReproducesSearch(t *testing.T) {
+	const dim, ctxDim, cap = 6, 3, 24
+	weights := []float64{1, 1, 0.35, 1, 0.35, 1}
+	rng := rand.New(rand.NewSource(11))
+	configs, perfs := synthData(rng, 50, dim)
+	ctxs, _ := synthData(rng, 50, ctxDim)
+	live := NewContextualWeighted(dim, ctxDim, weights)
+	replayed := NewContextualWeighted(dim, ctxDim, weights)
+	if r := live.OptimizeHyperparams(30); r != nil {
+		t.Fatalf("a search over no data installed %+v", r)
+	}
+	refits := 0
+	for i := range configs {
+		for _, c := range []*ContextualGP{live, replayed} {
+			var err error
+			if c.Len() < cap {
+				err = c.Append(configs[i], ctxs[i], perfs[i])
+			} else {
+				err = c.Slide(configs[i], ctxs[i], perfs[i])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%7 != 6 {
+			continue
+		}
+		r := live.OptimizeHyperparams(30)
+		if r == nil {
+			t.Fatalf("obs %d: the search installed nothing", i)
+		}
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Refit
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if err := replayed.InstallRefit(back); err != nil {
+			t.Fatal(err)
+		}
+		sameModel(t, "refit", live, replayed)
+		refits++
+	}
+	if refits == 0 {
+		t.Fatal("no refit compared")
+	}
+	if err := replayed.InstallRefit(Refit{Hyper: []float64{1}, Noise: 1}); err == nil {
+		t.Fatal("installed a refit of the wrong shape")
+	}
+	sameModel(t, "refused refit", live, replayed)
+}
+
 // TestSetStateRejectsMisshapenState: shapes that do not fit the training
 // set or the kernel are errors, not panics.
 func TestSetStateRejectsMisshapenState(t *testing.T) {

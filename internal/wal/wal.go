@@ -155,8 +155,8 @@ func (l *Log) Append(payload []byte) error {
 }
 
 // Commit flushes every buffered append in one write and fsyncs once —
-// group commit: a Report that logs both its outcome event and the
-// rollout decision it triggered pays a single fsync for both records.
+// group commit: an interval's suggest and report records pay a single
+// fsync for both.
 func (l *Log) Commit() error {
 	if l.pending == 0 {
 		return nil

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/wal"
@@ -221,5 +223,250 @@ func TestRestoreRejectsDamagedState(t *testing.T) {
 	}
 	if _, err := Restore(data); err == nil {
 		t.Error("restored a snapshot whose state is null")
+	}
+}
+
+// bgManagedStep drives one interval of session id through m with a
+// winning staged measurement whenever the advice stages a candidate, so
+// a bluegreen session keeps promoting and switching over.
+func bgManagedStep(t *testing.T, m *Manager, id string, i int) Advice {
+	t.Helper()
+	adv, err := m.Suggest(context.Background(), id)
+	if err != nil {
+		t.Fatalf("iter %d: Suggest: %v", i, err)
+	}
+	o := knowOutcome(i, 115+float64(i%4))
+	if _, ok := adv.Targets[RoleStaged]; ok {
+		o.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: 125 + float64(i%3)}}
+	}
+	if _, err := m.Report(id, o); err != nil {
+		t.Fatalf("iter %d: Report: %v", i, err)
+	}
+	return adv
+}
+
+// TestHydrateAtEveryRecordBoundary: a batch of records may reach the
+// log in pieces — a power loss before its sync, or a kill -9 after the
+// write buffer flushed part of it — so a recovery may see the log cut
+// at any record boundary. A bluegreen session that warm-starts from the
+// fleet store and promotes is cut at every boundary of its log, and each
+// cut copy must hydrate to exactly the state the live session held
+// after that many records, then continue bit-identically with a control
+// hydrated from that live state with no replay at all.
+func TestHydrateAtEveryRecordBoundary(t *testing.T) {
+	dir := t.TempDir()
+	opts := ManagerOptions{NoFsync: true, Knowledge: true, CompactMin: 1 << 20}
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create("donor", Config{Space: "case5", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		bgManagedStep(t, m, "donor", i)
+	}
+	cfg := Config{Space: "case5", Seed: 4, Rollout: &RolloutConfig{Mode: RolloutModeBlueGreen, Window: 2}}
+	if _, err := m.Create("db", cfg); err != nil {
+		t.Fatal(err)
+	}
+	// live maps the records the log holds after each op to the session's
+	// state then.
+	live := map[int][]byte{}
+	capture := func() {
+		snap, err := m.Snapshot("db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := parseSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[h.Next] = snap
+	}
+	capture()
+	const intervals = 24
+	for i := 0; i < intervals; i++ {
+		if _, err := m.Suggest(context.Background(), "db"); err != nil {
+			t.Fatal(err)
+		}
+		capture()
+		o := knowOutcome(i, 115+float64(i%4))
+		o.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: 125 + float64(i%3)}}
+		if _, err := m.Report("db", o); err != nil {
+			t.Fatal(err)
+		}
+		capture()
+	}
+	if st, _ := m.KnowledgeStats(); st.WarmStarts == 0 {
+		t.Fatal("the session never warm-started from the fleet store")
+	}
+	if st, err := m.Rollout("db"); err != nil || st.Promotions == 0 {
+		t.Fatalf("the session never promoted: %+v, %v", st, err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := wal.Open(filepath.Join(dir, "db.wal"), wal.Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off int64
+	for k := 0; k <= len(recs); k++ {
+		if k > 0 {
+			off += 8 + int64(len(recs[k-1])) // the frame header, then the payload
+		}
+		cut := crashCopy(t, dir, "db", off, opts)
+		got, err := cut.Snapshot("db")
+		if err != nil {
+			t.Fatalf("log cut after %d of %d records: %v", k, len(recs), err)
+		}
+		want, ok := live[k]
+		if !ok {
+			t.Fatalf("log cut after %d of %d records hydrated, but the live session never held that many", k, len(recs))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("log cut after %d of %d records hydrated to a state the live session never held", k, len(recs))
+		}
+		control := crashCopy(t, dir, "db", 0, opts)
+		if err := os.WriteFile(control.basePath("db"), want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i := intervals; i < intervals+3; i++ {
+			a, b := bgManagedStep(t, cut, "db", i), bgManagedStep(t, control, "db", i)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("log cut after %d records: advice diverged from the control at iter %d", k, i)
+			}
+		}
+		sameSnapshot(t, control, cut, "db")
+		cut.Close()
+		control.Close()
+	}
+}
+
+// shiftOutcome alternates a session between two workloads in blocks of
+// five intervals, an OLTP mix and an analytic one, whose contexts a
+// re-cluster check separates.
+func shiftOutcome(i int) Outcome {
+	o := knowOutcome(i, 115+float64(i%4))
+	o.Workload.Skew = 0.1 * float64(i%3)
+	if i/5%2 == 1 {
+		o.Workload.Statements = []Statement{
+			{SQL: "SELECT o_carrier, SUM(ol_amount) FROM orders JOIN order_line ON o_id = ol_o_id GROUP BY o_carrier ORDER BY 2", Weight: 3},
+			{SQL: "SELECT COUNT(*) FROM stock WHERE s_quantity < 10", Weight: 1},
+		}
+		o.Workload.ReadFrac, o.Workload.ScanFrac, o.Workload.JoinFrac = 1, 0.8, 0.6
+	}
+	return o
+}
+
+// TestHydrateInstallsLoggedDerivations is restart equivalence across the
+// costly derivations: the replayed tail spans refit points with logged
+// hyperparameters, kept re-cluster checks and one adopted check. The
+// hydrate must run no hyperparameter search and no kept check — it
+// installs the logged refits and skips the kept checks — re-run exactly
+// the adopted one, and continue bit-identically with a session that
+// never restarted. The repository (cap 48) first evicts during the
+// continuation, so its checks both extend the nearest-distance index the
+// skipped checks left short and rebuild it.
+func TestHydrateInstallsLoggedDerivations(t *testing.T) {
+	dir := t.TempDir()
+	mopts := ManagerOptions{NoFsync: true, CompactMin: 1 << 20}
+	m, err := NewManagerOpts(dir, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultTunerOptions()
+	opts.MinRecluster, opts.ReclusterEvery, opts.RepoCap, opts.HyperoptEvery = 10, 5, 48, 5
+	cfg := Config{Space: "case5", Seed: 7, Options: &opts}
+	if _, err := m.Create("db", cfg); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(m *Manager, i int) {
+		t.Helper()
+		adv, err := m.Suggest(context.Background(), "db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Suggest(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(adv, want) {
+			t.Fatalf("iter %d: advice diverged from the never-restarted session", i)
+		}
+		if _, err := m.Report("db", shiftOutcome(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Report(shiftOutcome(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const intervals = 40
+	for i := 0; i < intervals; i++ {
+		step(m, i)
+	}
+	if lt := ref.tuner.T.Timings(); lt.Refits == 0 || lt.KeptChecks == 0 || lt.AdoptedChecks != 1 {
+		t.Fatalf("live session ran %d refits, %d kept and %d adopted checks, want ≥ 1, ≥ 1 and 1", lt.Refits, lt.KeptChecks, lt.AdoptedChecks)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := wal.Open(filepath.Join(dir, "db.wal"), wal.Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits, adopted := 0, 0
+	for _, data := range recs {
+		var rec walRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Event.Fit != nil {
+			fits++
+		}
+		if rec.Event.Adopted {
+			adopted++
+		}
+	}
+	if len(recs) != 2*intervals || fits == 0 || adopted != 1 {
+		t.Fatalf("the tail holds %d records, %d logged refits and %d adopted checks, want %d, ≥ 1 and 1", len(recs), fits, adopted, 2*intervals)
+	}
+	m, err = NewManagerOpts(dir, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s, err := m.Get("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ht := s.tuner.T.Timings(); ht.Refits != 0 || ht.KeptChecks != 0 || ht.AdoptedChecks != 1 {
+		t.Fatalf("hydrate ran %d refits, %d kept and %d adopted checks, want 0, 0 and 1", ht.Refits, ht.KeptChecks, ht.AdoptedChecks)
+	}
+	for i := intervals; i < intervals+15; i++ {
+		step(m, i)
+	}
+	sameSnapshotSession(t, m, ref)
+}
+
+// sameSnapshotSession fails unless the managed session "db" serializes
+// to the same bytes as ref.
+func sameSnapshotSession(t *testing.T, m *Manager, ref *Session) {
+	t.Helper()
+	got, err := m.Snapshot("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the hydrated session's snapshot differs from the never-restarted session's")
 	}
 }

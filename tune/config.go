@@ -75,9 +75,6 @@ type Config struct {
 	// adapter; nil outside a knowledge-enabled Manager (queries miss,
 	// contributions drop, replay still works from the event log).
 	fleet *fleetKnowledge
-	// know is the session's adapter, built by NewSession when Knowledge
-	// is set; options() hands it to the core tuner.
-	know *knowAdapter
 }
 
 // Spaces lists the knob-space names Config.Space accepts.
@@ -126,9 +123,6 @@ func (c Config) options() core.Options {
 		opts = *c.Options
 	}
 	opts.Rollout = c.Rollout
-	if c.know != nil {
-		opts.Knowledge = c.know
-	}
 	return opts
 }
 

@@ -2,58 +2,82 @@ package tune
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"repro/internal/gp"
 	"repro/internal/knowledge"
 	"repro/internal/wal"
 )
 
-// knowledgeEvent is the logged payload of one fleet-knowledge query: the
-// advice the store returned at that point in the session's history (nil
-// records a miss). Replay feeds the logged advice back to the tuner
-// instead of re-querying the live store — the store evolves as other
-// sessions contribute, so only the log can reproduce what THIS session
-// saw, keeping restored sessions bitwise-identical to uninterrupted
-// ones.
-type knowledgeEvent struct {
-	Advice *knowledge.Advice `json:"advice,omitempty"`
-}
-
-// knowAdapter connects one session's tuner to the fleet knowledge base.
-// It stamps the session's (engine, space) identity onto queries and
-// contributions, and logs every query result into the session's event
-// log so replay is self-sufficient (a snapshot restores without any
-// store attached). It is called from the tuner under the session mutex,
-// on the session's own goroutine — it must not take s.mu itself.
+// knowAdapter connects one session's tuner to the fleet knowledge base
+// and to the session's op log. Live, it records what each op derived on
+// the op's own event: the advice every fleet query returned (nil
+// records a miss), the hyperparameters a refit installed and whether a
+// re-cluster check adopted a new clustering. Replaying an event, it
+// hands the logged results back instead of computing them: the fleet
+// store evolves as other sessions contribute, so only the log can
+// reproduce what THIS session saw, and a logged search or check already
+// decided what recomputing it would. It is called from the tuner under
+// the session mutex, on the session's own goroutine — it must not take
+// s.mu itself.
 type knowAdapter struct {
-	fleet  *fleetKnowledge // nil: every query misses, contributions drop
-	engine string
-	space  string
-	sess   *Session
+	fleet   *fleetKnowledge // nil: every query misses, contributions drop
+	enabled bool            // Config.Knowledge: the tuner queries and contributes
+	engine  string
+	space   string
 
-	// replaying routes queries to the logged-advice queue and suppresses
-	// contributions (the fleet store already absorbed them live).
+	// op is the event of the op in progress: live, what the op derives is
+	// recorded on it; in a replay, the logged event its derivations are
+	// read from, with queried, refitted and adopted what the replay
+	// consumed and re-derived of it.
+	op        *event
 	replaying bool
-	queue     []*knowledge.Advice
+	queried   int
+	refitted  bool
+	adopted   bool
 }
+
+// begin starts recording (live) or replaying the derivations of one op.
+func (k *knowAdapter) begin(op *event) {
+	k.op, k.queried, k.refitted, k.adopted = op, 0, false, false
+}
+
+// replayed reports whether the replayed op consumed exactly the
+// derivations its event logged.
+func (k *knowAdapter) replayed() error {
+	switch {
+	case k.queried != len(k.op.Knowledge):
+		return fmt.Errorf("replay made %d fleet queries, the op logged %d", k.queried, len(k.op.Knowledge))
+	case k.op.Fit != nil && !k.refitted:
+		return errors.New("replay reached no refit point, the op logged a refit")
+	case k.op.Adopted && !k.adopted:
+		return errors.New("replay adopted no clustering, the op's re-cluster check adopted one")
+	}
+	return nil
+}
+
+// Fleet implements core.Knowledge.
+func (k *knowAdapter) Fleet() bool { return k.enabled }
 
 // Query implements core.Knowledge. Live: ask the fleet store and log the
-// result. Replay: pop the next logged result and regenerate its event,
-// which the restore cursor then verifies against the log.
+// result. Replay: hand back the op's next logged result.
 func (k *knowAdapter) Query(ctx []float64) *knowledge.Advice {
-	var adv *knowledge.Advice
 	if k.replaying {
-		if len(k.queue) > 0 {
-			adv = k.queue[0]
-			k.queue = k.queue[1:]
+		k.queried++
+		if k.queried > len(k.op.Knowledge) {
+			return nil // a query the op did not log: replayed reports it
 		}
-	} else if k.fleet != nil {
+		return k.op.Knowledge[k.queried-1]
+	}
+	var adv *knowledge.Advice
+	if k.fleet != nil {
 		adv = k.fleet.Query(k.engine, k.space, ctx)
 	}
-	k.sess.events = append(k.sess.events, event{Kind: eventKnowledge, Knowledge: &knowledgeEvent{Advice: adv}})
+	k.op.Knowledge = append(k.op.Knowledge, adv)
 	return adv
 }
 
@@ -73,35 +97,29 @@ func (k *knowAdapter) Contribute(ctx []float64, cfg knowledge.SafeConfig, hyper 
 	})
 }
 
-// beginReplay arms the adapter with the logged advice sequence before
-// the event log replays; endReplay disarms it. A count mismatch between
-// replayed queries and logged advice surfaces through the restore
-// cursor, not here.
-func (k *knowAdapter) beginReplay(queue []*knowledge.Advice) {
-	k.replaying = true
-	k.queue = queue
-}
-
-func (k *knowAdapter) endReplay() {
-	k.replaying = false
-	k.queue = nil
-}
-
-// knowledgeQueue extracts the logged advice sequence (including misses)
-// from the events to replay, in query order.
-func knowledgeQueue(events []event) []*knowledge.Advice {
-	var q []*knowledge.Advice
-	for _, ev := range events {
-		if ev.Kind != eventKnowledge {
-			continue
-		}
-		var adv *knowledge.Advice
-		if ev.Knowledge != nil {
-			adv = ev.Knowledge.Advice
-		}
-		q = append(q, adv)
+// Refit implements core.Knowledge. Live: run the search and log what it
+// installed. Replay: hand back the logged result (nil when the live
+// search changed nothing) without searching.
+func (k *knowAdapter) Refit(fit func() *gp.Refit) *gp.Refit {
+	if !k.replaying {
+		k.op.Fit = fit()
+		return nil
 	}
-	return q
+	k.refitted = true
+	return k.op.Fit
+}
+
+// Recluster implements core.Knowledge. Live: run the check and log
+// whether it adopted. Replay: skip a check the op logged as kept, re-run
+// an adopted one and verify that it adopts again.
+func (k *knowAdapter) Recluster(check func() bool) {
+	if !k.replaying {
+		k.op.Adopted = check()
+		return
+	}
+	if k.op.Adopted {
+		k.adopted = check()
+	}
 }
 
 // On-disk layout of the durable fleet knowledge base under the

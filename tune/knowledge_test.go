@@ -92,8 +92,8 @@ func TestManagerFleetWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`"kind":"knowledge"`)) {
-		t.Fatal("warm session's event log holds no knowledge event")
+	if !bytes.Contains(data, []byte(`"kind":"suggest","knowledge":[{`)) {
+		t.Fatal("warm session's suggest record carries no fleet advice")
 	}
 	if mgr := m.Stats(); mgr.Knowledge == nil || mgr.Knowledge.WarmStarts == 0 {
 		t.Fatalf("ManagerStats.Knowledge missing warm starts: %+v", mgr.Knowledge)

@@ -260,7 +260,7 @@ func TestManagerBootRejectsOtherVersion(t *testing.T) {
 	if err == nil {
 		t.Fatal("booted over a version-8 base snapshot")
 	}
-	for _, frag := range []string{`"db"`, "version 8", "want 9"} {
+	for _, frag := range []string{`"db"`, "version 8", "want 10"} {
 		//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name the session and both versions), not on error identity
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("boot error %q does not mention %s", err, frag)

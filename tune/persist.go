@@ -21,9 +21,9 @@ import (
 //	<id>.wal        append-only tail: events since the base was compacted
 //	.<id>-*         in-flight atomic-write temps; swept at boot
 //
-// Recovery installs the base's state, replays the tail through the same
-// rollout-verification cursor Restore uses, and arrives at a session
-// bitwise-identical to one that never restarted.
+// Recovery installs the base's state, replays the tail as Restore does —
+// each op installing what its record says it derived — and arrives at a
+// session bitwise-identical to one that never restarted.
 func (m *Manager) basePath(id string) string {
 	return filepath.Join(m.stateDir, id+".base.json")
 }
@@ -39,7 +39,8 @@ func (m *Manager) walOptions() wal.Options {
 }
 
 // walRecord is the JSON payload of one WAL frame: a single session
-// event plus enough envelope to recover without parsing the base first.
+// event (one op and everything it derived) plus enough envelope to
+// recover without parsing the base first.
 // Idx is the event's index in the session's global event log, so replay
 // can skip records that predate the current base (its header's Next; a
 // crash between the base's rename and the log's reset leaves such stale
@@ -178,15 +179,15 @@ func (m *Manager) tryPersistLocked(e *managedSession) error {
 // loses nothing, and the session's next commit (or eviction, compaction
 // or Close) syncs it. A suggest is a pure function of the state its log
 // holds, so one that a power failure loses is re-derived bit for bit on
-// retry; one that queried the fleet store logged a knowledge event and
-// commits like any other batch. Without a committer a commit is the
+// retry; one that queried the fleet store logged the advice on its event
+// and commits like any other batch. Without a committer a commit is the
 // log's own flush+fsync. With one, the log is flushed and the held
 // suggest payloads enqueue ahead of the batch's, in index order, so the
 // journal holds one contiguous run; the wait returns when the journal's
 // batch fsync (or, degraded, this log's own) covers them. Enqueue copies
 // the payloads, so the pooled encoder can be reused once this returns.
 func (m *Manager) commitTail(e *managedSession, evs []event, payloads [][]byte) error {
-	if !slices.ContainsFunc(evs, func(ev event) bool { return ev.Kind != eventSuggest }) {
+	if !slices.ContainsFunc(evs, func(ev event) bool { return ev.Kind != eventSuggest || ev.Knowledge != nil }) {
 		if m.committer != nil {
 			for _, p := range payloads {
 				e.held = append(e.held, bytes.Clone(p))
@@ -314,15 +315,14 @@ func (m *Manager) hydrateLocked(e *managedSession) error {
 	if err != nil {
 		return fmt.Errorf("tune: opening wal for session %q: %w", e.id, err)
 	}
-	s, err := restore(data, recs, m.know)
+	s, replayed, err := restore(data, recs, m.know)
 	if err != nil {
 		lg.Close()
 		return fmt.Errorf("tune: restoring session %q: %w", e.id, err)
 	}
 	e.s, e.log = s, lg
 	e.persisted, e.baseBytes = s.nextEvent(), int64(len(data))
-	m.replayedEvents.Add(int64(s.EventCount()))
-	s.dropPersisted(e.persisted)
+	m.replayedEvents.Add(int64(replayed))
 	m.hydrations.Add(1)
 	return nil
 }

@@ -89,10 +89,13 @@ func TestSessionRolloutEndToEnd(t *testing.T) {
 	}
 	decisions := 0
 	for _, ev := range s.events {
-		if ev.Kind == rollout.EventPromote || ev.Kind == rollout.EventRollback {
-			if ev.Rollout == nil || ev.Rollout.Reason == "" {
-				t.Fatalf("decision event without provenance: %+v", ev)
-			}
+		if ev.Rollout == nil {
+			continue
+		}
+		if ev.Kind != eventReport || ev.Rollout.Reason == "" {
+			t.Fatalf("decision not on its report or without provenance: %+v", ev)
+		}
+		if k := ev.Rollout.Kind; k == rollout.EventPromote || k == rollout.EventRollback {
 			decisions++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/featurize"
 	"repro/internal/knobs"
 	"repro/internal/rollout"
@@ -233,9 +234,9 @@ type Session struct {
 	tuner *OnlineTuner
 	hw    Hardware
 
-	// know is the session's fleet-knowledge adapter (nil unless
-	// cfg.Knowledge); it appends query events to s.events from inside
-	// tuner calls, which always run under mu.
+	// know is the session's knowledge hook: it records what each op
+	// derives on the op's event from inside tuner calls, which always run
+	// under mu, and hands it back when the op is replayed.
 	know *knowAdapter
 
 	iter     int
@@ -278,27 +279,24 @@ func NewSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Knowledge {
-		// Built before the tuner so cfg.options() can hand it over; the
-		// engine+space pair is the fleet store's transfer-compatibility key.
-		cfg.know = &knowAdapter{
-			fleet:  cfg.fleet,
-			engine: string(space.Engine.OrMySQL()),
-			space:  cfg.Space,
-		}
+	// The engine+space pair is the fleet store's transfer-compatibility key.
+	know := &knowAdapter{
+		fleet:   cfg.fleet,
+		enabled: cfg.Knowledge,
+		engine:  string(space.Engine.OrMySQL()),
+		space:   cfg.Space,
 	}
+	opts := cfg.options()
+	opts.Knowledge = know
 	s := &Session{
 		cfg:      cfg,
 		space:    space,
 		feat:     featurize.NewPretrained(cfg.Seed),
-		tuner:    NewOnlineTuner(space, featurize.ContextDim, initial, cfg.Seed, cfg.options()),
+		tuner:    NewOnlineTuner(space, featurize.ContextDim, initial, cfg.Seed, opts),
 		hw:       cfg.hardware(),
-		know:     cfg.know,
+		know:     know,
 		lastCfg:  initial,
 		lastUnit: space.Encode(initial),
-	}
-	if s.know != nil {
-		s.know.sess = s
 	}
 	s.lastCtx = make([]float64, s.feat.Dim())
 	return s, nil
@@ -327,9 +325,9 @@ func (s *Session) Iter() int {
 	return s.iter
 }
 
-// EventCount returns the number of logged events (suggests, reports and
-// rollout decisions) the session holds in memory: those a Manager has
-// not yet persisted.
+// EventCount returns the number of logged events (one per suggest or
+// report) the session holds in memory: those a Manager has not yet
+// persisted.
 func (s *Session) EventCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,17 +383,9 @@ func (s *Session) Suggest(ctx context.Context) (Advice, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.events = append(s.events, event{Kind: eventSuggest})
-	return s.suggestLocked(), nil
-}
-
-// suggestLocked runs one Propose and assembles the Advice. Also used by
-// Restore's replay, so it must be a pure function of tuner+session
-// state.
-func (s *Session) suggestLocked() Advice {
-	env := s.envLocked()
+	s.know.begin(&s.events[len(s.events)-1])
 	prevUnit := s.lastUnit
-	cfg := s.tuner.Propose(env)
-	rec := s.tuner.Last() // never nil: Propose always records a recommendation
+	cfg, rec := s.proposeLocked()
 	adv := Advice{
 		Iter:           s.iter,
 		Config:         cfg.Clone(),
@@ -419,15 +409,22 @@ func (s *Session) suggestLocked() Advice {
 			adv.Targets[RoleStaged] = ConfigRef{Config: rec.ShadowConfig.Clone(), Unit: append([]float64(nil), rec.ShadowUnit...)}
 		}
 	}
-	if ei, ok := s.tuner.T.ExpectedImprovementAt(env.Ctx, adv.Unit, prevUnit); ok && !math.IsInf(ei, 0) && !math.IsNaN(ei) {
+	if ei, ok := s.tuner.T.ExpectedImprovementAt(s.lastCtx, adv.Unit, prevUnit); ok && !math.IsInf(ei, 0) && !math.IsNaN(ei) {
 		adv.EI, adv.HasEI = ei, true
 	}
-	// Store private copies: the returned Advice is the caller's to
-	// mutate, and must not alias the session's record of what was
-	// suggested.
-	s.lastUnit = append([]float64(nil), adv.Unit...)
-	s.lastCfg = adv.Config.Clone()
-	return adv
+	return adv, nil
+}
+
+// proposeLocked runs one Propose and applies its state effects — all a
+// replayed suggest does (the Advice and its Expected Improvement only
+// read state). The session keeps private copies of what was suggested:
+// the Advice is the caller's to mutate.
+func (s *Session) proposeLocked() (KnobConfig, *core.Recommendation) {
+	cfg := s.tuner.Propose(s.envLocked())
+	rec := s.tuner.Last() // never nil: Propose always records a recommendation
+	s.lastUnit = append([]float64(nil), rec.Unit...)
+	s.lastCfg = cfg.Clone()
+	return cfg, rec
 }
 
 // Report feeds the measured outcome of the last suggested configuration
@@ -439,15 +436,17 @@ func (s *Session) Report(o Outcome) error {
 	defer s.mu.Unlock()
 	oc := o.clone()
 	s.events = append(s.events, event{Kind: eventReport, Outcome: &oc})
-	s.reportLocked(oc)
+	ev := &s.events[len(s.events)-1]
+	s.know.begin(ev)
+	ev.Rollout = s.reportLocked(oc)
 	return nil
 }
 
-// reportLocked applies one outcome. Also used by Restore's replay —
-// any promote/rollback decision the outcome triggers is appended to the
-// event log here, so a replayed log regenerates the identical decision
-// sequence for Restore to verify.
-func (s *Session) reportLocked(o Outcome) {
+// reportLocked applies one outcome and returns the rollout decision
+// (promote, rollback, switchover or chain rollback) it triggered, nil
+// for none. Also used by Restore's replay, which checks the decision
+// against the logged one.
+func (s *Session) reportLocked(o Outcome) *RolloutEvent {
 	// A RolePrimary measurement overrides the flat Performance/Failed.
 	// Replay runs the same normalization, so logged outcomes replay
 	// identically whichever form the client used.
@@ -465,13 +464,18 @@ func (s *Session) reportLocked(o Outcome) {
 	} else {
 		s.tuner.Feedback(env, s.lastCfg, o.result())
 	}
-	s.recordRolloutEventLocked()
+	var decision *RolloutEvent
+	if st := s.tuner.T.RolloutStatus(); st != nil && st.LastEvent != nil && st.LastEvent.Iter == s.iter {
+		ev := *st.LastEvent
+		decision = &ev
+	}
 	s.lastSnap = snap
 	s.lastCtx = ctx
 	s.lastMet = o.Metrics
 	s.lastTau = o.Baseline
 	s.lastOLAP = snap.OLAP
 	s.iter++
+	return decision
 }
 
 // envLocked assembles the per-interval environment from the latest
@@ -481,19 +485,6 @@ func (s *Session) envLocked() Env {
 		Iter: s.iter, Snapshot: s.lastSnap, Ctx: s.lastCtx,
 		Metrics: s.lastMet, Tau: s.lastTau, OLAP: s.lastOLAP, HW: s.hw,
 	}
-}
-
-// recordRolloutEventLocked appends the rollout decision (promote,
-// rollback, switchover, or chain rollback) made by the report currently
-// being applied (identified by its iteration) to the session's event
-// log.
-func (s *Session) recordRolloutEventLocked() {
-	st := s.tuner.T.RolloutStatus()
-	if st == nil || st.LastEvent == nil || st.LastEvent.Iter != s.iter {
-		return
-	}
-	ev := *st.LastEvent
-	s.events = append(s.events, event{Kind: ev.Kind, Rollout: &ev})
 }
 
 // Rollout returns the session's canary rollout status. Sessions whose

@@ -6,48 +6,53 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/rollout"
+	"repro/internal/gp"
+	"repro/internal/knowledge"
 )
 
 // SnapshotVersion is the version of the session snapshot JSON schema,
 // and the only one Restore and the Manager accept. The schema is
 // append-only within a version: fields may be added, never renamed,
-// repurposed or removed without a bump. Version 9 is the OnlineTune-only
+// repurposed or removed without a bump. Version 10 is the OnlineTune-only
 // state format: a header (config, iter, the global index of the next
 // event, rollout_phase) emitted first so the Manager's boot scan can
 // summarize a session from the head of its base snapshot, then the
-// session's exact state.
-const SnapshotVersion = 9
+// session's exact state; its WAL tail holds one event per op, carrying
+// everything the op derived.
+const SnapshotVersion = 10
 
 // snapshotKind tags the document so unrelated JSON is rejected early.
 const snapshotKind = "tune.Session"
 
-// Event kinds in the session log. Rollout decision events
-// (rollout.EventPromote / EventRollback / EventSwitchover /
-// EventChainRollback) record rollout decisions; they are derived — a
-// replayed report regenerates them — and serve as integrity checks
-// during Restore.
+// Event kinds in the session log: one event per operation.
 const (
 	eventSuggest = "suggest"
 	eventReport  = "report"
-	// eventKnowledge records one fleet-knowledge query and the advice it
-	// returned. Derived like promote/rollback — a replayed suggest
-	// regenerates it — but it also CARRIES state: replay feeds the logged
-	// advice back to the tuner instead of re-querying the live store.
-	eventKnowledge = "knowledge"
 )
 
-// event is one logged session operation. Every source of randomness is
-// seeded, so replaying events on a session restored from a snapshot
-// reproduces the session that logged them bit for bit: the WAL tail on
-// top of a base's state.
+// event is one logged session operation, together with everything it
+// derived that replay either cannot recompute or need not: the advice
+// its fleet queries returned, the hyperparameters a refit installed,
+// whether a re-cluster check adopted a new clustering, and the rollout
+// decision it triggered. Every source of randomness is seeded, so
+// replaying events on a session restored from a snapshot reproduces the
+// session that logged them bit for bit: the WAL tail on top of a base's
+// state. An op and its derivations share one CRC-framed record, so a
+// torn log never separates them.
 type event struct {
 	Kind    string   `json:"kind"`
 	Outcome *Outcome `json:"outcome,omitempty"`
-	// Rollout carries a promote/rollback decision's provenance.
+	// Knowledge holds the advice each fleet query returned, in query
+	// order; a nil entry is a miss.
+	Knowledge []*knowledge.Advice `json:"knowledge,omitempty"`
+	// Fit holds the hyperparameters a report's refit installed.
+	Fit *gp.Refit `json:"fit,omitempty"`
+	// Adopted marks a report whose re-cluster check adopted a new
+	// clustering.
+	Adopted bool `json:"adopted,omitempty"`
+	// Rollout carries the provenance of the rollout decision a report
+	// triggered (promote, rollback, switchover or chain rollback).
 	Rollout *RolloutEvent `json:"rollout,omitempty"`
-	// Knowledge carries a fleet-knowledge query's result.
-	Knowledge *knowledgeEvent `json:"knowledge,omitempty"`
 }
 
 // sessionState is the exact state of a session: everything the next
@@ -195,7 +200,8 @@ func (s *Session) importState(h snapshotHeader, st *sessionState) error {
 // session's subsequent recommendations are bitwise-identical to those an
 // uninterrupted session would have produced.
 func Restore(data []byte) (*Session, error) {
-	return restore(data, nil, nil)
+	s, _, err := restore(data, nil, nil)
+	return s, err
 }
 
 // parseSnapshot decodes a snapshot document and checks its envelope.
@@ -214,81 +220,74 @@ func parseSnapshot(data []byte) (snapshotFile, error) {
 // knowledge store, so a hydrated session
 // resumes contributing to (and querying) the live store once replay
 // finishes; replay itself never touches it — it consumes the logged
-// advice. The restored session holds the replayed events.
-func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, error) {
+// advice. It returns how many events it replayed; the restored session
+// holds none of them, since the log already does.
+func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, error) {
 	f, err := parseSnapshot(base)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	tail, err := decodeTail(recs, f.Next)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if f.State == nil {
-		return nil, errors.New("tune: snapshot carries no state")
+		return nil, 0, errors.New("tune: snapshot carries no state")
 	}
 	f.Config.fleet = fleet
 	s, err := NewSession(f.Config)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := s.importState(f.snapshotHeader, f.State); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if s.know != nil {
-		// Feed the logged advice sequence to the adapter: replayed queries
-		// pop it in order, so the tuner sees exactly what it saw live.
-		s.know.beginReplay(knowledgeQueue(tail))
-		defer s.know.endReplay()
+	if err := s.replayEvents(tail); err != nil {
+		return nil, 0, err
 	}
-	// Rollout decisions and knowledge queries are derived from the
-	// replayed reports and suggests — during replay s.events accumulates
-	// exactly the regenerated ones, which must line up one-to-one with the
-	// logged ones (verified is the cursor into the regenerated sequence).
-	verified := 0
-	if err := s.replayEvents(tail, &verified); err != nil {
-		return nil, err
-	}
-	if verified != len(s.events) {
-		return nil, fmt.Errorf("tune: replay produced %d rollout decisions, snapshot logged %d", len(s.events), verified)
-	}
-	s.events, s.evBase = tail, f.Next
-	return s, nil
+	s.evBase = f.Next + len(tail)
+	return s, len(tail), nil
 }
 
-// replayEvents replays logged events into s, advancing the
-// rollout-decision verification cursor.
-func (s *Session) replayEvents(events []event, verified *int) error {
-	for i, ev := range events {
+// replayEvents replays logged events into s. A suggest applies only its
+// state effects; every op installs the derivations its event logged
+// instead of recomputing them, and must reach exactly those, and a
+// report must make the rollout decision its event logged.
+func (s *Session) replayEvents(events []event) error {
+	s.know.replaying = true
+	defer func() { s.know.replaying, s.know.op = false, nil }()
+	for i := range events {
+		ev := &events[i]
+		s.know.begin(ev)
+		var err error
 		switch ev.Kind {
 		case eventSuggest:
-			s.suggestLocked()
+			s.proposeLocked()
 		case eventReport:
 			if ev.Outcome == nil {
-				return fmt.Errorf("tune: snapshot event %d: report without outcome", i)
+				return fmt.Errorf("tune: wal event %d: report without outcome", i)
 			}
-			s.reportLocked(*ev.Outcome)
-		case rollout.EventPromote, rollout.EventRollback, rollout.EventSwitchover, rollout.EventChainRollback:
-			if *verified >= len(s.events) || s.events[*verified].Kind != ev.Kind {
-				return fmt.Errorf("tune: snapshot event %d: replay did not reproduce the logged %s decision", i, ev.Kind)
+			if got := s.reportLocked(*ev.Outcome); !sameDecision(got, ev.Rollout) {
+				err = fmt.Errorf("replay made rollout decision %+v, the op logged %+v", got, ev.Rollout)
 			}
-			if got := s.events[*verified].Rollout; got != nil && ev.Rollout != nil && got.Iter != ev.Rollout.Iter {
-				return fmt.Errorf("tune: snapshot event %d: replay made the %s decision at iter %d, snapshot logged iter %d",
-					i, ev.Kind, got.Iter, ev.Rollout.Iter)
-			}
-			*verified++
-		case eventKnowledge:
-			if *verified >= len(s.events) || s.events[*verified].Kind != ev.Kind {
-				return fmt.Errorf("tune: snapshot event %d: replay did not reproduce the logged knowledge query", i)
-			}
-			got, want := s.events[*verified].Knowledge, ev.Knowledge
-			if (got == nil || got.Advice == nil) != (want == nil || want.Advice == nil) {
-				return fmt.Errorf("tune: snapshot event %d: replayed knowledge query diverged from the logged advice", i)
-			}
-			*verified++
 		default:
-			return fmt.Errorf("tune: snapshot event %d: unknown kind %q", i, ev.Kind)
+			return fmt.Errorf("tune: wal event %d: unknown kind %q", i, ev.Kind)
+		}
+		if err == nil {
+			err = s.know.replayed()
+		}
+		if err != nil {
+			return fmt.Errorf("tune: wal event %d: %w", i, err)
 		}
 	}
 	return nil
+}
+
+// sameDecision reports whether two rollout decisions agree in kind and
+// iteration (nil: no decision).
+func sameDecision(a, b *RolloutEvent) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind == b.Kind && a.Iter == b.Iter
 }

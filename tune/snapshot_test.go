@@ -254,11 +254,11 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		}
 		return [][]byte{data}
 	}
-	if _, err := restore(base, tailRecord(event{Kind: eventReport}), nil); err == nil {
+	if _, _, err := restore(base, tailRecord(event{Kind: eventReport}), nil); err == nil {
 		t.Fatal("accepted report event without outcome")
 	}
 	oc := goldenOutcome(3)
-	if _, err := restore(base, tailRecord(event{Kind: eventReport, Outcome: &oc}), nil); err != nil {
+	if _, _, err := restore(base, tailRecord(event{Kind: eventReport, Outcome: &oc}), nil); err != nil {
 		t.Fatalf("well-formed report tail record: %v", err)
 	}
 }
@@ -282,12 +282,12 @@ func TestRestoreRejectsOtherVersions(t *testing.T) {
 	if _, err := Restore(goldenAtVersion(t, SnapshotVersion)); err != nil {
 		t.Fatalf("golden snapshot does not restore: %v", err)
 	}
-	for _, v := range []int{0, 1, 8, 10, 999} {
+	for _, v := range []int{0, 1, 9, 11, 999} {
 		_, err := Restore(goldenAtVersion(t, v))
 		if err == nil {
 			t.Fatalf("restored a version-%d snapshot", v)
 		}
-		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 9"} {
+		for _, frag := range []string{fmt.Sprintf("version %d", v), "want 10"} {
 			//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name both versions), not on error identity
 			if !strings.Contains(err.Error(), frag) {
 				t.Fatalf("version-%d error %q does not mention %q", v, err, frag)
