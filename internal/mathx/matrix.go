@@ -117,19 +117,6 @@ func (m *Matrix) AddDiag(v float64) *Matrix {
 	return m
 }
 
-// Trace returns the sum of diagonal elements.
-func (m *Matrix) Trace() float64 {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += m.At(i, i)
-	}
-	return s
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

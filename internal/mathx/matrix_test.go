@@ -22,9 +22,6 @@ func TestMatrixBasics(t *testing.T) {
 	if mt.At(1, 0) != 2 || mt.At(0, 1) != 3 {
 		t.Fatalf("transpose wrong: %+v", mt)
 	}
-	if got := m.Trace(); got != 13 {
-		t.Fatalf("trace = %v, want 13", got)
-	}
 }
 
 func TestMatrixMul(t *testing.T) {

@@ -112,16 +112,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
 
-// Sigmoid returns 1/(1+e^-x) with guards against overflow.
-func Sigmoid(x float64) float64 {
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	return z / (1 + z)
-}
-
 // Linspace returns n evenly spaced values from lo to hi inclusive.
 // n must be >= 2.
 func Linspace(lo, hi float64, n int) []float64 {

@@ -65,24 +65,6 @@ func TestNormalCDF(t *testing.T) {
 	}
 }
 
-func TestSigmoid(t *testing.T) {
-	if !almostEq(Sigmoid(0), 0.5, 1e-12) {
-		t.Fatal("Sigmoid(0) != 0.5")
-	}
-	if Sigmoid(1000) != 1 && !almostEq(Sigmoid(1000), 1, 1e-12) {
-		t.Fatal("overflow guard failed high")
-	}
-	if !almostEq(Sigmoid(-1000), 0, 1e-12) {
-		t.Fatal("overflow guard failed low")
-	}
-	// Symmetry: s(x) + s(-x) = 1.
-	for _, x := range []float64{0.1, 1, 3, 17} {
-		if !almostEq(Sigmoid(x)+Sigmoid(-x), 1, 1e-12) {
-			t.Fatalf("symmetry broken at %v", x)
-		}
-	}
-}
-
 func TestCumSumLinspace(t *testing.T) {
 	ls := Linspace(0, 1, 5)
 	if ls[0] != 0 || ls[4] != 1 || !almostEq(ls[2], 0.5, 1e-12) {

@@ -89,12 +89,11 @@ func TestHydrateReplaysOnlyTheTail(t *testing.T) {
 	}
 }
 
-// TestCheckpointFailureLosesNothing: events a failed persist leaves
-// queued stay in memory until a persist succeeds, so a Snapshot taken in
-// between — which never drops them — equals an uninterrupted session's
-// snapshot byte for byte and restores to it; the next successful
-// operation persists them, and a restarted manager resumes
-// bit-identically.
+// TestCheckpointFailureLosesNothing: a failed persist drops the log but
+// not the session, so a Snapshot taken in between equals an
+// uninterrupted session's byte for byte and restores to it; the first
+// successful operation re-bases the session's exact state instead of
+// re-appending, and a restarted manager resumes bit-identically.
 func TestCheckpointFailureLosesNothing(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewManagerOpts(dir, ManagerOptions{NoFsync: true, CompactMin: 4})
@@ -125,14 +124,6 @@ func TestCheckpointFailureLosesNothing(t *testing.T) {
 	if err := ref.Report(goldenOutcome(6)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Get("db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued := s.EventCount()
-	if queued == 0 {
-		t.Fatal("a failed persist dropped its events")
-	}
 	data, err := m.Snapshot("db")
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +135,6 @@ func TestCheckpointFailureLosesNothing(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatal("snapshot after a failed persist differs from the uninterrupted session's")
 	}
-	if s.EventCount() != queued {
-		t.Fatalf("Snapshot dropped events: %d held, %d before", s.EventCount(), queued)
-	}
 	restored, err := Restore(data)
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +144,10 @@ func TestCheckpointFailureLosesNothing(t *testing.T) {
 	}
 
 	m.checkpointFailure = nil
+	before := m.Stats().Compactions
 	managedStep(t, m, "db", ref, 7)
-	if n := s.EventCount(); n != 0 {
-		t.Fatalf("%d persisted events still held", n)
+	if got := m.Stats().Compactions; got != before+1 {
+		t.Fatalf("the first successful interval after the fault wrote %d bases, want 1", got-before)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -169,6 +158,75 @@ func TestCheckpointFailureLosesNothing(t *testing.T) {
 	}
 	defer m2.Close()
 	managedStep(t, m2, "db", ref, 8)
+	sameSnapshotSession(t, m2, ref)
+}
+
+// TestCheckpointFailureSurvivesClose: a report acked with ErrDurability
+// advanced the session in memory, and a clean Close re-bases it, so the
+// next boot resumes after that report — with and without the shared
+// committer — and continues bit-identically with a never-restarted
+// session.
+func TestCheckpointFailureSurvivesClose(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		opts ManagerOptions
+	}{
+		{"per-log", ManagerOptions{NoFsync: true}},
+		{"group-commit", ManagerOptions{NoFsync: true, CommitInterval: -1}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := NewManagerOpts(dir, arm.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Space: "case5", Seed: 29}
+			if _, err := m.Create("db", cfg); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k = 4
+			for i := 0; i < k; i++ {
+				managedStep(t, m, "db", ref, i)
+			}
+			if _, err := m.Suggest(context.Background(), "db"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Suggest(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			m.checkpointFailure = func() error { return errors.New("injected checkpoint fault") }
+			if iter, err := m.Report("db", goldenOutcome(k)); !errors.Is(err, ErrDurability) || iter != k+1 {
+				t.Fatalf("Report under a persistent fault: iter %d, err = %v, want %d and ErrDurability", iter, err, k+1)
+			}
+			if err := ref.Report(goldenOutcome(k)); err != nil {
+				t.Fatal(err)
+			}
+			m.checkpointFailure = nil
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := NewManagerOpts(dir, arm.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			s, err := m2.Get("db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Iter(); got != k+1 {
+				t.Fatalf("rebooted at iter %d, want %d: the report acked before Close was lost", got, k+1)
+			}
+			for i := k + 1; i < k+4; i++ {
+				managedStep(t, m2, "db", ref, i)
+			}
+			sameSnapshotSession(t, m2, ref)
+		})
+	}
 }
 
 // damagedGoldens are the golden snapshot with one part of its state

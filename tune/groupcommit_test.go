@@ -882,58 +882,57 @@ func TestManagerSyncBudget(t *testing.T) {
 // its payloads are byte-for-byte what json.Marshal produces, so pooling
 // cannot perturb WAL contents or replay.
 func TestWalEncoderMatchesMarshal(t *testing.T) {
-	evs := encoderBenchEvents(t, 5)
 	wenc := walEncoders.Get().(*walEncoder)
 	defer walEncoders.Put(wenc)
-	payloads, err := wenc.encode(evs, 2, 7, "canary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(payloads) != len(evs) {
-		t.Fatalf("encoded %d payloads for %d events", len(payloads), len(evs))
-	}
-	for i, ev := range evs {
-		want, err := json.Marshal(walRecord{Idx: 2 + i, Iter: 7, Phase: "canary", Event: ev})
+	for i, rec := range encoderBenchRecords(t, 5) {
+		payload, err := wenc.encode(&rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(payloads[i]) != string(want) {
-			t.Fatalf("payload %d diverges from json.Marshal\npooled:  %s\nmarshal: %s", i, payloads[i], want)
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(payload) != string(want) {
+			t.Fatalf("payload %d diverges from json.Marshal\npooled:  %s\nmarshal: %s", i, payload, want)
 		}
 	}
 }
 
-// encoderBenchEvents produces a realistic event tail by driving a real
+// encoderBenchRecords produces realistic WAL records by driving a real
 // session for a few intervals.
-func encoderBenchEvents(tb testing.TB, intervals int) []event {
+func encoderBenchRecords(tb testing.TB, intervals int) []walRecord {
 	tb.Helper()
 	s, err := NewSession(Config{Space: "case5", Seed: 11})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	var recs []walRecord
 	for i := 0; i < intervals; i++ {
-		if _, err := s.Suggest(context.Background()); err != nil {
+		_, rec, err := s.suggest(context.Background())
+		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := s.Report(goldenOutcome(i)); err != nil {
-			tb.Fatal(err)
-		}
+		recs = append(recs, rec, s.report(goldenOutcome(i)))
 	}
-	return s.eventsSince(0)
+	return recs
 }
 
 // BenchmarkCheckpointEncode audits the pooled encoder with -benchmem:
 // the pooled arm must report ~zero allocations per operation at steady
-// state, against the per-record json.Marshal it replaced.
+// state, against the per-record json.Marshal it replaced. One operation
+// encodes the 16 records of 8 intervals, one call per record.
 func BenchmarkCheckpointEncode(b *testing.B) {
-	evs := encoderBenchEvents(b, 8)
+	recs := encoderBenchRecords(b, 8)
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			wenc := walEncoders.Get().(*walEncoder)
-			if _, err := wenc.encode(evs, 0, 8, ""); err != nil {
-				b.Fatal(err)
+			for j := range recs {
+				if _, err := wenc.encode(&recs[j]); err != nil {
+					b.Fatal(err)
+				}
 			}
 			walEncoders.Put(wenc)
 		}
@@ -942,8 +941,8 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for j, ev := range evs {
-				if _, err := json.Marshal(walRecord{Idx: j, Iter: 8, Event: ev}); err != nil {
+			for _, rec := range recs {
+				if _, err := json.Marshal(rec); err != nil {
 					b.Fatal(err)
 				}
 			}

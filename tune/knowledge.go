@@ -14,7 +14,7 @@ import (
 )
 
 // knowAdapter connects one session's tuner to the fleet knowledge base
-// and to the session's op log. Live, it records what each op derived on
+// and to each op's WAL record. Live, it records what each op derived on
 // the op's own event: the advice every fleet query returned (nil
 // records a miss), the hyperparameters a refit installed and whether a
 // re-cluster check adopted a new clustering. Replaying an event, it

@@ -32,9 +32,10 @@ var (
 	ErrInvalid = errors.New("invalid request")
 	// ErrDurability marks an operation whose in-memory effect succeeded
 	// but whose checkpoint failed twice: the session advanced, the write
-	// was NOT made durable, and the un-persisted events retry on the
-	// next successful operation. Transports map it to 503 so clients
-	// back off instead of resubmitting the same interval.
+	// was NOT made durable, and the failed checkpoint dropped the
+	// session's log; the next successful operation, eviction or shutdown
+	// writes a fresh base of its exact state. Transports map it to 503 so
+	// clients back off instead of resubmitting the same interval.
 	ErrDurability = errors.New("durability failure")
 )
 
@@ -97,9 +98,9 @@ type ManagerOptions struct {
 // managedSession), with no mutex held, so one session's model work,
 // hydration or fsync never blocks another session, List or Stats.
 //
-// Durability: each operation appends its events to the session's
-// write-ahead log (<id>.wal), one fsync per interval — a suggest's are
-// written and ride on its report's — and a periodic compaction writes
+// Durability: each operation appends its one record to the session's
+// write-ahead log (<id>.wal), one fsync per interval — a suggest's is
+// written and rides on its report's — and a periodic compaction writes
 // the session's exact state as an atomic base snapshot (<id>.base.json)
 // and resets the tail, so lifetime checkpoint bytes stay linear in
 // session length instead of quadratic. With CommitInterval
@@ -116,7 +117,7 @@ type ManagerOptions struct {
 // WAL tails (O(#sessions)); a session's base is decoded and its tail
 // replayed on its first touch, and once more sessions are resident than
 // MaxResident the least-recently-used flushes its tail and is dropped
-// from memory. A resident session keeps no persisted events. A fleet of
+// from memory. A resident session keeps no op log. A fleet of
 // thousands of mostly-idle sessions costs a bounded working set.
 type Manager struct {
 	stateDir string
@@ -160,7 +161,7 @@ type Manager struct {
 // s is nil while the session lives only on disk.
 //
 // Concurrency: the registry fields are guarded by Manager.mu. The
-// heavyweight state — s, log, persisted, baseBytes — is guarded by the
+// heavyweight state — s, log, baseBytes, held — is guarded by the
 // op GATE (busy + cond): acquire claims it and release hands it off,
 // both under Manager.mu, so gate holders access the state without any
 // lock held. That keeps candidate scoring, checkpoint serialization and
@@ -179,12 +180,10 @@ type managedSession struct {
 	info    SessionInfo   // cached summary List and Info serve without hydrating
 
 	// Guarded by the op gate.
-	s   *Session // nil when evicted
-	log *wal.Log // nil until the first persist or hydration opens it
-	// persisted is the global event index up to which events are
-	// durable; everything at or past it is appended on the next persist
-	// (the retry path after a durability failure).
-	persisted int
+	s *Session // nil when evicted
+	// log is nil until the first persist or hydration opens it, and again
+	// after a failed persist: the next one then re-bases the session.
+	log *wal.Log
 	// baseBytes is the size of the on-disk base snapshot.
 	baseBytes int64
 	// held are the suggest payloads written to log since its last sync,
@@ -610,7 +609,7 @@ func (m *Manager) noteResident(e *managedSession) []*managedSession {
 // evict persists and drops each victim from memory. A victim deleted or
 // touched between selection and here (it re-entered the LRU) is
 // skipped; one whose flush fails is re-inserted rather than dropped,
-// since losing un-persisted events is never acceptable.
+// since losing acked state is never acceptable.
 func (m *Manager) evict(victims []*managedSession) {
 	for _, v := range victims {
 		m.evictOne(v)
@@ -638,12 +637,12 @@ func (m *Manager) evictOne(v *managedSession) {
 	if v.s == nil {
 		return
 	}
-	// Flushing the pending tail is enough: hydration replays base+tail,
-	// so eviction must NOT force a compaction — under LRU churn that
-	// would rewrite the base snapshot on every eviction and reintroduce
-	// the quadratic lifetime I/O the WAL exists to avoid. Compaction
-	// stays on its byte schedule inside tryPersistLocked.
-	if err := m.tryPersistLocked(v); err != nil {
+	// The log already holds every op, so hydration replays base+tail and
+	// eviction must NOT force a compaction — under LRU churn that would
+	// rewrite the base snapshot on every eviction and reintroduce the
+	// quadratic lifetime I/O the WAL exists to avoid. Only a session whose
+	// last persist failed (its log dropped) is re-based here.
+	if err := m.tryPersistLocked(v, nil); err != nil {
 		m.reinsert(v)
 		return
 	}
@@ -673,12 +672,13 @@ func (m *Manager) reinsert(v *managedSession) {
 	m.mu.Unlock()
 }
 
-// persistLocked makes the entry's pending events durable, retrying once
-// and wrapping a double failure in ErrDurability. The in-memory session
-// has already advanced either way — the persisted cursor keeps the
-// unflushed events queued, so the next successful operation self-heals.
-// The cached summary is refreshed in every case.
-func (m *Manager) persistLocked(e *managedSession) error {
+// persistLocked makes op, the record of the operation just run, durable,
+// retrying once and wrapping a double failure in ErrDurability. The
+// in-memory session has already advanced either way. A failed attempt
+// drops the log, so the retry — or, after a double failure, the next
+// operation, eviction or Close — re-bases the session's exact state
+// instead of re-appending. The cached summary is refreshed in every case.
+func (m *Manager) persistLocked(e *managedSession, op *walRecord) error {
 	info := sessionInfo(e.id, e.s)
 	m.mu.Lock()
 	e.info = info
@@ -686,13 +686,13 @@ func (m *Manager) persistLocked(e *managedSession) error {
 	if m.stateDir == "" {
 		return nil
 	}
-	err := m.tryPersistLocked(e)
+	err := m.tryPersistLocked(e, op)
 	if err == nil {
 		return nil
 	}
 	m.durabilityRetries.Add(1)
-	if err2 := m.tryPersistLocked(e); err2 != nil {
-		return fmt.Errorf("tune: %w: session %q advanced in memory but two checkpoint attempts failed (%v; retry: %v); its un-persisted events will be flushed by the next successful operation",
+	if err2 := m.tryPersistLocked(e, nil); err2 != nil {
+		return fmt.Errorf("tune: %w: session %q advanced in memory but two checkpoint attempts failed (%v; retry: %v); the next successful operation, eviction or shutdown writes a fresh base of its state",
 			ErrDurability, e.id, err, err2)
 	}
 	return nil
@@ -742,7 +742,7 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	err = func() error {
 		defer m.release(e)
 		if m.stateDir != "" {
-			if perr := m.tryPersistLocked(e); perr != nil {
+			if perr := m.tryPersistLocked(e, nil); perr != nil {
 				// Roll the registration back: a session that could not be
 				// made durable must not exist in memory only, or a client
 				// retry hits "already exists" for a session that would
@@ -765,7 +765,9 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Get returns the session under id, hydrating it if evicted.
+// Get returns the session under id, hydrating it if evicted. Operations
+// that must be durable go through the Manager: the Session's own Suggest
+// and Report bypass its log.
 func (m *Manager) Get(id string) (*Session, error) {
 	var s *Session
 	err := m.withSession(id, func(e *managedSession) error {
@@ -892,32 +894,30 @@ func (m *Manager) KnowledgeImport(data []byte) (int, error) {
 	return m.know.importSnapshot(data)
 }
 
-// Suggest runs Session.Suggest on the named session and persists the
-// new events. On ErrDurability the advice is still returned: the
-// session advanced in memory and will flush with the next operation.
+// Suggest runs Session.Suggest on the named session and persists its
+// record. On ErrDurability the advice is still returned: the session
+// advanced in memory and is re-based by the next successful operation.
 func (m *Manager) Suggest(ctx context.Context, id string) (Advice, error) {
 	var adv Advice
 	err := m.withSession(id, func(e *managedSession) error {
-		a, err := e.s.Suggest(ctx)
+		a, op, err := e.s.suggest(ctx)
 		if err != nil {
 			return err
 		}
 		adv = a
-		return m.persistLocked(e)
+		return m.persistLocked(e, &op)
 	})
 	return adv, err
 }
 
-// Report runs Session.Report on the named session and persists the new
-// events. It returns the session's iteration count after the report.
+// Report runs Session.Report on the named session and persists its
+// record. It returns the session's iteration count after the report.
 func (m *Manager) Report(id string, o Outcome) (int, error) {
 	var iter int
 	err := m.withSession(id, func(e *managedSession) error {
-		if err := e.s.Report(o); err != nil {
-			return err
-		}
-		iter = e.s.Iter()
-		return m.persistLocked(e)
+		op := e.s.report(o)
+		iter = op.Iter
+		return m.persistLocked(e, &op)
 	})
 	return iter, err
 }
@@ -946,8 +946,9 @@ func (m *Manager) Rollout(id string) (RolloutStatus, error) {
 // Close flushes and closes every resident session's log. The shared
 // committer shuts down first — its final rotation fsyncs every log the
 // journal still covers and truncates the journal, so a clean shutdown
-// leaves nothing for the next boot's recovery — then each session's log
-// is closed under its op gate. The manager must not be used afterwards
+// leaves nothing for the next boot's recovery — then, under each
+// session's op gate, a session whose last persist failed is re-based and
+// its log closed. The manager must not be used afterwards
 // (a request racing Close degrades to a per-session fsync and stays
 // durable; it is not lost).
 func (m *Manager) Close() error {
@@ -971,6 +972,9 @@ func (m *Manager) Close() error {
 	for _, e := range es {
 		if !m.acquire(e) {
 			continue // deleted concurrently
+		}
+		if err := m.tryPersistLocked(e, nil); err != nil && first == nil {
+			first = err
 		}
 		if e.log != nil {
 			if err := e.log.Close(); err != nil && first == nil {

@@ -733,3 +733,35 @@ func TestDuplicateCreateBuildsNothing(t *testing.T) {
 		t.Fatalf("duplicate creates pre-trained %d times", d)
 	}
 }
+
+// TestSessionKeepsNoOpLog: an op hands its WAL record to the Manager and
+// the session keeps nothing of it, so neither an in-memory Manager,
+// which persists nothing, nor a standalone session retains a per-op
+// event.
+func TestSessionKeepsNoOpLog(t *testing.T) {
+	m, err := NewManager("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	cfg := Config{Space: "case5", Seed: 31}
+	if _, err := m.Create("db", cfg); err != nil {
+		t.Fatal(err)
+	}
+	standalone, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		managedStep(t, m, "db", standalone, i)
+	}
+	managed, err := m.Get("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Session{"in-memory managed": managed, "standalone": standalone} {
+		if n := s.EventCount(); n != 0 {
+			t.Errorf("%s session holds %d events after 50 intervals, want 0", name, n)
+		}
+	}
+}

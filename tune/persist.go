@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"repro/internal/wal"
@@ -40,13 +39,14 @@ func (m *Manager) walOptions() wal.Options {
 
 // walRecord is the JSON payload of one WAL frame: a single session
 // event (one op and everything it derived) plus enough envelope to
-// recover without parsing the base first.
-// Idx is the event's index in the session's global event log, so replay
-// can skip records that predate the current base (its header's Next; a
-// crash between the base's rename and the log's reset leaves such stale
-// records) and detect gaps. Iter and Phase mirror the session counters
-// AFTER the batch containing this record, so the boot scan can summarize
-// an evicted session from the log's final record alone.
+// recover without parsing the base first. Idx is the event's index in
+// the session's global event sequence, so replay can skip records that
+// predate the current base (its header's Next; a crash between the
+// base's rename and the log's reset leaves such stale records) and
+// detect gaps. Iter and Phase mirror the session counters AFTER the op,
+// so the boot scan can summarize an evicted session from the log's
+// final record alone. The op builds its record under the session lock
+// and hands it to the Manager.
 type walRecord struct {
 	Idx   int    `json:"idx"`
 	Iter  int    `json:"iter"`
@@ -77,96 +77,76 @@ func decodeTail(recs [][]byte, next int) ([]event, error) {
 	return tail, nil
 }
 
-// walEncoder is pooled scratch for marshaling walRecords: every record
-// of one persist encodes into a single reused buffer, so the hot path
-// allocates nothing for checkpoint framing at steady state. The encoder
-// produces byte-for-byte what json.Marshal would (Encode is Marshal
-// plus a newline, stripped here), keeping WAL contents — and therefore
-// replay — bitwise identical to the unpooled path.
+// walEncoder is a pooled encoder that marshals walRecords into a reused
+// buffer, so the hot path allocates nothing for checkpoint framing at
+// steady state. The encoder produces byte-for-byte what json.Marshal
+// would (Encode is Marshal plus a newline, stripped here), keeping WAL
+// contents — and therefore replay — bitwise identical to the unpooled
+// path.
 type walEncoder struct {
-	buf      bytes.Buffer
-	enc      *json.Encoder
-	ends     []int
-	payloads [][]byte
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
 var walEncoders = sync.Pool{New: func() any { return new(walEncoder) }}
 
-// encode marshals one walRecord per event and returns per-record
-// payload views into the shared buffer — valid until the encoder is
-// reused. Offsets are recorded during encoding and sliced only at the
-// end, because the buffer may reallocate as it grows.
-func (w *walEncoder) encode(evs []event, start, iter int, phase string) ([][]byte, error) {
+// encode marshals rec and returns a view of the payload in the shared
+// buffer — valid until the encoder is reused.
+func (w *walEncoder) encode(rec *walRecord) ([]byte, error) {
 	if w.enc == nil {
 		w.enc = json.NewEncoder(&w.buf)
 	}
 	w.buf.Reset()
-	w.ends = w.ends[:0]
-	for i, ev := range evs {
-		if err := w.enc.Encode(walRecord{Idx: start + i, Iter: iter, Phase: phase, Event: ev}); err != nil {
-			return nil, err
-		}
-		w.ends = append(w.ends, w.buf.Len())
+	if err := w.enc.Encode(rec); err != nil {
+		return nil, err
 	}
-	data := w.buf.Bytes()
-	w.payloads = w.payloads[:0]
-	prev := 0
-	for _, end := range w.ends {
-		w.payloads = append(w.payloads, data[prev:end-1]) // strip Encode's trailing newline
-		prev = end
-	}
-	return w.payloads, nil
+	return w.buf.Bytes()[:w.buf.Len()-1], nil // strip Encode's trailing newline
 }
 
 // tryPersistLocked makes the session's state durable once (the caller
-// handles retries and ErrDurability wrapping). Normal path: append the
-// events since the persisted cursor to the WAL and commit them — one
-// sync point per interval, as a batch of suggests alone rides on the
-// next commit (see commitTail), and that one shared fleet-wide when the
-// manager's committer is on — then let the session drop them. The base
-// snapshot is rewritten only on the first write (creation), after a WAL
-// write error (the log is dropped so the next attempt re-bases
-// atomically), or when compaction is due.
-func (m *Manager) tryPersistLocked(e *managedSession) error {
+// handles retries and ErrDurability wrapping). Normal path: append op,
+// the record of the op just run, to the WAL and commit it — one sync
+// point per interval, as a suggest rides on the next commit (see
+// commitTail), and that one shared fleet-wide when the manager's
+// committer is on. A nil op only re-bases a session whose log is gone.
+// The base snapshot is rewritten on the first write (creation), after
+// any failed attempt (which drops the log, so the next attempt re-bases
+// atomically instead of re-appending), or when compaction is due.
+func (m *Manager) tryPersistLocked(e *managedSession, op *walRecord) error {
 	if m.stateDir == "" || e.s == nil {
 		return nil
 	}
 	if m.checkpointFailure != nil {
 		// Test seam: injected durability faults.
 		if err := m.checkpointFailure(); err != nil {
+			e.dropLogLocked()
 			return err
 		}
 	}
 	if e.log == nil {
 		return m.compactLocked(e)
 	}
-	evs := e.s.eventsSince(e.persisted)
-	if len(evs) == 0 {
+	if op == nil {
 		return nil
 	}
-	iter, phase := e.s.Iter(), e.s.RolloutPhase()
 	before := e.log.Size()
 	wenc := walEncoders.Get().(*walEncoder)
 	defer walEncoders.Put(wenc)
-	payloads, err := wenc.encode(evs, e.persisted, iter, phase)
+	payload, err := wenc.encode(op)
 	if err != nil {
 		return err
 	}
-	for _, data := range payloads {
-		if err := e.log.Append(data); err != nil {
-			e.dropLogLocked()
-			return err
-		}
+	if err := e.log.Append(payload); err != nil {
+		e.dropLogLocked()
+		return err
 	}
-	if err := m.commitTail(e, evs, payloads); err != nil {
-		// The buffered frames may have hit disk partially; appending after
+	if err := m.commitTail(e, op, payload); err != nil {
+		// The buffered frame may have hit disk partially; appending after
 		// an unknown flush state could tear the middle of the log. Drop
 		// the handle — the retry path rewrites an atomic base instead.
 		e.dropLogLocked()
 		return err
 	}
-	e.persisted += len(evs)
-	e.s.dropPersisted(e.persisted)
 	m.checkpointBytes.Add(e.log.Size() - before)
 	if m.compactDue(e) {
 		return m.compactLocked(e)
@@ -174,24 +154,22 @@ func (m *Manager) tryPersistLocked(e *managedSession) error {
 	return nil
 }
 
-// commitTail makes the records just appended to e.log durable — except
-// a batch of suggests alone, which is only flushed to the OS: kill -9
-// loses nothing, and the session's next commit (or eviction, compaction
-// or Close) syncs it. A suggest is a pure function of the state its log
-// holds, so one that a power failure loses is re-derived bit for bit on
-// retry; one that queried the fleet store logged the advice on its event
-// and commits like any other batch. Without a committer a commit is the
-// log's own flush+fsync. With one, the log is flushed and the held
-// suggest payloads enqueue ahead of the batch's, in index order, so the
-// journal holds one contiguous run; the wait returns when the journal's
-// batch fsync (or, degraded, this log's own) covers them. Enqueue copies
-// the payloads, so the pooled encoder can be reused once this returns.
-func (m *Manager) commitTail(e *managedSession, evs []event, payloads [][]byte) error {
-	if !slices.ContainsFunc(evs, func(ev event) bool { return ev.Kind != eventSuggest || ev.Knowledge != nil }) {
+// commitTail makes the record just appended to e.log durable — except
+// a suggest's, which is only flushed to the OS: kill -9 loses nothing,
+// and the session's next commit (or eviction, compaction or Close)
+// syncs it. A suggest is a pure function of the state its log holds, so
+// one that a power failure loses is re-derived bit for bit on retry;
+// one that queried the fleet store logged the advice on its event and
+// commits like a report. Without a committer a commit is the log's own
+// flush+fsync. With one, the log is flushed and the held suggest
+// payloads enqueue ahead of this one, in index order, so the journal
+// holds one contiguous run; the wait returns when the journal's batch
+// fsync (or, degraded, this log's own) covers them. Enqueue copies the
+// payloads, so the pooled encoder can be reused once this returns.
+func (m *Manager) commitTail(e *managedSession, op *walRecord, payload []byte) error {
+	if op.Event.Kind == eventSuggest && op.Event.Knowledge == nil {
 		if m.committer != nil {
-			for _, p := range payloads {
-				e.held = append(e.held, bytes.Clone(p))
-			}
+			e.held = append(e.held, bytes.Clone(payload))
 		}
 		return e.log.Flush()
 	}
@@ -201,7 +179,7 @@ func (m *Manager) commitTail(e *managedSession, evs []event, payloads [][]byte) 
 	if err := e.log.Flush(); err != nil {
 		return err
 	}
-	wait, err := m.committer.Enqueue(e.id, e.log, append(e.held, payloads...))
+	wait, err := m.committer.Enqueue(e.id, e.log, append(e.held, payload))
 	if err != nil {
 		// Committer already shut down (a request racing Close): degrade
 		// to a per-session fsync rather than failing the operation.
@@ -236,7 +214,7 @@ func (m *Manager) compactDue(e *managedSession) bool {
 // or the new base with stale tail records (skipped by index on
 // recovery) — never a state that loses events.
 func (m *Manager) compactLocked(e *managedSession) error {
-	data, next, err := e.s.snapshot(false)
+	data, err := e.s.snapshot(false)
 	if err != nil {
 		return err
 	}
@@ -261,8 +239,7 @@ func (m *Manager) compactLocked(e *managedSession) error {
 		// session: release the rotation hold on its log.
 		m.committer.Forget(e.log.Path())
 	}
-	e.persisted, e.baseBytes = next, int64(len(data))
-	e.s.dropPersisted(next)
+	e.baseBytes = int64(len(data))
 	m.compactions.Add(1)
 	return nil
 }
@@ -321,7 +298,7 @@ func (m *Manager) hydrateLocked(e *managedSession) error {
 		return fmt.Errorf("tune: restoring session %q: %w", e.id, err)
 	}
 	e.s, e.log = s, lg
-	e.persisted, e.baseBytes = s.nextEvent(), int64(len(data))
+	e.baseBytes = int64(len(data))
 	m.replayedEvents.Add(int64(replayed))
 	m.hydrations.Add(1)
 	return nil

@@ -16,8 +16,8 @@ import (
 // rolloutStep drives one suggest → eval → report interval of a
 // rollout-enabled session against primary and shadow simulator
 // replicas, attaching the shadow measurement whenever the advice staged
-// a canary.
-func rolloutStep(t *testing.T, s *Session, primary, shadow *dbsim.Instance, gen workload.Generator, i int) Advice {
+// a canary. It returns the advice and the report's WAL record.
+func rolloutStep(t *testing.T, s *Session, primary, shadow *dbsim.Instance, gen workload.Generator, i int) (Advice, walRecord) {
 	t.Helper()
 	adv, err := s.Suggest(context.Background())
 	if err != nil {
@@ -42,16 +42,13 @@ func rolloutStep(t *testing.T, s *Session, primary, shadow *dbsim.Instance, gen 
 		sres := shadow.Eval(st.Config, w, dbsim.EvalOptions{})
 		o.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: sres.Objective(w.OLAP), Failed: sres.Failed}}
 	}
-	if err := s.Report(o); err != nil {
-		t.Fatal(err)
-	}
-	return adv
+	return adv, s.report(o)
 }
 
 // TestSessionRolloutEndToEnd drives a rollout-enabled session through
 // the simulator and asserts the canary machinery works through the
-// public API: canaries are staged, decisions are made, the event log
-// records them, and the primary only ever runs promoted configurations.
+// public API: canaries are staged, decisions are made, the reports' WAL
+// records carry them, and the primary only ever runs promoted configurations.
 func TestSessionRolloutEndToEnd(t *testing.T) {
 	cfg := Config{Space: "case5", Seed: 7, Rollout: &RolloutConfig{}}
 	s, err := NewSession(cfg)
@@ -65,9 +62,17 @@ func TestSessionRolloutEndToEnd(t *testing.T) {
 	primary := dbsim.New(knobs.CaseStudy5(), 9)
 	shadow := dbsim.New(knobs.CaseStudy5(), 1009)
 	gen := workload.NewYCSB(5)
-	canaries := 0
+	canaries, decisions := 0, 0
 	for i := 0; i < 120; i++ {
-		adv := rolloutStep(t, s, primary, shadow, gen, i)
+		adv, rec := rolloutStep(t, s, primary, shadow, gen, i)
+		if ev := rec.Event; ev.Rollout != nil {
+			if ev.Kind != eventReport || ev.Rollout.Reason == "" {
+				t.Fatalf("decision not on its report or without provenance: %+v", ev)
+			}
+			if k := ev.Rollout.Kind; k == rollout.EventPromote || k == rollout.EventRollback {
+				decisions++
+			}
+		}
 		if adv.RolloutPhase == RolloutCanary {
 			canaries++
 		}
@@ -82,27 +87,15 @@ func TestSessionRolloutEndToEnd(t *testing.T) {
 	if st.Promotions+st.Rollbacks == 0 {
 		t.Fatal("canaries staged but no promotion decision ever made")
 	}
-	// The snapshot log must carry the decisions.
+	// The reports' WAL records must carry the decisions.
+	if decisions != st.Promotions+st.Rollbacks {
+		t.Fatalf("report records carry %d decisions, controller made %d", decisions, st.Promotions+st.Rollbacks)
+	}
+	// And the snapshot must restore.
 	data, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	decisions := 0
-	for _, ev := range s.events {
-		if ev.Rollout == nil {
-			continue
-		}
-		if ev.Kind != eventReport || ev.Rollout.Reason == "" {
-			t.Fatalf("decision not on its report or without provenance: %+v", ev)
-		}
-		if k := ev.Rollout.Kind; k == rollout.EventPromote || k == rollout.EventRollback {
-			decisions++
-		}
-	}
-	if decisions != st.Promotions+st.Rollbacks {
-		t.Fatalf("event log records %d decisions, controller made %d", decisions, st.Promotions+st.Rollbacks)
-	}
-	// And the snapshot must restore.
 	if _, err := Restore(data); err != nil {
 		t.Fatalf("restoring rollout session: %v", err)
 	}
@@ -139,8 +132,8 @@ func TestSnapshotRestoreRolloutProperty(t *testing.T) {
 				t.Fatalf("iter %d: Restore: %v", i, err)
 			}
 		}
-		a := rolloutStep(t, uninterrupted, priA, shA, genA, i)
-		b := rolloutStep(t, interrupted, priB, shB, genB, i)
+		a, _ := rolloutStep(t, uninterrupted, priA, shA, genA, i)
+		b, _ := rolloutStep(t, interrupted, priB, shB, genB, i)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("iter %d: advice diverged after mid-rollout restore\nuninterrupted: %+v\nrestored:      %+v", i, a, b)
 		}

@@ -223,9 +223,9 @@ type Advice struct {
 // OnlineTune with internal context featurization, so callers hand it
 // raw observations and receive configuration advice. Safe for
 // concurrent use. Snapshot serializes the session's exact state (see
-// Restore); every operation is also appended to an event log, which a
-// Manager appends to the session's WAL and replays on top of the last
-// snapshot when it recovers the session.
+// Restore); every operation also builds one WAL record, which a Manager
+// appends to the session's log and replays on top of the last snapshot
+// when it recovers the session.
 type Session struct {
 	mu    sync.Mutex
 	cfg   Config
@@ -248,10 +248,9 @@ type Session struct {
 	lastUnit []float64
 	lastCfg  KnobConfig
 
-	// events holds the logged events from global index evBase on: once
-	// a Manager has persisted them it drops them (dropPersisted).
-	events []event
-	evBase int
+	// next is the global index of the session's next op: the Idx of the
+	// WAL record that op hands the Manager.
+	next int
 }
 
 // NewSession creates a session from a declarative Config.
@@ -325,65 +324,29 @@ func (s *Session) Iter() int {
 	return s.iter
 }
 
-// EventCount returns the number of logged events (one per suggest or
-// report) the session holds in memory: those a Manager has not yet
-// persisted.
-func (s *Session) EventCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.events)
-}
-
-// nextEventLocked is the global index of the next event to be logged.
-func (s *Session) nextEventLocked() int { return s.evBase + len(s.events) }
-
-// nextEvent is nextEventLocked under the lock.
-func (s *Session) nextEvent() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextEventLocked()
-}
-
-// eventsSince returns a copy of the logged events from global index n on
-// — the not-yet-persisted suffix the Manager appends to the session's
-// write-ahead log after each operation.
-func (s *Session) eventsSince(n int) []event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := max(n-s.evBase, 0)
-	if i >= len(s.events) {
-		return nil
-	}
-	return append([]event(nil), s.events[i:]...)
-}
-
-// dropPersisted forgets the events before global index n once a Manager
-// has made them durable — a snapshot carries the state, so they are
-// never needed again.
-func (s *Session) dropPersisted(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := min(n-s.evBase, len(s.events))
-	if k <= 0 {
-		return
-	}
-	kept := copy(s.events, s.events[k:])
-	clear(s.events[kept:])
-	s.events = s.events[:kept]
-	s.evBase += k
-}
+// EventCount returns the number of ops the session holds in memory
+// awaiting persistence. It is 0 by construction: the session keeps no op
+// log — each op hands its one WAL record to the Manager, which writes it
+// before the op returns.
+func (s *Session) EventCount() int { return 0 }
 
 // Suggest recommends a configuration for the next interval, based on
 // the most recently reported workload (before any report: the initial
 // safe configuration).
 func (s *Session) Suggest(ctx context.Context) (Advice, error) {
+	adv, _, err := s.suggest(ctx)
+	return adv, err
+}
+
+// suggest is Suggest that also returns the op's WAL record.
+func (s *Session) suggest(ctx context.Context) (Advice, walRecord, error) {
 	if err := ctx.Err(); err != nil {
-		return Advice{}, err
+		return Advice{}, walRecord{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, event{Kind: eventSuggest})
-	s.know.begin(&s.events[len(s.events)-1])
+	op := walRecord{Event: event{Kind: eventSuggest}}
+	s.know.begin(&op.Event)
 	prevUnit := s.lastUnit
 	cfg, rec := s.proposeLocked()
 	adv := Advice{
@@ -412,7 +375,8 @@ func (s *Session) Suggest(ctx context.Context) (Advice, error) {
 	if ei, ok := s.tuner.T.ExpectedImprovementAt(s.lastCtx, adv.Unit, prevUnit); ok && !math.IsInf(ei, 0) && !math.IsNaN(ei) {
 		adv.EI, adv.HasEI = ei, true
 	}
-	return adv, nil
+	s.sealLocked(&op)
+	return adv, op, nil
 }
 
 // proposeLocked runs one Propose and applies its state effects — all a
@@ -432,14 +396,29 @@ func (s *Session) proposeLocked() (KnobConfig, *core.Recommendation) {
 // interval's context, the tuner observes the measurement, and the
 // context becomes the basis of the next Suggest.
 func (s *Session) Report(o Outcome) error {
+	s.report(o)
+	return nil
+}
+
+// report is Report returning the op's WAL record.
+func (s *Session) report(o Outcome) walRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	oc := o.clone()
-	s.events = append(s.events, event{Kind: eventReport, Outcome: &oc})
-	ev := &s.events[len(s.events)-1]
-	s.know.begin(ev)
-	ev.Rollout = s.reportLocked(oc)
-	return nil
+	op := walRecord{Event: event{Kind: eventReport, Outcome: &oc}}
+	s.know.begin(&op.Event)
+	op.Event.Rollout = s.reportLocked(oc)
+	s.sealLocked(&op)
+	return op
+}
+
+// sealLocked completes an op's record — its global index, and the
+// session's iter and rollout phase after it — and lets the knowledge
+// hook drop the event, so the session keeps nothing of the op.
+func (s *Session) sealLocked(op *walRecord) {
+	op.Idx, op.Iter, op.Phase = s.next, s.iter, string(s.tuner.T.RolloutPhase())
+	s.next++
+	s.know.op = nil
 }
 
 // reportLocked applies one outcome and returns the rollout decision

@@ -118,13 +118,12 @@ type snapshotFile struct {
 // configuration and its exact state now. The bytes are self-contained
 // — Restore rebuilds an equivalent session from them alone.
 func (s *Session) Snapshot() ([]byte, error) {
-	data, _, err := s.snapshot(true)
-	return data, err
+	return s.snapshot(true)
 }
 
 // snapshot serializes the session, indented or compact (the form of the
-// Manager's base files), and returns the snapshot's Next.
-func (s *Session) snapshot(indent bool) ([]byte, int, error) {
+// Manager's base files).
+func (s *Session) snapshot(indent bool) ([]byte, error) {
 	s.mu.Lock()
 	f := snapshotFile{
 		snapshotHeader: snapshotHeader{
@@ -132,7 +131,7 @@ func (s *Session) snapshot(indent bool) ([]byte, int, error) {
 			Kind:         snapshotKind,
 			Config:       s.cfg,
 			Iter:         s.iter,
-			Next:         s.nextEventLocked(),
+			Next:         s.next,
 			RolloutPhase: string(s.rolloutLocked().Phase),
 		},
 		State: s.exportLocked(),
@@ -142,14 +141,13 @@ func (s *Session) snapshot(indent bool) ([]byte, int, error) {
 	// State is a deep copy built under the lock and Config is immutable
 	// after NewSession.
 	if !indent {
-		data, err := json.Marshal(f)
-		return data, f.Next, err
+		return json.Marshal(f)
 	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return append(data, '\n'), f.Next, nil
+	return append(data, '\n'), nil
 }
 
 // exportLocked returns a copy of the session's exact state.
@@ -220,8 +218,7 @@ func parseSnapshot(data []byte) (snapshotFile, error) {
 // knowledge store, so a hydrated session
 // resumes contributing to (and querying) the live store once replay
 // finishes; replay itself never touches it — it consumes the logged
-// advice. It returns how many events it replayed; the restored session
-// holds none of them, since the log already does.
+// advice. It returns how many events it replayed.
 func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, error) {
 	f, err := parseSnapshot(base)
 	if err != nil {
@@ -245,7 +242,7 @@ func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, 
 	if err := s.replayEvents(tail); err != nil {
 		return nil, 0, err
 	}
-	s.evBase = f.Next + len(tail)
+	s.next = f.Next + len(tail)
 	return s, len(tail), nil
 }
 
