@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/knobs"
@@ -9,13 +10,70 @@ import (
 	"repro/tune"
 )
 
+// stoppingTuner is OnlineTune with the stopping-and-triggering policy
+// the paper sketches as future work (§8). The per-interval workflow —
+// featurization and the acquisition computation — runs every interval,
+// but reconfiguration pauses once patience consecutive intervals find no
+// candidate whose Expected Improvement over the applied configuration
+// reaches eiTrigger·|τ|. A high-EI interval (a context shift) or an
+// unsafe one resumes configuring; the model keeps learning while paused.
+type stoppingTuner struct {
+	*tune.OnlineTuner
+	eiTrigger float64
+	patience  int
+
+	applied   []float64 // unit of OnlineTune's latest recommendation
+	lowStreak int
+	holding   bool
+	pauses    int // intervals that held the applied configuration
+}
+
+func newStoppingTuner(space *knobs.Space, ctxDim int, seed int64, eiTrigger float64, patience int) *stoppingTuner {
+	return &stoppingTuner{
+		OnlineTuner: tune.NewOnlineTuner(space, ctxDim, space.DBADefault(), seed, tune.DefaultTunerOptions()),
+		eiTrigger:   eiTrigger,
+		patience:    patience,
+	}
+}
+
+func (s *stoppingTuner) Name() string { return "OnlineTune+Stopping" }
+
+// Propose holds the applied configuration while paused and otherwise
+// delegates to OnlineTune. A held interval leaves the embedded adapter's
+// last unit — the held one — as the unit Feedback observes.
+func (s *stoppingTuner) Propose(env tune.Env) tune.KnobConfig {
+	if s.applied != nil {
+		if s.T.ExpectedImprovementOver(env.Ctx, s.applied) < s.eiTrigger*math.Abs(env.Tau) {
+			s.lowStreak++
+		} else {
+			s.lowStreak, s.holding = 0, false
+		}
+		s.holding = s.holding || s.lowStreak >= s.patience
+		if s.holding {
+			s.pauses++
+			return s.T.Space.Decode(s.applied)
+		}
+	}
+	cfg := s.OnlineTuner.Propose(env)
+	s.applied = s.Last().Unit
+	return cfg
+}
+
+// Feedback forwards the measurement; an unsafe interval resumes
+// configuring.
+func (s *stoppingTuner) Feedback(env tune.Env, cfg tune.KnobConfig, res tune.Result) {
+	s.OnlineTuner.Feedback(env, cfg, res)
+	if res.Failed || res.Objective(env.OLAP) < env.Tau {
+		s.lowStreak, s.holding = 0, false
+	}
+}
+
 // Ext1Stopping evaluates the stopping-and-triggering extension the paper
 // proposes as future work (§8): OnlineTune pauses reconfiguration once no
 // candidate's Expected Improvement over the applied configuration clears
 // a threshold, and resumes when context changes make the EI spike. The
 // experiment compares the always-configure tuner against the stopping
-// variant on a workload with long stable plateaus (YCSB). Both variants
-// are driven through the public tune adapters.
+// variant on a workload with long stable plateaus (YCSB).
 func Ext1Stopping(iters int, seed int64) Report {
 	space := knobs.CaseStudy5()
 	feat := NewFeaturizer(seed)
@@ -32,17 +90,18 @@ func Ext1Stopping(iters int, seed int64) Report {
 	}
 
 	always, alwaysRe := runOne(tune.NewOnlineTunerNamed("OnlineTune", space, feat.Dim(), space.DBADefault(), seed, tune.DefaultTunerOptions()))
-	stop := tune.NewStoppingTuner(space, feat.Dim(), space.DBADefault(), seed, tune.DefaultTunerOptions(), 0.05, 4)
+	stop := newStoppingTuner(space, feat.Dim(), seed, 0.05, 4)
 	withStop, stopRe := runOne(stop)
-	pausedFraction := float64(stop.S.PauseCount) / float64(iters)
+	pausedFraction := float64(stop.pauses) / float64(iters)
 
 	t := NewTable("variant", "cumulative_txn", "unsafe", "failures", "reconfigurations", "paused_pct")
 	t.Add(always.Name, always.CumFinal(), always.Unsafe, always.Failures, alwaysRe, 0.0)
 	t.Add("OnlineTune+Stopping", withStop.CumFinal(), withStop.Unsafe, withStop.Failures, stopRe, 100*pausedFraction)
 	body := t.String() + fmt.Sprintf(
 		"\nThe stopping variant holds the applied configuration during stable plateaus\n"+
-			"(%.0f%% of intervals) and cuts reconfigurations %dx while keeping cumulative\n"+
-			"performance within a few percent — the paper's proposed availability win.\n",
-		100*pausedFraction, max(1, alwaysRe/max(1, stopRe)))
+			"(%.0f%% of intervals), cuts reconfigurations %.2fx (%d → %d) and reaches\n"+
+			"%.3fx the always-configure tuner's cumulative performance — the paper's\n"+
+			"proposed availability win.\n",
+		100*pausedFraction, float64(alwaysRe)/float64(max(1, stopRe)), alwaysRe, stopRe, withStop.CumFinal()/always.CumFinal())
 	return Report{ID: "ext1", Title: "Extension (§8): stopping-and-triggering mechanism", Body: body}
 }

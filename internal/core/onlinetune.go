@@ -160,19 +160,23 @@ type Recommendation struct {
 	ModelIndex int `json:"model_index,omitempty"`
 	// IgnoredRule is the white-box rule bypassed by conflict relaxation.
 	IgnoredRule *whitebox.Rule `json:"-"`
-	// RegionKind is the subspace type used ("hypercube"/"line").
+	// RegionKind names the path that produced Unit: "hypercube"/"line"
+	// (subspace), "global", "init" (cold model), "warm" (fleet transfer),
+	// "probe" (novel context or post-unsafe cooldown) or "hold" (a
+	// rollout window pins the assignment).
 	RegionKind string `json:"region_kind,omitempty"`
 	// WhiteBoxVetoes counts candidates the rule engine rejected this
 	// round (white-box rule hits).
 	WhiteBoxVetoes int `json:"white_box_vetoes,omitempty"`
-	// RolloutPhase reports the canary rollout state this recommendation
-	// was routed through: "" (rollout disabled — direct apply), "steady"
-	// (no candidate in flight, Unit goes straight to the primary), or
-	// "canary" (Unit/Config carry the primary's last-good configuration
-	// while ShadowUnit/ShadowConfig carry the candidate staged on the
-	// shadow replica; report the pair through ObservePair).
+	// RolloutPhase is the rollout state this recommendation was routed
+	// through: "" (disabled — direct apply), "steady" (Unit goes straight
+	// to the primary), "switchover" (blue/green roles are swapping) or
+	// "canary"/"tuning"/"revalidate" (Unit/Config carry the primary's
+	// last-good configuration while ShadowUnit/ShadowConfig carry the
+	// candidate staged on the other replica; report the pair through
+	// ObservePair).
 	RolloutPhase string `json:"rollout_phase,omitempty"`
-	// ShadowUnit/ShadowConfig are the staged candidate during a canary.
+	// ShadowUnit/ShadowConfig are the staged candidate, if any.
 	ShadowUnit   []float64    `json:"shadow_unit,omitempty"`
 	ShadowConfig knobs.Config `json:"-"`
 }
@@ -193,7 +197,7 @@ type OnlineTune struct {
 	mu sync.Mutex
 
 	ctxDim int
-	// roll is the canary rollout state machine (nil = direct apply).
+	// roll is the canary or blue/green rollout (nil = direct apply).
 	roll       *rollout.Controller
 	models     []*model
 	labels     []int // cluster label per repo observation
@@ -710,8 +714,8 @@ func (o *OnlineTune) CanaryActive() bool {
 	return o.roll != nil && o.roll.CanaryActive()
 }
 
-// RolloutStatus returns a copy of the canary rollout controller's
-// state, or nil when the rollout is disabled (direct apply).
+// RolloutStatus returns a copy of the canary or blue/green rollout
+// controller's state, or nil when the rollout is disabled (direct apply).
 func (o *OnlineTune) RolloutStatus() *rollout.Status {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -990,14 +994,6 @@ func (o *OnlineTune) LastRecommendation() *Recommendation {
 	return &rec
 }
 
-// setLastRec records a recommendation produced outside Recommend (the
-// stopping tuner's paused iterations).
-func (o *OnlineTune) setLastRec(rec *Recommendation) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.lastRec = rec
-}
-
 // Labels returns a copy of the per-observation cluster labels.
 func (o *OnlineTune) Labels() []int {
 	o.mu.Lock()
@@ -1023,6 +1019,45 @@ func (o *OnlineTune) ExpectedImprovementAt(ctx, u, applied []float64) (float64, 
 	if sigma < 1e-12 {
 		return math.Max(0, mu-muApplied), true
 	}
-	z := (mu - muApplied) / sigma
-	return (mu-muApplied)*mathx.NormalCDF(z) + sigma*mathx.NormalPDF(z), true
+	return expectedImprovement(mu-muApplied, sigma), true
+}
+
+// ExpectedImprovementOver returns the maximum Expected Improvement of
+// any subspace candidate against the posterior mean of the applied
+// configuration under ctx (+Inf while the selected model is cold). It
+// samples 40 candidates from the model's region, or globally without
+// subspace adaptation, so it consumes the tuner's randomness.
+func (o *OnlineTune) ExpectedImprovementOver(ctx, applied []float64) float64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	m := o.models[o.selectModel(ctx)]
+	if m.gp.Len() == 0 {
+		return math.Inf(1)
+	}
+	muApplied, _ := m.gp.Predict(applied, ctx)
+	var candidates [][]float64
+	if region := m.adapter.Region(); region != nil && o.Opts.UseSubspace {
+		candidates = region.Candidates(40, o.rng)
+	} else {
+		candidates = o.globalCandidates(40)
+	}
+	best := 0.0
+	for _, c := range candidates {
+		mu, v := m.gp.Predict(o.Space.Quantize(c), ctx)
+		sigma := math.Sqrt(v)
+		if sigma < 1e-12 {
+			continue
+		}
+		if ei := expectedImprovement(mu-muApplied, sigma); ei > best {
+			best = ei
+		}
+	}
+	return best
+}
+
+// expectedImprovement is the closed-form EI of a Gaussian posterior
+// whose mean exceeds the incumbent's by gain, with std dev sigma > 0.
+func expectedImprovement(gain, sigma float64) float64 {
+	z := gain / sigma
+	return gain*mathx.NormalCDF(z) + sigma*mathx.NormalPDF(z)
 }

@@ -104,6 +104,15 @@ func TestColdStartRecommendsInitialSafe(t *testing.T) {
 	}
 }
 
+func TestExpectedImprovementColdModel(t *testing.T) {
+	space := knobs.CaseStudy5()
+	o := New(space, 2, space.Encode(space.DBADefault()), 1, DefaultOptions())
+	ei := o.ExpectedImprovementOver([]float64{0, 0}, space.Encode(space.DBADefault()))
+	if ei <= 0 {
+		t.Fatal("cold model should always trigger configuring")
+	}
+}
+
 func TestObserveTracksBest(t *testing.T) {
 	space := knobs.CaseStudy5()
 	init := space.Encode(space.DBADefault())

@@ -76,11 +76,9 @@ func FullSpace(e Engine) *Space {
 	}
 }
 
-// The built-in spaces. "full" aliases "mysql57" for backward
-// compatibility with pre-engine callers.
+// The built-in spaces.
 func init() {
 	Register("mysql57", MySQL57)
-	Register("full", MySQL57)
 	Register("case5", CaseStudy5)
 	Register("pg16", Postgres16)
 	Register("pg-case", PGCase5)

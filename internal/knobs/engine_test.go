@@ -13,7 +13,6 @@ func TestRegistryLookup(t *testing.T) {
 		dim    int
 	}{
 		"mysql57": {EngineMySQL, 40},
-		"full":    {EngineMySQL, 40},
 		"case5":   {EngineMySQL, 5},
 		"pg16":    {EnginePostgres, 31},
 		"pg-case": {EnginePostgres, 5},
@@ -26,8 +25,10 @@ func TestRegistryLookup(t *testing.T) {
 			t.Fatalf("Lookup(%q) = engine %q dim %d, want %q / %d", name, s.Engine, s.Dim(), want.engine, want.dim)
 		}
 	}
-	if _, err := Lookup("oracle23"); err == nil {
-		t.Fatal("unknown space should error")
+	for _, name := range []string{"oracle23", "full"} {
+		if _, err := Lookup(name); err == nil {
+			t.Fatalf("Lookup(%q): unknown space should error", name)
+		}
 	}
 }
 

@@ -151,16 +151,6 @@ func Dist2(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mathx: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
 // VecClone returns a copy of v.
 func VecClone(v []float64) []float64 {
 	out := make([]float64, len(v))

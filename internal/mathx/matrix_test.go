@@ -181,11 +181,6 @@ func TestVecOps(t *testing.T) {
 	if got := VecScale(2, a); got[0] != 2 || got[1] != 4 {
 		t.Fatalf("VecScale = %v", got)
 	}
-	y := []float64{1, 1}
-	AXPY(3, a, y)
-	if y[0] != 4 || y[1] != 7 {
-		t.Fatalf("AXPY = %v", y)
-	}
 }
 
 // Property: Cholesky solve inverts MulVec for random SPD systems.

@@ -63,37 +63,3 @@ func (a *OnlineTuner) Last() *core.Recommendation { return a.T.LastRecommendatio
 func (a *OnlineTuner) FeedbackStaged(env Env, primary Result, shadowPerf float64, shadowFailed bool) {
 	a.T.ObservePair(env.Iter, env.Ctx, primary.Objective(env.OLAP), shadowPerf, env.Tau, primary.Failed, shadowFailed)
 }
-
-// StoppingTuner adapts core.StoppingTuner — OnlineTune with the
-// stopping-and-triggering extension (§8) — to the unified Tuner
-// interface.
-type StoppingTuner struct {
-	S        *core.StoppingTuner
-	lastUnit []float64
-}
-
-// NewStoppingTuner builds the stopping variant: OnlineTune that pauses
-// reconfiguration after patience consecutive intervals whose best
-// Expected Improvement stays below eiTrigger·|τ|.
-func NewStoppingTuner(space *knobs.Space, ctxDim int, initial KnobConfig, seed int64, opts TunerOptions, eiTrigger float64, patience int) *StoppingTuner {
-	u := space.Encode(initial)
-	return &StoppingTuner{
-		S:        core.NewStoppingTuner(core.New(space, ctxDim, u, seed, opts), eiTrigger, patience),
-		lastUnit: u,
-	}
-}
-
-// Name implements Tuner.
-func (a *StoppingTuner) Name() string { return "OnlineTune+Stopping" }
-
-// Propose implements Tuner.
-func (a *StoppingTuner) Propose(env Env) KnobConfig {
-	rec := a.S.Recommend(env.Ctx, whitebox.Env{HW: env.HW, Load: env.Snapshot, Metrics: env.Metrics}, env.Tau)
-	a.lastUnit = rec.Unit
-	return rec.Config
-}
-
-// Feedback implements Tuner.
-func (a *StoppingTuner) Feedback(env Env, cfg KnobConfig, res Result) {
-	a.S.Observe(env.Iter, env.Ctx, a.lastUnit, res.Objective(env.OLAP), env.Tau, res.Failed)
-}

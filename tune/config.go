@@ -38,11 +38,10 @@ func (c Config) rolloutMode() string {
 // is valid — the full 40-knob MySQL space with the paper's defaults.
 type Config struct {
 	// Space selects the knob space by name from the engine-keyed
-	// registry (Spaces lists them): "mysql57" (default, 40 knobs; "full"
-	// is accepted as an alias), "case5" (the 5-knob case-study subset),
-	// "pg16" (PostgreSQL 16, 31 knobs) or "pg-case" (its 5-knob
-	// subset). The space's engine tag selects the simulator behavior
-	// and white-box rule set.
+	// registry (Spaces lists them): "mysql57" (default, 40 knobs),
+	// "case5" (the 5-knob case-study subset), "pg16" (PostgreSQL 16,
+	// 31 knobs) or "pg-case" (its 5-knob subset). The space's engine
+	// tag selects the simulator behavior and white-box rule set.
 	Space string `json:"space,omitempty"`
 	// Seed makes every random choice — candidate sampling, featurizer
 	// pre-training, exploration — deterministic.

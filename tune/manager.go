@@ -933,7 +933,8 @@ func (m *Manager) Snapshot(id string) ([]byte, error) {
 	return data, err
 }
 
-// Rollout returns the named session's canary rollout status.
+// Rollout returns the named session's canary or blue/green rollout
+// status.
 func (m *Manager) Rollout(id string) (RolloutStatus, error) {
 	var st RolloutStatus
 	err := m.withSession(id, func(e *managedSession) error {

@@ -305,10 +305,10 @@ func (m *Manager) hydrateLocked(e *managedSession) error {
 }
 
 // peekSnapshotHeader reads a snapshot's header fields without buffering
-// its state or event log: a streaming decode that stops at the "state"
-// or "events" key. snapshotFile marshals its header first, so this
-// touches only the head of the file — boot cost for a fleet of sessions
-// is O(#sessions), not O(total state).
+// its state: a streaming decode that stops at the "state" key.
+// snapshotFile marshals its header first, so this touches only the head
+// of the file — boot cost for a fleet of sessions is O(#sessions), not
+// O(total state).
 func peekSnapshotHeader(path string) (snapshotHeader, error) {
 	var h snapshotHeader
 	f, err := os.Open(path)
@@ -343,7 +343,7 @@ func peekSnapshotHeader(path string) (snapshotHeader, error) {
 			err = dec.Decode(&h.Next)
 		case "rollout_phase":
 			err = dec.Decode(&h.RolloutPhase)
-		case "events", "state":
+		case "state":
 			return h, h.check()
 		default:
 			var skip json.RawMessage

@@ -466,9 +466,9 @@ func (s *Session) envLocked() Env {
 	}
 }
 
-// Rollout returns the session's canary rollout status. Sessions whose
-// rollout is disabled report PhaseDirect: recommendations apply
-// straight to the primary.
+// Rollout returns the session's canary or blue/green rollout status.
+// Sessions whose rollout is disabled report PhaseDirect: recommendations
+// apply straight to the primary.
 func (s *Session) Rollout() RolloutStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()

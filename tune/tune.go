@@ -4,10 +4,9 @@
 //
 // Three layers:
 //
-//   - Tuner is the unified per-interval interface OnlineTune, its
-//     stopping variant and every baseline from the paper's evaluation
-//     implement. Drivers construct tuners directly; internal/bench
-//     builds the baselines.
+//   - Tuner is the unified per-interval interface OnlineTune and every
+//     baseline from the paper's evaluation implement. Drivers construct
+//     tuners directly; internal/bench builds the baselines.
 //
 //   - Session is a durable OnlineTune session for one database:
 //     it accepts raw observations (SQL statements + metrics +
