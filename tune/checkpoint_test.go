@@ -528,3 +528,121 @@ func sameSnapshotSession(t *testing.T, m *Manager, ref *Session) {
 		t.Fatal("the hydrated session's snapshot differs from the never-restarted session's")
 	}
 }
+
+// TestRestoreStreamVerdicts pins the streaming replay's verdicts on the
+// golden base (next event 6): a record before next is skipped unread, a
+// gap or an undecodable record fails naming the record's position in
+// the log, a base that does not parse reports its own error even over a
+// corrupt tail, and no tail restores the base alone. Each failing tail
+// restores once its named record is dropped, so the verdict is that
+// record's.
+func TestRestoreStreamVerdicts(t *testing.T) {
+	base := goldenAtVersion(t, SnapshotVersion)
+	oc := goldenOutcome(3)
+	report := event{Kind: eventReport, Outcome: &oc}
+	rec := func(idx int, ev event) []byte {
+		data, err := json.Marshal(walRecord{walEnvelope{Idx: idx, Iter: 4}, ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	garbage := []byte(`{"idx": 6, "event": {`)
+	const restores = -1
+	cases := []struct {
+		name     string
+		base     []byte
+		recs     [][]byte
+		replayed int
+		badRec   int // the record the error names; restores: none
+	}{
+		{"no tail", base, nil, 0, restores},
+		{"tail", base, [][]byte{rec(6, report)}, 1, restores},
+		{"stale record skipped", base, [][]byte{rec(5, event{Kind: "bogus"}), rec(6, report)}, 1, restores},
+		{"gap", base, [][]byte{rec(6, report), rec(8, report)}, 0, 1},
+		{"undecodable record", base, [][]byte{rec(6, report), garbage}, 0, 1},
+		{"report without outcome", base, [][]byte{rec(6, event{Kind: eventReport})}, 0, 0},
+		{"unknown kind", base, [][]byte{rec(6, event{Kind: "bogus"})}, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, replayed, err := restore(tc.base, tc.recs, nil)
+			if tc.badRec == restores {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if replayed != tc.replayed || s.next != 6+tc.replayed {
+					t.Fatalf("replayed %d events to next %d, want %d to %d", replayed, s.next, tc.replayed, 6+tc.replayed)
+				}
+				return
+			}
+			var te *tailError
+			if !errors.As(err, &te) || te.i != tc.badRec {
+				t.Fatalf("error %v does not name record %d", err, tc.badRec)
+			}
+			var syntax *json.SyntaxError
+			if isGarbage := bytes.Equal(tc.recs[te.i], garbage); errors.As(err, &syntax) != isGarbage {
+				t.Fatalf("error %v: a decode error is not the verdict on an undecodable record", err)
+			}
+			if _, _, err := restore(tc.base, tc.recs[:te.i], nil); err != nil {
+				t.Fatalf("the tail before record %d does not restore: %v", te.i, err)
+			}
+		})
+	}
+	// A base that does not parse fails with exactly the error it fails
+	// with alone, never the corrupt tail's.
+	for _, bad := range [][]byte{[]byte("{"), goldenAtVersion(t, 9)} {
+		_, _, want := restore(bad, nil, nil)
+		_, _, err := restore(bad, [][]byte{garbage}, nil)
+		var te *tailError
+		if want == nil || errors.As(err, &te) || !reflect.DeepEqual(err, want) {
+			t.Fatalf("bad base with a corrupt tail: error %v, want the base's %v", err, want)
+		}
+	}
+	if _, err := Restore(base); err != nil {
+		t.Fatalf("Restore of the golden base: %v", err)
+	}
+}
+
+// BenchmarkHydrate measures one hydrate of a case5 session whose base
+// carries a 64-event tail: the base read and parse, the WAL open and
+// scan, the tail's decode and the replay.
+func BenchmarkHydrate(b *testing.B) {
+	dir := b.TempDir()
+	mopts := ManagerOptions{NoFsync: true, CompactMin: 1 << 20}
+	m, err := NewManagerOpts(dir, mopts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Create("db", Config{Space: "case5", Seed: 7}); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if _, err := m.Suggest(context.Background(), "db"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Report("db", goldenOutcome(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if m, err = NewManagerOpts(dir, mopts); err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := &managedSession{id: "db"}
+		if err := m.hydrateLocked(e); err != nil {
+			b.Fatal(err)
+		}
+		e.log.Close()
+	}
+	b.StopTimer()
+	if got := m.Stats().ReplayedEvents; got != 64*int64(b.N) {
+		b.Fatalf("replayed %d events over %d hydrates, want 64 each", got, b.N)
+	}
+}

@@ -109,9 +109,10 @@ type ManagerOptions struct {
 // single fsync per batch window makes every session in the batch
 // durable at once; session logs settle their sync debt lazily at
 // journal rotation, compaction, eviction and shutdown. Recovery installs
-// the base's state and replays the tail through the snapshot
-// verification machinery; deterministic replay makes the recovered
-// session bitwise-identical to the one that crashed.
+// the base's state while the tail decodes on another goroutine, then
+// replays the tail: with a core free, a hydrate costs the base's parse
+// plus the replay, and deterministic replay makes the recovered session
+// bitwise-identical to the one that crashed.
 //
 // Memory: sessions hydrate lazily. Boot reads only snapshot headers and
 // WAL tails (O(#sessions)); a session's base is decoded and its tail
@@ -312,18 +313,20 @@ func NewManager(stateDir string) (*Manager, error) {
 // NewManagerOpts is NewManager with explicit ManagerOptions.
 func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 	m := &Manager{stateDir: stateDir, opts: opts, sessions: map[string]*managedSession{}, lru: list.New()}
-	if stateDir == "" {
-		if opts.Knowledge {
-			k, err := m.openKnowledge()
-			if err != nil {
-				return nil, fmt.Errorf("tune: opening fleet knowledge base: %w", err)
-			}
-			m.know = k
+	if stateDir != "" {
+		if err := fsutil.EnsureWritableDir(stateDir); err != nil {
+			return nil, fmt.Errorf("tune: state dir: %w", err)
 		}
-		return m, nil
 	}
-	if err := fsutil.EnsureWritableDir(stateDir); err != nil {
-		return nil, fmt.Errorf("tune: state dir: %w", err)
+	if opts.Knowledge {
+		k, err := m.openKnowledge()
+		if err != nil {
+			return nil, fmt.Errorf("tune: opening fleet knowledge base: %w", err)
+		}
+		m.know = k
+	}
+	if stateDir == "" {
+		return m, nil
 	}
 	// Recover the shared group-commit journal BEFORE scanning sessions:
 	// records whose only durable copy is the journal are patched back
@@ -370,13 +373,6 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 			return nil, fmt.Errorf("tune: scanning session %q: %w", id, err)
 		}
 		m.sessions[id] = &managedSession{id: id, info: info}
-	}
-	if opts.Knowledge {
-		k, err := m.openKnowledge()
-		if err != nil {
-			return nil, fmt.Errorf("tune: opening fleet knowledge base: %w", err)
-		}
-		m.know = k
 	}
 	if opts.CommitInterval != 0 {
 		c, err := wal.OpenCommitter(m.journalPath(), wal.CommitterOptions{
@@ -457,7 +453,7 @@ func (m *Manager) patchSessionLog(id string, payloads [][]byte) (int, error) {
 	defer lg.Close()
 	var next int
 	if len(recs) > 0 {
-		var last walRecord
+		var last walEnvelope
 		if err := json.Unmarshal(recs[len(recs)-1], &last); err != nil {
 			return 0, fmt.Errorf("final wal record: %w", err)
 		}
@@ -477,7 +473,7 @@ func (m *Manager) patchSessionLog(id string, payloads [][]byte) (int, error) {
 	idxs := make([]int, len(payloads))
 	live := 0
 	for i, p := range payloads {
-		var rec walRecord
+		var rec walEnvelope
 		if err := json.Unmarshal(p, &rec); err != nil {
 			return 0, fmt.Errorf("journal payload: %w", err)
 		}

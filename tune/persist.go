@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/wal"
 )
@@ -20,9 +21,10 @@ import (
 //	<id>.wal        append-only tail: events since the base was compacted
 //	.<id>-*         in-flight atomic-write temps; swept at boot
 //
-// Recovery installs the base's state, replays the tail as Restore does —
-// each op installing what its record says it derived — and arrives at a
-// session bitwise-identical to one that never restarted.
+// Recovery installs the base's state while the tail decodes on its own
+// goroutine, then replays each record as it lands — each op installing
+// what its record says it derived — into a session bitwise-identical to
+// one that never restarted: a hydrate costs the base's parse plus replay.
 func (m *Manager) basePath(id string) string {
 	return filepath.Join(m.stateDir, id+".base.json")
 }
@@ -37,44 +39,49 @@ func (m *Manager) walOptions() wal.Options {
 	return wal.Options{NoFsync: m.opts.NoFsync, SyncCounter: &m.fsyncs}
 }
 
-// walRecord is the JSON payload of one WAL frame: a single session
-// event (one op and everything it derived) plus enough envelope to
-// recover without parsing the base first. Idx is the event's index in
-// the session's global event sequence, so replay can skip records that
+// walRecord is the JSON payload of one WAL frame: one op's event and
+// everything it derived, behind its envelope, built under the session
+// lock and handed to the Manager.
+type walRecord struct {
+	walEnvelope
+	Event event `json:"event"`
+}
+
+// walEnvelope is a record's head, decoded alone where the event is not
+// needed; embedded, it marshals first. Idx is the event's index in the
+// session's global event sequence, so replay can skip records that
 // predate the current base (its header's Next; a crash between the
 // base's rename and the log's reset leaves such stale records) and
 // detect gaps. Iter and Phase mirror the session counters AFTER the op,
-// so the boot scan can summarize an evicted session from the log's
-// final record alone. The op builds its record under the session lock
-// and hands it to the Manager.
-type walRecord struct {
+// so the boot scan can summarize an evicted session from its last record.
+type walEnvelope struct {
 	Idx   int    `json:"idx"`
 	Iter  int    `json:"iter"`
 	Phase string `json:"phase,omitempty"`
-	Event event  `json:"event"`
 }
 
-// decodeTail turns recovered WAL payloads into the event tail that
-// follows a base snapshot whose next event is next. Records with
-// Idx < next are stale remnants of the pre-compaction log and are
-// skipped; anything else must be contiguous.
-func decodeTail(recs [][]byte, next int) ([]event, error) {
-	var tail []event
-	for i, data := range recs {
-		var rec walRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return nil, fmt.Errorf("tune: wal record %d: %w", i, err)
+// decodedRecord is WAL record i as the decoder goroutine hands it over.
+type decodedRecord struct {
+	i   int
+	rec walRecord
+	err error
+}
+
+// decodeTail decodes recovered WAL payloads in order on its own
+// goroutine, so the decode overlaps the base's parse and the replay of
+// earlier records. The channel holds every record, so the decoder never
+// blocks and always exits; it stops early once stop is set.
+func decodeTail(recs [][]byte, stop *atomic.Bool) <-chan decodedRecord {
+	out := make(chan decodedRecord, len(recs))
+	go func() {
+		defer close(out)
+		for i := 0; i < len(recs) && !stop.Load(); i++ {
+			d := decodedRecord{i: i}
+			d.err = json.Unmarshal(recs[i], &d.rec)
+			out <- d
 		}
-		if rec.Idx < next {
-			continue // predates the base (or a re-appended duplicate)
-		}
-		if rec.Idx != next {
-			return nil, fmt.Errorf("tune: wal record %d: event index %d, want %d (gap in the tail)", i, rec.Idx, next)
-		}
-		tail = append(tail, rec.Event)
-		next++
-	}
-	return tail, nil
+	}()
+	return out
 }
 
 // walEncoder is a pooled encoder that marshals walRecords into a reused
@@ -324,32 +331,21 @@ func peekSnapshotHeader(path string) (snapshotHeader, error) {
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
 		return h, fmt.Errorf("snapshot is not a JSON object")
 	}
+	fields := map[string]any{"version": &h.Version, "kind": &h.Kind, "config": &h.Config,
+		"iter": &h.Iter, "next": &h.Next, "rollout_phase": &h.RolloutPhase}
 	for dec.More() {
 		keyTok, err := dec.Token()
 		if err != nil {
 			return h, err
 		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "version":
-			err = dec.Decode(&h.Version)
-		case "kind":
-			err = dec.Decode(&h.Kind)
-		case "config":
-			err = dec.Decode(&h.Config)
-		case "iter":
-			err = dec.Decode(&h.Iter)
-		case "next":
-			err = dec.Decode(&h.Next)
-		case "rollout_phase":
-			err = dec.Decode(&h.RolloutPhase)
-		case "state":
+		dst, ok := fields[keyTok.(string)] // an object key token is always a string
+		switch {
+		case keyTok == "state":
 			return h, h.check()
-		default:
-			var skip json.RawMessage
-			err = dec.Decode(&skip)
+		case !ok:
+			dst = new(json.RawMessage)
 		}
-		if err != nil {
+		if err := dec.Decode(dst); err != nil {
 			return h, err
 		}
 	}
@@ -372,13 +368,11 @@ func (m *Manager) peekInfo(id string) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	if last != nil {
-		var rec walRecord
-		if err := json.Unmarshal(last, &rec); err == nil {
-			info.Iter = rec.Iter
-			if rec.Phase != "" {
-				phase = rec.Phase
-			}
+	var rec walEnvelope
+	if json.Unmarshal(last, &rec) == nil { // an empty log has no last record
+		info.Iter = rec.Iter
+		if rec.Phase != "" {
+			phase = rec.Phase
 		}
 	}
 	return info.withRollout(cfg.rolloutMode(), phase), nil

@@ -448,11 +448,7 @@ func (s *Session) reportLocked(o Outcome) *RolloutEvent {
 		ev := *st.LastEvent
 		decision = &ev
 	}
-	s.lastSnap = snap
-	s.lastCtx = ctx
-	s.lastMet = o.Metrics
-	s.lastTau = o.Baseline
-	s.lastOLAP = snap.OLAP
+	s.lastSnap, s.lastCtx, s.lastMet, s.lastTau, s.lastOLAP = snap, ctx, o.Metrics, o.Baseline, snap.OLAP
 	s.iter++
 	return decision
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/gp"
@@ -181,7 +182,7 @@ func (s *Session) importState(h snapshotHeader, st *sessionState) error {
 	if err := s.tuner.T.SetState(st.State, h.Next); err != nil {
 		return err
 	}
-	s.iter = iter
+	s.iter, s.next = iter, h.Next
 	if st.LastWorkload != nil {
 		s.lastSnap = st.LastWorkload.snapshot(iter - 1)
 		s.lastOLAP = s.lastSnap.OLAP
@@ -214,17 +215,16 @@ func parseSnapshot(data []byte) (snapshotFile, error) {
 // restore is snapshot+tail recovery: it rebuilds a session from a base
 // snapshot document plus the WAL records the Manager accumulated since
 // that base was compacted (none for a bare Restore): it installs the
-// base's state, then replays only the tail. fleet is the Manager's
-// knowledge store, so a hydrated session
-// resumes contributing to (and querying) the live store once replay
-// finishes; replay itself never touches it — it consumes the logged
-// advice. It returns how many events it replayed.
+// base's state, then replays only the tail, decoded on its own goroutine
+// meanwhile. fleet is the Manager's knowledge store, so a hydrated
+// session resumes contributing to (and querying) the live store once
+// replay finishes; replay itself never touches it — it consumes the
+// logged advice. It returns how many events it replayed.
 func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, error) {
+	var stop atomic.Bool
+	defer func() { stop.Store(true) }() // a closure: a method value links (*atomic.Bool).Store, moving the GP hot loops
+	tail := decodeTail(recs, &stop)
 	f, err := parseSnapshot(base)
-	if err != nil {
-		return nil, 0, err
-	}
-	tail, err := decodeTail(recs, f.Next)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -239,46 +239,60 @@ func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, 
 	if err := s.importState(f.snapshotHeader, f.State); err != nil {
 		return nil, 0, err
 	}
-	if err := s.replayEvents(tail); err != nil {
+	if err := s.replay(tail); err != nil {
 		return nil, 0, err
 	}
-	s.next = f.Next + len(tail)
-	return s, len(tail), nil
+	return s, s.next - f.Next, nil
 }
 
-// replayEvents replays logged events into s. A suggest applies only its
-// state effects; every op installs the derivations its event logged
-// instead of recomputing them, and must reach exactly those, and a
-// report must make the rollout decision its event logged.
-func (s *Session) replayEvents(events []event) error {
+// replay replays the decoded tail into s as its records arrive. Records
+// before s.next predate the base and are skipped; the rest must be
+// contiguous. A suggest applies only its state effects; every op
+// installs the derivations its event logged instead of recomputing
+// them, and must reach exactly those, and a report must make the
+// rollout decision its event logged.
+func (s *Session) replay(tail <-chan decodedRecord) error {
 	s.know.replaying = true
 	defer func() { s.know.replaying, s.know.op = false, nil }()
-	for i := range events {
-		ev := &events[i]
+	for d := range tail {
+		ev, err := &d.rec.Event, d.err
 		s.know.begin(ev)
-		var err error
-		switch ev.Kind {
-		case eventSuggest:
+		switch {
+		case err != nil:
+		case d.rec.Idx < s.next:
+			continue // predates the base (or a re-appended duplicate)
+		case d.rec.Idx != s.next:
+			err = fmt.Errorf("event index %d, want %d (gap in the tail)", d.rec.Idx, s.next)
+		case ev.Kind == eventSuggest:
 			s.proposeLocked()
-		case eventReport:
-			if ev.Outcome == nil {
-				return fmt.Errorf("tune: wal event %d: report without outcome", i)
-			}
+		case ev.Kind != eventReport:
+			err = fmt.Errorf("unknown kind %q", ev.Kind)
+		case ev.Outcome == nil:
+			err = errors.New("report without outcome")
+		default:
 			if got := s.reportLocked(*ev.Outcome); !sameDecision(got, ev.Rollout) {
 				err = fmt.Errorf("replay made rollout decision %+v, the op logged %+v", got, ev.Rollout)
 			}
-		default:
-			return fmt.Errorf("tune: wal event %d: unknown kind %q", i, ev.Kind)
 		}
 		if err == nil {
 			err = s.know.replayed()
 		}
 		if err != nil {
-			return fmt.Errorf("tune: wal event %d: %w", i, err)
+			return &tailError{d.i, err}
 		}
+		s.next++
 	}
 	return nil
 }
+
+// tailError is replay's refusal of the tail at its record i.
+type tailError struct {
+	i   int
+	err error
+}
+
+func (e *tailError) Error() string { return fmt.Sprintf("tune: wal record %d: %v", e.i, e.err) }
+func (e *tailError) Unwrap() error { return e.err }
 
 // sameDecision reports whether two rollout decisions agree in kind and
 // iteration (nil: no decision).

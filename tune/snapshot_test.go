@@ -248,7 +248,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	// with one restores on the same base, so the error is the outcome's.
 	base := goldenAtVersion(t, SnapshotVersion)
 	tailRecord := func(ev event) [][]byte {
-		data, err := json.Marshal(walRecord{Idx: 6, Iter: 4, Event: ev})
+		data, err := json.Marshal(walRecord{walEnvelope{Idx: 6, Iter: 4}, ev})
 		if err != nil {
 			t.Fatal(err)
 		}
