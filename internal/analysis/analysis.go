@@ -22,6 +22,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // An Analyzer describes one analysis: a named, documented check over a
@@ -52,6 +53,70 @@ type Pass struct {
 // Reportf reports a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+}
+
+// Callee resolves a call's target to its *types.Func: a function named
+// directly or through a selector (package-qualified or a method). It
+// returns nil for builtins, type conversions and calls through function
+// values.
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.TypesInfo.Uses[id].(*types.Func)
+	return fn
+}
+
+// FuncBodies calls visit with the body of every function declaration
+// and function literal in the pass's files, nested literals included.
+func (p *Pass) FuncBodies(visit func(*ast.BlockStmt)) {
+	for _, file := range p.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					visit(fn.Body)
+				}
+			case *ast.FuncLit:
+				visit(fn.Body)
+			}
+			return true
+		})
+	}
+}
+
+// WalkShallow visits every node of body without descending into nested
+// function literals, which run at another time than the body itself.
+func WalkShallow(body *ast.BlockStmt, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
+}
+
+// InScope reports whether the package path ends in one of scopes on a
+// whole path segment, so fixtures under testdata/src match the way the
+// real tree does. An external test unit ("<pkg>_test") is in scope
+// with its package.
+func InScope(path string, scopes []string) bool {
+	path = strings.TrimSuffix(path, "_test")
+	for _, s := range scopes {
+		if path == s || strings.HasSuffix(path, "/"+s) {
+			return true
+		}
+	}
+	return false
 }
 
 // A Diagnostic is one finding: a position, the rule (analyzer name)

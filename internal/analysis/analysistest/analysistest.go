@@ -17,92 +17,48 @@ package analysistest
 
 import (
 	"go/ast"
-	"go/importer"
-	"go/parser"
+	"go/build"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 )
 
-// Run loads each fixture package rooted at testdata/src/<path> (in
-// order, so later fixtures may import earlier ones), applies the
-// analyzer plus the shared suppression filter, and compares
-// diagnostics against the fixtures' want comments.
+// Run type-checks each fixture package rooted at testdata/src/<path>
+// (in order, so later fixtures may import earlier ones) through the
+// analysis.Checker tunevet's loader uses, followed by its external
+// _test unit if the directory has one. It applies the analyzer plus the
+// shared suppression filter to each unit and compares diagnostics
+// against the fixtures' want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
-	ld := &fixtureLoader{
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		checked: map[string]*types.Package{},
-	}
+	ck := analysis.NewChecker(fset, "")
 	for _, path := range pkgPaths {
-		pkg, err := ld.load(filepath.Join(testdata, "src", filepath.FromSlash(path)), path)
+		dir := filepath.Join(testdata, "src", filepath.FromSlash(path))
+		bp, err := build.ImportDir(dir, 0)
 		if err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
+			t.Fatalf("listing fixture %s: %v", path, err)
 		}
-		diags, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a})
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, path, err)
+		units := [][]string{append(bp.GoFiles, bp.TestGoFiles...), bp.XTestGoFiles}
+		for i, unit := range []string{path, path + "_test"} {
+			if len(units[i]) == 0 {
+				continue
+			}
+			pkg, err := ck.Check(unit, dir, units[i])
+			if err != nil {
+				t.Fatalf("loading fixture %s: %v", unit, err)
+			}
+			diags, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a})
+			if err != nil {
+				t.Fatalf("running %s on %s: %v", a.Name, unit, err)
+			}
+			check(t, fset, pkg.Files, diags)
 		}
-		check(t, fset, pkg.Files, diags)
 	}
-}
-
-type fixtureLoader struct {
-	fset    *token.FileSet
-	std     types.ImporterFrom
-	checked map[string]*types.Package
-}
-
-func (ld *fixtureLoader) load(dir, path string) (*analysis.Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: ld}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	ld.checked[path] = tpkg
-	return &analysis.Package{Path: path, Dir: dir, Fset: ld.fset, Files: files, Types: tpkg, Info: info, Requested: true}, nil
-}
-
-func (ld *fixtureLoader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, "", 0)
-}
-
-func (ld *fixtureLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p := ld.checked[path]; p != nil {
-		return p, nil
-	}
-	return ld.std.ImportFrom(path, dir, mode)
 }
 
 var wantRE = regexp.MustCompile("// want((?: +(?:`[^`]*`|\"[^\"]*\"))+)")

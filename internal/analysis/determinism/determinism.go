@@ -37,24 +37,13 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // restricted are the replay-affecting package path suffixes the
-// analyzer guards (matched on whole path segments, so fixtures under
-// analysistest's testdata resolve the same way the real tree does).
+// analyzer guards (see analysis.InScope).
 var restricted = []string{
 	"internal/core",
 	"internal/rollout",
 	"internal/wal",
 	"internal/knowledge",
 	"tune",
-}
-
-func isRestricted(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, s := range restricted {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
 }
 
 // bannedTime are the wall-clock reads; the rest of package time
@@ -69,7 +58,7 @@ var allowedRand = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !isRestricted(pass.Pkg.Path()) {
+	if !analysis.InScope(pass.Pkg.Path(), restricted) {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
@@ -102,7 +91,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 
 // checkCall flags wall-clock reads and global math/rand draws.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -179,7 +168,7 @@ func sortedAfter(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStm
 		if !ok || call.Pos() < rng.End() || found {
 			return !found
 		}
-		fn := calleeFunc(pass, call)
+		fn := pass.Callee(call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -212,7 +201,7 @@ func mentions(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
 // encoding/json Marshal*/Encode, fmt.Fprint*, and Write*/Encode
 // methods on anything.
 func isEncodeCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil {
 		return false
 	}
@@ -245,20 +234,4 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 	obj := pass.TypesInfo.Uses[id]
 	b, ok := obj.(*types.Builtin)
 	return ok && b.Name() == "append"
-}
-
-// calleeFunc resolves a call's target to its *types.Func (nil for
-// builtins, type conversions, and calls through function values).
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
 }

@@ -44,17 +44,13 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func checkStringsCall(pass *analysis.Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !matchFuncs[sel.Sel.Name] {
-		return
-	}
-	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "strings" {
+	fn := pass.Callee(call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "strings" || !matchFuncs[fn.Name()] {
 		return
 	}
 	for _, arg := range call.Args {
 		if isErrorMessage(pass, arg) {
-			pass.Reportf(call.Pos(), "matching err.Error() with strings.%s: compare sentinel errors with errors.Is (or a typed error with errors.As) — message text is not API", sel.Sel.Name)
+			pass.Reportf(call.Pos(), "matching err.Error() with strings.%s: compare sentinel errors with errors.Is (or a typed error with errors.As) — message text is not API", fn.Name())
 			return
 		}
 	}

@@ -42,23 +42,7 @@ var Analyzer = &analysis.Analyzer{
 var syncNames = map[string]bool{"Sync": true, "SyncFile": true, "syncNow": true, "Commit": true}
 
 func run(pass *analysis.Pass) (any, error) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFunc(pass, body)
-			}
-			return true
-		})
-	}
+	pass.FuncBodies(func(body *ast.BlockStmt) { checkFunc(pass, body) })
 	return nil, nil
 }
 
@@ -67,12 +51,12 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	// descending into nested function literals, which run at another
 	// time).
 	var syncs []ast.Expr
-	walkShallow(body, func(n ast.Node) {
+	analysis.WalkShallow(body, func(n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok && isSyncCall(pass, call) {
 			syncs = append(syncs, call)
 		}
 	})
-	walkShallow(body, func(n ast.Node) {
+	analysis.WalkShallow(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if !isOSRename(pass, n) {
@@ -102,20 +86,6 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	})
 }
 
-// walkShallow visits the body without descending into nested function
-// literals.
-func walkShallow(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
-}
-
 func allBlank(exprs []ast.Expr) bool {
 	for _, e := range exprs {
 		id, ok := e.(*ast.Ident)
@@ -127,14 +97,14 @@ func allBlank(exprs []ast.Expr) bool {
 }
 
 func isOSRename(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := callee(pass, call)
+	fn := pass.Callee(call)
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "os" && fn.Name() == "Rename"
 }
 
 // isSyncCall matches durable-flush calls: *os.File Sync, or any call
 // whose bare name is in syncNames and which returns an error.
 func isSyncCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := callee(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || !syncNames[fn.Name()] {
 		return false
 	}
@@ -147,22 +117,8 @@ func isSyncCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 func callName(pass *analysis.Pass, call *ast.CallExpr) string {
-	if fn := callee(pass, call); fn != nil {
+	if fn := pass.Callee(call); fn != nil {
 		return fn.Name()
 	}
 	return "sync"
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
 }

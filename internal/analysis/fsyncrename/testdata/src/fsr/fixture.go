@@ -40,6 +40,14 @@ func syncInClosure(f *os.File, tmp, dst string) error {
 	return os.Rename(tmp, dst) // want `os.Rename without a preceding Sync`
 }
 
+// A function literal is checked as a function of its own: its rename
+// needs a sync inside it.
+func renameLater(tmp, dst string) func() error {
+	return func() error {
+		return os.Rename(tmp, dst) // want `os.Rename without a preceding Sync`
+	}
+}
+
 // Discarding an fsync error — bare statement or blank assignment — is
 // durability theater.
 func discardedSync(f *os.File) {

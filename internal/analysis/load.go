@@ -46,11 +46,9 @@ type listing struct {
 
 // Load resolves the patterns with `go list`, then parses and
 // type-checks every matched package (plus any module-internal
-// dependencies needed to check them) using only the standard library:
-// module-internal imports resolve against the packages checked earlier
-// in dependency order, everything else falls back to the compiler's
-// source importer rooted at GOROOT. No network, no export data, no
-// x/tools.
+// dependencies needed to check them) in dependency order through one
+// Checker, using only the standard library. No network, no export
+// data, no x/tools.
 func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -89,11 +87,7 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 		}
 	}
 
-	// The source importer honors build.Default; the repo is pure Go, so
-	// disabling cgo keeps stdlib type-checking self-contained.
-	build.Default.CgoEnabled = false
-	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	ld := &loader{fset: fset, module: module, listings: listings, checked: map[string]*types.Package{}, std: std}
+	ck := NewChecker(fset, module)
 
 	var order []string
 	seen := map[string]bool{}
@@ -128,7 +122,7 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 		l := listings[path]
 		files := append(append([]string(nil), l.GoFiles...), l.TestGoFiles...)
 		if len(files) > 0 {
-			pkg, err := ld.check(path, l.Dir, files)
+			pkg, err := ck.Check(path, l.Dir, files)
 			if err != nil {
 				return nil, err
 			}
@@ -145,7 +139,7 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 		if len(l.XTestGoFiles) == 0 {
 			continue
 		}
-		pkg, err := ld.check(path+"_test", l.Dir, l.XTestGoFiles)
+		pkg, err := ck.Check(path+"_test", l.Dir, l.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -155,20 +149,33 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 	return pkgs, nil
 }
 
-type loader struct {
-	fset     *token.FileSet
-	module   string
-	listings map[string]*listing
-	checked  map[string]*types.Package
-	std      types.ImporterFrom
+// A Checker parses and type-checks package units in the order given:
+// a unit's imports resolve to the units checked before it, and anything
+// else to the compiler's source importer rooted at GOROOT. Load drives
+// one over `go list` output and analysistest over fixture directories,
+// so the fixture tests exercise the type-check path tunevet runs.
+type Checker struct {
+	fset    *token.FileSet
+	module  string // module path; "" when no import is module-internal
+	checked map[string]*types.Package
+	std     types.ImporterFrom
 }
 
-// check parses and type-checks one package unit and records it for
-// later importers.
-func (ld *loader) check(path, dir string, fileNames []string) (*Package, error) {
+// NewChecker returns a Checker whose positions go to fset.
+func NewChecker(fset *token.FileSet, module string) *Checker {
+	// The source importer honors build.Default; the repo is pure Go, so
+	// disabling cgo keeps stdlib type-checking self-contained.
+	build.Default.CgoEnabled = false
+	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	return &Checker{fset: fset, module: module, checked: map[string]*types.Package{}, std: std}
+}
+
+// Check parses and type-checks the named files of dir as the unit path
+// and records it for later importers.
+func (c *Checker) Check(path, dir string, fileNames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -181,27 +188,28 @@ func (ld *loader) check(path, dir string, fileNames []string) (*Package, error) 
 		Implicits:  map[ast.Node]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: ld}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
+	conf := types.Config{Importer: c}
+	tpkg, err := conf.Check(path, c.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	ld.checked[path] = tpkg
-	return &Package{Path: path, Dir: dir, Fset: ld.fset, Files: files, Types: tpkg, Info: info}, nil
+	c.checked[path] = tpkg
+	return &Package{Path: path, Dir: dir, Fset: c.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-func (ld *loader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, "", 0)
+// Import and ImportFrom make a Checker the importer of the units it checks.
+func (c *Checker) Import(path string) (*types.Package, error) {
+	return c.ImportFrom(path, "", 0)
 }
 
-func (ld *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p := ld.checked[path]; p != nil {
+func (c *Checker) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p := c.checked[path]; p != nil {
 		return p, nil
 	}
-	if inModule(ld.module, path) {
+	if inModule(c.module, path) {
 		return nil, fmt.Errorf("module package %s imported before it was type-checked (loader ordering bug)", path)
 	}
-	return ld.std.ImportFrom(path, dir, mode)
+	return c.std.ImportFrom(path, dir, mode)
 }
 
 func inModule(module, path string) bool {

@@ -26,7 +26,6 @@ package lockhold
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -38,16 +37,6 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var scoped = []string{"tune", "internal/wal", "internal/knowledge", "internal/rollout"}
-
-func inScope(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, s := range scoped {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
 
 // expensiveNames match by bare name regardless of receiver: the GP
 // surface (Fit/Refit/Predict/PredictAll/HyperOpt) and the durable
@@ -67,25 +56,8 @@ var expensiveStd = map[string]map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !inScope(pass.Pkg.Path()) {
-		return nil, nil
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFunc(pass, body)
-			}
-			return true
-		})
+	if analysis.InScope(pass.Pkg.Path(), scoped) {
+		pass.FuncBodies(func(body *ast.BlockStmt) { checkFunc(pass, body) })
 	}
 	return nil, nil
 }
@@ -98,7 +70,7 @@ type span struct {
 
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	var locks, unlocks, deferredUnlocks []*ast.CallExpr
-	walkShallow(body, func(n ast.Node) {
+	analysis.WalkShallow(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
 			if isMutexOp(pass, n.Call, "Unlock", "RUnlock") {
@@ -136,7 +108,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		spans = append(spans, s)
 	}
-	walkShallow(body, func(n ast.Node) {
+	analysis.WalkShallow(body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
@@ -151,18 +123,6 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				return
 			}
 		}
-	})
-}
-
-func walkShallow(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
 	})
 }
 
@@ -225,16 +185,7 @@ func exprString(e ast.Expr) string {
 // expensiveCall classifies a call as expensive, returning a display
 // name, or "" when it is fine to make under a lock.
 func expensiveCall(pass *analysis.Pass, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return ""
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+	fn := pass.Callee(call)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}

@@ -32,6 +32,26 @@ func (s *store) goodSnapshot() ([]byte, error) {
 	return json.Marshal(cp)
 }
 
+// A function literal is checked as a function of its own: the hold
+// is flagged inside the closure that takes the lock.
+func (s *store) snapshotter() func() ([]byte, error) {
+	return func() ([]byte, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return json.Marshal(s.state) // want `call to encoding/json.Marshal while holding s.mu`
+	}
+}
+
+// A closure made under the lock runs after it is released: its body is
+// not work done while holding the lock.
+func (s *store) swap(next map[string]int) func() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prev := s.state
+	s.state = next
+	return func() ([]byte, error) { return json.Marshal(prev) }
+}
+
 type cache struct {
 	mu sync.RWMutex
 }

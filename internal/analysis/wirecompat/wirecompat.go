@@ -27,21 +27,11 @@ var Analyzer = &analysis.Analyzer{
 // surface.
 var scoped = []string{"tune", "internal/dbsim", "internal/core", "internal/rollout", "internal/knowledge"}
 
-func inScope(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, s := range scoped {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 func run(pass *analysis.Pass) (any, error) {
 	// External _test packages do not define wire structs.
-	if strings.HasSuffix(pass.Pkg.Path(), "_test") || !inScope(pass.Pkg.Path()) {
+	if strings.HasSuffix(pass.Pkg.Path(), "_test") || !analysis.InScope(pass.Pkg.Path(), scoped) {
 		return nil, nil
 	}
 	for _, file := range pass.Files {

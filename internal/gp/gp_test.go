@@ -19,7 +19,7 @@ func TestKernelSymmetryAndSelf(t *testing.T) {
 			a := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 			b := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 			if math.Abs(Eval(k, a, b)-Eval(k, b, a)) > 1e-12 {
-				t.Fatalf("%s not symmetric", k.Name())
+				t.Fatalf("%T not symmetric", k)
 			}
 		}
 		// Stationary kernels peak at zero distance.
@@ -28,7 +28,7 @@ func TestKernelSymmetryAndSelf(t *testing.T) {
 		case *Matern52:
 			far := []float64{5, 5, 5}
 			if Eval(k, a, a) <= Eval(k, a, far) {
-				t.Fatalf("%s should decay with distance", k.Name())
+				t.Fatalf("%T should decay with distance", k)
 			}
 		}
 	}
@@ -47,7 +47,7 @@ func TestKernelParamsRoundTrip(t *testing.T) {
 		a := []float64{0.3, -0.2, 0.9}
 		b := []float64{-1.1, 0.4, 0.1}
 		if math.Abs(Eval(k, a, b)-Eval(c, a, b)) > 1e-12 {
-			t.Fatalf("%s params round-trip changed kernel", k.Name())
+			t.Fatalf("%T params round-trip changed kernel", k)
 		}
 		// Clone is independent.
 		mod := make([]float64, len(p))
@@ -55,7 +55,7 @@ func TestKernelParamsRoundTrip(t *testing.T) {
 		mod[0] += 1
 		c.SetParams(mod)
 		if math.Abs(Eval(k, a, b)-Eval(c, a, b)) < 1e-9 {
-			t.Fatalf("%s clone shares state", k.Name())
+			t.Fatalf("%T clone shares state", k)
 		}
 	}
 }

@@ -298,7 +298,6 @@ func (indefiniteKernel) SetParams([]float64) {}
 func (indefiniteKernel) Hyper() []float64    { return nil }
 func (indefiniteKernel) SetHyper([]float64)  {}
 func (k indefiniteKernel) Clone() Kernel     { return k }
-func (indefiniteKernel) Name() string        { return "indefinite-test" }
 
 // After a failed Fit (factorization error), Append must not extend the
 // stale factor left over from the previous successful fit: it either

@@ -54,8 +54,6 @@ type Kernel interface {
 	SetHyper(h []float64)
 	// Clone returns a deep copy.
 	Clone() Kernel
-	// Name identifies the kernel for diagnostics.
-	Name() string
 }
 
 // Eval returns k(a, b).
@@ -164,7 +162,6 @@ func (k *Matern52) Clone() Kernel {
 	}
 	return &c
 }
-func (k *Matern52) Name() string { return "matern52" }
 
 // Linear is the (homogeneous-plus-bias) linear kernel
 // k(a,b) = σ² (a·b + bias). The paper uses it over context features to
@@ -214,7 +211,6 @@ func (k *Linear) Hyper() []float64 { return []float64{k.Variance, k.Bias} }
 func (k *Linear) SetHyper(h []float64) { k.Variance, k.Bias = h[0], h[1] }
 
 func (k *Linear) Clone() Kernel { c := *k; return &c }
-func (k *Linear) Name() string  { return "linear" }
 
 // Split is the additive contextual kernel of the paper:
 // inputs are joint vectors [θ ‖ c] with θ occupying the first Dim
@@ -284,8 +280,4 @@ func (k *Split) SetHyper(h []float64) {
 
 func (k *Split) Clone() Kernel {
 	return &Split{Dim: k.Dim, KConfig: k.KConfig.Clone(), KCtx: k.KCtx.Clone(), nConfig: k.nConfig}
-}
-
-func (k *Split) Name() string {
-	return fmt.Sprintf("split(%s+%s)", k.KConfig.Name(), k.KCtx.Name())
 }

@@ -83,7 +83,7 @@ func TestStatsRowRefusesShortRow(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s: StatsRow read past the end of a short row", k.Name())
+					t.Fatalf("%T: StatsRow read past the end of a short row", k)
 				}
 			}()
 			k.StatsRow([][]float64{short}, 1, []float64{0.1, 0.2, 0.3}, 1, make([]float64, 1))

@@ -816,6 +816,46 @@ func TestManagerEvictionSyncsOnce(t *testing.T) {
 	}
 }
 
+// TestManagerCloseSyncsOnce: a Close whose resident session's last op
+// was a suggest syncs that session's log once. Its report journaled the
+// log with the committer, and the trailing suggest is written but not
+// synced, so Close costs the log's sync plus the journal's reset with
+// the committer, and the log's own commit without it.
+func TestManagerCloseSyncsOnce(t *testing.T) {
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			m, err := NewManagerOpts(t.TempDir(), arm.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Create("a", Config{Space: "case5", Seed: 20}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := m.Suggest(context.Background(), "a"); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					if _, err := m.Report("a", goldenOutcome(0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before := m.Stats().Fsyncs
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(1)
+			if arm.opts.CommitInterval != 0 {
+				want = 2
+			}
+			if got := m.Stats().Fsyncs - before; got != want {
+				t.Fatalf("Close after a trailing suggest cost %d sync points, want %d", got, want)
+			}
+		})
+	}
+}
+
 // TestManagerSyncBudget pins one sync point per interval as an exact
 // budget over case5 sessions at seeds 1 and 2. Without the committer
 // every sync point is a report's commit or one of a compaction's two

@@ -239,9 +239,12 @@ func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 	}
 	// f.mu is the contribution WAL's serialization point: Seq must match
 	// append order, so the marshal and the commit cannot move off-lock.
-	// Queries never take f.mu, and contributions are advisory and off
-	// the serving hot path, so the hold stalls no tuning operation.
-	data, err := json.Marshal(knowRecord{Seq: seq, C: c}) //tunevet:ignore lockhold -- seq-ordered WAL append: marshal must stay inside the serialization point; query path never takes f.mu
+	// Queries never take f.mu. Contributions are on the serving path:
+	// Manager.Report reaches here (core observe → contribute) under the
+	// session's op gate, Session.mu and OnlineTune.mu, so that report
+	// waits for the fsync below, and another session's contribution
+	// waits behind it on f.mu.
+	data, err := json.Marshal(knowRecord{Seq: seq, C: c}) //tunevet:ignore lockhold -- seq-ordered WAL append: marshal must stay inside the serialization point; queries never take f.mu, only other contributions wait on it
 	if err != nil {
 		return
 	}
@@ -249,7 +252,7 @@ func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 		f.recoverLogLocked()
 		return
 	}
-	//tunevet:ignore lockhold -- the contribution fsync must complete before the next contribution's seq is assigned; advisory path, never on the serving hot path
+	//tunevet:ignore lockhold -- the contribution fsync must complete before the next contribution's seq is assigned; it is a real fsync inside Manager.Report, which other sessions' contributions wait behind, and queries never take f.mu
 	if err := f.log.Commit(); err != nil {
 		f.recoverLogLocked()
 		return

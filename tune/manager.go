@@ -643,19 +643,27 @@ func (m *Manager) evictOne(v *managedSession) {
 		return
 	}
 	if m.committer != nil && v.log != nil {
-		// The flushed tail's durability may lean on the shared journal;
-		// an evicted log's handle closes, so settle the debt now — one
-		// fsync — and release the journal's rotation hold on it.
-		if err := v.log.SyncFile(); err != nil {
+		// An evicted log's handle closes: settle its debt now.
+		if err := m.settleLocked(v); err != nil {
 			m.reinsert(v)
 			return
 		}
-		v.log.MarkDurable()
-		m.committer.Forget(v.log.Path())
 	}
 	v.dropLogLocked()
 	v.s = nil
 	m.evictions.Add(1)
+}
+
+// settleLocked fsyncs e's log, whose flushed tail may lean on the shared
+// journal or hold an unsynced suggest, and releases the journal's
+// rotation hold on it: one sync point.
+func (m *Manager) settleLocked(e *managedSession) error {
+	if err := e.log.SyncFile(); err != nil {
+		return err
+	}
+	e.log.MarkDurable()
+	m.committer.Forget(e.log.Path())
+	return nil
 }
 
 // reinsert puts a victim that could not be evicted back on the LRU.
@@ -694,10 +702,11 @@ func (m *Manager) persistLocked(e *managedSession, op *walRecord) error {
 	return nil
 }
 
-// Create builds a new session under id. It fails if the id is taken.
-func (m *Manager) Create(id string, cfg Config) (*Session, error) {
+// Create builds a new session under id and returns its summary. It
+// fails if the id is taken.
+func (m *Manager) Create(id string, cfg Config) (SessionInfo, error) {
 	if err := validID(id); err != nil {
-		return nil, err
+		return SessionInfo{}, err
 	}
 	// A taken id (resident or evicted) is refused before anything is
 	// built; the check at publication below settles a race between two
@@ -706,7 +715,7 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	_, taken := m.sessions[id]
 	m.mu.Unlock()
 	if taken {
-		return nil, fmt.Errorf("tune: %w: %q", ErrExists, id)
+		return SessionInfo{}, fmt.Errorf("tune: %w: %q", ErrExists, id)
 	}
 	if m.know != nil {
 		// Fleet knowledge is manager-wide: every session it creates joins
@@ -720,16 +729,17 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 	// serialize behind it.
 	s, err := NewSession(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("tune: %w: %w", ErrInvalid, err)
+		return SessionInfo{}, fmt.Errorf("tune: %w: %w", ErrInvalid, err)
 	}
 	// The entry is born holding its own op gate, so concurrent requests
 	// for the id queue behind the initial persist, and with its summary,
 	// so List never shows it blank.
-	e := &managedSession{id: id, s: s, busy: true, info: sessionInfo(id, s)}
+	info := sessionInfo(id, s)
+	e := &managedSession{id: id, s: s, busy: true, info: info}
 	m.mu.Lock()
 	if _, ok := m.sessions[id]; ok {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("tune: %w: %q", ErrExists, id)
+		return SessionInfo{}, fmt.Errorf("tune: %w: %q", ErrExists, id)
 	}
 	m.sessions[id] = e
 	m.mu.Unlock()
@@ -755,10 +765,10 @@ func (m *Manager) Create(id string, cfg Config) (*Session, error) {
 		return nil
 	}()
 	if err != nil {
-		return nil, err
+		return SessionInfo{}, err
 	}
 	m.evict(victims)
-	return s, nil
+	return info, nil
 }
 
 // Get returns the session under id, hydrating it if evicted. Operations
@@ -940,23 +950,20 @@ func (m *Manager) Rollout(id string) (RolloutStatus, error) {
 	return st, err
 }
 
-// Close flushes and closes every resident session's log. The shared
-// committer shuts down first — its final rotation fsyncs every log the
-// journal still covers and truncates the journal, so a clean shutdown
-// leaves nothing for the next boot's recovery — then, under each
-// session's op gate, a session whose last persist failed is re-based and
-// its log closed. The manager must not be used afterwards
-// (a request racing Close degrades to a per-session fsync and stays
-// durable; it is not lost).
+// Close flushes and closes every resident session's log. A log whose
+// last op was a suggest holds a written but unsynced record: it is
+// synced first, under its session's op gate, as an eviction would. The
+// shared committer shuts down next — its final rotation fsyncs every
+// log the journal still covers and truncates the journal, so a clean
+// shutdown leaves nothing for the next boot's recovery — then, under
+// each session's op gate, a session whose last persist failed is
+// re-based and its log closed. Each log is synced at most once. The
+// manager must not be used afterwards (a request racing Close degrades
+// to a per-session fsync and stays durable; it is not lost).
 func (m *Manager) Close() error {
 	var first error
-	if m.committer != nil {
-		if err := m.committer.Close(); err != nil {
-			first = err
-		}
-	}
-	if m.know != nil {
-		if err := m.know.Close(); err != nil && first == nil {
+	keep := func(err error) {
+		if err != nil && first == nil {
 			first = err
 		}
 	}
@@ -966,20 +973,31 @@ func (m *Manager) Close() error {
 		es = append(es, e) //tunevet:ignore determinism -- shutdown close order: each log's Close is independent and nothing here feeds the event log or the wire
 	}
 	m.mu.Unlock()
-	for _, e := range es {
-		if !m.acquire(e) {
-			continue // deleted concurrently
-		}
-		if err := m.tryPersistLocked(e, nil); err != nil && first == nil {
-			first = err
-		}
-		if e.log != nil {
-			if err := e.log.Close(); err != nil && first == nil {
-				first = err
+	gated := func(do func(e *managedSession)) {
+		for _, e := range es {
+			if m.acquire(e) { // false: deleted concurrently
+				do(e)
+				m.release(e)
 			}
+		}
+	}
+	if m.committer != nil {
+		gated(func(e *managedSession) {
+			if e.log != nil && len(e.held) > 0 {
+				keep(m.settleLocked(e))
+			}
+		})
+		keep(m.committer.Close())
+	}
+	if m.know != nil {
+		keep(m.know.Close())
+	}
+	gated(func(e *managedSession) {
+		keep(m.tryPersistLocked(e, nil))
+		if e.log != nil {
+			keep(e.log.Close())
 			e.log = nil
 		}
-		m.release(e)
-	}
+	})
 	return first
 }

@@ -65,12 +65,12 @@ func NewServer(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		s, err := m.Create(req.ID, req.Config)
+		info, err := m.Create(req.ID, req.Config)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, sessionInfo(req.ID, s))
+		writeJSON(w, http.StatusCreated, info)
 	})
 
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
