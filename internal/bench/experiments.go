@@ -26,83 +26,69 @@ type Report struct {
 	Series []*Series
 }
 
+// experiments lists every reproducible artifact in paper order: its id,
+// the paper's run length (0 where the experiment takes none) and its
+// run.
+var experiments = []struct {
+	id    string
+	iters int
+	run   func(iters int, seed int64) Report
+}{
+	{"fig1a", 0, func(_ int, seed int64) Report { return Fig1aWorkloadTrace(seed) }},
+	{"fig1b", 400, func(n int, _ int64) Report { return Fig1bDataGrowth(n) }},
+	{"fig1c", 200, Fig1cOfflineExploration},
+	{"fig1d", 130, Fig1dFixedConfigDrift},
+	{"fig3", 0, func(_ int, seed int64) Report { return Fig3ContextGeneralization(seed) }},
+	{"fig4", 0, func(_ int, seed int64) Report { return Fig4ClusterBoundary(seed) }},
+	{"fig5tpcc", 400, func(n int, seed int64) Report { return Fig5Dynamic("tpcc", n, seed) }},
+	{"fig5twitter", 400, func(n int, seed int64) Report { return Fig5Dynamic("twitter", n, seed) }},
+	{"fig5job", 400, func(n int, seed int64) Report { return Fig5Dynamic("job", n, seed) }},
+	{"fig6", 400, Fig6OLTPOLAPCycle},
+	{"fig7", 360, Fig7RealWorkload},
+	{"fig8", 400, Fig8Overhead},
+	{"fig9", 400, func(n int, _ int64) Report { return Fig9YCSBPattern(n) }},
+	{"fig10", 0, func(_ int, seed int64) Report { return Fig10ThroughputSurface(seed) }},
+	{"fig11", 400, Fig11YCSBCaseStudy},
+	{"fig12", 400, Fig12KnobTraces},
+	{"fig13", 400, Fig13Visualization},
+	{"fig14", 400, Fig14AblationContext},
+	{"fig15", 400, Fig15AblationSafety},
+	{"fig16", 240, Fig16IntervalSizes},
+	{"fig17", 400, Fig17MySQLDefaultStart},
+	{"table1", 200, Table1StaticWorkloads},
+	{"tableA1", 400, TableA1TimeBreakdown},
+	{"ext1", 400, Ext1Stopping},
+	{"ext4", 300, Ext4CrossEngine},
+	{"ext5", 300, Ext5CanaryRollout},
+	// ext8's iters are intervals per session; the fleet is fixed at
+	// ext8Sessions sessions per arm, run sequentially on the 40-knob
+	// space, so 40 intervals is already 320 durable tuning steps.
+	{"ext8", 40, Ext8FleetWarmStart},
+	{"ext9", 300, Ext9BlueGreenRollout},
+}
+
 // ExperimentIDs lists every reproducible artifact in paper order.
 func ExperimentIDs() []string {
-	return []string{
-		"fig1a", "fig1b", "fig1c", "fig1d", "fig3", "fig4",
-		"fig5tpcc", "fig5twitter", "fig5job", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "fig13",
-		"fig14", "fig15", "fig16", "fig17", "table1", "tableA1", "ext1",
-		"ext4", "ext5", "ext8", "ext9",
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Experiment dispatches an experiment by id. iters scales run length
 // (0 = the paper's setting); seed controls reproducibility.
 func Experiment(id string, iters int, seed int64) (Report, error) {
-	switch id {
-	case "fig1a":
-		return Fig1aWorkloadTrace(seed), nil
-	case "fig1b":
-		return Fig1bDataGrowth(orDefault(iters, 400)), nil
-	case "fig1c":
-		return Fig1cOfflineExploration(orDefault(iters, 200), seed), nil
-	case "fig1d":
-		return Fig1dFixedConfigDrift(orDefault(iters, 130), seed), nil
-	case "fig3":
-		return Fig3ContextGeneralization(seed), nil
-	case "fig4":
-		return Fig4ClusterBoundary(seed), nil
-	case "fig5tpcc":
-		return Fig5Dynamic("tpcc", orDefault(iters, 400), seed), nil
-	case "fig5twitter":
-		return Fig5Dynamic("twitter", orDefault(iters, 400), seed), nil
-	case "fig5job":
-		return Fig5Dynamic("job", orDefault(iters, 400), seed), nil
-	case "fig6":
-		return Fig6OLTPOLAPCycle(orDefault(iters, 400), seed), nil
-	case "fig7":
-		return Fig7RealWorkload(orDefault(iters, 360), seed), nil
-	case "fig8":
-		return Fig8Overhead(orDefault(iters, 400), seed), nil
-	case "fig9":
-		return Fig9YCSBPattern(orDefault(iters, 400)), nil
-	case "fig10":
-		return Fig10ThroughputSurface(seed), nil
-	case "fig11":
-		return Fig11YCSBCaseStudy(orDefault(iters, 400), seed), nil
-	case "fig12":
-		return Fig12KnobTraces(orDefault(iters, 400), seed), nil
-	case "fig13":
-		return Fig13Visualization(orDefault(iters, 400), seed), nil
-	case "fig14":
-		return Fig14AblationContext(orDefault(iters, 400), seed), nil
-	case "fig15":
-		return Fig15AblationSafety(orDefault(iters, 400), seed), nil
-	case "fig16":
-		return Fig16IntervalSizes(orDefault(iters, 240), seed), nil
-	case "fig17":
-		return Fig17MySQLDefaultStart(orDefault(iters, 400), seed), nil
-	case "table1":
-		return Table1StaticWorkloads(orDefault(iters, 200), seed), nil
-	case "tableA1":
-		return TableA1TimeBreakdown(orDefault(iters, 400), seed), nil
-	case "ext1":
-		return Ext1Stopping(orDefault(iters, 400), seed), nil
-	case "ext4":
-		return Ext4CrossEngine(orDefault(iters, 300), seed), nil
-	case "ext5":
-		return Ext5CanaryRollout(orDefault(iters, 300), seed), nil
-	case "ext8":
-		// iters = intervals per session; the fleet is fixed at
-		// ext8Sessions sessions per arm, run sequentially on the 40-knob
-		// space, so 40 intervals is already 320 durable tuning steps.
-		return Ext8FleetWarmStart(orDefault(iters, 40), seed), nil
-	case "ext9":
-		return Ext9BlueGreenRollout(orDefault(iters, 300), seed), nil
-	default:
-		return Report{}, &UnknownExperimentError{ID: id, Known: ExperimentIDs()}
+	for _, e := range experiments {
+		if e.id != id {
+			continue
+		}
+		if iters <= 0 {
+			iters = e.iters
+		}
+		return e.run(iters, seed), nil
 	}
+	return Report{}, &UnknownExperimentError{ID: id, Known: ExperimentIDs()}
 }
 
 // UnknownExperimentError reports a dispatch request for an experiment
@@ -116,13 +102,6 @@ type UnknownExperimentError struct {
 
 func (e *UnknownExperimentError) Error() string {
 	return fmt.Sprintf("unknown experiment %q (known: %s)", e.ID, strings.Join(e.Known, ", "))
-}
-
-func orDefault(v, d int) int {
-	if v <= 0 {
-		return d
-	}
-	return v
 }
 
 // --- Figure 1: motivation -------------------------------------------------

@@ -36,7 +36,7 @@ func (k *testKB) Refit(fit func() *gp.Refit) *gp.Refit { fit(); return nil }
 func (k *testKB) Recluster(check func() bool)          { check() }
 
 func kbFor(space *knobs.Space) (*knowledge.Store, *testKB) {
-	s := knowledge.NewStore(knowledge.Params{})
+	s := knowledge.NewStore(knowledge.DefaultParams())
 	return s, &testKB{store: s, engine: string(space.Engine.OrMySQL()), space: "case5"}
 }
 
@@ -268,7 +268,7 @@ func TestRepoCapKeepsTunerConsistent(t *testing.T) {
 	if st.Len != 30 || st.Added != 100 || st.Evicted != 70 {
 		t.Fatalf("repo stats = %+v", st)
 	}
-	if got := len(tuner.Labels()); got != 30 {
+	if got := len(tuner.labels); got != 30 {
 		t.Fatalf("labels = %d, want 30 (aligned with resident observations)", got)
 	}
 }

@@ -994,13 +994,6 @@ func (o *OnlineTune) LastRecommendation() *Recommendation {
 	return &rec
 }
 
-// Labels returns a copy of the per-observation cluster labels.
-func (o *OnlineTune) Labels() []int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]int(nil), o.labels...)
-}
-
 // ExpectedImprovementAt returns the Expected Improvement of candidate u
 // over the applied configuration's posterior mean under ctx, and whether
 // the selected model has any observations to predict with. Unlike

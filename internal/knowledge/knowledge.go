@@ -80,8 +80,8 @@ type Advice struct {
 	Hyper []float64 `json:"hyper,omitempty"`
 }
 
-// Params bound the store. The zero value of any field takes its
-// default.
+// Params bound the store. Start from DefaultParams and override the
+// fields to change.
 type Params struct {
 	// MaxClusters caps context clusters per (engine, space); the
 	// lowest-weight cluster is evicted at the cap.
@@ -113,29 +113,6 @@ func DefaultParams() Params {
 		MergeRadius: 0.10,
 		MatchRadius: math.Inf(1),
 	}
-}
-
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.MaxClusters <= 0 {
-		p.MaxClusters = d.MaxClusters
-	}
-	if p.MaxConfigs <= 0 {
-		p.MaxConfigs = d.MaxConfigs
-	}
-	if p.MaxHypers <= 0 {
-		p.MaxHypers = d.MaxHypers
-	}
-	if p.MaxAdvice <= 0 {
-		p.MaxAdvice = d.MaxAdvice
-	}
-	if p.MergeRadius <= 0 {
-		p.MergeRadius = d.MergeRadius
-	}
-	if p.MatchRadius == 0 {
-		p.MatchRadius = d.MatchRadius
-	}
-	return p
 }
 
 // Stats summarizes the store.
@@ -203,7 +180,7 @@ type Store struct {
 
 // NewStore builds an empty store.
 func NewStore(p Params) *Store {
-	return &Store{params: p.withDefaults(), spaces: map[spaceKey][]*cluster{}}
+	return &Store{params: p, spaces: map[spaceKey][]*cluster{}}
 }
 
 // sanitizeUnit clamps a unit vector into [0,1] and rejects non-finite

@@ -18,7 +18,7 @@ func contrib(space string, ctx []float64, unit []float64, perf, tau float64) Con
 }
 
 func TestContributeAndQuery(t *testing.T) {
-	s := NewStore(Params{})
+	s := NewStore(DefaultParams())
 	ctx := []float64{0.5, 0.5}
 	s.Contribute(contrib("full", ctx, []float64{0.1, 0.9}, 120, 100))
 	s.Contribute(contrib("full", ctx, []float64{0.2, 0.8}, 150, 100))
@@ -53,7 +53,7 @@ func TestContributeAndQuery(t *testing.T) {
 }
 
 func TestQueryMissesOnEmptyStore(t *testing.T) {
-	s := NewStore(Params{})
+	s := NewStore(DefaultParams())
 	if adv := s.Query("mysql", "full", []float64{0.1}); adv != nil {
 		t.Fatalf("empty store returned advice: %+v", adv)
 	}
@@ -64,7 +64,7 @@ func TestQueryMissesOnEmptyStore(t *testing.T) {
 }
 
 func TestContributionSanitized(t *testing.T) {
-	s := NewStore(Params{})
+	s := NewStore(DefaultParams())
 	ctx := []float64{0.5}
 	// Out-of-bounds units are clamped into [0,1].
 	s.Contribute(contrib("full", ctx, []float64{-0.5, 1.5, 0.3}, 120, 100))
@@ -88,7 +88,9 @@ func TestContributionSanitized(t *testing.T) {
 // garbage is contributed, every configuration the store hands out lies
 // inside the unit hypercube with finite values.
 func TestAdviceAlwaysInBounds(t *testing.T) {
-	s := NewStore(Params{MaxClusters: 4, MaxConfigs: 4})
+	p := DefaultParams()
+	p.MaxClusters, p.MaxConfigs = 4, 4
+	s := NewStore(p)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		dim := 2 + rng.Intn(3)
@@ -125,7 +127,9 @@ func TestAdviceAlwaysInBounds(t *testing.T) {
 }
 
 func TestClusterMergeAndSplit(t *testing.T) {
-	s := NewStore(Params{MergeRadius: 0.05})
+	p := DefaultParams()
+	p.MergeRadius = 0.05
+	s := NewStore(p)
 	// Two well separated context groups become two clusters.
 	for i := 0; i < 5; i++ {
 		s.Contribute(contrib("full", []float64{0.1 + float64(i)*0.01}, []float64{0.2}, 110, 100))
@@ -145,7 +149,7 @@ func TestClusterMergeAndSplit(t *testing.T) {
 }
 
 func TestHyperMedian(t *testing.T) {
-	s := NewStore(Params{})
+	s := NewStore(DefaultParams())
 	ctx := []float64{1}
 	for i, h := range [][]float64{{1, 10}, {3, 30}, {2, 20}} {
 		c := contrib("full", ctx, []float64{float64(i) / 10}, 110, 100)
@@ -169,7 +173,9 @@ func TestHyperMedian(t *testing.T) {
 }
 
 func TestCapsEnforced(t *testing.T) {
-	s := NewStore(Params{MaxClusters: 3, MaxConfigs: 2, MaxHypers: 2, MergeRadius: 0.01})
+	p := DefaultParams()
+	p.MaxClusters, p.MaxConfigs, p.MaxHypers, p.MergeRadius = 3, 2, 2, 0.01
+	s := NewStore(p)
 	for i := 0; i < 10; i++ {
 		c := contrib("full", []float64{float64(i)}, []float64{float64(i) / 10}, 100+float64(i), 100)
 		c.Hyper = []float64{float64(i)}
@@ -193,7 +199,7 @@ func TestCapsEnforced(t *testing.T) {
 // TestSnapshotRoundTrip: a restored store answers queries
 // bitwise-identically, through JSON (the durable form).
 func TestSnapshotRoundTrip(t *testing.T) {
-	s := NewStore(Params{})
+	s := NewStore(DefaultParams())
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		c := contrib("full", []float64{rng.Float64() * 3, rng.Float64()},
@@ -214,7 +220,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	r := NewStore(Params{})
+	r := NewStore(DefaultParams())
 	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +237,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsUnknownVersion(t *testing.T) {
-	s := NewStore(Params{})
+	s := NewStore(DefaultParams())
 	if err := s.Restore(Snapshot{Version: SnapshotVersion + 1}); err == nil {
 		t.Fatal("restore accepted an unknown snapshot version")
 	}
@@ -241,14 +247,14 @@ func TestRestoreRejectsUnknownVersion(t *testing.T) {
 }
 
 func TestMerge(t *testing.T) {
-	a := NewStore(Params{})
+	a := NewStore(DefaultParams())
 	ctxA := []float64{0.5}
 	c := contrib("full", ctxA, []float64{0.3}, 140, 100)
 	c.Hyper = []float64{1, 2}
 	a.Contribute(c)
 	a.Contribute(contrib("case5", []float64{1.5}, []float64{0.7}, 130, 100))
 
-	b := NewStore(Params{})
+	b := NewStore(DefaultParams())
 	b.Contribute(contrib("full", ctxA, []float64{0.9}, 105, 100))
 	n, err := b.Merge(a.Snapshot())
 	if err != nil {
@@ -275,7 +281,7 @@ func TestMerge(t *testing.T) {
 // TestConcurrentHammer drives many contributing and querying sessions
 // through one store under -race.
 func TestConcurrentHammer(t *testing.T) {
-	s := NewStore(Params{})
+	s := NewStore(DefaultParams())
 	const (
 		sessions = 16
 		ops      = 200

@@ -476,9 +476,6 @@ func (c *Controller) LastGood() []float64 { return c.st.LastGood }
 // Candidate returns the staged candidate (nil outside canary/tuning).
 func (c *Controller) Candidate() []float64 { return c.st.Candidate }
 
-// ChainDepth returns the previous-good chain's current depth.
-func (c *Controller) ChainDepth() int { return len(c.st.Chain) }
-
 // Submit routes a freshly recommended candidate. It returns the
 // configuration to apply on the primary and the configuration to stage
 // on the non-serving replica (nil when no staging starts: the candidate

@@ -224,7 +224,7 @@ func TestDriftRollbackStepsBackThroughChain(t *testing.T) {
 	initial := []float64{0.5, 0.5}
 	promote(t, c, a, 0)
 	promote(t, c, b, 10)
-	if got := c.ChainDepth(); got != 1 {
+	if got := len(c.st.Chain); got != 1 {
 		t.Fatalf("chain depth after two promotes = %d, want 1 (initial anchor is never pushed)", got)
 	}
 	// Three consecutive below-τ intervals on the promoted config: the
@@ -269,8 +269,8 @@ func TestDriftRollbackStepsBackThroughChain(t *testing.T) {
 	if !slices.Equal(c.LastGood(), a) {
 		t.Fatal("revalidated target must stick")
 	}
-	if c.ChainDepth() != 0 {
-		t.Fatalf("re-promoting from the anchor must not grow the chain, depth = %d", c.ChainDepth())
+	if len(c.st.Chain) != 0 {
+		t.Fatalf("re-promoting from the anchor must not grow the chain, depth = %d", len(c.st.Chain))
 	}
 }
 
@@ -307,8 +307,8 @@ func TestRevalidationFailurePopsChainAgain(t *testing.T) {
 	promote(t, c, a, 0)
 	promote(t, c, b, 10)
 	promote(t, c, cc, 20)
-	if c.ChainDepth() != 2 {
-		t.Fatalf("chain depth = %d, want 2", c.ChainDepth())
+	if len(c.st.Chain) != 2 {
+		t.Fatalf("chain depth = %d, want 2", len(c.st.Chain))
 	}
 	var d string
 	for i := 0; i < 3; i++ {
@@ -350,8 +350,8 @@ func TestChainBounded(t *testing.T) {
 	for i := 0; i < DefaultMaxChain+3; i++ {
 		promote(t, c, []float64{0.5 + 0.01*float64(i+1)}, i*10)
 	}
-	if c.ChainDepth() != DefaultMaxChain {
-		t.Fatalf("chain depth = %d, want DefaultMaxChain=%d", c.ChainDepth(), DefaultMaxChain)
+	if len(c.st.Chain) != DefaultMaxChain {
+		t.Fatalf("chain depth = %d, want DefaultMaxChain=%d", len(c.st.Chain), DefaultMaxChain)
 	}
 }
 

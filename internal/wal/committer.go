@@ -32,9 +32,11 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,6 +207,16 @@ func (c *Committer) Forget(path string) {
 	c.mu.Unlock()
 }
 
+// Covers reports whether the journal may hold the only durable copy of
+// records flushed to the log at path: the log was enqueued and has not
+// been synced by rotation or Forgotten since.
+func (c *Committer) Covers(path string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.dirty[path]
+	return ok
+}
+
 // Batches returns how many batch commits have run.
 func (c *Committer) Batches() int64 { return c.batches.Load() }
 
@@ -213,8 +225,10 @@ func (c *Committer) Batches() int64 { return c.batches.Load() }
 func (c *Committer) DegradedBatches() int64 { return c.degradedBatches.Load() }
 
 // Close drains any pending batch, fsyncs the logs still leaning on the
-// journal, truncates the journal (so the next boot recovers nothing)
-// and stops the loop. Enqueues after Close fail with ErrCommitterClosed.
+// journal, truncates the journal if every one of them synced (so the
+// next boot recovers nothing) and stops the loop. The fsyncs run off
+// c.mu on a snapshot of the rotation set. Enqueues after Close fail with
+// ErrCommitterClosed.
 func (c *Committer) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -228,26 +242,23 @@ func (c *Committer) Close() error {
 
 	c.commitBatch() // release any waiters that raced Close
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	dirty := maps.Clone(c.dirty)
+	c.mu.Unlock()
 	var err error
-	for path, l := range c.dirty {
-		if serr := l.SyncFile(); serr != nil { //tunevet:ignore lockhold -- shutdown drain: closed is already set, so Enqueue fails fast without waiting on c.mu and no serving operation can stall behind these final fsyncs
-			if err == nil {
-				err = serr
-			}
+	for path, l := range dirty {
+		if serr := l.SyncFile(); serr != nil {
+			err = cmp.Or(err, serr)
 			continue
 		}
-		delete(c.dirty, path)
+		c.Forget(path)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.journal != nil {
 		if len(c.dirty) == 0 {
-			if rerr := c.journal.Reset(); rerr != nil && err == nil {
-				err = rerr
-			}
+			err = cmp.Or(err, c.journal.Reset())
 		}
-		if cerr := c.journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		err = cmp.Or(err, c.journal.Close())
 		c.journal = nil
 	}
 	return err

@@ -357,7 +357,7 @@ func TestAdviceWireGolden(t *testing.T) {
 // flat phase beside it), and the rollout endpoint reports mode,
 // replica roles, chain depth and the switchover metrics.
 func TestBlueGreenOverHTTP(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

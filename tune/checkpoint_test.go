@@ -165,7 +165,9 @@ func TestCheckpointFailureLosesNothing(t *testing.T) {
 // advanced the session in memory, and a clean Close re-bases it, so the
 // next boot resumes after that report — with and without the shared
 // committer — and continues bit-identically with a never-restarted
-// session.
+// session. The real-fsync arm pins that Close re-bases before the
+// committer's final sync, which would otherwise fsync the closed handle
+// of the dropped log and fail.
 func TestCheckpointFailureSurvivesClose(t *testing.T) {
 	for _, arm := range []struct {
 		name string
@@ -173,6 +175,7 @@ func TestCheckpointFailureSurvivesClose(t *testing.T) {
 	}{
 		{"per-log", ManagerOptions{NoFsync: true}},
 		{"group-commit", ManagerOptions{NoFsync: true, CommitInterval: -1}},
+		{"group-commit, fsync", ManagerOptions{CommitInterval: -1}},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -816,6 +816,45 @@ func TestManagerEvictionSyncsOnce(t *testing.T) {
 	}
 }
 
+// TestManagerEvictionSyncsOnlyDebt: with the committer on, eviction
+// syncs a log only when it has sync debt. With MaxResident 1, creating
+// a second session evicts the first, whose log was reset at its creation
+// and never written since: the create costs its base write and its log
+// reset, and nothing for the eviction. A log that the journal still
+// covers (its last op a report) is synced once when evicted.
+func TestManagerEvictionSyncsOnlyDebt(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, MaxResident: 1, CommitInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	create := func(id string, seed int64, want int64) {
+		t.Helper()
+		before := m.Stats()
+		if _, err := m.Create(id, Config{Space: "case5", Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+		after := m.Stats()
+		if got := after.Evictions - before.Evictions; got != 1 {
+			t.Fatalf("creating %s evicted %d sessions, want 1", id, got)
+		}
+		if got := after.Fsyncs - before.Fsyncs; got != want {
+			t.Fatalf("creating %s cost %d sync points, want %d", id, got, want)
+		}
+	}
+	if _, err := m.Create("a", Config{Space: "case5", Seed: 20}); err != nil {
+		t.Fatal(err)
+	}
+	create("b", 21, 2)
+	if _, err := m.Suggest(context.Background(), "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Report("b", goldenOutcome(0)); err != nil {
+		t.Fatal(err)
+	}
+	create("c", 22, 3)
+}
+
 // TestManagerCloseSyncsOnce: a Close whose resident session's last op
 // was a suggest syncs that session's log once. Its report journaled the
 // log with the committer, and the trailing suggest is written but not

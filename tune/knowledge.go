@@ -165,26 +165,29 @@ type knowRecord struct {
 }
 
 // fleetKnowledge is the Manager-owned fleet knowledge base: one shared
-// knowledge.Store plus base+WAL durability riding the Manager's
-// atomic-write and fsync machinery. The store itself is concurrency-safe;
-// mu serializes WAL appends and compaction across sessions.
+// knowledge.Store plus base+WAL durability through the Manager's rebase,
+// under the session's failure rule. The store itself is
+// concurrency-safe; mu serializes WAL appends and rebases across
+// sessions.
 type fleetKnowledge struct {
 	store *knowledge.Store
-	m     *Manager // nil for in-memory stores (no durability)
+	m     *Manager
 
-	mu      sync.Mutex
-	log     *wal.Log // nil when in-memory or after an unrecoverable write error
-	baseSeq int64    // lifetime contribution count folded into the base
+	mu sync.Mutex
+	// log is nil without a state directory, and after a failed write
+	// until the next contribution or Close re-bases the store.
+	log *wal.Log
 }
 
 // openKnowledge builds the manager's fleet knowledge base, restoring the
 // base snapshot and replaying the contribution WAL when a state
 // directory is configured.
 func (m *Manager) openKnowledge() (*fleetKnowledge, error) {
-	k := &fleetKnowledge{store: knowledge.NewStore(knowledge.Params{}), m: m}
+	k := &fleetKnowledge{store: knowledge.NewStore(knowledge.DefaultParams()), m: m}
 	if m.stateDir == "" {
 		return k, nil
 	}
+	var baseSeq int64 // lifetime contribution count folded into the base
 	data, err := os.ReadFile(m.knowledgeBasePath())
 	switch {
 	case err == nil:
@@ -195,7 +198,7 @@ func (m *Manager) openKnowledge() (*fleetKnowledge, error) {
 		if err := k.store.Restore(snap); err != nil {
 			return nil, err
 		}
-		k.baseSeq = snap.Contributions
+		baseSeq = snap.Contributions
 	case os.IsNotExist(err):
 	default:
 		return nil, err
@@ -210,7 +213,7 @@ func (m *Manager) openKnowledge() (*fleetKnowledge, error) {
 			lg.Close()
 			return nil, fmt.Errorf("knowledge wal record %d: %w", i, err)
 		}
-		if r.Seq <= k.baseSeq {
+		if r.Seq <= baseSeq {
 			continue // already folded into the base
 		}
 		k.store.Contribute(r.C)
@@ -226,83 +229,59 @@ func (f *fleetKnowledge) Query(engine, space string, ctx []float64) *knowledge.A
 
 // Contribute deposits into the store and makes the deposit durable. The
 // store is advisory, so durability failures never propagate to the
-// tuning operation: a failed append falls back to rewriting the base
-// atomically, and if that also fails the store degrades to in-memory.
+// tuning operation. The failure rule is the session's: a failed append
+// or commit drops the tail (its flush state is unknown, and appending
+// after it could tear the middle of the log) and the same call re-bases;
+// a tail that is still dropped is re-based by the next contribution or
+// by Close.
 func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	before := f.store.Stats().Contributions
 	f.store.Contribute(c)
 	seq := f.store.Stats().Contributions
-	if seq == before || f.log == nil {
+	if seq == before || f.m.stateDir == "" {
 		return // rejected as invalid, or nothing to persist to
 	}
-	// f.mu is the contribution WAL's serialization point: Seq must match
-	// append order, so the marshal and the commit cannot move off-lock.
-	// Queries never take f.mu. Contributions are on the serving path:
-	// Manager.Report reaches here (core observe → contribute) under the
-	// session's op gate, Session.mu and OnlineTune.mu, so that report
-	// waits for the fsync below, and another session's contribution
-	// waits behind it on f.mu.
-	data, err := json.Marshal(knowRecord{Seq: seq, C: c}) //tunevet:ignore lockhold -- seq-ordered WAL append: marshal must stay inside the serialization point; queries never take f.mu, only other contributions wait on it
-	if err != nil {
-		return
-	}
-	if err := f.log.Append(data); err != nil {
-		f.recoverLogLocked()
-		return
-	}
-	//tunevet:ignore lockhold -- the contribution fsync must complete before the next contribution's seq is assigned; it is a real fsync inside Manager.Report, which other sessions' contributions wait behind, and queries never take f.mu
-	if err := f.log.Commit(); err != nil {
-		f.recoverLogLocked()
-		return
-	}
-	if f.m != nil {
-		f.m.checkpointBytes.Add(int64(len(data)))
-	}
-	if f.log.Count() >= knowledgeCompactMin {
-		f.rebaseLocked()
-	}
-}
-
-// recoverLogLocked handles a WAL write error: the log's flush state is
-// unknown, so fold everything into a fresh atomic base and reset it. If
-// even that fails, drop the handle — the store keeps serving from
-// memory.
-func (f *fleetKnowledge) recoverLogLocked() {
-	if f.rebaseLocked() != nil && f.log != nil {
-		f.log.Close()
-		f.log = nil
-	}
-}
-
-// rebaseLocked folds the store into a fresh base snapshot and resets the
-// WAL. Ordering mirrors session compaction: the base is fsynced and
-// renamed into place before the log resets, so a crash in between leaves
-// stale tail records that recovery skips by sequence number.
-func (f *fleetKnowledge) rebaseLocked() error {
-	if f.m == nil || f.m.stateDir == "" {
-		return nil
-	}
-	snap := f.store.Snapshot()
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := f.m.writeAtomic(f.m.knowledgeBasePath(), knowledgeBaseFile, data); err != nil {
-		return err
-	}
-	f.m.checkpointBytes.Add(int64(len(data)))
-	f.baseSeq = snap.Contributions
 	if f.log != nil {
-		if err := f.log.Reset(); err != nil {
+		// f.mu is the contribution WAL's serialization point: Seq must
+		// match append order, so the marshal and the commit cannot move
+		// off-lock. Queries never take f.mu. Contributions are on the
+		// serving path: Manager.Report reaches here (core observe →
+		// contribute) under the session's op gate, Session.mu and
+		// OnlineTune.mu, so that report waits for the fsync below, and
+		// another session's contribution waits behind it on f.mu.
+		data, err := json.Marshal(knowRecord{Seq: seq, C: c}) //tunevet:ignore lockhold -- seq-ordered WAL append: marshal must stay inside the serialization point; queries never take f.mu, only other contributions wait on it
+		if err != nil {
+			return
+		}
+		if err = f.log.Append(data); err == nil {
+			//tunevet:ignore lockhold -- the contribution fsync must complete before the next contribution's seq is assigned; it is a real fsync inside Manager.Report, which other sessions' contributions wait behind, and queries never take f.mu
+			err = f.log.Commit()
+		}
+		if err == nil {
+			f.m.checkpointBytes.Add(int64(len(data)))
+			if f.log.Count() < knowledgeCompactMin {
+				return
+			}
+		} else {
 			f.log.Close()
 			f.log = nil
-			return err
 		}
 	}
-	f.m.compactions.Add(1)
-	return nil
+	f.rebaseLocked() // a failure leaves the tail dropped, for the next contribution or Close
+}
+
+// rebaseLocked folds the store into a fresh base snapshot and resets
+// (or reopens) the WAL through the Manager's rebase: a crash between
+// the base's rename and the log's reset leaves stale tail records, which
+// recovery skips by sequence number.
+func (f *fleetKnowledge) rebaseLocked() error {
+	data, err := json.MarshalIndent(f.store.Snapshot(), "", " ")
+	if err != nil {
+		return err
+	}
+	return f.m.rebase(f.m.knowledgeBasePath(), f.m.knowledgeWALPath(), knowledgeBaseFile, data, &f.log)
 }
 
 // stats returns the store's counters.
@@ -332,18 +311,24 @@ func (f *fleetKnowledge) importSnapshot(data []byte) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("tune: %w: %w", ErrInvalid, err)
 	}
-	if err := f.rebaseLocked(); err != nil {
-		return n, err
+	if f.m.stateDir == "" {
+		return n, nil
 	}
-	return n, nil
+	return n, f.rebaseLocked()
 }
 
-// Close flushes and closes the contribution WAL.
+// Close re-bases a store whose tail is still dropped, then flushes and
+// closes the contribution WAL.
 func (f *fleetKnowledge) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.log == nil {
+	if f.m.stateDir == "" {
 		return nil
+	}
+	if f.log == nil {
+		if err := f.rebaseLocked(); err != nil {
+			return err
+		}
 	}
 	err := f.log.Close()
 	f.log = nil

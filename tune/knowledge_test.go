@@ -194,7 +194,11 @@ func TestManagerKnowledgeRestartEquivalence(t *testing.T) {
 // — because replay consumes the logged advice, and the restored session
 // continues bitwise-identically as long as no new query fires.
 func TestKnowledgeSessionRestoreWithoutStore(t *testing.T) {
-	fk := &fleetKnowledge{store: knowledge.NewStore(knowledge.Params{})}
+	mem, err := NewManagerOpts("", ManagerOptions{Knowledge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fk := mem.know
 	donor, err := NewSession(Config{Space: "case5", Seed: 3, Knowledge: true, fleet: fk})
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +333,121 @@ func TestKnowledgeLogFailureRebases(t *testing.T) {
 	}
 }
 
+// fleetContribution is the i-th of a run of valid contributions to one
+// case5 context cluster.
+func fleetContribution(i int) knowledge.Contribution {
+	return knowledge.Contribution{Engine: "mysql", Space: "case5", Context: []float64{0.2, 0.4},
+		Config: knowledge.SafeConfig{Unit: []float64{0.1 * float64(i), 0.5}, Perf: 110 + float64(i), Tau: 100}}
+}
+
+// recoveredContributions opens a manager on dir and returns how many
+// contributions its fleet store recovered.
+func recoveredContributions(t *testing.T, dir string, opts ManagerOptions) int64 {
+	t.Helper()
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	st, _ := m.KnowledgeStats()
+	return st.Contributions
+}
+
+// TestKnowledgeDroppedTailReopens: the store's tail is dropped by a
+// failed commit whose handle can no longer reset either. The same call
+// re-bases through a reopened tail, so every later contribution is
+// durable again: a crash-restart and a clean Close both recover all of
+// them.
+func TestKnowledgeDroppedTailReopens(t *testing.T) {
+	dir := t.TempDir()
+	opts := ManagerOptions{Knowledge: true, NoFsync: true}
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.know.Contribute(fleetContribution(1))
+	if err := m.know.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 4; i++ {
+		m.know.Contribute(fleetContribution(i))
+	}
+	crashed := filepath.Join(t.TempDir(), "state")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredContributions(t, crashed, opts); got != 4 {
+		t.Fatalf("a crash-restart recovered %d of 4 contributions", got)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredContributions(t, dir, opts); got != 4 {
+		t.Fatalf("a restart after Close recovered %d of 4 contributions", got)
+	}
+}
+
+// TestKnowledgeDroppedTailRebasedLater: while the base cannot be
+// written (a non-empty directory stands at its path), a failed commit
+// leaves the tail dropped and every contribution's re-base fails. Once
+// the path is free, the next contribution re-bases with a live tail, and
+// Close re-bases a tail that is still dropped.
+func TestKnowledgeDroppedTailRebasedLater(t *testing.T) {
+	dir := t.TempDir()
+	opts := ManagerOptions{Knowledge: true, NoFsync: true}
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fail closes the tail's file under the store, so its next commit
+	// fails, and blocks the base's path; unblock puts the base back.
+	base := m.knowledgeBasePath()
+	var saved []byte
+	fail := func() {
+		t.Helper()
+		m.know.log.Close()
+		saved, _ = os.ReadFile(base) // nil before the first base
+		if err := os.RemoveAll(base); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(base, "block"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unblock := func() {
+		t.Helper()
+		if err := os.RemoveAll(base); err != nil {
+			t.Fatal(err)
+		}
+		if saved != nil {
+			if err := os.WriteFile(base, saved, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m.know.Contribute(fleetContribution(1))
+	fail()
+	m.know.Contribute(fleetContribution(2))
+	m.know.Contribute(fleetContribution(3))
+	if m.know.log != nil {
+		t.Fatal("the tail is live although no base could be written")
+	}
+	unblock()
+	m.know.Contribute(fleetContribution(4))
+	if m.know.log == nil {
+		t.Fatal("the next contribution left the tail dropped")
+	}
+	fail()
+	m.know.Contribute(fleetContribution(5))
+	unblock()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredContributions(t, dir, opts); got != 5 {
+		t.Fatalf("a restart after Close recovered %d of 5 contributions", got)
+	}
+}
+
 // TestKnowledgeExportImport round-trips the store across two managers.
 func TestKnowledgeExportImport(t *testing.T) {
 	src, err := NewManagerOpts(t.TempDir(), ManagerOptions{Knowledge: true, NoFsync: true})
@@ -373,7 +492,7 @@ func TestKnowledgeExportImport(t *testing.T) {
 		t.Fatal("corrupt import should fail")
 	}
 
-	plain, err := NewManager("")
+	plain, err := NewManagerOpts("", ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,15 +302,11 @@ type ManagerStats struct {
 	Knowledge *knowledge.Stats `json:"knowledge,omitempty"`
 }
 
-// NewManager returns a manager with default options. A non-empty
-// stateDir enables durability: the directory is created if missing,
-// verified writable, and existing sessions are registered (but not
-// hydrated) from their on-disk form.
-func NewManager(stateDir string) (*Manager, error) {
-	return NewManagerOpts(stateDir, ManagerOptions{})
-}
-
-// NewManagerOpts is NewManager with explicit ManagerOptions.
+// NewManagerOpts returns a manager with the given options (the zero
+// value is production defaults). A non-empty stateDir enables
+// durability: the directory is created if missing, verified writable,
+// and existing sessions are registered (but not hydrated) from their
+// on-disk form.
 func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 	m := &Manager{stateDir: stateDir, opts: opts, sessions: map[string]*managedSession{}, lru: list.New()}
 	if stateDir != "" {
@@ -428,19 +424,12 @@ func (m *Manager) recoverJournal() error {
 	}
 	// Every journaled record now lives in a fsynced session log (or was
 	// stale); empty the journal so the next boot starts clean.
-	f, err := os.OpenFile(m.journalPath(), os.O_RDWR, 0o644)
+	j, _, err := wal.Open(m.journalPath(), m.walOptions())
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := f.Truncate(0); err != nil {
-		return err
-	}
-	m.fsyncs.Add(1)
-	if !m.opts.NoFsync {
-		return f.Sync()
-	}
-	return nil
+	defer j.Close()
+	return j.Reset()
 }
 
 // patchSessionLog appends the journal payloads that contiguously extend
@@ -637,27 +626,27 @@ func (m *Manager) evictOne(v *managedSession) {
 	// eviction must NOT force a compaction — under LRU churn that would
 	// rewrite the base snapshot on every eviction and reintroduce the
 	// quadratic lifetime I/O the WAL exists to avoid. Only a session whose
-	// last persist failed (its log dropped) is re-based here.
-	if err := m.tryPersistLocked(v, nil); err != nil {
+	// last persist failed (its log dropped) is re-based here. An evicted
+	// log's handle closes, so its sync debt is settled first.
+	if m.tryPersistLocked(v, nil) != nil || m.settleLocked(v) != nil {
 		m.reinsert(v)
 		return
-	}
-	if m.committer != nil && v.log != nil {
-		// An evicted log's handle closes: settle its debt now.
-		if err := m.settleLocked(v); err != nil {
-			m.reinsert(v)
-			return
-		}
 	}
 	v.dropLogLocked()
 	v.s = nil
 	m.evictions.Add(1)
 }
 
-// settleLocked fsyncs e's log, whose flushed tail may lean on the shared
-// journal or hold an unsynced suggest, and releases the journal's
-// rotation hold on it: one sync point.
+// settleLocked pays e's sync debt under the committer: a log holding
+// unsynced suggests, or records whose only durable copy the shared
+// journal may hold, is fsynced once and released from the journal's
+// rotation hold. A log without debt costs nothing. Without the
+// committer every report commits its own log, and closing the log
+// syncs a trailing suggest.
 func (m *Manager) settleLocked(e *managedSession) error {
+	if m.committer == nil || e.log == nil || len(e.held) == 0 && !m.committer.Covers(e.log.Path()) {
+		return nil
+	}
 	if err := e.log.SyncFile(); err != nil {
 		return err
 	}
@@ -950,16 +939,16 @@ func (m *Manager) Rollout(id string) (RolloutStatus, error) {
 	return st, err
 }
 
-// Close flushes and closes every resident session's log. A log whose
-// last op was a suggest holds a written but unsynced record: it is
-// synced first, under its session's op gate, as an eviction would. The
-// shared committer shuts down next — its final rotation fsyncs every
-// log the journal still covers and truncates the journal, so a clean
-// shutdown leaves nothing for the next boot's recovery — then, under
+// Close flushes and closes every resident session's log. First, under
 // each session's op gate, a session whose last persist failed is
-// re-based and its log closed. Each log is synced at most once. The
-// manager must not be used afterwards (a request racing Close degrades
-// to a per-session fsync and stays durable; it is not lost).
+// re-based (which releases the journal's hold on its dropped log) and
+// every log with sync debt is settled as an eviction would settle it.
+// The shared committer shuts down next — with nothing left leaning on
+// its journal, it truncates the journal, so a clean shutdown leaves
+// nothing for the next boot's recovery — and then each log is closed.
+// Each log is synced at most once. The manager must not be used
+// afterwards (a request racing Close degrades to a per-session fsync
+// and stays durable; it is not lost).
 func (m *Manager) Close() error {
 	var first error
 	keep := func(err error) {
@@ -970,9 +959,10 @@ func (m *Manager) Close() error {
 	m.mu.Lock()
 	es := make([]*managedSession, 0, len(m.sessions))
 	for _, e := range m.sessions {
-		es = append(es, e) //tunevet:ignore determinism -- shutdown close order: each log's Close is independent and nothing here feeds the event log or the wire
+		es = append(es, e)
 	}
 	m.mu.Unlock()
+	sort.Slice(es, func(i, j int) bool { return es[i].id < es[j].id })
 	gated := func(do func(e *managedSession)) {
 		for _, e := range es {
 			if m.acquire(e) { // false: deleted concurrently
@@ -981,19 +971,17 @@ func (m *Manager) Close() error {
 			}
 		}
 	}
+	gated(func(e *managedSession) {
+		keep(m.tryPersistLocked(e, nil))
+		keep(m.settleLocked(e))
+	})
 	if m.committer != nil {
-		gated(func(e *managedSession) {
-			if e.log != nil && len(e.held) > 0 {
-				keep(m.settleLocked(e))
-			}
-		})
 		keep(m.committer.Close())
 	}
 	if m.know != nil {
 		keep(m.know.Close())
 	}
 	gated(func(e *managedSession) {
-		keep(m.tryPersistLocked(e, nil))
 		if e.log != nil {
 			keep(e.log.Close())
 			e.log = nil

@@ -739,7 +739,7 @@ func TestDuplicateCreateBuildsNothing(t *testing.T) {
 // which persists nothing, nor a standalone session retains a per-op
 // event.
 func TestSessionKeepsNoOpLog(t *testing.T) {
-	m, err := NewManager("")
+	m, err := NewManagerOpts("", ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,38 +215,54 @@ func (m *Manager) compactDue(e *managedSession) bool {
 }
 
 // compactLocked writes the session's snapshot as a fresh base and
-// resets the WAL tail. Ordering is the crash-safety invariant: the base
-// is written to a temp file, fsynced and renamed into place BEFORE the
-// log is reset, so a crash at any point leaves either the old base+tail
-// or the new base with stale tail records (skipped by index on
-// recovery) — never a state that loses events.
+// resets the WAL tail through rebase.
 func (m *Manager) compactLocked(e *managedSession) error {
 	data, err := e.s.snapshot(false)
 	if err != nil {
 		return err
 	}
-	if err := m.writeAtomic(m.basePath(e.id), e.id, data); err != nil {
+	err = m.rebase(m.basePath(e.id), m.walPath(e.id), e.id, data, &e.log)
+	if err == nil || e.log == nil {
+		e.held = nil // the base holds them, or the log that did is gone
+	}
+	if err != nil {
 		return err
 	}
-	m.checkpointBytes.Add(int64(len(data)))
-	if e.log == nil {
-		lg, _, err := wal.Open(m.walPath(e.id), m.walOptions())
-		if err != nil {
-			return err
-		}
-		e.log = lg
-	}
-	if err := e.log.Reset(); err != nil {
-		e.dropLogLocked()
-		return err
-	}
-	e.held = nil // the fsynced base holds them now
 	if m.committer != nil {
 		// The fsynced base now supersedes every journal record for this
 		// session: release the rotation hold on its log.
 		m.committer.Forget(e.log.Path())
 	}
 	e.baseBytes = int64(len(data))
+	return nil
+}
+
+// rebase is the one base-write path, shared by session compaction and
+// the fleet knowledge store: write data atomically as the base at
+// path, then empty the tail *lg, opening it at walPath first if a
+// failed write dropped it. Ordering is the crash-safety invariant: the
+// base is fsynced and renamed into place BEFORE the tail resets, so a
+// crash at any point leaves either the old base+tail or the new base
+// with stale tail records, which recovery skips — never a state that
+// loses records. A failed reset drops the tail (*lg becomes nil), so the
+// owner's next write re-bases again.
+func (m *Manager) rebase(path, walPath, tmpPrefix string, data []byte, lg **wal.Log) error {
+	if err := m.writeAtomic(path, tmpPrefix, data); err != nil {
+		return err
+	}
+	m.checkpointBytes.Add(int64(len(data)))
+	if *lg == nil {
+		l, _, err := wal.Open(walPath, m.walOptions())
+		if err != nil {
+			return err
+		}
+		*lg = l
+	}
+	if err := (*lg).Reset(); err != nil {
+		(*lg).Close()
+		*lg = nil
+		return err
+	}
 	m.compactions.Add(1)
 	return nil
 }

@@ -101,7 +101,7 @@ func TestCoreConcurrentAccessors(t *testing.T) {
 				_ = a.T.Timings().Iters
 				_ = a.T.NumModels()
 				_, _ = a.T.Best()
-				_ = a.T.Labels()
+				_ = a.T.RolloutStatus()
 			}
 		}()
 	}

@@ -152,7 +152,7 @@ func TestSnapshotRestoreRolloutProperty(t *testing.T) {
 // promote and a forced rollback, with the rollout endpoint reporting
 // each phase transition.
 func TestRolloutOverHTTP(t *testing.T) {
-	m, err := NewManager(t.TempDir())
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

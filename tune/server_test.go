@@ -57,7 +57,7 @@ func doJSON(t *testing.T, srv *httptest.Server, method, path string, body any, w
 // is identical to what an uninterrupted session produces.
 func TestTunedServerSmokeWithRestart(t *testing.T) {
 	stateDir := t.TempDir()
-	m1, err := NewManager(stateDir)
+	m1, err := NewManagerOpts(stateDir, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTunedServerSmokeWithRestart(t *testing.T) {
 	// "Restart": a fresh Manager over the same state dir must reload
 	// the session from its checkpoint...
 	srv.Close()
-	m2, err := NewManager(stateDir)
+	m2, err := NewManagerOpts(stateDir, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func dbaRes(in *dbsim.Instance, w workload.Snapshot) float64 {
 // restart the manager over the same state dir.
 func TestHealthzAndPG16SessionOverHTTP(t *testing.T) {
 	stateDir := t.TempDir()
-	m, err := NewManager(stateDir)
+	m, err := NewManagerOpts(stateDir, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestHealthzAndPG16SessionOverHTTP(t *testing.T) {
 	// Restart: a fresh manager over the same state dir restores the
 	// session and keeps serving it.
 	srv.Close()
-	m2, err := NewManager(stateDir)
+	m2, err := NewManagerOpts(stateDir, ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDeleteStatusOverHTTP(t *testing.T) {
 // FullRefitGP tuner option on create, which used to put a served session
 // on the O(n³) refit path.
 func TestReportBodyRefusals(t *testing.T) {
-	m, err := NewManager("")
+	m, err := NewManagerOpts("", ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestReportBodyRefusals(t *testing.T) {
 // policy nested in options, a retired config or rollout field, an
 // out-of-range tunable and a negative promote margin are each a 400.
 func TestCreateOptionsBodies(t *testing.T) {
-	m, err := NewManager("")
+	m, err := NewManagerOpts("", ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func (tc createOptionsCase) body(id string) map[string]any {
 func TestManagerDeleteVsCheckpointRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		stateDir := t.TempDir()
-		m, err := NewManager(stateDir)
+		m, err := NewManagerOpts(stateDir, ManagerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +504,7 @@ func TestManagerDeleteVsCheckpointRace(t *testing.T) {
 // sessions created and driven concurrently through one manager, each
 // operation under its own session's gate.
 func TestManagerConcurrentSessions(t *testing.T) {
-	m, err := NewManager("")
+	m, err := NewManagerOpts("", ManagerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,14 +58,6 @@ type RolloutStatus = rollout.Status
 // chain rollback) with its provenance.
 type RolloutEvent = rollout.Event
 
-// RolloutMetrics is the per-session rollout cost accounting
-// (promote-latency and switchover-cost histograms).
-type RolloutMetrics = rollout.Metrics
-
-// RolloutReplica describes one replica's role, configuration and health
-// in RolloutStatus.Replicas.
-type RolloutReplica = rollout.Replica
-
 // Rollout phases reported by Session.Rollout and Advice.RolloutPhase.
 const (
 	RolloutDirect     = string(rollout.PhaseDirect)
