@@ -10,7 +10,8 @@
 // batch window, flushes+fsyncs the journal ONCE — every waiter in the
 // batch is then durable (its records live in the fsynced journal even
 // if its own log's bytes are still only in the OS page cache) and is
-// released with a nil error.
+// released with a nil error. A record no operation waits on is Staged:
+// journaled alike, it never wakes the loop and rides the next batch.
 //
 // Degradation. If the journal cannot be written or synced, the batch
 // falls back to per-log fsyncs so that exactly the waiters whose OWN
@@ -100,7 +101,8 @@ func (o CommitterOptions) maxJournal() int64 {
 	return o.MaxJournal
 }
 
-// commitReq is one enqueued operation waiting for durability.
+// commitReq is one enqueued operation waiting for durability, or a
+// staged record no caller waits on (done is nil).
 type commitReq struct {
 	log *Log
 	// journaled reports that every payload of this request reached the
@@ -119,6 +121,7 @@ type Committer struct {
 	journal *Log // nil while unusable; reopened on the next batch
 	jpath   string
 	reqs    []commitReq
+	waiting int // requests in reqs with a waiter; only they fill or wake a batch
 	// dirty tracks logs whose flushed records may have no durable copy
 	// outside the journal, keyed by path (handles change across drop/
 	// reopen). Rotation must fsync them before truncating the journal.
@@ -187,7 +190,8 @@ func (c *Committer) Enqueue(id string, l *Log, payloads [][]byte) (wait func() e
 	}
 	c.dirty[l.Path()] = l
 	c.reqs = append(c.reqs, req)
-	n := len(c.reqs)
+	c.waiting++
+	n := c.waiting
 	c.mu.Unlock()
 	if n == 1 || n >= c.opts.batch() {
 		select {
@@ -196,6 +200,26 @@ func (c *Committer) Enqueue(id string, l *Log, payloads [][]byte) (wait func() e
 		}
 	}
 	return func() error { return <-req.done }, nil
+}
+
+// Stage journals one record already flushed to l without waiting for
+// it: it joins the pending batch but never wakes the loop, so the next
+// Enqueue's batch fsync makes it durable, and a degraded batch fsyncs l
+// instead. It reports false, journaling nothing, when the journal is
+// down or the committer closed; the caller then syncs l itself.
+func (c *Committer) Stage(id string, l *Log, payload []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.journal == nil {
+		return false
+	}
+	if err := c.journal.Append(EncodeJournalRecord(id, payload)); err != nil {
+		c.dropJournalLocked()
+		return false
+	}
+	c.dirty[l.Path()] = l
+	c.reqs = append(c.reqs, commitReq{log: l, journaled: true})
+	return true
 }
 
 // Forget drops the log at path from the rotation set: its records in
@@ -269,7 +293,7 @@ func (c *Committer) Close() error {
 func (c *Committer) full() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.reqs) >= c.opts.batch()
+	return c.waiting >= c.opts.batch()
 }
 
 // loop is the background committer: it sleeps until the first enqueue
@@ -320,15 +344,15 @@ func (c *Committer) loop() {
 // every journaled request, per-log fsyncs for the rest (and for the
 // whole batch when the journal sync itself fails — in which case each
 // waiter gets ITS OWN log's fsync result, attributing the failure to
-// exactly the affected sessions).
+// exactly the affected sessions). Staged records alone are no batch.
 func (c *Committer) commitBatch() {
 	c.mu.Lock()
-	reqs := c.reqs
-	c.reqs = nil
-	if len(reqs) == 0 {
+	if c.waiting == 0 {
 		c.mu.Unlock()
 		return
 	}
+	reqs := c.reqs
+	c.reqs, c.waiting = nil, 0
 	c.batches.Add(1)
 	jerr := errNoJournal
 	if c.journal != nil {
@@ -352,14 +376,17 @@ func (c *Committer) commitBatch() {
 	}
 	c.mu.Unlock()
 
-	// Deliver outside the lock: per-log fsyncs can be slow, and each
-	// log's owner is parked in wait, so nobody else appends to it.
+	// Deliver outside the lock: per-log fsyncs can be slow. A waiter's
+	// log owner is parked in wait; a staged log's may append meanwhile,
+	// which SyncFile allows.
 	for _, r := range reqs {
-		if r.journaled && jerr == nil {
-			r.done <- nil
-			continue
+		var err error
+		if !r.journaled || jerr != nil {
+			err = r.log.SyncFile()
 		}
-		r.done <- r.log.SyncFile()
+		if r.done != nil {
+			r.done <- err
+		}
 	}
 }
 

@@ -454,3 +454,173 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		t.Fatal("overlong id length decoded without error")
 	}
 }
+
+// openFlushed opens the log name in dir and appends and flushes payload
+// to it, as an owner does before staging or enqueueing it.
+func openFlushed(t *testing.T, dir, name string, syncs *atomic.Int64, payload []byte) *Log {
+	t.Helper()
+	l, _, err := Open(filepath.Join(dir, name), Options{NoFsync: true, SyncCounter: syncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	if err := l.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// waitOrHang fails the test if wait does not return: a staged record
+// must never keep the next waiter's batch from starting.
+func waitOrHang(t *testing.T, wait func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second): // hang guard only
+		t.Fatal("the waiter after a staged record was never committed")
+		return nil
+	}
+}
+
+// TestCommitterStageAloneTriggersNoBatch: staged records have no waiter,
+// so they neither wake the loop nor fill a batch, and a commit with
+// nothing else pending is no batch at all. The loop is never started, so
+// the wake channel shows every wake sent.
+func TestCommitterStageAloneTriggersNoBatch(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "fleet.journal")
+	var syncs atomic.Int64
+	j, _, err := Open(jpath, Options{NoFsync: true, SyncCounter: &syncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	c := &Committer{
+		opts:    CommitterOptions{Interval: -1, Batch: 2, NoFsync: true, SyncCounter: &syncs},
+		journal: j,
+		jpath:   jpath,
+		dirty:   map[string]*Log{},
+		wake:    make(chan struct{}, 1),
+	}
+	l := openFlushed(t, dir, "k.wal", &syncs, []byte("k-0"))
+	for i := 0; i < 3; i++ {
+		if !c.Stage(".k", l, []byte(fmt.Sprintf("k-%d", i))) {
+			t.Fatalf("stage %d refused by a healthy committer", i)
+		}
+	}
+	if len(c.wake) != 0 || c.full() {
+		t.Fatalf("3 staged records woke the loop (%d) or filled a batch of 2 (%v)", len(c.wake), c.full())
+	}
+	c.commitBatch()
+	if c.Batches() != 0 || syncs.Load() != 0 {
+		t.Fatalf("staged records alone committed %d batches with %d sync points, want 0 and 0", c.Batches(), syncs.Load())
+	}
+	if !c.Covers(l.Path()) {
+		t.Fatal("a staged log left the rotation set")
+	}
+	if _, err := c.Enqueue("s", openFlushed(t, dir, "s.wal", &syncs, []byte("s-0")), [][]byte{[]byte("s-0")}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.wake) != 1 {
+		t.Fatal("the first waiter after staged records did not wake the loop")
+	}
+}
+
+// TestCommitterStageRidesNextBatch: a staged record joins the next
+// waiter's batch, which costs one batch and one sync point — the
+// journal's — and leaves both records in the journal in order.
+func TestCommitterStageRidesNextBatch(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "fleet.journal")
+	var jsyncs, logSyncs atomic.Int64
+	c, err := OpenCommitter(jpath, CommitterOptions{Interval: -1, NoFsync: true, SyncCounter: &jsyncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k := openFlushed(t, dir, "k.wal", &logSyncs, []byte("k-0"))
+	s := openFlushed(t, dir, "s.wal", &logSyncs, []byte("s-0"))
+	if !c.Stage(".k", k, []byte("k-0")) {
+		t.Fatal("stage refused by a healthy committer")
+	}
+	wait, err := c.Enqueue("s", s, [][]byte{[]byte("s-0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitOrHang(t, wait); err != nil {
+		t.Fatal(err)
+	}
+	if c.Batches() != 1 || jsyncs.Load() != 1 || logSyncs.Load() != 0 {
+		t.Fatalf("stage + enqueue: %d batches, %d journal and %d log sync points, want 1, 1 and 0",
+			c.Batches(), jsyncs.Load(), logSyncs.Load())
+	}
+	got, err := ReadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || string(got[".k"][0]) != "k-0" || string(got["s"][0]) != "s-0" {
+		t.Fatalf("journal holds %q, want the staged and the enqueued record", got)
+	}
+}
+
+// TestCommitterStageDegradedSyncsLog: when the journal sync fails, the
+// batch fsyncs the staged record's own log as it does each waiter's.
+func TestCommitterStageDegradedSyncsLog(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{Interval: -1, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.syncErr = func() error { return errors.New("injected journal fsync failure") }
+	var kSyncs, sSyncs atomic.Int64
+	k := openFlushed(t, dir, "k.wal", &kSyncs, []byte("k-0"))
+	s := openFlushed(t, dir, "s.wal", &sSyncs, []byte("s-0"))
+	if !c.Stage(".k", k, []byte("k-0")) {
+		t.Fatal("stage refused by a healthy committer")
+	}
+	wait, err := c.Enqueue("s", s, [][]byte{[]byte("s-0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitOrHang(t, wait); err != nil {
+		t.Fatal(err)
+	}
+	if c.DegradedBatches() != 1 || kSyncs.Load() != 1 || sSyncs.Load() != 1 {
+		t.Fatalf("degraded batch: %d degraded, staged log synced %d times, waiter's %d, want 1, 1 and 1",
+			c.DegradedBatches(), kSyncs.Load(), sSyncs.Load())
+	}
+}
+
+// TestCommitterStageRefused: with the journal down, or after Close, a
+// stage journals nothing and reports false, so its caller syncs its
+// log itself.
+func TestCommitterStageRefused(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{Interval: -1, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := openFlushed(t, dir, "k.wal", nil, []byte("k-0"))
+	c.mu.Lock()
+	c.dropJournalLocked()
+	c.mu.Unlock()
+	if c.Stage(".k", k, []byte("k-0")) {
+		t.Fatal("stage accepted while the journal is down")
+	}
+	if c.Covers(k.Path()) {
+		t.Fatal("a refused stage put its log in the rotation set")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stage(".k", k, []byte("k-0")) {
+		t.Fatal("stage accepted after Close")
+	}
+}

@@ -899,7 +899,9 @@ func TestManagerCloseSyncsOnce(t *testing.T) {
 // budget over case5 sessions at seeds 1 and 2. Without the committer
 // every sync point is a report's commit or one of a compaction's two
 // (its base write and its log reset); with it, every group commit is a
-// report's or that of a suggest that queried the fleet store.
+// report's or that of a suggest that queried the fleet store, and every
+// other sync point is a compaction's: the fleet store's contributions
+// ride their reports' group commits.
 func TestManagerSyncBudget(t *testing.T) {
 	const intervals = 100
 	ids := []string{"s1", "s2"}
@@ -954,6 +956,13 @@ func TestManagerSyncBudget(t *testing.T) {
 	if want := reports + queried; st.GroupCommits != want {
 		t.Fatalf("group commit: %d group commits for %d reports and %d suggests that queried the fleet store, want %d",
 			st.GroupCommits, reports, queried, want)
+	}
+	if st.Knowledge.Contributions == 0 {
+		t.Fatal("nothing was contributed to the fleet store")
+	}
+	if want := st.GroupCommits + 2*st.Compactions; st.Fsyncs != want {
+		t.Fatalf("group commit: %d sync points for %d group commits, %d compactions and %d contributions, want %d",
+			st.Fsyncs, st.GroupCommits, st.Compactions, st.Knowledge.Contributions, want)
 	}
 }
 

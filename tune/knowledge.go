@@ -131,16 +131,21 @@ func (k *knowAdapter) Recluster(check func() bool) {
 //	                     since the base was compacted
 //
 // Neither name matches a session-file suffix (".base.json", ".wal",
-// ".json"), so the boot scan never mistakes them for a session. Recovery
-// restores the base and replays the tail's contributions; each record
-// carries the store's lifetime contribution count, so records already
-// folded into the base (a crash between the base rename and the log
-// reset) are skipped instead of double-counted. A torn final record —
-// the mid-contribution crash — is dropped by the WAL's own tail
+// ".json"), so the boot scan never mistakes them for a session. With the
+// committer on, a record is synced by the batch that acks its report,
+// through its copy in fleet.journal, which boot patches back first.
+// Recovery restores the base and replays the tail's contributions; each
+// record carries the store's lifetime contribution count, so records
+// already folded into the base (a crash between the base rename and the
+// log reset) are skipped instead of double-counted. A torn final record
+// — the mid-contribution crash — is dropped by the WAL's own tail
 // truncation, losing at most that one advisory deposit.
 const (
 	knowledgeBaseFile = "fleet.knowledge"
 	knowledgeWALFile  = "fleet.knowledge-wal"
+	// knowledgeJournalID keys the store's records in the shared journal;
+	// its leading dot fails validID, so no session id can collide with it.
+	knowledgeJournalID = ".fleet.knowledge"
 	// knowledgeCompactMin is the WAL tail length that triggers folding it
 	// into a fresh base. The store's caps bound the base snapshot, so a
 	// fixed threshold bounds both per-contribution amortized I/O and boot
@@ -162,6 +167,29 @@ func (m *Manager) knowledgeWALPath() string {
 type knowRecord struct {
 	Seq int64                  `json:"seq"`
 	C   knowledge.Contribution `json:"c"`
+}
+
+// knowSeq is a contribution record's sequence number.
+func knowSeq(rec []byte) (int64, error) {
+	var r knowRecord
+	err := json.Unmarshal(rec, &r)
+	return r.Seq, err
+}
+
+// knowledgeBase reads the store's base snapshot, the zero Snapshot if
+// none was written yet. Its Contributions is the lifetime count folded
+// into it.
+func (m *Manager) knowledgeBase() (snap knowledge.Snapshot, err error) {
+	data, err := os.ReadFile(m.knowledgeBasePath())
+	if os.IsNotExist(err) {
+		return snap, nil
+	}
+	if err == nil {
+		if err = json.Unmarshal(data, &snap); err != nil {
+			err = fmt.Errorf("parsing %s: %w", knowledgeBaseFile, err)
+		}
+	}
+	return snap, err
 }
 
 // fleetKnowledge is the Manager-owned fleet knowledge base: one shared
@@ -187,21 +215,14 @@ func (m *Manager) openKnowledge() (*fleetKnowledge, error) {
 	if m.stateDir == "" {
 		return k, nil
 	}
-	var baseSeq int64 // lifetime contribution count folded into the base
-	data, err := os.ReadFile(m.knowledgeBasePath())
-	switch {
-	case err == nil:
-		var snap knowledge.Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", knowledgeBaseFile, err)
-		}
-		if err := k.store.Restore(snap); err != nil {
+	base, err := m.knowledgeBase()
+	if err != nil {
+		return nil, err
+	}
+	if base.Version != 0 {
+		if err := k.store.Restore(base); err != nil {
 			return nil, err
 		}
-		baseSeq = snap.Contributions
-	case os.IsNotExist(err):
-	default:
-		return nil, err
 	}
 	lg, recs, err := wal.Open(m.knowledgeWALPath(), m.walOptions())
 	if err != nil {
@@ -213,7 +234,7 @@ func (m *Manager) openKnowledge() (*fleetKnowledge, error) {
 			lg.Close()
 			return nil, fmt.Errorf("knowledge wal record %d: %w", i, err)
 		}
-		if r.Seq <= baseSeq {
+		if r.Seq <= base.Contributions {
 			continue // already folded into the base
 		}
 		k.store.Contribute(r.C)
@@ -227,13 +248,14 @@ func (f *fleetKnowledge) Query(engine, space string, ctx []float64) *knowledge.A
 	return f.store.Query(engine, space, ctx)
 }
 
-// Contribute deposits into the store and makes the deposit durable. The
-// store is advisory, so durability failures never propagate to the
-// tuning operation. The failure rule is the session's: a failed append
-// or commit drops the tail (its flush state is unknown, and appending
-// after it could tear the middle of the log) and the same call re-bases;
-// a tail that is still dropped is re-based by the next contribution or
-// by Close.
+// Contribute deposits into the store and makes the deposit durable: it
+// is staged in the shared journal, whose next batch (the report's) syncs
+// it, or else the tail commits it. The store is advisory, so
+// durability failures never propagate to the tuning operation. The
+// failure rule is the session's: a failed append or commit drops the
+// tail (its flush state is unknown, and appending after it could tear
+// the middle of the log) and the same call re-bases; a tail that is
+// still dropped is re-based by the next contribution or by Close.
 func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -245,18 +267,22 @@ func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 	}
 	if f.log != nil {
 		// f.mu is the contribution WAL's serialization point: Seq must
-		// match append order, so the marshal and the commit cannot move
-		// off-lock. Queries never take f.mu. Contributions are on the
-		// serving path: Manager.Report reaches here (core observe →
-		// contribute) under the session's op gate, Session.mu and
-		// OnlineTune.mu, so that report waits for the fsync below, and
-		// another session's contribution waits behind it on f.mu.
+		// match append order (and journal order), so the marshal, the
+		// stage and the commit cannot move off-lock. Queries never take
+		// f.mu. Contributions are on the serving path: Manager.Report
+		// reaches here (core observe → contribute) under the session's op
+		// gate, Session.mu and OnlineTune.mu, so without the committer
+		// that report waits for the fsync below, and another session's
+		// contribution waits behind it on f.mu.
 		data, err := json.Marshal(knowRecord{Seq: seq, C: c}) //tunevet:ignore lockhold -- seq-ordered WAL append: marshal must stay inside the serialization point; queries never take f.mu, only other contributions wait on it
 		if err != nil {
 			return
 		}
 		if err = f.log.Append(data); err == nil {
-			//tunevet:ignore lockhold -- the contribution fsync must complete before the next contribution's seq is assigned; it is a real fsync inside Manager.Report, which other sessions' contributions wait behind, and queries never take f.mu
+			err = f.log.Flush()
+		}
+		if err == nil && (f.m.committer == nil || !f.m.committer.Stage(knowledgeJournalID, f.log, data)) {
+			//tunevet:ignore lockhold -- without the committer the contribution fsync must complete before the next contribution's seq is assigned; it is a real fsync inside Manager.Report, which other sessions' contributions wait behind, and queries never take f.mu
 			err = f.log.Commit()
 		}
 		if err == nil {
@@ -317,8 +343,10 @@ func (f *fleetKnowledge) importSnapshot(data []byte) (int, error) {
 	return n, f.rebaseLocked()
 }
 
-// Close re-bases a store whose tail is still dropped, then flushes and
-// closes the contribution WAL.
+// Close re-bases a store whose tail is still dropped, then closes the
+// contribution WAL, syncing what it holds, and releases the journal's
+// hold on it. Manager.Close calls it before closing the committer, whose
+// final sync would otherwise hit the closed handle.
 func (f *fleetKnowledge) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -331,6 +359,9 @@ func (f *fleetKnowledge) Close() error {
 		}
 	}
 	err := f.log.Close()
+	if err == nil && f.m.committer != nil {
+		f.m.committer.Forget(f.log.Path())
+	}
 	f.log = nil
 	return err
 }

@@ -3,6 +3,7 @@ package tune
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/knowledge"
+	"repro/internal/wal"
 )
 
 // knowOutcome builds a deterministic safe outcome (perf above baseline).
@@ -107,85 +109,252 @@ func TestManagerFleetWarmStart(t *testing.T) {
 // its hydrated sessions must keep producing advice bitwise identical to
 // a manager that never restarted.
 func TestManagerKnowledgeRestartEquivalence(t *testing.T) {
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			opts := arm.opts
+			opts.Knowledge = true
+			crashDir, controlDir := t.TempDir(), t.TempDir()
+			m1, err := NewManagerOpts(crashDir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, err := NewManagerOpts(controlDir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mc.Close()
+
+			ctx := context.Background()
+			ids := []string{"s1", "s2"}
+			for _, id := range ids {
+				cfg := Config{Space: "case5", Seed: int64(len(id)), Rollout: &RolloutConfig{Window: 2}}
+				if _, err := m1.Create(id, cfg); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := mc.Create(id, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drive := func(m *Manager, id string, i int) Advice {
+				return driveInterval(t,
+					func() (Advice, error) { return m.Suggest(ctx, id) },
+					func(o Outcome) error { _, err := m.Report(id, o); return err }, i)
+			}
+			for i := 0; i < 12; i++ {
+				for _, id := range ids {
+					a1, ac := drive(m1, id, i), drive(mc, id, i)
+					if !reflect.DeepEqual(a1, ac) {
+						t.Fatalf("pre-crash arms diverged at iter %d session %s", i, id)
+					}
+				}
+			}
+			export1, err := m1.KnowledgeExport()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := m1.KnowledgeStats(); st.Contributions == 0 {
+				t.Fatal("nothing contributed; the restart property would be vacuous")
+			}
+
+			// Crash: no Close. A torn final record simulates dying mid-append of
+			// a contribution; recovery must truncate it, not fail or double-apply.
+			f, err := os.OpenFile(m1.knowledgeWALPath(), os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{0x7f, 0x01, 0xab}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			m2, err := NewManagerOpts(crashDir, opts)
+			if err != nil {
+				t.Fatalf("reopening after simulated crash: %v", err)
+			}
+			defer m2.Close()
+			export2, err := m2.KnowledgeExport()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(export1, export2) {
+				t.Fatalf("restarted store diverged from pre-crash export:\n%s\nvs\n%s", export1, export2)
+			}
+			st2, _ := m2.KnowledgeStats()
+			stc, _ := mc.KnowledgeStats()
+			if st2.Contributions != stc.Contributions || st2.Entries != stc.Entries {
+				t.Fatalf("restarted store %+v does not match never-restarted control %+v", st2, stc)
+			}
+			for i := 12; i < 20; i++ {
+				for _, id := range ids {
+					a2, ac := drive(m2, id, i), drive(mc, id, i)
+					if !reflect.DeepEqual(a2, ac) {
+						t.Fatalf("post-restart advice diverged at iter %d session %s:\n%+v\nvs\n%+v", i, id, a2, ac)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestManagerKnowledgeContributionPowerLoss: a power failure cuts
+// fleet.knowledge-wal back to its size at its last own sync and keeps
+// the journal intact. Every sync point that is not a group commit is a
+// log's own commit (no compaction or rotation runs here), and each one
+// leaves the fleet log fully synced. Under the committer no such sync
+// runs — a contribution rides its report's group commit — so the cut
+// drops every contribution from the log and boot must patch them back
+// from the journal. Either way the store must recover an export
+// byte-identical to the live one.
+func TestManagerKnowledgeContributionPowerLoss(t *testing.T) {
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := arm.opts
+			opts.Knowledge = true
+			m, err := NewManagerOpts(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if _, err := m.Create("db", Config{Space: "case5", Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+			size := func() int64 {
+				fi, err := os.Stat(m.knowledgeWALPath())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+			var durable int64
+			for i := 0; i < 10; i++ {
+				before := m.Stats()
+				driveInterval(t,
+					func() (Advice, error) { return m.Suggest(context.Background(), "db") },
+					func(o Outcome) error { _, err := m.Report("db", o); return err }, i)
+				after := m.Stats()
+				if after.Compactions != before.Compactions {
+					t.Fatal("a compaction ran; the power-loss model does not cover it")
+				}
+				if after.Fsyncs-before.Fsyncs > after.GroupCommits-before.GroupCommits {
+					durable = size()
+				}
+			}
+			live, err := m.KnowledgeExport()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := m.Stats()
+			if st.Knowledge.Contributions == 0 {
+				t.Fatal("nothing was contributed")
+			}
+			if opts.CommitInterval != 0 && durable == size() {
+				t.Fatal("the cut drops nothing; the journal patch goes untested")
+			}
+
+			cp := filepath.Join(t.TempDir(), "state")
+			if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(filepath.Join(cp, knowledgeWALFile), durable); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := NewManagerOpts(cp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			got, err := m2.KnowledgeExport()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, live) {
+				t.Fatalf("power-loss recovery diverged from the live store:\n%s\nvs\n%s", got, live)
+			}
+		})
+	}
+}
+
+// TestKnowledgeJournalPatch: boot patches the journal's fleet records
+// into fleet.knowledge-wal by sequence number, as it patches session
+// logs by event index. Only records that contiguously extend the log's
+// last record — or, for an empty log, the base's lifetime count — are
+// appended: those at or below it are skipped, and a record after a gap
+// is dropped, not applied.
+func TestKnowledgeJournalPatch(t *testing.T) {
 	opts := ManagerOptions{Knowledge: true, NoFsync: true}
-	crashDir, controlDir := t.TempDir(), t.TempDir()
-	m1, err := NewManagerOpts(crashDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := NewManagerOpts(controlDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-
-	ctx := context.Background()
-	ids := []string{"s1", "s2"}
-	for _, id := range ids {
-		cfg := Config{Space: "case5", Seed: int64(len(id)), Rollout: &RolloutConfig{Window: 2}}
-		if _, err := m1.Create(id, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mc.Create(id, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drive := func(m *Manager, id string, i int) Advice {
-		return driveInterval(t,
-			func() (Advice, error) { return m.Suggest(ctx, id) },
-			func(o Outcome) error { _, err := m.Report(id, o); return err }, i)
-	}
-	for i := 0; i < 12; i++ {
-		for _, id := range ids {
-			a1, ac := drive(m1, id, i), drive(mc, id, i)
-			if !reflect.DeepEqual(a1, ac) {
-				t.Fatalf("pre-crash arms diverged at iter %d session %s", i, id)
+	for _, tc := range []struct {
+		name      string
+		based     bool    // fold the contributions into a base, emptying the log
+		journaled []int64 // sequence numbers in the journal; 4 contributions precede them
+		want      int64   // contributions recovered
+	}{
+		{"empty log anchors at the base", true, []int64{3, 4, 5, 6, 8}, 6},
+		{"log anchors at its last record", false, []int64{2, 4, 5, 7}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := NewManagerOpts(dir, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	export1, err := m1.KnowledgeExport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := m1.KnowledgeStats(); st.Contributions == 0 {
-		t.Fatal("nothing contributed; the restart property would be vacuous")
-	}
-
-	// Crash: no Close. A torn final record simulates dying mid-append of
-	// a contribution; recovery must truncate it, not fail or double-apply.
-	f, err := os.OpenFile(m1.knowledgeWALPath(), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x7f, 0x01, 0xab}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	m2, err := NewManagerOpts(crashDir, opts)
-	if err != nil {
-		t.Fatalf("reopening after simulated crash: %v", err)
-	}
-	defer m2.Close()
-	export2, err := m2.KnowledgeExport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(export1, export2) {
-		t.Fatalf("restarted store diverged from pre-crash export:\n%s\nvs\n%s", export1, export2)
-	}
-	st2, _ := m2.KnowledgeStats()
-	stc, _ := mc.KnowledgeStats()
-	if st2.Contributions != stc.Contributions || st2.Entries != stc.Entries {
-		t.Fatalf("restarted store %+v does not match never-restarted control %+v", st2, stc)
-	}
-	for i := 12; i < 20; i++ {
-		for _, id := range ids {
-			a2, ac := drive(m2, id, i), drive(mc, id, i)
-			if !reflect.DeepEqual(a2, ac) {
-				t.Fatalf("post-restart advice diverged at iter %d session %s:\n%+v\nvs\n%+v", i, id, a2, ac)
+			for i := 1; i <= 4; i++ {
+				m.know.Contribute(fleetContribution(i))
 			}
-		}
+			if tc.based {
+				m.know.mu.Lock()
+				err := m.know.rebaseLocked()
+				m.know.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, _, err := wal.Open(m.journalPath(), wal.Options{NoFsync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seq := range tc.journaled {
+				data, err := json.Marshal(knowRecord{Seq: seq, C: fleetContribution(int(seq))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Append(wal.EncodeJournalRecord(knowledgeJournalID, data)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			m2, err := NewManagerOpts(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			st := m2.Stats()
+			if st.Knowledge.Contributions != tc.want || int64(st.JournalPatchedRecords) != tc.want-4 {
+				t.Fatalf("recovered %d contributions with %d patched, want %d and %d",
+					st.Knowledge.Contributions, st.JournalPatchedRecords, tc.want, tc.want-4)
+			}
+			ref, err := NewManagerOpts("", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= int(tc.want); i++ {
+				ref.know.Contribute(fleetContribution(i))
+			}
+			got, _ := m2.KnowledgeExport()
+			want, _ := ref.KnowledgeExport()
+			if !bytes.Equal(got, want) {
+				t.Fatal("the patched store differs from one that took the same contributions live")
+			}
+			if fi, err := os.Stat(m2.journalPath()); err != nil || fi.Size() != 0 {
+				t.Fatalf("boot left the journal non-empty (%v)", err)
+			}
+		})
 	}
 }
 
@@ -245,40 +414,46 @@ func TestKnowledgeSessionRestoreWithoutStore(t *testing.T) {
 // concurrent sessions (run with -race). Every session both contributes
 // and cold-queries.
 func TestManagerKnowledgeConcurrent(t *testing.T) {
-	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{Knowledge: true, NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			id := fmt.Sprintf("sess-%d", g)
-			if _, err := m.Create(id, Config{Space: "case5", Seed: int64(g)}); err != nil {
-				t.Error(err)
-				return
+	for _, arm := range syncArms {
+		t.Run(arm.name, func(t *testing.T) {
+			opts := arm.opts
+			opts.Knowledge = true
+			m, err := NewManagerOpts(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < 6; i++ {
-				adv, err := m.Suggest(ctx, id)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				_ = adv
-				if _, err := m.Report(id, knowOutcome(i, 115+float64(i%4))); err != nil {
-					t.Error(err)
-					return
-				}
+			defer m.Close()
+			ctx := context.Background()
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					id := fmt.Sprintf("sess-%d", g)
+					if _, err := m.Create(id, Config{Space: "case5", Seed: int64(g)}); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < 6; i++ {
+						adv, err := m.Suggest(ctx, id)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						_ = adv
+						if _, err := m.Report(id, knowOutcome(i, 115+float64(i%4))); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(g)
 			}
-		}(g)
-	}
-	wg.Wait()
-	st, _ := m.KnowledgeStats()
-	if st.Contributions == 0 || st.Queries == 0 {
-		t.Fatalf("concurrent fleet produced no knowledge traffic: %+v", st)
+			wg.Wait()
+			st, _ := m.KnowledgeStats()
+			if st.Contributions == 0 || st.Queries == 0 {
+				t.Fatalf("concurrent fleet produced no knowledge traffic: %+v", st)
+			}
+		})
 	}
 }
 
@@ -353,37 +528,67 @@ func recoveredContributions(t *testing.T, dir string, opts ManagerOptions) int64
 	return st.Contributions
 }
 
-// TestKnowledgeDroppedTailReopens: the store's tail is dropped by a
-// failed commit whose handle can no longer reset either. The same call
-// re-bases through a reopened tail, so every later contribution is
-// durable again: a crash-restart and a clean Close both recover all of
-// them.
-func TestKnowledgeDroppedTailReopens(t *testing.T) {
-	dir := t.TempDir()
-	opts := ManagerOptions{Knowledge: true, NoFsync: true}
-	m, err := NewManagerOpts(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.know.Contribute(fleetContribution(1))
-	if err := m.know.log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i <= 4; i++ {
-		m.know.Contribute(fleetContribution(i))
-	}
-	crashed := filepath.Join(t.TempDir(), "state")
-	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
-		t.Fatal(err)
-	}
-	if got := recoveredContributions(t, crashed, opts); got != 4 {
-		t.Fatalf("a crash-restart recovered %d of 4 contributions", got)
-	}
+// droppedTailArms run the dropped-tail tests per log and under the
+// committer. The real-fsync arm pins that Close re-bases a dropped tail
+// before the committer's final sync, which would otherwise fsync the
+// dropped handle and fail (NoFsync never touches the handle).
+var droppedTailArms = []struct {
+	name string
+	opts ManagerOptions
+}{
+	{"per-log", ManagerOptions{Knowledge: true, NoFsync: true}},
+	{"group-commit", ManagerOptions{Knowledge: true, NoFsync: true, CommitInterval: -1}},
+	{"group-commit, fsync", ManagerOptions{Knowledge: true, CommitInterval: -1}},
+}
+
+// closeLeavesJournalEmpty closes m and fails unless Close succeeded and
+// left nothing in the shared journal for the next boot to recover.
+func closeLeavesJournalEmpty(t *testing.T, m *Manager) {
+	t.Helper()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := recoveredContributions(t, dir, opts); got != 4 {
-		t.Fatalf("a restart after Close recovered %d of 4 contributions", got)
+	if fi, err := os.Stat(m.journalPath()); err == nil && fi.Size() != 0 {
+		t.Fatalf("Close left %d bytes in the journal", fi.Size())
+	}
+}
+
+// TestKnowledgeDroppedTailReopens: the store's tail is dropped by a
+// failed commit whose handle can no longer reset either. The same call
+// re-bases through a reopened tail, releasing the journal's hold on the
+// dropped one, so every later contribution is durable again: a
+// crash-restart and a clean Close both recover all of them.
+func TestKnowledgeDroppedTailReopens(t *testing.T) {
+	for _, arm := range droppedTailArms {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := NewManagerOpts(dir, arm.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.know.Contribute(fleetContribution(1))
+			if err := m.know.log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m.know.Contribute(fleetContribution(2))
+			if m.committer != nil && m.committer.Covers(m.knowledgeWALPath()) {
+				t.Fatal("the re-base kept the journal's rotation hold on the dropped tail")
+			}
+			for i := 3; i <= 4; i++ {
+				m.know.Contribute(fleetContribution(i))
+			}
+			crashed := filepath.Join(t.TempDir(), "state")
+			if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			if got := recoveredContributions(t, crashed, arm.opts); got != 4 {
+				t.Fatalf("a crash-restart recovered %d of 4 contributions", got)
+			}
+			closeLeavesJournalEmpty(t, m)
+			if got := recoveredContributions(t, dir, arm.opts); got != 4 {
+				t.Fatalf("a restart after Close recovered %d of 4 contributions", got)
+			}
+		})
 	}
 }
 
@@ -391,60 +596,66 @@ func TestKnowledgeDroppedTailReopens(t *testing.T) {
 // written (a non-empty directory stands at its path), a failed commit
 // leaves the tail dropped and every contribution's re-base fails. Once
 // the path is free, the next contribution re-bases with a live tail, and
-// Close re-bases a tail that is still dropped.
+// Close re-bases a tail that is still dropped — under the committer,
+// one the journal still covers, as its last record was staged there.
 func TestKnowledgeDroppedTailRebasedLater(t *testing.T) {
-	dir := t.TempDir()
-	opts := ManagerOptions{Knowledge: true, NoFsync: true}
-	m, err := NewManagerOpts(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// fail closes the tail's file under the store, so its next commit
-	// fails, and blocks the base's path; unblock puts the base back.
-	base := m.knowledgeBasePath()
-	var saved []byte
-	fail := func() {
-		t.Helper()
-		m.know.log.Close()
-		saved, _ = os.ReadFile(base) // nil before the first base
-		if err := os.RemoveAll(base); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Join(base, "block"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	unblock := func() {
-		t.Helper()
-		if err := os.RemoveAll(base); err != nil {
-			t.Fatal(err)
-		}
-		if saved != nil {
-			if err := os.WriteFile(base, saved, 0o644); err != nil {
+	for _, arm := range droppedTailArms {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := NewManagerOpts(dir, arm.opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	m.know.Contribute(fleetContribution(1))
-	fail()
-	m.know.Contribute(fleetContribution(2))
-	m.know.Contribute(fleetContribution(3))
-	if m.know.log != nil {
-		t.Fatal("the tail is live although no base could be written")
-	}
-	unblock()
-	m.know.Contribute(fleetContribution(4))
-	if m.know.log == nil {
-		t.Fatal("the next contribution left the tail dropped")
-	}
-	fail()
-	m.know.Contribute(fleetContribution(5))
-	unblock()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := recoveredContributions(t, dir, opts); got != 5 {
-		t.Fatalf("a restart after Close recovered %d of 5 contributions", got)
+			// fail closes the tail's file under the store, so its next commit
+			// fails, and blocks the base's path; unblock puts the base back.
+			base := m.knowledgeBasePath()
+			var saved []byte
+			fail := func() {
+				t.Helper()
+				m.know.log.Close()
+				saved, _ = os.ReadFile(base) // nil before the first base
+				if err := os.RemoveAll(base); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.MkdirAll(filepath.Join(base, "block"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unblock := func() {
+				t.Helper()
+				if err := os.RemoveAll(base); err != nil {
+					t.Fatal(err)
+				}
+				if saved != nil {
+					if err := os.WriteFile(base, saved, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			m.know.Contribute(fleetContribution(1))
+			fail()
+			m.know.Contribute(fleetContribution(2))
+			m.know.Contribute(fleetContribution(3))
+			if m.know.log != nil {
+				t.Fatal("the tail is live although no base could be written")
+			}
+			unblock()
+			m.know.Contribute(fleetContribution(4))
+			if m.know.log == nil {
+				t.Fatal("the next contribution left the tail dropped")
+			}
+			m.know.Contribute(fleetContribution(5))
+			fail()
+			m.know.Contribute(fleetContribution(6))
+			unblock()
+			if m.committer != nil && !m.committer.Covers(m.knowledgeWALPath()) {
+				t.Fatal("the journal does not cover the dropped tail; Close's order goes untested")
+			}
+			closeLeavesJournalEmpty(t, m)
+			if got := recoveredContributions(t, dir, arm.opts); got != 6 {
+				t.Fatalf("a restart after Close recovered %d of 6 contributions", got)
+			}
+		})
 	}
 }
 

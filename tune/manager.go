@@ -149,7 +149,7 @@ type Manager struct {
 	fsyncs     atomic.Int64
 	sweptTemps int // set once at boot
 	// journalPatched is how many records boot recovered from the shared
-	// journal into session logs (set once at boot).
+	// journal into session and fleet-store logs (set once at boot).
 	journalPatched int
 
 	// checkpointFailure, when non-nil, is consulted before every persist
@@ -294,7 +294,7 @@ type ManagerStats struct {
 	// per-session fsyncs because the shared journal failed.
 	DegradedCommits int64 `json:"degraded_commits"`
 	// JournalPatchedRecords is how many WAL records boot recovered from
-	// the shared journal into session logs.
+	// the shared journal into session and fleet-store logs.
 	JournalPatchedRecords int `json:"journal_patched_records,omitempty"`
 	// Knowledge summarizes the fleet knowledge base (nil when disabled):
 	// entries, lifetime contributions, queries/warm-starts this process,
@@ -313,6 +313,13 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 		if err := fsutil.EnsureWritableDir(stateDir); err != nil {
 			return nil, fmt.Errorf("tune: state dir: %w", err)
 		}
+		// Patch records whose only durable copy is the shared journal back
+		// into their logs BEFORE the fleet store opens and the sessions are
+		// scanned, whatever this boot's options: the previous process may
+		// have crashed with the committer on.
+		if err := m.recoverJournal(); err != nil {
+			return nil, fmt.Errorf("tune: recovering group-commit journal: %w", err)
+		}
 	}
 	if opts.Knowledge {
 		k, err := m.openKnowledge()
@@ -323,14 +330,6 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 	}
 	if stateDir == "" {
 		return m, nil
-	}
-	// Recover the shared group-commit journal BEFORE scanning sessions:
-	// records whose only durable copy is the journal are patched back
-	// into their session logs, so the scan (and every later hydration)
-	// sees complete tails. Runs regardless of this boot's CommitInterval
-	// — the previous process may have crashed with the committer on.
-	if err := m.recoverJournal(); err != nil {
-		return nil, fmt.Errorf("tune: recovering group-commit journal: %w", err)
 	}
 	entries, err := os.ReadDir(stateDir)
 	if err != nil {
@@ -392,30 +391,40 @@ func (m *Manager) journalPath() string {
 	return filepath.Join(m.stateDir, "fleet.journal")
 }
 
-// recoverJournal patches session WALs from the shared journal at boot.
-// A crash can leave records whose only durable copy is the journal (the
-// per-session log was flushed but its fsync deferred to rotation), so
-// each session's journal records that contiguously extend its log's
-// intact tail are appended — and fsynced — before the journal is
-// truncated. Records for sessions with no on-disk files (deleted before
-// the crash), records out of sequence and a deleted-then-recreated id's
-// earlier incarnation are dropped: a genuine tail is always contiguous,
-// because rotation fsyncs every log before the journal truncates.
+// recoverJournal patches session WALs and the fleet knowledge tail from
+// the shared journal at boot. A crash can leave records whose only
+// durable copy is the journal (the log was flushed but its fsync
+// deferred to rotation), so each log's journal records that
+// contiguously extend its intact tail are appended — and fsynced —
+// before the journal is truncated. Records for sessions with no on-disk
+// files (deleted before the crash), records out of sequence and a
+// deleted-then-recreated id's earlier incarnation are dropped: a
+// genuine tail is always contiguous, because rotation fsyncs every log
+// before the journal truncates.
 func (m *Manager) recoverJournal() error {
 	recovered, err := wal.ReadJournal(m.journalPath())
 	if err != nil {
 		return err
 	}
 	for id, payloads := range recovered {
-		if validID(id) != nil {
-			continue
+		// An empty log anchors at its base: one past the store's lifetime
+		// count, or the session's next event.
+		var patched int
+		switch {
+		case id == knowledgeJournalID:
+			var base knowledge.Snapshot
+			if base, err = m.knowledgeBase(); err == nil {
+				patched, err = m.patchLog(m.knowledgeWALPath(), payloads, knowSeq, base.Contributions+1)
+			}
+		case validID(id) == nil:
+			h, herr := peekSnapshotHeader(m.basePath(id))
+			if herr != nil {
+				continue // no base to anchor a replay: deleted or never durable
+			}
+			patched, err = m.patchLog(m.walPath(id), payloads, walIdx, int64(h.Next))
 		}
-		if _, err := os.Stat(m.basePath(id)); err != nil {
-			continue // no base to anchor a replay: deleted or never durable
-		}
-		patched, err := m.patchSessionLog(id, payloads)
 		if err != nil {
-			return fmt.Errorf("session %q: %w", id, err)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		m.journalPatched += patched
 	}
@@ -432,48 +441,47 @@ func (m *Manager) recoverJournal() error {
 	return j.Reset()
 }
 
-// patchSessionLog appends the journal payloads that contiguously extend
-// the session's log and fsyncs the result.
-func (m *Manager) patchSessionLog(id string, payloads [][]byte) (int, error) {
-	lg, recs, err := wal.Open(m.walPath(id), m.walOptions())
+// walIdx is a session record's sequence number: its event index.
+func walIdx(rec []byte) (int64, error) {
+	var env walEnvelope
+	err := json.Unmarshal(rec, &env)
+	return int64(env.Idx), err
+}
+
+// patchLog appends the journal payloads that contiguously extend the log
+// at path and fsyncs the result. seq reads a record's sequence number;
+// an empty log's first record must carry first.
+func (m *Manager) patchLog(path string, payloads [][]byte, seq func([]byte) (int64, error), first int64) (int, error) {
+	lg, recs, err := wal.Open(path, m.walOptions())
 	if err != nil {
 		return 0, err
 	}
 	defer lg.Close()
-	var next int
+	next := first
 	if len(recs) > 0 {
-		var last walEnvelope
-		if err := json.Unmarshal(recs[len(recs)-1], &last); err != nil {
+		if next, err = seq(recs[len(recs)-1]); err != nil {
 			return 0, fmt.Errorf("final wal record: %w", err)
 		}
-		next = last.Idx + 1
-	} else {
-		// An empty log anchors at the base snapshot's next event.
-		h, err := peekSnapshotHeader(m.basePath(id))
-		if err != nil {
-			return 0, err
-		}
-		next = h.Next
+		next++
 	}
-	// Each event is journaled once and in order, so one incarnation's
-	// indices strictly increase: everything up to the last non-increase
-	// belongs to a deleted incarnation of a since-recreated id, and only
-	// what follows may extend this log.
-	idxs := make([]int, len(payloads))
+	// Each record is journaled once and in order, so one incarnation's
+	// sequence numbers strictly increase: everything up to the last
+	// non-increase belongs to a deleted incarnation of a since-recreated
+	// session id, and only what follows may extend this log.
+	seqs := make([]int64, len(payloads))
 	live := 0
 	for i, p := range payloads {
-		var rec walEnvelope
-		if err := json.Unmarshal(p, &rec); err != nil {
+		if seqs[i], err = seq(p); err != nil {
 			return 0, fmt.Errorf("journal payload: %w", err)
 		}
-		if idxs[i] = rec.Idx; i > 0 && rec.Idx <= idxs[i-1] {
+		if i > 0 && seqs[i] <= seqs[i-1] {
 			live = i
 		}
 	}
 	patched := 0
 	for i := live; i < len(payloads); i++ {
-		if idxs[i] != next {
-			continue // already in the log or pre-base stale
+		if seqs[i] != next {
+			continue // already in the log, pre-base stale or after a gap
 		}
 		if err := lg.Append(payloads[i]); err != nil {
 			return patched, err
@@ -943,7 +951,9 @@ func (m *Manager) Rollout(id string) (RolloutStatus, error) {
 // each session's op gate, a session whose last persist failed is
 // re-based (which releases the journal's hold on its dropped log) and
 // every log with sync debt is settled as an eviction would settle it.
-// The shared committer shuts down next — with nothing left leaning on
+// The fleet knowledge store closes next, re-basing a dropped tail and
+// syncing and releasing its log the same way. The shared committer
+// shuts down after them — with nothing left leaning on
 // its journal, it truncates the journal, so a clean shutdown leaves
 // nothing for the next boot's recovery — and then each log is closed.
 // Each log is synced at most once. The manager must not be used
@@ -975,11 +985,11 @@ func (m *Manager) Close() error {
 		keep(m.tryPersistLocked(e, nil))
 		keep(m.settleLocked(e))
 	})
-	if m.committer != nil {
-		keep(m.committer.Close())
-	}
 	if m.know != nil {
 		keep(m.know.Close())
+	}
+	if m.committer != nil {
+		keep(m.committer.Close())
 	}
 	gated(func(e *managedSession) {
 		if e.log != nil {

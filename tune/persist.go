@@ -228,11 +228,6 @@ func (m *Manager) compactLocked(e *managedSession) error {
 	if err != nil {
 		return err
 	}
-	if m.committer != nil {
-		// The fsynced base now supersedes every journal record for this
-		// session: release the rotation hold on its log.
-		m.committer.Forget(e.log.Path())
-	}
 	e.baseBytes = int64(len(data))
 	return nil
 }
@@ -244,13 +239,17 @@ func (m *Manager) compactLocked(e *managedSession) error {
 // base is fsynced and renamed into place BEFORE the tail resets, so a
 // crash at any point leaves either the old base+tail or the new base
 // with stale tail records, which recovery skips — never a state that
-// loses records. A failed reset drops the tail (*lg becomes nil), so the
-// owner's next write re-bases again.
+// loses records. The fsynced base supersedes the tail's journal records
+// (so the committer's hold on the tail is released). A failed reset
+// drops the tail (*lg becomes nil); the owner's next write re-bases.
 func (m *Manager) rebase(path, walPath, tmpPrefix string, data []byte, lg **wal.Log) error {
 	if err := m.writeAtomic(path, tmpPrefix, data); err != nil {
 		return err
 	}
 	m.checkpointBytes.Add(int64(len(data)))
+	if m.committer != nil {
+		m.committer.Forget(walPath)
+	}
 	if *lg == nil {
 		l, _, err := wal.Open(walPath, m.walOptions())
 		if err != nil {
