@@ -8,10 +8,10 @@
 // session with recommendations identical to an uninterrupted run while
 // holding at most -max-resident sessions in memory.
 //
-// With -commit-interval the per-report fsync is shared fleet-wide:
-// all sessions' WAL appends funnel into one group-commit journal that
-// syncs once per batch window, so checkpoint durability costs ~1 fsync
-// per window instead of one per report per session.
+// With -state the per-report fsync is shared fleet-wide: all sessions'
+// WAL appends funnel into one group-commit journal that syncs once per
+// batch, so checkpoint durability costs ~1 fsync per batch instead of
+// one per report per session. -commit-interval sets the batch window.
 //
 // SIGINT or SIGTERM shuts the server down cleanly: in-flight requests
 // drain, then the manager flushes the committer and closes every log,
@@ -54,7 +54,7 @@ func main() {
 	state := flag.String("state", "", "state directory: persist sessions here and reload them on boot (created if missing)")
 	maxResident := flag.Int("max-resident", 0, "max sessions hydrated in memory before LRU eviction (0 = default, negative = unlimited)")
 	noFsync := flag.Bool("no-fsync", false, "skip fsyncs on checkpoint writes (benchmarks only: a power failure may lose committed intervals)")
-	commitInterval := flag.Duration("commit-interval", 0, "cross-session group-commit batch window (e.g. 2ms); 0 fsyncs each session's log per report")
+	commitInterval := flag.Duration("commit-interval", 0, "cross-session group-commit batch window (e.g. 2ms); group commit is always on with -state, and ≤ 0 commits each batch immediately")
 	commitBatch := flag.Int("commit-batch", 0, "operations that force a group-commit batch before the window elapses (0 = default)")
 	knowledgeFlag := flag.Bool("knowledge", false, "enable the fleet knowledge base: sessions share safe configurations and GP hyperparameters for cross-session warm-starting")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ for hot-path profiling")
@@ -80,9 +80,7 @@ func main() {
 		if st.JournalPatchedRecords > 0 {
 			log.Printf("tuned: recovered %d record(s) from the group-commit journal", st.JournalPatchedRecords)
 		}
-		if *commitInterval != 0 {
-			log.Printf("tuned: cross-session group commit on (window %s)", commitWindow(*commitInterval))
-		}
+		log.Printf("tuned: cross-session group commit on (window %s)", commitWindow(*commitInterval))
 	}
 	if st, ok := m.KnowledgeStats(); ok {
 		log.Printf("tuned: fleet knowledge base on: %d entr(ies) across %d cluster(s), %d lifetime contribution(s)",
@@ -138,7 +136,7 @@ const (
 
 // commitWindow renders the -commit-interval value for the boot log.
 func commitWindow(d time.Duration) string {
-	if d < 0 {
+	if d <= 0 {
 		return "immediate"
 	}
 	return d.String()

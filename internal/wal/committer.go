@@ -16,15 +16,21 @@
 // Degradation. If the journal cannot be written or synced, the batch
 // falls back to per-log fsyncs so that exactly the waiters whose OWN
 // log fails get the error — durability honesty is preserved, the
-// shared-fsync optimization is what degrades. The journal is reopened
-// on the next batch; a crash loses nothing because the journal file's
-// intact prefix survives (CRC framing, torn tail truncated on open).
+// shared-fsync optimization is what degrades. A waiter's log is synced
+// through its handle, which its owner keeps open while it waits; a
+// staged record's log is synced by path. The journal is reopened on the
+// next batch; a crash loses nothing because the journal file's intact
+// prefix survives (CRC framing, torn tail truncated on open).
 //
 // Rotation. The journal grows until MaxJournal, then the committer
 // fsyncs every log whose durability still leans on the journal and
-// truncates it. Compaction makes a session's journal records obsolete
-// earlier (the fsynced base snapshot supersedes them) — the owner calls
-// Forget so rotation skips that log.
+// truncates it. It syncs each log by path, through a descriptor of its
+// own, so a log whose owner has closed it (an evicted session, a
+// dropped tail) is synced like any other and does not wait for its
+// compaction. Compaction makes a session's journal records obsolete
+// earlier (the fsynced base snapshot supersedes them), and so does an
+// owner's own fsync of the whole file — the owner calls Forget so
+// rotation skips that log.
 //
 // Recovery. Journal records carry (session id, payload); at boot the
 // owner replays them into the per-session logs (ReadJournal + the
@@ -45,9 +51,6 @@ import (
 
 // Committer defaults.
 const (
-	// DefaultCommitInterval is the batch window: the longest an enqueued
-	// operation waits before its batch's journal fsync is issued.
-	DefaultCommitInterval = 2 * time.Millisecond
 	// DefaultCommitBatch forces an early commit once this many waiters
 	// have enqueued, bounding batch latency under heavy load.
 	DefaultCommitBatch = 64
@@ -61,11 +64,12 @@ var ErrCommitterClosed = errors.New("wal: committer closed")
 // errNoJournal marks a batch whose records never reached the journal.
 var errNoJournal = errors.New("wal: journal unavailable")
 
-// CommitterOptions configures a Committer. Zero values take the
-// defaults above.
+// CommitterOptions configures a Committer. Zero Batch and MaxJournal
+// take the defaults above.
 type CommitterOptions struct {
-	// Interval is the batch window (<0 disables the wait: each batch
-	// commits as soon as the loop picks it up — for tests).
+	// Interval is the batch window: the longest an enqueued operation
+	// waits before its batch's journal fsync is issued. ≤ 0 is no window:
+	// each batch commits as soon as the loop picks it up.
 	Interval time.Duration
 	// Batch forces an early commit at this many waiters.
 	Batch int
@@ -77,14 +81,10 @@ type CommitterOptions struct {
 	SyncCounter *atomic.Int64
 }
 
-func (o CommitterOptions) interval() time.Duration {
-	if o.Interval == 0 {
-		return DefaultCommitInterval
-	}
-	if o.Interval < 0 {
-		return 0
-	}
-	return o.Interval
+// logOptions are the Options the journal opens with and logs are
+// synced by path with.
+func (o CommitterOptions) logOptions() Options {
+	return Options{NoFsync: o.NoFsync, SyncCounter: o.SyncCounter}
 }
 
 func (o CommitterOptions) batch() int {
@@ -102,9 +102,10 @@ func (o CommitterOptions) maxJournal() int64 {
 }
 
 // commitReq is one enqueued operation waiting for durability, or a
-// staged record no caller waits on (done is nil).
+// staged record no caller waits on (log and done are nil).
 type commitReq struct {
-	log *Log
+	log  *Log   // the waiter's open handle
+	path string // the staged record's log
 	// journaled reports that every payload of this request reached the
 	// journal buffer; only then can the shared fsync stand in for the
 	// request's own log fsync.
@@ -122,10 +123,10 @@ type Committer struct {
 	jpath   string
 	reqs    []commitReq
 	waiting int // requests in reqs with a waiter; only they fill or wake a batch
-	// dirty tracks logs whose flushed records may have no durable copy
-	// outside the journal, keyed by path (handles change across drop/
-	// reopen). Rotation must fsync them before truncating the journal.
-	dirty  map[string]*Log
+	// dirty is the set of log paths whose flushed records may have no
+	// durable copy outside the journal. Rotation must fsync them before
+	// truncating the journal.
+	dirty  map[string]struct{}
 	closed bool
 
 	wake chan struct{}
@@ -145,7 +146,7 @@ type Committer struct {
 // are preserved — the owner is expected to have drained them through
 // ReadJournal before serving.
 func OpenCommitter(path string, opts CommitterOptions) (*Committer, error) {
-	j, _, err := Open(path, Options{NoFsync: opts.NoFsync, SyncCounter: opts.SyncCounter})
+	j, _, err := Open(path, opts.logOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +154,7 @@ func OpenCommitter(path string, opts CommitterOptions) (*Committer, error) {
 		opts:    opts,
 		journal: j,
 		jpath:   path,
-		dirty:   map[string]*Log{},
+		dirty:   map[string]struct{}{},
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		idle:    make(chan struct{}),
@@ -188,7 +189,7 @@ func (c *Committer) Enqueue(id string, l *Log, payloads [][]byte) (wait func() e
 			}
 		}
 	}
-	c.dirty[l.Path()] = l
+	c.dirty[l.Path()] = struct{}{}
 	c.reqs = append(c.reqs, req)
 	c.waiting++
 	n := c.waiting
@@ -204,9 +205,10 @@ func (c *Committer) Enqueue(id string, l *Log, payloads [][]byte) (wait func() e
 
 // Stage journals one record already flushed to l without waiting for
 // it: it joins the pending batch but never wakes the loop, so the next
-// Enqueue's batch fsync makes it durable, and a degraded batch fsyncs l
-// instead. It reports false, journaling nothing, when the journal is
-// down or the committer closed; the caller then syncs l itself.
+// Enqueue's batch fsync makes it durable, and a degraded batch fsyncs
+// l's file by path instead. It reports false, journaling nothing, when
+// the journal is down or the committer closed; the record then has no
+// durable copy, and the caller must make one another way.
 func (c *Committer) Stage(id string, l *Log, payload []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -217,28 +219,19 @@ func (c *Committer) Stage(id string, l *Log, payload []byte) bool {
 		c.dropJournalLocked()
 		return false
 	}
-	c.dirty[l.Path()] = l
-	c.reqs = append(c.reqs, commitReq{log: l, journaled: true})
+	c.dirty[l.Path()] = struct{}{}
+	c.reqs = append(c.reqs, commitReq{path: l.Path(), journaled: true})
 	return true
 }
 
 // Forget drops the log at path from the rotation set: its records in
-// the journal are superseded (typically by a freshly fsynced base
-// snapshot after compaction), so rotation no longer needs to fsync it.
+// the journal are superseded (by a freshly fsynced base snapshot after
+// compaction, or by the owner's own fsync of the whole file) or moot
+// (the log was deleted), so rotation no longer needs to fsync it.
 func (c *Committer) Forget(path string) {
 	c.mu.Lock()
 	delete(c.dirty, path)
 	c.mu.Unlock()
-}
-
-// Covers reports whether the journal may hold the only durable copy of
-// records flushed to the log at path: the log was enqueued and has not
-// been synced by rotation or Forgotten since.
-func (c *Committer) Covers(path string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.dirty[path]
-	return ok
 }
 
 // Batches returns how many batch commits have run.
@@ -249,9 +242,10 @@ func (c *Committer) Batches() int64 { return c.batches.Load() }
 func (c *Committer) DegradedBatches() int64 { return c.degradedBatches.Load() }
 
 // Close drains any pending batch, fsyncs the logs still leaning on the
-// journal, truncates the journal if every one of them synced (so the
-// next boot recovers nothing) and stops the loop. The fsyncs run off
-// c.mu on a snapshot of the rotation set. Enqueues after Close fail with
+// journal by path, truncates the journal if every one of them synced (so
+// the next boot recovers nothing) and stops the loop. The fsyncs run off
+// c.mu on a snapshot of the rotation set; the logs' owners may have
+// closed them already. Enqueues after Close fail with
 // ErrCommitterClosed.
 func (c *Committer) Close() error {
 	c.mu.Lock()
@@ -269,8 +263,8 @@ func (c *Committer) Close() error {
 	dirty := maps.Clone(c.dirty)
 	c.mu.Unlock()
 	var err error
-	for path, l := range dirty {
-		if serr := l.SyncFile(); serr != nil {
+	for path := range dirty {
+		if serr := syncPath(path, c.opts.logOptions()); serr != nil {
 			err = cmp.Or(err, serr)
 			continue
 		}
@@ -314,8 +308,8 @@ func (c *Committer) loop() {
 		// A batch can fill before this goroutine runs: Enqueue's wake is
 		// a non-blocking send, so the one sent at the batch size is
 		// dropped while the first is still unconsumed.
-		if iv := c.opts.interval(); iv > 0 && !c.full() {
-			timer.Reset(iv)
+		if c.opts.Interval > 0 && !c.full() {
+			timer.Reset(c.opts.Interval)
 		window:
 			for {
 				select {
@@ -377,34 +371,34 @@ func (c *Committer) commitBatch() {
 	c.mu.Unlock()
 
 	// Deliver outside the lock: per-log fsyncs can be slow. A waiter's
-	// log owner is parked in wait; a staged log's may append meanwhile,
-	// which SyncFile allows.
+	// log owner is parked in wait; a staged log's may append to it or
+	// close it meanwhile, so that log is synced by path.
 	for _, r := range reqs {
-		var err error
-		if !r.journaled || jerr != nil {
-			err = r.log.SyncFile()
-		}
-		if r.done != nil {
-			r.done <- err
+		switch {
+		case r.journaled && jerr == nil:
+			if r.done != nil {
+				r.done <- nil
+			}
+		case r.done != nil:
+			r.done <- r.log.SyncFile()
+		default: // staged: nobody waits, and its path stays in the rotation set
+			syncPath(r.path, c.opts.logOptions())
 		}
 	}
 }
 
 // maybeRotateLocked truncates an oversized journal once every log
-// leaning on it has been fsynced. Partial progress sticks: logs synced
-// before a failure leave the rotation set, so the next attempt is
-// smaller. A log that was dropped by its session (closed handle) stays
-// dirty until the session's compaction Forgets it — its journal records
-// are its only durable copy until the new base lands.
+// leaning on it has been fsynced by path. Partial progress sticks: logs
+// synced before a failure leave the rotation set, so the next attempt
+// is smaller.
 func (c *Committer) maybeRotateLocked() {
 	if c.journal == nil || c.journal.Size() < c.opts.maxJournal() {
 		return
 	}
-	for path, l := range c.dirty {
-		if err := l.SyncFile(); err != nil {
-			continue
+	for path := range c.dirty {
+		if syncPath(path, c.opts.logOptions()) == nil {
+			delete(c.dirty, path)
 		}
-		delete(c.dirty, path)
 	}
 	if len(c.dirty) > 0 {
 		return
@@ -432,7 +426,7 @@ func (c *Committer) reopenJournalLocked() {
 	if c.journal != nil || c.closed {
 		return
 	}
-	j, _, err := Open(c.jpath, Options{NoFsync: c.opts.NoFsync, SyncCounter: c.opts.SyncCounter})
+	j, _, err := Open(c.jpath, c.opts.logOptions())
 	if err != nil {
 		return // stay degraded; the next batch retries
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -233,7 +234,7 @@ func TestCommitterFullBatchSkipsWindow(t *testing.T) {
 		opts:    CommitterOptions{Interval: time.Hour, Batch: batch, NoFsync: true},
 		journal: j,
 		jpath:   jpath,
-		dirty:   map[string]*Log{},
+		dirty:   map[string]struct{}{},
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		idle:    make(chan struct{}),
@@ -351,14 +352,16 @@ func TestCommitterJournalRecovery(t *testing.T) {
 }
 
 // TestCommitterRotation verifies the journal stays bounded: once it
-// outgrows MaxJournal the committer fsyncs the leaning logs and
+// outgrows MaxJournal the committer fsyncs the leaning logs by path and
 // truncates it, and Forget removes a log from the rotation set.
 func TestCommitterRotation(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "fleet.journal")
+	var syncs atomic.Int64
 	c, err := OpenCommitter(jpath, CommitterOptions{
-		Interval:   -1,
-		MaxJournal: 512,
+		Interval:    -1,
+		MaxJournal:  512,
+		SyncCounter: &syncs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,24 +389,33 @@ func TestCommitterRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.mu.Lock()
-	jsize := c.journal.Size()
-	c.mu.Unlock()
-	if max := int64(512 + 2*(headerSize+2+1+len(payload))); jsize > max {
-		t.Fatalf("journal size %d never rotated (cap ~%d)", jsize, max)
+	bounded := func() {
+		t.Helper()
+		c.mu.Lock()
+		jsize := c.journal.Size()
+		c.mu.Unlock()
+		if max := int64(512 + 2*(headerSize+2+1+len(payload))); jsize > max {
+			t.Fatalf("journal size %d never rotated (cap ~%d)", jsize, max)
+		}
 	}
-	if logSyncs.Load() == 0 {
-		t.Fatal("rotation never fsynced the leaning session log")
+	bounded()
+	if syncs.Load() <= c.Batches() || logSyncs.Load() != 0 {
+		t.Fatalf("%d sync points for %d batches and %d through the log's handle: rotation never fsynced the leaning log by path",
+			syncs.Load(), c.Batches(), logSyncs.Load())
 	}
 
 	// Forget: after compaction the log leaves the rotation set until its
 	// next enqueue re-adds it — so a forgotten, idle log is never synced
-	// even while other sessions keep the journal rotating.
+	// even while other sessions keep the journal rotating. Its file is
+	// gone, so a rotation that tried to sync it would fail and stop
+	// truncating the journal.
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	c.Forget(l.Path())
-	logSyncs.Store(0)
+	if err := os.Remove(l.Path()); err != nil {
+		t.Fatal(err)
+	}
 	other, _, err := Open(filepath.Join(dir, "t.wal"), Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -424,9 +436,78 @@ func TestCommitterRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if logSyncs.Load() != 0 {
-		t.Fatalf("rotation synced a forgotten idle log %d times", logSyncs.Load())
+	bounded()
+}
+
+// TestCommitterSyncsClosedLogByPath: a log whose owner closed it after
+// its records were journaled — an evicted session — keeps its sync debt
+// with the journal. Rotation, and separately Close, sync it once by path,
+// count that sync and truncate the journal.
+func TestCommitterSyncsClosedLogByPath(t *testing.T) {
+	payload := bytes.Repeat([]byte("r"), 64)
+	// journalClosed opens a committer, journals one record of the log
+	// a.wal and closes a's handle the way its owner would once the
+	// record was acked.
+	journalClosed := func(t *testing.T, maxJournal int64) (*Committer, string, *atomic.Int64) {
+		dir := t.TempDir()
+		var syncs atomic.Int64
+		c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{
+			Interval: -1, MaxJournal: maxJournal, SyncCounter: &syncs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		a := openFlushed(t, dir, "a.wal", nil, payload)
+		wait, err := c.Enqueue("a", a, [][]byte{payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		a.MarkDurable()
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return c, dir, &syncs
 	}
+	journalEmpty := func(t *testing.T, c *Committer) {
+		t.Helper()
+		if n, _, err := Stat(c.jpath); err != nil || n != 0 {
+			t.Fatalf("journal holds %d records (err %v), want 0", n, err)
+		}
+	}
+
+	t.Run("rotation", func(t *testing.T) {
+		c, dir, syncs := journalClosed(t, 2*int64(headerSize+2+1+len(payload)))
+		b := openFlushed(t, dir, "b.wal", nil, payload)
+		before := syncs.Load()
+		wait, err := c.Enqueue("b", b, [][]byte{payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		// The batch's journal sync, a's and b's by path, the journal's reset.
+		if got := syncs.Load() - before; got != 4 {
+			t.Fatalf("the rotating batch cost %d sync points, want 4", got)
+		}
+		journalEmpty(t, c)
+	})
+	t.Run("close", func(t *testing.T) {
+		c, _, syncs := journalClosed(t, DefaultMaxJournal)
+		before := syncs.Load()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// a's sync by path, the journal's reset.
+		if got := syncs.Load() - before; got != 2 {
+			t.Fatalf("Close cost %d sync points, want 2", got)
+		}
+		journalEmpty(t, c)
+	})
 }
 
 // TestJournalRecordRoundTrip covers the id-tagged framing helpers.
@@ -505,7 +586,7 @@ func TestCommitterStageAloneTriggersNoBatch(t *testing.T) {
 		opts:    CommitterOptions{Interval: -1, Batch: 2, NoFsync: true, SyncCounter: &syncs},
 		journal: j,
 		jpath:   jpath,
-		dirty:   map[string]*Log{},
+		dirty:   map[string]struct{}{},
 		wake:    make(chan struct{}, 1),
 	}
 	l := openFlushed(t, dir, "k.wal", &syncs, []byte("k-0"))
@@ -521,7 +602,7 @@ func TestCommitterStageAloneTriggersNoBatch(t *testing.T) {
 	if c.Batches() != 0 || syncs.Load() != 0 {
 		t.Fatalf("staged records alone committed %d batches with %d sync points, want 0 and 0", c.Batches(), syncs.Load())
 	}
-	if !c.Covers(l.Path()) {
+	if _, ok := c.dirty[l.Path()]; !ok {
 		t.Fatal("a staged log left the rotation set")
 	}
 	if _, err := c.Enqueue("s", openFlushed(t, dir, "s.wal", &syncs, []byte("s-0")), [][]byte{[]byte("s-0")}); err != nil {
@@ -570,10 +651,13 @@ func TestCommitterStageRidesNextBatch(t *testing.T) {
 }
 
 // TestCommitterStageDegradedSyncsLog: when the journal sync fails, the
-// batch fsyncs the staged record's own log as it does each waiter's.
+// batch fsyncs the staged record's own log as it does each waiter's: the
+// waiter's through its open handle, the staged one by path (its owner
+// may have closed its handle), counted on the committer's counter.
 func TestCommitterStageDegradedSyncsLog(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{Interval: -1, NoFsync: true})
+	var jSyncs atomic.Int64
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{Interval: -1, NoFsync: true, SyncCounter: &jSyncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,9 +676,11 @@ func TestCommitterStageDegradedSyncsLog(t *testing.T) {
 	if err := waitOrHang(t, wait); err != nil {
 		t.Fatal(err)
 	}
-	if c.DegradedBatches() != 1 || kSyncs.Load() != 1 || sSyncs.Load() != 1 {
-		t.Fatalf("degraded batch: %d degraded, staged log synced %d times, waiter's %d, want 1, 1 and 1",
-			c.DegradedBatches(), kSyncs.Load(), sSyncs.Load())
+	// The committer's counter holds the retired journal's closing sync
+	// and the staged log's sync by path.
+	if c.DegradedBatches() != 1 || jSyncs.Load() != 2 || kSyncs.Load() != 0 || sSyncs.Load() != 1 {
+		t.Fatalf("degraded batch: %d degraded, %d sync points on the committer's counter, staged log synced %d times through its handle, waiter's %d, want 1, 2, 0 and 1",
+			c.DegradedBatches(), jSyncs.Load(), kSyncs.Load(), sSyncs.Load())
 	}
 }
 
@@ -614,7 +700,7 @@ func TestCommitterStageRefused(t *testing.T) {
 	if c.Stage(".k", k, []byte("k-0")) {
 		t.Fatal("stage accepted while the journal is down")
 	}
-	if c.Covers(k.Path()) {
+	if _, ok := c.dirty[k.Path()]; ok {
 		t.Fatal("a refused stage put its log in the rotation set")
 	}
 	if err := c.Close(); err != nil {

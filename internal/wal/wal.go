@@ -194,11 +194,10 @@ func (l *Log) MarkDurable() {
 }
 
 // SyncFile fsyncs the log's file descriptor without touching the write
-// buffer. Unlike Commit it is safe to call concurrently with appends
-// from another goroutine (it only issues the syscall on the fd), which
-// is how the shared Committer makes flushed-but-unsynced logs durable
-// during journal rotation and degraded (journal-less) batches. It does
-// not clear the pending count: the log's owner calls MarkDurable.
+// buffer, which is how the shared Committer makes a waiting owner's
+// flushed-but-unsynced log durable in a degraded (journal-less) batch.
+// It does not clear the pending count: the log's owner calls
+// MarkDurable.
 func (l *Log) SyncFile() error {
 	return l.syncNow()
 }
@@ -212,6 +211,25 @@ func (l *Log) syncNow() error {
 		return nil
 	}
 	return l.f.Sync()
+}
+
+// syncPath fsyncs the file at path through a descriptor of its own,
+// counting the sync point and honoring NoFsync as a Log's own syncs do.
+// It needs no open Log, so it also syncs a file whose owner closed its
+// handle.
+func syncPath(path string, opts Options) error {
+	if opts.SyncCounter != nil {
+		opts.SyncCounter.Add(1)
+	}
+	if opts.NoFsync {
+		return nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Sync()
 }
 
 // Reset empties the log (after compaction folded its records into a

@@ -258,12 +258,11 @@ func TestManagerGroupCommitDurabilityHammer(t *testing.T) {
 
 // TestManagerGroupCommitExactSyncPoints pins the coalescing contract as
 // exact counters: K suggests in flight on K sessions cost no sync point
-// and no group commit in either arm (each is written, and its session's
-// next commit syncs it); K reports cost ONE sync point and ONE group
-// commit with the committer on, K sync points without it. The window is
-// an hour and CommitBatch is K, so a batch can only commit by filling —
-// nothing here depends on timing. Every advice must equal an
-// uninterrupted in-memory reference session's in both arms.
+// and no group commit (each is written, and its session's next commit
+// syncs it); K reports cost ONE sync point and ONE group commit. The
+// window is an hour and CommitBatch is K, so a batch can only commit by
+// filling — nothing here depends on timing. Every advice must equal an
+// uninterrupted in-memory reference session's.
 func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 	const k, rounds = 8, 4
 	id := func(g int) string { return fmt.Sprintf("db-%d", g) }
@@ -287,58 +286,54 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 		}
 	}
 
-	type cost struct{ fsyncs, groupCommits int64 }
-	arm := func(name string, opts ManagerOptions, reports cost) {
-		m, err := NewManagerOpts(t.TempDir(), opts)
-		if err != nil {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, CommitInterval: time.Hour, CommitBatch: k, MaxResident: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for g := 0; g < k; g++ {
+		if _, err := m.Create(id(g), cfg(g)); err != nil {
 			t.Fatal(err)
 		}
-		defer m.Close()
+	}
+	// step runs op on all K sessions at once and checks what the K
+	// operations cost together.
+	type cost struct{ fsyncs, groupCommits int64 }
+	step := func(what string, want cost, op func(g int) error) {
+		before := m.Stats()
+		var wg sync.WaitGroup
 		for g := 0; g < k; g++ {
-			if _, err := m.Create(id(g), cfg(g)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// step runs op on all K sessions at once and checks what the K
-		// operations cost together.
-		step := func(what string, want cost, op func(g int) error) {
-			before := m.Stats()
-			var wg sync.WaitGroup
-			for g := 0; g < k; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					if err := op(g); err != nil {
-						t.Errorf("%s %s %s: %v", name, what, id(g), err)
-					}
-				}(g)
-			}
-			wg.Wait()
-			after := m.Stats()
-			if got := after.Fsyncs - before.Fsyncs; got != want.fsyncs {
-				t.Fatalf("%s %s: %d operations cost %d sync points, want %d (compactions %d)",
-					name, what, k, got, want.fsyncs, after.Compactions)
-			}
-			if got := after.GroupCommits - before.GroupCommits; got != want.groupCommits {
-				t.Fatalf("%s %s: %d operations cost %d group commits, want %d", name, what, k, got, want.groupCommits)
-			}
-		}
-		for i := 0; i < rounds; i++ {
-			step(fmt.Sprintf("suggest %d", i), cost{}, func(g int) error {
-				adv, err := m.Suggest(context.Background(), id(g))
-				if err == nil && !reflect.DeepEqual(adv, want[g][i]) {
-					err = errors.New("advice diverged from the in-memory reference")
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if err := op(g); err != nil {
+					t.Errorf("%s %s: %v", what, id(g), err)
 				}
-				return err
-			})
-			step(fmt.Sprintf("report %d", i), reports, func(g int) error {
-				_, err := m.Report(id(g), goldenOutcome(i))
-				return err
-			})
+			}(g)
+		}
+		wg.Wait()
+		after := m.Stats()
+		if got := after.Fsyncs - before.Fsyncs; got != want.fsyncs {
+			t.Fatalf("%s: %d operations cost %d sync points, want %d (compactions %d)",
+				what, k, got, want.fsyncs, after.Compactions)
+		}
+		if got := after.GroupCommits - before.GroupCommits; got != want.groupCommits {
+			t.Fatalf("%s: %d operations cost %d group commits, want %d", what, k, got, want.groupCommits)
 		}
 	}
-	arm("group commit", ManagerOptions{NoFsync: true, CommitInterval: time.Hour, CommitBatch: k, MaxResident: -1}, cost{1, 1})
-	arm("per-session fsync", ManagerOptions{NoFsync: true, MaxResident: -1}, cost{k, 0})
+	for i := 0; i < rounds; i++ {
+		step(fmt.Sprintf("suggest %d", i), cost{}, func(g int) error {
+			adv, err := m.Suggest(context.Background(), id(g))
+			if err == nil && !reflect.DeepEqual(adv, want[g][i]) {
+				err = errors.New("advice diverged from the in-memory reference")
+			}
+			return err
+		})
+		step(fmt.Sprintf("report %d", i), cost{1, 1}, func(g int) error {
+			_, err := m.Report(id(g), goldenOutcome(i))
+			return err
+		})
+	}
 }
 
 // TestManagerJournalBootRecovery reconstructs the crash the journal
@@ -498,15 +493,14 @@ func TestJournalDropsDeletedIncarnationOnRecreate(t *testing.T) {
 	managedStep(t, m2, "db", ref, 2)
 }
 
-// syncArms are the two commit paths: each log's own fsync, and the
-// shared committer with no batch window. CompactMin keeps every record
-// in the log's tail, so cutting the tail models what power loss drops.
+// syncArms is the commit path the durability tests run: the shared
+// committer with no batch window. CompactMin keeps every record in the
+// log's tail, so cutting the tail models what power loss drops.
 var syncArms = []struct {
 	name string
 	opts ManagerOptions
 }{
-	{"per-session fsync", ManagerOptions{NoFsync: true, CompactMin: 1000}},
-	{"group commit", ManagerOptions{NoFsync: true, CompactMin: 1000, CommitInterval: -1}},
+	{"group commit", ManagerOptions{NoFsync: true, CompactMin: 1000}},
 }
 
 // syncTracker follows one session's log through a manager's operations
@@ -656,9 +650,9 @@ func runAckedSuggest(t *testing.T, dir string, opts ManagerOptions, n int) (*Man
 
 // TestManagerSuggestPowerLoss: a suggest is acked before any sync covers
 // it, so a power failure may drop its record. The log is cut back to its
-// size at the last report's ack; with the committer it is also cut to
-// nothing, as its own bytes were never synced after the creation's reset
-// and the journal alone holds its records. A Manager on each cut state
+// size at the last report's ack, and also to nothing, as its own bytes
+// were never synced after the creation's reset and the journal alone
+// holds its records. A Manager on each cut state
 // must answer the retried Suggest with the very advice that was acked,
 // and the sessions must then stay bit-identical.
 func TestManagerSuggestPowerLoss(t *testing.T) {
@@ -667,12 +661,8 @@ func TestManagerSuggestPowerLoss(t *testing.T) {
 		t.Run(arm.name, func(t *testing.T) {
 			dir := t.TempDir()
 			m, tr, acked := runAckedSuggest(t, dir, arm.opts, n)
-			cuts := []int64{tr.durable}
-			if arm.opts.CommitInterval != 0 {
-				cuts = append(cuts, 0)
-			}
 			var recovered []*Manager
-			for _, cut := range cuts {
+			for _, cut := range []int64{tr.durable, 0} {
 				m2 := crashCopy(t, dir, "db", cut, arm.opts)
 				retried, err := m2.Suggest(context.Background(), "db")
 				if err != nil {
@@ -707,9 +697,9 @@ func TestManagerSuggestKill9(t *testing.T) {
 
 // TestManagerKnowledgeSuggestSyncs: a suggest that queried the fleet
 // store logged an input the session's log cannot re-derive, so it costs
-// one sync point before it returns (one group commit with the
-// committer), and a power failure right after its ack keeps it; every
-// other suggest costs nothing.
+// one sync point — one group commit — before it returns, and a power
+// failure right after its ack keeps it; every other suggest costs
+// nothing.
 func TestManagerKnowledgeSuggestSyncs(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -739,12 +729,8 @@ func TestManagerKnowledgeSuggestSyncs(t *testing.T) {
 					}
 				} else {
 					queried++
-					wantGC := int64(0)
-					if opts.CommitInterval != 0 {
-						wantGC = 1
-					}
-					if fs != 1 || gc != wantGC {
-						t.Fatalf("suggest %d: queried the fleet store and cost %d sync points and %d group commits, want 1 and %d", i, fs, gc, wantGC)
+					if fs != 1 || gc != 1 {
+						t.Fatalf("suggest %d: queried the fleet store and cost %d sync points and %d group commits, want 1 and 1", i, fs, gc)
 					}
 					m2 := crashCopy(t, dir, "db", tr.durable, opts)
 					sameSnapshot(t, m, m2, "db")
@@ -764,10 +750,10 @@ func TestManagerKnowledgeSuggestSyncs(t *testing.T) {
 
 // TestManagerEvictionSyncsOnce: each log is synced once. With
 // MaxResident 1, a Report on an evicted session evicts the other, whose
-// log holds a written but unsynced suggest: the report's commit and the
-// eviction's sync cost 2 sync points in both arms. Closing afterwards
-// costs the committer's final sync of the resident log plus the
-// journal's reset, and nothing without the committer.
+// log holds a written but unsynced suggest: the report's group commit
+// and the sync of the evicted log's close cost 2 sync points. Closing
+// afterwards costs the committer's final sync of the resident log plus
+// the journal's reset.
 func TestManagerEvictionSyncsOnce(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -799,31 +785,28 @@ func TestManagerEvictionSyncsOnce(t *testing.T) {
 			if got := after.Fsyncs - before.Fsyncs; got != 2 {
 				t.Fatalf("a report that evicts a session cost %d sync points, want 2", got)
 			}
-			wantGC, wantClose := int64(0), int64(0)
-			if opts.CommitInterval != 0 {
-				wantGC, wantClose = 1, 2
-			}
-			if got := after.GroupCommits - before.GroupCommits; got != wantGC {
-				t.Fatalf("the report cost %d group commits, want %d", got, wantGC)
+			if got := after.GroupCommits - before.GroupCommits; got != 1 {
+				t.Fatalf("the report cost %d group commits, want 1", got)
 			}
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := m.Stats().Fsyncs - after.Fsyncs; got != wantClose {
-				t.Fatalf("Close with one resident session cost %d sync points, want %d", got, wantClose)
+			if got := m.Stats().Fsyncs - after.Fsyncs; got != 2 {
+				t.Fatalf("Close with one resident session cost %d sync points, want 2", got)
 			}
 		})
 	}
 }
 
-// TestManagerEvictionSyncsOnlyDebt: with the committer on, eviction
-// syncs a log only when it has sync debt. With MaxResident 1, creating
-// a second session evicts the first, whose log was reset at its creation
+// TestManagerEvictionSyncsOnlyDebt: eviction syncs a log only when
+// closing it syncs a trailing suggest. With MaxResident 1, creating a
+// second session evicts the first, whose log was reset at its creation
 // and never written since: the create costs its base write and its log
 // reset, and nothing for the eviction. A log that the journal still
-// covers (its last op a report) is synced once when evicted.
+// covers (its last op a report) costs nothing to evict either: its debt
+// stays with the journal, whose rotation or shutdown syncs it by path.
 func TestManagerEvictionSyncsOnlyDebt(t *testing.T) {
-	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, MaxResident: 1, CommitInterval: -1})
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, MaxResident: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -852,14 +835,96 @@ func TestManagerEvictionSyncsOnlyDebt(t *testing.T) {
 	if _, err := m.Report("b", goldenOutcome(0)); err != nil {
 		t.Fatal(err)
 	}
-	create("c", 22, 3)
+	create("c", 22, 2)
+}
+
+// TestManagerEvictionKeepsJournaledReport: a session whose last op was a
+// report is evicted at no sync point, so the journal alone holds that
+// report durably. A power failure that cuts the log back to its size at
+// its last sync, the creation's reset, keeps the acked report: boot
+// patches it and the suggest before it back from the journal, and the
+// recovered session serializes to the live one's bytes.
+func TestManagerEvictionKeepsJournaledReport(t *testing.T) {
+	dir := t.TempDir()
+	opts := syncArms[0].opts
+	opts.MaxResident = 1
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Create("a", Config{Space: "case5", Seed: 20}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "a.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := fi.Size()
+	if _, err := m.Create("b", Config{Space: "case5", Seed: 21}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Suggest(context.Background(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Report("a", goldenOutcome(0)); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats()
+	if _, err := m.Suggest(context.Background(), "b"); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Stats()
+	if got := after.Evictions - before.Evictions; got != 1 {
+		t.Fatalf("touching b evicted %d sessions, want 1", got)
+	}
+	if got := after.Fsyncs - before.Fsyncs; got != 0 {
+		t.Fatalf("evicting a after its report cost %d sync points, want 0", got)
+	}
+	m2 := crashCopy(t, dir, "a", synced, opts)
+	if got := m2.Stats().JournalPatchedRecords; got != 2 {
+		t.Fatalf("boot patched %d journal records, want a's suggest and report", got)
+	}
+	sameSnapshot(t, m, m2, "a")
+}
+
+// TestManagerDeleteEvictedForgetsLog: deleting an evicted session whose
+// last op was a report releases the journal's hold on its log, so the
+// committer's final sync does not open the removed file and Close
+// leaves the journal empty. Real fsyncs, so that sync opens the file.
+func TestManagerDeleteEvictedForgetsLog(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{MaxResident: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, id := range []string{"a", "b"} {
+		if _, err := m.Create(id, Config{Space: "case5", Seed: int64(20 + g)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Suggest(context.Background(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Report("a", goldenOutcome(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Suggest(context.Background(), "b"); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Evicted != 1 {
+		t.Fatalf("%d sessions evicted, want a alone", st.Evicted)
+	}
+	if err := m.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	closeLeavesJournalEmpty(t, m)
 }
 
 // TestManagerCloseSyncsOnce: a Close whose resident session's last op
 // was a suggest syncs that session's log once. Its report journaled the
-// log with the committer, and the trailing suggest is written but not
-// synced, so Close costs the log's sync plus the journal's reset with
-// the committer, and the log's own commit without it.
+// log, and the trailing suggest is written but not synced, so Close
+// costs the log's sync, which releases the journal's hold on it, plus
+// the journal's reset.
 func TestManagerCloseSyncsOnce(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -884,24 +949,19 @@ func TestManagerCloseSyncsOnce(t *testing.T) {
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			want := int64(1)
-			if arm.opts.CommitInterval != 0 {
-				want = 2
-			}
-			if got := m.Stats().Fsyncs - before; got != want {
-				t.Fatalf("Close after a trailing suggest cost %d sync points, want %d", got, want)
+			if got := m.Stats().Fsyncs - before; got != 2 {
+				t.Fatalf("Close after a trailing suggest cost %d sync points, want 2", got)
 			}
 		})
 	}
 }
 
 // TestManagerSyncBudget pins one sync point per interval as an exact
-// budget over case5 sessions at seeds 1 and 2. Without the committer
-// every sync point is a report's commit or one of a compaction's two
-// (its base write and its log reset); with it, every group commit is a
+// budget over case5 sessions at seeds 1 and 2: every group commit is a
 // report's or that of a suggest that queried the fleet store, and every
-// other sync point is a compaction's: the fleet store's contributions
-// ride their reports' group commits.
+// other sync point is one of a compaction's two (its base write and its
+// log reset): the fleet store's contributions ride their reports' group
+// commits.
 func TestManagerSyncBudget(t *testing.T) {
 	const intervals = 100
 	ids := []string{"s1", "s2"}
@@ -940,16 +1000,10 @@ func TestManagerSyncBudget(t *testing.T) {
 		return reports, queried, m.Stats()
 	}
 
-	reports, _, st := run(ManagerOptions{NoFsync: true})
+	reports, queried, st := run(ManagerOptions{NoFsync: true, Knowledge: true})
 	if st.Compactions <= int64(len(ids)) {
 		t.Fatalf("only %d compactions; the budget needs some beyond the creations'", st.Compactions)
 	}
-	if want := reports + 2*st.Compactions; st.Fsyncs != want {
-		t.Fatalf("per-session fsync: %d sync points for %d reports and %d compactions, want %d",
-			st.Fsyncs, reports, st.Compactions, want)
-	}
-
-	reports, queried, st := run(ManagerOptions{NoFsync: true, CommitInterval: -1, Knowledge: true})
 	if queried == 0 {
 		t.Fatal("no suggest queried the fleet store")
 	}

@@ -131,8 +131,8 @@ func (k *knowAdapter) Recluster(check func() bool) {
 //	                     since the base was compacted
 //
 // Neither name matches a session-file suffix (".base.json", ".wal",
-// ".json"), so the boot scan never mistakes them for a session. With the
-// committer on, a record is synced by the batch that acks its report,
+// ".json"), so the boot scan never mistakes them for a session. A
+// record is synced by the group-commit batch that acks its report,
 // through its copy in fleet.journal, which boot patches back first.
 // Recovery restores the base and replays the tail's contributions; each
 // record carries the store's lifetime contribution count, so records
@@ -250,12 +250,12 @@ func (f *fleetKnowledge) Query(engine, space string, ctx []float64) *knowledge.A
 
 // Contribute deposits into the store and makes the deposit durable: it
 // is staged in the shared journal, whose next batch (the report's) syncs
-// it, or else the tail commits it. The store is advisory, so
-// durability failures never propagate to the tuning operation. The
-// failure rule is the session's: a failed append or commit drops the
-// tail (its flush state is unknown, and appending after it could tear
-// the middle of the log) and the same call re-bases; a tail that is
-// still dropped is re-based by the next contribution or by Close.
+// it. The store is advisory, so durability failures never propagate to
+// the tuning operation. The failure rule is the session's: a failed
+// append or a refused stage drops the tail (its flush state is unknown,
+// and appending after it could tear the middle of the log) and the same
+// call re-bases; a tail that is still dropped is re-based by the next
+// contribution or by Close.
 func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -267,13 +267,8 @@ func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 	}
 	if f.log != nil {
 		// f.mu is the contribution WAL's serialization point: Seq must
-		// match append order (and journal order), so the marshal, the
-		// stage and the commit cannot move off-lock. Queries never take
-		// f.mu. Contributions are on the serving path: Manager.Report
-		// reaches here (core observe → contribute) under the session's op
-		// gate, Session.mu and OnlineTune.mu, so without the committer
-		// that report waits for the fsync below, and another session's
-		// contribution waits behind it on f.mu.
+		// match append order (and journal order), so the marshal and the
+		// stage cannot move off-lock. Queries never take f.mu.
 		data, err := json.Marshal(knowRecord{Seq: seq, C: c}) //tunevet:ignore lockhold -- seq-ordered WAL append: marshal must stay inside the serialization point; queries never take f.mu, only other contributions wait on it
 		if err != nil {
 			return
@@ -281,11 +276,7 @@ func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 		if err = f.log.Append(data); err == nil {
 			err = f.log.Flush()
 		}
-		if err == nil && (f.m.committer == nil || !f.m.committer.Stage(knowledgeJournalID, f.log, data)) {
-			//tunevet:ignore lockhold -- without the committer the contribution fsync must complete before the next contribution's seq is assigned; it is a real fsync inside Manager.Report, which other sessions' contributions wait behind, and queries never take f.mu
-			err = f.log.Commit()
-		}
-		if err == nil {
+		if err == nil && f.m.committer.Stage(knowledgeJournalID, f.log, data) {
 			f.m.checkpointBytes.Add(int64(len(data)))
 			if f.log.Count() < knowledgeCompactMin {
 				return
@@ -345,8 +336,7 @@ func (f *fleetKnowledge) importSnapshot(data []byte) (int, error) {
 
 // Close re-bases a store whose tail is still dropped, then closes the
 // contribution WAL, syncing what it holds, and releases the journal's
-// hold on it. Manager.Close calls it before closing the committer, whose
-// final sync would otherwise hit the closed handle.
+// hold on it, so the committer's final sync skips it.
 func (f *fleetKnowledge) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -359,7 +349,7 @@ func (f *fleetKnowledge) Close() error {
 		}
 	}
 	err := f.log.Close()
-	if err == nil && f.m.committer != nil {
+	if err == nil {
 		f.m.committer.Forget(f.log.Path())
 	}
 	f.log = nil

@@ -198,13 +198,12 @@ func TestManagerKnowledgeRestartEquivalence(t *testing.T) {
 
 // TestManagerKnowledgeContributionPowerLoss: a power failure cuts
 // fleet.knowledge-wal back to its size at its last own sync and keeps
-// the journal intact. Every sync point that is not a group commit is a
-// log's own commit (no compaction or rotation runs here), and each one
-// leaves the fleet log fully synced. Under the committer no such sync
+// the journal intact. Every sync point that is not a group commit would
+// be a log's own sync (no compaction or rotation runs here), and none
 // runs — a contribution rides its report's group commit — so the cut
 // drops every contribution from the log and boot must patch them back
-// from the journal. Either way the store must recover an export
-// byte-identical to the live one.
+// from the journal. The store must recover an export byte-identical to
+// the live one.
 func TestManagerKnowledgeContributionPowerLoss(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -248,7 +247,7 @@ func TestManagerKnowledgeContributionPowerLoss(t *testing.T) {
 			if st.Knowledge.Contributions == 0 {
 				t.Fatal("nothing was contributed")
 			}
-			if opts.CommitInterval != 0 && durable == size() {
+			if durable == size() {
 				t.Fatal("the cut drops nothing; the journal patch goes untested")
 			}
 
@@ -458,7 +457,7 @@ func TestManagerKnowledgeConcurrent(t *testing.T) {
 }
 
 // TestKnowledgeLogFailureRebases covers the contribution WAL's failure
-// path: a contribution whose commit fails folds the store into a fresh
+// path: a contribution whose write fails folds the store into a fresh
 // base snapshot instead, the store keeps serving queries, and a restart
 // recovers every contribution from that base.
 func TestKnowledgeLogFailureRebases(t *testing.T) {
@@ -478,17 +477,17 @@ func TestKnowledgeLogFailureRebases(t *testing.T) {
 		t.Fatalf("a committed contribution wrote a base (stat err: %v)", err)
 	}
 	// Close the log's file under the store: the next append buffers, and
-	// its commit fails.
+	// its flush fails.
 	if err := m.know.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	m.know.Contribute(contribution(2))
 	if _, err := os.Stat(m.knowledgeBasePath()); err != nil {
-		t.Fatalf("no fresh base after the failed commit: %v", err)
+		t.Fatalf("no fresh base after the failed write: %v", err)
 	}
 	want, _ := m.KnowledgeStats()
 	if want.Contributions != 2 || want.Entries == 0 {
-		t.Fatalf("store after the failed commit: %+v", want)
+		t.Fatalf("store after the failed write: %+v", want)
 	}
 	if adv := m.know.Query("mysql", "case5", ctx); adv == nil || len(adv.Configs) == 0 {
 		t.Fatalf("store stopped serving queries: %+v", adv)
@@ -528,17 +527,16 @@ func recoveredContributions(t *testing.T, dir string, opts ManagerOptions) int64
 	return st.Contributions
 }
 
-// droppedTailArms run the dropped-tail tests per log and under the
-// committer. The real-fsync arm pins that Close re-bases a dropped tail
-// before the committer's final sync, which would otherwise fsync the
-// dropped handle and fail (NoFsync never touches the handle).
+// droppedTailArms run the dropped-tail tests with and without real
+// fsyncs. In the real-fsync arm the committer's final sync opens each log
+// the journal covers by path, so a dropped handle cannot fail it (NoFsync
+// never touches the file).
 var droppedTailArms = []struct {
 	name string
 	opts ManagerOptions
 }{
-	{"per-log", ManagerOptions{Knowledge: true, NoFsync: true}},
-	{"group-commit", ManagerOptions{Knowledge: true, NoFsync: true, CommitInterval: -1}},
-	{"group-commit, fsync", ManagerOptions{Knowledge: true, CommitInterval: -1}},
+	{"group-commit", ManagerOptions{Knowledge: true, NoFsync: true}},
+	{"group-commit, fsync", ManagerOptions{Knowledge: true}},
 }
 
 // closeLeavesJournalEmpty closes m and fails unless Close succeeded and
@@ -554,10 +552,10 @@ func closeLeavesJournalEmpty(t *testing.T, m *Manager) {
 }
 
 // TestKnowledgeDroppedTailReopens: the store's tail is dropped by a
-// failed commit whose handle can no longer reset either. The same call
-// re-bases through a reopened tail, releasing the journal's hold on the
-// dropped one, so every later contribution is durable again: a
-// crash-restart and a clean Close both recover all of them.
+// failed write whose handle can no longer reset either. The same call
+// re-bases through a reopened tail, so every later contribution is
+// durable again: a crash-restart and a clean Close both recover all of
+// them.
 func TestKnowledgeDroppedTailReopens(t *testing.T) {
 	for _, arm := range droppedTailArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -571,9 +569,6 @@ func TestKnowledgeDroppedTailReopens(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.know.Contribute(fleetContribution(2))
-			if m.committer != nil && m.committer.Covers(m.knowledgeWALPath()) {
-				t.Fatal("the re-base kept the journal's rotation hold on the dropped tail")
-			}
 			for i := 3; i <= 4; i++ {
 				m.know.Contribute(fleetContribution(i))
 			}
@@ -593,11 +588,10 @@ func TestKnowledgeDroppedTailReopens(t *testing.T) {
 }
 
 // TestKnowledgeDroppedTailRebasedLater: while the base cannot be
-// written (a non-empty directory stands at its path), a failed commit
+// written (a non-empty directory stands at its path), a failed write
 // leaves the tail dropped and every contribution's re-base fails. Once
 // the path is free, the next contribution re-bases with a live tail, and
-// Close re-bases a tail that is still dropped — under the committer,
-// one the journal still covers, as its last record was staged there.
+// Close re-bases a tail that is still dropped.
 func TestKnowledgeDroppedTailRebasedLater(t *testing.T) {
 	for _, arm := range droppedTailArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -606,7 +600,7 @@ func TestKnowledgeDroppedTailRebasedLater(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// fail closes the tail's file under the store, so its next commit
+			// fail closes the tail's file under the store, so its next write
 			// fails, and blocks the base's path; unblock puts the base back.
 			base := m.knowledgeBasePath()
 			var saved []byte
@@ -648,9 +642,6 @@ func TestKnowledgeDroppedTailRebasedLater(t *testing.T) {
 			fail()
 			m.know.Contribute(fleetContribution(6))
 			unblock()
-			if m.committer != nil && !m.committer.Covers(m.knowledgeWALPath()) {
-				t.Fatal("the journal does not cover the dropped tail; Close's order goes untested")
-			}
 			closeLeavesJournalEmpty(t, m)
 			if got := recoveredContributions(t, dir, arm.opts); got != 6 {
 				t.Fatalf("a restart after Close recovered %d of 6 contributions", got)

@@ -67,18 +67,15 @@ type ManagerOptions struct {
 	// For benchmarks and tests; a power failure may lose committed
 	// intervals.
 	NoFsync bool
-	// CommitInterval enables cross-session fsync group commit: every
-	// session's WAL appends funnel into a shared journal whose single
-	// fsync per batch window makes the whole batch durable, so a fleet
-	// of N chatty sessions pays ~1 fsync per window instead of N.
-	// 0 disables the committer (each report fsyncs its own log);
-	// > 0 is the batch window; < 0 enables the committer with no window
-	// (each batch commits as soon as the committer picks it up — for
-	// tests).
+	// CommitInterval is the group-commit batch window: how long the
+	// shared committer waits for more sessions' records before the one
+	// journal fsync that makes them all durable, so a fleet of N chatty
+	// sessions pays ~1 fsync per window instead of N. ≤ 0 is no window:
+	// each batch commits as soon as the committer picks it up.
 	CommitInterval time.Duration
 	// CommitBatch caps a group-commit batch: once this many operations
 	// are waiting the batch commits without waiting out the window
-	// (0 = wal.DefaultCommitBatch). Only meaningful with CommitInterval.
+	// (0 = wal.DefaultCommitBatch).
 	CommitBatch int
 	// Knowledge enables the fleet knowledge base: a shared cross-session
 	// store of safe configurations and GP hyperparameters that every
@@ -99,16 +96,18 @@ type ManagerOptions struct {
 // hydration or fsync never blocks another session, List or Stats.
 //
 // Durability: each operation appends its one record to the session's
-// write-ahead log (<id>.wal), one fsync per interval — a suggest's is
-// written and rides on its report's — and a periodic compaction writes
-// the session's exact state as an atomic base snapshot (<id>.base.json)
-// and resets the tail, so lifetime checkpoint bytes stay linear in
-// session length instead of quadratic. With CommitInterval
-// set, the fsync itself is shared fleet-wide: appends land in the
-// session log unsynced and in a shared journal (fleet.journal) whose
-// single fsync per batch window makes every session in the batch
-// durable at once; session logs settle their sync debt lazily at
-// journal rotation, compaction, eviction and shutdown. Recovery installs
+// write-ahead log (<id>.wal), one sync point per interval — a suggest's
+// is written and rides on its report's — and a periodic compaction
+// writes the session's exact state as an atomic base snapshot
+// (<id>.base.json) and resets the tail, so lifetime checkpoint bytes
+// stay linear in session length instead of quadratic. The group
+// committer is the one way a record becomes durable, and it shares the
+// sync point fleet-wide: appends land in the session log unsynced and
+// in a shared journal (fleet.journal) whose single fsync per batch makes
+// every session in the batch durable at once. A session log pays its
+// own sync debt only when compaction resets it or closing it syncs a
+// trailing suggest; otherwise the committer syncs it by path at journal
+// rotation and shutdown, resident or evicted. Recovery installs
 // the base's state while the tail decodes on another goroutine, then
 // replays the tail: with a core free, a hydrate costs the base's parse
 // plus the replay, and deterministic replay makes the recovered session
@@ -124,8 +123,8 @@ type Manager struct {
 	stateDir string
 	opts     ManagerOptions
 
-	// committer is the shared group-commit pipeline (nil when
-	// CommitInterval is 0 or the manager is in-memory only).
+	// committer is the shared group-commit pipeline (nil when the
+	// manager is in-memory only).
 	committer *wal.Committer
 
 	// know is the fleet knowledge base (nil unless ManagerOptions.Knowledge).
@@ -187,9 +186,8 @@ type managedSession struct {
 	log *wal.Log
 	// baseBytes is the size of the on-disk base snapshot.
 	baseBytes int64
-	// held are the suggest payloads written to log since its last sync,
-	// with the committer on: the next commit journals them ahead of its
-	// own records.
+	// held are the suggest payloads written to log since its last sync:
+	// the next commit journals them ahead of its own records.
 	held [][]byte
 }
 
@@ -232,6 +230,24 @@ func (e *managedSession) dropLogLocked() {
 		e.log = nil
 	}
 	e.held = nil
+}
+
+// closeLogLocked closes e's log. The close syncs a trailing suggest, and
+// that fsync covers every record the journal holds for the file too, so
+// the committer lets go of it; otherwise the journal keeps the log's
+// sync debt and the committer syncs it by path. A failed close drops the
+// log, so the next persist re-bases the session.
+func (m *Manager) closeLogLocked(e *managedSession) error {
+	if e.log == nil {
+		return nil
+	}
+	synced := len(e.held) > 0
+	err := e.log.Close()
+	if err == nil && synced {
+		m.committer.Forget(e.log.Path())
+	}
+	e.log, e.held = nil, nil
+	return err
 }
 
 // SessionRollout is the rollout summary nested in SessionInfo: the
@@ -288,7 +304,7 @@ type ManagerStats struct {
 	// counted even under NoFsync so ablations stay comparable.
 	Fsyncs int64 `json:"fsyncs"`
 	// GroupCommits is how many cross-session batches the shared
-	// committer has flushed (0 when group commit is off).
+	// committer has flushed (0 without a state directory).
 	GroupCommits int64 `json:"group_commits"`
 	// DegradedCommits is how many of those batches fell back to
 	// per-session fsyncs because the shared journal failed.
@@ -315,8 +331,7 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 		}
 		// Patch records whose only durable copy is the shared journal back
 		// into their logs BEFORE the fleet store opens and the sessions are
-		// scanned, whatever this boot's options: the previous process may
-		// have crashed with the committer on.
+		// scanned.
 		if err := m.recoverJournal(); err != nil {
 			return nil, fmt.Errorf("tune: recovering group-commit journal: %w", err)
 		}
@@ -369,18 +384,16 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 		}
 		m.sessions[id] = &managedSession{id: id, info: info}
 	}
-	if opts.CommitInterval != 0 {
-		c, err := wal.OpenCommitter(m.journalPath(), wal.CommitterOptions{
-			Interval:    opts.CommitInterval,
-			Batch:       opts.CommitBatch,
-			NoFsync:     opts.NoFsync,
-			SyncCounter: &m.fsyncs,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tune: opening group-commit journal: %w", err)
-		}
-		m.committer = c
+	c, err := wal.OpenCommitter(m.journalPath(), wal.CommitterOptions{
+		Interval:    opts.CommitInterval,
+		Batch:       opts.CommitBatch,
+		NoFsync:     opts.NoFsync,
+		SyncCounter: &m.fsyncs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tune: opening group-commit journal: %w", err)
 	}
+	m.committer = c
 	return m, nil
 }
 
@@ -634,33 +647,15 @@ func (m *Manager) evictOne(v *managedSession) {
 	// eviction must NOT force a compaction — under LRU churn that would
 	// rewrite the base snapshot on every eviction and reintroduce the
 	// quadratic lifetime I/O the WAL exists to avoid. Only a session whose
-	// last persist failed (its log dropped) is re-based here. An evicted
-	// log's handle closes, so its sync debt is settled first.
-	if m.tryPersistLocked(v, nil) != nil || m.settleLocked(v) != nil {
+	// last persist failed (its log dropped) is re-based here. Otherwise
+	// eviction only closes the log: records the journal covers stay the
+	// committer's to sync.
+	if m.tryPersistLocked(v, nil) != nil || m.closeLogLocked(v) != nil {
 		m.reinsert(v)
 		return
 	}
-	v.dropLogLocked()
 	v.s = nil
 	m.evictions.Add(1)
-}
-
-// settleLocked pays e's sync debt under the committer: a log holding
-// unsynced suggests, or records whose only durable copy the shared
-// journal may hold, is fsynced once and released from the journal's
-// rotation hold. A log without debt costs nothing. Without the
-// committer every report commits its own log, and closing the log
-// syncs a trailing suggest.
-func (m *Manager) settleLocked(e *managedSession) error {
-	if m.committer == nil || e.log == nil || len(e.held) == 0 && !m.committer.Covers(e.log.Path()) {
-		return nil
-	}
-	if err := e.log.SyncFile(); err != nil {
-		return err
-	}
-	e.log.MarkDurable()
-	m.committer.Forget(e.log.Path())
-	return nil
 }
 
 // reinsert puts a victim that could not be evicted back on the LRU.
@@ -799,14 +794,12 @@ func (m *Manager) Delete(id string) error {
 		m.resident--
 	}
 	m.mu.Unlock()
-	if m.committer != nil && e.log != nil {
-		// Journal records for a deleted session are moot; release the
-		// rotation hold so the handle's close cannot stall truncation.
-		m.committer.Forget(e.log.Path())
-	}
 	e.dropLogLocked()
 	e.s = nil
 	if m.stateDir != "" {
+		// Journal records for a deleted session are moot, resident or
+		// evicted: release the rotation hold before the log's file goes.
+		m.committer.Forget(m.walPath(id))
 		for _, p := range []string{m.basePath(id), m.walPath(id)} {
 			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 				return err
@@ -857,7 +850,7 @@ func (m *Manager) Stats() ManagerStats {
 	st.DurabilityRetries = m.durabilityRetries.Load()
 	st.SweptTempFiles = m.sweptTemps
 	st.Fsyncs = m.fsyncs.Load()
-	if m.committer != nil {
+	if m.stateDir != "" {
 		st.GroupCommits = m.committer.Batches()
 		st.DegradedCommits = m.committer.DegradedBatches()
 	}
@@ -947,18 +940,16 @@ func (m *Manager) Rollout(id string) (RolloutStatus, error) {
 	return st, err
 }
 
-// Close flushes and closes every resident session's log. First, under
-// each session's op gate, a session whose last persist failed is
-// re-based (which releases the journal's hold on its dropped log) and
-// every log with sync debt is settled as an eviction would settle it.
-// The fleet knowledge store closes next, re-basing a dropped tail and
-// syncing and releasing its log the same way. The shared committer
-// shuts down after them — with nothing left leaning on
-// its journal, it truncates the journal, so a clean shutdown leaves
-// nothing for the next boot's recovery — and then each log is closed.
-// Each log is synced at most once. The manager must not be used
-// afterwards (a request racing Close degrades to a per-session fsync
-// and stays durable; it is not lost).
+// Close closes every resident session's log. Under each session's op
+// gate, a session whose last persist failed is re-based, and its log is
+// closed as an eviction closes it. The fleet knowledge store closes
+// next, re-basing a dropped tail. The shared committer shuts down last:
+// it syncs by path every log the journal still covers, resident or
+// evicted, then truncates the journal, so a clean shutdown leaves
+// nothing for the next boot's recovery. Each log is synced at most once.
+// The manager must not be used afterwards (a request racing Close that
+// the committer refuses drops its log and re-bases, so it stays durable;
+// it is not lost).
 func (m *Manager) Close() error {
 	var first error
 	keep := func(err error) {
@@ -973,29 +964,18 @@ func (m *Manager) Close() error {
 	}
 	m.mu.Unlock()
 	sort.Slice(es, func(i, j int) bool { return es[i].id < es[j].id })
-	gated := func(do func(e *managedSession)) {
-		for _, e := range es {
-			if m.acquire(e) { // false: deleted concurrently
-				do(e)
-				m.release(e)
-			}
+	for _, e := range es {
+		if m.acquire(e) { // false: deleted concurrently
+			keep(m.tryPersistLocked(e, nil))
+			keep(m.closeLogLocked(e))
+			m.release(e)
 		}
 	}
-	gated(func(e *managedSession) {
-		keep(m.tryPersistLocked(e, nil))
-		keep(m.settleLocked(e))
-	})
 	if m.know != nil {
 		keep(m.know.Close())
 	}
-	if m.committer != nil {
+	if m.stateDir != "" {
 		keep(m.committer.Close())
 	}
-	gated(func(e *managedSession) {
-		if e.log != nil {
-			keep(e.log.Close())
-			e.log = nil
-		}
-	})
 	return first
 }

@@ -161,7 +161,8 @@ func TestManagerLRUEviction(t *testing.T) {
 // same session history, WAL durability writes far fewer bytes than
 // rewriting the whole snapshot on every operation would (the reference
 // is summed here, from the session's own snapshot size after each op),
-// and the state dir holds exactly a base+log pair.
+// and the state dir holds exactly a base+log pair beside the shared
+// group-commit journal.
 func TestManagerCheckpointBytes(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewManagerOpts(dir, ManagerOptions{CompactMin: 8, NoFsync: true})
@@ -206,7 +207,7 @@ func TestManagerCheckpointBytes(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := []string{"db.base.json", "db.wal"}; !reflect.DeepEqual(names, want) {
+	if want := []string{"db.base.json", "db.wal", "fleet.journal"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("state dir holds %v, want %v", names, want)
 	}
 }

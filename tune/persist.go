@@ -114,8 +114,8 @@ func (w *walEncoder) encode(rec *walRecord) ([]byte, error) {
 // handles retries and ErrDurability wrapping). Normal path: append op,
 // the record of the op just run, to the WAL and commit it — one sync
 // point per interval, as a suggest rides on the next commit (see
-// commitTail), and that one shared fleet-wide when the manager's
-// committer is on. A nil op only re-bases a session whose log is gone.
+// commitTail), and that one shared fleet-wide by the committer. A nil
+// op only re-bases a session whose log is gone.
 // The base snapshot is rewritten on the first write (creation), after
 // any failed attempt (which drops the log, so the next attempt re-bases
 // atomically instead of re-appending), or when compaction is due.
@@ -161,43 +161,37 @@ func (m *Manager) tryPersistLocked(e *managedSession, op *walRecord) error {
 	return nil
 }
 
-// commitTail makes the record just appended to e.log durable — except
-// a suggest's, which is only flushed to the OS: kill -9 loses nothing,
-// and the session's next commit (or eviction, compaction or Close)
-// syncs it. A suggest is a pure function of the state its log holds, so
-// one that a power failure loses is re-derived bit for bit on retry;
-// one that queried the fleet store logged the advice on its event and
-// commits like a report. Without a committer a commit is the log's own
-// flush+fsync. With one, the log is flushed and the held suggest
-// payloads enqueue ahead of this one, in index order, so the journal
+// commitTail flushes the record just appended to e.log to the OS and
+// makes it durable — except a suggest's, which is only flushed: kill -9
+// loses nothing, and the session's next commit (or compaction, or the
+// close of its log) syncs it. A suggest is a pure function of the state
+// its log holds, so one that a power failure loses is re-derived bit for
+// bit on retry; one that queried the fleet store logged the advice on
+// its event and commits like a report. A commit enqueues the held
+// suggest payloads ahead of this one, in index order, so the journal
 // holds one contiguous run; the wait returns when the journal's batch
 // fsync (or, degraded, this log's own) covers them. Enqueue copies the
-// payloads, so the pooled encoder can be reused once this returns.
+// payloads, so the pooled encoder can be reused once this returns. A
+// committer that refuses the records (a request racing Close) fails the
+// commit, so the caller drops the log and re-bases.
 func (m *Manager) commitTail(e *managedSession, op *walRecord, payload []byte) error {
-	if op.Event.Kind == eventSuggest && op.Event.Knowledge == nil {
-		if m.committer != nil {
-			e.held = append(e.held, bytes.Clone(payload))
-		}
-		return e.log.Flush()
-	}
-	if m.committer == nil {
-		return e.log.Commit()
-	}
 	if err := e.log.Flush(); err != nil {
 		return err
 	}
+	if op.Event.Kind == eventSuggest && op.Event.Knowledge == nil {
+		e.held = append(e.held, bytes.Clone(payload))
+		return nil
+	}
 	wait, err := m.committer.Enqueue(e.id, e.log, append(e.held, payload))
 	if err != nil {
-		// Committer already shut down (a request racing Close): degrade
-		// to a per-session fsync rather than failing the operation.
-		err = e.log.Commit()
-	} else if err = wait(); err == nil {
-		e.log.MarkDurable()
+		return err
 	}
-	if err == nil {
-		e.held = nil
+	if err := wait(); err != nil {
+		return err
 	}
-	return err
+	e.log.MarkDurable()
+	e.held = nil
+	return nil
 }
 
 // compactDue reports whether the WAL tail should fold into a new base:
@@ -247,9 +241,7 @@ func (m *Manager) rebase(path, walPath, tmpPrefix string, data []byte, lg **wal.
 		return err
 	}
 	m.checkpointBytes.Add(int64(len(data)))
-	if m.committer != nil {
-		m.committer.Forget(walPath)
-	}
+	m.committer.Forget(walPath)
 	if *lg == nil {
 		l, _, err := wal.Open(walPath, m.walOptions())
 		if err != nil {
