@@ -12,14 +12,15 @@ import (
 // the tuner queries the fleet store (when a cluster model is cold, and
 // again after a drift rollback) and contributes every safe observation
 // and canary promotion; implementations stamp the engine and space
-// identity, the tuner only supplies the context. Refit and Recluster
-// wrap each hyperparameter refit point and each re-cluster check, so an
-// owner that logs an operation's derivations with it — the advice its
-// queries returned, the hyperparameters a refit installed, whether a
-// check adopted a new clustering — can hand them back when it replays
-// the log, and the tuner installs what the logged operation derived
-// instead of recomputing it. Calls happen under the tuner mutex and
-// must not call back into the tuner.
+// identity, the tuner only supplies the context. Refit, Recluster and
+// Decide wrap each hyperparameter refit point, each re-cluster check and
+// each assessed recommendation, so an owner that logs an operation's
+// derivations with it — the advice its queries returned, the
+// hyperparameters a refit installed, whether a check adopted a new
+// clustering, what an assessment decided — can hand them back when it
+// replays the log, and the tuner installs what the logged operation
+// derived instead of recomputing it. Calls happen under the tuner mutex
+// and must not call back into the tuner.
 //
 // Transferred configurations are advisory, never trusted blindly: they
 // enter the regular candidate pool where safety.Assess and the white-box
@@ -41,6 +42,11 @@ type Knowledge interface {
 	// reports whether the check adopted a new clustering; in a replay it
 	// calls check only where the logged check adopted one.
 	Recluster(check func() bool)
+	// Decide runs one assessed recommendation: live it calls assess with
+	// nil, which computes the decision and returns it for the log; in a
+	// replay it calls assess with the logged decision, which installs it
+	// and returns nil if it does not fit the tuner's state.
+	Decide(assess func(logged *Decision) *Decision)
 }
 
 // fleet returns the knowledge hook when it reaches a fleet store.

@@ -31,9 +31,10 @@ func (k *testKB) Contribute(ctx []float64, cfg knowledge.SafeConfig, hyper []flo
 	})
 }
 
-func (k *testKB) Fleet() bool                          { return true }
-func (k *testKB) Refit(fit func() *gp.Refit) *gp.Refit { fit(); return nil }
-func (k *testKB) Recluster(check func() bool)          { check() }
+func (k *testKB) Fleet() bool                             { return true }
+func (k *testKB) Refit(fit func() *gp.Refit) *gp.Refit    { fit(); return nil }
+func (k *testKB) Recluster(check func() bool)             { check() }
+func (k *testKB) Decide(assess func(*Decision) *Decision) { assess(nil) }
 
 func kbFor(space *knobs.Space) (*knowledge.Store, *testKB) {
 	s := knowledge.NewStore(knowledge.DefaultParams())

@@ -393,17 +393,15 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 		return o.finishRecommend(rec)
 	}
 
-	// Recenter on the posterior-mean best for this context (robust to
-	// noisy samples).
-	if bu, mu, ok := m.gp.BestByPosterior(ctx); ok && mu >= tau {
-		m.BestUnit = bu
-	}
-
 	// Novel context or post-unsafe cooldown: measure the evaluated-best
 	// configuration conservatively before exploring (§7.2: after an
 	// unsafe evaluation the safety estimate is tightened and conservative
-	// configurations near the evaluated-best are recommended).
+	// configurations near the evaluated-best are recommended), recentered
+	// first on the posterior-mean best for this context.
 	if o.Opts.UseSafety && (m.CoolDown > 0 || o.contextNovel(m, ctx)) {
+		if i, mu, ok := m.gp.BestByPosterior(ctx); ok && mu >= tau {
+			m.BestUnit = m.gp.Config(i)
+		}
 		if m.CoolDown > 0 {
 			m.CoolDown--
 		}
@@ -412,17 +410,85 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 		return o.finishRecommend(rec)
 	}
 
-	// ③ Subspace adaptation (or the whole space for the ablation).
-	t0 = now()
+	var rec Recommendation
+	decide := func(logged *Decision) (d *Decision) {
+		rec, d = o.assess(m, mi, ctx, env, tau, logged)
+		return d
+	}
+	if k := o.Opts.Knowledge; k != nil {
+		k.Decide(decide)
+	} else {
+		decide(nil)
+	}
+	return o.finishRecommend(rec)
+}
+
+// Decision is the outcome of an assessed recommendation's GP work: the
+// posterior recenter, the switching check's verdict, the safety and
+// white-box assessment and the pick. A replay installs it instead of
+// recomputing it, and it is the per-decision trace of why a session got
+// its advice. Short keys keep it a few bytes in an op's log record.
+type Decision struct {
+	// Recenter is the observation BestByPosterior recentered the model
+	// on (nil: none).
+	Recenter *int `json:"r,omitempty"`
+	// Exhausted is the switching check's verdict: no unevaluated safe
+	// candidate is left in the region.
+	Exhausted bool `json:"x,omitempty"`
+	// Pick indexes the assessed candidates, appended transfers included;
+	// −1 is the fallback of an empty safe set.
+	Pick   int `json:"p"`
+	Safe   int `json:"n,omitempty"` // the safety set's size after the white-box vetoes
+	Vetoes int `json:"v,omitempty"`
+	// Conflicts names the rules reported in conflict with the black
+	// box's preferred candidate, in report order; Ignored is the rule the
+	// pick bypasses.
+	Conflicts []string `json:"c,omitempty"`
+	Ignored   string   `json:"i,omitempty"`
+}
+
+// assess makes an assessed recommendation: recenter on the posterior-mean
+// best, run the switching check, adapt the subspace, draw and assess the
+// candidates with the black box and the white-box rules, and pick by
+// ε-greedy between the UCB maximizer and the safe boundary. Live (logged
+// nil) it computes the decision and returns it. Given a logged decision
+// it installs it and runs only what moves state — the generator's draws,
+// Adapt, the transfers, the conflict reports and the quantization of the
+// pick — skipping both assessments, the batch quantization, the recenter
+// search and the white-box checks; it returns nil if the decision does
+// not fit the tuner's state.
+func (o *OnlineTune) assess(m *model, mi int, ctx []float64, env whitebox.Env, tau float64, logged *Decision) (Recommendation, *Decision) {
+	live, fits := logged == nil, true
+	d := logged
+	if live {
+		o.times.Assessments++
+		d = &Decision{}
+		if i, mu, ok := m.gp.BestByPosterior(ctx); ok && mu >= tau {
+			d.Recenter = &i
+		}
+	}
+	if r := d.Recenter; r != nil {
+		if fits = *r >= 0 && *r < m.gp.Len(); fits {
+			m.BestUnit = m.gp.Config(*r)
+		}
+	}
+
+	// ③ Subspace adaptation (or the whole space for the ablation). The
+	// switching check's and the region's draws run in a replay too, which
+	// keeps the generator in step.
+	t0 := now()
+	margin := tau + o.Opts.SafetyMargin*math.Abs(tau)
 	var candidates [][]float64
 	regionKind := "global"
 	if o.Opts.UseSubspace && o.Opts.UseSafety {
 		region := m.adapter.Region()
-		noUneval := false
 		if region != nil {
-			noUneval = o.unevaluatedSafeExhausted(m, ctx, region, tau+o.Opts.SafetyMargin*math.Abs(tau))
+			drawn := region.Candidates(40, o.rng)
+			if live {
+				d.Exhausted = o.unevaluatedSafeExhausted(m, ctx, drawn, margin)
+			}
 		}
-		region = m.adapter.Adapt(o.regionCenter(m), noUneval)
+		region = m.adapter.Adapt(o.regionCenter(m), d.Exhausted)
 		candidates = region.Candidates(o.Opts.Candidates, o.rng)
 		if region.Kind == subspace.Hypercube {
 			regionKind = "hypercube"
@@ -432,39 +498,55 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	} else {
 		candidates = o.globalCandidates(o.Opts.Candidates)
 	}
-	candidates = o.Space.QuantizeAll(candidates)
+	local := len(candidates)
+	if live {
+		candidates = o.Space.QuantizeAll(candidates)
+	}
 	// Fleet transfers ride the same assessment as local candidates.
 	candidates = o.appendTransfers(m, candidates)
 	o.times.SubspaceAdapt += since(t0)
 
-	// ④ Safety assessment: black box...
+	// ④ Safety assessment: black box, then white box.
 	t0 = now()
-	tauEff := tau + o.Opts.SafetyMargin*math.Abs(tau)
-	if !o.Opts.UseSafety || !o.Opts.UseBlackBox {
-		// Without black-box safety every candidate is admissible, and
-		// selection reads the bounds of them all.
-		tauEff = math.Inf(-1)
+	var assessed *safety.Assessment
+	if live {
+		tauEff := margin
+		if !o.Opts.UseSafety || !o.Opts.UseBlackBox {
+			// Without black-box safety every candidate is admissible, and
+			// selection reads the bounds of them all.
+			tauEff = math.Inf(-1)
+		}
+		assessed = safety.Assess(m.gp, ctx, candidates, o.Opts.Beta, tauEff)
+		if o.Opts.UseSafety && o.Opts.UseWhiteBox {
+			o.applyWhiteBox(assessed, env, d)
+		}
+		d.Safe = assessed.NumSafe
+	} else {
+		for _, name := range d.Conflicts {
+			if r := o.White.Rule(name); r != nil {
+				o.White.ReportConflict(r)
+			} else {
+				fits = false
+			}
+		}
 	}
-	assess := safety.Assess(m.gp, ctx, candidates, o.Opts.Beta, tauEff)
-	// ...and white box.
-	var ignored *whitebox.Rule
-	vetoes := 0
-	if o.Opts.UseSafety && o.Opts.UseWhiteBox {
-		ignored, vetoes = o.applyWhiteBox(assess, env)
-	}
-
 	o.times.SafetyAssess += since(t0)
 
 	// ⑤ Candidate selection: ε-greedy between UCB and safe boundary.
 	t0 = now()
 	boundary := o.rng.Float64() < o.Opts.Epsilon
-	var pick int
-	if boundary {
-		pick = assess.ArgMaxBoundary()
-	} else {
-		pick = assess.ArgMaxUCB()
+	if live {
+		if boundary {
+			d.Pick = assessed.ArgMaxBoundary()
+		} else {
+			d.Pick = assessed.ArgMaxUCB()
+		}
 	}
-	rec := Recommendation{ModelIndex: mi, SafetySetSize: assess.NumSafe, Boundary: boundary, RegionKind: regionKind, WhiteBoxVetoes: vetoes}
+	pick := d.Pick
+	if pick >= len(candidates) {
+		pick, fits = -1, false
+	}
+	rec := Recommendation{ModelIndex: mi, SafetySetSize: d.Safe, Boundary: boundary, RegionKind: regionKind, WhiteBoxVetoes: d.Vetoes}
 	if pick < 0 {
 		// Empty safe set: stage the best pending fleet transfer on the
 		// canary shadow when one is available — the model has nothing of
@@ -481,13 +563,23 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 		}
 		rec.Fallback = true
 	} else {
-		rec.Unit = mathx.VecClone(assess.Candidates[pick])
-		rec.IgnoredRule = ignored
+		if live || pick >= local {
+			rec.Unit = mathx.VecClone(candidates[pick])
+		} else {
+			rec.Unit = o.Space.Quantize(candidates[pick])
+		}
+		var err error
+		if rec.IgnoredRule, err = o.rule(d.Ignored); err != nil {
+			fits = false
+		}
 	}
 	rec.Config = o.Space.Decode(rec.Unit)
 	o.pendingRule = rec.IgnoredRule
 	o.times.CandidateSelect += since(t0)
-	return o.finishRecommend(rec)
+	if !fits {
+		d = nil
+	}
+	return rec, d
 }
 
 // finishRecommend routes a fully assembled recommendation through the
@@ -541,10 +633,11 @@ func (o *OnlineTune) contextNovel(m *model, ctx []float64) bool {
 	return m.gp.Len() > 0 && m.gp.NearestContextDist(ctx) > 0.10
 }
 
-// unevaluatedSafeExhausted checks the switching-rule trigger: no safe
-// candidate in the current region remains unevaluated.
-func (o *OnlineTune) unevaluatedSafeExhausted(m *model, ctx []float64, region *subspace.Region, tau float64) bool {
-	cands := o.Space.QuantizeAll(region.Candidates(40, o.rng))
+// unevaluatedSafeExhausted checks the switching-rule trigger over the
+// candidates drawn from the current region: none that is safe remains
+// unevaluated.
+func (o *OnlineTune) unevaluatedSafeExhausted(m *model, ctx []float64, drawn [][]float64, tau float64) bool {
+	cands := o.Space.QuantizeAll(drawn)
 	assess := safety.Assess(m.gp, ctx, cands, o.Opts.Beta, tau)
 	for i := range cands {
 		if assess.Safe[i] && !m.evaluated[key(cands[i])] {
@@ -570,9 +663,9 @@ func (o *OnlineTune) globalCandidates(n int) [][]float64 {
 }
 
 // applyWhiteBox vetoes safe candidates the rule engine rejects and
-// manages conflict accounting. At most one currently "ignored" rule may
-// be bypassed; the bypassed rule is returned for outcome reporting,
-// together with the number of candidates vetoed.
+// manages conflict accounting, recording on d the number of candidates
+// vetoed, the rules reported in conflict and the bypassed rule: at most
+// one currently "ignored" rule may be bypassed, for outcome reporting.
 //
 // Rule checks are fanned across a bounded worker pool — Check and Decode
 // only read engine and space state — and the verdicts are then applied
@@ -582,7 +675,7 @@ func (o *OnlineTune) globalCandidates(n int) [][]float64 {
 // engine state, so the vetoes, conflict counters and the returned rule
 // are identical to a sequential check-as-you-go loop for any worker
 // count (deterministic for a fixed seed).
-func (o *OnlineTune) applyWhiteBox(assess *safety.Assessment, env whitebox.Env) (*whitebox.Rule, int) {
+func (o *OnlineTune) applyWhiteBox(assess *safety.Assessment, env whitebox.Env, d *Decision) {
 	// Find the black box's preferred candidate to detect decision
 	// conflicts (§6.2.2: conflict = white box rejects what the black box
 	// recommends).
@@ -596,8 +689,6 @@ func (o *OnlineTune) applyWhiteBox(assess *safety.Assessment, env whitebox.Env) 
 		})
 	}
 	checkFrom(0)
-	var ignored *whitebox.Rule
-	vetoes := 0
 	for i := range assess.Candidates {
 		if !assess.Safe[i] {
 			continue
@@ -605,7 +696,7 @@ func (o *OnlineTune) applyWhiteBox(assess *safety.Assessment, env whitebox.Env) 
 		verdict := verdicts[i]
 		if verdict.OK {
 			if verdict.IgnoredRule != nil && i == blackPick {
-				ignored = verdict.IgnoredRule
+				d.Ignored = verdict.IgnoredRule.Name
 			}
 			continue
 		}
@@ -614,6 +705,7 @@ func (o *OnlineTune) applyWhiteBox(assess *safety.Assessment, env whitebox.Env) 
 			for _, r := range verdict.ViolatedRules {
 				was := r.Ignored()
 				o.White.ReportConflict(r)
+				d.Conflicts = append(d.Conflicts, r.Name)
 				if !was && r.Ignored() {
 					newlyIgnored = true
 				}
@@ -626,9 +718,8 @@ func (o *OnlineTune) applyWhiteBox(assess *safety.Assessment, env whitebox.Env) 
 			}
 		}
 		assess.Veto(i)
-		vetoes++
+		d.Vetoes++
 	}
-	return ignored, vetoes
 }
 
 // Observe records the measured performance of the last recommendation

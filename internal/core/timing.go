@@ -5,7 +5,8 @@ import "time"
 // StageTimes accumulates per-stage wall time across Recommend/Observe
 // calls — the Table A1 breakdown — and counts the costly derivations the
 // tuner computed rather than installed from a replayed log:
-// hyperparameter searches and re-cluster checks by verdict.
+// hyperparameter searches, re-cluster checks by verdict and assessed
+// recommendations.
 type StageTimes struct {
 	ModelSelect     time.Duration
 	SubspaceAdapt   time.Duration
@@ -14,7 +15,7 @@ type StageTimes struct {
 	ModelUpdate     time.Duration
 	Iters           int
 
-	Refits, KeptChecks, AdoptedChecks int
+	Refits, KeptChecks, AdoptedChecks, Assessments int
 }
 
 // Timings returns a copy of the accumulated stage times.

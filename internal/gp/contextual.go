@@ -52,18 +52,19 @@ func (c *ContextualGP) ctxRow(ctx []float64) []float64 {
 	return k
 }
 
-// BestByPosterior returns the evaluated configuration with the highest
-// posterior mean under ctx — the paper's "best configuration estimated
-// so far", robust to measurement noise (unlike the max of raw samples).
+// BestByPosterior returns the index of the evaluated configuration with
+// the highest posterior mean under ctx (see Config) — the paper's "best
+// configuration estimated so far", robust to measurement noise (unlike
+// the max of raw samples).
 // The configuration kernel's value for every training pair is resident,
 // so scoring evaluates only the context kernel, once per training
 // context, and sums the two as Split.OfStats sums them. Means only: no
 // triangular solves.
-func (c *ContextualGP) BestByPosterior(ctx []float64) (config []float64, mean float64, ok bool) {
+func (c *ContextualGP) BestByPosterior(ctx []float64) (idx int, mean float64, ok bool) {
 	g := c.gp
 	n := g.Len()
 	if n == 0 {
-		return nil, 0, false
+		return 0, 0, false
 	}
 	bestIdx, bestMu := 0, 0.0 // an unfactorized model serves the prior mean
 	if g.fresh {
@@ -81,7 +82,12 @@ func (c *ContextualGP) BestByPosterior(ctx []float64) (config []float64, mean fl
 			}
 		}
 	}
-	return mathx.VecClone(g.x[bestIdx][:c.configDim]), bestMu, true
+	return bestIdx, bestMu, true
+}
+
+// Config returns a copy of training observation i's configuration.
+func (c *ContextualGP) Config(i int) []float64 {
+	return mathx.VecClone(c.gp.x[i][:c.configDim])
 }
 
 // Len returns the number of conditioning observations.

@@ -260,7 +260,8 @@ func TestBestByPosteriorBitIdenticalToPredictArgMax(t *testing.T) {
 				wantIdx, wantMu = i, mu
 			}
 		}
-		cfg, mu, ok := cg.BestByPosterior(x[0])
+		idx, mu, ok := cg.BestByPosterior(x[0])
+		cfg := cg.Config(idx)
 		if !ok || math.Float64bits(mu) != math.Float64bits(wantMu) || !sameBits(cfg, configs[wantIdx]) {
 			t.Fatalf("trial %d: BestByPosterior = %v (mean %v), arg-max over Predict = %v (mean %v)",
 				trial, cfg, mu, configs[wantIdx], wantMu)
@@ -401,7 +402,7 @@ func TestValueTriangleBitIdenticalUnderRandomOps(t *testing.T) {
 		for _, o := range same {
 			oc, om, _ := o.BestByPosterior(q)
 			oms, ovs := o.PredictAll(cands, q)
-			if !sameBits(bc, oc) || math.Float64bits(bm) != math.Float64bits(om) || !sameBits(ms, oms) || !sameBits(vs, ovs) {
+			if bc != oc || math.Float64bits(bm) != math.Float64bits(om) || !sameBits(ms, oms) || !sameBits(vs, ovs) {
 				t.Fatalf("step %d: BestByPosterior or PredictAll differs from a model with fresh triangles", step)
 			}
 		}

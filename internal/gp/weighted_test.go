@@ -58,10 +58,11 @@ func TestBestByPosterior(t *testing.T) {
 	if err := cg.Fit(configs, ctxs, ys); err != nil {
 		t.Fatal(err)
 	}
-	best, mu, ok := cg.BestByPosterior([]float64{0})
+	idx, mu, ok := cg.BestByPosterior([]float64{0})
 	if !ok {
 		t.Fatal("no best")
 	}
+	best := cg.Config(idx)
 	// The posterior smooths the lucky sample down; the robustly good
 	// region should win.
 	if best[0] > 0.5 {

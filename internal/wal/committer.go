@@ -409,11 +409,12 @@ func (c *Committer) maybeRotateLocked() {
 }
 
 // dropJournalLocked retires the journal handle after an error left its
-// buffer state unknown. The file keeps its intact prefix — recovery
-// and the reopen path scan it with the usual torn-tail tolerance.
+// buffer state unknown, abandoning it rather than syncing it once more.
+// The file keeps its intact prefix — recovery and the reopen path scan
+// it with the usual torn-tail tolerance.
 func (c *Committer) dropJournalLocked() {
 	if c.journal != nil {
-		c.journal.Close()
+		c.journal.Abandon()
 		c.journal = nil
 	}
 }

@@ -277,6 +277,15 @@ func (l *Log) Close() error {
 	return err
 }
 
+// Abandon closes the file without committing, for a handle its owner
+// gives up on: one a failed write left in an unknown state, or one whose
+// file is about to be removed. Buffered appends are dropped, and flushed
+// ones stay as the OS holds them, unsynced.
+func (l *Log) Abandon() error {
+	l.w.Reset(io.Discard)
+	return l.f.Close()
+}
+
 // Stat inspects the log at path without opening it for writing and
 // returns the intact record count and the last intact record's payload:
 // exactly what Open would recover, since both run scan. A missing file

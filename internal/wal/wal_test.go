@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 )
 
@@ -166,6 +167,41 @@ func TestCorruptPayloadStopsScan(t *testing.T) {
 	}
 	if l2.Truncated() == 0 {
 		t.Fatal("corruption not reported as truncation")
+	}
+}
+
+// TestAbandonSyncsNothing: abandoning a log with flushed and buffered
+// appends costs no sync point; the flushed record stays in the file and
+// the buffered one is dropped.
+func TestAbandonSyncsNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.wal")
+	var syncs atomic.Int64
+	l, _, err := Open(path, Options{NoFsync: true, SyncCounter: &syncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("flushed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("buffered")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs.Load(); got != 0 {
+		t.Fatalf("Abandon cost %d sync points, want 0", got)
+	}
+	l, recs, err := Open(path, Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(recs) != 1 || string(recs[0]) != "flushed" {
+		t.Fatalf("abandoned log holds %q, want only the flushed record", recs)
 	}
 }
 

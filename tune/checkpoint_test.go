@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -329,33 +330,20 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 	if _, err := m.Create("db", cfg); err != nil {
 		t.Fatal(err)
 	}
-	// live maps the records the log holds after each op to the session's
-	// state then.
-	live := map[int][]byte{}
-	capture := func() {
-		snap, err := m.Snapshot("db")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := parseSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live[h.Next] = snap
-	}
-	capture()
+	live := liveStates{}
+	live.capture(t, m)
 	const intervals = 24
 	for i := 0; i < intervals; i++ {
 		if _, err := m.Suggest(context.Background(), "db"); err != nil {
 			t.Fatal(err)
 		}
-		capture()
+		live.capture(t, m)
 		o := knowOutcome(i, 115+float64(i%4))
 		o.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: 125 + float64(i%3)}}
 		if _, err := m.Report("db", o); err != nil {
 			t.Fatal(err)
 		}
-		capture()
+		live.capture(t, m)
 	}
 	if st, _ := m.KnowledgeStats(); st.WarmStarts == 0 {
 		t.Fatal("the session never warm-started from the fleet store")
@@ -366,6 +354,114 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+	live.hydrateEveryCut(t, dir, opts, intervals)
+}
+
+// TestHydrateAtEveryRecordBoundaryExploring is the record-boundary check
+// over every branch of an assessed suggest: a direct-apply case5 session
+// with no assessment margin explores, warm-started from a fleet store a
+// donor filled, until its log holds a UCB pick, an ε-boundary pick, an
+// empty-safe fallback, a white-box veto and a pick of a fleet transfer.
+// Replay installs each logged decision, and every cut must still
+// hydrate to the live state byte for byte.
+func TestHydrateAtEveryRecordBoundaryExploring(t *testing.T) {
+	dir := t.TempDir()
+	opts := ManagerOptions{NoFsync: true, Knowledge: true, CompactMin: 1 << 20}
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tunables := DefaultTunerOptions()
+	tunables.SafetyMargin = 0
+	if _, err := m.Create("donor", Config{Space: "case5", Seed: 1, Options: &tunables}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		bgManagedStep(t, m, "donor", i)
+	}
+	if _, err := m.Create("db", Config{Space: "case5", Seed: 4, Options: &tunables}); err != nil {
+		t.Fatal(err)
+	}
+	live := liveStates{}
+	live.capture(t, m)
+	const intervals = 40
+	var advice []Advice
+	for i := 0; i < intervals; i++ {
+		adv, err := m.Suggest(context.Background(), "db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		advice = append(advice, adv)
+		live.capture(t, m)
+		// A stretch below τ, then one at τ, drains the safe set.
+		perf := 115 + float64(i%4)
+		switch {
+		case i >= 30:
+			perf = 100
+		case i >= 20:
+			perf = 90 + float64(i%4)
+		}
+		if _, err := m.Report("db", knowOutcome(i, perf)); err != nil {
+			t.Fatal(err)
+		}
+		live.capture(t, m)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := wal.Open(filepath.Join(dir, "db.wal"), wal.Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for k, data := range recs {
+		var rec walRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		d := rec.Event.Decision
+		if d == nil {
+			continue
+		}
+		adv := advice[k/2]
+		seen["UCB pick"] = seen["UCB pick"] || d.Pick >= 0 && !adv.Boundary
+		seen["ε-boundary pick"] = seen["ε-boundary pick"] || d.Pick >= 0 && adv.Boundary
+		seen["empty-safe fallback"] = seen["empty-safe fallback"] || d.Pick < 0
+		seen["white-box veto"] = seen["white-box veto"] || d.Vetoes > 0
+		seen["transfer pick"] = seen["transfer pick"] || d.Pick >= tunables.Candidates
+	}
+	for _, branch := range []string{"UCB pick", "ε-boundary pick", "empty-safe fallback", "white-box veto", "transfer pick"} {
+		if !seen[branch] {
+			t.Errorf("the log holds no %s", branch)
+		}
+	}
+	live.hydrateEveryCut(t, dir, opts, intervals)
+}
+
+// liveStates maps the number of records session db's log holds after
+// each op to the session's snapshot then.
+type liveStates map[int][]byte
+
+// capture records db's state now.
+func (l liveStates) capture(t *testing.T, m *Manager) {
+	t.Helper()
+	snap, err := m.Snapshot("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l[h.Next] = snap
+}
+
+// hydrateEveryCut cuts db's log in the closed state dir at every record
+// boundary. Each cut copy must hydrate to the state l holds for that
+// many records, then continue from interval from bit-identically with a
+// control whose base is that state and whose tail is empty.
+func (l liveStates) hydrateEveryCut(t *testing.T, dir string, opts ManagerOptions, from int) {
+	t.Helper()
 	_, recs, err := wal.Open(filepath.Join(dir, "db.wal"), wal.Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +476,7 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("log cut after %d of %d records: %v", k, len(recs), err)
 		}
-		want, ok := live[k]
+		want, ok := l[k]
 		if !ok {
 			t.Fatalf("log cut after %d of %d records hydrated, but the live session never held that many", k, len(recs))
 		}
@@ -391,7 +487,7 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 		if err := os.WriteFile(control.basePath("db"), want, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for i := intervals; i < intervals+3; i++ {
+		for i := from; i < from+3; i++ {
 			a, b := bgManagedStep(t, cut, "db", i), bgManagedStep(t, control, "db", i)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("log cut after %d records: advice diverged from the control at iter %d", k, i)
@@ -400,6 +496,78 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 		sameSnapshot(t, control, cut, "db")
 		cut.Close()
 		control.Close()
+	}
+}
+
+// TestReplayRefusesMisfitDecision: a replayed suggest installs its
+// logged decision only where it fits the replayed state. A decision
+// whose pick, recenter or rules the state cannot hold, an assessed
+// suggest logged without one, and a decision on a suggest that makes no
+// assessment each fail the restore, naming the record.
+func TestReplayRefusesMisfitDecision(t *testing.T) {
+	opts := DefaultTunerOptions()
+	opts.SafetyMargin = 0
+	s, err := NewSession(Config{Space: "case5", Seed: 4, Options: &opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type logged struct {
+		base []byte
+		rec  walRecord
+	}
+	var cold, assessed *logged
+	for i := 0; assessed == nil; i++ {
+		if i == 40 {
+			t.Fatal("no suggest reached an assessment in 40 intervals")
+		}
+		base, err := s.snapshot(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rec, err := s.suggest(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			cold = &logged{base, rec}
+		} else if rec.Event.Decision != nil {
+			assessed = &logged{base, rec}
+		}
+		s.report(knowOutcome(i, 115+float64(i%4)))
+	}
+	replay := func(l *logged, mutate func(*event)) error {
+		rec := l.rec
+		if d := rec.Event.Decision; d != nil {
+			dc := *d
+			rec.Event.Decision = &dc
+		}
+		mutate(&rec.Event)
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = restore(l.base, [][]byte{data}, nil)
+		return err
+	}
+	if err := replay(assessed, func(*event) {}); err != nil {
+		t.Fatalf("the logged decision does not replay: %v", err)
+	}
+	recenter := 1 << 20
+	for name, c := range map[string]struct {
+		l      *logged
+		mutate func(*event)
+	}{
+		"a pick past the candidates":     {assessed, func(e *event) { e.Decision.Pick = 1 << 20 }},
+		"a recenter past the model":      {assessed, func(e *event) { e.Decision.Recenter = &recenter }},
+		"an unknown conflict rule":       {assessed, func(e *event) { e.Decision.Conflicts = []string{"no-such-rule"} }},
+		"an unknown bypassed rule":       {assessed, func(e *event) { e.Decision.Pick, e.Decision.Ignored = 0, "no-such-rule" }},
+		"an assessment without decision": {assessed, func(e *event) { e.Decision = nil }},
+		"a decision without assessment":  {cold, func(e *event) { e.Decision = &core.Decision{Pick: -1} }},
+	} {
+		var te *tailError
+		if err := replay(c.l, c.mutate); !errors.As(err, &te) || te.i != 0 {
+			t.Errorf("%s: restore returned %v, want a refusal of record 0", name, err)
+		}
 	}
 }
 
@@ -421,11 +589,12 @@ func shiftOutcome(i int) Outcome {
 
 // TestHydrateInstallsLoggedDerivations is restart equivalence across the
 // costly derivations: the replayed tail spans refit points with logged
-// hyperparameters, kept re-cluster checks and one adopted check. The
-// hydrate must run no hyperparameter search and no kept check — it
-// installs the logged refits and skips the kept checks — re-run exactly
-// the adopted one, and continue bit-identically with a session that
-// never restarted. The repository (cap 48) first evicts during the
+// hyperparameters, kept re-cluster checks, one adopted check and
+// assessed suggests with logged decisions. The hydrate must run no
+// hyperparameter search, no kept check and no assessment — it installs
+// the logged refits and decisions and skips the kept checks — re-run
+// exactly the adopted one, hydrate to the live state byte for byte and
+// continue bit-identically with a session that never restarted. The repository (cap 48) first evicts during the
 // continuation, so its checks both extend the nearest-distance index the
 // skipped checks left short and rebuild it.
 func TestHydrateInstallsLoggedDerivations(t *testing.T) {
@@ -469,8 +638,9 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	for i := 0; i < intervals; i++ {
 		step(m, i)
 	}
-	if lt := ref.tuner.T.Timings(); lt.Refits == 0 || lt.KeptChecks == 0 || lt.AdoptedChecks != 1 {
-		t.Fatalf("live session ran %d refits, %d kept and %d adopted checks, want ≥ 1, ≥ 1 and 1", lt.Refits, lt.KeptChecks, lt.AdoptedChecks)
+	if lt := ref.tuner.T.Timings(); lt.Refits == 0 || lt.KeptChecks == 0 || lt.AdoptedChecks != 1 || lt.Assessments == 0 {
+		t.Fatalf("live session ran %d refits, %d kept and %d adopted checks and %d assessments, want ≥ 1, ≥ 1, 1 and ≥ 1",
+			lt.Refits, lt.KeptChecks, lt.AdoptedChecks, lt.Assessments)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -479,7 +649,7 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fits, adopted := 0, 0
+	fits, adopted, decisions := 0, 0, 0
 	for _, data := range recs {
 		var rec walRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
@@ -491,9 +661,13 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 		if rec.Event.Adopted {
 			adopted++
 		}
+		if rec.Event.Decision != nil {
+			decisions++
+		}
 	}
-	if len(recs) != 2*intervals || fits == 0 || adopted != 1 {
-		t.Fatalf("the tail holds %d records, %d logged refits and %d adopted checks, want %d, ≥ 1 and 1", len(recs), fits, adopted, 2*intervals)
+	if lt := ref.tuner.T.Timings(); len(recs) != 2*intervals || fits == 0 || adopted != 1 || decisions != lt.Assessments {
+		t.Fatalf("the tail holds %d records, %d logged refits, %d adopted checks and %d decisions, want %d, ≥ 1, 1 and %d",
+			len(recs), fits, adopted, decisions, 2*intervals, lt.Assessments)
 	}
 	m, err = NewManagerOpts(dir, mopts)
 	if err != nil {
@@ -504,9 +678,11 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ht := s.tuner.T.Timings(); ht.Refits != 0 || ht.KeptChecks != 0 || ht.AdoptedChecks != 1 {
-		t.Fatalf("hydrate ran %d refits, %d kept and %d adopted checks, want 0, 0 and 1", ht.Refits, ht.KeptChecks, ht.AdoptedChecks)
+	if ht := s.tuner.T.Timings(); ht.Refits != 0 || ht.KeptChecks != 0 || ht.AdoptedChecks != 1 || ht.Assessments != 0 {
+		t.Fatalf("hydrate ran %d refits, %d kept and %d adopted checks and %d assessments, want 0, 0, 1 and 0",
+			ht.Refits, ht.KeptChecks, ht.AdoptedChecks, ht.Assessments)
 	}
+	sameSnapshotSession(t, m, ref)
 	for i := intervals; i < intervals+15; i++ {
 		step(m, i)
 	}

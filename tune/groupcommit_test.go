@@ -920,6 +920,30 @@ func TestManagerDeleteEvictedForgetsLog(t *testing.T) {
 	closeLeavesJournalEmpty(t, m)
 }
 
+// TestManagerDeleteAfterSuggestSyncsNothing: deleting a resident session
+// whose last op was a suggest abandons its log instead of syncing the
+// held suggest into a file the delete then removes.
+func TestManagerDeleteAfterSuggestSyncsNothing(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), syncArms[0].opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Create("a", Config{Space: "case5", Seed: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Suggest(context.Background(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats().Fsyncs
+	if err := m.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().Fsyncs - before; got != 0 {
+		t.Fatalf("deleting a after its suggest cost %d sync points, want 0", got)
+	}
+}
+
 // TestManagerCloseSyncsOnce: a Close whose resident session's last op
 // was a suggest syncs that session's log once. Its report journaled the
 // log, and the trailing suggest is written but not synced, so Close

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/gp"
 	"repro/internal/knowledge"
 	"repro/internal/wal"
@@ -16,12 +17,13 @@ import (
 // knowAdapter connects one session's tuner to the fleet knowledge base
 // and to each op's WAL record. Live, it records what each op derived on
 // the op's own event: the advice every fleet query returned (nil
-// records a miss), the hyperparameters a refit installed and whether a
-// re-cluster check adopted a new clustering. Replaying an event, it
-// hands the logged results back instead of computing them: the fleet
-// store evolves as other sessions contribute, so only the log can
-// reproduce what THIS session saw, and a logged search or check already
-// decided what recomputing it would. It is called from the tuner under
+// records a miss), the hyperparameters a refit installed, whether a
+// re-cluster check adopted a new clustering and what an assessed
+// recommendation decided. Replaying an event, it hands the logged
+// results back instead of computing them: the fleet store evolves as
+// other sessions contribute, so only the log can reproduce what THIS
+// session saw, and a logged search, check or assessment already decided
+// what recomputing it would. It is called from the tuner under
 // the session mutex, on the session's own goroutine — it must not take
 // s.mu itself.
 type knowAdapter struct {
@@ -32,18 +34,21 @@ type knowAdapter struct {
 
 	// op is the event of the op in progress: live, what the op derives is
 	// recorded on it; in a replay, the logged event its derivations are
-	// read from, with queried, refitted and adopted what the replay
-	// consumed and re-derived of it.
+	// read from, with queried, refitted, adopted and decided what the
+	// replay consumed and re-derived of it, and misfit set when the
+	// replay reached an assessment the event's decision does not fit.
 	op        *event
 	replaying bool
 	queried   int
 	refitted  bool
 	adopted   bool
+	decided   bool
+	misfit    bool
 }
 
 // begin starts recording (live) or replaying the derivations of one op.
 func (k *knowAdapter) begin(op *event) {
-	k.op, k.queried, k.refitted, k.adopted = op, 0, false, false
+	k.op, k.queried, k.refitted, k.adopted, k.decided, k.misfit = op, 0, false, false, false, false
 }
 
 // replayed reports whether the replayed op consumed exactly the
@@ -56,6 +61,10 @@ func (k *knowAdapter) replayed() error {
 		return errors.New("replay reached no refit point, the op logged a refit")
 	case k.op.Adopted && !k.adopted:
 		return errors.New("replay adopted no clustering, the op's re-cluster check adopted one")
+	case k.op.Decision != nil && !k.decided:
+		return errors.New("replay reached no assessment, the op logged a decision")
+	case k.misfit:
+		return errors.New("replay reached an assessment the op's logged decision does not fit")
 	}
 	return nil
 }
@@ -120,6 +129,20 @@ func (k *knowAdapter) Recluster(check func() bool) {
 	if k.op.Adopted {
 		k.adopted = check()
 	}
+}
+
+// Decide implements core.Knowledge. Live: run the assessment and log its
+// decision. Replay: install the logged decision without assessing.
+func (k *knowAdapter) Decide(assess func(logged *core.Decision) *core.Decision) {
+	if !k.replaying {
+		k.op.Decision = assess(nil)
+		return
+	}
+	// An op logged without a decision is assessed live, so the tuner
+	// still ends the call with a recommendation, and refused.
+	k.decided = true
+	installed := assess(k.op.Decision)
+	k.misfit = k.op.Decision == nil || installed == nil
 }
 
 // On-disk layout of the durable fleet knowledge base under the

@@ -221,12 +221,13 @@ func (m *Manager) release(e *managedSession) {
 	m.mu.Unlock()
 }
 
-// dropLogLocked closes and forgets the WAL handle after a write error
-// left it in an unknown state; the next persist rewrites an atomic base
-// instead of appending to a possibly-torn log.
+// dropLogLocked abandons and forgets the WAL handle — after a write
+// error left it in an unknown state, or before its file is removed — so
+// nothing syncs it on the way out; the next persist rewrites an atomic
+// base instead of appending to a possibly-torn log.
 func (e *managedSession) dropLogLocked() {
 	if e.log != nil {
-		e.log.Close()
+		e.log.Abandon()
 		e.log = nil
 	}
 	e.held = nil

@@ -164,14 +164,15 @@ func (m *Manager) tryPersistLocked(e *managedSession, op *walRecord) error {
 // commitTail flushes the record just appended to e.log to the OS and
 // makes it durable — except a suggest's, which is only flushed: kill -9
 // loses nothing, and the session's next commit (or compaction, or the
-// close of its log) syncs it. A suggest is a pure function of the state
-// its log holds, so one that a power failure loses is re-derived bit for
-// bit on retry; one that queried the fleet store logged the advice on
-// its event and commits like a report. A commit enqueues the held
-// suggest payloads ahead of this one, in index order, so the journal
-// holds one contiguous run; the wait returns when the journal's batch
-// fsync (or, degraded, this log's own) covers them. Enqueue copies the
-// payloads, so the pooled encoder can be reused once this returns. A
+// close of its log) syncs it. A suggest that a power failure loses is
+// still re-derived on retry: its advice and the decision its record logs
+// are computed from the state the log holds, so the retry computes them
+// again bit for bit; one that queried the fleet store logged advice the
+// log holds nowhere else, and commits like a report. A commit enqueues
+// the held suggest payloads ahead of this one, in index order, so the
+// journal holds one contiguous run; the wait returns when the journal's
+// batch fsync (or, degraded, this log's own) covers them. Enqueue copies
+// the payloads, so the pooled encoder can be reused once this returns. A
 // committer that refuses the records (a request racing Close) fails the
 // commit, so the caller drops the log and re-bases.
 func (m *Manager) commitTail(e *managedSession, op *walRecord, payload []byte) error {

@@ -33,19 +33,24 @@ const (
 
 // event is one logged session operation, together with everything it
 // derived that replay either cannot recompute or need not: the advice
-// its fleet queries returned, the hyperparameters a refit installed,
-// whether a re-cluster check adopted a new clustering, and the rollout
-// decision it triggered. Every source of randomness is seeded, so
-// replaying events on a session restored from a snapshot reproduces the
-// session that logged them bit for bit: the WAL tail on top of a base's
-// state. An op and its derivations share one CRC-framed record, so a
-// torn log never separates them.
+// its fleet queries returned, what a suggest's assessment decided, the
+// hyperparameters a refit installed, whether a re-cluster check adopted
+// a new clustering, and the rollout decision it triggered. Every source
+// of randomness is seeded, so replaying events on a session restored
+// from a snapshot reproduces the session that logged them bit for bit:
+// the WAL tail on top of a base's state. An op and its derivations share
+// one CRC-framed record, so a torn log never separates them.
 type event struct {
 	Kind    string   `json:"kind"`
 	Outcome *Outcome `json:"outcome,omitempty"`
 	// Knowledge holds the advice each fleet query returned, in query
 	// order; a nil entry is a miss.
 	Knowledge []*knowledge.Advice `json:"knowledge,omitempty"`
+	// Decision is what a suggest's assessment decided: the recenter, the
+	// switching verdict, the pick, the safe-set size, the white-box
+	// vetoes and rules. Absent for a suggest that held, probed or stayed
+	// on a cold model's initial or warm configuration.
+	Decision *core.Decision `json:"d,omitempty"`
 	// Fit holds the hyperparameters a report's refit installed.
 	Fit *gp.Refit `json:"fit,omitempty"`
 	// Adopted marks a report whose re-cluster check adopted a new
@@ -247,10 +252,12 @@ func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, 
 
 // replay replays the decoded tail into s as its records arrive. Records
 // before s.next predate the base and are skipped; the rest must be
-// contiguous. A suggest applies only its state effects; every op
-// installs the derivations its event logged instead of recomputing
-// them, and must reach exactly those, and a report must make the
-// rollout decision its event logged.
+// contiguous. Every op installs the derivations its event logged instead
+// of recomputing them, and must reach exactly those: a suggest applies
+// only its state effects, installing its logged decision in place of
+// the assessment's GP work (it still makes the generator's draws, the
+// subspace step and the white-box conflict reports), and a report must
+// make the rollout decision its event logged.
 func (s *Session) replay(tail <-chan decodedRecord) error {
 	s.know.replaying = true
 	defer func() { s.know.replaying, s.know.op = false, nil }()
