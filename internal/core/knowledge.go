@@ -45,7 +45,8 @@ type Knowledge interface {
 	// Decide runs one assessed recommendation: live it calls assess with
 	// nil, which computes the decision and returns it for the log; in a
 	// replay it calls assess with the logged decision, which installs it
-	// and returns nil if it does not fit the tuner's state.
+	// and returns nil if it does not fit the tuner's state, or with nil
+	// where the log holds none, which assesses live.
 	Decide(assess func(logged *Decision) *Decision)
 }
 

@@ -543,7 +543,7 @@ func (o *OnlineTune) assess(m *model, mi int, ctx []float64, env whitebox.Env, t
 		}
 	}
 	pick := d.Pick
-	if pick >= len(candidates) {
+	if pick < -1 || pick >= len(candidates) {
 		pick, fits = -1, false
 	}
 	rec := Recommendation{ModelIndex: mi, SafetySetSize: d.Safe, Boundary: boundary, RegionKind: regionKind, WhiteBoxVetoes: d.Vetoes}

@@ -501,9 +501,9 @@ func (l liveStates) hydrateEveryCut(t *testing.T, dir string, opts ManagerOption
 
 // TestReplayRefusesMisfitDecision: a replayed suggest installs its
 // logged decision only where it fits the replayed state. A decision
-// whose pick, recenter or rules the state cannot hold, an assessed
-// suggest logged without one, and a decision on a suggest that makes no
-// assessment each fail the restore, naming the record.
+// whose pick, recenter or rules the state cannot hold, and a decision on
+// a suggest that makes no assessment, each fail the restore, naming the
+// record.
 func TestReplayRefusesMisfitDecision(t *testing.T) {
 	opts := DefaultTunerOptions()
 	opts.SafetyMargin = 0
@@ -557,18 +557,94 @@ func TestReplayRefusesMisfitDecision(t *testing.T) {
 		l      *logged
 		mutate func(*event)
 	}{
-		"a pick past the candidates":     {assessed, func(e *event) { e.Decision.Pick = 1 << 20 }},
-		"a recenter past the model":      {assessed, func(e *event) { e.Decision.Recenter = &recenter }},
-		"an unknown conflict rule":       {assessed, func(e *event) { e.Decision.Conflicts = []string{"no-such-rule"} }},
-		"an unknown bypassed rule":       {assessed, func(e *event) { e.Decision.Pick, e.Decision.Ignored = 0, "no-such-rule" }},
-		"an assessment without decision": {assessed, func(e *event) { e.Decision = nil }},
-		"a decision without assessment":  {cold, func(e *event) { e.Decision = &core.Decision{Pick: -1} }},
+		"a pick past the candidates":    {assessed, func(e *event) { e.Decision.Pick = 1 << 20 }},
+		"a pick below the fallback":     {assessed, func(e *event) { e.Decision.Pick = -2 }},
+		"a recenter past the model":     {assessed, func(e *event) { e.Decision.Recenter = &recenter }},
+		"an unknown conflict rule":      {assessed, func(e *event) { e.Decision.Conflicts = []string{"no-such-rule"} }},
+		"an unknown bypassed rule":      {assessed, func(e *event) { e.Decision.Pick, e.Decision.Ignored = 0, "no-such-rule" }},
+		"a decision without assessment": {cold, func(e *event) { e.Decision = &core.Decision{Pick: -1} }},
 	} {
 		var te *tailError
 		if err := replay(c.l, c.mutate); !errors.As(err, &te) || te.i != 0 {
 			t.Errorf("%s: restore returned %v, want a refusal of record 0", name, err)
 		}
 	}
+}
+
+// TestHydrateUndecidedTail: a tail written before suggests logged their
+// decisions — the same records without the "d" field — still hydrates
+// to the live state byte for byte, assessing each such suggest live.
+func TestHydrateUndecidedTail(t *testing.T) {
+	opts := DefaultTunerOptions()
+	opts.SafetyMargin = 0
+	s, err := NewSession(Config{Space: "case5", Seed: 4, Options: &opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.snapshot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	stripped := 0
+	for i := 0; i < 30; i++ {
+		_, rec, err := s.suggest(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, undecided(t, rec, &stripped))
+		recs = append(recs, undecided(t, s.report(knowOutcome(i, 115+float64(i%4))), &stripped))
+	}
+	if stripped == 0 {
+		t.Fatal("no suggest reached an assessment in 30 intervals")
+	}
+	h, _, err := restore(base, recs, nil)
+	if err != nil {
+		t.Fatalf("the undecided tail does not replay: %v", err)
+	}
+	if got := h.tuner.T.Timings().Assessments; got != stripped {
+		t.Fatalf("hydrate computed %d assessments, want one per stripped decision (%d)", got, stripped)
+	}
+	got, err := h.snapshot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.snapshot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the undecided tail hydrated to a state the live session never held")
+	}
+}
+
+// undecided returns rec's WAL bytes with the event's "d" field deleted,
+// counting the deletions in n.
+func undecided(t *testing.T, rec walRecord, n *int) []byte {
+	t.Helper()
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	var ev map[string]json.RawMessage
+	if err := json.Unmarshal(raw["event"], &ev); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ev["d"]; ok {
+		delete(ev, "d")
+		*n++
+	}
+	if raw["event"], err = json.Marshal(ev); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // shiftOutcome alternates a session between two workloads in blocks of

@@ -132,17 +132,16 @@ func (k *knowAdapter) Recluster(check func() bool) {
 }
 
 // Decide implements core.Knowledge. Live: run the assessment and log its
-// decision. Replay: install the logged decision without assessing.
+// decision. Replay: install the logged decision, or assess live where the
+// op logged none (a record written before suggests logged theirs).
 func (k *knowAdapter) Decide(assess func(logged *core.Decision) *core.Decision) {
 	if !k.replaying {
 		k.op.Decision = assess(nil)
 		return
 	}
-	// An op logged without a decision is assessed live, so the tuner
-	// still ends the call with a recommendation, and refused.
 	k.decided = true
 	installed := assess(k.op.Decision)
-	k.misfit = k.op.Decision == nil || installed == nil
+	k.misfit = k.op.Decision != nil && installed == nil
 }
 
 // On-disk layout of the durable fleet knowledge base under the
