@@ -11,7 +11,9 @@
 // With -state the per-report fsync is shared fleet-wide: all sessions'
 // WAL appends funnel into one group-commit journal that syncs once per
 // batch, so checkpoint durability costs ~1 fsync per batch instead of
-// one per report per session. -commit-interval sets the batch window.
+// one per report per session. A batch is every report pending when the
+// one before it finishes; -commit-interval makes each batch wait that
+// long for more.
 //
 // SIGINT or SIGTERM shuts the server down cleanly: in-flight requests
 // drain, then the manager flushes the committer and closes every log,
@@ -54,8 +56,7 @@ func main() {
 	state := flag.String("state", "", "state directory: persist sessions here and reload them on boot (created if missing)")
 	maxResident := flag.Int("max-resident", 0, "max sessions hydrated in memory before LRU eviction (0 = default, negative = unlimited)")
 	noFsync := flag.Bool("no-fsync", false, "skip fsyncs on checkpoint writes (benchmarks only: a power failure may lose committed intervals)")
-	commitInterval := flag.Duration("commit-interval", 0, "cross-session group-commit batch window (e.g. 2ms); group commit is always on with -state, and ≤ 0 commits each batch immediately")
-	commitBatch := flag.Int("commit-batch", 0, "operations that force a group-commit batch before the window elapses (0 = default)")
+	commitInterval := flag.Duration("commit-interval", 0, "cross-session group-commit batch window (e.g. 2ms): how long a batch waits for more reports before its fsync; group commit is always on with -state, and ≤ 0 commits each batch immediately")
 	knowledgeFlag := flag.Bool("knowledge", false, "enable the fleet knowledge base: sessions share safe configurations and GP hyperparameters for cross-session warm-starting")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ for hot-path profiling")
 	flag.Parse()
@@ -64,7 +65,6 @@ func main() {
 		MaxResident:    *maxResident,
 		NoFsync:        *noFsync,
 		CommitInterval: *commitInterval,
-		CommitBatch:    *commitBatch,
 		Knowledge:      *knowledgeFlag,
 	})
 	if err != nil {

@@ -1,17 +1,21 @@
 // Committer is the fleet-wide group-commit pipeline: per-session log
-// appends funnel into one background goroutine that makes a whole batch
-// of sessions durable with a single journal fsync per batch window,
-// instead of one fsync per session per operation.
+// appends share one journal fsync per batch instead of paying one fsync
+// per session per operation. It runs no goroutine of its own; the
+// callers waiting on a batch commit it.
 //
 // Protocol. Each operation (holding its session's op gate) appends its
 // records to the session log, flushes the log's buffer to the OS
-// (write, no fsync) and enqueues the same payloads with the committer.
-// The committer copies them into a shared journal file and, once per
-// batch window, flushes+fsyncs the journal ONCE — every waiter in the
-// batch is then durable (its records live in the fsynced journal even
-// if its own log's bytes are still only in the OS page cache) and is
-// released with a nil error. A record no operation waits on is Staged:
-// journaled alike, it never wakes the loop and rides the next batch.
+// (write, no fsync) and enqueues the same payloads with the committer,
+// which copies them into a shared journal file. The operation then
+// waits: either its result arrives, or it takes the one-slot lead token
+// and, as leader, flushes+fsyncs the journal ONCE for every request
+// pending at that moment — every waiter in the batch is then durable
+// (its records live in the fsynced journal even if its own log's bytes
+// are still only in the OS page cache) and is released with a nil
+// error. The leader delivers every result before it hands the token
+// back, so the next leader's own request is either delivered or still
+// pending. A record no operation waits on is Staged: journaled alike, it
+// never leads a batch and rides the next one.
 //
 // Degradation. If the journal cannot be written or synced, the batch
 // falls back to per-log fsyncs so that exactly the waiters whose OWN
@@ -22,7 +26,7 @@
 // next batch; a crash loses nothing because the journal file's intact
 // prefix survives (CRC framing, torn tail truncated on open).
 //
-// Rotation. The journal grows until MaxJournal, then the committer
+// Rotation. The journal grows until MaxJournal, then the leader
 // fsyncs every log whose durability still leans on the journal and
 // truncates it. It syncs each log by path, through a descriptor of its
 // own, so a log whose owner has closed it (an evicted session, a
@@ -49,14 +53,8 @@ import (
 	"time"
 )
 
-// Committer defaults.
-const (
-	// DefaultCommitBatch forces an early commit once this many waiters
-	// have enqueued, bounding batch latency under heavy load.
-	DefaultCommitBatch = 64
-	// DefaultMaxJournal is the journal size that triggers rotation.
-	DefaultMaxJournal = 4 << 20
-)
+// DefaultMaxJournal is the journal size that triggers rotation.
+const DefaultMaxJournal = 4 << 20
 
 // ErrCommitterClosed rejects enqueues after Close.
 var ErrCommitterClosed = errors.New("wal: committer closed")
@@ -64,15 +62,13 @@ var ErrCommitterClosed = errors.New("wal: committer closed")
 // errNoJournal marks a batch whose records never reached the journal.
 var errNoJournal = errors.New("wal: journal unavailable")
 
-// CommitterOptions configures a Committer. Zero Batch and MaxJournal
-// take the defaults above.
+// CommitterOptions configures a Committer. A zero MaxJournal takes
+// DefaultMaxJournal.
 type CommitterOptions struct {
-	// Interval is the batch window: the longest an enqueued operation
-	// waits before its batch's journal fsync is issued. ≤ 0 is no window:
-	// each batch commits as soon as the loop picks it up.
+	// Interval is the batch window: how long a leader sleeps before it
+	// commits, so that more waiters join its batch. ≤ 0 is no window:
+	// the leader commits at once.
 	Interval time.Duration
-	// Batch forces an early commit at this many waiters.
-	Batch int
 	// MaxJournal is the journal size that triggers rotation.
 	MaxJournal int64
 	// NoFsync and SyncCounter apply to the journal file exactly as
@@ -85,13 +81,6 @@ type CommitterOptions struct {
 // synced by path with.
 func (o CommitterOptions) logOptions() Options {
 	return Options{NoFsync: o.NoFsync, SyncCounter: o.SyncCounter}
-}
-
-func (o CommitterOptions) batch() int {
-	if o.Batch <= 0 {
-		return DefaultCommitBatch
-	}
-	return o.Batch
 }
 
 func (o CommitterOptions) maxJournal() int64 {
@@ -114,24 +103,21 @@ type commitReq struct {
 }
 
 // Committer is the shared group-commit pipeline. Safe for concurrent
-// Enqueue from many sessions; one background goroutine owns batching.
+// Enqueue from many sessions; whoever holds lead commits the batch.
 type Committer struct {
 	opts CommitterOptions
+	lead chan struct{} // the one-slot lead token: a send takes it
 
 	mu      sync.Mutex
 	journal *Log // nil while unusable; reopened on the next batch
 	jpath   string
 	reqs    []commitReq
-	waiting int // requests in reqs with a waiter; only they fill or wake a batch
+	waiting int // requests in reqs with a waiter; staged ones alone are no batch
 	// dirty is the set of log paths whose flushed records may have no
 	// durable copy outside the journal. Rotation must fsync them before
 	// truncating the journal.
 	dirty  map[string]struct{}
 	closed bool
-
-	wake chan struct{}
-	done chan struct{}
-	idle chan struct{} // closed when the loop exits
 
 	batches         atomic.Int64
 	degradedBatches atomic.Int64
@@ -141,34 +127,30 @@ type Committer struct {
 	syncErr func() error
 }
 
-// OpenCommitter opens (creating if missing) the journal at path and
-// starts the background commit loop. Existing intact journal records
-// are preserved — the owner is expected to have drained them through
-// ReadJournal before serving.
+// OpenCommitter opens (creating if missing) the journal at path.
+// Existing intact journal records are preserved — the owner is expected
+// to have drained them through ReadJournal before serving.
 func OpenCommitter(path string, opts CommitterOptions) (*Committer, error) {
 	j, _, err := Open(path, opts.logOptions())
 	if err != nil {
 		return nil, err
 	}
-	c := &Committer{
+	return &Committer{
 		opts:    opts,
+		lead:    make(chan struct{}, 1),
 		journal: j,
 		jpath:   path,
 		dirty:   map[string]struct{}{},
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		idle:    make(chan struct{}),
-	}
-	go c.loop()
-	return c, nil
+	}, nil
 }
 
 // Enqueue registers one operation's freshly appended (and flushed)
 // records for the next batch commit and returns a wait function that
-// blocks until the batch is durable, yielding the fsync error exactly
-// as a direct Log.Commit would. The payloads are copied into the
-// journal buffer before Enqueue returns, so callers may recycle them
-// immediately; l must not be Reset or Closed until wait returns.
+// blocks until the batch is durable — leading it if no other caller
+// does — yielding the fsync error exactly as a direct Log.Commit would.
+// The payloads are copied into the journal buffer before Enqueue
+// returns, so callers may recycle them immediately; l must not be Reset
+// or Closed until wait returns.
 func (c *Committer) Enqueue(id string, l *Log, payloads [][]byte) (wait func() error, err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -192,19 +174,31 @@ func (c *Committer) Enqueue(id string, l *Log, payloads [][]byte) (wait func() e
 	c.dirty[l.Path()] = struct{}{}
 	c.reqs = append(c.reqs, req)
 	c.waiting++
-	n := c.waiting
 	c.mu.Unlock()
-	if n == 1 || n >= c.opts.batch() {
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
+	return func() error { return c.wait(req.done) }, nil
+}
+
+// wait returns the result delivered on done, committing the pending
+// batch itself if it takes the lead token first; a leader sleeps out the
+// batch window (none when Interval ≤ 0) before it commits. A leader's
+// request is still pending unless the previous leader delivered it
+// before handing the token back, so its batch always includes it.
+func (c *Committer) wait(done chan error) error {
+	select {
+	case err := <-done:
+		return err
+	case c.lead <- struct{}{}:
 	}
-	return func() error { return <-req.done }, nil
+	if len(done) == 0 {
+		time.Sleep(c.opts.Interval)
+		c.commitBatch()
+	}
+	<-c.lead
+	return <-done
 }
 
 // Stage journals one record already flushed to l without waiting for
-// it: it joins the pending batch but never wakes the loop, so the next
+// it: it joins the pending batch but never leads one, so the next
 // Enqueue's batch fsync makes it durable, and a degraded batch fsyncs
 // l's file by path instead. It reports false, journaling nothing, when
 // the journal is down or the committer closed; the record then has no
@@ -241,12 +235,12 @@ func (c *Committer) Batches() int64 { return c.batches.Load() }
 // because the journal was unavailable.
 func (c *Committer) DegradedBatches() int64 { return c.degradedBatches.Load() }
 
-// Close drains any pending batch, fsyncs the logs still leaning on the
-// journal by path, truncates the journal if every one of them synced (so
-// the next boot recovers nothing) and stops the loop. The fsyncs run off
-// c.mu on a snapshot of the rotation set; the logs' owners may have
-// closed them already. Enqueues after Close fail with
-// ErrCommitterClosed.
+// Close commits any pending batch, fsyncs the logs still leaning on the
+// journal by path and truncates the journal if every one of them synced
+// (so the next boot recovers nothing). It takes the lead token and keeps
+// it, so no batch runs after Close's own. The fsyncs run off c.mu on a
+// snapshot of the rotation set; the logs' owners may have closed them
+// already. Enqueues after Close fail with ErrCommitterClosed.
 func (c *Committer) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -255,9 +249,7 @@ func (c *Committer) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	close(c.done)
-	<-c.idle
-
+	c.lead <- struct{}{}
 	c.commitBatch() // release any waiters that raced Close
 	c.mu.Lock()
 	dirty := maps.Clone(c.dirty)
@@ -280,58 +272,6 @@ func (c *Committer) Close() error {
 		c.journal = nil
 	}
 	return err
-}
-
-// full reports whether the pending batch has reached the early-commit
-// size.
-func (c *Committer) full() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.waiting >= c.opts.batch()
-}
-
-// loop is the background committer: it sleeps until the first enqueue
-// of a batch, waits out the batch window (skipped when the batch is
-// already full, cut short when it fills), then commits.
-func (c *Committer) loop() {
-	defer close(c.idle)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-c.wake:
-		}
-		// A batch can fill before this goroutine runs: Enqueue's wake is
-		// a non-blocking send, so the one sent at the batch size is
-		// dropped while the first is still unconsumed.
-		if c.opts.Interval > 0 && !c.full() {
-			timer.Reset(c.opts.Interval)
-		window:
-			for {
-				select {
-				case <-timer.C:
-					break window
-				case <-c.done:
-					if !timer.Stop() {
-						<-timer.C
-					}
-					return
-				case <-c.wake:
-					if c.full() {
-						if !timer.Stop() {
-							<-timer.C
-						}
-						break window
-					}
-				}
-			}
-		}
-		c.commitBatch()
-	}
 }
 
 // commitBatch makes the current batch durable: one journal fsync for

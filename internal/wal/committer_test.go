@@ -24,7 +24,6 @@ func TestCommitterHammer(t *testing.T) {
 	var syncs atomic.Int64
 	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{
 		Interval:    100 * time.Microsecond,
-		Batch:       8,
 		MaxJournal:  8 << 10, // force frequent rotation
 		NoFsync:     true,
 		SyncCounter: &syncs,
@@ -141,12 +140,11 @@ func TestCommitterHammer(t *testing.T) {
 // TestCommitterErrorAttribution verifies that when the shared journal
 // fsync fails, the degraded per-log fallback delivers an error to
 // exactly the waiters whose own log cannot sync — healthy sessions in
-// the same batch still commit cleanly.
+// the same batch still commit cleanly. All three enqueue before the
+// first wait, so that wait's batch holds all three.
 func TestCommitterErrorAttribution(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{
-		Interval: 20 * time.Millisecond, // wide window so one batch holds all three
-	})
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,72 +212,61 @@ func TestCommitterErrorAttribution(t *testing.T) {
 	lc.Close()
 }
 
-// TestCommitterFullBatchSkipsWindow pins CommitterOptions.Batch's
-// contract when the batch fills before the loop goroutine first runs:
-// Enqueue's wake is a non-blocking send, so the wake sent at the batch
-// size is dropped while the first is unconsumed, and the loop must
-// notice the full batch on its own instead of sleeping out the window.
-// The loop is started by hand after the enqueues so the interleaving
-// holds by construction; with an hour-long window the waiters are
-// released only if the commit is not timer-driven.
-func TestCommitterFullBatchSkipsWindow(t *testing.T) {
-	dir := t.TempDir()
-	const batch = 4
-	jpath := filepath.Join(dir, "fleet.journal")
-	j, _, err := Open(jpath, Options{NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Committer{
-		opts:    CommitterOptions{Interval: time.Hour, Batch: batch, NoFsync: true},
-		journal: j,
-		jpath:   jpath,
-		dirty:   map[string]struct{}{},
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		idle:    make(chan struct{}),
-	}
-	l, _, err := Open(filepath.Join(dir, "s.wal"), Options{NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	waits := make([]func() error, batch)
-	for i := range waits {
-		payload := []byte(fmt.Sprintf("rec-%d", i))
-		if err := l.Append(payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if waits[i], err = c.Enqueue("s", l, [][]byte{payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	go c.loop()
-	defer c.Close()
-
-	released := make(chan error, 1)
-	go func() {
-		for _, wait := range waits {
-			if err := wait(); err != nil {
-				released <- err
-				return
+// TestCommitterCoalesces pins the coalescing contract by construction:
+// K requests enqueued before any of their waits run are one batch, so K
+// concurrent waits cost one batch and one journal sync point, whichever
+// of them leads. A Close between the enqueues and the waits commits that
+// batch itself, and the late waits return its nil results without
+// running another.
+func TestCommitterCoalesces(t *testing.T) {
+	const k = 8
+	for _, closeFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("close=%v", closeFirst), func(t *testing.T) {
+			dir := t.TempDir()
+			var syncs atomic.Int64
+			c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{NoFsync: true, SyncCounter: &syncs})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		released <- nil
-	}()
-	select {
-	case err := <-released:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second): // hang guard only; the passing path never waits on a timer
-		t.Fatal("a full batch waited for the commit window instead of committing")
-	}
-	if got := c.Batches(); got != 1 {
-		t.Fatalf("Batches = %d, want 1", got)
+			defer c.Close()
+			waits := make([]func() error, k)
+			for i := range waits {
+				id := fmt.Sprintf("s%d", i)
+				payload := []byte(id + "-0")
+				if waits[i], err = c.Enqueue(id, openFlushed(t, dir, id+".wal", nil, payload), [][]byte{payload}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if closeFirst {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := syncs.Load()
+			errs := make([]error, k)
+			var wg sync.WaitGroup
+			for i, wait := range waits {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = wait()
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("wait %d: %v", i, err)
+				}
+			}
+			if got := c.Batches(); got != 1 {
+				t.Fatalf("%d waits ran %d batches, want 1", k, got)
+			}
+			if got := syncs.Load() - before; !closeFirst && got != 1 {
+				t.Fatalf("%d waits cost %d sync points, want 1", k, got)
+			} else if closeFirst && got != 0 {
+				t.Fatalf("%d waits after Close cost %d sync points, want 0", k, got)
+			}
+		})
 	}
 }
 
@@ -570,33 +557,21 @@ func waitOrHang(t *testing.T, wait func() error) error {
 }
 
 // TestCommitterStageAloneTriggersNoBatch: staged records have no waiter,
-// so they neither wake the loop nor fill a batch, and a commit with
-// nothing else pending is no batch at all. The loop is never started, so
-// the wake channel shows every wake sent.
+// so none of them leads a batch, and a commit with nothing else pending
+// is no batch at all; the first waiter's batch carries them.
 func TestCommitterStageAloneTriggersNoBatch(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "fleet.journal")
 	var syncs atomic.Int64
-	j, _, err := Open(jpath, Options{NoFsync: true, SyncCounter: &syncs})
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{NoFsync: true, SyncCounter: &syncs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	c := &Committer{
-		opts:    CommitterOptions{Interval: -1, Batch: 2, NoFsync: true, SyncCounter: &syncs},
-		journal: j,
-		jpath:   jpath,
-		dirty:   map[string]struct{}{},
-		wake:    make(chan struct{}, 1),
-	}
+	defer c.Close()
 	l := openFlushed(t, dir, "k.wal", &syncs, []byte("k-0"))
 	for i := 0; i < 3; i++ {
 		if !c.Stage(".k", l, []byte(fmt.Sprintf("k-%d", i))) {
 			t.Fatalf("stage %d refused by a healthy committer", i)
 		}
-	}
-	if len(c.wake) != 0 || c.full() {
-		t.Fatalf("3 staged records woke the loop (%d) or filled a batch of 2 (%v)", len(c.wake), c.full())
 	}
 	c.commitBatch()
 	if c.Batches() != 0 || syncs.Load() != 0 {
@@ -605,11 +580,15 @@ func TestCommitterStageAloneTriggersNoBatch(t *testing.T) {
 	if _, ok := c.dirty[l.Path()]; !ok {
 		t.Fatal("a staged log left the rotation set")
 	}
-	if _, err := c.Enqueue("s", openFlushed(t, dir, "s.wal", &syncs, []byte("s-0")), [][]byte{[]byte("s-0")}); err != nil {
+	wait, err := c.Enqueue("s", openFlushed(t, dir, "s.wal", &syncs, []byte("s-0")), [][]byte{[]byte("s-0")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.wake) != 1 {
-		t.Fatal("the first waiter after staged records did not wake the loop")
+	if err := waitOrHang(t, wait); err != nil {
+		t.Fatal(err)
+	}
+	if c.Batches() != 1 || syncs.Load() != 1 {
+		t.Fatalf("the first waiter after staged records committed %d batches with %d sync points, want 1 and 1", c.Batches(), syncs.Load())
 	}
 }
 

@@ -28,7 +28,7 @@ func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 	stateDir := t.TempDir()
 	opts := ManagerOptions{
 		MaxResident: 1, CompactMin: 8, NoFsync: true,
-		CommitInterval: 300 * time.Microsecond, CommitBatch: 2,
+		CommitInterval: 300 * time.Microsecond,
 	}
 	m, err := NewManagerOpts(stateDir, opts)
 	if err != nil {
@@ -144,7 +144,6 @@ func TestManagerGroupCommitDurabilityHammer(t *testing.T) {
 	opts := ManagerOptions{
 		NoFsync:        true,
 		CommitInterval: 200 * time.Microsecond,
-		CommitBatch:    4,
 	}
 	m, err := NewManagerOpts(stateDir, opts)
 	if err != nil {
@@ -256,13 +255,14 @@ func TestManagerGroupCommitDurabilityHammer(t *testing.T) {
 	}
 }
 
-// TestManagerGroupCommitExactSyncPoints pins the coalescing contract as
-// exact counters: K suggests in flight on K sessions cost no sync point
-// and no group commit (each is written, and its session's next commit
-// syncs it); K reports cost ONE sync point and ONE group commit. The
-// window is an hour and CommitBatch is K, so a batch can only commit by
-// filling — nothing here depends on timing. Every advice must equal an
-// uninterrupted in-memory reference session's.
+// TestManagerGroupCommitExactSyncPoints pins the sync-point contract as
+// counters: K suggests in flight on K sessions cost no sync point and no
+// group commit (each is written, and its session's next commit syncs
+// it); K reports cost one sync point per group commit, and between 1 and
+// K group commits — how many of the K share a batch depends on when each
+// reaches the committer (wal's TestCommitterCoalesces pins exact
+// coalescing). Every advice must equal an uninterrupted in-memory
+// reference session's.
 func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 	const k, rounds = 8, 4
 	id := func(g int) string { return fmt.Sprintf("db-%d", g) }
@@ -286,7 +286,7 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 		}
 	}
 
-	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, CommitInterval: time.Hour, CommitBatch: k, MaxResident: -1})
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, MaxResident: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +296,9 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// step runs op on all K sessions at once and checks what the K
+	// step runs op on all K sessions at once and returns what the K
 	// operations cost together.
-	type cost struct{ fsyncs, groupCommits int64 }
-	step := func(what string, want cost, op func(g int) error) {
+	step := func(what string, op func(g int) error) (fsyncs, groupCommits int64) {
 		before := m.Stats()
 		var wg sync.WaitGroup
 		for g := 0; g < k; g++ {
@@ -313,26 +312,27 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 		}
 		wg.Wait()
 		after := m.Stats()
-		if got := after.Fsyncs - before.Fsyncs; got != want.fsyncs {
-			t.Fatalf("%s: %d operations cost %d sync points, want %d (compactions %d)",
-				what, k, got, want.fsyncs, after.Compactions)
-		}
-		if got := after.GroupCommits - before.GroupCommits; got != want.groupCommits {
-			t.Fatalf("%s: %d operations cost %d group commits, want %d", what, k, got, want.groupCommits)
-		}
+		return after.Fsyncs - before.Fsyncs, after.GroupCommits - before.GroupCommits
 	}
 	for i := 0; i < rounds; i++ {
-		step(fmt.Sprintf("suggest %d", i), cost{}, func(g int) error {
+		fsyncs, commits := step("suggest", func(g int) error {
 			adv, err := m.Suggest(context.Background(), id(g))
 			if err == nil && !reflect.DeepEqual(adv, want[g][i]) {
 				err = errors.New("advice diverged from the in-memory reference")
 			}
 			return err
 		})
-		step(fmt.Sprintf("report %d", i), cost{1, 1}, func(g int) error {
+		if fsyncs != 0 || commits != 0 {
+			t.Fatalf("suggest %d: %d suggests cost %d sync points and %d group commits, want 0 and 0", i, k, fsyncs, commits)
+		}
+		fsyncs, commits = step("report", func(g int) error {
 			_, err := m.Report(id(g), goldenOutcome(i))
 			return err
 		})
+		if fsyncs != commits || commits < 1 || commits > k {
+			t.Fatalf("report %d: %d reports cost %d sync points and %d group commits, want one per commit and 1 to %d commits",
+				i, k, fsyncs, commits, k)
+		}
 	}
 }
 

@@ -68,15 +68,11 @@ type ManagerOptions struct {
 	// intervals.
 	NoFsync bool
 	// CommitInterval is the group-commit batch window: how long the
-	// shared committer waits for more sessions' records before the one
-	// journal fsync that makes them all durable, so a fleet of N chatty
-	// sessions pays ~1 fsync per window instead of N. ≤ 0 is no window:
-	// each batch commits as soon as the committer picks it up.
+	// operation leading a batch waits for more sessions' records before
+	// the one journal fsync that makes them all durable. ≤ 0 is no
+	// window: the leader commits every record pending when it takes the
+	// lead, and operations that arrive meanwhile form the next batch.
 	CommitInterval time.Duration
-	// CommitBatch caps a group-commit batch: once this many operations
-	// are waiting the batch commits without waiting out the window
-	// (0 = wal.DefaultCommitBatch).
-	CommitBatch int
 	// Knowledge enables the fleet knowledge base: a shared cross-session
 	// store of safe configurations and GP hyperparameters that every
 	// session created by this manager contributes to and warm-starts
@@ -387,7 +383,6 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 	}
 	c, err := wal.OpenCommitter(m.journalPath(), wal.CommitterOptions{
 		Interval:    opts.CommitInterval,
-		Batch:       opts.CommitBatch,
 		NoFsync:     opts.NoFsync,
 		SyncCounter: &m.fsyncs,
 	})

@@ -178,14 +178,18 @@ const maxImportBytes = 64 << 20
 // few dozen sampled statements plus counters — kilobytes.
 const maxBodyBytes = 4 << 20
 
-// decodeBody parses a JSON request body of at most maxBodyBytes,
-// rejecting unknown fields so typos in knob or option names fail
-// loudly.
+// decodeBody parses a JSON request body of at most maxBodyBytes that
+// holds exactly one value, rejecting unknown fields so typos in knob or
+// option names fail loudly, and anything after the value but white
+// space.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("parsing request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("parsing request body: data after the JSON value")
 	}
 	return nil
 }

@@ -327,12 +327,37 @@ func TestReportBodyRefusals(t *testing.T) {
 		t.Fatalf("refusal %q does not name the unknown field", refusal.Error)
 	}
 
+	// A body is one JSON value: a second value or garbage after an
+	// otherwise accepted one is a 400 too.
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s %.40q…: status %d, want 400", path, body, resp.StatusCode)
+		}
+	}
+	good, err := json.Marshal(body.Outcome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post("/v1/sessions/db/report", string(good)+string(good))
+	post("/v1/sessions/db/report", string(good)+" garbage")
+	post("/v1/sessions", `{"id": "twice", "config": {"space": "case5"}}{"id": "other"}`)
+	post("/v1/sessions", `{"id": "junk", "config": {"space": "case5"}} garbage`)
+	doJSON(t, srv, "GET", "/v1/sessions/twice", nil, http.StatusNotFound, nil)
+	doJSON(t, srv, "GET", "/v1/sessions/junk", nil, http.StatusNotFound, nil)
+
 	var info SessionInfo
 	doJSON(t, srv, "GET", "/v1/sessions/db", nil, http.StatusOK, &info)
 	if info.Iter != 0 {
 		t.Fatalf("refused reports advanced the session to iter %d", info.Iter)
 	}
-	// The same outcome without the stray field is accepted.
+	// The same outcome without the stray field is accepted, with the
+	// trailing newline doJSON's encoder ends every body with.
 	doJSON(t, srv, "POST", "/v1/sessions/db/report", body.Outcome, http.StatusOK, nil)
 
 	create := json.RawMessage(`{"id": "slow", "config": {"space": "case5", "options": {"FullRefitGP": true}}}`)
