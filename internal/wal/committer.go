@@ -4,18 +4,21 @@
 // callers waiting on a batch commit it.
 //
 // Protocol. Each operation (holding its session's op gate) appends its
-// records to the session log, flushes the log's buffer to the OS
-// (write, no fsync) and enqueues the same payloads with the committer,
-// which copies them into a shared journal file. The operation then
-// waits: either its result arrives, or it takes the one-slot lead token
-// and, as leader, flushes+fsyncs the journal ONCE for every request
+// record to the session log, flushes the log's buffer to the OS (write,
+// no fsync) and enqueues the same payload with the committer, which
+// copies it into a shared journal file. The operation then waits:
+// either its result arrives, or it takes the one-slot lead token and,
+// as leader, flushes the journal and fsyncs it ONCE for every request
 // pending at that moment — every waiter in the batch is then durable
-// (its records live in the fsynced journal even if its own log's bytes
+// (its record lives in the fsynced journal even if its own log's bytes
 // are still only in the OS page cache) and is released with a nil
-// error. The leader delivers every result before it hands the token
-// back, so the next leader's own request is either delivered or still
-// pending. A record no operation waits on is Staged: journaled alike, it
-// never leads a batch and rides the next one.
+// error. The fsync runs off the committer's mutex, so requests arriving
+// meanwhile join the next batch. The leader delivers every result
+// before it hands the token back, so the next leader's own request is
+// either delivered or still pending. A record no operation waits on is
+// Staged: journaled alike, it never leads a batch and rides the next
+// one. The committer alone owns the sync debt of what it journals: a
+// Log's Close never syncs, and the committer syncs the logs by path.
 //
 // Degradation. If the journal cannot be written or synced, the batch
 // falls back to per-log fsyncs so that exactly the waiters whose OWN
@@ -24,7 +27,8 @@
 // through its handle, which its owner keeps open while it waits; a
 // staged record's log is synced by path. The journal is reopened on the
 // next batch; a crash loses nothing because the journal file's intact
-// prefix survives (CRC framing, torn tail truncated on open).
+// prefix survives (CRC framing, torn tail truncated on open). Requests
+// journaled into a dropped handle count as never journaled.
 //
 // Rotation. The journal grows until MaxJournal, then the leader
 // fsyncs every log whose durability still leans on the journal and
@@ -32,9 +36,8 @@
 // own, so a log whose owner has closed it (an evicted session, a
 // dropped tail) is synced like any other and does not wait for its
 // compaction. Compaction makes a session's journal records obsolete
-// earlier (the fsynced base snapshot supersedes them), and so does an
-// owner's own fsync of the whole file — the owner calls Forget so
-// rotation skips that log.
+// earlier (the fsynced base snapshot supersedes them), and so does
+// deleting the log — the owner calls Forget so rotation skips it.
 //
 // Recovery. Journal records carry (session id, payload); at boot the
 // owner replays them into the per-session logs (ReadJournal + the
@@ -95,9 +98,9 @@ func (o CommitterOptions) maxJournal() int64 {
 type commitReq struct {
 	log  *Log   // the waiter's open handle
 	path string // the staged record's log
-	// journaled reports that every payload of this request reached the
-	// journal buffer; only then can the shared fsync stand in for the
-	// request's own log fsync.
+	// journaled reports that the request's payload reached the journal
+	// buffer; only then can the shared fsync stand in for the request's
+	// own log fsync.
 	journaled bool
 	done      chan error
 }
@@ -145,37 +148,39 @@ func OpenCommitter(path string, opts CommitterOptions) (*Committer, error) {
 }
 
 // Enqueue registers one operation's freshly appended (and flushed)
-// records for the next batch commit and returns a wait function that
+// record for the next batch commit and returns a wait function that
 // blocks until the batch is durable — leading it if no other caller
 // does — yielding the fsync error exactly as a direct Log.Commit would.
-// The payloads are copied into the journal buffer before Enqueue
-// returns, so callers may recycle them immediately; l must not be Reset
-// or Closed until wait returns.
-func (c *Committer) Enqueue(id string, l *Log, payloads [][]byte) (wait func() error, err error) {
+// The payload is copied into the journal buffer before Enqueue returns,
+// so callers may recycle it immediately; l must not be Reset or Closed
+// until wait returns.
+func (c *Committer) Enqueue(id string, l *Log, payload []byte) (wait func() error, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrCommitterClosed
 	}
-	req := commitReq{log: l, journaled: c.journal != nil, done: make(chan error, 1)}
-	if c.journal != nil {
-		for _, p := range payloads {
-			if err := c.journal.Append(EncodeJournalRecord(id, p)); err != nil {
-				// The journal buffer is in an unknown state: retire the
-				// handle (the file's intact prefix is preserved) and let
-				// this request — and the rest of the batch — fall back to
-				// per-log fsyncs.
-				c.dropJournalLocked()
-				req.journaled = false
-				break
-			}
-		}
-	}
+	done := make(chan error, 1)
+	journaled := c.journalLocked(id, payload)
 	c.dirty[l.Path()] = struct{}{}
-	c.reqs = append(c.reqs, req)
+	c.reqs = append(c.reqs, commitReq{log: l, journaled: journaled, done: done})
 	c.waiting++
-	c.mu.Unlock()
-	return func() error { return c.wait(req.done) }, nil
+	return func() error { return c.wait(done) }, nil
+}
+
+// journalLocked appends one record to the journal buffer and reports
+// whether it got there. A failed append leaves the buffer in an unknown
+// state: the handle is retired (the file's intact prefix is preserved),
+// and the pending batch falls back to per-log fsyncs.
+func (c *Committer) journalLocked(id string, payload []byte) bool {
+	if c.journal == nil {
+		return false
+	}
+	if err := c.journal.Append(EncodeJournalRecord(id, payload)); err != nil {
+		c.dropJournalLocked()
+		return false
+	}
+	return true
 }
 
 // wait returns the result delivered on done, committing the pending
@@ -206,11 +211,7 @@ func (c *Committer) wait(done chan error) error {
 func (c *Committer) Stage(id string, l *Log, payload []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || c.journal == nil {
-		return false
-	}
-	if err := c.journal.Append(EncodeJournalRecord(id, payload)); err != nil {
-		c.dropJournalLocked()
+	if c.closed || !c.journalLocked(id, payload) {
 		return false
 	}
 	c.dirty[l.Path()] = struct{}{}
@@ -220,8 +221,8 @@ func (c *Committer) Stage(id string, l *Log, payload []byte) bool {
 
 // Forget drops the log at path from the rotation set: its records in
 // the journal are superseded (by a freshly fsynced base snapshot after
-// compaction, or by the owner's own fsync of the whole file) or moot
-// (the log was deleted), so rotation no longer needs to fsync it.
+// compaction) or moot (the log was deleted), so rotation no longer
+// needs to fsync it.
 func (c *Committer) Forget(path string) {
 	c.mu.Lock()
 	delete(c.dirty, path)
@@ -237,10 +238,12 @@ func (c *Committer) DegradedBatches() int64 { return c.degradedBatches.Load() }
 
 // Close commits any pending batch, fsyncs the logs still leaning on the
 // journal by path and truncates the journal if every one of them synced
-// (so the next boot recovers nothing). It takes the lead token and keeps
-// it, so no batch runs after Close's own. The fsyncs run off c.mu on a
-// snapshot of the rotation set; the logs' owners may have closed them
-// already. Enqueues after Close fail with ErrCommitterClosed.
+// (so the next boot recovers nothing); otherwise it commits the journal,
+// whose staged records may have had no batch. It takes the lead token
+// and keeps it, so no batch runs after Close's own. The fsyncs run off
+// c.mu on a snapshot of the rotation set; the logs' owners may have
+// closed them already. Enqueues after Close fail with
+// ErrCommitterClosed.
 func (c *Committer) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -262,16 +265,15 @@ func (c *Committer) Close() error {
 		}
 		c.Forget(path)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.journal != nil {
-		if len(c.dirty) == 0 {
-			err = cmp.Or(err, c.journal.Reset())
-		}
-		err = cmp.Or(err, c.journal.Close())
-		c.journal = nil
+	j := c.journal // closed, with the lead token held: nothing else touches it
+	if j == nil {
+		return err
 	}
-	return err
+	commit := j.Commit
+	if err == nil { // every log synced
+		commit = j.Reset
+	}
+	return cmp.Or(err, commit(), j.Close())
 }
 
 // commitBatch makes the current batch durable: one journal fsync for
@@ -279,6 +281,8 @@ func (c *Committer) Close() error {
 // whole batch when the journal sync itself fails — in which case each
 // waiter gets ITS OWN log's fsync result, attributing the failure to
 // exactly the affected sessions). Staged records alone are no batch.
+// The journal fsync runs off c.mu; only a lead holder replaces the
+// handle, so the one flushed is the one synced.
 func (c *Committer) commitBatch() {
 	c.mu.Lock()
 	if c.waiting == 0 {
@@ -288,23 +292,22 @@ func (c *Committer) commitBatch() {
 	reqs := c.reqs
 	c.reqs, c.waiting = nil, 0
 	c.batches.Add(1)
-	jerr := errNoJournal
-	if c.journal != nil {
-		if c.syncErr != nil {
-			jerr = c.syncErr()
-		} else {
-			jerr = nil
-		}
-		if jerr == nil {
-			jerr = c.journal.Commit()
-		}
-		if jerr != nil {
-			c.dropJournalLocked()
-		}
+	j, jerr := c.journal, errNoJournal
+	if j != nil {
+		jerr = j.Flush()
 	}
+	c.mu.Unlock()
+	if jerr == nil && c.syncErr != nil {
+		jerr = c.syncErr()
+	}
+	if jerr == nil {
+		jerr = j.SyncFile()
+	}
+	c.mu.Lock()
 	if jerr == nil {
 		c.maybeRotateLocked()
 	} else {
+		c.dropJournalLocked()
 		c.degradedBatches.Add(1)
 		c.reopenJournalLocked()
 	}
@@ -349,13 +352,19 @@ func (c *Committer) maybeRotateLocked() {
 }
 
 // dropJournalLocked retires the journal handle after an error left its
-// buffer state unknown, abandoning it rather than syncing it once more.
-// The file keeps its intact prefix — recovery and the reopen path scan
-// it with the usual torn-tail tolerance.
+// state unknown, closing it without a sync. Every request still pending
+// counts as not journaled, since its copy went with the handle; the
+// next batch syncs its own log instead. The file keeps its intact
+// prefix — recovery and the reopen path scan it with the usual
+// torn-tail tolerance.
 func (c *Committer) dropJournalLocked() {
-	if c.journal != nil {
-		c.journal.Abandon()
-		c.journal = nil
+	if c.journal == nil {
+		return
+	}
+	c.journal.Close()
+	c.journal = nil
+	for i := range c.reqs {
+		c.reqs[i].journaled = false
 	}
 }
 

@@ -70,7 +70,7 @@ func TestCommitterHammer(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				wait, err := c.Enqueue(id, l, [][]byte{payload})
+				wait, err := c.Enqueue(id, l, payload)
 				if err != nil {
 					errs[i] = err
 					return
@@ -174,7 +174,7 @@ func TestCommitterErrorAttribution(t *testing.T) {
 		if err := l.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		wait, err := c.Enqueue(id, l, [][]byte{payload})
+		wait, err := c.Enqueue(id, l, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestCommitterCoalesces(t *testing.T) {
 			for i := range waits {
 				id := fmt.Sprintf("s%d", i)
 				payload := []byte(id + "-0")
-				if waits[i], err = c.Enqueue(id, openFlushed(t, dir, id+".wal", nil, payload), [][]byte{payload}); err != nil {
+				if waits[i], err = c.Enqueue(id, openFlushed(t, dir, id+".wal", nil, payload), payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -304,7 +304,7 @@ func TestCommitterJournalRecovery(t *testing.T) {
 			if err := e.l.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			wait, err := c.Enqueue(e.id, e.l, [][]byte{e.p})
+			wait, err := c.Enqueue(e.id, e.l, e.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestCommitterRotation(t *testing.T) {
 		if err := l.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		wait, err := c.Enqueue("s", l, [][]byte{payload})
+		wait, err := c.Enqueue("s", l, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func TestCommitterRotation(t *testing.T) {
 		if err := other.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		wait, err := c.Enqueue("t", other, [][]byte{payload})
+		wait, err := c.Enqueue("t", other, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,14 +446,13 @@ func TestCommitterSyncsClosedLogByPath(t *testing.T) {
 		}
 		t.Cleanup(func() { c.Close() })
 		a := openFlushed(t, dir, "a.wal", nil, payload)
-		wait, err := c.Enqueue("a", a, [][]byte{payload})
+		wait, err := c.Enqueue("a", a, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := wait(); err != nil {
 			t.Fatal(err)
 		}
-		a.MarkDurable()
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +469,7 @@ func TestCommitterSyncsClosedLogByPath(t *testing.T) {
 		c, dir, syncs := journalClosed(t, 2*int64(headerSize+2+1+len(payload)))
 		b := openFlushed(t, dir, "b.wal", nil, payload)
 		before := syncs.Load()
-		wait, err := c.Enqueue("b", b, [][]byte{payload})
+		wait, err := c.Enqueue("b", b, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +541,8 @@ func openFlushed(t *testing.T, dir, name string, syncs *atomic.Int64, payload []
 }
 
 // waitOrHang fails the test if wait does not return: a staged record
-// must never keep the next waiter's batch from starting.
+// must never keep the next waiter's batch from starting, and neither
+// Stage nor Enqueue may block behind a leader's journal fsync.
 func waitOrHang(t *testing.T, wait func() error) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -551,8 +551,123 @@ func waitOrHang(t *testing.T, wait func() error) error {
 	case err := <-done:
 		return err
 	case <-time.After(30 * time.Second): // hang guard only
-		t.Fatal("the waiter after a staged record was never committed")
+		t.Fatal("a call that must not block never returned")
 		return nil
+	}
+}
+
+// leadBlocked enqueues a's record with a committer whose first journal
+// sync blocks in the fault hook until the returned release runs (or the
+// test ends), then returns once a leader is blocked there, with that
+// leader's result channel. The hook fails that sync with fail, and lets
+// later ones pass.
+func leadBlocked(t *testing.T, c *Committer, a *Log, fail error) (release func(), result <-chan error) {
+	t.Helper()
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(unblock) }) }
+	t.Cleanup(release)
+	var calls atomic.Int64
+	c.syncErr = func() error {
+		if calls.Add(1) > 1 {
+			return nil
+		}
+		close(entered)
+		<-unblock
+		return fail
+	}
+	wait, err := c.Enqueue("a", a, []byte("a-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
+	waitOrHang(t, func() error { <-entered; return nil })
+	return release, done
+}
+
+// TestCommitterJournalSyncOffLock: a leader fsyncs the journal with the
+// committer's mutex released, so a Stage and an Enqueue from other
+// goroutines return while it is blocked in that fsync. They join the
+// next batch, whose journal sync covers both: no log is synced on its
+// own, and the journal holds all three records.
+func TestCommitterJournalSyncOffLock(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "fleet.journal")
+	var jSyncs, logSyncs atomic.Int64
+	c, err := OpenCommitter(jpath, CommitterOptions{NoFsync: true, SyncCounter: &jSyncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() }) // runs after the blocked leader is released
+	a := openFlushed(t, dir, "a.wal", &logSyncs, []byte("a-0"))
+	k := openFlushed(t, dir, "k.wal", &logSyncs, []byte("k-0"))
+	b := openFlushed(t, dir, "b.wal", &logSyncs, []byte("b-0"))
+	release, leader := leadBlocked(t, c, a, nil)
+	var waitB func() error
+	if err := waitOrHang(t, func() error {
+		if !c.Stage(".k", k, []byte("k-0")) {
+			return errors.New("stage refused by a healthy committer")
+		}
+		var err error
+		waitB, err = c.Enqueue("b", b, []byte("b-0"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := waitOrHang(t, func() error { return <-leader }); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitOrHang(t, waitB); err != nil {
+		t.Fatal(err)
+	}
+	if c.Batches() != 2 || c.DegradedBatches() != 0 || jSyncs.Load() != 2 || logSyncs.Load() != 0 {
+		t.Fatalf("%d batches (%d degraded), %d journal and %d log sync points, want 2 (0), 2 and 0",
+			c.Batches(), c.DegradedBatches(), jSyncs.Load(), logSyncs.Load())
+	}
+	got, err := ReadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || string(got["a"][0]) != "a-0" || string(got[".k"][0]) != "k-0" || string(got["b"][0]) != "b-0" {
+		t.Fatalf("journal holds %q, want a's, k's and b's records", got)
+	}
+}
+
+// TestCommitterRequestDuringFailedSync: a request enqueued while the
+// leader's journal fsync is failing went into the handle that failure
+// drops, so it counts as never journaled: the next batch, through a
+// healthy reopened journal, delivers it through its own log's sync, not
+// the journal's.
+func TestCommitterRequestDuringFailedSync(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() }) // runs after the blocked leader is released
+	var aSyncs, bSyncs atomic.Int64
+	a := openFlushed(t, dir, "a.wal", &aSyncs, []byte("a-0"))
+	b := openFlushed(t, dir, "b.wal", &bSyncs, []byte("b-0"))
+	release, leader := leadBlocked(t, c, a, errors.New("injected journal fsync failure"))
+	var waitB func() error
+	if err := waitOrHang(t, func() (err error) {
+		waitB, err = c.Enqueue("b", b, []byte("b-0"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := waitOrHang(t, func() error { return <-leader }); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitOrHang(t, waitB); err != nil {
+		t.Fatal(err)
+	}
+	if c.Batches() != 2 || c.DegradedBatches() != 1 || aSyncs.Load() != 1 || bSyncs.Load() != 1 {
+		t.Fatalf("%d batches (%d degraded), a's log synced %d times, b's %d, want 2 (1), 1 and 1",
+			c.Batches(), c.DegradedBatches(), aSyncs.Load(), bSyncs.Load())
 	}
 }
 
@@ -580,7 +695,7 @@ func TestCommitterStageAloneTriggersNoBatch(t *testing.T) {
 	if _, ok := c.dirty[l.Path()]; !ok {
 		t.Fatal("a staged log left the rotation set")
 	}
-	wait, err := c.Enqueue("s", openFlushed(t, dir, "s.wal", &syncs, []byte("s-0")), [][]byte{[]byte("s-0")})
+	wait, err := c.Enqueue("s", openFlushed(t, dir, "s.wal", &syncs, []byte("s-0")), []byte("s-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +724,7 @@ func TestCommitterStageRidesNextBatch(t *testing.T) {
 	if !c.Stage(".k", k, []byte("k-0")) {
 		t.Fatal("stage refused by a healthy committer")
 	}
-	wait, err := c.Enqueue("s", s, [][]byte{[]byte("s-0")})
+	wait, err := c.Enqueue("s", s, []byte("s-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +763,7 @@ func TestCommitterStageDegradedSyncsLog(t *testing.T) {
 	if !c.Stage(".k", k, []byte("k-0")) {
 		t.Fatal("stage refused by a healthy committer")
 	}
-	wait, err := c.Enqueue("s", s, [][]byte{[]byte("s-0")})
+	wait, err := c.Enqueue("s", s, []byte("s-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +771,7 @@ func TestCommitterStageDegradedSyncsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The committer's counter holds the staged log's sync by path alone:
-	// the retired journal is abandoned, not synced once more.
+	// the retired journal is closed, not synced once more.
 	if c.DegradedBatches() != 1 || jSyncs.Load() != 1 || kSyncs.Load() != 0 || sSyncs.Load() != 1 {
 		t.Fatalf("degraded batch: %d degraded, %d sync points on the committer's counter, staged log synced %d times through its handle, waiter's %d, want 1, 1, 0 and 1",
 			c.DegradedBatches(), jSyncs.Load(), kSyncs.Load(), sSyncs.Load())

@@ -2,7 +2,9 @@
 // behind tune.Manager's checkpointing: length+CRC-framed records, group
 // commit (buffered appends flushed and fsynced once per Commit), and
 // truncated-tail tolerance on open — a crash mid-append loses at most
-// the torn tail record, never the intact prefix.
+// the torn tail record, never the intact prefix. A Log keeps no sync
+// bookkeeping: Commit always syncs, Close never does, and a Committer
+// owns the sync debt of records it journals.
 //
 // Framing: every record is [payload length: uint32 BE][CRC32-IEEE of
 // payload: uint32 BE][payload]. The format carries no file header, so a
@@ -12,6 +14,7 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,13 +53,12 @@ type Options struct {
 // Not safe for concurrent use; callers serialize (tune.Manager holds
 // the session's op gate across Append/Commit).
 type Log struct {
-	f       *os.File
-	w       *bufio.Writer
-	path    string
-	opts    Options
-	count   int   // records in the intact log, including uncommitted appends
-	size    int64 // bytes in the intact log, including uncommitted appends
-	pending int   // appends since the last Commit
+	f     *os.File
+	w     *bufio.Writer
+	path  string
+	opts  Options
+	count int   // records in the intact log, including uncommitted appends
+	size  int64 // bytes in the intact log, including uncommitted appends
 	// truncated is how many trailing bytes Open discarded as a torn or
 	// corrupt tail (0 for a clean log).
 	truncated int64
@@ -150,25 +152,16 @@ func (l *Log) Append(payload []byte) error {
 	}
 	l.count++
 	l.size += headerSize + int64(len(payload))
-	l.pending++
 	return nil
 }
 
-// Commit flushes every buffered append in one write and fsyncs once —
-// group commit: an interval's suggest and report records pay a single
-// fsync for both.
+// Commit flushes every buffered append in one write and fsyncs once,
+// whether or not anything was appended since the last sync.
 func (l *Log) Commit() error {
-	if l.pending == 0 {
-		return nil
-	}
 	if err := l.Flush(); err != nil {
 		return err
 	}
-	if err := l.syncNow(); err != nil {
-		return err
-	}
-	l.pending = 0
-	return nil
+	return l.syncNow()
 }
 
 // Flush writes every buffered append to the OS without fsyncing. The
@@ -176,28 +169,18 @@ func (l *Log) Commit() error {
 // re-hydration after an eviction reads them back) and survive the
 // process being killed, but are not durable against power failure until
 // a sync covers them — the log's own Commit/SyncFile or a Committer's
-// journal fsync. Flushed appends stay pending, so the next Commit (or
-// Close) syncs them. Callers funneling appends into a shared Committer
+// journal fsync. Callers funneling appends into a shared Committer
 // flush BEFORE enqueueing, so the committer's rotation fsync covers
 // everything enqueued so far.
 func (l *Log) Flush() error {
 	return l.w.Flush()
 }
 
-// MarkDurable records that a sync outside Commit (a Committer's journal
-// fsync or SyncFile) covered every flushed append, so Commit and Close
-// do not sync them again.
-func (l *Log) MarkDurable() {
-	if l.w.Buffered() == 0 {
-		l.pending = 0
-	}
-}
-
 // SyncFile fsyncs the log's file descriptor without touching the write
-// buffer, which is how the shared Committer makes a waiting owner's
-// flushed-but-unsynced log durable in a degraded (journal-less) batch.
-// It does not clear the pending count: the log's owner calls
-// MarkDurable.
+// buffer: how the shared Committer syncs its journal, and a waiting
+// owner's flushed-but-unsynced log in a degraded (journal-less) batch.
+// It reads nothing Append writes, so it may run while another goroutine
+// appends to the log.
 func (l *Log) SyncFile() error {
 	return l.syncNow()
 }
@@ -250,7 +233,7 @@ func (l *Log) Reset() error {
 		return err
 	}
 	l.w.Reset(l.f)
-	l.count, l.size, l.pending = 0, 0, 0
+	l.count, l.size = 0, 0
 	return nil
 }
 
@@ -268,22 +251,11 @@ func (l *Log) Truncated() int64 { return l.truncated }
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Close commits pending appends and closes the file.
+// Close flushes buffered appends to the OS and closes the file without
+// syncing it: what Commit has not synced stays the debt of whoever
+// journaled it, or of the owner's next Commit after reopening.
 func (l *Log) Close() error {
-	err := l.Commit()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Abandon closes the file without committing, for a handle its owner
-// gives up on: one a failed write left in an unknown state, or one whose
-// file is about to be removed. Buffered appends are dropped, and flushed
-// ones stay as the OS holds them, unsynced.
-func (l *Log) Abandon() error {
-	l.w.Reset(io.Discard)
-	return l.f.Close()
+	return cmp.Or(l.Flush(), l.f.Close())
 }
 
 // Stat inspects the log at path without opening it for writing and

@@ -46,7 +46,7 @@ func TestAppendCommitReopenRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	l, recs = reopen(t, l, path) // Close commits the remainder
+	l, recs = reopen(t, l, path) // Close flushes the remainder
 	defer l.Close()
 	if len(recs) != len(want) {
 		t.Fatalf("recovered %d records, want %d", len(recs), len(want))
@@ -170,10 +170,10 @@ func TestCorruptPayloadStopsScan(t *testing.T) {
 	}
 }
 
-// TestAbandonSyncsNothing: abandoning a log with flushed and buffered
-// appends costs no sync point; the flushed record stays in the file and
-// the buffered one is dropped.
-func TestAbandonSyncsNothing(t *testing.T) {
+// TestCloseSyncsNothing: closing a log with flushed and buffered
+// appends costs no sync point, and flushes the buffered one, so a reopen
+// reads both.
+func TestCloseSyncsNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.wal")
 	var syncs atomic.Int64
 	l, _, err := Open(path, Options{NoFsync: true, SyncCounter: &syncs})
@@ -189,19 +189,19 @@ func TestAbandonSyncsNothing(t *testing.T) {
 	if err := l.Append([]byte("buffered")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Abandon(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := syncs.Load(); got != 0 {
-		t.Fatalf("Abandon cost %d sync points, want 0", got)
+		t.Fatalf("Close cost %d sync points, want 0", got)
 	}
 	l, recs, err := Open(path, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if len(recs) != 1 || string(recs[0]) != "flushed" {
-		t.Fatalf("abandoned log holds %q, want only the flushed record", recs)
+	if len(recs) != 2 || string(recs[0]) != "flushed" || string(recs[1]) != "buffered" {
+		t.Fatalf("closed log holds %q, want the flushed and the buffered record", recs)
 	}
 }
 

@@ -750,10 +750,10 @@ func TestManagerKnowledgeSuggestSyncs(t *testing.T) {
 
 // TestManagerEvictionSyncsOnce: each log is synced once. With
 // MaxResident 1, a Report on an evicted session evicts the other, whose
-// log holds a written but unsynced suggest: the report's group commit
-// and the sync of the evicted log's close cost 2 sync points. Closing
-// afterwards costs the committer's final sync of the resident log plus
-// the journal's reset.
+// log holds a staged but unsynced suggest: the report's group commit is
+// the one sync point, as the eviction only closes the log and leaves its
+// sync to the committer. Closing afterwards costs the committer's final
+// syncs of both logs by path plus the journal's reset.
 func TestManagerEvictionSyncsOnce(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -782,8 +782,8 @@ func TestManagerEvictionSyncsOnce(t *testing.T) {
 			if got := after.Evictions - before.Evictions; got != 1 {
 				t.Fatalf("the report evicted %d sessions, want 1", got)
 			}
-			if got := after.Fsyncs - before.Fsyncs; got != 2 {
-				t.Fatalf("a report that evicts a session cost %d sync points, want 2", got)
+			if got := after.Fsyncs - before.Fsyncs; got != 1 {
+				t.Fatalf("a report that evicts a session cost %d sync points, want 1", got)
 			}
 			if got := after.GroupCommits - before.GroupCommits; got != 1 {
 				t.Fatalf("the report cost %d group commits, want 1", got)
@@ -791,20 +791,20 @@ func TestManagerEvictionSyncsOnce(t *testing.T) {
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := m.Stats().Fsyncs - after.Fsyncs; got != 2 {
-				t.Fatalf("Close with one resident session cost %d sync points, want 2", got)
+			if got := m.Stats().Fsyncs - after.Fsyncs; got != 3 {
+				t.Fatalf("Close with one resident session cost %d sync points, want 3", got)
 			}
 		})
 	}
 }
 
-// TestManagerEvictionSyncsOnlyDebt: eviction syncs a log only when
-// closing it syncs a trailing suggest. With MaxResident 1, creating a
-// second session evicts the first, whose log was reset at its creation
-// and never written since: the create costs its base write and its log
-// reset, and nothing for the eviction. A log that the journal still
-// covers (its last op a report) costs nothing to evict either: its debt
-// stays with the journal, whose rotation or shutdown syncs it by path.
+// TestManagerEvictionSyncsOnlyDebt: eviction never syncs a log. With
+// MaxResident 1, creating a second session evicts the first, whose log
+// was reset at its creation and never written since: the create costs
+// its base write and its log reset, and nothing for the eviction. A log
+// that the journal still covers (its last op a report) costs nothing to
+// evict either: its debt stays with the journal, whose rotation or
+// shutdown syncs it by path.
 func TestManagerEvictionSyncsOnlyDebt(t *testing.T) {
 	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, MaxResident: 1})
 	if err != nil {
@@ -888,6 +888,50 @@ func TestManagerEvictionKeepsJournaledReport(t *testing.T) {
 	sameSnapshot(t, m, m2, "a")
 }
 
+// TestManagerStagedSuggestRidesAnyBatch: a suggest is staged in the
+// journal, so the next batch of any session makes it durable. Session a
+// suggests, then session b reports: a power failure that cuts a's log
+// back to its size at its last sync, the creation's reset, keeps the
+// acked suggest, since boot patches it back from the journal, and the
+// recovered session serializes to the live one's bytes.
+func TestManagerStagedSuggestRidesAnyBatch(t *testing.T) {
+	dir := t.TempDir()
+	opts := syncArms[0].opts
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for g, id := range []string{"a", "b"} {
+		if _, err := m.Create(id, Config{Space: "case5", Seed: int64(20 + g)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(filepath.Join(dir, "a.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := fi.Size()
+	for _, id := range []string{"a", "b"} {
+		if _, err := m.Suggest(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := m.Stats()
+	if _, err := m.Report("b", goldenOutcome(0)); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Stats()
+	if fs, gc := after.Fsyncs-before.Fsyncs, after.GroupCommits-before.GroupCommits; fs != 1 || gc != 1 {
+		t.Fatalf("b's report cost %d sync points and %d group commits, want 1 and 1", fs, gc)
+	}
+	m2 := crashCopy(t, dir, "a", synced, opts)
+	if got := m2.Stats().JournalPatchedRecords; got != 1 {
+		t.Fatalf("boot patched %d journal records, want a's suggest", got)
+	}
+	sameSnapshot(t, m, m2, "a")
+}
+
 // TestManagerDeleteEvictedForgetsLog: deleting an evicted session whose
 // last op was a report releases the journal's hold on its log, so the
 // committer's final sync does not open the removed file and Close
@@ -921,8 +965,8 @@ func TestManagerDeleteEvictedForgetsLog(t *testing.T) {
 }
 
 // TestManagerDeleteAfterSuggestSyncsNothing: deleting a resident session
-// whose last op was a suggest abandons its log instead of syncing the
-// held suggest into a file the delete then removes.
+// whose last op was a suggest closes its log without syncing the staged
+// suggest into a file the delete then removes.
 func TestManagerDeleteAfterSuggestSyncsNothing(t *testing.T) {
 	m, err := NewManagerOpts(t.TempDir(), syncArms[0].opts)
 	if err != nil {
@@ -945,10 +989,10 @@ func TestManagerDeleteAfterSuggestSyncsNothing(t *testing.T) {
 }
 
 // TestManagerCloseSyncsOnce: a Close whose resident session's last op
-// was a suggest syncs that session's log once. Its report journaled the
-// log, and the trailing suggest is written but not synced, so Close
-// costs the log's sync, which releases the journal's hold on it, plus
-// the journal's reset.
+// was a suggest syncs that session's log once. Its report and the
+// trailing suggest are journaled, and closing the log syncs nothing, so
+// Close costs the committer's sync of the log by path plus the
+// journal's reset.
 func TestManagerCloseSyncsOnce(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {

@@ -357,8 +357,8 @@ func (f *fleetKnowledge) importSnapshot(data []byte) (int, error) {
 }
 
 // Close re-bases a store whose tail is still dropped, then closes the
-// contribution WAL, syncing what it holds, and releases the journal's
-// hold on it, so the committer's final sync skips it.
+// contribution WAL without a sync: its staged records stay the
+// committer's, whose Close syncs the tail by path.
 func (f *fleetKnowledge) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -371,9 +371,6 @@ func (f *fleetKnowledge) Close() error {
 		}
 	}
 	err := f.log.Close()
-	if err == nil {
-		f.m.committer.Forget(f.log.Path())
-	}
 	f.log = nil
 	return err
 }

@@ -507,6 +507,30 @@ func TestKnowledgeLogFailureRebases(t *testing.T) {
 	}
 }
 
+// TestKnowledgeRefusedStageRebases: with the committer closed, a
+// contribution's stage is refused, so the same call drops the tail and
+// re-bases the store. Dropping the tail syncs nothing, so the
+// contribution costs 2 sync points: the base write and the tail's reset.
+func TestKnowledgeRefusedStageRebases(t *testing.T) {
+	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{Knowledge: true, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.committer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats()
+	m.know.Contribute(fleetContribution(1))
+	after := m.Stats()
+	if got := after.Compactions - before.Compactions; got != 1 {
+		t.Fatalf("a refused stage ran %d re-bases, want 1", got)
+	}
+	if got := after.Fsyncs - before.Fsyncs; got != 2 {
+		t.Fatalf("a refused stage cost %d sync points, want 2: the base write and the tail's reset", got)
+	}
+}
+
 // fleetContribution is the i-th of a run of valid contributions to one
 // case5 context cluster.
 func fleetContribution(i int) knowledge.Contribution {

@@ -93,7 +93,7 @@ type ManagerOptions struct {
 //
 // Durability: each operation appends its one record to the session's
 // write-ahead log (<id>.wal), one sync point per interval — a suggest's
-// is written and rides on its report's — and a periodic compaction
+// is staged and rides the next batch — and a periodic compaction
 // writes the session's exact state as an atomic base snapshot
 // (<id>.base.json) and resets the tail, so lifetime checkpoint bytes
 // stay linear in session length instead of quadratic. The group
@@ -101,13 +101,13 @@ type ManagerOptions struct {
 // sync point fleet-wide: appends land in the session log unsynced and
 // in a shared journal (fleet.journal) whose single fsync per batch makes
 // every session in the batch durable at once. A session log pays its
-// own sync debt only when compaction resets it or closing it syncs a
-// trailing suggest; otherwise the committer syncs it by path at journal
-// rotation and shutdown, resident or evicted. Recovery installs
-// the base's state while the tail decodes on another goroutine, then
-// replays the tail: with a core free, a hydrate costs the base's parse
-// plus the replay, and deterministic replay makes the recovered session
-// bitwise-identical to the one that crashed.
+// own sync debt only when compaction resets it or a stage is refused;
+// otherwise the committer syncs it by path at journal rotation and
+// shutdown, resident or evicted: closing a log never syncs it.
+// Recovery installs the base's state while the tail decodes on another
+// goroutine, then replays the tail: with a core free, a hydrate costs
+// the base's parse plus the replay, and deterministic replay makes the
+// recovered session bitwise-identical to the one that crashed.
 //
 // Memory: sessions hydrate lazily. Boot reads only snapshot headers and
 // WAL tails (O(#sessions)); a session's base is decoded and its tail
@@ -157,7 +157,7 @@ type Manager struct {
 // s is nil while the session lives only on disk.
 //
 // Concurrency: the registry fields are guarded by Manager.mu. The
-// heavyweight state — s, log, baseBytes, held — is guarded by the
+// heavyweight state — s, log, baseBytes — is guarded by the
 // op GATE (busy + cond): acquire claims it and release hands it off,
 // both under Manager.mu, so gate holders access the state without any
 // lock held. That keeps candidate scoring, checkpoint serialization and
@@ -182,9 +182,6 @@ type managedSession struct {
 	log *wal.Log
 	// baseBytes is the size of the on-disk base snapshot.
 	baseBytes int64
-	// held are the suggest payloads written to log since its last sync:
-	// the next commit journals them ahead of its own records.
-	held [][]byte
 }
 
 // acquire claims e's op gate, blocking behind the current holder. It
@@ -217,33 +214,18 @@ func (m *Manager) release(e *managedSession) {
 	m.mu.Unlock()
 }
 
-// dropLogLocked abandons and forgets the WAL handle — after a write
-// error left it in an unknown state, or before its file is removed — so
-// nothing syncs it on the way out; the next persist rewrites an atomic
-// base instead of appending to a possibly-torn log.
-func (e *managedSession) dropLogLocked() {
-	if e.log != nil {
-		e.log.Abandon()
-		e.log = nil
-	}
-	e.held = nil
-}
-
-// closeLogLocked closes e's log. The close syncs a trailing suggest, and
-// that fsync covers every record the journal holds for the file too, so
-// the committer lets go of it; otherwise the journal keeps the log's
-// sync debt and the committer syncs it by path. A failed close drops the
-// log, so the next persist re-bases the session.
-func (m *Manager) closeLogLocked(e *managedSession) error {
+// dropLogLocked closes and forgets the WAL handle — at eviction and
+// Close, after a write error left it in an unknown state, or before its
+// file is removed. Closing syncs nothing: the records the journal holds
+// for the log stay the committer's debt, synced by path. A resident
+// session's next persist then rewrites an atomic base instead of
+// appending to a possibly-torn log.
+func (e *managedSession) dropLogLocked() error {
 	if e.log == nil {
 		return nil
 	}
-	synced := len(e.held) > 0
 	err := e.log.Close()
-	if err == nil && synced {
-		m.committer.Forget(e.log.Path())
-	}
-	e.log, e.held = nil, nil
+	e.log = nil
 	return err
 }
 
@@ -646,7 +628,7 @@ func (m *Manager) evictOne(v *managedSession) {
 	// last persist failed (its log dropped) is re-based here. Otherwise
 	// eviction only closes the log: records the journal covers stay the
 	// committer's to sync.
-	if m.tryPersistLocked(v, nil) != nil || m.closeLogLocked(v) != nil {
+	if m.tryPersistLocked(v, nil) != nil || v.dropLogLocked() != nil {
 		m.reinsert(v)
 		return
 	}
@@ -963,7 +945,7 @@ func (m *Manager) Close() error {
 	for _, e := range es {
 		if m.acquire(e) { // false: deleted concurrently
 			keep(m.tryPersistLocked(e, nil))
-			keep(m.closeLogLocked(e))
+			keep(e.dropLogLocked())
 			m.release(e)
 		}
 	}

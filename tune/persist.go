@@ -113,7 +113,7 @@ func (w *walEncoder) encode(rec *walRecord) ([]byte, error) {
 // tryPersistLocked makes the session's state durable once (the caller
 // handles retries and ErrDurability wrapping). Normal path: append op,
 // the record of the op just run, to the WAL and commit it — one sync
-// point per interval, as a suggest rides on the next commit (see
+// point per interval, as a suggest is staged for the next batch (see
 // commitTail), and that one shared fleet-wide by the committer. A nil
 // op only re-bases a session whose log is gone.
 // The base snapshot is rewritten on the first write (creation), after
@@ -162,37 +162,33 @@ func (m *Manager) tryPersistLocked(e *managedSession, op *walRecord) error {
 }
 
 // commitTail flushes the record just appended to e.log to the OS and
-// makes it durable — except a suggest's, which is only flushed: kill -9
-// loses nothing, and the session's next commit (or compaction, or the
-// close of its log) syncs it. A suggest that a power failure loses is
-// still re-derived on retry: its advice and the decision its record logs
-// are computed from the state the log holds, so the retry computes them
-// again bit for bit; one that queried the fleet store logged advice the
-// log holds nowhere else, and commits like a report. A commit enqueues
-// the held suggest payloads ahead of this one, in index order, so the
-// journal holds one contiguous run; the wait returns when the journal's
-// batch fsync (or, degraded, this log's own) covers them. Enqueue copies
-// the payloads, so the pooled encoder can be reused once this returns. A
-// committer that refuses the records (a request racing Close) fails the
+// makes it durable — except a suggest's, which is staged in the journal
+// like a fleet contribution: kill -9 loses nothing, and the next batch
+// of any session syncs it. A suggest that a power failure loses first
+// is re-derived on retry: its advice and the decision its record logs
+// are computed from the state the log holds. A refused stage (journal
+// down, committer closed) syncs the log in place. A suggest that
+// queried the fleet store logged advice the log holds nowhere else, and
+// commits like a report: it enqueues its record and waits until the
+// journal's batch fsync (or, degraded, this log's own) covers it. Stage
+// and Enqueue copy the payload, so the pooled encoder can be reused. A
+// committer that refuses an enqueue (a request racing Close) fails the
 // commit, so the caller drops the log and re-bases.
 func (m *Manager) commitTail(e *managedSession, op *walRecord, payload []byte) error {
 	if err := e.log.Flush(); err != nil {
 		return err
 	}
 	if op.Event.Kind == eventSuggest && op.Event.Knowledge == nil {
-		e.held = append(e.held, bytes.Clone(payload))
-		return nil
+		if m.committer.Stage(e.id, e.log, payload) {
+			return nil
+		}
+		return e.log.SyncFile()
 	}
-	wait, err := m.committer.Enqueue(e.id, e.log, append(e.held, payload))
+	wait, err := m.committer.Enqueue(e.id, e.log, payload)
 	if err != nil {
 		return err
 	}
-	if err := wait(); err != nil {
-		return err
-	}
-	e.log.MarkDurable()
-	e.held = nil
-	return nil
+	return wait()
 }
 
 // compactDue reports whether the WAL tail should fold into a new base:
@@ -216,11 +212,7 @@ func (m *Manager) compactLocked(e *managedSession) error {
 	if err != nil {
 		return err
 	}
-	err = m.rebase(m.basePath(e.id), m.walPath(e.id), e.id, data, &e.log)
-	if err == nil || e.log == nil {
-		e.held = nil // the base holds them, or the log that did is gone
-	}
-	if err != nil {
+	if err := m.rebase(m.basePath(e.id), m.walPath(e.id), e.id, data, &e.log); err != nil {
 		return err
 	}
 	e.baseBytes = int64(len(data))
