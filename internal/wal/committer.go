@@ -30,7 +30,7 @@
 // prefix survives (CRC framing, torn tail truncated on open). Requests
 // journaled into a dropped handle count as never journaled.
 //
-// Rotation. The journal grows until MaxJournal, then the leader
+// Rotation. The journal grows until DefaultMaxJournal, then the leader
 // fsyncs every log whose durability still leans on the journal and
 // truncates it. It syncs each log by path, through a descriptor of its
 // own, so a log whose owner has closed it (an evicted session, a
@@ -65,34 +65,6 @@ var ErrCommitterClosed = errors.New("wal: committer closed")
 // errNoJournal marks a batch whose records never reached the journal.
 var errNoJournal = errors.New("wal: journal unavailable")
 
-// CommitterOptions configures a Committer. A zero MaxJournal takes
-// DefaultMaxJournal.
-type CommitterOptions struct {
-	// Interval is the batch window: how long a leader sleeps before it
-	// commits, so that more waiters join its batch. ≤ 0 is no window:
-	// the leader commits at once.
-	Interval time.Duration
-	// MaxJournal is the journal size that triggers rotation.
-	MaxJournal int64
-	// NoFsync and SyncCounter apply to the journal file exactly as
-	// Options do to a Log (syncs are counted even under NoFsync).
-	NoFsync     bool
-	SyncCounter *atomic.Int64
-}
-
-// logOptions are the Options the journal opens with and logs are
-// synced by path with.
-func (o CommitterOptions) logOptions() Options {
-	return Options{NoFsync: o.NoFsync, SyncCounter: o.SyncCounter}
-}
-
-func (o CommitterOptions) maxJournal() int64 {
-	if o.MaxJournal <= 0 {
-		return DefaultMaxJournal
-	}
-	return o.MaxJournal
-}
-
 // commitReq is one enqueued operation waiting for durability, or a
 // staged record no caller waits on (log and done are nil).
 type commitReq struct {
@@ -108,8 +80,14 @@ type commitReq struct {
 // Committer is the shared group-commit pipeline. Safe for concurrent
 // Enqueue from many sessions; whoever holds lead commits the batch.
 type Committer struct {
-	opts CommitterOptions
-	lead chan struct{} // the one-slot lead token: a send takes it
+	// interval is the batch window: how long a leader sleeps before it
+	// commits, so that more waiters join its batch. ≤ 0 is no window.
+	interval time.Duration
+	// opts apply to the journal and to every log synced by path.
+	opts Options
+	// maxJournal is the journal size that triggers rotation.
+	maxJournal int64
+	lead       chan struct{} // the one-slot lead token: a send takes it
 
 	mu      sync.Mutex
 	journal *Log // nil while unusable; reopened on the next batch
@@ -130,20 +108,24 @@ type Committer struct {
 	syncErr func() error
 }
 
-// OpenCommitter opens (creating if missing) the journal at path.
-// Existing intact journal records are preserved — the owner is expected
-// to have drained them through ReadJournal before serving.
-func OpenCommitter(path string, opts CommitterOptions) (*Committer, error) {
-	j, _, err := Open(path, opts.logOptions())
+// OpenCommitter opens (creating if missing) the journal at path with
+// the batch window interval (≤ 0 is none). opts apply to the journal
+// and to every log the committer syncs by path. Existing intact journal
+// records are preserved — the owner is expected to have drained them
+// through ReadJournal before serving.
+func OpenCommitter(path string, interval time.Duration, opts Options) (*Committer, error) {
+	j, _, err := Open(path, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Committer{
-		opts:    opts,
-		lead:    make(chan struct{}, 1),
-		journal: j,
-		jpath:   path,
-		dirty:   map[string]struct{}{},
+		interval:   interval,
+		opts:       opts,
+		maxJournal: DefaultMaxJournal,
+		lead:       make(chan struct{}, 1),
+		journal:    j,
+		jpath:      path,
+		dirty:      map[string]struct{}{},
 	}, nil
 }
 
@@ -185,7 +167,7 @@ func (c *Committer) journalLocked(id string, payload []byte) bool {
 
 // wait returns the result delivered on done, committing the pending
 // batch itself if it takes the lead token first; a leader sleeps out the
-// batch window (none when Interval ≤ 0) before it commits. A leader's
+// batch window (none when interval ≤ 0) before it commits. A leader's
 // request is still pending unless the previous leader delivered it
 // before handing the token back, so its batch always includes it.
 func (c *Committer) wait(done chan error) error {
@@ -195,7 +177,7 @@ func (c *Committer) wait(done chan error) error {
 	case c.lead <- struct{}{}:
 	}
 	if len(done) == 0 {
-		time.Sleep(c.opts.Interval)
+		time.Sleep(c.interval)
 		c.commitBatch()
 	}
 	<-c.lead
@@ -259,7 +241,7 @@ func (c *Committer) Close() error {
 	c.mu.Unlock()
 	var err error
 	for path := range dirty {
-		if serr := syncPath(path, c.opts.logOptions()); serr != nil {
+		if serr := syncPath(path, c.opts); serr != nil {
 			err = cmp.Or(err, serr)
 			continue
 		}
@@ -325,7 +307,7 @@ func (c *Committer) commitBatch() {
 		case r.done != nil:
 			r.done <- r.log.SyncFile()
 		default: // staged: nobody waits, and its path stays in the rotation set
-			syncPath(r.path, c.opts.logOptions())
+			syncPath(r.path, c.opts)
 		}
 	}
 }
@@ -335,11 +317,11 @@ func (c *Committer) commitBatch() {
 // synced before a failure leave the rotation set, so the next attempt
 // is smaller.
 func (c *Committer) maybeRotateLocked() {
-	if c.journal == nil || c.journal.Size() < c.opts.maxJournal() {
+	if c.journal == nil || c.journal.Size() < c.maxJournal {
 		return
 	}
 	for path := range c.dirty {
-		if syncPath(path, c.opts.logOptions()) == nil {
+		if syncPath(path, c.opts) == nil {
 			delete(c.dirty, path)
 		}
 	}
@@ -376,7 +358,7 @@ func (c *Committer) reopenJournalLocked() {
 	if c.journal != nil || c.closed {
 		return
 	}
-	j, _, err := Open(c.jpath, c.opts.logOptions())
+	j, _, err := Open(c.jpath, c.opts)
 	if err != nil {
 		return // stay degraded; the next batch retries
 	}

@@ -22,15 +22,14 @@ import (
 func TestCommitterHammer(t *testing.T) {
 	dir := t.TempDir()
 	var syncs atomic.Int64
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{
-		Interval:    100 * time.Microsecond,
-		MaxJournal:  8 << 10, // force frequent rotation
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), 100*time.Microsecond, Options{
 		NoFsync:     true,
 		SyncCounter: &syncs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.maxJournal = 8 << 10 // force frequent rotation
 	var fail atomic.Int64
 	var failMu sync.Mutex
 	rng := rand.New(rand.NewSource(7))
@@ -144,7 +143,7 @@ func TestCommitterHammer(t *testing.T) {
 // first wait, so that wait's batch holds all three.
 func TestCommitterErrorAttribution(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{})
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestCommitterCoalesces(t *testing.T) {
 		t.Run(fmt.Sprintf("close=%v", closeFirst), func(t *testing.T) {
 			dir := t.TempDir()
 			var syncs atomic.Int64
-			c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{NoFsync: true, SyncCounter: &syncs})
+			c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), 0, Options{NoFsync: true, SyncCounter: &syncs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +276,7 @@ func TestCommitterCoalesces(t *testing.T) {
 func TestCommitterJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "fleet.journal")
-	c, err := OpenCommitter(jpath, CommitterOptions{Interval: -1})
+	c, err := OpenCommitter(jpath, -1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,20 +338,21 @@ func TestCommitterJournalRecovery(t *testing.T) {
 }
 
 // TestCommitterRotation verifies the journal stays bounded: once it
-// outgrows MaxJournal the committer fsyncs the leaning logs by path and
-// truncates it, and Forget removes a log from the rotation set.
+// outgrows its rotation size (DefaultMaxJournal, lowered here) the
+// committer fsyncs the leaning logs by path and truncates it, and
+// Forget removes a log from the rotation set.
 func TestCommitterRotation(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "fleet.journal")
 	var syncs atomic.Int64
-	c, err := OpenCommitter(jpath, CommitterOptions{
-		Interval:    -1,
-		MaxJournal:  512,
-		SyncCounter: &syncs,
-	})
+	c, err := OpenCommitter(jpath, -1, Options{SyncCounter: &syncs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.maxJournal != DefaultMaxJournal {
+		t.Fatalf("a committer rotates at %d bytes, want DefaultMaxJournal %d", c.maxJournal, DefaultMaxJournal)
+	}
+	c.maxJournal = 512
 	defer c.Close()
 	var logSyncs atomic.Int64
 	l, _, err := Open(filepath.Join(dir, "s.wal"), Options{SyncCounter: &logSyncs})
@@ -438,12 +438,11 @@ func TestCommitterSyncsClosedLogByPath(t *testing.T) {
 	journalClosed := func(t *testing.T, maxJournal int64) (*Committer, string, *atomic.Int64) {
 		dir := t.TempDir()
 		var syncs atomic.Int64
-		c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{
-			Interval: -1, MaxJournal: maxJournal, SyncCounter: &syncs,
-		})
+		c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), -1, Options{SyncCounter: &syncs})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.maxJournal = maxJournal
 		t.Cleanup(func() { c.Close() })
 		a := openFlushed(t, dir, "a.wal", nil, payload)
 		wait, err := c.Enqueue("a", a, payload)
@@ -595,7 +594,7 @@ func TestCommitterJournalSyncOffLock(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "fleet.journal")
 	var jSyncs, logSyncs atomic.Int64
-	c, err := OpenCommitter(jpath, CommitterOptions{NoFsync: true, SyncCounter: &jSyncs})
+	c, err := OpenCommitter(jpath, 0, Options{NoFsync: true, SyncCounter: &jSyncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +641,7 @@ func TestCommitterJournalSyncOffLock(t *testing.T) {
 // the journal's.
 func TestCommitterRequestDuringFailedSync(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{NoFsync: true})
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), 0, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +676,7 @@ func TestCommitterRequestDuringFailedSync(t *testing.T) {
 func TestCommitterStageAloneTriggersNoBatch(t *testing.T) {
 	dir := t.TempDir()
 	var syncs atomic.Int64
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{NoFsync: true, SyncCounter: &syncs})
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), 0, Options{NoFsync: true, SyncCounter: &syncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,7 +713,7 @@ func TestCommitterStageRidesNextBatch(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "fleet.journal")
 	var jsyncs, logSyncs atomic.Int64
-	c, err := OpenCommitter(jpath, CommitterOptions{Interval: -1, NoFsync: true, SyncCounter: &jsyncs})
+	c, err := OpenCommitter(jpath, -1, Options{NoFsync: true, SyncCounter: &jsyncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +750,7 @@ func TestCommitterStageRidesNextBatch(t *testing.T) {
 func TestCommitterStageDegradedSyncsLog(t *testing.T) {
 	dir := t.TempDir()
 	var jSyncs atomic.Int64
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{Interval: -1, NoFsync: true, SyncCounter: &jSyncs})
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), -1, Options{NoFsync: true, SyncCounter: &jSyncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,7 +782,7 @@ func TestCommitterStageDegradedSyncsLog(t *testing.T) {
 // log itself.
 func TestCommitterStageRefused(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), CommitterOptions{Interval: -1, NoFsync: true})
+	c, err := OpenCommitter(filepath.Join(dir, "fleet.journal"), -1, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 )
 
@@ -37,16 +38,30 @@ var ErrTooLarge = errors.New("wal: record exceeds MaxRecord")
 
 // Options configures a Log.
 type Options struct {
-	// NoFsync skips the fsync in Commit (and after Reset). Appends are
-	// still flushed to the OS, but a power failure may lose committed
-	// records — acceptable for benchmarks and tests, not for serving.
+	// NoFsync skips the fsync in Sync. Writes still reach the OS, but a
+	// power failure may lose committed records — acceptable for
+	// benchmarks and tests, not for serving.
 	NoFsync bool
 	// SyncCounter, when non-nil, is incremented once per logical sync
-	// point (Commit, SyncFile, Reset). It counts even under NoFsync —
-	// the counter measures how many fsyncs the durability protocol
-	// ISSUES, so benchmarks can compare commit strategies without
-	// paying for real disk flushes.
+	// point (each Sync). It counts even under NoFsync — the counter
+	// measures how many fsyncs the durability protocol ISSUES, so
+	// benchmarks can compare commit strategies without paying for real
+	// disk flushes.
 	SyncCounter *atomic.Int64
+}
+
+// Sync is the one sync point: it counts the sync on SyncCounter and
+// fsyncs f unless NoFsync. Every durable write in this package (a Log's
+// Commit, SyncFile and Reset, a sync by path, WriteAtomic's temp file)
+// goes through it, and nothing else reads either field.
+func (o Options) Sync(f *os.File) error {
+	if o.SyncCounter != nil {
+		o.SyncCounter.Add(1)
+	}
+	if o.NoFsync {
+		return nil
+	}
+	return f.Sync()
 }
 
 // Log is an open append-only log positioned at its intact end.
@@ -185,34 +200,45 @@ func (l *Log) SyncFile() error {
 	return l.syncNow()
 }
 
-// syncNow issues (and counts) one fsync, honoring NoFsync.
+// syncNow issues (and counts) one sync point on the log's file.
 func (l *Log) syncNow() error {
-	if l.opts.SyncCounter != nil {
-		l.opts.SyncCounter.Add(1)
-	}
-	if l.opts.NoFsync {
-		return nil
-	}
-	return l.f.Sync()
+	return l.opts.Sync(l.f)
 }
 
-// syncPath fsyncs the file at path through a descriptor of its own,
-// counting the sync point and honoring NoFsync as a Log's own syncs do.
-// It needs no open Log, so it also syncs a file whose owner closed its
-// handle.
+// syncPath syncs the file at path through a descriptor of its own, as
+// a Log's own syncs do. It needs no open Log, so it also syncs a file
+// whose owner closed its handle.
 func syncPath(path string, opts Options) error {
-	if opts.SyncCounter != nil {
-		opts.SyncCounter.Add(1)
-	}
-	if opts.NoFsync {
-		return nil
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return f.Sync()
+	return opts.Sync(f)
+}
+
+// WriteAtomic publishes data at path whole or not at all: it writes a
+// ".<prefix>-*" temp file in path's directory, syncs it, closes it and
+// renames it over path, so a crash never exposes torn contents. The
+// temp is removed on any error; one orphaned by a crash keeps its dot
+// prefix, so its owner can sweep it at the next boot.
+func WriteAtomic(path, prefix string, data []byte, opts Options) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+prefix+"-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = opts.Sync(tmp)
+	}
+	err = cmp.Or(err, tmp.Close())
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Reset empties the log (after compaction folded its records into a

@@ -350,3 +350,46 @@ func TestStatAgreesWithOpenOnCorruptFrames(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteAtomic pins the atomic base write: the bytes are published
+// whole, no temp survives, each write counts exactly one sync point
+// (under NoFsync too), and a rename onto a non-empty directory fails,
+// leaves the directory in place and removes the temp.
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.base.json")
+	var syncs atomic.Int64
+	opts := Options{NoFsync: true, SyncCounter: &syncs}
+	for i, data := range []string{"first", "second, longer"} {
+		if err := WriteAtomic(path, "x", []byte(data), opts); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != data {
+			t.Fatalf("write %d published %q (err %v), want %q", i, got, err, data)
+		}
+		if n := syncs.Load(); n != int64(i+1) {
+			t.Fatalf("%d writes counted %d sync points, want one each", i+1, n)
+		}
+	}
+	target := filepath.Join(dir, "d")
+	if err := os.MkdirAll(filepath.Join(target, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(target, "d", []byte("lost"), opts); err == nil {
+		t.Fatal("a rename onto a non-empty directory succeeded")
+	}
+	if fi, err := os.Stat(filepath.Join(target, "keep")); err != nil || !fi.IsDir() {
+		t.Fatalf("the failed write disturbed its target directory (err %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range entries {
+		names = append(names, de.Name())
+	}
+	if fmt.Sprint(names) != "[d x.base.json]" {
+		t.Fatalf("the directory holds %v, want [d x.base.json]: a temp survived", names)
+	}
+}

@@ -17,7 +17,7 @@ import (
 // TestHydrateReplaysOnlyTheTail: however old a session is, hydrating it
 // replays exactly the WAL records written since its base — counted from
 // disk before the touch — and the byte rule keeps that tail smaller than
-// the base, or shorter than CompactMin events, so the replay is bounded
+// the base, or shorter than compactMin events, so the replay is bounded
 // by the state's size, not by the session's age.
 func TestHydrateReplaysOnlyTheTail(t *testing.T) {
 	dir := t.TempDir()
@@ -97,7 +97,7 @@ func TestHydrateReplaysOnlyTheTail(t *testing.T) {
 // re-appending, and a restarted manager resumes bit-identically.
 func TestCheckpointFailureLosesNothing(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManagerOpts(dir, ManagerOptions{NoFsync: true, CompactMin: 4})
+	m, err := openManager(dir, ManagerOptions{NoFsync: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCheckpointFailureLosesNothing(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewManagerOpts(dir, ManagerOptions{NoFsync: true, CompactMin: 4})
+	m2, err := openManager(dir, ManagerOptions{NoFsync: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +315,8 @@ func bgManagedStep(t *testing.T, m *Manager, id string, i int) Advice {
 // hydrated from that live state with no replay at all.
 func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 	dir := t.TempDir()
-	opts := ManagerOptions{NoFsync: true, Knowledge: true, CompactMin: 1 << 20}
-	m, err := NewManagerOpts(dir, opts)
+	opts := ManagerOptions{NoFsync: true, Knowledge: true}
+	m, err := openManager(dir, opts, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	live.hydrateEveryCut(t, dir, opts, intervals)
+	live.hydrateEveryCut(t, dir, opts, 1<<20, intervals)
 }
 
 // TestHydrateAtEveryRecordBoundaryExploring is the record-boundary check
@@ -366,8 +366,8 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 // hydrate to the live state byte for byte.
 func TestHydrateAtEveryRecordBoundaryExploring(t *testing.T) {
 	dir := t.TempDir()
-	opts := ManagerOptions{NoFsync: true, Knowledge: true, CompactMin: 1 << 20}
-	m, err := NewManagerOpts(dir, opts)
+	opts := ManagerOptions{NoFsync: true, Knowledge: true}
+	m, err := openManager(dir, opts, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestHydrateAtEveryRecordBoundaryExploring(t *testing.T) {
 			t.Errorf("the log holds no %s", branch)
 		}
 	}
-	live.hydrateEveryCut(t, dir, opts, intervals)
+	live.hydrateEveryCut(t, dir, opts, 1<<20, intervals)
 }
 
 // liveStates maps the number of records session db's log holds after
@@ -460,7 +460,7 @@ func (l liveStates) capture(t *testing.T, m *Manager) {
 // boundary. Each cut copy must hydrate to the state l holds for that
 // many records, then continue from interval from bit-identically with a
 // control whose base is that state and whose tail is empty.
-func (l liveStates) hydrateEveryCut(t *testing.T, dir string, opts ManagerOptions, from int) {
+func (l liveStates) hydrateEveryCut(t *testing.T, dir string, opts ManagerOptions, compactMin, from int) {
 	t.Helper()
 	_, recs, err := wal.Open(filepath.Join(dir, "db.wal"), wal.Options{NoFsync: true})
 	if err != nil {
@@ -471,7 +471,7 @@ func (l liveStates) hydrateEveryCut(t *testing.T, dir string, opts ManagerOption
 		if k > 0 {
 			off += 8 + int64(len(recs[k-1])) // the frame header, then the payload
 		}
-		cut := crashCopy(t, dir, "db", off, opts)
+		cut := crashCopy(t, dir, "db", off, opts, compactMin)
 		got, err := cut.Snapshot("db")
 		if err != nil {
 			t.Fatalf("log cut after %d of %d records: %v", k, len(recs), err)
@@ -483,7 +483,7 @@ func (l liveStates) hydrateEveryCut(t *testing.T, dir string, opts ManagerOption
 		if !bytes.Equal(got, want) {
 			t.Fatalf("log cut after %d of %d records hydrated to a state the live session never held", k, len(recs))
 		}
-		control := crashCopy(t, dir, "db", 0, opts)
+		control := crashCopy(t, dir, "db", 0, opts, compactMin)
 		if err := os.WriteFile(control.basePath("db"), want, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -675,8 +675,8 @@ func shiftOutcome(i int) Outcome {
 // skipped checks left short and rebuild it.
 func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	dir := t.TempDir()
-	mopts := ManagerOptions{NoFsync: true, CompactMin: 1 << 20}
-	m, err := NewManagerOpts(dir, mopts)
+	mopts := ManagerOptions{NoFsync: true}
+	m, err := openManager(dir, mopts, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,7 +745,7 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 		t.Fatalf("the tail holds %d records, %d logged refits, %d adopted checks and %d decisions, want %d, ≥ 1, 1 and %d",
 			len(recs), fits, adopted, decisions, 2*intervals, lt.Assessments)
 	}
-	m, err = NewManagerOpts(dir, mopts)
+	m, err = openManager(dir, mopts, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -862,8 +862,8 @@ func TestRestoreStreamVerdicts(t *testing.T) {
 // scan, the tail's decode and the replay.
 func BenchmarkHydrate(b *testing.B) {
 	dir := b.TempDir()
-	mopts := ManagerOptions{NoFsync: true, CompactMin: 1 << 20}
-	m, err := NewManagerOpts(dir, mopts)
+	mopts := ManagerOptions{NoFsync: true}
+	m, err := openManager(dir, mopts, 1<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -881,7 +881,7 @@ func BenchmarkHydrate(b *testing.B) {
 	if err := m.Close(); err != nil {
 		b.Fatal(err)
 	}
-	if m, err = NewManagerOpts(dir, mopts); err != nil {
+	if m, err = openManager(dir, mopts, 1<<20); err != nil {
 		b.Fatal(err)
 	}
 	defer m.Close()

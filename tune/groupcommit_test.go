@@ -27,10 +27,10 @@ import (
 func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 	stateDir := t.TempDir()
 	opts := ManagerOptions{
-		MaxResident: 1, CompactMin: 8, NoFsync: true,
+		MaxResident: 1, NoFsync: true,
 		CommitInterval: 300 * time.Microsecond,
 	}
-	m, err := NewManagerOpts(stateDir, opts)
+	m, err := openManager(stateDir, opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if m, err = NewManagerOpts(stateDir, opts); err != nil {
+		if m, err = openManager(stateDir, opts, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,8 +345,8 @@ func TestManagerGroupCommitExactSyncPoints(t *testing.T) {
 // reference-identical advice.
 func TestManagerJournalBootRecovery(t *testing.T) {
 	stateDir := t.TempDir()
-	opts := ManagerOptions{NoFsync: true, CompactMin: 1000}
-	m, err := NewManagerOpts(stateDir, opts)
+	opts := ManagerOptions{NoFsync: true}
+	m, err := openManager(stateDir, opts, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestManagerJournalBootRecovery(t *testing.T) {
 	}
 	j.Close()
 
-	m2, err := NewManagerOpts(stateDir, opts)
+	m2, err := openManager(stateDir, opts, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +445,8 @@ func TestManagerJournalBootRecovery(t *testing.T) {
 // appended as if they extended it.
 func TestJournalDropsDeletedIncarnationOnRecreate(t *testing.T) {
 	stateDir := t.TempDir()
-	opts := ManagerOptions{NoFsync: true, CompactMin: 1000, CommitInterval: 200 * time.Microsecond}
-	m, err := NewManagerOpts(stateDir, opts)
+	opts := ManagerOptions{NoFsync: true, CommitInterval: 200 * time.Microsecond}
+	m, err := openManager(stateDir, opts, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestJournalDropsDeletedIncarnationOnRecreate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := NewManagerOpts(stateDir, opts)
+	m2, err := openManager(stateDir, opts, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,13 +494,14 @@ func TestJournalDropsDeletedIncarnationOnRecreate(t *testing.T) {
 }
 
 // syncArms is the commit path the durability tests run: the shared
-// committer with no batch window. CompactMin keeps every record in the
+// committer with no batch window. compactMin keeps every record in the
 // log's tail, so cutting the tail models what power loss drops.
 var syncArms = []struct {
-	name string
-	opts ManagerOptions
+	name       string
+	opts       ManagerOptions
+	compactMin int
 }{
-	{"group commit", ManagerOptions{NoFsync: true, CompactMin: 1000}},
+	{"group commit", ManagerOptions{NoFsync: true}, 1000},
 }
 
 // syncTracker follows one session's log through a manager's operations
@@ -547,7 +548,7 @@ func (tr *syncTracker) note() (fsyncs, groupCommits int64, st ManagerStats) {
 // the process dies, into a fresh directory and opens a manager on it.
 // A walSize ≥ 0 cuts the copy of id's log to that many bytes, as a power
 // failure keeps only what a sync covered; the journal is kept as is.
-func crashCopy(t *testing.T, dir, id string, walSize int64, opts ManagerOptions) *Manager {
+func crashCopy(t *testing.T, dir, id string, walSize int64, opts ManagerOptions, compactMin int) *Manager {
 	t.Helper()
 	cp := filepath.Join(t.TempDir(), "state")
 	if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
@@ -558,7 +559,7 @@ func crashCopy(t *testing.T, dir, id string, walSize int64, opts ManagerOptions)
 			t.Fatal(err)
 		}
 	}
-	m, err := NewManagerOpts(cp, opts)
+	m, err := openManager(cp, opts, compactMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,9 +616,9 @@ func continueBoth(t *testing.T, id string, from, n int, live *Manager, recovered
 // runAckedSuggest drives a case5 session through n intervals, then one
 // more Suggest, and checks that the acked suggest cost no sync point yet
 // was written to the log before its ack.
-func runAckedSuggest(t *testing.T, dir string, opts ManagerOptions, n int) (*Manager, *syncTracker, Advice) {
+func runAckedSuggest(t *testing.T, dir string, opts ManagerOptions, compactMin, n int) (*Manager, *syncTracker, Advice) {
 	t.Helper()
-	m, err := NewManagerOpts(dir, opts)
+	m, err := openManager(dir, opts, compactMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,10 +661,10 @@ func TestManagerSuggestPowerLoss(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m, tr, acked := runAckedSuggest(t, dir, arm.opts, n)
+			m, tr, acked := runAckedSuggest(t, dir, arm.opts, arm.compactMin, n)
 			var recovered []*Manager
 			for _, cut := range []int64{tr.durable, 0} {
-				m2 := crashCopy(t, dir, "db", cut, arm.opts)
+				m2 := crashCopy(t, dir, "db", cut, arm.opts, arm.compactMin)
 				retried, err := m2.Suggest(context.Background(), "db")
 				if err != nil {
 					t.Fatal(err)
@@ -687,8 +688,8 @@ func TestManagerSuggestKill9(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m, _, _ := runAckedSuggest(t, dir, arm.opts, n)
-			m2 := crashCopy(t, dir, "db", -1, arm.opts)
+			m, _, _ := runAckedSuggest(t, dir, arm.opts, arm.compactMin, n)
+			m2 := crashCopy(t, dir, "db", -1, arm.opts, arm.compactMin)
 			sameSnapshot(t, m, m2, "db")
 			continueBoth(t, "db", n, 4, m, m2)
 		})
@@ -706,7 +707,7 @@ func TestManagerKnowledgeSuggestSyncs(t *testing.T) {
 			dir := t.TempDir()
 			opts := arm.opts
 			opts.Knowledge = true
-			m, err := NewManagerOpts(dir, opts)
+			m, err := openManager(dir, opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -732,7 +733,7 @@ func TestManagerKnowledgeSuggestSyncs(t *testing.T) {
 					if fs != 1 || gc != 1 {
 						t.Fatalf("suggest %d: queried the fleet store and cost %d sync points and %d group commits, want 1 and 1", i, fs, gc)
 					}
-					m2 := crashCopy(t, dir, "db", tr.durable, opts)
+					m2 := crashCopy(t, dir, "db", tr.durable, opts, arm.compactMin)
 					sameSnapshot(t, m, m2, "db")
 					m2.Close()
 				}
@@ -760,7 +761,7 @@ func TestManagerEvictionSyncsOnce(t *testing.T) {
 			opts := arm.opts
 			opts.MaxResident = 1
 			dir := t.TempDir()
-			m, err := NewManagerOpts(dir, opts)
+			m, err := openManager(dir, opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -848,7 +849,7 @@ func TestManagerEvictionKeepsJournaledReport(t *testing.T) {
 	dir := t.TempDir()
 	opts := syncArms[0].opts
 	opts.MaxResident = 1
-	m, err := NewManagerOpts(dir, opts)
+	m, err := openManager(dir, opts, syncArms[0].compactMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -881,7 +882,7 @@ func TestManagerEvictionKeepsJournaledReport(t *testing.T) {
 	if got := after.Fsyncs - before.Fsyncs; got != 0 {
 		t.Fatalf("evicting a after its report cost %d sync points, want 0", got)
 	}
-	m2 := crashCopy(t, dir, "a", synced, opts)
+	m2 := crashCopy(t, dir, "a", synced, opts, syncArms[0].compactMin)
 	if got := m2.Stats().JournalPatchedRecords; got != 2 {
 		t.Fatalf("boot patched %d journal records, want a's suggest and report", got)
 	}
@@ -897,7 +898,7 @@ func TestManagerEvictionKeepsJournaledReport(t *testing.T) {
 func TestManagerStagedSuggestRidesAnyBatch(t *testing.T) {
 	dir := t.TempDir()
 	opts := syncArms[0].opts
-	m, err := NewManagerOpts(dir, opts)
+	m, err := openManager(dir, opts, syncArms[0].compactMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -925,7 +926,7 @@ func TestManagerStagedSuggestRidesAnyBatch(t *testing.T) {
 	if fs, gc := after.Fsyncs-before.Fsyncs, after.GroupCommits-before.GroupCommits; fs != 1 || gc != 1 {
 		t.Fatalf("b's report cost %d sync points and %d group commits, want 1 and 1", fs, gc)
 	}
-	m2 := crashCopy(t, dir, "a", synced, opts)
+	m2 := crashCopy(t, dir, "a", synced, opts, syncArms[0].compactMin)
 	if got := m2.Stats().JournalPatchedRecords; got != 1 {
 		t.Fatalf("boot patched %d journal records, want a's suggest", got)
 	}
@@ -968,7 +969,7 @@ func TestManagerDeleteEvictedForgetsLog(t *testing.T) {
 // whose last op was a suggest closes its log without syncing the staged
 // suggest into a file the delete then removes.
 func TestManagerDeleteAfterSuggestSyncsNothing(t *testing.T) {
-	m, err := NewManagerOpts(t.TempDir(), syncArms[0].opts)
+	m, err := openManager(t.TempDir(), syncArms[0].opts, syncArms[0].compactMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -996,7 +997,7 @@ func TestManagerDeleteAfterSuggestSyncsNothing(t *testing.T) {
 func TestManagerCloseSyncsOnce(t *testing.T) {
 	for _, arm := range syncArms {
 		t.Run(arm.name, func(t *testing.T) {
-			m, err := NewManagerOpts(t.TempDir(), arm.opts)
+			m, err := openManager(t.TempDir(), arm.opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}

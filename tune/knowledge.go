@@ -246,7 +246,7 @@ func (m *Manager) openKnowledge() (*fleetKnowledge, error) {
 			return nil, err
 		}
 	}
-	lg, recs, err := wal.Open(m.knowledgeWALPath(), m.walOptions())
+	lg, recs, err := wal.Open(m.knowledgeWALPath(), m.walOpts)
 	if err != nil {
 		return nil, err
 	}

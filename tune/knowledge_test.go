@@ -114,11 +114,11 @@ func TestManagerKnowledgeRestartEquivalence(t *testing.T) {
 			opts := arm.opts
 			opts.Knowledge = true
 			crashDir, controlDir := t.TempDir(), t.TempDir()
-			m1, err := NewManagerOpts(crashDir, opts)
+			m1, err := openManager(crashDir, opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mc, err := NewManagerOpts(controlDir, opts)
+			mc, err := openManager(controlDir, opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestManagerKnowledgeRestartEquivalence(t *testing.T) {
 			}
 			f.Close()
 
-			m2, err := NewManagerOpts(crashDir, opts)
+			m2, err := openManager(crashDir, opts, arm.compactMin)
 			if err != nil {
 				t.Fatalf("reopening after simulated crash: %v", err)
 			}
@@ -210,7 +210,7 @@ func TestManagerKnowledgeContributionPowerLoss(t *testing.T) {
 			dir := t.TempDir()
 			opts := arm.opts
 			opts.Knowledge = true
-			m, err := NewManagerOpts(dir, opts)
+			m, err := openManager(dir, opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestManagerKnowledgeContributionPowerLoss(t *testing.T) {
 			if err := os.Truncate(filepath.Join(cp, knowledgeWALFile), durable); err != nil {
 				t.Fatal(err)
 			}
-			m2, err := NewManagerOpts(cp, opts)
+			m2, err := openManager(cp, opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +417,7 @@ func TestManagerKnowledgeConcurrent(t *testing.T) {
 		t.Run(arm.name, func(t *testing.T) {
 			opts := arm.opts
 			opts.Knowledge = true
-			m, err := NewManagerOpts(t.TempDir(), opts)
+			m, err := openManager(t.TempDir(), opts, arm.compactMin)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,12 +57,6 @@ type ManagerOptions struct {
 	// negative = unlimited). Sessions beyond the bound are LRU-evicted to
 	// their compacted base+log form and re-hydrated on first touch.
 	MaxResident int
-	// CompactMin is the minimum tail length before compaction
-	// (0 = DefaultCompactMin). Compaction also waits for the tail's bytes
-	// to reach the base's, which keeps lifetime checkpoint I/O within
-	// twice the record bytes and a hydrate's replay within the state's
-	// size.
-	CompactMin int
 	// NoFsync skips fsyncs on WAL commits and base-snapshot writes.
 	// For benchmarks and tests; a power failure may lose committed
 	// intervals.
@@ -118,6 +112,12 @@ type ManagerOptions struct {
 type Manager struct {
 	stateDir string
 	opts     ManagerOptions
+	// walOpts are the Options every log and the journal open with: the
+	// fsync policy plus the fleet-wide sync counter.
+	walOpts wal.Options
+	// compactMin is the minimum tail length before compaction,
+	// DefaultCompactMin outside tests.
+	compactMin int
 
 	// committer is the shared group-commit pipeline (nil when the
 	// manager is in-memory only).
@@ -303,7 +303,8 @@ type ManagerStats struct {
 // and existing sessions are registered (but not hydrated) from their
 // on-disk form.
 func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
-	m := &Manager{stateDir: stateDir, opts: opts, sessions: map[string]*managedSession{}, lru: list.New()}
+	m := &Manager{stateDir: stateDir, opts: opts, compactMin: DefaultCompactMin, sessions: map[string]*managedSession{}, lru: list.New()}
+	m.walOpts = wal.Options{NoFsync: opts.NoFsync, SyncCounter: &m.fsyncs}
 	if stateDir != "" {
 		if err := fsutil.EnsureWritableDir(stateDir); err != nil {
 			return nil, fmt.Errorf("tune: state dir: %w", err)
@@ -363,11 +364,7 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 		}
 		m.sessions[id] = &managedSession{id: id, info: info}
 	}
-	c, err := wal.OpenCommitter(m.journalPath(), wal.CommitterOptions{
-		Interval:    opts.CommitInterval,
-		NoFsync:     opts.NoFsync,
-		SyncCounter: &m.fsyncs,
-	})
+	c, err := wal.OpenCommitter(m.journalPath(), opts.CommitInterval, m.walOpts)
 	if err != nil {
 		return nil, fmt.Errorf("tune: opening group-commit journal: %w", err)
 	}
@@ -424,7 +421,7 @@ func (m *Manager) recoverJournal() error {
 	}
 	// Every journaled record now lives in a fsynced session log (or was
 	// stale); empty the journal so the next boot starts clean.
-	j, _, err := wal.Open(m.journalPath(), m.walOptions())
+	j, _, err := wal.Open(m.journalPath(), m.walOpts)
 	if err != nil {
 		return err
 	}
@@ -443,7 +440,7 @@ func walIdx(rec []byte) (int64, error) {
 // at path and fsyncs the result. seq reads a record's sequence number;
 // an empty log's first record must carry first.
 func (m *Manager) patchLog(path string, payloads [][]byte, seq func([]byte) (int64, error), first int64) (int, error) {
-	lg, recs, err := wal.Open(path, m.walOptions())
+	lg, recs, err := wal.Open(path, m.walOpts)
 	if err != nil {
 		return 0, err
 	}
@@ -657,9 +654,6 @@ func (m *Manager) persistLocked(e *managedSession, op *walRecord) error {
 	m.mu.Lock()
 	e.info = info
 	m.mu.Unlock()
-	if m.stateDir == "" {
-		return nil
-	}
 	err := m.tryPersistLocked(e, op)
 	if err == nil {
 		return nil
@@ -717,19 +711,17 @@ func (m *Manager) Create(id string, cfg Config) (SessionInfo, error) {
 	var victims []*managedSession
 	err = func() error {
 		defer m.release(e)
-		if m.stateDir != "" {
-			if perr := m.tryPersistLocked(e, nil); perr != nil {
-				// Roll the registration back: a session that could not be
-				// made durable must not exist in memory only, or a client
-				// retry hits "already exists" for a session that would
-				// vanish on restart.
-				m.mu.Lock()
-				e.deleted = true
-				delete(m.sessions, id)
-				m.mu.Unlock()
-				e.dropLogLocked()
-				return perr
-			}
+		if perr := m.tryPersistLocked(e, nil); perr != nil {
+			// Roll the registration back: a session that could not be
+			// made durable must not exist in memory only, or a client
+			// retry hits "already exists" for a session that would
+			// vanish on restart.
+			m.mu.Lock()
+			e.deleted = true
+			delete(m.sessions, id)
+			m.mu.Unlock()
+			e.dropLogLocked()
+			return perr
 		}
 		victims = m.noteResident(e)
 		return nil

@@ -18,6 +18,17 @@ import (
 	"repro/internal/featurize"
 )
 
+// openManager is NewManagerOpts with session tails compacting at
+// compactMin events instead of DefaultCompactMin.
+func openManager(dir string, opts ManagerOptions, compactMin int) (*Manager, error) {
+	m, err := NewManagerOpts(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.compactMin = compactMin
+	return m, nil
+}
+
 // managedStep drives one suggest+report interval on session id through
 // m and on an uninterrupted reference session, asserting the manager's
 // advice is bitwise identical to the reference's.
@@ -124,7 +135,7 @@ func TestManagerLazyHydration(t *testing.T) {
 // identical to its uninterrupted reference throughout the churn.
 func TestManagerLRUEviction(t *testing.T) {
 	stateDir := t.TempDir()
-	m, err := NewManagerOpts(stateDir, ManagerOptions{MaxResident: 2, CompactMin: 4, NoFsync: true})
+	m, err := openManager(stateDir, ManagerOptions{MaxResident: 2, NoFsync: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func TestManagerLRUEviction(t *testing.T) {
 		t.Fatalf("expected eviction/rehydration churn across %d sessions: %+v", n, st)
 	}
 	if st.Compactions == 0 {
-		t.Fatalf("expected tail compactions at CompactMin=4: %+v", st)
+		t.Fatalf("expected tail compactions at compactMin=4: %+v", st)
 	}
 }
 
@@ -165,7 +176,7 @@ func TestManagerLRUEviction(t *testing.T) {
 // group-commit journal.
 func TestManagerCheckpointBytes(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManagerOpts(dir, ManagerOptions{CompactMin: 8, NoFsync: true})
+	m, err := openManager(dir, ManagerOptions{NoFsync: true}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +381,8 @@ func TestManagerDurabilityFailure(t *testing.T) {
 // identical to an uninterrupted reference the whole way.
 func TestManagerRolloutEvictionRestart(t *testing.T) {
 	stateDir := t.TempDir()
-	opts := ManagerOptions{MaxResident: 1, CompactMin: 8, NoFsync: true}
-	m, err := NewManagerOpts(stateDir, opts)
+	opts := ManagerOptions{MaxResident: 1, NoFsync: true}
+	m, err := openManager(stateDir, opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +413,7 @@ func TestManagerRolloutEvictionRestart(t *testing.T) {
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if m, err = NewManagerOpts(stateDir, opts); err != nil {
+			if m, err = openManager(stateDir, opts, 8); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -498,7 +509,7 @@ func TestManagerBootSweep(t *testing.T) {
 // the lock discipline; the final iteration counts check that no report
 // was lost in the churn.
 func TestManagerEvictionRaceHammer(t *testing.T) {
-	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{MaxResident: 2, CompactMin: 2, NoFsync: true})
+	m, err := openManager(t.TempDir(), ManagerOptions{MaxResident: 2, NoFsync: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +676,7 @@ var nextFreshSeed atomic.Int64
 // and a hydrated session's snapshot is byte-identical to the one it had
 // when it was evicted.
 func TestHydrateDoesNotRetrain(t *testing.T) {
-	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{MaxResident: 1, CompactMin: 4, NoFsync: true})
+	m, err := openManager(t.TempDir(), ManagerOptions{MaxResident: 1, NoFsync: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

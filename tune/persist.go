@@ -33,12 +33,6 @@ func (m *Manager) walPath(id string) string {
 	return filepath.Join(m.stateDir, id+".wal")
 }
 
-// walOptions are the Options every session log opens with: the manager
-// fsync policy plus the fleet-wide sync counter.
-func (m *Manager) walOptions() wal.Options {
-	return wal.Options{NoFsync: m.opts.NoFsync, SyncCounter: &m.fsyncs}
-}
-
 // walRecord is the JSON payload of one WAL frame: one op's event and
 // everything it derived, behind its envelope, built under the session
 // lock and handed to the Manager.
@@ -192,17 +186,13 @@ func (m *Manager) commitTail(e *managedSession, op *walRecord, payload []byte) e
 }
 
 // compactDue reports whether the WAL tail should fold into a new base:
-// once it holds at least CompactMin events and as many bytes as the
+// once it holds at least compactMin events and as many bytes as the
 // base. Every base is then paid for by at least its own size in
 // records, so lifetime checkpoint bytes stay within twice the record
 // bytes, and a hydrate replays at most about a base's worth of records:
 // bounded by the state's size, not the session's age.
 func (m *Manager) compactDue(e *managedSession) bool {
-	min := m.opts.CompactMin
-	if min <= 0 {
-		min = DefaultCompactMin
-	}
-	return e.log.Count() >= min && e.log.Size() >= e.baseBytes
+	return e.log.Count() >= m.compactMin && e.log.Size() >= e.baseBytes
 }
 
 // compactLocked writes the session's snapshot as a fresh base and
@@ -230,13 +220,13 @@ func (m *Manager) compactLocked(e *managedSession) error {
 // (so the committer's hold on the tail is released). A failed reset
 // drops the tail (*lg becomes nil); the owner's next write re-bases.
 func (m *Manager) rebase(path, walPath, tmpPrefix string, data []byte, lg **wal.Log) error {
-	if err := m.writeAtomic(path, tmpPrefix, data); err != nil {
+	if err := wal.WriteAtomic(path, tmpPrefix, data, m.walOpts); err != nil {
 		return err
 	}
 	m.checkpointBytes.Add(int64(len(data)))
 	m.committer.Forget(walPath)
 	if *lg == nil {
-		l, _, err := wal.Open(walPath, m.walOptions())
+		l, _, err := wal.Open(walPath, m.walOpts)
 		if err != nil {
 			return err
 		}
@@ -248,38 +238,6 @@ func (m *Manager) rebase(path, walPath, tmpPrefix string, data []byte, lg **wal.
 		return err
 	}
 	m.compactions.Add(1)
-	return nil
-}
-
-// writeAtomic writes data to path via a dot-prefixed temp file in the
-// state directory plus rename, fsyncing the file first (unless
-// NoFsync) so the rename never publishes torn contents. Temps orphaned
-// by a crash are swept at the next boot.
-func (m *Manager) writeAtomic(path, id string, data []byte) error {
-	tmp, err := os.CreateTemp(m.stateDir, "."+id+"-*")
-	if err != nil {
-		return err
-	}
-	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return err
-	}
-	m.fsyncs.Add(1) // logical sync point, counted even under NoFsync
-	if !m.opts.NoFsync {
-		if err := tmp.Sync(); err != nil {
-			cleanup()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
 	return nil
 }
 
@@ -295,7 +253,7 @@ func (m *Manager) hydrateLocked(e *managedSession) error {
 	if err != nil {
 		return fmt.Errorf("tune: reading session %q: %w", e.id, err)
 	}
-	lg, recs, err := wal.Open(m.walPath(e.id), m.walOptions())
+	lg, recs, err := wal.Open(m.walPath(e.id), m.walOpts)
 	if err != nil {
 		return fmt.Errorf("tune: opening wal for session %q: %w", e.id, err)
 	}
