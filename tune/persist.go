@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/knowledge"
 	"repro/internal/wal"
 )
 
@@ -31,6 +33,117 @@ func (m *Manager) basePath(id string) string {
 
 func (m *Manager) walPath(id string) string {
 	return filepath.Join(m.stateDir, id+".wal")
+}
+
+// journalPath is the shared group-commit journal's location. The name
+// carries none of the session-file suffixes, so the boot scan never
+// mistakes it for a session.
+func (m *Manager) journalPath() string {
+	return filepath.Join(m.stateDir, "fleet.journal")
+}
+
+// recoverJournal patches session WALs and the fleet knowledge tail from
+// the shared journal at boot. A crash can leave records whose only
+// durable copy is the journal (the log was flushed but its fsync
+// deferred to rotation), so each log's journal records that
+// contiguously extend its intact tail are appended — and fsynced —
+// before the journal is truncated. Records for sessions with no on-disk
+// files (deleted before the crash), records out of sequence and a
+// deleted-then-recreated id's earlier incarnation are dropped: a
+// genuine tail is always contiguous, because rotation fsyncs every log
+// before the journal truncates.
+func (m *Manager) recoverJournal() error {
+	recovered, err := wal.ReadJournal(m.journalPath())
+	if err != nil {
+		return err
+	}
+	for id, payloads := range recovered {
+		// An empty log anchors at its base: one past the store's lifetime
+		// count, or the session's next event.
+		var patched int
+		switch {
+		case id == knowledgeJournalID:
+			var base knowledge.Snapshot
+			if base, err = m.knowledgeBase(); err == nil {
+				patched, err = m.patchLog(m.knowledgeWALPath(), payloads, knowSeq, base.Contributions+1)
+			}
+		case validID(id) == nil:
+			h, herr := peekSnapshotHeader(m.basePath(id))
+			if herr != nil {
+				continue // no base to anchor a replay: deleted or never durable
+			}
+			patched, err = m.patchLog(m.walPath(id), payloads, walIdx, int64(h.Next))
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		m.journalPatched += patched
+	}
+	if len(recovered) == 0 {
+		return nil
+	}
+	// Every journaled record now lives in a fsynced session log (or was
+	// stale); empty the journal so the next boot starts clean.
+	j, _, err := wal.Open(m.journalPath(), m.walOpts)
+	if err != nil {
+		return err
+	}
+	defer j.Close()
+	return j.Reset()
+}
+
+// walIdx is a session record's sequence number: its event index.
+func walIdx(rec []byte) (int64, error) {
+	var env walEnvelope
+	err := json.Unmarshal(rec, &env)
+	return int64(env.Idx), err
+}
+
+// patchLog appends the journal payloads that contiguously extend the log
+// at path and fsyncs the result. seq reads a record's sequence number;
+// an empty log's first record must carry first.
+func (m *Manager) patchLog(path string, payloads [][]byte, seq func([]byte) (int64, error), first int64) (int, error) {
+	lg, recs, err := wal.Open(path, m.walOpts)
+	if err != nil {
+		return 0, err
+	}
+	defer lg.Close()
+	next := first
+	if len(recs) > 0 {
+		if next, err = seq(recs[len(recs)-1]); err != nil {
+			return 0, fmt.Errorf("final wal record: %w", err)
+		}
+		next++
+	}
+	// Each record is journaled once and in order, so one incarnation's
+	// sequence numbers strictly increase: everything up to the last
+	// non-increase belongs to a deleted incarnation of a since-recreated
+	// session id, and only what follows may extend this log.
+	seqs := make([]int64, len(payloads))
+	live := 0
+	for i, p := range payloads {
+		if seqs[i], err = seq(p); err != nil {
+			return 0, fmt.Errorf("journal payload: %w", err)
+		}
+		if i > 0 && seqs[i] <= seqs[i-1] {
+			live = i
+		}
+	}
+	patched := 0
+	for i := live; i < len(payloads); i++ {
+		if seqs[i] != next {
+			continue // already in the log, pre-base stale or after a gap
+		}
+		if err := lg.Append(payloads[i]); err != nil {
+			return patched, err
+		}
+		next++
+		patched++
+	}
+	if patched == 0 {
+		return 0, nil
+	}
+	return patched, lg.Commit()
 }
 
 // walRecord is the JSON payload of one WAL frame: one op's event and
@@ -238,6 +351,64 @@ func (m *Manager) rebase(path, walPath, tmpPrefix string, data []byte, lg **wal.
 		return err
 	}
 	m.compactions.Add(1)
+	return nil
+}
+
+// scanStateDir is the boot scan: it sweeps the temps a crash orphaned
+// and the tails no base anchors, and registers (but does not hydrate)
+// every session found in the state directory.
+func (m *Manager) scanStateDir() error {
+	entries, err := os.ReadDir(m.stateDir)
+	if err != nil {
+		return fmt.Errorf("tune: reading state dir: %w", err)
+	}
+	// A session is its <id>.base.json; any file that is neither a base
+	// nor a tail is not ours and is left alone.
+	for _, de := range entries {
+		if de.IsDir() {
+			continue
+		}
+		name := de.Name()
+		if strings.HasPrefix(name, ".") {
+			// A crash between CreateTemp and rename orphans an atomic-write
+			// temp; session ids cannot start with a dot, so anything
+			// dot-prefixed here is sweepable.
+			if os.Remove(m.stateDir+string(os.PathSeparator)+name) == nil {
+				m.sweptTemps++
+			}
+			continue
+		}
+		if id, ok := strings.CutSuffix(name, ".wal"); ok && validID(id) == nil {
+			if _, err := os.Stat(m.basePath(id)); os.IsNotExist(err) {
+				// An orphan tail: the crash happened before the session's
+				// first base rename, so there is nothing to anchor a replay to.
+				os.Remove(m.walPath(id))
+			}
+			continue
+		}
+		id, ok := strings.CutSuffix(name, ".base.json")
+		if !ok || validID(id) != nil {
+			continue
+		}
+		info, err := m.peekInfo(id)
+		if err != nil {
+			return fmt.Errorf("tune: scanning session %q: %w", id, err)
+		}
+		m.sessions[id] = &managedSession{id: id, info: info}
+	}
+	return nil
+}
+
+// removeFiles deletes the session's durable files.
+func (m *Manager) removeFiles(id string) error {
+	// Journal records for a deleted session are moot, resident or
+	// evicted: release the rotation hold before the log's file goes.
+	m.committer.Forget(m.walPath(id))
+	for _, p := range []string{m.basePath(id), m.walPath(id)} {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
 	return nil
 }
 
