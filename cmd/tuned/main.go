@@ -82,7 +82,7 @@ func main() {
 		}
 		log.Printf("tuned: cross-session group commit on (window %s)", commitWindow(*commitInterval))
 	}
-	if st, ok := m.KnowledgeStats(); ok {
+	if st := m.Stats().Knowledge; st != nil {
 		log.Printf("tuned: fleet knowledge base on: %d entr(ies) across %d cluster(s), %d lifetime contribution(s)",
 			st.Entries, st.Clusters, st.Contributions)
 	}

@@ -276,9 +276,7 @@ func ext8RunArm(name string, iters int, seed int64, warm bool) *ext8Arm {
 	}
 	s.Unsafe = ar.regressions
 	s.Failures = ar.failures
-	if st, ok := m.KnowledgeStats(); ok {
-		ar.know = &st
-	} else {
+	if ar.know = m.Stats().Knowledge; ar.know == nil {
 		ar.know = &knowledge.Stats{}
 	}
 	return ar

@@ -345,7 +345,7 @@ func TestHydrateAtEveryRecordBoundary(t *testing.T) {
 		}
 		live.capture(t, m)
 	}
-	if st, _ := m.KnowledgeStats(); st.WarmStarts == 0 {
+	if st := m.Stats().Knowledge; st.WarmStarts == 0 {
 		t.Fatal("the session never warm-started from the fleet store")
 	}
 	if st, err := m.Rollout("db"); err != nil || st.Promotions == 0 {

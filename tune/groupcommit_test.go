@@ -1046,7 +1046,7 @@ func TestManagerSyncBudget(t *testing.T) {
 			}
 		}
 		queries := func() int64 {
-			if ks, ok := m.KnowledgeStats(); ok {
+			if ks := m.Stats().Knowledge; ks != nil {
 				return ks.Queries
 			}
 			return 0

@@ -72,8 +72,8 @@ func TestManagerFleetWarmStart(t *testing.T) {
 			func() (Advice, error) { return m.Suggest(ctx, "donor") },
 			func(o Outcome) error { _, err := m.Report("donor", o); return err }, i)
 	}
-	st, ok := m.KnowledgeStats()
-	if !ok {
+	st := m.Stats().Knowledge
+	if st == nil {
 		t.Fatal("knowledge stats unavailable on a knowledge-enabled manager")
 	}
 	if st.Contributions == 0 || st.Entries == 0 {
@@ -86,7 +86,7 @@ func TestManagerFleetWarmStart(t *testing.T) {
 	if _, err := m.Suggest(ctx, "warm"); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = m.KnowledgeStats()
+	st = m.Stats().Knowledge
 	if st.Queries == 0 || st.WarmStarts == 0 {
 		t.Fatalf("cold session did not warm-start from the fleet store: %+v", st)
 	}
@@ -152,7 +152,7 @@ func TestManagerKnowledgeRestartEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st, _ := m1.KnowledgeStats(); st.Contributions == 0 {
+			if st := m1.Stats().Knowledge; st.Contributions == 0 {
 				t.Fatal("nothing contributed; the restart property would be vacuous")
 			}
 
@@ -179,8 +179,8 @@ func TestManagerKnowledgeRestartEquivalence(t *testing.T) {
 			if !bytes.Equal(export1, export2) {
 				t.Fatalf("restarted store diverged from pre-crash export:\n%s\nvs\n%s", export1, export2)
 			}
-			st2, _ := m2.KnowledgeStats()
-			stc, _ := mc.KnowledgeStats()
+			st2 := m2.Stats().Knowledge
+			stc := mc.Stats().Knowledge
 			if st2.Contributions != stc.Contributions || st2.Entries != stc.Entries {
 				t.Fatalf("restarted store %+v does not match never-restarted control %+v", st2, stc)
 			}
@@ -448,7 +448,7 @@ func TestManagerKnowledgeConcurrent(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			st, _ := m.KnowledgeStats()
+			st := m.Stats().Knowledge
 			if st.Contributions == 0 || st.Queries == 0 {
 				t.Fatalf("concurrent fleet produced no knowledge traffic: %+v", st)
 			}
@@ -485,7 +485,7 @@ func TestKnowledgeLogFailureRebases(t *testing.T) {
 	if _, err := os.Stat(m.knowledgeBasePath()); err != nil {
 		t.Fatalf("no fresh base after the failed write: %v", err)
 	}
-	want, _ := m.KnowledgeStats()
+	want := m.Stats().Knowledge
 	if want.Contributions != 2 || want.Entries == 0 {
 		t.Fatalf("store after the failed write: %+v", want)
 	}
@@ -501,7 +501,7 @@ func TestKnowledgeLogFailureRebases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	got, _ := m2.KnowledgeStats()
+	got := m2.Stats().Knowledge
 	if got.Contributions != want.Contributions || got.Entries != want.Entries {
 		t.Fatalf("restart recovered %+v, want %+v", got, want)
 	}
@@ -547,7 +547,7 @@ func recoveredContributions(t *testing.T, dir string, opts ManagerOptions) int64
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, _ := m.KnowledgeStats()
+	st := m.Stats().Knowledge
 	return st.Contributions
 }
 
@@ -724,5 +724,32 @@ func TestKnowledgeExportImport(t *testing.T) {
 	}
 	if _, err := plain.KnowledgeExport(); err == nil {
 		t.Fatal("export on a knowledge-less manager should fail")
+	}
+}
+
+// TestFailedBootClosesKnowledgeLog: a boot that fails after the fleet
+// store opened its log (here on a session base that is not JSON) closes
+// that log, so failed boots leak no descriptor.
+func TestFailedBootClosesKnowledgeLog(t *testing.T) {
+	fds := func() int {
+		t.Helper()
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(entries)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "x.base.json"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := fds()
+	for i := 0; i < 5; i++ {
+		if _, err := NewManagerOpts(dir, ManagerOptions{NoFsync: true, Knowledge: true}); err == nil {
+			t.Fatal("boot accepted a session base that is not JSON")
+		}
+	}
+	if leaked := fds() - before; leaked > 0 {
+		t.Fatalf("five failed boots left %d descriptors open", leaked)
 	}
 }

@@ -299,7 +299,7 @@ type ManagerStats struct {
 // durability: the directory is created if missing, verified writable,
 // and existing sessions are registered (but not hydrated) from their
 // on-disk form.
-func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
+func NewManagerOpts(stateDir string, opts ManagerOptions) (_ *Manager, err error) {
 	m := &Manager{stateDir: stateDir, opts: opts, compactMin: DefaultCompactMin, sessions: map[string]*managedSession{}, lru: list.New()}
 	m.walOpts = wal.Options{NoFsync: opts.NoFsync, SyncCounter: &m.fsyncs}
 	if stateDir != "" {
@@ -314,11 +314,16 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (*Manager, error) {
 		}
 	}
 	if opts.Knowledge {
-		k, err := m.openKnowledge()
-		if err != nil {
-			return nil, fmt.Errorf("tune: opening fleet knowledge base: %w", err)
+		k, kerr := m.openKnowledge()
+		if kerr != nil {
+			return nil, fmt.Errorf("tune: opening fleet knowledge base: %w", kerr)
 		}
 		m.know = k
+		defer func() {
+			if err != nil && k.log != nil {
+				k.log.Close() // a failed boot keeps no handle open
+			}
+		}()
 	}
 	if stateDir == "" {
 		return m, nil
@@ -566,12 +571,16 @@ func (m *Manager) Create(id string, cfg Config) (SessionInfo, error) {
 			// Roll the registration back: a session that could not be
 			// made durable must not exist in memory only, or a client
 			// retry hits "already exists" for a session that would
-			// vanish on restart.
+			// vanish on restart. Its files go first, while the id is
+			// still registered, so no concurrent create of it can have
+			// written them: a base renamed into place before the
+			// failure would bring the session back at the next boot.
+			e.dropLogLocked()
+			m.removeFiles(id)
 			m.mu.Lock()
 			e.deleted = true
 			delete(m.sessions, id)
 			m.mu.Unlock()
-			e.dropLogLocked()
 			return perr
 		}
 		victims = m.noteResident(e)
@@ -674,15 +683,6 @@ func (m *Manager) Stats() ManagerStats {
 		st.Knowledge = &kst
 	}
 	return st
-}
-
-// KnowledgeStats returns the fleet knowledge base's counters; ok is
-// false when the manager runs without one.
-func (m *Manager) KnowledgeStats() (knowledge.Stats, bool) {
-	if m.know == nil {
-		return knowledge.Stats{}, false
-	}
-	return m.know.stats(), true
 }
 
 // KnowledgeExport serializes the fleet knowledge base as versioned JSON

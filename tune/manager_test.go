@@ -777,3 +777,40 @@ func TestSessionKeepsNoOpLog(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateRefusedStaysRefused: a create whose first persist fails
+// after its base was renamed into place (the tail's path is a
+// directory, so the tail cannot open) is refused, and it stays refused
+// across a restart: the rollback removes the base, so the next boot
+// does not list the session.
+func TestCreateRefusedStaysRefused(t *testing.T) {
+	dir := t.TempDir()
+	tail := filepath.Join(dir, "x.wal")
+	if err := os.Mkdir(tail, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManagerOpts(dir, ManagerOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create("x", Config{Space: "case5", Seed: 1}); err == nil {
+		t.Fatal("a create whose tail cannot open succeeded")
+	}
+	if got := m.List(); len(got) != 0 {
+		t.Fatalf("a refused create is listed: %+v", got)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(tail); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewManagerOpts(dir, ManagerOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if got := m2.List(); len(got) != 0 {
+		t.Fatalf("a refused create came back after a restart: %+v", got)
+	}
+}

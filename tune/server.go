@@ -134,8 +134,8 @@ func NewServer(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/knowledge/stats", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := m.KnowledgeStats()
-		if !ok {
+		st := m.Stats().Knowledge
+		if st == nil {
 			writeError(w, http.StatusNotFound, errors.New("fleet knowledge base disabled"))
 			return
 		}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/dbsim"
 	"repro/internal/knobs"
+	"repro/internal/knowledge"
 	"repro/internal/workload"
 )
 
@@ -578,5 +579,36 @@ func TestManagerConcurrentSessions(t *testing.T) {
 		if info.Iter != 5 {
 			t.Fatalf("session %s at iter %d", info.ID, info.Iter)
 		}
+	}
+}
+
+// TestKnowledgeStatsOverHTTP: GET /v1/knowledge/stats is a 404 without
+// a fleet store and otherwise serves the store's counters as
+// ManagerStats.Knowledge reports them.
+func TestKnowledgeStatsOverHTTP(t *testing.T) {
+	off, err := NewManagerOpts("", ManagerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(off))
+	doJSON(t, srv, "GET", "/v1/knowledge/stats", nil, http.StatusNotFound, nil)
+	srv.Close()
+
+	on, err := NewManagerOpts("", ManagerOptions{Knowledge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := on.Create("db", Config{Space: "case5", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := on.Suggest(context.Background(), "db"); err != nil {
+		t.Fatal(err)
+	}
+	srv = httptest.NewServer(NewServer(on))
+	defer srv.Close()
+	var got knowledge.Stats
+	doJSON(t, srv, "GET", "/v1/knowledge/stats", nil, http.StatusOK, &got)
+	if want := on.Stats().Knowledge; got != *want || got.Queries == 0 {
+		t.Fatalf("served %+v, want %+v with the suggest's query counted", got, *want)
 	}
 }
