@@ -1,16 +1,16 @@
 // Package fsyncrename machine-checks the crash-ordering contract of
-// the repo's atomic checkpoint writes (tune/persist.go, internal/wal,
-// tune/knowledge.go): data reaches a temp file, the temp file is
-// fsynced, and only then does os.Rename publish it. A rename that is
-// not dominated by a sync can publish torn contents after a power
-// failure — exactly the corruption the tmp→fsync→rename protocol
-// exists to prevent.
+// the repo's atomic checkpoint write (internal/wal's WriteAtomic, which
+// publishes every session and fleet-store base): data reaches a temp
+// file, the temp file is fsynced, and only then does os.Rename publish
+// it. A rename not dominated by a sync can publish torn contents after
+// a power failure — exactly the corruption the tmp→fsync→rename
+// protocol exists to prevent.
 //
 // Two rules:
 //
 //  1. every os.Rename call must be preceded, earlier in the same
 //     function, by a sync-like call (an *os.File Sync, or a call whose
-//     name is Sync / SyncFile / syncNow / Commit — the repo's durable
+//     name is Sync / SyncFile / Commit — the repo's durable
 //     flush entry points);
 //  2. the error of a sync-like call must not be discarded (a bare
 //     expression statement or an assignment to blank): an fsync whose
@@ -37,9 +37,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // syncNames are the repo's durable-flush entry points by name
-// (receiver-independent): wal.Log.Commit and SyncFile, the unexported
-// syncNow, and any plain Sync method (os.File and wrappers).
-var syncNames = map[string]bool{"Sync": true, "SyncFile": true, "syncNow": true, "Commit": true}
+// (receiver-independent): wal.Log.Commit and SyncFile, and any plain
+// Sync method (os.File, wal.Options and wrappers).
+var syncNames = map[string]bool{"Sync": true, "SyncFile": true, "Commit": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	pass.FuncBodies(func(body *ast.BlockStmt) { checkFunc(pass, body) })

@@ -1,7 +1,8 @@
 // Committer is the fleet-wide group-commit pipeline: per-session log
-// appends share one journal fsync per batch instead of paying one fsync
-// per session per operation. It runs no goroutine of its own; the
-// callers waiting on a batch commit it.
+// appends share one journal fsync per batch instead of one per session
+// per operation. OpenCommitter(path, interval, opts) opens it with its
+// batch window and the Options every sync it issues uses. It runs no
+// goroutine; the callers waiting on a batch commit it.
 //
 // Protocol. Each operation (holding its session's op gate) appends its
 // record to the session log, flushes the log's buffer to the OS (write,

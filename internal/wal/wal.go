@@ -51,9 +51,8 @@ type Options struct {
 }
 
 // Sync is the one sync point: it counts the sync on SyncCounter and
-// fsyncs f unless NoFsync. Every durable write in this package (a Log's
-// Commit, SyncFile and Reset, a sync by path, WriteAtomic's temp file)
-// goes through it, and nothing else reads either field.
+// fsyncs f unless NoFsync. Every sync in this package goes through it,
+// and nothing else reads either field.
 func (o Options) Sync(f *os.File) error {
 	if o.SyncCounter != nil {
 		o.SyncCounter.Add(1)
@@ -176,7 +175,7 @@ func (l *Log) Commit() error {
 	if err := l.Flush(); err != nil {
 		return err
 	}
-	return l.syncNow()
+	return l.SyncFile()
 }
 
 // Flush writes every buffered append to the OS without fsyncing. The
@@ -197,11 +196,6 @@ func (l *Log) Flush() error {
 // It reads nothing Append writes, so it may run while another goroutine
 // appends to the log.
 func (l *Log) SyncFile() error {
-	return l.syncNow()
-}
-
-// syncNow issues (and counts) one sync point on the log's file.
-func (l *Log) syncNow() error {
 	return l.opts.Sync(l.f)
 }
 
@@ -255,7 +249,7 @@ func (l *Log) Reset() error {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	if err := l.syncNow(); err != nil {
+	if err := l.SyncFile(); err != nil {
 		return err
 	}
 	l.w.Reset(l.f)

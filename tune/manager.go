@@ -36,7 +36,7 @@ var (
 	ErrDurability = errors.New("durability failure")
 )
 
-// Defaults for ManagerOptions zero values.
+// Manager defaults: MaxResident's zero value and the compaction threshold.
 const (
 	// DefaultMaxResident bounds how many sessions are hydrated in memory
 	// at once before the least-recently-used is evicted back to its
@@ -571,17 +571,16 @@ func (m *Manager) Create(id string, cfg Config) (SessionInfo, error) {
 			// Roll the registration back: a session that could not be
 			// made durable must not exist in memory only, or a client
 			// retry hits "already exists" for a session that would
-			// vanish on restart. Its files go first, while the id is
-			// still registered, so no concurrent create of it can have
-			// written them: a base renamed into place before the
-			// failure would bring the session back at the next boot.
+			// vanish on restart. Its files go first, while no concurrent
+			// create of the id can have written them: a base renamed
+			// into place would bring the session back at the next boot.
 			e.dropLogLocked()
-			m.removeFiles(id)
+			rerr := m.removeFiles(id)
 			m.mu.Lock()
 			e.deleted = true
 			delete(m.sessions, id)
 			m.mu.Unlock()
-			return perr
+			return errors.Join(perr, rerr)
 		}
 		victims = m.noteResident(e)
 		return nil
