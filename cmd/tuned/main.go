@@ -30,7 +30,7 @@
 //	                                   "options": an overlay on the defaults, e.g. {"beta": 3}
 //	POST   /v1/sessions/db1/suggest    → configuration advice
 //	POST   /v1/sessions/db1/report     ← raw interval observation
-//	GET    /v1/sessions/db1/rollout    → canary or blue/green rollout status
+//	GET    /v1/sessions/db1/rollout    → rollout phase, blue/green replicas, last decision
 //	GET    /v1/sessions/db1/snapshot   → durable session snapshot
 //	GET    /healthz                    → session/residency/fsync counters
 package main

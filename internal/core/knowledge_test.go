@@ -68,7 +68,7 @@ func TestWarmStartStagesTransferOnShadow(t *testing.T) {
 	tuner := New(space, len(ctx), init, 1, opts)
 
 	rec := tuner.Recommend(ctx, whitebox.Env{HW: dbsim.DefaultHardware()}, 100)
-	if rec.RolloutPhase != string(rollout.PhaseCanary) {
+	if rec.RolloutPhase != string(rollout.PhaseTuning) {
 		t.Fatalf("warm start should open a canary, got phase %q kind %q", rec.RolloutPhase, rec.RegionKind)
 	}
 	if !reflect.DeepEqual(rec.Unit, init) {
@@ -167,7 +167,7 @@ func TestWarmStartDeterministic(t *testing.T) {
 			rec := tuner.Recommend(ctx, whitebox.Env{HW: dbsim.DefaultHardware()}, 100)
 			recs = append(recs, rec)
 			perf := 120 + float64(i%3)
-			if rec.RolloutPhase == string(rollout.PhaseCanary) {
+			if rec.RolloutPhase == string(rollout.PhaseTuning) {
 				tuner.ObservePair(i, ctx, 110, perf, 100, false, false)
 			} else {
 				tuner.Observe(i, ctx, rec.Unit, perf, 100, false)
@@ -213,7 +213,7 @@ func TestSafeObservationsContribute(t *testing.T) {
 	promoted := false
 	for i := 0; i < 40 && !promoted; i++ {
 		rec := tuner2.Recommend(ctx, whitebox.Env{HW: dbsim.DefaultHardware()}, 100)
-		if rec.RolloutPhase == string(rollout.PhaseCanary) {
+		if rec.RolloutPhase == string(rollout.PhaseTuning) {
 			tuner2.ObservePair(i, ctx, 105, 140, 100, false, false)
 		} else {
 			tuner2.Observe(i, ctx, rec.Unit, 105, 100, false)

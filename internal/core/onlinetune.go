@@ -171,7 +171,7 @@ type Recommendation struct {
 	// RolloutPhase is the rollout state this recommendation was routed
 	// through: "" (disabled — direct apply), "steady" (Unit goes straight
 	// to the primary), "switchover" (blue/green roles are swapping) or
-	// "canary"/"tuning"/"revalidate" (Unit/Config carry the primary's
+	// "tuning"/"revalidate" (Unit/Config carry the primary's
 	// last-good configuration while ShadowUnit/ShadowConfig carry the
 	// candidate staged on the other replica; report the pair through
 	// ObservePair).
@@ -731,6 +731,12 @@ func (o *OnlineTune) Observe(iter int, ctx, unit []float64, perf, tau float64, f
 	defer o.mu.Unlock()
 	t0 := now()
 	defer func() { o.times.ModelUpdate += since(t0) }()
+	o.observePrimaryLocked(iter, ctx, unit, perf, tau, failed)
+}
+
+// observePrimaryLocked records a measurement of the serving primary
+// alone. Callers hold o.mu.
+func (o *OnlineTune) observePrimaryLocked(iter int, ctx, unit []float64, perf, tau float64, failed bool) {
 	// A switchover interval measures the newly serving replica during
 	// its expected cache-cold dip: the measurement feeds the rollout
 	// controller's cost accounting (downtime, in-flight failures) but
@@ -755,25 +761,19 @@ func (o *OnlineTune) Observe(iter int, ctx, unit []float64, perf, tau float64, f
 // would have taught it while the regression (if any) stays on the
 // shadow. The rollout controller then consumes the pair and promotes or
 // rolls back once the comparison window fills. Without an active
-// canary the call degrades to a plain observation of the primary.
+// canary the call is Observe of the primary's measurement under the
+// last recommendation (switchover accounting included).
 func (o *OnlineTune) ObservePair(iter int, ctx []float64, primaryPerf, shadowPerf, tau float64, primaryFailed, shadowFailed bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	t0 := now()
 	defer func() { o.times.ModelUpdate += since(t0) }()
 	if o.roll == nil || !o.roll.CanaryActive() {
-		// Attribute the measurement to what the primary actually ran —
-		// the last recommendation. The controller's last-good can be
-		// ahead of it for one interval after a drift rollback (lastGood
-		// reverts to the anchor immediately, the primary only switches
-		// at the next Recommend), so it is only the final fallback.
 		unit := o.initialUnit
 		if o.lastRec != nil {
 			unit = o.lastRec.Unit
-		} else if o.roll != nil {
-			unit = o.roll.LastGood()
 		}
-		o.observeLocked(iter, ctx, unit, primaryPerf, tau, primaryFailed, true)
+		o.observePrimaryLocked(iter, ctx, unit, primaryPerf, tau, primaryFailed)
 		return
 	}
 	cand := mathx.VecClone(o.roll.Candidate())

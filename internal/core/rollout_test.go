@@ -49,9 +49,9 @@ func TestRolloutStagesEveryNewConfig(t *testing.T) {
 		}
 		res := in.Eval(rec.Config, w, dbsim.EvalOptions{})
 		perf := res.Objective(w.OLAP)
-		if rec.RolloutPhase == string(rollout.PhaseCanary) {
+		if rec.RolloutPhase == string(rollout.PhaseTuning) {
 			if rec.ShadowUnit == nil || rec.ShadowConfig == nil {
-				t.Fatalf("iter %d: canary phase without a staged shadow configuration", i)
+				t.Fatalf("iter %d: tuning phase without a staged shadow configuration", i)
 			}
 			sres := shadow.Eval(rec.ShadowConfig, w, dbsim.EvalOptions{})
 			tuner.ObservePair(i, ctx, perf, sres.Objective(w.OLAP), tau, res.Failed, sres.Failed)
@@ -105,13 +105,13 @@ func TestRolloutBlocksRegressingCandidate(t *testing.T) {
 	i := 0
 	for ; i < 80; i++ {
 		rec := tuner.Recommend(ctx, env, tau)
-		if rec.RolloutPhase == string(rollout.PhaseCanary) {
+		if rec.RolloutPhase == string(rollout.PhaseTuning) {
 			break
 		}
 		tuner.Observe(i, ctx, rec.Unit, 105+float64(i%5), tau, false)
 	}
 	rec := tuner.LastRecommendation()
-	if rec.RolloutPhase != string(rollout.PhaseCanary) {
+	if rec.RolloutPhase != string(rollout.PhaseTuning) {
 		t.Fatalf("tuner never started a canary in %d iterations", i)
 	}
 	cand := append([]float64(nil), rec.ShadowUnit...)
@@ -119,7 +119,7 @@ func TestRolloutBlocksRegressingCandidate(t *testing.T) {
 	// The shadow regresses hard in both window intervals.
 	tuner.ObservePair(i, ctx, 105, 60, tau, false, false)
 	rec2 := tuner.Recommend(ctx, env, tau)
-	if rec2.RolloutPhase != string(rollout.PhaseCanary) || rec2.RegionKind != "hold" {
+	if rec2.RolloutPhase != string(rollout.PhaseTuning) || rec2.RegionKind != "hold" {
 		t.Fatalf("mid-window recommendation should hold the canary, got phase %q kind %q", rec2.RolloutPhase, rec2.RegionKind)
 	}
 	tuner.ObservePair(i+1, ctx, 105, 60, tau, false, false)
@@ -187,5 +187,35 @@ func TestPendingRuleDeferredDuringCanary(t *testing.T) {
 	tuner.ObservePair(1, ctx, 105, 104, 100, false, false)
 	if tuner.pendingRule != nil {
 		t.Fatal("shadow measurement of the candidate must resolve the pending rule")
+	}
+}
+
+// TestMisroutedPairTakesObservePath: a pair reported while no candidate
+// is staged is the primary's measurement alone, so it runs Observe's
+// path — a bluegreen switchover interval drains into the cost
+// accounting and, being a cache-cold sample, stays out of the model.
+func TestMisroutedPairTakesObservePath(t *testing.T) {
+	space := knobs.CaseStudy5()
+	opts := DefaultOptions()
+	opts.Rollout = &rollout.Policy{Mode: rollout.ModeBlueGreen, Window: 1}
+	initial := space.Encode(space.DBADefault())
+	tuner := New(space, 3, initial, 3, opts)
+	ctx := []float64{0, 0, 0}
+
+	cand := append([]float64(nil), initial...)
+	cand[0] = 0.9
+	tuner.roll.Submit(cand)
+	tuner.ObservePair(0, ctx, 105, 110, 100, false, false)
+	if rec := tuner.Recommend(ctx, whitebox.Env{}, 100); rec.RolloutPhase != string(rollout.PhaseSwitchover) {
+		t.Fatalf("phase after a bluegreen promote = %q, want switchover", rec.RolloutPhase)
+	}
+	before := tuner.Repo.Len()
+	tuner.ObservePair(1, ctx, 50, 0, 100, false, false)
+	st := tuner.RolloutStatus()
+	if st.Phase != rollout.PhaseSteady || st.Metrics.Switchovers != 1 || st.Metrics.SwitchoverDowntime.Sum != 1 {
+		t.Fatalf("mis-routed pair skipped the switchover accounting: phase %q metrics %+v", st.Phase, st.Metrics)
+	}
+	if got := tuner.Repo.Len(); got != before {
+		t.Fatalf("the cold switchover sample fed the model: %d observations, want %d", got, before)
 	}
 }

@@ -71,7 +71,7 @@ func TestStateRoundTripContinuesBitIdentical(t *testing.T) {
 		perf := tau * (1 + 0.04*math.Sin(float64(i)) + 0.1*a.Unit[0])
 		failed := i%17 == 16
 		for _, o := range []*OnlineTune{live, restored} {
-			if o.RolloutPhase() == rollout.PhaseCanary {
+			if o.RolloutPhase() == rollout.PhaseTuning {
 				o.ObservePair(i, ctx, perf, perf*1.02, tau, false, failed)
 			} else {
 				o.Observe(i, ctx, a.Unit, perf, tau, failed)

@@ -8,31 +8,32 @@
 // a configuration that regresses in practice is observed regressing on
 // the staged replica and never reaches the primary.
 //
-// Two modes share the promotion machinery:
+// There is one machine. Two replicas, blue and green, take turns: one
+// serves at the last-good configuration while the other stands by at
+// it, or runs a staged candidate. A promotion swaps their roles. The
+// mode decides only how many intervals that swap occupies:
 //
+//   - bluegreen: both replicas are live, so the newly serving replica
+//     pays a cache-cold *switchover* of DefaultSwitchoverIntervals, whose
+//     cost (downtime intervals, in-flight failures, post-switch recovery
+//     time until throughput re-clears τ) goes into the per-session
+//     metrics.
 //   - canary (the default): the staged replica is a shadow that serves
-//     no traffic. Promotion is free — last-good simply becomes the
-//     candidate and the primary applies it on the next interval.
-//   - bluegreen: both replicas are live. Blue serves primary traffic at
-//     the last-good configuration while green is tuned with the
-//     candidate; when the candidate clears the promotion bar the
-//     controller executes an explicit *switchover* — the roles swap and
-//     green becomes the serving primary — and records its cost
-//     (downtime intervals, in-flight failures, post-switch recovery
-//     time until throughput re-clears τ) into the per-session metrics.
+//     no traffic, so the swap takes zero intervals and a canary never
+//     enters the switchover phase.
 //
 // The state machine (all coordinates are unit-hypercube encodings):
 //
 //	           Submit(candidate ≠ last-good)
 //	┌────────┐ ───────────────────────────► ┌────────────────┐
-//	│ steady │                              │ canary/tuning  │──┐
+//	│ steady │                              │     tuning     │──┐
 //	└────────┘ ◄──────────┬──────────────── └────────────────┘  │ ObservePair
 //	  ▲   ▲    rollback:  │ promote                  ▲          │ (fills the
 //	  │   │    candidate  │                          └──────────┘  window)
 //	  │   │    discarded  ▼
-//	  │   │  ┌────────────────────┐  bluegreen only: roles swap,
-//	  │   └──│     switchover     │  downtime/failure cost recorded
-//	  │      └────────────────────┘  over DefaultSwitchoverIntervals
+//	  │   │  ┌────────────────────┐  roles swap; bluegreen records the
+//	  │   └──│     switchover     │  downtime/failure cost over
+//	  │      └────────────────────┘  DefaultSwitchoverIntervals (canary: 0)
 //	  │  drift rollback pops the previous-good chain:
 //	  │      ┌────────────────────┐  chain target re-validated by a
 //	  └──────│     revalidate     │  short PAIRED window on the staged
@@ -48,9 +49,9 @@
 // never applied to the serving primary unvalidated: the primary reverts
 // to the anchor while the target fills a shortened paired window
 // (revalWindow) on the staged replica, and only a clean window promotes
-// it back (paying the normal switchover in bluegreen mode). Once the
-// chain is exhausted the primary stays at the initial safe
-// configuration, exactly as the pre-chain controller did.
+// it back (paying the normal switchover). Once the chain is exhausted
+// the primary stays at the initial safe configuration, exactly as the
+// pre-chain controller did.
 //
 // The controller is deterministic: every decision is a pure function of
 // the observed performance pairs, so a snapshot/replay of the driving
@@ -70,17 +71,14 @@ type Phase string
 
 // Phases. PhaseDirect is reported by drivers whose rollout is disabled
 // (the direct-apply ablation). An enabled controller is steady (primary
-// runs the last-good configuration, no candidate in flight), canary or
-// tuning (a candidate is staged — "canary" on the shadow replica in
-// canary mode, "tuning" on the live green replica in bluegreen mode),
-// switchover (bluegreen roles are swapping after a promote), or
-// revalidate (a previous-good chain target is filling a shortened
-// paired window on the staged replica after a drift rollback while the
-// primary serves the anchor).
+// runs the last-good configuration, no candidate in flight), tuning (a
+// candidate is staged on the non-serving replica), switchover (bluegreen
+// roles are swapping after a promote), or revalidate (a previous-good
+// chain target is filling a shortened paired window on the staged
+// replica after a drift rollback while the primary serves the anchor).
 const (
 	PhaseDirect     Phase = "direct"
 	PhaseSteady     Phase = "steady"
-	PhaseCanary     Phase = "canary"
 	PhaseTuning     Phase = "tuning"
 	PhaseSwitchover Phase = "switchover"
 	PhaseRevalidate Phase = "revalidate"
@@ -121,9 +119,10 @@ const (
 // Policy configures the staged rollout (a tuner without one applies
 // directly); the other rollout parameters are the constants above.
 type Policy struct {
-	// Mode selects the rollout mode: ModeCanary (default) stages
-	// candidates on a non-serving shadow replica; ModeBlueGreen keeps
-	// two live replicas and swaps them on promotion.
+	// Mode selects how long a promotion's role swap takes: ModeCanary
+	// (default) stages candidates on a non-serving shadow, so the swap
+	// is instant; ModeBlueGreen keeps two live replicas, and the swap
+	// costs a DefaultSwitchoverIntervals switchover.
 	Mode string `json:"mode,omitempty"`
 	// Window is the number of paired primary/staged observations the
 	// promotion decision requires (0 = DefaultWindow).
@@ -274,13 +273,12 @@ const (
 
 // Replica describes one replica's current assignment.
 type Replica struct {
-	// Name is the replica's stable identity: "primary"/"shadow" in
-	// canary mode, "blue"/"green" in bluegreen mode.
+	// Name is the replica's stable identity, "blue" or "green".
 	Name string `json:"name"`
 	// Role is RoleServing, RoleStaged, or RoleStandby.
 	Role string `json:"role"`
-	// Config is the unit-coordinate configuration the replica runs
-	// (omitted for an idle canary shadow).
+	// Config is the unit-coordinate configuration the replica runs: the
+	// candidate while staged, last-good otherwise.
 	Config []float64 `json:"config,omitempty"`
 	// Healthy is false while the replica's most recent observed
 	// interval failed.
@@ -296,7 +294,7 @@ type Status struct {
 	// primary (unit coordinates) — the rollback target.
 	LastGood []float64 `json:"last_good,omitempty"`
 	// Candidate is the configuration staged on the non-serving replica
-	// (canary/tuning phase only).
+	// (tuning and revalidate phases only).
 	Candidate []float64 `json:"candidate,omitempty"`
 	// Replicas describes each replica's role, configuration, and health.
 	Replicas []Replica `json:"replicas,omitempty"`
@@ -333,8 +331,8 @@ type Controller struct {
 // anchor, metrics included.
 type State struct {
 	LastGood []float64 `json:"last_good"`
-	// Candidate is non-nil exactly while a canary/tuning window is in
-	// flight.
+	// Candidate is non-nil exactly while a tuning or revalidate window
+	// is in flight.
 	Candidate []float64 `json:"candidate,omitempty"`
 	Primary   []float64 `json:"primary,omitempty"`
 	Shadow    []float64 `json:"shadow,omitempty"`
@@ -356,8 +354,9 @@ type State struct {
 	// serves the initial anchor, and only sticks on promotion.
 	Revalidating bool `json:"revalidating,omitempty"`
 
-	// Bluegreen switchover state: ServingBlue tracks which replica
-	// serves; SwitchLeft counts the remaining switchover intervals;
+	// Switchover state: ServingBlue tracks which replica serves;
+	// SwitchLeft counts the remaining switchover intervals (always 0 in
+	// canary mode);
 	// SwitchDowntime/SwitchFailures accumulate the in-flight cost;
 	// Recovering/RecoverIntervals track the post-switch window until
 	// throughput re-clears τ.
@@ -434,21 +433,17 @@ func (c *Controller) SetState(st State) error {
 }
 
 // CanaryActive reports whether a candidate is staged on the non-serving
-// replica (canary phase in canary mode, tuning phase in bluegreen).
+// replica (tuning or revalidate phase): the next report is a pair.
 func (c *Controller) CanaryActive() bool { return c.st.Candidate != nil }
 
 // Phase returns the controller's phase without copying any state (the
 // cheap alternative to Status for phase-only checks).
 func (c *Controller) Phase() Phase {
 	switch {
+	case c.st.Candidate != nil && c.st.Revalidating:
+		return PhaseRevalidate
 	case c.st.Candidate != nil:
-		if c.st.Revalidating {
-			return PhaseRevalidate
-		}
-		if c.policy.Mode == ModeBlueGreen {
-			return PhaseTuning
-		}
-		return PhaseCanary
+		return PhaseTuning
 	case c.st.SwitchLeft > 0:
 		return PhaseSwitchover
 	default:
@@ -457,12 +452,12 @@ func (c *Controller) Phase() Phase {
 }
 
 // Hold reports whether the next recommendation must hold the current
-// assignment instead of running the acquisition — true during
-// canary/tuning (a window is filling), revalidate (a chain target is
-// filling its probation window on the staged replica), and switchover
-// (roles are swapping). It returns the primary's configuration and the
-// staged candidate (nil during a switchover). Held iterations consume
-// no randomness, so replay stays exact.
+// assignment instead of running the acquisition — true during tuning (a
+// window is filling), revalidate (a chain target is filling its
+// probation window on the staged replica), and switchover (roles are
+// swapping). It returns the primary's configuration and the staged
+// candidate (nil during a switchover). Held iterations consume no
+// randomness, so replay stays exact.
 func (c *Controller) Hold() (primary, staged []float64, phase Phase, ok bool) {
 	if c.st.Candidate == nil && c.st.SwitchLeft == 0 {
 		return nil, nil, PhaseSteady, false
@@ -473,7 +468,8 @@ func (c *Controller) Hold() (primary, staged []float64, phase Phase, ok bool) {
 // LastGood returns the configuration currently applied to the primary.
 func (c *Controller) LastGood() []float64 { return c.st.LastGood }
 
-// Candidate returns the staged candidate (nil outside canary/tuning).
+// Candidate returns the staged candidate (nil outside tuning and
+// revalidate).
 func (c *Controller) Candidate() []float64 { return c.st.Candidate }
 
 // Submit routes a freshly recommended candidate. It returns the
@@ -486,18 +482,32 @@ func (c *Controller) Submit(candidate []float64) (primary, staged []float64) {
 	if c.st.Candidate != nil {
 		return c.st.LastGood, c.st.Candidate
 	}
-	if c.st.SwitchLeft > 0 {
+	if c.st.SwitchLeft > 0 || slices.Equal(candidate, c.st.LastGood) {
 		return c.st.LastGood, nil
 	}
-	if slices.Equal(candidate, c.st.LastGood) {
-		return c.st.LastGood, nil
-	}
-	c.st.Candidate = mathx.VecClone(candidate)
+	c.stage(mathx.VecClone(candidate))
+	return c.st.LastGood, c.st.Candidate
+}
+
+// stage puts candidate on the non-serving replica with an empty
+// comparison window.
+func (c *Controller) stage(candidate []float64) {
+	c.st.Candidate = candidate
 	c.st.Primary = c.st.Primary[:0]
 	c.st.Shadow = c.st.Shadow[:0]
 	c.st.Taus = c.st.Taus[:0]
 	c.st.StagedStart = -1
-	return c.st.LastGood, c.st.Candidate
+}
+
+// popChain stages the most recent previous-good entry on probation —
+// the primary keeps serving the anchor until the entry re-validates —
+// and returns the chain depth it was taken from.
+func (c *Controller) popChain() int {
+	n := len(c.st.Chain)
+	c.stage(c.st.Chain[n-1])
+	c.st.Chain = c.st.Chain[:n-1]
+	c.st.Revalidating = true
+	return n
 }
 
 // ObservePair records one paired interval measurement — the primary
@@ -536,7 +546,6 @@ func (c *Controller) ObservePair(iter int, primaryPerf, shadowPerf, tau float64,
 	if primaryFailed {
 		kind := c.decide(iter, EventRollback,
 			"primary failed under the last-good configuration mid-canary; candidate discarded and primary reverted to the initial safe configuration")
-		c.st.Revalidating = false
 		c.st.LastGood = mathx.VecClone(c.initial)
 		c.st.Chain = c.st.Chain[:0]
 		return kind
@@ -587,35 +596,28 @@ func (c *Controller) discard(iter int, reason string) string {
 	} else if c.st.Revalidating {
 		reason += "; chain exhausted, primary stays at the initial safe configuration"
 	}
-	ret := c.decide(iter, kind, reason)
-	if c.st.Revalidating {
-		if n := len(c.st.Chain); n > 0 {
-			c.st.Candidate = c.st.Chain[n-1]
-			c.st.Chain = c.st.Chain[:n-1]
-			c.st.StagedStart = -1
-			c.st.LastEvent.ChainDepth = len(c.st.Chain) + 1
-		} else {
-			c.st.Revalidating = false
-		}
+	c.decide(iter, kind, reason)
+	if kind == EventChainRollback {
+		c.st.LastEvent.ChainDepth = c.popChain()
 	}
-	return ret
+	return kind
 }
 
 // ObserveSteady records a non-paired primary measurement of unit and
-// drives every steady-side state: bluegreen switchover progress (cost
-// accounting and the EventSwitchover emission), post-switch recovery
-// tracking, and the drift rollback — a configuration that was healthy
-// when promoted can decay as the workload drifts, so a failure, or
-// Window consecutive measurements below τ by more than the regression
-// threshold, reverts the primary to the initial anchor and stages the
-// most recent previous-good chain entry for a shortened paired
-// revalidation window (EventChainRollback) or, with the chain empty,
-// simply reverts (EventRollback). Returns the emitted event kind or
-// "". No-op while a canary/tuning/revalidate window is active
-// (ObservePair owns those intervals) or when the measured unit is not
-// the current last-good — a promotion changes last-good one interval
-// before the primary actually switches, and a measurement of some other
-// configuration says nothing about last-good's health.
+// drives every steady-side state: switchover progress (cost accounting
+// and the EventSwitchover emission), post-switch recovery tracking, and
+// the drift rollback — a configuration that was healthy when promoted
+// can decay as the workload drifts, so a failure, or Window consecutive
+// measurements below τ by more than the regression threshold, reverts
+// the primary to the initial anchor and stages the most recent
+// previous-good chain entry for a shortened paired revalidation window
+// (EventChainRollback) or, with the chain empty, simply reverts
+// (EventRollback). Returns the emitted event kind or "". No-op while a
+// tuning/revalidate window is active (ObservePair owns those intervals)
+// or when the measured unit is not the current last-good — a promotion
+// changes last-good one interval before the primary actually switches,
+// and a measurement of some other configuration says nothing about
+// last-good's health.
 func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, failed bool) string {
 	if c.st.Candidate != nil {
 		c.st.SteadyBad = 0
@@ -641,17 +643,18 @@ func (c *Controller) ObserveSteady(iter int, unit []float64, perf, tau float64, 
 		if c.st.SwitchLeft > 0 {
 			return ""
 		}
+		n := c.switchoverIntervals()
 		c.st.Metrics.Switchovers++
 		c.st.Metrics.SwitchoverDowntime.Observe(c.st.SwitchDowntime)
 		c.st.Recovering = true
 		c.st.RecoverIntervals = 0
 		c.st.LastEvent = &Event{
 			Kind: EventSwitchover, Iter: iter, Candidate: mathx.VecClone(c.st.LastGood),
-			PrimaryMean: perf, TauMean: tau, Pairs: DefaultSwitchoverIntervals,
+			PrimaryMean: perf, TauMean: tau, Pairs: n,
 			Downtime: c.st.SwitchDowntime, InFlightFailures: c.st.SwitchFailures,
 			Reason: fmt.Sprintf(
 				"switchover complete: %s now serves the promoted configuration (%d downtime interval(s), %d in-flight failure(s) over %d interval(s))",
-				c.servingName(), c.st.SwitchDowntime, c.st.SwitchFailures, DefaultSwitchoverIntervals),
+				c.servingName(), c.st.SwitchDowntime, c.st.SwitchFailures, n),
 		}
 		return EventSwitchover
 	}
@@ -707,33 +710,25 @@ func (c *Controller) rollBack(iter int, perf, tau float64, failed bool) string {
 	// never applied unvalidated.
 	c.st.LastGood = mathx.VecClone(c.initial)
 
-	if n := len(c.st.Chain); n > 0 {
-		// The most recent previous-good entry goes on probation: it is
-		// staged on the non-serving replica and must clear a shortened
-		// paired window (revalWindow) against the anchor before it is
-		// promoted back — drift may have invalidated it too, and an
-		// unvalidated config must not reach the serving primary.
-		target := c.st.Chain[n-1]
-		c.st.Chain = c.st.Chain[:n-1]
-		c.st.Candidate = target
-		c.st.Revalidating = true
-		c.st.Primary = c.st.Primary[:0]
-		c.st.Shadow = c.st.Shadow[:0]
-		c.st.Taus = c.st.Taus[:0]
-		c.st.StagedStart = -1
-		c.st.StagedFailed = false
+	if len(c.st.Chain) > 0 {
+		// The most recent previous-good entry goes on probation: it must
+		// clear a shortened paired window (revalWindow) against the
+		// anchor before it is promoted back — drift may have invalidated
+		// it too, and an unvalidated config must not reach the serving
+		// primary.
+		depth := c.popChain()
 		c.st.Metrics.ChainRollbacks++
 		reason := fmt.Sprintf(
 			"applied configuration measured below the safety threshold for %d consecutive steady interval(s); primary reverted to the anchor and the previous promoted configuration (chain depth %d) staged for a %d-interval revalidation window",
-			streak, len(c.st.Chain)+1, c.revalWindow())
+			streak, depth, c.revalWindow())
 		if failed {
 			reason = fmt.Sprintf(
 				"primary failed under the applied configuration; primary reverted to the anchor and the previous promoted configuration (chain depth %d) staged for a %d-interval revalidation window",
-				len(c.st.Chain)+1, c.revalWindow())
+				depth, c.revalWindow())
 		}
 		c.st.LastEvent = &Event{
 			Kind: EventChainRollback, Iter: iter, Candidate: mathx.VecClone(demoted),
-			PrimaryMean: perf, TauMean: tau, Pairs: streak, ChainDepth: len(c.st.Chain) + 1,
+			PrimaryMean: perf, TauMean: tau, Pairs: streak, ChainDepth: depth,
 			Reason: reason,
 		}
 		return EventChainRollback
@@ -756,7 +751,18 @@ func (c *Controller) rollBack(iter int, perf, tau float64, failed bool) string {
 // up, so stepping back is cheaper than promoting forward.
 func (c *Controller) revalWindow() int { return (c.policy.Window + 1) / 2 }
 
-// decide finalizes the in-flight canary/tuning window.
+// switchoverIntervals is how many intervals a promotion's role swap
+// occupies: a live bluegreen replica's cache-cold dip, or none for a
+// canary shadow, which served no traffic before the swap.
+func (c *Controller) switchoverIntervals() int {
+	if c.policy.Mode == ModeBlueGreen {
+		return DefaultSwitchoverIntervals
+	}
+	return 0
+}
+
+// decide finalizes the in-flight tuning or revalidate window; every
+// outcome ends revalidation.
 func (c *Controller) decide(iter int, kind, reason string) string {
 	ev := &Event{
 		Kind: kind, Iter: iter, Candidate: mathx.VecClone(c.st.Candidate),
@@ -767,7 +773,6 @@ func (c *Controller) decide(iter int, kind, reason string) string {
 		c.st.Metrics.ChainRollbacks++
 	}
 	if kind == EventPromote {
-		c.st.Revalidating = false
 		c.st.Promotions++
 		if c.st.StagedStart >= 0 {
 			c.st.Metrics.PromoteLatency.Observe(iter - c.st.StagedStart + 1)
@@ -782,20 +787,19 @@ func (c *Controller) decide(iter int, kind, reason string) string {
 			}
 		}
 		c.st.LastGood = c.st.Candidate
-		if c.policy.Mode == ModeBlueGreen {
-			// The roles swap: the staged replica, already warm on the
-			// candidate, becomes the serving primary. The cutover cost
-			// is measured over the next DefaultSwitchoverIntervals intervals.
-			c.st.ServingBlue = !c.st.ServingBlue
-			c.st.ServingFailed, c.st.StagedFailed = c.st.StagedFailed, c.st.ServingFailed
-			c.st.SwitchLeft = DefaultSwitchoverIntervals
-			c.st.SwitchDowntime = 0
-			c.st.SwitchFailures = 0
-			ev.Reason += fmt.Sprintf("; switching traffic to %s", c.servingName())
-		}
+		// The roles swap: the staged replica, already warm on the
+		// candidate, becomes the serving primary. The cutover cost is
+		// measured over the next switchoverIntervals intervals.
+		c.st.ServingBlue = !c.st.ServingBlue
+		c.st.ServingFailed, c.st.StagedFailed = c.st.StagedFailed, c.st.ServingFailed
+		c.st.SwitchLeft = c.switchoverIntervals()
+		c.st.SwitchDowntime = 0
+		c.st.SwitchFailures = 0
+		ev.Reason += fmt.Sprintf("; switching traffic to %s", c.servingName())
 	} else {
 		c.st.Rollbacks++
 	}
+	c.st.Revalidating = false
 	c.st.Candidate = nil
 	c.st.Primary = c.st.Primary[:0]
 	c.st.Shadow = c.st.Shadow[:0]
@@ -807,38 +811,25 @@ func (c *Controller) decide(iter int, kind, reason string) string {
 
 // servingName is the serving replica's stable name.
 func (c *Controller) servingName() string {
-	if c.policy.Mode != ModeBlueGreen {
-		return "primary"
-	}
 	if c.st.ServingBlue {
 		return "blue"
 	}
 	return "green"
 }
 
-// stagedName is the non-serving replica's stable name.
-func (c *Controller) stagedName() string {
-	if c.policy.Mode != ModeBlueGreen {
-		return "shadow"
-	}
-	if c.st.ServingBlue {
-		return "green"
-	}
-	return "blue"
-}
-
-// replicas assembles the per-replica view for Status.
+// replicas assembles the per-replica view for Status. The non-serving
+// replica stands by at last-good unless a candidate is staged on it.
 func (c *Controller) replicas() []Replica {
 	serving := Replica{Name: c.servingName(), Role: RoleServing, Config: mathx.VecClone(c.st.LastGood), Healthy: !c.st.ServingFailed}
-	staged := Replica{Name: c.stagedName(), Role: RoleStandby, Healthy: !c.st.StagedFailed}
-	if c.st.Candidate != nil {
-		staged.Role = RoleStaged
-		staged.Config = mathx.VecClone(c.st.Candidate)
-	} else if c.policy.Mode == ModeBlueGreen {
-		// The bluegreen standby is live and warm at last-good.
-		staged.Config = mathx.VecClone(c.st.LastGood)
+	other := Replica{Name: "green", Role: RoleStandby, Config: mathx.VecClone(c.st.LastGood), Healthy: !c.st.StagedFailed}
+	if !c.st.ServingBlue {
+		other.Name = "blue"
 	}
-	return []Replica{serving, staged}
+	if c.st.Candidate != nil {
+		other.Role = RoleStaged
+		other.Config = mathx.VecClone(c.st.Candidate)
+	}
+	return []Replica{serving, other}
 }
 
 // Status returns a copy of the controller's externally visible state.

@@ -32,7 +32,7 @@ func TestCanaryPromotesAfterCleanWindow(t *testing.T) {
 	if !slices.Equal(primary, []float64{0.5, 0.5}) || !slices.Equal(shadow, cand) {
 		t.Fatalf("staging wrong: primary %v shadow %v", primary, shadow)
 	}
-	if got := c.Status().Phase; got != PhaseCanary {
+	if got := c.Status().Phase; got != PhaseTuning {
 		t.Fatalf("phase = %q", got)
 	}
 	// Two clean pairs: window (3) not yet full.
@@ -53,6 +53,13 @@ func TestCanaryPromotesAfterCleanWindow(t *testing.T) {
 	}
 	if st.LastEvent == nil || st.LastEvent.Kind != EventPromote || st.LastEvent.Pairs != 3 {
 		t.Fatalf("last event: %+v", st.LastEvent)
+	}
+	// A canary promote swaps the replicas as bluegreen does, in zero
+	// intervals: green serves the candidate and blue stands by at it.
+	serving, standby := st.Replicas[0], st.Replicas[1]
+	if serving.Name != "green" || serving.Role != RoleServing || standby.Name != "blue" ||
+		standby.Role != RoleStandby || !slices.Equal(standby.Config, cand) {
+		t.Fatalf("replicas after a canary promote: %+v", st.Replicas)
 	}
 }
 

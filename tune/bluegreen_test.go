@@ -61,54 +61,56 @@ func bgStep(t *testing.T, s *Session, serving, staged *dbsim.Instance, gen workl
 // TestSessionBlueGreenEndToEnd drives a bluegreen session through the
 // simulator via the role-keyed wire surface: candidates tune on the
 // green replica while blue serves, promotions swap the roles through an
-// explicit switchover, and the whole run snapshots and restores.
+// explicit switchover, and the whole run snapshots and restores. The
+// mode decides only the switchover's length, so a canary session on
+// the same seed promotes too but never reports the switchover phase.
 func TestSessionBlueGreenEndToEnd(t *testing.T) {
-	cfg := Config{Space: "case5", Seed: 7, Rollout: &RolloutConfig{Mode: RolloutModeBlueGreen}}
-	s, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(mode string) (*Session, map[string]int) {
+		s, err := NewSession(Config{Space: "case5", Seed: 7, Rollout: &RolloutConfig{Mode: mode}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Rollout()
+		if st.Mode != mode || len(st.Replicas) != 2 {
+			t.Fatalf("fresh %s status: %+v", mode, st)
+		}
+		if st.Replicas[0].Name != "blue" || st.Replicas[1].Name != "green" {
+			t.Fatalf("%s replica names: %+v", mode, st.Replicas)
+		}
+		serving := dbsim.New(knobs.CaseStudy5(), 9)
+		staged := dbsim.New(knobs.CaseStudy5(), 1009)
+		gen := workload.NewYCSB(5)
+		phases := map[string]int{}
+		for i := 0; i < 120; i++ {
+			adv := bgStep(t, s, serving, staged, gen, i)
+			if adv.RolloutPhase == "" {
+				t.Fatalf("iter %d: %s advice without a phase", i, mode)
+			}
+			phases[adv.RolloutPhase]++
+		}
+		if phases[RolloutTuning] == 0 {
+			t.Fatalf("120 %s iterations never staged a candidate", mode)
+		}
+		if s.Rollout().Promotions == 0 {
+			t.Fatalf("120 %s iterations never promoted", mode)
+		}
+		return s, phases
 	}
+	s, phases := run(RolloutModeBlueGreen)
 	st := s.Rollout()
-	if st.Mode != RolloutModeBlueGreen || len(st.Replicas) != 2 {
-		t.Fatalf("fresh bluegreen status: %+v", st)
-	}
-	if st.Replicas[0].Name != "blue" || st.Replicas[1].Name != "green" {
-		t.Fatalf("replica names: %+v", st.Replicas)
-	}
-
-	serving := dbsim.New(knobs.CaseStudy5(), 9)
-	staged := dbsim.New(knobs.CaseStudy5(), 1009)
-	gen := workload.NewYCSB(5)
-	phases := map[string]int{}
-	for i := 0; i < 120; i++ {
-		adv := bgStep(t, s, serving, staged, gen, i)
-		if adv.RolloutPhase == "" {
-			t.Fatalf("iter %d: bluegreen advice without a phase", i)
-		}
-		if adv.RolloutPhase == RolloutCanary {
-			t.Fatalf("iter %d: bluegreen session reported the canary phase", i)
-		}
-		phases[adv.RolloutPhase]++
-	}
-	if phases[RolloutTuning] == 0 {
-		t.Fatal("120 iterations never staged a candidate on the green replica")
-	}
-	st = s.Rollout()
-	if st.Promotions+st.Rollbacks == 0 {
-		t.Fatal("candidates tuned but no decision ever made")
-	}
 	// Every finished promotion performed its switchover (the last one
 	// may still be in flight when the loop ends).
-	if st.Promotions > 0 && st.Metrics.Switchovers < st.Promotions-1 {
+	if st.Metrics.Switchovers < st.Promotions-1 {
 		t.Fatalf("%d promotions but only %d switchovers", st.Promotions, st.Metrics.Switchovers)
 	}
-	if st.Metrics.Switchovers > 0 {
-		if phases[RolloutSwitchover] == 0 {
-			t.Fatal("switchovers recorded but no switchover-phase advice seen")
-		}
-		if st.Metrics.SwitchoverDowntime.Count != st.Metrics.Switchovers {
-			t.Fatalf("downtime histogram %+v vs %d switchovers", st.Metrics.SwitchoverDowntime, st.Metrics.Switchovers)
-		}
+	if phases[RolloutSwitchover] < st.Metrics.Switchovers || phases[RolloutSwitchover] == 0 {
+		t.Fatalf("%d switchovers recorded but %d switchover-phase advices seen", st.Metrics.Switchovers, phases[RolloutSwitchover])
+	}
+	if st.Metrics.SwitchoverDowntime.Count != st.Metrics.Switchovers {
+		t.Fatalf("downtime histogram %+v vs %d switchovers", st.Metrics.SwitchoverDowntime, st.Metrics.Switchovers)
+	}
+	if _, canary := run(RolloutModeCanary); canary[RolloutSwitchover] != 0 {
+		t.Fatalf("canary session reported the switchover phase %d time(s)", canary[RolloutSwitchover])
 	}
 	data, err := s.Snapshot()
 	if err != nil {
@@ -268,7 +270,7 @@ func TestOutcomeWireCompat(t *testing.T) {
 		ofl, onw := base, base
 		ofl.Performance = perf
 		onw.Measurements = map[Role]ReplicaPerf{RolePrimary: {Performance: perf}}
-		if a.RolloutPhase == RolloutCanary {
+		if a.RolloutPhase == RolloutTuning {
 			ofl.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: 130}}
 			onw.Measurements[RoleStaged] = ReplicaPerf{Performance: 130}
 		}

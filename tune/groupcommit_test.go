@@ -83,7 +83,7 @@ func TestManagerGroupCommitRolloutRestartEquivalence(t *testing.T) {
 		o := goldenOutcome(i)
 		o.Performance = 105 + float64(i%5)
 		o.Baseline = 90
-		if adv.RolloutPhase == RolloutCanary {
+		if adv.RolloutPhase == RolloutTuning {
 			o.Measurements = map[Role]ReplicaPerf{RoleStaged: shadow}
 		}
 		if _, err := m.Report("canary", o); err != nil {

@@ -43,7 +43,7 @@ func driveInterval(t *testing.T, suggest func() (Advice, error), report func(Out
 		t.Fatal(err)
 	}
 	o := knowOutcome(i, 115+float64(i%4))
-	if adv.RolloutPhase == RolloutCanary {
+	if adv.RolloutPhase == RolloutTuning {
 		o.Measurements = map[Role]ReplicaPerf{RoleStaged: {Performance: 125 + float64(i%3)}}
 	}
 	if err := report(o); err != nil {

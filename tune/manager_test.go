@@ -434,7 +434,7 @@ func TestManagerRolloutEvictionRestart(t *testing.T) {
 		if !reflect.DeepEqual(adv, want) {
 			t.Fatalf("iter %d: advice diverged\nmanaged:   %+v\nreference: %+v", i, adv, want)
 		}
-		o := outcome(i, adv.RolloutPhase == RolloutCanary)
+		o := outcome(i, adv.RolloutPhase == RolloutTuning)
 		if _, err := m.Report("canary", o); err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}

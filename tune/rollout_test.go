@@ -34,7 +34,7 @@ func rolloutStep(t *testing.T, s *Session, primary, shadow *dbsim.Instance, gen 
 		Baseline:    dba.Objective(w.OLAP),
 		Failed:      res.Failed,
 	}
-	if adv.RolloutPhase == RolloutCanary || adv.RolloutPhase == RolloutRevalidate {
+	if adv.RolloutPhase == RolloutTuning || adv.RolloutPhase == RolloutRevalidate {
 		st, ok := adv.Targets[RoleStaged]
 		if !ok || st.Config == nil || st.Unit == nil {
 			t.Fatalf("iter %d: %s advice without a staged configuration: %+v", i, adv.RolloutPhase, adv)
@@ -73,7 +73,7 @@ func TestSessionRolloutEndToEnd(t *testing.T) {
 				decisions++
 			}
 		}
-		if adv.RolloutPhase == RolloutCanary {
+		if adv.RolloutPhase == RolloutTuning {
 			canaries++
 		}
 		if adv.RolloutPhase == "" {
@@ -198,7 +198,7 @@ func TestRolloutOverHTTP(t *testing.T) {
 			var adv Advice
 			doJSON(t, srv, "POST", "/v1/sessions/canary/suggest", nil, http.StatusOK, &adv)
 			var sh *ReplicaPerf
-			if adv.RolloutPhase == RolloutCanary || adv.RolloutPhase == RolloutRevalidate {
+			if adv.RolloutPhase == RolloutTuning || adv.RolloutPhase == RolloutRevalidate {
 				sh = &ReplicaPerf{Performance: shadowPerf, Failed: shadowFailed}
 			}
 			doJSON(t, srv, "POST", "/v1/sessions/canary/report", outcome(i, sh), http.StatusOK, nil)

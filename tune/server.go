@@ -16,7 +16,7 @@ import (
 //	DELETE /v1/sessions/{id}           drop a session
 //	POST   /v1/sessions/{id}/suggest   → Advice
 //	POST   /v1/sessions/{id}/report    ← Outcome, → {"iter": n}
-//	GET    /v1/sessions/{id}/rollout   → canary or blue/green rollout status
+//	GET    /v1/sessions/{id}/rollout   → rollout phase, blue/green replicas, last decision
 //	GET    /v1/sessions/{id}/snapshot  → versioned snapshot JSON
 //	GET    /v1/knowledge/stats         fleet knowledge base counters
 //	GET    /v1/knowledge/export        fleet knowledge snapshot JSON

@@ -87,7 +87,7 @@ func (w Workload) snapshot(iter int) workload.Snapshot {
 
 // Role identifies a rollout replica target in the wire API: RolePrimary
 // is the serving replica, RoleStaged the replica evaluating a candidate
-// (the canary shadow, or the bluegreen green replica while tuning).
+// (the non-serving replica while a candidate is staged).
 type Role string
 
 // Replica roles used as keys in Advice.Targets and
@@ -135,7 +135,7 @@ type Outcome struct {
 	// Measurements reports per-replica measurements keyed by role. A
 	// RoleStaged entry carries the staged replica's measurement of the
 	// candidate configuration — required for the comparison window to
-	// advance while the session's rollout is in the canary/tuning phase,
+	// advance while the session's rollout is tuning or revalidating,
 	// ignored otherwise (a report without it still teaches the model the
 	// primary's measurement, but defers the promotion decision). A
 	// RolePrimary entry, when present, overrides the flat
@@ -200,8 +200,8 @@ type Advice struct {
 	IgnoredRule string `json:"ignored_rule,omitempty"`
 	// RolloutPhase is the rollout state this advice was routed through:
 	// empty (rollout disabled — Config goes straight to the primary),
-	// "steady" (no candidate in flight), "canary"/"tuning" (Config/Unit
-	// carry the primary's last-good configuration while
+	// "steady" (no candidate in flight), "tuning" (Config/Unit carry
+	// the primary's last-good configuration while
 	// Targets[RoleStaged] carries the candidate to run on the staged
 	// replica; report the paired measurement via
 	// Outcome.Measurements[RoleStaged]), "switchover" (a bluegreen
@@ -210,7 +210,7 @@ type Advice struct {
 	// chain target is on probation after a drift rollback).
 	RolloutPhase string `json:"rollout_phase,omitempty"`
 	// Targets is the per-replica assignment keyed by role: RolePrimary
-	// mirrors Config/Unit, RoleStaged (canary/tuning phase only) is the
+	// mirrors Config/Unit, RoleStaged (tuning/revalidate only) is the
 	// candidate to evaluate on the staged replica.
 	Targets map[Role]ConfigRef `json:"targets,omitempty"`
 	// EI is the model's Expected Improvement of this configuration over
@@ -479,7 +479,7 @@ func (s *Session) rolloutLocked() RolloutStatus {
 }
 
 // RolloutPhase returns just the session's rollout phase ("direct",
-// "steady", "canary", "tuning", "switchover", or "revalidate") without
+// "steady", "tuning", "switchover", or "revalidate") without
 // copying the controller state — for session listings polled per
 // request.
 func (s *Session) RolloutPhase() string {

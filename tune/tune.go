@@ -62,7 +62,6 @@ type RolloutEvent = rollout.Event
 const (
 	RolloutDirect     = string(rollout.PhaseDirect)
 	RolloutSteady     = string(rollout.PhaseSteady)
-	RolloutCanary     = string(rollout.PhaseCanary)
 	RolloutTuning     = string(rollout.PhaseTuning)
 	RolloutSwitchover = string(rollout.PhaseSwitchover)
 	RolloutRevalidate = string(rollout.PhaseRevalidate)
