@@ -280,8 +280,10 @@ type Replica struct {
 	// Config is the unit-coordinate configuration the replica runs: the
 	// candidate while staged, last-good otherwise.
 	Config []float64 `json:"config,omitempty"`
-	// Healthy is false while the replica's most recent observed
-	// interval failed.
+	// Healthy is false while the serving replica's most recent observed
+	// interval failed. A staged failure ends its window at once and is
+	// reported in LastEvent, so at rest only the serving replica's flag
+	// is tracked, and the other replica reads healthy.
 	Healthy bool `json:"healthy"`
 }
 
@@ -367,10 +369,9 @@ type State struct {
 	Recovering       bool `json:"recovering,omitempty"`
 	RecoverIntervals int  `json:"recover_intervals,omitempty"`
 
-	// Replica health: the most recent observed interval's failure flag
-	// per role.
+	// ServingFailed is the serving replica's most recent observed
+	// interval's failure flag.
 	ServingFailed bool `json:"serving_failed,omitempty"`
-	StagedFailed  bool `json:"staged_failed,omitempty"`
 
 	Promotions int     `json:"promotions"`
 	Rollbacks  int     `json:"rollbacks"`
@@ -535,7 +536,6 @@ func (c *Controller) ObservePair(iter int, primaryPerf, shadowPerf, tau float64,
 		c.st.StagedStart = iter
 	}
 	c.st.ServingFailed = primaryFailed
-	c.st.StagedFailed = shadowFailed
 	if shadowFailed {
 		reason := "staged replica failed under the candidate configuration"
 		if c.st.Revalidating {
@@ -791,7 +791,6 @@ func (c *Controller) decide(iter int, kind, reason string) string {
 		// candidate, becomes the serving primary. The cutover cost is
 		// measured over the next switchoverIntervals intervals.
 		c.st.ServingBlue = !c.st.ServingBlue
-		c.st.ServingFailed, c.st.StagedFailed = c.st.StagedFailed, c.st.ServingFailed
 		c.st.SwitchLeft = c.switchoverIntervals()
 		c.st.SwitchDowntime = 0
 		c.st.SwitchFailures = 0
@@ -804,7 +803,6 @@ func (c *Controller) decide(iter int, kind, reason string) string {
 	c.st.Primary = c.st.Primary[:0]
 	c.st.Shadow = c.st.Shadow[:0]
 	c.st.Taus = c.st.Taus[:0]
-	c.st.StagedFailed = false
 	c.st.LastEvent = ev
 	return kind
 }
@@ -821,7 +819,7 @@ func (c *Controller) servingName() string {
 // replica stands by at last-good unless a candidate is staged on it.
 func (c *Controller) replicas() []Replica {
 	serving := Replica{Name: c.servingName(), Role: RoleServing, Config: mathx.VecClone(c.st.LastGood), Healthy: !c.st.ServingFailed}
-	other := Replica{Name: "green", Role: RoleStandby, Config: mathx.VecClone(c.st.LastGood), Healthy: !c.st.StagedFailed}
+	other := Replica{Name: "green", Role: RoleStandby, Config: mathx.VecClone(c.st.LastGood), Healthy: true}
 	if !c.st.ServingBlue {
 		other.Name = "blue"
 	}

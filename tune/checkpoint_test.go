@@ -888,7 +888,7 @@ func BenchmarkHydrate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := &managedSession{id: "db"}
+		e := &managedSession{baseTail: m.sessionTail("db")}
 		if err := m.hydrateLocked(e); err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gp"
 	"repro/internal/knowledge"
-	"repro/internal/wal"
 )
 
 // knowAdapter connects one session's tuner to the fleet knowledge base
@@ -153,25 +152,28 @@ func (k *knowAdapter) Decide(assess func(logged *core.Decision) *core.Decision) 
 //	                     since the base was compacted
 //
 // Neither name matches a session-file suffix (".base.json", ".wal",
-// ".json"), so the boot scan never mistakes them for a session. A
-// record is synced by the group-commit batch that acks its report,
-// through its copy in fleet.journal, which boot patches back first.
-// Recovery restores the base and replays the tail's contributions; each
-// record carries the store's lifetime contribution count, so records
-// already folded into the base (a crash between the base rename and the
-// log reset) are skipped instead of double-counted. A torn final record
-// — the mid-contribution crash — is dropped by the WAL's own tail
-// truncation, losing at most that one advisory deposit.
+// ".json"), so the boot scan never mistakes them for a session. The pair
+// is a session's base+tail, written, failed and compacted by the same
+// code (baseTail): a record is staged in fleet.journal, which boot
+// patches back first, and synced by the next group-commit batch (a
+// refused stage syncs the tail in place). Recovery restores the base and
+// replays the tail's contributions; each record carries the store's
+// lifetime contribution count, so records already folded into the base
+// (a crash between the base rename and the log reset) are skipped
+// instead of double-counted. A torn final record — the mid-contribution
+// crash — is dropped by the WAL's own tail truncation, losing at most
+// that one advisory deposit.
 const (
 	knowledgeBaseFile = "fleet.knowledge"
 	knowledgeWALFile  = "fleet.knowledge-wal"
 	// knowledgeJournalID keys the store's records in the shared journal;
 	// its leading dot fails validID, so no session id can collide with it.
 	knowledgeJournalID = ".fleet.knowledge"
-	// knowledgeCompactMin is the WAL tail length that triggers folding it
-	// into a fresh base. The store's caps bound the base snapshot, so a
-	// fixed threshold bounds both per-contribution amortized I/O and boot
-	// replay length.
+	// knowledgeCompactMin is the store's minimum tail length in the one
+	// compaction rule (baseTail.due). It is higher than a session's
+	// DefaultCompactMin because the store's base, tens to hundreds of KB,
+	// is rewritten for the whole fleet: at 64, fleet-mixed rewrote it
+	// about three times as often and its WAL bytes per interval rose 6 %.
 	knowledgeCompactMin = 256
 )
 
@@ -201,12 +203,17 @@ func knowSeq(rec []byte) (int64, error) {
 // knowledgeBase reads the store's base snapshot, the zero Snapshot if
 // none was written yet. Its Contributions is the lifetime count folded
 // into it.
-func (m *Manager) knowledgeBase() (snap knowledge.Snapshot, err error) {
+func (m *Manager) knowledgeBase() (knowledge.Snapshot, error) {
 	data, err := os.ReadFile(m.knowledgeBasePath())
-	if os.IsNotExist(err) {
-		return snap, nil
+	if err != nil && !os.IsNotExist(err) {
+		return knowledge.Snapshot{}, err
 	}
-	if err == nil {
+	return parseKnowledgeBase(data)
+}
+
+// parseKnowledgeBase parses a base snapshot's bytes, nil meaning none.
+func parseKnowledgeBase(data []byte) (snap knowledge.Snapshot, err error) {
+	if data != nil {
 		if err = json.Unmarshal(data, &snap); err != nil {
 			err = fmt.Errorf("parsing %s: %w", knowledgeBaseFile, err)
 		}
@@ -215,53 +222,46 @@ func (m *Manager) knowledgeBase() (snap knowledge.Snapshot, err error) {
 }
 
 // fleetKnowledge is the Manager-owned fleet knowledge base: one shared
-// knowledge.Store plus base+WAL durability through the Manager's rebase,
-// under the session's failure rule. The store itself is
-// concurrency-safe; mu serializes WAL appends and rebases across
-// sessions.
+// knowledge.Store, durable as a session is, through the same baseTail.
+// The store itself is concurrency-safe; mu serializes the tail's writes
+// and rebases across sessions.
 type fleetKnowledge struct {
 	store *knowledge.Store
 	m     *Manager
 
-	mu sync.Mutex
-	// log is nil without a state directory, and after a failed write
-	// until the next contribution or Close re-bases the store.
-	log *wal.Log
+	mu       sync.Mutex
+	baseTail // its log is nil without a state directory, and while dropped
 }
 
 // openKnowledge builds the manager's fleet knowledge base, restoring the
 // base snapshot and replaying the contribution WAL when a state
 // directory is configured.
 func (m *Manager) openKnowledge() (*fleetKnowledge, error) {
-	k := &fleetKnowledge{store: knowledge.NewStore(knowledge.DefaultParams()), m: m}
+	k := &fleetKnowledge{store: knowledge.NewStore(knowledge.DefaultParams()), m: m, baseTail: baseTail{
+		id: knowledgeJournalID, prefix: knowledgeBaseFile, basePath: m.knowledgeBasePath(), walPath: m.knowledgeWALPath()}}
 	if m.stateDir == "" {
 		return k, nil
 	}
-	base, err := m.knowledgeBase()
-	if err != nil {
-		return nil, err
+	data, recs, err := m.open(&k.baseTail)
+	var base knowledge.Snapshot
+	if err == nil {
+		base, err = parseKnowledgeBase(data)
 	}
-	if base.Version != 0 {
-		if err := k.store.Restore(base); err != nil {
-			return nil, err
-		}
+	if err == nil && base.Version != 0 {
+		err = k.store.Restore(base)
 	}
-	lg, recs, err := wal.Open(m.knowledgeWALPath(), m.walOpts)
-	if err != nil {
-		return nil, err
-	}
-	for i, rec := range recs {
+	for i := 0; err == nil && i < len(recs); i++ {
 		var r knowRecord
-		if err := json.Unmarshal(rec, &r); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("knowledge wal record %d: %w", i, err)
+		if err = json.Unmarshal(recs[i], &r); err != nil {
+			err = fmt.Errorf("knowledge wal record %d: %w", i, err)
+		} else if r.Seq > base.Contributions { // else already folded into the base
+			k.store.Contribute(r.C)
 		}
-		if r.Seq <= base.Contributions {
-			continue // already folded into the base
-		}
-		k.store.Contribute(r.C)
 	}
-	k.log = lg
+	if err != nil {
+		k.drop()
+		return nil, err
+	}
 	return k, nil
 }
 
@@ -270,14 +270,14 @@ func (f *fleetKnowledge) Query(engine, space string, ctx []float64) *knowledge.A
 	return f.store.Query(engine, space, ctx)
 }
 
-// Contribute deposits into the store and makes the deposit durable: it
-// is staged in the shared journal, whose next batch (the report's) syncs
-// it. The store is advisory, so durability failures never propagate to
-// the tuning operation. The failure rule is the session's: a failed
-// append or a refused stage drops the tail (its flush state is unknown,
-// and appending after it could tear the middle of the log) and the same
-// call re-bases; a tail that is still dropped is re-based by the next
-// contribution or by Close.
+// Contribute deposits into the store and makes the deposit durable
+// through the session's write: it is staged in the shared journal, whose
+// next batch (the report's) syncs it, and a refused stage syncs the tail
+// in place. The store is advisory, so durability failures never
+// propagate to the tuning operation: a failed write drops the tail and
+// the same call re-bases, and a tail that is still dropped is re-based
+// by the next contribution or by Close. The tail compacts under the
+// session's rule, with knowledgeCompactMin as its minimum.
 func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -295,17 +295,8 @@ func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 		if err != nil {
 			return
 		}
-		if err = f.log.Append(data); err == nil {
-			err = f.log.Flush()
-		}
-		if err == nil && f.m.committer.Stage(knowledgeJournalID, f.log, data) {
-			f.m.checkpointBytes.Add(int64(len(data)))
-			if f.log.Count() < knowledgeCompactMin {
-				return
-			}
-		} else {
-			f.log.Close()
-			f.log = nil
+		if f.m.write(&f.baseTail, data, false) == nil && !f.due(knowledgeCompactMin) {
+			return
 		}
 	}
 	f.rebaseLocked() // a failure leaves the tail dropped, for the next contribution or Close
@@ -320,7 +311,7 @@ func (f *fleetKnowledge) rebaseLocked() error {
 	if err != nil {
 		return err
 	}
-	return f.m.rebase(f.m.knowledgeBasePath(), f.m.knowledgeWALPath(), knowledgeBaseFile, data, &f.log)
+	return f.m.rebase(&f.baseTail, data)
 }
 
 // stats returns the store's counters.
@@ -365,12 +356,5 @@ func (f *fleetKnowledge) Close() error {
 	if f.m.stateDir == "" {
 		return nil
 	}
-	if f.log == nil {
-		if err := f.rebaseLocked(); err != nil {
-			return err
-		}
-	}
-	err := f.log.Close()
-	f.log = nil
-	return err
+	return f.close(f.rebaseLocked)
 }

@@ -507,12 +507,14 @@ func TestKnowledgeLogFailureRebases(t *testing.T) {
 	}
 }
 
-// TestKnowledgeRefusedStageRebases: with the committer closed, a
-// contribution's stage is refused, so the same call drops the tail and
-// re-bases the store. Dropping the tail syncs nothing, so the
-// contribution costs 2 sync points: the base write and the tail's reset.
-func TestKnowledgeRefusedStageRebases(t *testing.T) {
-	m, err := NewManagerOpts(t.TempDir(), ManagerOptions{Knowledge: true, NoFsync: true})
+// TestKnowledgeRefusedStageSyncsInPlace: with the committer closed, a
+// contribution's stage is refused, so the same call syncs the tail in
+// place, as a session's refused stage does: 1 sync point and no re-base.
+// A crash copy of the state directory still recovers the contribution.
+func TestKnowledgeRefusedStageSyncsInPlace(t *testing.T) {
+	dir := t.TempDir()
+	opts := ManagerOptions{Knowledge: true, NoFsync: true}
+	m, err := NewManagerOpts(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,12 +525,98 @@ func TestKnowledgeRefusedStageRebases(t *testing.T) {
 	before := m.Stats()
 	m.know.Contribute(fleetContribution(1))
 	after := m.Stats()
-	if got := after.Compactions - before.Compactions; got != 1 {
-		t.Fatalf("a refused stage ran %d re-bases, want 1", got)
+	if got := after.Compactions - before.Compactions; got != 0 {
+		t.Fatalf("a refused stage ran %d re-bases, want 0", got)
 	}
-	if got := after.Fsyncs - before.Fsyncs; got != 2 {
-		t.Fatalf("a refused stage cost %d sync points, want 2: the base write and the tail's reset", got)
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Fatalf("a refused stage cost %d sync points, want 1: the tail's own", got)
 	}
+	crashed := filepath.Join(t.TempDir(), "state")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredContributions(t, crashed, opts); got != 1 {
+		t.Fatalf("a crash-restart recovered %d of 1 contribution", got)
+	}
+}
+
+// TestKnowledgeCompactsBySessionRule: the store's tail folds into a new
+// base under the session's rule, at least knowledgeCompactMin records
+// and as many bytes as the base. Behind a large imported base, 256
+// contributions do not compact, and the tail compacts exactly once, when
+// its bytes reach the base's; behind a small base it compacts at
+// exactly 256.
+func TestKnowledgeCompactsBySessionRule(t *testing.T) {
+	// imported returns a manager whose base is an import of n
+	// contributions spread over many spaces and contexts.
+	imported := func(n int) *Manager {
+		t.Helper()
+		src := knowledge.NewStore(knowledge.DefaultParams())
+		for i := 0; i < n; i++ {
+			c := fleetContribution(i)
+			c.Space = fmt.Sprintf("case5-%d", i%16)
+			c.Context = []float64{float64(i) / float64(n), float64(i%7) / 7}
+			c.Hyper = []float64{0.1 * float64(i%5), -1, 0.5}
+			src.Contribute(c)
+		}
+		data, err := json.Marshal(src.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManagerOpts(t.TempDir(), ManagerOptions{Knowledge: true, NoFsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		if _, err := m.KnowledgeImport(data); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// contribute adds contributions i in [from, to) and returns how many
+	// compactions they ran.
+	contribute := func(m *Manager, from, to int) int64 {
+		before := m.Stats().Compactions
+		for i := from; i < to; i++ {
+			m.know.Contribute(fleetContribution(i))
+		}
+		return m.Stats().Compactions - before
+	}
+
+	t.Run("large base", func(t *testing.T) {
+		m := imported(2000)
+		fi, err := os.Stat(m.knowledgeBasePath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := fi.Size()
+		if got := contribute(m, 0, knowledgeCompactMin); got != 0 {
+			t.Fatalf("%d contributions behind a %d B base ran %d compactions, want 0", knowledgeCompactMin, base, got)
+		}
+		if size := m.know.log.Size(); size >= base {
+			t.Fatalf("the base (%d B) does not outweigh %d records (%d B)", base, knowledgeCompactMin, size)
+		}
+		i, compactions := knowledgeCompactMin, int64(0)
+		for ; compactions == 0 && i < 100*knowledgeCompactMin; i++ {
+			size := m.know.log.Size()
+			if compactions = contribute(m, i, i+1); compactions == 0 && size >= base {
+				t.Fatalf("the tail reached %d B behind a %d B base without compacting", size, base)
+			}
+		}
+		if compactions != 1 || m.know.log.Count() != 0 {
+			t.Fatalf("the tail reaching the base's bytes ran %d compactions and left %d records, want 1 and 0", compactions, m.know.log.Count())
+		}
+		t.Logf("behind a %d B base the tail compacted at record %d", base, i)
+	})
+	t.Run("small base", func(t *testing.T) {
+		m := imported(1)
+		if got := contribute(m, 0, knowledgeCompactMin-1); got != 0 {
+			t.Fatalf("%d contributions ran %d compactions, want 0", knowledgeCompactMin-1, got)
+		}
+		if got := contribute(m, knowledgeCompactMin-1, knowledgeCompactMin); got != 1 {
+			t.Fatalf("contribution %d ran %d compactions, want 1", knowledgeCompactMin, got)
+		}
+	})
 }
 
 // fleetContribution is the i-th of a run of valid contributions to one

@@ -83,22 +83,23 @@ type ManagerOptions struct {
 // hydration or fsync never blocks another session, List or Stats.
 //
 // Durability: each operation appends its one record to the session's
-// write-ahead log (<id>.wal), one sync point per interval — a suggest's
-// is staged and rides the next batch — and a periodic compaction
-// writes the session's exact state as an atomic base snapshot
-// (<id>.base.json) and resets the tail, so lifetime checkpoint bytes
-// stay linear in session length instead of quadratic. The group
-// committer is the one way a record becomes durable, and it shares the
-// sync point fleet-wide: appends land in the session log unsynced and
-// in a shared journal (fleet.journal) whose single fsync per batch makes
-// every session in the batch durable at once. A session log pays its
-// own sync debt only when compaction resets it or a stage is refused;
-// otherwise the committer syncs it by path at journal rotation and
-// shutdown, resident or evicted: closing a log never syncs it.
-// Recovery installs the base's state while the tail decodes on another
-// goroutine, then replays the tail: with a core free, a hydrate costs
-// the base's parse plus the replay, and deterministic replay makes the
-// recovered session bitwise-identical to the one that crashed.
+// write-ahead log (<id>.wal), and a periodic compaction writes the
+// session's exact state as an atomic base snapshot (<id>.base.json) and
+// resets the tail, so lifetime checkpoint bytes stay linear in session
+// length instead of quadratic. The fleet knowledge store persists the
+// same way, through the same baseTail: one write, one failure rule (a
+// failed write drops the tail; the next write re-bases), one compaction
+// rule. The group committer is the one way a record becomes durable,
+// one sync point per interval shared fleet-wide: a tail's appends land
+// unsynced and in a shared journal (fleet.journal) whose one fsync per
+// batch makes the whole batch durable; a suggest or a contribution is
+// staged and rides the next batch. A tail pays its own sync debt only
+// when compaction resets it or a stage is refused; otherwise the
+// committer syncs it by path at journal rotation and shutdown, resident
+// or evicted: closing a log never syncs it. Recovery installs the base's
+// state while the tail decodes on another goroutine, then replays the
+// tail: deterministic replay makes the recovered session
+// bitwise-identical to the one that crashed.
 //
 // Memory: sessions hydrate lazily. Boot reads only snapshot headers and
 // WAL tails (O(#sessions)); a session's base is decoded and its tail
@@ -154,7 +155,7 @@ type Manager struct {
 // s is nil while the session lives only on disk.
 //
 // Concurrency: the registry fields are guarded by Manager.mu. The
-// heavyweight state — s, log, baseBytes — is guarded by the
+// heavyweight state — s and its base+tail — is guarded by the
 // op GATE (busy + cond): acquire claims it and release hands it off,
 // both under Manager.mu, so gate holders access the state without any
 // lock held. That keeps candidate scoring, checkpoint serialization and
@@ -163,7 +164,9 @@ type Manager struct {
 // bitwise-deterministic. Methods with the Locked suffix require the
 // entry's gate, not Manager.mu.
 type managedSession struct {
-	id string
+	// Guarded by the op gate (id is immutable). The log is nil until the
+	// first persist or hydration, and while a failed persist dropped it.
+	baseTail
 
 	// Guarded by Manager.mu.
 	cond    *sync.Cond    // bound to Manager.mu, created on first wait; signals gate release
@@ -172,13 +175,7 @@ type managedSession struct {
 	elem    *list.Element // LRU node; nil when not resident or selected for eviction
 	info    SessionInfo   // cached summary List and Info serve without hydrating
 
-	// Guarded by the op gate.
-	s *Session // nil when evicted
-	// log is nil until the first persist or hydration opens it, and again
-	// after a failed persist: the next one then re-bases the session.
-	log *wal.Log
-	// baseBytes is the size of the on-disk base snapshot.
-	baseBytes int64
+	s *Session // guarded by the op gate; nil when evicted
 }
 
 // acquire claims e's op gate, blocking behind the current holder. It
@@ -209,21 +206,6 @@ func (m *Manager) release(e *managedSession) {
 		e.cond.Broadcast()
 	}
 	m.mu.Unlock()
-}
-
-// dropLogLocked closes and forgets the WAL handle — at eviction and
-// Close, after a write error left it in an unknown state, or before its
-// file is removed. Closing syncs nothing: the records the journal holds
-// for the log stay the committer's debt, synced by path. A resident
-// session's next persist then rewrites an atomic base instead of
-// appending to a possibly-torn log.
-func (e *managedSession) dropLogLocked() error {
-	if e.log == nil {
-		return nil
-	}
-	err := e.log.Close()
-	e.log = nil
-	return err
 }
 
 // SessionRollout is the rollout summary nested in SessionInfo: the
@@ -320,8 +302,8 @@ func NewManagerOpts(stateDir string, opts ManagerOptions) (_ *Manager, err error
 		}
 		m.know = k
 		defer func() {
-			if err != nil && k.log != nil {
-				k.log.Close() // a failed boot keeps no handle open
+			if err != nil {
+				k.drop() // a failed boot keeps no handle open
 			}
 		}()
 	}
@@ -481,7 +463,7 @@ func (m *Manager) evictOne(v *managedSession) {
 	// last persist failed (its log dropped) is re-based here. Otherwise
 	// eviction only closes the log: records the journal covers stay the
 	// committer's to sync.
-	if m.tryPersistLocked(v, nil) != nil || v.dropLogLocked() != nil {
+	if v.close(func() error { return m.tryPersistLocked(v, nil) }) != nil {
 		m.reinsert(v)
 		return
 	}
@@ -555,7 +537,7 @@ func (m *Manager) Create(id string, cfg Config) (SessionInfo, error) {
 	// for the id queue behind the initial persist, and with its summary,
 	// so List never shows it blank.
 	info := sessionInfo(id, s)
-	e := &managedSession{id: id, s: s, busy: true, info: info}
+	e := &managedSession{baseTail: m.sessionTail(id), s: s, busy: true, info: info}
 	m.mu.Lock()
 	if _, ok := m.sessions[id]; ok {
 		m.mu.Unlock()
@@ -574,7 +556,7 @@ func (m *Manager) Create(id string, cfg Config) (SessionInfo, error) {
 			// vanish on restart. Its files go first, while no concurrent
 			// create of the id can have written them: a base renamed
 			// into place would bring the session back at the next boot.
-			e.dropLogLocked()
+			e.drop()
 			rerr := m.removeFiles(id)
 			m.mu.Lock()
 			e.deleted = true
@@ -623,7 +605,7 @@ func (m *Manager) Delete(id string) error {
 		m.resident--
 	}
 	m.mu.Unlock()
-	e.dropLogLocked()
+	e.drop()
 	e.s = nil
 	if m.stateDir == "" {
 		return nil
@@ -779,8 +761,7 @@ func (m *Manager) Close() error {
 	sort.Slice(es, func(i, j int) bool { return es[i].id < es[j].id })
 	for _, e := range es {
 		if m.acquire(e) { // false: deleted concurrently
-			keep(m.tryPersistLocked(e, nil))
-			keep(e.dropLogLocked())
+			keep(e.close(func() error { return m.tryPersistLocked(e, nil) }))
 			m.release(e)
 		}
 	}

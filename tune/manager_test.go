@@ -3,6 +3,7 @@ package tune
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -220,6 +221,24 @@ func TestManagerCheckpointBytes(t *testing.T) {
 	}
 	if want := []string{"db.base.json", "db.wal", "fleet.journal"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("state dir holds %v, want %v", names, want)
+	}
+
+	// A fleet contribution counts its whole frame, as a session record
+	// does: the payload plus the WAL's 8 B header.
+	k, err := NewManagerOpts(t.TempDir(), ManagerOptions{NoFsync: true, Knowledge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	before, size := k.Stats().CheckpointBytes, k.know.log.Size()
+	k.know.Contribute(fleetContribution(1))
+	payload, err := json.Marshal(knowRecord{Seq: 1, C: fleetContribution(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted, grew := k.Stats().CheckpointBytes-before, k.know.log.Size()-size
+	if counted != grew || grew != int64(len(payload))+8 {
+		t.Fatalf("a contribution counted %d checkpoint bytes; its tail grew %d, its payload is %d", counted, grew, len(payload))
 	}
 }
 

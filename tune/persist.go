@@ -35,6 +35,12 @@ func (m *Manager) walPath(id string) string {
 	return filepath.Join(m.stateDir, id+".wal")
 }
 
+// sessionTail is the session id's base and tail, keyed by its id in the
+// journal and in its base's temp names.
+func (m *Manager) sessionTail(id string) baseTail {
+	return baseTail{id: id, prefix: id, basePath: m.basePath(id), walPath: m.walPath(id)}
+}
+
 // journalPath is the shared group-commit journal's location. The name
 // carries none of the session-file suffixes, so the boot scan never
 // mistakes it for a session.
@@ -218,11 +224,11 @@ func (w *walEncoder) encode(rec *walRecord) ([]byte, error) {
 }
 
 // tryPersistLocked makes the session's state durable once (the caller
-// handles retries and ErrDurability wrapping). Normal path: append op,
-// the record of the op just run, to the WAL and commit it — one sync
-// point per interval, as a suggest is staged for the next batch (see
-// commitTail), and that one shared fleet-wide by the committer. A nil
-// op only re-bases a session whose log is gone.
+// handles retries and ErrDurability wrapping). Normal path: write op,
+// the record of the op just run, to the tail — one sync point per
+// interval, as a plain suggest is staged for the next batch (see
+// write), and that one shared fleet-wide by the committer. A nil op
+// only re-bases a session whose log is gone.
 // The base snapshot is rewritten on the first write (creation), after
 // any failed attempt (which drops the log, so the next attempt re-bases
 // atomically instead of re-appending), or when compaction is due.
@@ -233,7 +239,7 @@ func (m *Manager) tryPersistLocked(e *managedSession, op *walRecord) error {
 	if m.checkpointFailure != nil {
 		// Test seam: injected durability faults.
 		if err := m.checkpointFailure(); err != nil {
-			e.dropLogLocked()
+			e.drop()
 			return err
 		}
 	}
@@ -243,69 +249,22 @@ func (m *Manager) tryPersistLocked(e *managedSession, op *walRecord) error {
 	if op == nil {
 		return nil
 	}
-	before := e.log.Size()
 	wenc := walEncoders.Get().(*walEncoder)
 	defer walEncoders.Put(wenc)
 	payload, err := wenc.encode(op)
 	if err != nil {
 		return err
 	}
-	if err := e.log.Append(payload); err != nil {
-		e.dropLogLocked()
+	// A suggest that power failure loses is re-derived from the log, so it
+	// is staged; one that logged fleet advice waits like a report.
+	wait := op.Event.Kind != eventSuggest || op.Event.Knowledge != nil
+	if err := m.write(&e.baseTail, payload, wait); err != nil {
 		return err
 	}
-	if err := m.commitTail(e, op, payload); err != nil {
-		// The buffered frame may have hit disk partially; appending after
-		// an unknown flush state could tear the middle of the log. Drop
-		// the handle — the retry path rewrites an atomic base instead.
-		e.dropLogLocked()
-		return err
-	}
-	m.checkpointBytes.Add(e.log.Size() - before)
-	if m.compactDue(e) {
+	if e.due(m.compactMin) {
 		return m.compactLocked(e)
 	}
 	return nil
-}
-
-// commitTail flushes the record just appended to e.log to the OS and
-// makes it durable — except a suggest's, which is staged in the journal
-// like a fleet contribution: kill -9 loses nothing, and the next batch
-// of any session syncs it. A suggest that a power failure loses first
-// is re-derived on retry: its advice and the decision its record logs
-// are computed from the state the log holds. A refused stage (journal
-// down, committer closed) syncs the log in place. A suggest that
-// queried the fleet store logged advice the log holds nowhere else, and
-// commits like a report: it enqueues its record and waits until the
-// journal's batch fsync (or, degraded, this log's own) covers it. Stage
-// and Enqueue copy the payload, so the pooled encoder can be reused. A
-// committer that refuses an enqueue (a request racing Close) fails the
-// commit, so the caller drops the log and re-bases.
-func (m *Manager) commitTail(e *managedSession, op *walRecord, payload []byte) error {
-	if err := e.log.Flush(); err != nil {
-		return err
-	}
-	if op.Event.Kind == eventSuggest && op.Event.Knowledge == nil {
-		if m.committer.Stage(e.id, e.log, payload) {
-			return nil
-		}
-		return e.log.SyncFile()
-	}
-	wait, err := m.committer.Enqueue(e.id, e.log, payload)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// compactDue reports whether the WAL tail should fold into a new base:
-// once it holds at least compactMin events and as many bytes as the
-// base. Every base is then paid for by at least its own size in
-// records, so lifetime checkpoint bytes stay within twice the record
-// bytes, and a hydrate replays at most about a base's worth of records:
-// bounded by the state's size, not the session's age.
-func (m *Manager) compactDue(e *managedSession) bool {
-	return e.log.Count() >= m.compactMin && e.log.Size() >= e.baseBytes
 }
 
 // compactLocked writes the session's snapshot as a fresh base and
@@ -315,43 +274,123 @@ func (m *Manager) compactLocked(e *managedSession) error {
 	if err != nil {
 		return err
 	}
-	if err := m.rebase(m.basePath(e.id), m.walPath(e.id), e.id, data, &e.log); err != nil {
+	return m.rebase(&e.baseTail, data)
+}
+
+// baseTail is the durable form a session and the fleet knowledge store
+// share: a base snapshot plus a WAL tail of the records since, keyed by
+// id in the shared journal. Its owner serializes every call.
+type baseTail struct {
+	id, prefix        string // journal id; the base's temp-file prefix
+	basePath, walPath string
+	log               *wal.Log // nil when dropped: the owner's next write re-bases
+	baseBytes         int64    // the on-disk base's size
+}
+
+// open reads the base (nil when none was written yet) and opens the
+// tail, returning its intact records. The caller drops the tail if it
+// cannot restore them.
+func (m *Manager) open(b *baseTail) (base []byte, recs [][]byte, err error) {
+	if base, err = os.ReadFile(b.basePath); err != nil && !os.IsNotExist(err) {
+		return nil, nil, err
+	}
+	if b.log, recs, err = wal.Open(b.walPath, m.walOpts); err != nil {
+		return nil, nil, err
+	}
+	b.baseBytes = int64(len(base))
+	return base, recs, nil
+}
+
+// write makes payload durable as the tail's next record: appended and
+// flushed, it is staged in the shared journal, whose next batch syncs it
+// (a refused stage syncs the tail in place), or, with wait, enqueued to
+// wait for that batch. Any failure drops the tail, whose flush state is
+// then unknown: appending after it could tear the log, so the owner's
+// next write re-bases. A record counts its whole frame in the checkpoint
+// bytes.
+func (m *Manager) write(b *baseTail, payload []byte, wait bool) error {
+	before := b.log.Size()
+	err := b.log.Append(payload)
+	if err == nil {
+		err = b.log.Flush()
+	}
+	if err == nil && !wait && !m.committer.Stage(b.id, b.log, payload) {
+		err = b.log.SyncFile()
+	}
+	if err == nil && wait {
+		var done func() error
+		if done, err = m.committer.Enqueue(b.id, b.log, payload); err == nil {
+			err = done()
+		}
+	}
+	if err != nil {
+		b.drop()
 		return err
 	}
-	e.baseBytes = int64(len(data))
+	m.checkpointBytes.Add(b.log.Size() - before)
 	return nil
 }
 
-// rebase is the one base-write path, shared by session compaction and
-// the fleet knowledge store: write data atomically as the base at
-// path, then empty the tail *lg, opening it at walPath first if a
-// failed write dropped it. Ordering is the crash-safety invariant: the
-// base is fsynced and renamed into place BEFORE the tail resets, so a
-// crash at any point leaves either the old base+tail or the new base
-// with stale tail records, which recovery skips — never a state that
-// loses records. The fsynced base supersedes the tail's journal records
-// (so the committer's hold on the tail is released). A failed reset
-// drops the tail (*lg becomes nil); the owner's next write re-bases.
-func (m *Manager) rebase(path, walPath, tmpPrefix string, data []byte, lg **wal.Log) error {
-	if err := wal.WriteAtomic(path, tmpPrefix, data, m.walOpts); err != nil {
+// due is the one compaction rule: the tail folds into a new base once it
+// holds at least min records and as many bytes as the base. Every base
+// is then paid for by at least its own size in records, so lifetime
+// checkpoint bytes stay within twice the record bytes, and a recovery
+// replays at most about a base's worth of records: bounded by the
+// state's size, not its age.
+func (b *baseTail) due(min int) bool {
+	return b.log.Count() >= min && b.log.Size() >= b.baseBytes
+}
+
+// rebase is the one base-write path: write data atomically as the base,
+// then empty the tail, opening it first if a failed write dropped it.
+// Ordering is the crash-safety invariant: the base is fsynced and
+// renamed into place BEFORE the tail resets, so a crash at any point
+// leaves either the old base+tail or the new base with stale tail
+// records, which recovery skips — never a state that loses records. The
+// fsynced base supersedes the tail's journal records (so the
+// committer's hold on the tail is released). A failed reset drops the
+// tail; the owner's next write re-bases.
+func (m *Manager) rebase(b *baseTail, data []byte) error {
+	if err := wal.WriteAtomic(b.basePath, b.prefix, data, m.walOpts); err != nil {
 		return err
 	}
 	m.checkpointBytes.Add(int64(len(data)))
-	m.committer.Forget(walPath)
-	if *lg == nil {
-		l, _, err := wal.Open(walPath, m.walOpts)
+	b.baseBytes = int64(len(data))
+	m.committer.Forget(b.walPath)
+	if b.log == nil {
+		l, _, err := wal.Open(b.walPath, m.walOpts)
 		if err != nil {
 			return err
 		}
-		*lg = l
+		b.log = l
 	}
-	if err := (*lg).Reset(); err != nil {
-		(*lg).Close()
-		*lg = nil
+	if err := b.log.Reset(); err != nil {
+		b.drop()
 		return err
 	}
 	m.compactions.Add(1)
 	return nil
+}
+
+// drop closes and forgets the tail's handle without a sync: the records
+// the journal holds for it stay the committer's debt, synced by path.
+func (b *baseTail) drop() error {
+	if b.log == nil {
+		return nil
+	}
+	err := b.log.Close()
+	b.log = nil
+	return err
+}
+
+// close re-bases a dropped tail through rebase, then drops the handle.
+func (b *baseTail) close(rebase func() error) error {
+	if b.log == nil {
+		if err := rebase(); err != nil {
+			return err
+		}
+	}
+	return b.drop()
 }
 
 // scanStateDir is the boot scan: it sweeps the temps a crash orphaned
@@ -394,7 +433,7 @@ func (m *Manager) scanStateDir() error {
 		if err != nil {
 			return fmt.Errorf("tune: scanning session %q: %w", id, err)
 		}
-		m.sessions[id] = &managedSession{id: id, info: info}
+		m.sessions[id] = &managedSession{baseTail: m.sessionTail(id), info: info}
 	}
 	return nil
 }
@@ -413,28 +452,22 @@ func (m *Manager) removeFiles(id string) error {
 }
 
 // hydrateLocked loads an evicted (or never-resident) session back into
-// memory: read the base snapshot, open the WAL, install the base's
-// state and replay the tail. The hydrated session is bitwise equivalent
-// to the one that was evicted.
+// memory: open its base and tail, install the base's state and replay
+// the tail. The hydrated session is bitwise equivalent to the one that
+// was evicted.
 func (m *Manager) hydrateLocked(e *managedSession) error {
 	if e.s != nil {
 		return nil
 	}
-	data, err := os.ReadFile(m.basePath(e.id))
-	if err != nil {
-		return fmt.Errorf("tune: reading session %q: %w", e.id, err)
+	base, recs, err := m.open(&e.baseTail)
+	var replayed int
+	if err == nil {
+		e.s, replayed, err = restore(base, recs, m.know)
 	}
-	lg, recs, err := wal.Open(m.walPath(e.id), m.walOpts)
 	if err != nil {
-		return fmt.Errorf("tune: opening wal for session %q: %w", e.id, err)
+		e.drop()
+		return fmt.Errorf("tune: hydrating session %q: %w", e.id, err)
 	}
-	s, replayed, err := restore(data, recs, m.know)
-	if err != nil {
-		lg.Close()
-		return fmt.Errorf("tune: restoring session %q: %w", e.id, err)
-	}
-	e.s, e.log = s, lg
-	e.baseBytes = int64(len(data))
 	m.replayedEvents.Add(int64(replayed))
 	m.hydrations.Add(1)
 	return nil
