@@ -17,10 +17,16 @@
 // literals change, and sqlparse.Tokenize strips literals), the featurizer
 // memoizes the frozen encoder's output per template signature in a
 // bounded LRU cache (vocabulary ids need no cache of their own: token
-// admission is sticky, so re-encoding is bitwise-stable). A snapshot of repeating
-// templates then costs one tokenization pass per query instead of a full
-// LSTM forward pass; cold templates are batch-encoded across the bounded
-// worker pool.
+// admission is sticky, so re-encoding is bitwise-stable). The signature
+// is scanned into a reused buffer (sqlparse.AppendTemplateKey) and
+// looked up without a copy, so a snapshot of repeating templates costs
+// one scan per query and allocates nothing; only a miss tokenizes, and
+// cold templates are batch-encoded across the bounded worker pool.
+//
+// A context is all the tuner reads of a workload's statements and
+// optimizer stats, so a session logs each report's context and the
+// tokens its featurization admitted (Admitted, Admit), and replaying the
+// report installs them instead of featurizing.
 package featurize
 
 import (
@@ -95,6 +101,7 @@ type Featurizer struct {
 	coldKeys []string
 	coldPos  map[string]int
 	coldRefs []coldRef
+	keyBuf   []byte
 }
 
 // coldRef maps a query index to its cold-template batch position.
@@ -131,6 +138,25 @@ func (f *Featurizer) Dim() int { return ContextDim }
 // order. Token admission is sticky, so the list only grows; it is the
 // featurizer state a session snapshot records.
 func (f *Featurizer) Vocabulary() []string { return f.vocab.Tokens() }
+
+// Admitted returns how many tokens the vocabulary has admitted, the
+// length of Vocabulary(): the tokens an op admits are Vocabulary()[n:],
+// where n is Admitted() before it.
+func (f *Featurizer) Admitted() int { return f.vocab.Len() }
+
+// Admit admits tokens in order, as the op that first admitted them did,
+// so that a replayed op leaves the vocabulary as the live one left it
+// without featurizing. Each token must be new and fit.
+func (f *Featurizer) Admit(tokens []string) error {
+	n := f.vocab.Len()
+	for _, tok := range tokens {
+		f.vocab.ID(tok)
+	}
+	if f.vocab.Len() != n+len(tokens) {
+		return errors.New("featurize: tokens are not new admissions to this vocabulary")
+	}
+	return nil
+}
 
 // SetVocabulary admits tokens in order, so that Vocabulary returns them:
 // restoring a vocabulary onto the pre-trained one it grew from gives
@@ -239,16 +265,6 @@ func (f *Featurizer) resetCache() {
 	f.stats = CacheStats{}
 }
 
-// cacheGet looks up a template and marks it most-recently used.
-func (f *Featurizer) cacheGet(key string) *cacheEntry {
-	el, ok := f.cache[key]
-	if !ok {
-		return nil
-	}
-	f.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry)
-}
-
 // cachePut inserts a template, evicting from the LRU tail at the bound.
 func (f *Featurizer) cachePut(e *cacheEntry) {
 	if f.cacheBound <= 0 {
@@ -353,11 +369,12 @@ func (f *Featurizer) ContextInto(dst []float64, w workload.Snapshot, stats dbsim
 	return out
 }
 
-// encodeQueries fills f.perQuery with one encoding per query. Cache hits
-// reuse the memoized slice; cold templates are deduplicated within the
-// snapshot, their vocabulary ids assigned serially in first-appearance
-// order (identical admission order to the uncached path), and encoded as
-// one parallel batch.
+// encodeQueries fills f.perQuery with one encoding per query. A query's
+// template key is scanned into scratch without tokenizing, and a cache
+// hit reuses the memoized slice; only a miss tokenizes. Cold templates
+// are deduplicated within the snapshot, their vocabulary ids assigned
+// serially in first-appearance order (identical admission order to the
+// uncached path), and encoded as one parallel batch.
 func (f *Featurizer) encodeQueries(queries []workload.Query) {
 	n := len(queries)
 	if cap(f.perQuery) < n {
@@ -367,29 +384,28 @@ func (f *Featurizer) encodeQueries(queries []workload.Query) {
 	f.coldSeqs = f.coldSeqs[:0]
 	f.coldKeys = f.coldKeys[:0]
 	f.coldRefs = f.coldRefs[:0]
-	for k := range f.coldPos {
-		delete(f.coldPos, k)
-	}
+	clear(f.coldPos)
 
 	for qi, q := range queries {
-		toks := sqlparse.Tokenize(q.SQL)
 		if f.cacheBound <= 0 {
 			// Memoization disabled: sequential per-query encode.
-			f.perQuery[qi] = f.enc.Encode(f.vocab.EncodeTokens(toks))
+			f.perQuery[qi] = f.enc.Encode(f.vocab.Encode(q.SQL))
 			continue
 		}
-		key := sqlparse.TemplateKey(toks)
-		if e := f.cacheGet(key); e != nil {
+		f.keyBuf = sqlparse.AppendTemplateKey(f.keyBuf[:0], q.SQL)
+		if el, ok := f.cache[string(f.keyBuf)]; ok {
+			f.lru.MoveToFront(el)
 			f.stats.Hits++
-			f.perQuery[qi] = e.enc
+			f.perQuery[qi] = el.Value.(*cacheEntry).enc
 			continue
 		}
 		f.stats.Misses++
+		key := string(f.keyBuf)
 		pos, seen := f.coldPos[key]
 		if !seen {
 			pos = len(f.coldSeqs)
 			f.coldPos[key] = pos
-			f.coldSeqs = append(f.coldSeqs, f.vocab.EncodeTokens(toks))
+			f.coldSeqs = append(f.coldSeqs, f.vocab.Encode(q.SQL))
 			f.coldKeys = append(f.coldKeys, key)
 		}
 		f.coldRefs = append(f.coldRefs, coldRef{query: qi, pos: pos})

@@ -9,6 +9,7 @@ import (
 	"maps"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Special token ids.
@@ -26,51 +27,118 @@ const reservedSpecials = 3
 // as "<str>".
 func Tokenize(sql string) []string {
 	var toks []string
-	i := 0
-	rs := []rune(sql)
-	n := len(rs)
-	for i < n {
-		c := rs[i]
-		switch {
-		case unicode.IsSpace(c):
-			i++
-		case c == '\'' || c == '"':
-			// String literal: scan to the matching quote.
-			q := c
-			j := i + 1
-			for j < n && rs[j] != q {
-				j++
-			}
-			toks = append(toks, "<str>")
-			i = j + 1
-		case unicode.IsDigit(c):
-			j := i
-			for j < n && (unicode.IsDigit(rs[j]) || rs[j] == '.') {
-				j++
-			}
-			toks = append(toks, "<num>")
-			i = j
-		case unicode.IsLetter(c) || c == '_':
-			j := i
-			for j < n && (unicode.IsLetter(rs[j]) || unicode.IsDigit(rs[j]) || rs[j] == '_') {
-				j++
-			}
-			word := strings.ToLower(string(rs[i:j]))
-			toks = append(toks, word)
-			i = j
-		case strings.ContainsRune("<>=!", c):
-			j := i + 1
-			if j < n && strings.ContainsRune("<>=", rs[j]) {
-				j++
-			}
-			toks = append(toks, string(rs[i:j]))
-			i = j
-		default:
-			toks = append(toks, string(c))
-			i++
+	for s := (scanner{sql: sql}); ; {
+		tok, word, ok := s.next()
+		if !ok {
+			return toks
+		}
+		if word {
+			tok = strings.ToLower(tok)
+		}
+		toks = append(toks, tok)
+	}
+}
+
+// AppendTemplateKey appends TemplateKey(Tokenize(sql)) to dst without
+// building the token list: the featurizer's cache lookup allocates
+// nothing for a statement whose template it has seen.
+func AppendTemplateKey(dst []byte, sql string) []byte {
+	s := scanner{sql: sql}
+	for first := true; ; first = false {
+		tok, word, ok := s.next()
+		if !ok {
+			return dst
+		}
+		if !first {
+			dst = append(dst, ' ')
+		}
+		if word {
+			dst = appendLower(dst, tok)
+		} else {
+			dst = append(dst, tok...)
 		}
 	}
-	return toks
+}
+
+// appendLower appends strings.ToLower(w), byte by byte while w is ASCII.
+func appendLower(dst []byte, w string) []byte {
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if c >= utf8.RuneSelf {
+			return append(dst[:len(dst)-i], strings.ToLower(w)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// scanner holds the token rules Tokenize and AppendTemplateKey share. A
+// token is a constant ("<num>", "<str>", or U+FFFD for a byte that is
+// not UTF-8) or a substring of the statement; a word comes back as it
+// is written, for the caller to lowercase. ASCII is read byte by byte;
+// other text is decoded rune by rune, as a []rune conversion does.
+type scanner struct {
+	sql string
+	i   int
+}
+
+// next returns the next token and whether it is a word; ok is false at
+// the end of the statement.
+func (s *scanner) next() (tok string, word, ok bool) {
+	for s.i < len(s.sql) {
+		start := s.i
+		c, size := s.runeAt(start)
+		s.i += size
+		switch {
+		case unicode.IsSpace(c):
+		case c == '\'' || c == '"':
+			// String literal: scan to the matching quote.
+			if j := strings.IndexByte(s.sql[s.i:], byte(c)); j >= 0 {
+				s.i += j + 1
+			} else {
+				s.i = len(s.sql)
+			}
+			return "<str>", false, true
+		case unicode.IsDigit(c):
+			s.skip(func(r rune) bool { return unicode.IsDigit(r) || r == '.' })
+			return "<num>", false, true
+		case unicode.IsLetter(c) || c == '_':
+			s.skip(func(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' })
+			return s.sql[start:s.i], true, true
+		case c == '<' || c == '>' || c == '=' || c == '!':
+			if s.i < len(s.sql) && strings.IndexByte("<>=", s.sql[s.i]) >= 0 {
+				s.i++
+			}
+			return s.sql[start:s.i], false, true
+		case c == utf8.RuneError && size == 1:
+			return "\uFFFD", false, true
+		default:
+			return s.sql[start:s.i], false, true
+		}
+	}
+	return "", false, false
+}
+
+// skip advances past the runes in.
+func (s *scanner) skip(in func(rune) bool) {
+	for s.i < len(s.sql) {
+		r, size := s.runeAt(s.i)
+		if !in(r) {
+			return
+		}
+		s.i += size
+	}
+}
+
+// runeAt decodes the rune at byte i.
+func (s *scanner) runeAt(i int) (rune, int) {
+	if c := s.sql[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(s.sql[i:])
 }
 
 // Vocab maps tokens to bounded integer ids. New tokens are admitted until
@@ -99,6 +167,9 @@ func (v *Vocab) Clone() *Vocab {
 // Size returns the number of ids in use (reserved included).
 func (v *Vocab) Size() int { return reservedSpecials + len(v.ids) }
 
+// Len returns the number of admitted tokens, len(Tokens()).
+func (v *Vocab) Len() int { return len(v.ids) }
+
 // ID maps a token to its id, admitting it if there is room.
 func (v *Vocab) ID(tok string) int {
 	switch tok {
@@ -114,7 +185,7 @@ func (v *Vocab) ID(tok string) int {
 		return TokUnk
 	}
 	id := v.Size()
-	v.ids[tok] = id
+	v.ids[strings.Clone(tok)] = id // tok may be a substring of a whole statement
 	return id
 }
 
@@ -134,9 +205,6 @@ func (v *Vocab) Encode(sql string) []int {
 }
 
 // EncodeTokens maps an already-tokenized statement to vocabulary ids.
-// Splitting tokenization from id lookup lets callers tokenize once and
-// reuse the token stream both as a template signature (TemplateKey) and
-// as encoder input.
 func (v *Vocab) EncodeTokens(toks []string) []int {
 	out := make([]int, len(toks))
 	for i, t := range toks {
@@ -148,7 +216,8 @@ func (v *Vocab) EncodeTokens(toks []string) []int {
 // TemplateKey joins a normalized token stream into a canonical template
 // signature. Because Tokenize replaces literals with <num>/<str>, queries
 // differing only in constants share a key — the memoization key for the
-// featurizer's template-keyed encoding cache.
+// featurizer's template-keyed encoding cache, which builds it with
+// AppendTemplateKey.
 func TemplateKey(toks []string) string {
 	return strings.Join(toks, " ")
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -605,17 +606,7 @@ func TestHydrateUndecidedTail(t *testing.T) {
 	if got := h.tuner.T.Timings().Assessments; got != stripped {
 		t.Fatalf("hydrate computed %d assessments, want one per stripped decision (%d)", got, stripped)
 	}
-	got, err := h.snapshot(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.snapshot(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("the undecided tail hydrated to a state the live session never held")
-	}
+	sameState(t, h, s)
 }
 
 // undecided returns rec's WAL bytes with the event's "d" field deleted,
@@ -645,6 +636,131 @@ func undecided(t *testing.T, rec walRecord, n *int) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// contextTail drives a case5 session through 30 intervals of
+// shiftOutcome with optimizer stats, and returns the base taken before
+// the first, the tail, and the live session. With unfeaturized set, each
+// report record is rewritten to the form written before reports logged
+// their context: the whole outcome, without ctx or tok.
+func contextTail(t *testing.T, unfeaturized bool) (base []byte, recs [][]byte, live *Session) {
+	t.Helper()
+	s, err := NewSession(Config{Space: "case5", Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base, err = s.snapshot(false); err != nil {
+		t.Fatal(err)
+	}
+	add := func(rec walRecord) {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, data)
+	}
+	for i := 0; i < 30; i++ {
+		_, rec, err := s.suggest(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(rec)
+		o := shiftOutcome(i)
+		o.Stats = OptimizerStats{RowsExamined: 100 + 10*float64(i), FilterPct: 20, IndexUsedFrac: 0.5}
+		rec = s.report(o)
+		if unfeaturized {
+			rec.Event.Outcome, rec.Event.Ctx, rec.Event.Tok = &o, nil, nil
+		}
+		add(rec)
+	}
+	return base, recs, s
+}
+
+// sameState fails unless a hydrated session h and the live session
+// serialize to the same bytes.
+func sameState(t *testing.T, h, live *Session) {
+	t.Helper()
+	got, err := h.snapshot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.snapshot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the tail hydrated to a state the live session never held")
+	}
+}
+
+// TestHydrateInstallsLoggedContexts: report records log the context
+// their featurization derived and the tokens it admitted, and no
+// statement. Their tail hydrates without featurizing (no template-cache
+// traffic), admits the tokens the analytic reports added after the base
+// in their order, and reaches the live state byte for byte. A logged
+// context of the wrong length, or a logged token the vocabulary already
+// holds, fails the restore naming the record.
+func TestHydrateInstallsLoggedContexts(t *testing.T) {
+	base, recs, live := contextTail(t, false)
+	b, err := Restore(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.feat.Admitted(), live.feat.Admitted(); got >= want {
+		t.Fatalf("the reports admitted no tokens after the base (%d, then %d)", got, want)
+	}
+	for i, data := range recs {
+		if bytes.Contains(data, []byte("SELECT")) || bytes.Contains(data, []byte("rows_examined")) {
+			t.Fatalf("record %d logs the statements or the optimizer stats: %s", i, data)
+		}
+	}
+	h, _, err := restore(base, recs, nil)
+	if err != nil {
+		t.Fatalf("the tail does not replay: %v", err)
+	}
+	if st := h.feat.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("hydrate featurized: %d template-cache hits and %d misses, want none", st.Hits, st.Misses)
+	}
+	if !slices.Equal(h.feat.Vocabulary(), live.feat.Vocabulary()) {
+		t.Fatal("the hydrated vocabulary differs from the live one")
+	}
+	sameState(t, h, live)
+
+	for name, mutate := range map[string]func(*event){
+		"a short context":           func(e *event) { e.Ctx = e.Ctx[1:] },
+		"an already admitted token": func(e *event) { e.Tok = append(e.Tok, "select") },
+	} {
+		var rec walRecord
+		if err := json.Unmarshal(recs[1], &rec); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&rec.Event)
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([][]byte{recs[0], data}, recs[2:]...)
+		var te *tailError
+		if _, _, err := restore(base, bad, nil); !errors.As(err, &te) || te.i != 1 {
+			t.Errorf("%s: restore returned %v, want a refusal of record 1", name, err)
+		}
+	}
+}
+
+// TestHydrateUnfeaturizedTail: a tail written before reports logged
+// their context — each report's whole outcome, without ctx or tok —
+// still hydrates to the live state byte for byte, featurizing each
+// report live.
+func TestHydrateUnfeaturizedTail(t *testing.T) {
+	base, recs, live := contextTail(t, true)
+	h, _, err := restore(base, recs, nil)
+	if err != nil {
+		t.Fatalf("the unfeaturized tail does not replay: %v", err)
+	}
+	if st := h.feat.Stats(); st.Hits+st.Misses != 2*30 {
+		t.Fatalf("hydrate featurized %d statements, want 2 per report (60)", st.Hits+st.Misses)
+	}
+	sameState(t, h, live)
 }
 
 // shiftOutcome alternates a session between two workloads in blocks of

@@ -307,7 +307,7 @@ func (f *fleetKnowledge) Contribute(c knowledge.Contribution) {
 // the base's rename and the log's reset leaves stale tail records, which
 // recovery skips by sequence number.
 func (f *fleetKnowledge) rebaseLocked() error {
-	data, err := json.MarshalIndent(f.store.Snapshot(), "", " ")
+	data, err := json.Marshal(f.store.Snapshot())
 	if err != nil {
 		return err
 	}

@@ -143,11 +143,13 @@ type Outcome struct {
 	Measurements map[Role]ReplicaPerf `json:"measurements,omitempty"`
 }
 
-// clone deep-copies the outcome's reference fields, so a logged outcome
-// is immune to callers reusing statement buffers across intervals.
-func (o Outcome) clone() Outcome {
+// logged returns the outcome as a report's WAL record logs it: without
+// the statements and optimizer stats, which only featurization reads
+// (the record logs the context it derived instead), and with its own
+// copy of the measurements, immune to a caller reusing the map.
+func (o Outcome) logged() Outcome {
 	oc := o
-	oc.Workload.Statements = append([]Statement(nil), o.Workload.Statements...)
+	oc.Workload.Statements, oc.Stats = nil, OptimizerStats{}
 	if o.Measurements != nil {
 		oc.Measurements = make(map[Role]ReplicaPerf, len(o.Measurements))
 		for r, m := range o.Measurements {
@@ -404,10 +406,10 @@ func (s *Session) Report(o Outcome) error {
 func (s *Session) report(o Outcome) walRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	oc := o.clone()
+	oc := o.logged()
 	op := walRecord{Event: event{Kind: eventReport, Outcome: &oc}}
 	s.know.begin(&op.Event)
-	op.Event.Rollout = s.reportLocked(oc)
+	op.Event.Rollout = s.reportLocked(o, &op.Event)
 	s.sealLocked(&op)
 	return op
 }
@@ -423,9 +425,12 @@ func (s *Session) sealLocked(op *walRecord) {
 
 // reportLocked applies one outcome and returns the rollout decision
 // (promote, rollback, switchover or chain rollback) it triggered, nil
-// for none. Also used by Restore's replay, which checks the decision
-// against the logged one.
-func (s *Session) reportLocked(o Outcome) *RolloutEvent {
+// for none. The interval's context is ev's logged one if it has one (a
+// replayed report, whose tokens the replay admitted); otherwise o is
+// featurized, and ev logs the context and the tokens that admitted.
+// Also used by Restore's replay, which checks the decision against the
+// logged one.
+func (s *Session) reportLocked(o Outcome, ev *event) *RolloutEvent {
 	// A RolePrimary measurement overrides the flat Performance/Failed.
 	// Replay runs the same normalization, so logged outcomes replay
 	// identically whichever form the client used.
@@ -433,7 +438,19 @@ func (s *Session) reportLocked(o Outcome) *RolloutEvent {
 		o.Performance, o.Failed = m.Performance, m.Failed
 	}
 	snap := o.Workload.snapshot(s.iter)
-	ctx := s.feat.ContextInto(nil, snap, o.Stats)
+	ctx := []float64(ev.Ctx)
+	if ctx == nil {
+		n := s.feat.Admitted()
+		ctx = s.feat.ContextInto(nil, snap, o.Stats)
+		ev.Ctx = ctx
+		if s.feat.Admitted() > n {
+			ev.Tok = s.feat.Vocabulary()[n:]
+		}
+	}
+	// The context is all the tuner reads of the statements, so neither
+	// the tuner nor the session keeps them: a live session and a replayed
+	// one hold the same state.
+	snap.Queries = nil
 	env := Env{
 		Iter: s.iter, Snapshot: snap, Ctx: ctx, Metrics: o.Metrics,
 		Tau: o.Baseline, OLAP: snap.OLAP, HW: s.hw,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gp"
 	"repro/internal/knowledge"
+	"repro/internal/mathx"
 )
 
 // SnapshotVersion is the version of the session snapshot JSON schema,
@@ -43,6 +44,13 @@ const (
 type event struct {
 	Kind    string   `json:"kind"`
 	Outcome *Outcome `json:"outcome,omitempty"`
+	// Ctx is the context a report's featurization derived, and Tok the
+	// vocabulary tokens it admitted, in order. The logged outcome leaves
+	// out the statements and optimizer stats that only featurization
+	// reads. A report without Ctx (written before reports logged it)
+	// carries them and is featurized on replay.
+	Ctx mathx.Floats `json:"ctx,omitempty"`
+	Tok []string     `json:"tok,omitempty"`
 	// Knowledge holds the advice each fleet query returned, in query
 	// order; a nil entry is a miss.
 	Knowledge []*knowledge.Advice `json:"knowledge,omitempty"`
@@ -190,6 +198,7 @@ func (s *Session) importState(h snapshotHeader, st *sessionState) error {
 	s.iter, s.next = iter, h.Next
 	if st.LastWorkload != nil {
 		s.lastSnap = st.LastWorkload.snapshot(iter - 1)
+		s.lastSnap.Queries = nil // a base written before reports logged their context carries them
 		s.lastOLAP = s.lastSnap.OLAP
 	}
 	s.lastCtx, s.lastMet, s.lastTau = st.LastCtx, st.LastMet, st.LastTau
@@ -256,8 +265,9 @@ func restore(base []byte, recs [][]byte, fleet *fleetKnowledge) (*Session, int, 
 // of recomputing them, and must reach exactly those: a suggest applies
 // only its state effects, installing its logged decision in place of
 // the assessment's GP work (it still makes the generator's draws, the
-// subspace step and the white-box conflict reports), and a report must
-// make the rollout decision its event logged.
+// subspace step and the white-box conflict reports), and a report
+// admits its logged tokens and installs its logged context in place of
+// featurizing, and must make the rollout decision its event logged.
 func (s *Session) replay(tail <-chan decodedRecord) error {
 	s.know.replaying = true
 	defer func() { s.know.replaying, s.know.op = false, nil }()
@@ -276,8 +286,13 @@ func (s *Session) replay(tail <-chan decodedRecord) error {
 			err = fmt.Errorf("unknown kind %q", ev.Kind)
 		case ev.Outcome == nil:
 			err = errors.New("report without outcome")
+		case ev.Ctx != nil && len(ev.Ctx) != s.feat.Dim():
+			err = fmt.Errorf("logged context of %d values, want %d", len(ev.Ctx), s.feat.Dim())
 		default:
-			if got := s.reportLocked(*ev.Outcome); !sameDecision(got, ev.Rollout) {
+			if err = s.feat.Admit(ev.Tok); err != nil {
+				break
+			}
+			if got := s.reportLocked(*ev.Outcome, ev); !sameDecision(got, ev.Rollout) {
 				err = fmt.Errorf("replay made rollout decision %+v, the op logged %+v", got, ev.Rollout)
 			}
 		}
