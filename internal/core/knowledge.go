@@ -14,13 +14,13 @@ import (
 // and canary promotion; implementations stamp the engine and space
 // identity, the tuner only supplies the context. Refit, Recluster and
 // Decide wrap each hyperparameter refit point, each re-cluster check and
-// each assessed recommendation, so an owner that logs an operation's
-// derivations with it — the advice its queries returned, the
-// hyperparameters a refit installed, whether a check adopted a new
-// clustering, what an assessment decided — can hand them back when it
-// replays the log, and the tuner installs what the logged operation
-// derived instead of recomputing it. Calls happen under the tuner mutex
-// and must not call back into the tuner.
+// each decided recommendation (an assessment or a probe), so an owner
+// that logs an operation's derivations with it — the advice its queries
+// returned, the hyperparameters a refit installed, whether a check
+// adopted a new clustering, what an assessment or a probe decided — can
+// hand them back when it replays the log, and the tuner installs what
+// the logged operation derived instead of recomputing it. Calls happen
+// under the tuner mutex and must not call back into the tuner.
 //
 // Transferred configurations are advisory, never trusted blindly: they
 // enter the regular candidate pool where safety.Assess and the white-box
@@ -42,12 +42,13 @@ type Knowledge interface {
 	// reports whether the check adopted a new clustering; in a replay it
 	// calls check only where the logged check adopted one.
 	Recluster(check func() bool)
-	// Decide runs one assessed recommendation: live it calls assess with
-	// nil, which computes the decision and returns it for the log; in a
-	// replay it calls assess with the logged decision, which installs it
-	// and returns nil if it does not fit the tuner's state, or with nil
-	// where the log holds none, which assesses live.
-	Decide(assess func(logged *Decision) *Decision)
+	// Decide runs one decided recommendation, an assessment or a probe's
+	// recenter: live it calls decide with nil, which computes the
+	// decision and returns it for the log; in a replay it calls decide
+	// with the logged decision, which installs it and returns nil if it
+	// does not fit the tuner's state, or with nil where the log holds
+	// none, which decides live.
+	Decide(decide func(logged *Decision) *Decision)
 }
 
 // fleet returns the knowledge hook when it reaches a fleet store.

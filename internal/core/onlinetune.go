@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
@@ -280,16 +281,22 @@ func minSteps(space *knobs.Space) []float64 {
 	return out
 }
 
-// knobImportance fits a small random forest on the model's observations
-// and returns per-knob importances for the important-direction oracle.
-func (o *OnlineTune) knobImportance(m *model) []float64 {
+// importantAxes answers the important-direction oracle: the top axes of
+// the per-knob importances a small random forest fitted on the model's
+// observations assigns (none below ten observations).
+func (o *OnlineTune) importantAxes(m *model) []int {
 	configs, _, perf := m.gp.Observations()
 	if len(configs) < 10 {
 		return nil
 	}
+	o.times.ImportanceFits++
 	f := forest.NewForest(10, 6, 3)
 	f.Fit(configs, perf, o.seed)
-	return f.Importance(configs, perf, o.seed+1)
+	imp := f.Importance(configs, perf, o.seed+1)
+	if len(imp) != o.Space.Dim() {
+		return nil
+	}
+	return subspace.TopAxes(imp)
 }
 
 // selectModel returns the model for a context: the SVM classifier's
@@ -399,9 +406,16 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	// configurations near the evaluated-best are recommended), recentered
 	// first on the posterior-mean best for this context.
 	if o.Opts.UseSafety && (m.CoolDown > 0 || o.contextNovel(m, ctx)) {
-		if i, mu, ok := m.gp.BestByPosterior(ctx); ok && mu >= tau {
-			m.BestUnit = m.gp.Config(i)
-		}
+		o.decide(func(logged *Decision) *Decision {
+			d := logged
+			if d == nil {
+				d = &Decision{}
+			}
+			if !o.recenter(m, ctx, tau, d, logged == nil) {
+				return nil
+			}
+			return d
+		})
 		if m.CoolDown > 0 {
 			m.CoolDown--
 		}
@@ -411,21 +425,28 @@ func (o *OnlineTune) Recommend(ctx []float64, env whitebox.Env, tau float64) Rec
 	}
 
 	var rec Recommendation
-	decide := func(logged *Decision) (d *Decision) {
+	o.decide(func(logged *Decision) (d *Decision) {
 		rec, d = o.assess(m, mi, ctx, env, tau, logged)
 		return d
-	}
-	if k := o.Opts.Knowledge; k != nil {
-		k.Decide(decide)
-	} else {
-		decide(nil)
-	}
+	})
 	return o.finishRecommend(rec)
 }
 
-// Decision is the outcome of an assessed recommendation's GP work: the
-// posterior recenter, the switching check's verdict, the safety and
-// white-box assessment and the pick. A replay installs it instead of
+// decide makes one decided recommendation, an assessment or a probe's
+// recenter, through the knowledge hook, which logs its decision live and
+// hands the logged one back in a replay.
+func (o *OnlineTune) decide(f func(logged *Decision) *Decision) {
+	if k := o.Opts.Knowledge; k != nil {
+		k.Decide(f)
+	} else {
+		f(nil)
+	}
+}
+
+// Decision is the outcome of a recommendation's model work: the
+// posterior recenter, the switching check's verdict, the importance
+// oracle's answer, the safety and white-box assessment and the pick. A
+// probe decides its recenter alone. A replay installs it instead of
 // recomputing it, and it is the per-decision trace of why a session got
 // its advice. Short keys keep it a few bytes in an op's log record.
 type Decision struct {
@@ -435,9 +456,14 @@ type Decision struct {
 	// Exhausted is the switching check's verdict: no unevaluated safe
 	// candidate is left in the region.
 	Exhausted bool `json:"x,omitempty"`
+	// Axes is the importance oracle's answer at a hypercube → line switch
+	// that consulted it: its top axes, or noAxes for none. Nil where no
+	// switch consulted it, and in a record written before decisions
+	// logged it, which a replay answers live.
+	Axes []int `json:"a,omitempty"`
 	// Pick indexes the assessed candidates, appended transfers included;
 	// −1 is the fallback of an empty safe set.
-	Pick   int `json:"p"`
+	Pick   int `json:"p,omitempty"`
 	Safe   int `json:"n,omitempty"` // the safety set's size after the white-box vetoes
 	Vetoes int `json:"v,omitempty"`
 	// Conflicts names the rules reported in conflict with the black
@@ -447,49 +473,62 @@ type Decision struct {
 	Ignored   string   `json:"i,omitempty"`
 }
 
+// noAxes is the logged answer of an importance oracle that named no
+// axis, which leaves a random line direction.
+var noAxes = []int{-1}
+
+// rowsPool lends assessments the buffer their candidate walks keep
+// points in.
+var rowsPool = sync.Pool{New: func() any { return new(subspace.Rows) }}
+
 // assess makes an assessed recommendation: recenter on the posterior-mean
 // best, run the switching check, adapt the subspace, draw and assess the
 // candidates with the black box and the white-box rules, and pick by
 // ε-greedy between the UCB maximizer and the safe boundary. Live (logged
 // nil) it computes the decision and returns it. Given a logged decision
 // it installs it and runs only what moves state — the generator's draws,
-// Adapt, the transfers, the conflict reports and the quantization of the
-// pick — skipping both assessments, the batch quantization, the recenter
-// search and the white-box checks; it returns nil if the decision does
-// not fit the tuner's state.
+// Adapt on the logged importance axes, the transfers, the conflict
+// reports and the quantization of the pick, the one candidate it
+// materializes — skipping both assessments, the batch quantization, the
+// recenter search, the forest fit and the white-box checks; it returns
+// nil if the decision does not fit the tuner's state.
 func (o *OnlineTune) assess(m *model, mi int, ctx []float64, env whitebox.Env, tau float64, logged *Decision) (Recommendation, *Decision) {
-	live, fits := logged == nil, true
+	live := logged == nil
 	d := logged
 	if live {
 		o.times.Assessments++
 		d = &Decision{}
-		if i, mu, ok := m.gp.BestByPosterior(ctx); ok && mu >= tau {
-			d.Recenter = &i
-		}
 	}
-	if r := d.Recenter; r != nil {
-		if fits = *r >= 0 && *r < m.gp.Len(); fits {
-			m.BestUnit = m.gp.Config(*r)
-		}
-	}
+	fits := o.recenter(m, ctx, tau, d, live)
 
-	// ③ Subspace adaptation (or the whole space for the ablation). The
-	// switching check's and the region's draws run in a replay too, which
-	// keeps the generator in step.
+	// ③ Subspace adaptation (or the whole space for the ablation). A
+	// replay walks the switching check's and the region's draws without
+	// keeping their points, which keeps the generator in step, and keeps
+	// only the logged pick.
 	t0 := now()
 	margin := tau + o.Opts.SafetyMargin*math.Abs(tau)
 	var candidates [][]float64
+	var pickRow []float64 // a replay's local pick, unquantized
+	var local int
 	regionKind := "global"
 	if o.Opts.UseSubspace && o.Opts.UseSafety {
-		region := m.adapter.Region()
-		if region != nil {
-			drawn := region.Candidates(40, o.rng)
+		rows := rowsPool.Get().(*subspace.Rows)
+		defer rowsPool.Put(rows)
+		if region := m.adapter.Region(); region != nil {
 			if live {
-				d.Exhausted = o.unevaluatedSafeExhausted(m, ctx, drawn, margin)
+				d.Exhausted = o.unevaluatedSafeExhausted(m, ctx, rows.Walk(region, 40, o.rng), margin)
+			} else {
+				region.Walk(40, o.rng, 0, 0, nil)
 			}
 		}
-		region = m.adapter.Adapt(o.regionCenter(m), d.Exhausted)
-		candidates = region.Candidates(o.Opts.Candidates, o.rng)
+		region, ok := o.adapt(m, d, live)
+		fits = fits && ok
+		if live {
+			candidates = rows.Walk(region, o.Opts.Candidates, o.rng)
+			local = len(candidates)
+		} else {
+			pickRow, local = region.Walk(o.Opts.Candidates, o.rng, d.Pick, d.Pick+1, nil)
+		}
 		if region.Kind == subspace.Hypercube {
 			regionKind = "hypercube"
 		} else {
@@ -497,13 +536,18 @@ func (o *OnlineTune) assess(m *model, mi int, ctx []float64, env whitebox.Env, t
 		}
 	} else {
 		candidates = o.globalCandidates(o.Opts.Candidates)
+		local = len(candidates)
+		if !live && d.Pick >= 0 && d.Pick < local {
+			pickRow = candidates[d.Pick]
+		}
 	}
-	local := len(candidates)
+	// Fleet transfers ride the same assessment as local candidates; a
+	// replay keeps them alone, after the local ones.
 	if live {
-		candidates = o.Space.QuantizeAll(candidates)
+		candidates = o.appendTransfers(m, o.Space.QuantizeAll(candidates))
+	} else {
+		candidates = o.appendTransfers(m, nil)
 	}
-	// Fleet transfers ride the same assessment as local candidates.
-	candidates = o.appendTransfers(m, candidates)
 	o.times.SubspaceAdapt += since(t0)
 
 	// ④ Safety assessment: black box, then white box.
@@ -542,8 +586,11 @@ func (o *OnlineTune) assess(m *model, mi int, ctx []float64, env whitebox.Env, t
 			d.Pick = assessed.ArgMaxUCB()
 		}
 	}
-	pick := d.Pick
-	if pick < -1 || pick >= len(candidates) {
+	pick, n := d.Pick, len(candidates)
+	if !live {
+		n += local
+	}
+	if pick < -1 || pick >= n {
 		pick, fits = -1, false
 	}
 	rec := Recommendation{ModelIndex: mi, SafetySetSize: d.Safe, Boundary: boundary, RegionKind: regionKind, WhiteBoxVetoes: d.Vetoes}
@@ -563,10 +610,13 @@ func (o *OnlineTune) assess(m *model, mi int, ctx []float64, env whitebox.Env, t
 		}
 		rec.Fallback = true
 	} else {
-		if live || pick >= local {
+		switch {
+		case live:
 			rec.Unit = mathx.VecClone(candidates[pick])
-		} else {
-			rec.Unit = o.Space.Quantize(candidates[pick])
+		case pick < local:
+			rec.Unit = o.Space.Quantize(pickRow)
+		default:
+			rec.Unit = candidates[pick-local] // appendTransfers' own copy
 		}
 		var err error
 		if rec.IgnoredRule, err = o.rule(d.Ignored); err != nil {
@@ -580,6 +630,58 @@ func (o *OnlineTune) assess(m *model, mi int, ctx []float64, env whitebox.Env, t
 		d = nil
 	}
 	return rec, d
+}
+
+// recenter moves the model's incumbent to the observation whose
+// posterior mean under ctx is highest, when that mean reaches tau. Live
+// it searches and logs the observation on d; in a replay it installs d's
+// and reports false if the model holds no such observation.
+func (o *OnlineTune) recenter(m *model, ctx []float64, tau float64, d *Decision, live bool) bool {
+	if live {
+		o.times.Recenters++
+		if i, mu, ok := m.gp.BestByPosterior(ctx); ok && mu >= tau {
+			d.Recenter = &i
+		}
+	}
+	if r := d.Recenter; r != nil {
+		if *r < 0 || *r >= m.gp.Len() {
+			return false
+		}
+		m.BestUnit = m.gp.Config(*r)
+	}
+	return true
+}
+
+// adapt runs the subspace adaptation, answering the importance oracle of
+// a hypercube → line switch: live it fits the forest and logs the answer
+// on d; in a replay it installs d's logged answer, and fits only for a
+// record that logged none. It reports false if a logged answer does not
+// fit the space or no switch consulted it.
+func (o *OnlineTune) adapt(m *model, d *Decision, live bool) (*subspace.Region, bool) {
+	asked, fits := false, true
+	m.adapter.ImportantAxes = func() []int {
+		asked = true
+		switch {
+		case live:
+			axes := o.importantAxes(m)
+			if d.Axes = axes; len(axes) == 0 {
+				d.Axes = noAxes
+			}
+			return axes
+		case d.Axes == nil:
+			return o.importantAxes(m)
+		case slices.Equal(d.Axes, noAxes):
+			return nil
+		}
+		if len(d.Axes) > 5 || slices.ContainsFunc(d.Axes, func(a int) bool { return a < 0 || a >= o.Space.Dim() }) {
+			fits = false
+			return nil
+		}
+		return d.Axes
+	}
+	region := m.adapter.Adapt(o.regionCenter(m), d.Exhausted)
+	m.adapter.ImportantAxes = nil
+	return region, fits && (asked || d.Axes == nil)
 }
 
 // finishRecommend routes a fully assembled recommendation through the
@@ -1046,7 +1148,6 @@ func (o *OnlineTune) newModelAt(idx int, center []float64) *model {
 	if d := o.Space.Dim(); d > 10 {
 		m.adapter.PerturbK = 8 // sparse coordinate perturbation in high dimension
 	}
-	m.adapter.ImportanceFn = func() []float64 { return o.knobImportance(m) }
 	return m
 }
 
@@ -1121,7 +1222,9 @@ func (o *OnlineTune) ExpectedImprovementOver(ctx, applied []float64) float64 {
 	muApplied, _ := m.gp.Predict(applied, ctx)
 	var candidates [][]float64
 	if region := m.adapter.Region(); region != nil && o.Opts.UseSubspace {
-		candidates = region.Candidates(40, o.rng)
+		rows := rowsPool.Get().(*subspace.Rows)
+		defer rowsPool.Put(rows)
+		candidates = rows.Walk(region, 40, o.rng)
 	} else {
 		candidates = o.globalCandidates(40)
 	}

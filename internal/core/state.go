@@ -122,13 +122,13 @@ func (o *OnlineTune) SetState(st State, calls int) error {
 	defer o.mu.Unlock()
 	dim := o.Space.Dim()
 	n := len(st.Repo.Obs)
-	// Restoring a generator replays its draws, so a position must be
-	// bounded by what the calls could have drawn, or a corrupt count
-	// would stall the restore: a call samples at most Candidates+80
-	// points (its candidates, the exhaustion probe's 40 and
-	// ExpectedImprovementOver's 40) of at most 2·dim draws each, plus a
-	// line direction's dim normals at ~1.02 draws each. The bound allows
-	// four times that.
+	// A restored generator replays its draws at its first draw, so a
+	// position must be bounded by what the calls could have drawn, or a
+	// corrupt count would stall the first op after the restore: a call
+	// samples at most Candidates+80 points (its candidates, the
+	// exhaustion probe's 40 and ExpectedImprovementOver's 40) of at most
+	// 2·dim draws each, plus a line direction's dim normals at ~1.02
+	// draws each. The bound allows four times that.
 	maxDraws := int64(calls) * int64(16*(o.Opts.Candidates+80)*(dim+1))
 	drawsOK := st.Draws >= 0 && st.Draws <= maxDraws
 	for _, ms := range st.Models {

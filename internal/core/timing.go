@@ -5,8 +5,9 @@ import "time"
 // StageTimes accumulates per-stage wall time across Recommend/Observe
 // calls — the Table A1 breakdown — and counts the costly derivations the
 // tuner computed rather than installed from a replayed log:
-// hyperparameter searches, re-cluster checks by verdict and assessed
-// recommendations.
+// hyperparameter searches, re-cluster checks by verdict, assessed
+// recommendations, the forest fits behind the importance oracle and the
+// posterior recenter searches (an assessment's and a probe's).
 type StageTimes struct {
 	ModelSelect     time.Duration
 	SubspaceAdapt   time.Duration
@@ -15,7 +16,7 @@ type StageTimes struct {
 	ModelUpdate     time.Duration
 	Iters           int
 
-	Refits, KeptChecks, AdoptedChecks, Assessments int
+	Refits, KeptChecks, AdoptedChecks, Assessments, ImportanceFits, Recenters int
 }
 
 // Timings returns a copy of the accumulated stage times.

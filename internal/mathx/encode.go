@@ -60,36 +60,48 @@ func (f *Floats) UnmarshalJSON(data []byte) error {
 // so a generator's position is one integer: math/rand's own source
 // cannot be marshaled, and math/rand/v2's would change every stream.
 // NewSource(seed, n) stands where a source seeded alike stood after n
-// draws; the fast-forward costs what the draws did.
+// draws. It seeds and fast-forwards on its first draw, so a source that
+// is replaced or never drawn from costs nothing; the fast-forward costs
+// what the draws did.
 type Source struct {
-	src   rand.Source64
+	src   rand.Source64 // nil until the first draw
+	seed  int64
 	draws int64
 }
 
 // NewSource returns the source rand.NewSource(seed) would be after
 // draws draws.
 func NewSource(seed, draws int64) *Source {
-	s := &Source{src: rand.NewSource(seed).(rand.Source64)}
-	for ; s.draws < draws; s.draws++ {
-		s.src.Uint64()
-	}
-	return s
+	return &Source{seed: seed, draws: draws}
 }
 
 // Draws returns how many values have been drawn since seeding.
 func (s *Source) Draws() int64 { return s.draws }
 
+// seeded returns the underlying source at the current position, seeding
+// and fast-forwarding it first if it has not drawn yet.
+func (s *Source) seeded() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+		for i := int64(0); i < s.draws; i++ {
+			s.src.Uint64()
+		}
+	}
+	return s.src
+}
+
 func (s *Source) Int63() int64 {
+	src := s.seeded()
 	s.draws++
-	return s.src.Int63()
+	return src.Int63()
 }
 
 func (s *Source) Uint64() uint64 {
+	src := s.seeded()
 	s.draws++
-	return s.src.Uint64()
+	return src.Uint64()
 }
 
 func (s *Source) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.draws = 0
+	s.src, s.seed, s.draws = nil, seed, 0
 }

@@ -58,6 +58,45 @@ func TestSourceFastForward(t *testing.T) {
 	}
 }
 
+// TestLazySourceEqualsEager: a source built at any position, which
+// seeds on its first draw, reports that position before drawing and
+// then gives exactly the stream of a source seeded eagerly and drawn
+// that far, whichever of Int63 and Uint64 draws first; Seed restarts it
+// lazily at the new seed's first value.
+func TestLazySourceEqualsEager(t *testing.T) {
+	const seed, total = 7, 300
+	eager := rand.NewSource(seed).(rand.Source64)
+	want := make([]uint64, total+8)
+	for i := range want {
+		want[i] = eager.Uint64()
+	}
+	for pos := 0; pos < total; pos++ {
+		lazy := NewSource(seed, int64(pos))
+		if lazy.Draws() != int64(pos) {
+			t.Fatalf("position %d: an undrawn source reports %d draws", pos, lazy.Draws())
+		}
+		if pos%2 == 0 {
+			if got := lazy.Int63(); got != int64(want[pos]&(1<<63-1)) {
+				t.Fatalf("position %d: first Int63 %d, eager %d", pos, got, int64(want[pos]&(1<<63-1)))
+			}
+		} else if got := lazy.Uint64(); got != want[pos] {
+			t.Fatalf("position %d: first Uint64 %d, eager %d", pos, got, want[pos])
+		}
+		for i := pos + 1; i < pos+8; i++ {
+			if got := lazy.Uint64(); got != want[i] {
+				t.Fatalf("position %d: draw %d is %d, eager %d", pos, i, got, want[i])
+			}
+		}
+		if lazy.Draws() != int64(pos+8) {
+			t.Fatalf("position %d: %d draws counted after 8, want %d", pos, lazy.Draws(), pos+8)
+		}
+		lazy.Seed(seed)
+		if lazy.Draws() != 0 || lazy.Uint64() != want[0] {
+			t.Fatalf("position %d: Seed did not restart the stream", pos)
+		}
+	}
+}
+
 // TestFloatsJSONExact: every float64 bit pattern survives the JSON form,
 // including the values JSON numbers cannot carry.
 func TestFloatsJSONExact(t *testing.T) {

@@ -5,12 +5,18 @@
 // consecutive failures, and a one-dimensional line region whose direction
 // comes from a random or importance-guided oracle (Appendix A3.2). All
 // coordinates live in the unit hypercube encoding of the knob space.
+//
+// A region's candidates are a walk that makes the same generator draws
+// whatever points it keeps: the tuner keeps every point in a reused
+// buffer, and a replay keeps only its logged pick, or none, which keeps
+// the generator in step at the cost of the draws alone.
 package subspace
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/mathx"
 )
@@ -110,59 +116,112 @@ func (r *Region) alphaRange() (lo, hi float64, ok bool) {
 }
 
 // Candidates discretizes the region into at most n unit points, always
-// including the center. Hypercubes are sampled uniformly; lines are
-// gridded over the α range that stays inside [0,1]^dim.
+// including the center, in new slices: the walk that keeps every point.
 func (r *Region) Candidates(n int, rng *rand.Rand) [][]float64 {
-	out := make([][]float64, 0, n)
-	out = append(out, mathx.VecClone(r.Center))
-	switch r.Kind {
-	case Hypercube:
-		dim := len(r.Center)
-		var idx []int
-		if r.PerturbK > 0 && r.PerturbK < dim {
-			idx = make([]int, dim)
-			for i := range idx {
-				idx[i] = i
-			}
-		}
-		for len(out) < n {
-			p := mathx.VecClone(r.Center)
-			if idx != nil {
-				// Partial Fisher–Yates: exactly PerturbK DISTINCT
-				// dimensions are perturbed per candidate (independent
-				// draws could collide and leave fewer moved). The scratch
-				// permutation carries over between candidates — any
-				// starting order yields a uniform distinct-K sample.
-				for k := 0; k < r.PerturbK; k++ {
-					j := k + rng.Intn(dim-k)
-					idx[k], idx[j] = idx[j], idx[k]
-					i := idx[k]
-					p[i] = r.Center[i] + (rng.Float64()*2-1)*r.radiusAt(i)
-				}
-			} else {
-				for i := range p {
-					p[i] = r.Center[i] + (rng.Float64()*2-1)*r.radiusAt(i)
-				}
-			}
-			out = append(out, mathx.ClampVec(p))
-		}
-	default:
-		// Feasible α range: center + α·dir ∈ [0,1] per coordinate.
-		lo, hi, ok := r.alphaRange()
-		if !ok || hi <= lo {
-			return out
-		}
-		grid := n - 1
-		if grid < 2 {
-			grid = 2
-		}
-		for i := 0; i < grid; i++ {
-			alpha := lo + (hi-lo)*float64(i)/float64(grid-1)
-			p := mathx.VecAdd(r.Center, mathx.VecScale(alpha, r.Dir))
-			out = append(out, mathx.ClampVec(p))
+	return new(Rows).Walk(r, n, rng)
+}
+
+// Rows is a reusable buffer for walks that keep every point.
+type Rows struct {
+	flat []float64
+	rows [][]float64
+}
+
+// Walk walks the region keeping every point in b's memory and returns
+// the points, which the next Walk on b overwrites.
+func (b *Rows) Walk(r *Region, n int, rng *rand.Rand) [][]float64 {
+	var k int
+	b.flat, k = r.Walk(n, rng, 0, math.MaxInt, b.flat[:0])
+	dim := len(r.Center)
+	b.rows = slices.Grow(b.rows[:0], k)
+	for i := 0; i < k; i++ {
+		b.rows = append(b.rows, b.flat[i*dim:(i+1)*dim:(i+1)*dim])
+	}
+	return b.rows
+}
+
+// Walk discretizes the region into at most n unit points, the center
+// first, appends to dst the points whose index lies in [from, to), and
+// returns dst and the number of points. Hypercubes are sampled
+// uniformly; lines are gridded over the α range that stays inside
+// [0,1]^dim. The draws are the same, in the same order, whatever the
+// walk keeps: a point it drops costs its draws and nothing else, and a
+// line draws nothing.
+func (r *Region) Walk(n int, rng *rand.Rand, from, to int, dst []float64) ([]float64, int) {
+	dim, count := len(r.Center), max(n, 1)
+	var lo, hi float64
+	if r.Kind != Hypercube {
+		var ok bool
+		if lo, hi, ok = r.alphaRange(); ok && hi > lo {
+			count = 1 + max(n-1, 2)
+		} else {
+			count = 1
 		}
 	}
-	return out
+	from, to = max(from, 0), min(to, count)
+	if to > from {
+		dst = slices.Grow(dst, (to-from)*dim)
+	}
+	kept := func(pt int) []float64 {
+		if pt < from || pt >= to {
+			return nil
+		}
+		dst = append(dst, r.Center...)
+		return dst[len(dst)-dim:]
+	}
+	kept(0)
+	if r.Kind != Hypercube {
+		for pt := max(from, 1); pt < to; pt++ {
+			p := kept(pt)
+			alpha := lo + (hi-lo)*float64(pt-1)/float64(count-2)
+			for i, d := range r.Dir {
+				// The conversion rounds the product as a store would, so
+				// no platform fuses it into the add.
+				p[i] = r.Center[i] + float64(alpha*d)
+			}
+			mathx.ClampVec(p)
+		}
+		return dst, count
+	}
+	// Partial Fisher–Yates over a scratch permutation: exactly PerturbK
+	// DISTINCT dimensions are perturbed per point (independent draws
+	// could collide and leave fewer moved). The permutation carries over
+	// between points — any starting order yields a uniform distinct-K
+	// sample.
+	var scratch [64]int
+	var idx []int
+	if r.PerturbK > 0 && r.PerturbK < dim {
+		if idx = scratch[:0]; dim > len(scratch) {
+			idx = make([]int, 0, dim)
+		}
+		for i := 0; i < dim; i++ {
+			idx = append(idx, i)
+		}
+	}
+	for pt := 1; pt < count; pt++ {
+		p := kept(pt)
+		if idx != nil {
+			for k := 0; k < r.PerturbK; k++ {
+				j := k + rng.Intn(dim-k)
+				idx[k], idx[j] = idx[j], idx[k]
+				if i := idx[k]; p != nil {
+					p[i] = r.Center[i] + (rng.Float64()*2-1)*r.radiusAt(i)
+				} else {
+					rng.Float64()
+				}
+			}
+		} else {
+			for i := 0; i < dim; i++ {
+				if p != nil {
+					p[i] = r.Center[i] + (rng.Float64()*2-1)*r.radiusAt(i)
+				} else {
+					rng.Float64()
+				}
+			}
+		}
+		mathx.ClampVec(p)
+	}
+	return dst, count
 }
 
 // Adapter implements the success/failure-driven adaptation of
@@ -182,9 +241,11 @@ type Adapter struct {
 	// improvement in the last hypercube phase is below it, a random
 	// direction (exploration) is drawn; otherwise an important one.
 	ImproveThreshold float64
-	// ImportanceFn returns per-dimension importances for the important
-	// direction oracle; nil forces random directions.
-	ImportanceFn func() []float64
+	// ImportantAxes answers the important direction oracle: the most
+	// important dimensions, at most five distinct ones in [0, Dim) and
+	// most important first (TopAxes of per-dimension importances). No
+	// answer, or a nil oracle, leaves a random direction.
+	ImportantAxes func() []int
 	// MinStep and PerturbK are propagated to hypercube regions (see
 	// Region).
 	MinStep  []float64
@@ -334,16 +395,11 @@ func (a *Adapter) Adapt(best []float64, noUnevaluatedSafe bool) *Region {
 // hypercube phase improved little (explore), otherwise axis-aligned with
 // one of the top-5 important knobs (exploit), per Appendix A3.2.
 func (a *Adapter) generateDirection() []float64 {
-	useImportant := a.ImportanceFn != nil && a.st.PhaseImprove >= a.ImproveThreshold
-	if useImportant {
-		imp := a.ImportanceFn()
-		if len(imp) == a.Dim {
-			idx := topKIndices(imp, 5)
-			if len(idx) > 0 {
-				d := make([]float64, a.Dim)
-				d[idx[a.rng.Intn(len(idx))]] = 1
-				return d
-			}
+	if a.ImportantAxes != nil && a.st.PhaseImprove >= a.ImproveThreshold {
+		if idx := a.ImportantAxes(); len(idx) > 0 {
+			d := make([]float64, a.Dim)
+			d[idx[a.rng.Intn(len(idx))]] = 1
+			return d
 		}
 	}
 	// Random unit direction.
@@ -364,14 +420,18 @@ func (a *Adapter) generateDirection() []float64 {
 	return d
 }
 
-func topKIndices(v []float64, k int) []int {
+// TopAxes returns the important direction oracle's answer for
+// per-dimension importances: the five most important dimensions of
+// positive importance, most important first.
+func TopAxes(v []float64) []int {
+	const k = 5
 	idx := make([]int, 0, len(v))
 	for i, x := range v {
 		if x > 0 {
 			idx = append(idx, i)
 		}
 	}
-	// Selection sort is fine for k ≤ 5.
+	// Selection sort is fine for k = 5.
 	for i := 0; i < len(idx) && i < k; i++ {
 		best := i
 		for j := i + 1; j < len(idx); j++ {
@@ -381,8 +441,5 @@ func topKIndices(v []float64, k int) []int {
 		}
 		idx[i], idx[best] = idx[best], idx[i]
 	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
+	return idx[:min(k, len(idx))]
 }

@@ -103,7 +103,7 @@ func mNorm(v []float64) float64 {
 
 func TestImportantDirectionOracle(t *testing.T) {
 	a := NewAdapter(5, 3)
-	a.ImportanceFn = func() []float64 { return []float64{0, 0, 1, 0, 0} }
+	a.ImportantAxes = func() []int { return TopAxes([]float64{0, 0, 1, 0, 0}) }
 	a.st.PhaseImprove = 1 // exploit branch
 	d := a.generateDirection()
 	if d[2] != 1 {

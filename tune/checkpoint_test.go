@@ -502,9 +502,10 @@ func (l liveStates) hydrateEveryCut(t *testing.T, dir string, opts ManagerOption
 
 // TestReplayRefusesMisfitDecision: a replayed suggest installs its
 // logged decision only where it fits the replayed state. A decision
-// whose pick, recenter or rules the state cannot hold, and a decision on
-// a suggest that makes no assessment, each fail the restore, naming the
-// record.
+// whose pick, recenter (an assessment's or a probe's), importance axes
+// or rules the state cannot hold, axes where no line switch consulted
+// the oracle, and a decision on a suggest that decides nothing, each
+// fail the restore, naming the record.
 func TestReplayRefusesMisfitDecision(t *testing.T) {
 	opts := DefaultTunerOptions()
 	opts.SafetyMargin = 0
@@ -516,25 +517,31 @@ func TestReplayRefusesMisfitDecision(t *testing.T) {
 		base []byte
 		rec  walRecord
 	}
-	var cold, assessed *logged
-	for i := 0; assessed == nil; i++ {
+	var cold, assessed, switched, probe *logged
+	for i := 0; assessed == nil || switched == nil || probe == nil; i++ {
 		if i == 40 {
-			t.Fatal("no suggest reached an assessment in 40 intervals")
+			t.Fatal("no suggest reached an assessment, an importance-guided line switch and a recentering probe in 40 intervals")
 		}
 		base, err := s.snapshot(false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rec, err := s.suggest(context.Background())
+		adv, rec, err := s.suggest(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
+		d := rec.Event.Decision
+		switch {
+		case i == 0:
 			cold = &logged{base, rec}
-		} else if rec.Event.Decision != nil {
+		case adv.RegionKind == "probe" && d != nil && d.Recenter != nil:
+			probe = &logged{base, rec}
+		case d != nil && len(d.Axes) > 0 && d.Axes[0] >= 0:
+			switched = &logged{base, rec}
+		case d != nil && assessed == nil:
 			assessed = &logged{base, rec}
 		}
-		s.report(knowOutcome(i, 115+float64(i%4)))
+		s.report(derivationOutcome(i))
 	}
 	replay := func(l *logged, mutate func(*event)) error {
 		rec := l.rec
@@ -550,20 +557,26 @@ func TestReplayRefusesMisfitDecision(t *testing.T) {
 		_, _, err = restore(l.base, [][]byte{data}, nil)
 		return err
 	}
-	if err := replay(assessed, func(*event) {}); err != nil {
-		t.Fatalf("the logged decision does not replay: %v", err)
+	for _, l := range []*logged{assessed, switched, probe} {
+		if err := replay(l, func(*event) {}); err != nil {
+			t.Fatalf("the logged decision does not replay: %v", err)
+		}
 	}
 	recenter := 1 << 20
 	for name, c := range map[string]struct {
 		l      *logged
 		mutate func(*event)
 	}{
-		"a pick past the candidates":    {assessed, func(e *event) { e.Decision.Pick = 1 << 20 }},
-		"a pick below the fallback":     {assessed, func(e *event) { e.Decision.Pick = -2 }},
-		"a recenter past the model":     {assessed, func(e *event) { e.Decision.Recenter = &recenter }},
-		"an unknown conflict rule":      {assessed, func(e *event) { e.Decision.Conflicts = []string{"no-such-rule"} }},
-		"an unknown bypassed rule":      {assessed, func(e *event) { e.Decision.Pick, e.Decision.Ignored = 0, "no-such-rule" }},
-		"a decision without assessment": {cold, func(e *event) { e.Decision = &core.Decision{Pick: -1} }},
+		"a pick past the candidates":        {assessed, func(e *event) { e.Decision.Pick = 1 << 20 }},
+		"a pick below the fallback":         {assessed, func(e *event) { e.Decision.Pick = -2 }},
+		"a recenter past the model":         {assessed, func(e *event) { e.Decision.Recenter = &recenter }},
+		"an unknown conflict rule":          {assessed, func(e *event) { e.Decision.Conflicts = []string{"no-such-rule"} }},
+		"an unknown bypassed rule":          {assessed, func(e *event) { e.Decision.Pick, e.Decision.Ignored = 0, "no-such-rule" }},
+		"axes no line switch asked for":     {assessed, func(e *event) { e.Decision.Axes = []int{0} }},
+		"an axis past the space":            {switched, func(e *event) { e.Decision.Axes = []int{0, 5} }},
+		"six axes":                          {switched, func(e *event) { e.Decision.Axes = []int{0, 1, 2, 3, 4, 0} }},
+		"a probe's recenter past the model": {probe, func(e *event) { e.Decision.Recenter = &recenter }},
+		"a decision without assessment":     {cold, func(e *event) { e.Decision = &core.Decision{Pick: -1} }},
 	} {
 		var te *tailError
 		if err := replay(c.l, c.mutate); !errors.As(err, &te) || te.i != 0 {
@@ -572,9 +585,16 @@ func TestReplayRefusesMisfitDecision(t *testing.T) {
 	}
 }
 
-// TestHydrateUndecidedTail: a tail written before suggests logged their
-// decisions — the same records without the "d" field — still hydrates
-// to the live state byte for byte, assessing each such suggest live.
+// TestHydrateUndecidedTail: tails in the forms earlier builds wrote
+// still hydrate to the live state byte for byte, computing live what
+// their records do not log. The tail crosses importance-guided line
+// switches and recentering probes. Written before suggests logged their
+// decisions — the same records without the "d" field — each assessment
+// and each probe's recenter runs live. Written by the build before
+// decisions logged the importance oracle's answer and probes their
+// recenter — assessed decisions without "a", probes without "d" — each
+// probe's recenter and each switch's forest fit runs live, and no
+// assessment.
 func TestHydrateUndecidedTail(t *testing.T) {
 	opts := DefaultTunerOptions()
 	opts.SafetyMargin = 0
@@ -586,48 +606,83 @@ func TestHydrateUndecidedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs [][]byte
-	stripped := 0
-	for i := 0; i < 30; i++ {
-		_, rec, err := s.suggest(context.Background())
+	var undecided, previous [][]byte
+	assessed, probes, switches := 0, 0, 0
+	for i := 0; i < 40; i++ {
+		adv, rec, err := s.suggest(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, undecided(t, rec, &stripped))
-		recs = append(recs, undecided(t, s.report(knowOutcome(i, 115+float64(i%4))), &stripped))
+		probe := adv.RegionKind == "probe"
+		if d := rec.Event.Decision; d != nil && probe {
+			probes++
+		} else if d != nil {
+			assessed++
+			if d.Axes != nil {
+				switches++
+			}
+		}
+		undecided = append(undecided, rewritten(t, rec, func(ev, _ map[string]json.RawMessage) { delete(ev, "d") }))
+		previous = append(previous, rewritten(t, rec, func(ev, d map[string]json.RawMessage) {
+			if probe {
+				delete(ev, "d")
+			}
+			delete(d, "a")
+		}))
+		rec = s.report(derivationOutcome(i))
+		undecided = append(undecided, rewritten(t, rec, nil))
+		previous = append(previous, rewritten(t, rec, nil))
 	}
-	if stripped == 0 {
-		t.Fatal("no suggest reached an assessment in 30 intervals")
+	if lt := s.tuner.T.Timings(); assessed == 0 || probes == 0 || switches == 0 || lt.ImportanceFits == 0 {
+		t.Fatalf("the tail holds %d assessments, %d probes and %d importance-guided switches (%d forest fits), want ≥ 1 of each",
+			assessed, probes, switches, lt.ImportanceFits)
 	}
-	h, _, err := restore(base, recs, nil)
-	if err != nil {
-		t.Fatalf("the undecided tail does not replay: %v", err)
+	for _, c := range []struct {
+		name                        string
+		recs                        [][]byte
+		assessments, fits, recenter int
+	}{
+		{"undecided", undecided, assessed, s.tuner.T.Timings().ImportanceFits, assessed + probes},
+		{"previous-build", previous, 0, s.tuner.T.Timings().ImportanceFits, probes},
+	} {
+		h, _, err := restore(base, c.recs, nil)
+		if err != nil {
+			t.Fatalf("the %s tail does not replay: %v", c.name, err)
+		}
+		if ht := h.tuner.T.Timings(); ht.Assessments != c.assessments || ht.ImportanceFits != c.fits || ht.Recenters != c.recenter {
+			t.Fatalf("the %s tail's hydrate computed %d assessments, %d forest fits and %d recenter searches, want %d, %d and %d",
+				c.name, ht.Assessments, ht.ImportanceFits, ht.Recenters, c.assessments, c.fits, c.recenter)
+		}
+		sameState(t, h, s)
 	}
-	if got := h.tuner.T.Timings().Assessments; got != stripped {
-		t.Fatalf("hydrate computed %d assessments, want one per stripped decision (%d)", got, stripped)
-	}
-	sameState(t, h, s)
 }
 
-// undecided returns rec's WAL bytes with the event's "d" field deleted,
-// counting the deletions in n.
-func undecided(t *testing.T, rec walRecord, n *int) []byte {
+// rewritten returns rec's WAL bytes after edit has changed the JSON
+// objects of its event and of the event's decision (empty without one).
+func rewritten(t *testing.T, rec walRecord, edit func(ev, d map[string]json.RawMessage)) []byte {
 	t.Helper()
 	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || edit == nil {
+		return data
 	}
-	var raw map[string]json.RawMessage
+	var raw, ev map[string]json.RawMessage
+	d := map[string]json.RawMessage{}
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	var ev map[string]json.RawMessage
 	if err := json.Unmarshal(raw["event"], &ev); err != nil {
 		t.Fatal(err)
 	}
+	if ev["d"] != nil {
+		if err := json.Unmarshal(ev["d"], &d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(ev, d)
 	if _, ok := ev["d"]; ok {
-		delete(ev, "d")
-		*n++
+		if ev["d"], err = json.Marshal(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if raw["event"], err = json.Marshal(ev); err != nil {
 		t.Fatal(err)
@@ -781,12 +836,15 @@ func shiftOutcome(i int) Outcome {
 
 // TestHydrateInstallsLoggedDerivations is restart equivalence across the
 // costly derivations: the replayed tail spans refit points with logged
-// hyperparameters, kept re-cluster checks, one adopted check and
-// assessed suggests with logged decisions. The hydrate must run no
-// hyperparameter search, no kept check and no assessment — it installs
-// the logged refits and decisions and skips the kept checks — re-run
-// exactly the adopted one, hydrate to the live state byte for byte and
-// continue bit-identically with a session that never restarted. The repository (cap 48) first evicts during the
+// hyperparameters, kept re-cluster checks, one adopted check, assessed
+// suggests with logged decisions, an importance-guided hypercube → line
+// switch with its logged axes and probes with their logged recenters.
+// The hydrate must run no hyperparameter search, no kept check, no
+// assessment, no forest fit and no recenter search — it installs the
+// logged refits, decisions, axes and recenters and skips the kept
+// checks — re-run exactly the adopted one, hydrate to the live state
+// byte for byte and continue bit-identically with a session that never
+// restarted. The repository (cap 48) first evicts during the
 // continuation, so its checks both extend the nearest-distance index the
 // skipped checks left short and rebuild it.
 func TestHydrateInstallsLoggedDerivations(t *testing.T) {
@@ -806,12 +864,14 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var kinds []string
 	step := func(m *Manager, i int) {
 		t.Helper()
 		adv, err := m.Suggest(context.Background(), "db")
 		if err != nil {
 			t.Fatal(err)
 		}
+		kinds = append(kinds, adv.RegionKind)
 		want, err := ref.Suggest(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -819,10 +879,10 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 		if !reflect.DeepEqual(adv, want) {
 			t.Fatalf("iter %d: advice diverged from the never-restarted session", i)
 		}
-		if _, err := m.Report("db", shiftOutcome(i)); err != nil {
+		if _, err := m.Report("db", derivationOutcome(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Report(shiftOutcome(i)); err != nil {
+		if err := ref.Report(derivationOutcome(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -830,9 +890,9 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	for i := 0; i < intervals; i++ {
 		step(m, i)
 	}
-	if lt := ref.tuner.T.Timings(); lt.Refits == 0 || lt.KeptChecks == 0 || lt.AdoptedChecks != 1 || lt.Assessments == 0 {
-		t.Fatalf("live session ran %d refits, %d kept and %d adopted checks and %d assessments, want ≥ 1, ≥ 1, 1 and ≥ 1",
-			lt.Refits, lt.KeptChecks, lt.AdoptedChecks, lt.Assessments)
+	if lt := ref.tuner.T.Timings(); lt.Refits == 0 || lt.KeptChecks == 0 || lt.AdoptedChecks != 1 || lt.Assessments == 0 || lt.ImportanceFits == 0 {
+		t.Fatalf("live session ran %d refits, %d kept and %d adopted checks, %d assessments and %d forest fits, want ≥ 1, ≥ 1, 1, ≥ 1 and ≥ 1",
+			lt.Refits, lt.KeptChecks, lt.AdoptedChecks, lt.Assessments, lt.ImportanceFits)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -841,11 +901,17 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fits, adopted, decisions := 0, 0, 0
-	for _, data := range recs {
+	fits, adopted, decisions, axes, recentered := 0, 0, 0, 0, 0
+	for k, data := range recs {
 		var rec walRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
 			t.Fatal(err)
+		}
+		if d := rec.Event.Decision; d != nil && len(d.Axes) > 0 && d.Axes[0] >= 0 {
+			axes++
+		}
+		if d := rec.Event.Decision; d != nil && kinds[k/2] == "probe" && d.Recenter != nil {
+			recentered++
 		}
 		if rec.Event.Fit != nil {
 			fits++
@@ -853,13 +919,13 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 		if rec.Event.Adopted {
 			adopted++
 		}
-		if rec.Event.Decision != nil {
+		if rec.Event.Decision != nil && kinds[k/2] != "probe" {
 			decisions++
 		}
 	}
-	if lt := ref.tuner.T.Timings(); len(recs) != 2*intervals || fits == 0 || adopted != 1 || decisions != lt.Assessments {
-		t.Fatalf("the tail holds %d records, %d logged refits, %d adopted checks and %d decisions, want %d, ≥ 1, 1 and %d",
-			len(recs), fits, adopted, decisions, 2*intervals, lt.Assessments)
+	if lt := ref.tuner.T.Timings(); len(recs) != 2*intervals || fits == 0 || adopted != 1 || decisions != lt.Assessments || axes == 0 || recentered == 0 {
+		t.Fatalf("the tail holds %d records, %d logged refits, %d adopted checks, %d decisions, %d importance-guided switches and %d recentered probes, want %d, ≥ 1, 1, %d, ≥ 1 and ≥ 1",
+			len(recs), fits, adopted, decisions, axes, recentered, 2*intervals, lt.Assessments)
 	}
 	m, err = openManager(dir, mopts, 1<<20)
 	if err != nil {
@@ -870,15 +936,33 @@ func TestHydrateInstallsLoggedDerivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ht := s.tuner.T.Timings(); ht.Refits != 0 || ht.KeptChecks != 0 || ht.AdoptedChecks != 1 || ht.Assessments != 0 {
-		t.Fatalf("hydrate ran %d refits, %d kept and %d adopted checks and %d assessments, want 0, 0, 1 and 0",
-			ht.Refits, ht.KeptChecks, ht.AdoptedChecks, ht.Assessments)
+	if ht := s.tuner.T.Timings(); ht.Refits != 0 || ht.KeptChecks != 0 || ht.AdoptedChecks != 1 || ht.Assessments != 0 || ht.ImportanceFits != 0 || ht.Recenters != 0 {
+		t.Fatalf("hydrate ran %d refits, %d kept and %d adopted checks, %d assessments, %d forest fits and %d recenter searches, want 0, 0, 1, 0, 0 and 0",
+			ht.Refits, ht.KeptChecks, ht.AdoptedChecks, ht.Assessments, ht.ImportanceFits, ht.Recenters)
 	}
 	sameSnapshotSession(t, m, ref)
 	for i := intervals; i < intervals+15; i++ {
 		step(m, i)
 	}
 	sameSnapshotSession(t, m, ref)
+}
+
+// derivationOutcome is shiftOutcome whose performance rises for twelve
+// intervals and then sinks slowly, so a hypercube's failure streaks
+// shrink it to a line whose direction the importance oracle picks, and
+// whose two dips below τ put the model on a recentering probe.
+func derivationOutcome(i int) Outcome {
+	o := shiftOutcome(i)
+	switch {
+	case i == 17 || i == 29:
+		o.Performance = 90
+	case i < 12:
+		o.Performance = 110 + float64(i)
+	default:
+		o.Performance = 125 - 0.5*float64(i-12)
+	}
+	o.Metrics.QPS = o.Performance
+	return o
 }
 
 // sameSnapshotSession fails unless the managed session "db" serializes

@@ -18,13 +18,13 @@ import (
 // the op's own event: the advice every fleet query returned (nil
 // records a miss), the hyperparameters a refit installed, whether a
 // re-cluster check adopted a new clustering and what an assessed
-// recommendation decided. Replaying an event, it hands the logged
-// results back instead of computing them: the fleet store evolves as
-// other sessions contribute, so only the log can reproduce what THIS
-// session saw, and a logged search, check or assessment already decided
-// what recomputing it would. It is called from the tuner under
-// the session mutex, on the session's own goroutine — it must not take
-// s.mu itself.
+// recommendation or a probe decided. Replaying an event, it hands the
+// logged results back instead of computing them: the fleet store evolves
+// as other sessions contribute, so only the log can reproduce what THIS
+// session saw, and a logged search, check, assessment or recenter
+// already decided what recomputing it would. It is called from the
+// tuner under the session mutex, on the session's own goroutine — it
+// must not take s.mu itself.
 type knowAdapter struct {
 	fleet   *fleetKnowledge // nil: every query misses, contributions drop
 	enabled bool            // Config.Knowledge: the tuner queries and contributes
@@ -130,16 +130,17 @@ func (k *knowAdapter) Recluster(check func() bool) {
 	}
 }
 
-// Decide implements core.Knowledge. Live: run the assessment and log its
-// decision. Replay: install the logged decision, or assess live where the
-// op logged none (a record written before suggests logged theirs).
-func (k *knowAdapter) Decide(assess func(logged *core.Decision) *core.Decision) {
+// Decide implements core.Knowledge. Live: run the assessment or the
+// probe's recenter and log its decision. Replay: install the logged
+// decision, or decide live where the op logged none (a record written
+// before suggests, or probes, logged theirs).
+func (k *knowAdapter) Decide(decide func(logged *core.Decision) *core.Decision) {
 	if !k.replaying {
-		k.op.Decision = assess(nil)
+		k.op.Decision = decide(nil)
 		return
 	}
 	k.decided = true
-	installed := assess(k.op.Decision)
+	installed := decide(k.op.Decision)
 	k.misfit = k.op.Decision != nil && installed == nil
 }
 

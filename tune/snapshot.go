@@ -34,13 +34,14 @@ const (
 
 // event is one logged session operation, together with everything it
 // derived that replay either cannot recompute or need not: the advice
-// its fleet queries returned, what a suggest's assessment decided, the
-// hyperparameters a refit installed, whether a re-cluster check adopted
-// a new clustering, and the rollout decision it triggered. Every source
-// of randomness is seeded, so replaying events on a session restored
-// from a snapshot reproduces the session that logged them bit for bit:
-// the WAL tail on top of a base's state. An op and its derivations share
-// one CRC-framed record, so a torn log never separates them.
+// its fleet queries returned, what a suggest's assessment or probe
+// decided, the hyperparameters a refit installed, whether a re-cluster
+// check adopted a new clustering, and the rollout decision it
+// triggered. Every source of randomness is seeded, so replaying events
+// on a session restored from a snapshot reproduces the session that
+// logged them bit for bit: the WAL tail on top of a base's state. An op
+// and its derivations share one CRC-framed record, so a torn log never
+// separates them.
 type event struct {
 	Kind    string   `json:"kind"`
 	Outcome *Outcome `json:"outcome,omitempty"`
@@ -55,8 +56,9 @@ type event struct {
 	// order; a nil entry is a miss.
 	Knowledge []*knowledge.Advice `json:"knowledge,omitempty"`
 	// Decision is what a suggest's assessment decided: the recenter, the
-	// switching verdict, the pick, the safe-set size, the white-box
-	// vetoes and rules. Absent for a suggest that held, probed or stayed
+	// switching verdict, the importance oracle's axes at a line switch,
+	// the pick, the safe-set size, the white-box vetoes and rules; for a
+	// probe, its recenter alone. Absent for a suggest that held or stayed
 	// on a cold model's initial or warm configuration.
 	Decision *core.Decision `json:"d,omitempty"`
 	// Fit holds the hyperparameters a report's refit installed.
