@@ -12,7 +12,8 @@ import (
 // Configurations and contexts are concatenated into a single input
 // vector; the Split kernel handles the decomposition. Queries share one
 // context, so its statistics against the training contexts are measured
-// once per call, not once per candidate.
+// once per call, not once per candidate, and a query's configuration is
+// measured against each distinct training configuration once.
 type ContextualGP struct {
 	gp        *GP
 	kern      *Split // gp.Kern
@@ -37,7 +38,8 @@ func NewContextualWeighted(configDim, ctxDim int, weights []float64) *Contextual
 
 func newContextual(kern *Split, ctxDim int) *ContextualGP {
 	g := New(kern, 1e-3)
-	g.res, g.rest = kern.KConfig, kern.KCtx
+	g.ix = &configIndex{dim: kern.Dim}
+	g.res, g.rest = g.parts(kern)
 	return &ContextualGP{gp: g, kern: kern, configDim: kern.Dim, ctxDim: ctxDim}
 }
 
@@ -59,7 +61,9 @@ func (c *ContextualGP) ctxRow(ctx []float64) []float64 {
 // The configuration kernel's value for every training pair is resident,
 // so scoring evaluates only the context kernel, once per training
 // context, and sums the two as Split.OfStats sums them. Means only: no
-// triangular solves.
+// triangular solves. Rows that repeat a configuration share its mean,
+// so each distinct configuration is scored once, at its first row,
+// which the strict > would have kept on the tie anyway.
 func (c *ContextualGP) BestByPosterior(ctx []float64) (idx int, mean float64, ok bool) {
 	g := c.gp
 	n := g.Len()
@@ -71,7 +75,7 @@ func (c *ContextualGP) BestByPosterior(ctx []float64) (idx int, mean float64, ok
 		kstar := make([]float64, n)
 		kCtx := c.ctxRow(ctx)
 		bestMu = math.Inf(-1)
-		for p := 0; p < n; p++ {
+		for _, p := range g.ix.reps {
 			for i := range kstar {
 				v := g.kres[tri(max(i, p))+min(i, p)]
 				v += kCtx[i]
@@ -175,8 +179,9 @@ func (c *ContextualGP) Predict(config, ctx []float64) (mean, variance float64) {
 // PredictAll returns posterior means and variances for every
 // configuration under a shared context in one batched pass: the factor,
 // the weights and the context-kernel row are shared, the configuration
-// kernel is called once per candidate row on per-block scratch, and
-// candidate blocks are fanned across a bounded worker pool.
+// kernel is called once per candidate row, over the distinct training
+// configurations, on per-block scratch, and candidate blocks are fanned
+// across a bounded worker pool.
 func (c *ContextualGP) PredictAll(configs [][]float64, ctx []float64) (means, variances []float64) {
 	return c.PredictAbove(configs, ctx, math.Inf(-1))
 }
@@ -187,12 +192,32 @@ func (c *ContextualGP) PredictAll(configs [][]float64, ctx []float64) (means, va
 func (c *ContextualGP) PredictAbove(configs [][]float64, ctx []float64, floor float64) (means, variances []float64) {
 	d, kc, w := c.configDim, c.kern.KConfig, c.kern.KConfig.NumStats()
 	kCtx, ctxPrior := c.ctxRow(ctx), Eval(c.kern.KCtx, ctx, ctx)
-	return c.gp.predictAll(len(configs), w, floor, func(j int, st, k []float64) float64 {
+	ix := c.gp.ix
+	if !ix.repeats() {
+		return c.gp.predictAll(len(configs), max(len(c.gp.x), 1)*w, floor, func(j int, st, k []float64) float64 {
+			q := configs[j][:d]
+			kc.StatsRow(c.gp.x[:len(k)], 0, q, w, st)
+			kc.AddOfStatsRow(st, w, k)
+			for i := range k {
+				k[i] += kCtx[i]
+			}
+			kc.Stats(q, q, st[:w])
+			return kc.OfStats(st[:w]) + ctxPrior
+		})
+	}
+	// The rows repeat configurations: measure and evaluate each distinct
+	// one once and scatter its value to the rows that share it.
+	u := len(ix.rows)
+	return c.gp.predictAll(len(configs), u*w+u, floor, func(j int, st, k []float64) float64 {
 		q := configs[j][:d]
-		kc.StatsRow(c.gp.x[:len(k)], 0, q, w, st)
-		kc.AddOfStatsRow(st, w, k)
-		for i := range k {
-			k[i] += kCtx[i]
+		if len(k) > 0 {
+			s, v := st[:u*w], st[u*w:u*w+u]
+			kc.StatsRow(ix.rows, 0, q, w, s)
+			clear(v)
+			kc.AddOfStatsRow(s, w, v)
+			for i, a := range ix.of {
+				k[i] = v[a] + kCtx[i]
+			}
 		}
 		kc.Stats(q, q, st[:w])
 		return kc.OfStats(st[:w]) + ctxPrior

@@ -25,7 +25,10 @@ const refactorEvery = 64
 // Append adds one row to each triangle and extends the factor in O(n²);
 // Slide shifts the triangles and adds one row; a change of
 // hyperparameters re-evaluates the value triangle from the statistics,
-// without reading a coordinate. The Gram matrix and the factorization
+// without reading a coordinate. A contextual GP indexes its rows by
+// distinct configuration (configIndex) and evaluates its configuration
+// kernel once per distinct configuration or pair of them, not once per
+// row or pair of rows. The Gram matrix and the factorization
 // are pooled scratch and the new factor and weights overwrite the old
 // ones when the size is unchanged, so conditioning at a fixed size
 // allocates nothing.
@@ -56,6 +59,12 @@ type GP struct {
 	alpha     []float64
 	fresh     bool
 	appends   int // incremental extensions since the last full factorization
+
+	ix *configIndex // nil unless contextual
+	// pairs is rebuild's scratch for distinct configuration pairs, kept
+	// by a hyperparameter search's trial across its evaluations; a
+	// model's rebuilds allocate their own.
+	pairs []float64
 }
 
 // New returns an unfitted GP with the given kernel and noise variance.
@@ -75,22 +84,79 @@ func (g *GP) statsRow(i, w int) []float64 {
 }
 
 // measure fills row i of the statistic triangle, point i against every
-// earlier point and itself, and then row i of the value triangle.
+// earlier point and itself, and then row i of the value triangle. The
+// index must cover rows 0..i exactly. When those rows repeat a
+// configuration, point i's configuration is measured and evaluated
+// against each distinct configuration once and copied to the rows that
+// share it; its context is measured against every row.
 func (g *GP) measure(i, w int) {
-	g.Kern.StatsRow(g.x[:i+1], 0, g.x[i], w, g.statsRow(i, w))
-	r := g.kres[tri(i):tri(i+1)]
-	clear(r)
-	g.res.AddOfStatsRow(g.statsRow(i, w), w, r)
+	row, r := g.statsRow(i, w), g.kres[tri(i):tri(i+1)]
+	if !g.ix.repeats() {
+		g.Kern.StatsRow(g.x[:i+1], 0, g.x[i], w, row)
+		clear(r)
+		g.res.AddOfStatsRow(row, w, r)
+		return
+	}
+	ix, rw := g.ix, g.res.NumStats()
+	k := len(ix.rows)
+	buf := make([]float64, k*rw+k)
+	st, v := buf[:k*rw], buf[k*rw:]
+	g.res.StatsRow(ix.rows, 0, g.x[i][:ix.dim], rw, st)
+	g.res.AddOfStatsRow(st, rw, v)
+	g.rest.StatsRow(g.x[:i+1], ix.dim, g.x[i][ix.dim:], w, row[rw:])
+	for j, a := range ix.of[:i+1] {
+		copy(row[j*w:j*w+rw], st[a*rw:(a+1)*rw])
+		r[j] = v[a]
+	}
 }
 
 // rebuild re-evaluates the value triangle after a change of
-// hyperparameters: one row call over the whole statistic triangle.
+// hyperparameters: one row call over the whole statistic triangle or,
+// when rows repeat a configuration, over the distinct pairs, read at
+// their first rows, with each value scattered to the row pairs that
+// share it.
 func (g *GP) rebuild() {
-	if len(g.kres) != tri(len(g.x)) {
-		g.kres = make([]float64, tri(len(g.x)))
+	n := len(g.x)
+	if len(g.kres) != tri(n) {
+		g.kres = make([]float64, tri(n))
 	}
-	clear(g.kres)
-	g.res.AddOfStatsRow(g.stats, g.Kern.NumStats(), g.kres)
+	w := g.Kern.NumStats()
+	if !g.ix.repeats() {
+		clear(g.kres)
+		g.res.AddOfStatsRow(g.stats, w, g.kres)
+		return
+	}
+	ix, rw := g.ix, g.res.NumStats()
+	m := tri(len(ix.reps))
+	buf := g.pairs
+	if len(buf) < m*rw+m {
+		buf = make([]float64, m*rw+m)
+	}
+	st, v := buf[:m*rw], buf[m*rw:m*rw+m]
+	for a, ra := range ix.reps {
+		for b, rb := range ix.reps[:a+1] {
+			copy(st[(tri(a)+b)*rw:(tri(a)+b+1)*rw], g.stats[(tri(ra)+rb)*w:])
+		}
+	}
+	clear(v)
+	g.res.AddOfStatsRow(st, rw, v)
+	for i, a := range ix.of {
+		r := g.kres[tri(i):tri(i+1)]
+		for j, b := range ix.of[:i+1] {
+			r[j] = v[tri(max(a, b))+min(a, b)]
+		}
+	}
+}
+
+// parts splits k into the kernel whose values stay resident and the one
+// evaluated per pair: a contextual GP's Split keeps its configuration
+// kernel resident, and any other GP its whole kernel.
+func (g *GP) parts(k Kernel) (res, rest Kernel) {
+	if g.ix == nil {
+		return k, nil
+	}
+	s := k.(*Split)
+	return s.KConfig, s.KCtx
 }
 
 // gramRow writes row i of the Gram matrix, noise aside, to row.
@@ -124,7 +190,9 @@ func (g *GP) condition(x [][]float64, y []float64) {
 	w := g.Kern.NumStats()
 	g.stats = make([]float64, tri(len(x))*w)
 	g.kres = make([]float64, tri(len(x)))
+	g.ix.reset()
 	for i := range g.x {
+		g.ix.add(g.x[i])
 		g.measure(i, w)
 	}
 }
@@ -192,6 +260,7 @@ func (g *GP) Append(x []float64, y float64) error {
 		return g.Fit([][]float64{x}, []float64{y})
 	}
 	g.x = append(g.x, x)
+	g.ix.add(x)
 	g.yRaw = append(g.yRaw, y)
 	g.standardize()
 	n := len(g.x)
@@ -225,8 +294,8 @@ func (g *GP) Append(x []float64, y float64) error {
 // window that bounds a model's cost (§5.3). Both triangles move up one
 // row and column in place and gain one measured row, and the factor is
 // rebuilt, so the result is bit-identical to Fit on the shifted window
-// at n pair measurements and n resident-kernel values instead of
-// n(n+1)/2 of each.
+// at n pair measurements and n resident-kernel values (one per distinct
+// configuration, for a contextual GP's) instead of n(n+1)/2 of each.
 func (g *GP) Slide(x []float64, y float64) error {
 	n := len(g.x)
 	if n == 0 {
@@ -234,6 +303,8 @@ func (g *GP) Slide(x []float64, y float64) error {
 	}
 	copy(g.x, g.x[1:])
 	g.x[n-1] = x
+	g.ix.shift(g.x)
+	g.ix.add(x)
 	copy(g.yRaw, g.yRaw[1:])
 	g.yRaw[n-1] = y
 	g.standardize()
@@ -348,7 +419,7 @@ const predictBlock = 16
 // worker pool.
 func (g *GP) PredictAll(xs [][]float64) (means, variances []float64) {
 	w := g.Kern.NumStats()
-	return g.predictAll(len(xs), w, math.Inf(-1), func(j int, st, k []float64) float64 {
+	return g.predictAll(len(xs), max(len(g.x), 1)*w, math.Inf(-1), func(j int, st, k []float64) float64 {
 		g.Kern.StatsRow(g.x[:len(k)], 0, xs[j], w, st)
 		g.Kern.AddOfStatsRow(st, w, k)
 		g.Kern.Stats(xs[j], xs[j], st[:w])
@@ -358,12 +429,11 @@ func (g *GP) PredictAll(xs [][]float64) (means, variances []float64) {
 
 // predictAll scores m query points. row adds query j's covariance with
 // each of the len(k) conditioning points to the zeroed k, measuring into
-// st (w floats per point, at least w), and returns the query's prior
-// variance; it is called from worker goroutines and must only read
-// shared state. Every query gets its mean; the triangular solve behind a
-// variance is spent only on queries whose mean reaches floor, and the
-// rest report 0.
-func (g *GP) predictAll(m, w int, floor float64, row func(j int, st, k []float64) float64) (means, variances []float64) {
+// the scratch st of sw floats, and returns the query's prior variance;
+// it is called from worker goroutines and must only read shared state.
+// Every query gets its mean; the triangular solve behind a variance is
+// spent only on queries whose mean reaches floor, and the rest report 0.
+func (g *GP) predictAll(m, sw int, floor float64, row func(j int, st, k []float64) float64) (means, variances []float64) {
 	means = make([]float64, m)
 	variances = make([]float64, m)
 	n := len(g.x)
@@ -372,7 +442,7 @@ func (g *GP) predictAll(m, w int, floor float64, row func(j int, st, k []float64
 	}
 	nb := (m + predictBlock - 1) / predictBlock
 	mathx.ParallelFor(nb, func(bi int) {
-		buf := make([]float64, n+max(n, 1)*w)
+		buf := make([]float64, n+sw)
 		k, st := buf[:n], buf[n:]
 		for j := bi * predictBlock; j < min(m, (bi+1)*predictBlock); j++ {
 			clear(k)
@@ -494,16 +564,24 @@ func (g *GP) OptimizeHyperparams(maxEvals int) *Refit {
 	}
 	hyper, noise := g.Kern.Hyper(), g.Noise
 	base := append(g.Kern.Params(), math.Log(g.Noise))
-	// One trial model serves every evaluation: it shares the training set
-	// and its pair statistics read-only (a likelihood evaluation never
-	// reads a coordinate), and keeps one kernel clone, resident whole, one
-	// value triangle, one factor and one weight vector, rebuilt in place
-	// on one pair of scratch matrices.
+	// One trial model serves every evaluation: it shares the training set,
+	// its configuration index and its pair statistics read-only (a
+	// likelihood evaluation never reads a coordinate), and keeps one kernel
+	// clone, one value triangle, one factor and one weight vector, rebuilt
+	// in place on one pair of scratch matrices. The clone is resident
+	// whole unless rows repeat a configuration: then it is split as the
+	// model's is, so that its configuration part is evaluated once per
+	// distinct pair.
 	gram, l := getGram(len(g.x)), getGram(len(g.x))
 	defer gramPool.Put(gram)
 	defer gramPool.Put(l)
 	kern := g.Kern.Clone()
-	trial := &GP{Kern: kern, res: kern, x: g.x, y: g.y, stats: g.stats}
+	trial := &GP{Kern: kern, res: kern, x: g.x, y: g.y, stats: g.stats, ix: g.ix}
+	if g.ix.repeats() {
+		trial.res, trial.rest = g.parts(kern)
+		m := tri(len(g.ix.reps))
+		trial.pairs = make([]float64, m*trial.res.NumStats()+m)
+	}
 	obj := func(p []float64) float64 {
 		trial.Kern.SetParams(p[:len(p)-1])
 		trial.Noise = math.Exp(p[len(p)-1])

@@ -3,7 +3,10 @@
 // inference via Cholesky factorization, log-marginal-likelihood
 // hyperparameter fitting with Nelder–Mead, and the contextual GP used by
 // OnlineTune, which joins a Matérn kernel over configurations with a
-// linear kernel over context features (Krause & Ong, 2011).
+// linear kernel over context features (Krause & Ong, 2011). The
+// contextual GP evaluates its Matérn kernel once per distinct
+// configuration, or distinct pair of them, not once per training row or
+// pair: its windows repeat few configurations under many contexts.
 package gp
 
 import (
@@ -20,7 +23,10 @@ import (
 // statistics of its training pairs, so changing θ never touches
 // coordinates again. Stats and OfStats define the kernel; the GP's
 // loops call the row forms, which compute the same values bit for bit
-// with one dynamic call per row instead of several per pair.
+// with one dynamic call per row instead of several per pair. A
+// contextual GP calls its configuration kernel's row forms over its
+// distinct configurations only, once per distinct configuration, and
+// shares each value with the rows that repeat it.
 // Hyperparameters are exposed in log space so optimizers can search
 // unconstrained.
 type Kernel interface {

@@ -10,6 +10,12 @@ import (
 // the same shape.
 func roundTrip(t *testing.T, c *ContextualGP, dim, ctxDim int, weights []float64) *ContextualGP {
 	t.Helper()
+	return roundTripInto(t, c, NewContextualWeighted(dim, ctxDim, weights))
+}
+
+// roundTripInto exports c through JSON and imports it into the unfitted r.
+func roundTripInto(t *testing.T, c, r *ContextualGP) *ContextualGP {
+	t.Helper()
 	configs, ctxs, perf, st := c.State()
 	data, err := json.Marshal(st)
 	if err != nil {
@@ -19,7 +25,6 @@ func roundTrip(t *testing.T, c *ContextualGP, dim, ctxDim int, weights []float64
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	r := NewContextualWeighted(dim, ctxDim, weights)
 	if err := r.SetState(configs, ctxs, perf, back); err != nil {
 		t.Fatal(err)
 	}

@@ -61,11 +61,11 @@ func (k *Knob) ClampRaw(v float64) float64 {
 		return 0
 	case TypeEnum:
 		n := float64(len(k.Enum) - 1)
-		return math.Min(n, math.Max(0, math.Round(v)))
+		return min(n, max(0, math.Round(v)))
 	case TypeInt:
-		return math.Round(math.Min(k.Max, math.Max(k.Min, v)))
+		return math.Round(min(k.Max, max(k.Min, v)))
 	default:
-		return math.Min(k.Max, math.Max(k.Min, v))
+		return min(k.Max, max(k.Min, v))
 	}
 }
 
@@ -172,7 +172,7 @@ func (k *Knob) unit(raw, lo, hi float64) float64 {
 		if k.Max == k.Min {
 			return 0
 		}
-		v := math.Min(k.Max, math.Max(k.Min, raw))
+		v := min(k.Max, max(k.Min, raw))
 		if k.Log {
 			return (math.Log(v) - lo) / (hi - lo)
 		}
@@ -183,7 +183,7 @@ func (k *Knob) unit(raw, lo, hi float64) float64 {
 // raw maps one unit value in [0,1] back to the knob's raw domain; lo and
 // hi are logBounds().
 func (k *Knob) raw(u, lo, hi float64) float64 {
-	u = math.Min(1, math.Max(0, u))
+	u = min(1, max(0, u))
 	switch k.Type {
 	case TypeBool:
 		return math.Round(u)

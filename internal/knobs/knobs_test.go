@@ -346,3 +346,106 @@ func TestQuickIntKnobsAreIntegers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refClampRaw, refUnit and refRaw are ClampRaw, unit and raw as they
+// were written with math.Min and math.Max, kept as the reference the
+// builtin min and max must match bit for bit.
+func refClampRaw(k *Knob, v float64) float64 {
+	switch k.Type {
+	case TypeBool:
+		if v >= 0.5 {
+			return 1
+		}
+		return 0
+	case TypeEnum:
+		n := float64(len(k.Enum) - 1)
+		return math.Min(n, math.Max(0, math.Round(v)))
+	case TypeInt:
+		return math.Round(math.Min(k.Max, math.Max(k.Min, v)))
+	default:
+		return math.Min(k.Max, math.Max(k.Min, v))
+	}
+}
+
+func refUnit(k *Knob, raw, lo, hi float64) float64 {
+	switch k.Type {
+	case TypeBool:
+		return refClampRaw(k, raw)
+	case TypeEnum:
+		n := float64(len(k.Enum) - 1)
+		if n == 0 {
+			return 0
+		}
+		return refClampRaw(k, raw) / n
+	default:
+		if k.Max == k.Min {
+			return 0
+		}
+		v := math.Min(k.Max, math.Max(k.Min, raw))
+		if k.Log {
+			return (math.Log(v) - lo) / (hi - lo)
+		}
+		return (v - k.Min) / (k.Max - k.Min)
+	}
+}
+
+func refRaw(k *Knob, u, lo, hi float64) float64 {
+	u = math.Min(1, math.Max(0, u))
+	switch k.Type {
+	case TypeBool:
+		return math.Round(u)
+	case TypeEnum:
+		return math.Round(u * float64(len(k.Enum)-1))
+	default:
+		var v float64
+		if k.Log {
+			v = math.Exp(lo + u*(hi-lo))
+		} else {
+			v = k.Min + u*(k.Max-k.Min)
+		}
+		return refClampRaw(k, v)
+	}
+}
+
+// ClampRaw and Quantize equal the math.Min/math.Max reference bit for
+// bit on the values where the two could part: −0 against +0, the
+// infinities and NaN, at and inside the bounds, for every knob type and
+// for bounds that straddle or end at zero. A NaN result is compared as
+// NaN only: on amd64 the builtin min and max return a NaN whose payload
+// ORs in the other operand's bits (min(100, NaN) is 0x7ff9000000000001,
+// math.Min's 0x7ff8000000000001), which no arithmetic or encoding here
+// tells apart.
+func TestClampAndQuantizeMatchMathMinMax(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	s := NewSpace([]Knob{
+		{Name: "int", Type: TypeInt, Min: 0, Max: 100, Default: 1},
+		{Name: "int_log", Type: TypeInt, Min: 1, Max: 1 << 20, Default: 1, Log: true},
+		{Name: "float", Type: TypeFloat, Min: 0, Max: 1},
+		{Name: "float_neg", Type: TypeFloat, Min: -1, Max: 0},
+		{Name: "float_log", Type: TypeFloat, Min: 0.5, Max: 8, Default: 1, Log: true},
+		{Name: "pinned", Type: TypeFloat, Min: 0, Max: 0},
+		{Name: "enum", Type: TypeEnum, Enum: []string{"a", "b", "c"}},
+		{Name: "enum_one", Type: TypeEnum, Enum: []string{"a"}},
+		{Name: "bool", Type: TypeBool},
+	})
+	negZero := math.Copysign(0, -1)
+	for _, v := range []float64{negZero, 0, 1, math.Inf(1), math.Inf(-1), math.NaN(), 0.5, -1, 2} {
+		u := make([]float64, s.Dim())
+		for i := range u {
+			u[i] = v
+		}
+		q := s.Quantize(u)
+		for i := range s.Knobs {
+			k := &s.Knobs[i]
+			if got, want := k.ClampRaw(v), refClampRaw(k, v); !same(got, want) {
+				t.Errorf("%s: ClampRaw(%v) = %v, want %v", k.Name, v, got, want)
+			}
+			lo, hi := k.logBounds()
+			if want := refUnit(k, refRaw(k, v, lo, hi), lo, hi); !same(q[i], want) {
+				t.Errorf("%s: Quantize(%v) = %v, want %v", k.Name, v, q[i], want)
+			}
+		}
+	}
+}
