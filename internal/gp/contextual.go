@@ -39,7 +39,7 @@ func NewContextualWeighted(configDim, ctxDim int, weights []float64) *Contextual
 func newContextual(kern *Split, ctxDim int) *ContextualGP {
 	g := New(kern, 1e-3)
 	g.ix = &configIndex{dim: kern.Dim}
-	g.res, g.rest = g.parts(kern)
+	g.res, g.rest = kern.KConfig, kern.KCtx
 	return &ContextualGP{gp: g, kern: kern, configDim: kern.Dim, ctxDim: ctxDim}
 }
 
@@ -192,31 +192,21 @@ func (c *ContextualGP) PredictAll(configs [][]float64, ctx []float64) (means, va
 func (c *ContextualGP) PredictAbove(configs [][]float64, ctx []float64, floor float64) (means, variances []float64) {
 	d, kc, w := c.configDim, c.kern.KConfig, c.kern.KConfig.NumStats()
 	kCtx, ctxPrior := c.ctxRow(ctx), Eval(c.kern.KCtx, ctx, ctx)
-	ix := c.gp.ix
-	if !ix.repeats() {
-		return c.gp.predictAll(len(configs), max(len(c.gp.x), 1)*w, floor, func(j int, st, k []float64) float64 {
-			q := configs[j][:d]
-			kc.StatsRow(c.gp.x[:len(k)], 0, q, w, st)
-			kc.AddOfStatsRow(st, w, k)
-			for i := range k {
-				k[i] += kCtx[i]
-			}
-			kc.Stats(q, q, st[:w])
-			return kc.OfStats(st[:w]) + ctxPrior
-		})
+	ix, x := c.gp.ix, c.gp.x
+	rows := make([][]float64, len(ix.reps)) // the distinct configurations
+	for a, p := range ix.reps {
+		rows[a] = x[p]
 	}
-	// The rows repeat configurations: measure and evaluate each distinct
-	// one once and scatter its value to the rows that share it.
-	u := len(ix.rows)
-	return c.gp.predictAll(len(configs), u*w+u, floor, func(j int, st, k []float64) float64 {
+	// Value a of k holds configuration a's until it is copied to the rows
+	// that share it, from the last row down: of is at most the row, so
+	// each value is read before it is overwritten.
+	return c.gp.predictAll(len(configs), max(len(rows), 1)*w, floor, func(j int, st, k []float64) float64 {
 		q := configs[j][:d]
 		if len(k) > 0 {
-			s, v := st[:u*w], st[u*w:u*w+u]
-			kc.StatsRow(ix.rows, 0, q, w, s)
-			clear(v)
-			kc.AddOfStatsRow(s, w, v)
-			for i, a := range ix.of {
-				k[i] = v[a] + kCtx[i]
+			kc.StatsRow(rows, 0, q, w, st)
+			kc.AddOfStatsRow(st, w, k[:len(rows)])
+			for i := len(k) - 1; i >= 0; i-- {
+				k[i] = k[ix.of[i]] + kCtx[i]
 			}
 		}
 		kc.Stats(q, q, st[:w])

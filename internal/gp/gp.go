@@ -61,10 +61,6 @@ type GP struct {
 	appends   int // incremental extensions since the last full factorization
 
 	ix *configIndex // nil unless contextual
-	// pairs is rebuild's scratch for distinct configuration pairs, kept
-	// by a hyperparameter search's trial across its evaluations; a
-	// model's rebuilds allocate their own.
-	pairs []float64
 }
 
 // New returns an unfitted GP with the given kernel and noise variance.
@@ -84,79 +80,82 @@ func (g *GP) statsRow(i, w int) []float64 {
 }
 
 // measure fills row i of the statistic triangle, point i against every
-// earlier point and itself, and then row i of the value triangle. The
-// index must cover rows 0..i exactly. When those rows repeat a
-// configuration, point i's configuration is measured and evaluated
-// against each distinct configuration once and copied to the rows that
-// share it; its context is measured against every row.
+// earlier point and itself, and then row i of the value triangle. A
+// contextual GP's index must cover rows 0..i exactly: point i's
+// configuration is measured and evaluated against each distinct
+// configuration a once, into slot a of both rows, and then copied to
+// the slots of the rows that share it, from the last row down (of is at
+// most the row, so each slot is read before it is overwritten); its
+// context is measured against every row.
 func (g *GP) measure(i, w int) {
 	row, r := g.statsRow(i, w), g.kres[tri(i):tri(i+1)]
-	if !g.ix.repeats() {
+	ix := g.ix
+	if ix == nil {
 		g.Kern.StatsRow(g.x[:i+1], 0, g.x[i], w, row)
 		clear(r)
 		g.res.AddOfStatsRow(row, w, r)
 		return
 	}
-	ix, rw := g.ix, g.res.NumStats()
-	k := len(ix.rows)
-	buf := make([]float64, k*rw+k)
-	st, v := buf[:k*rw], buf[k*rw:]
-	g.res.StatsRow(ix.rows, 0, g.x[i][:ix.dim], rw, st)
-	g.res.AddOfStatsRow(st, rw, v)
+	q, rw := g.x[i][:ix.dim], g.res.NumStats()
+	for a, p := range ix.reps {
+		g.res.Stats(g.x[p][:ix.dim], q, row[a*w:])
+	}
+	v := r[:len(ix.reps)]
+	clear(v)
+	g.res.AddOfStatsRow(row, w, v)
 	g.rest.StatsRow(g.x[:i+1], ix.dim, g.x[i][ix.dim:], w, row[rw:])
-	for j, a := range ix.of[:i+1] {
-		copy(row[j*w:j*w+rw], st[a*rw:(a+1)*rw])
-		r[j] = v[a]
+	for j := i; j >= 0; j-- {
+		a := ix.of[j]
+		copy(row[j*w:j*w+rw], row[a*w:])
+		r[j] = r[a]
 	}
 }
 
 // rebuild re-evaluates the value triangle after a change of
-// hyperparameters: one row call over the whole statistic triangle or,
-// when rows repeat a configuration, over the distinct pairs, read at
-// their first rows, with each value scattered to the row pairs that
-// share it.
-func (g *GP) rebuild() {
+// hyperparameters. A plain GP evaluates its whole statistic triangle in
+// one row call. A contextual GP evaluates its configuration kernel once
+// per distinct pair, on d from distinctPairs, and copies each value to
+// the row pairs that share it.
+func (g *GP) rebuild(d []float64) {
 	n := len(g.x)
 	if len(g.kres) != tri(n) {
 		g.kres = make([]float64, tri(n))
 	}
-	w := g.Kern.NumStats()
-	if !g.ix.repeats() {
+	if g.ix == nil {
 		clear(g.kres)
-		g.res.AddOfStatsRow(g.stats, w, g.kres)
+		g.res.AddOfStatsRow(g.stats, g.Kern.NumStats(), g.kres)
 		return
 	}
-	ix, rw := g.ix, g.res.NumStats()
-	m := tri(len(ix.reps))
-	buf := g.pairs
-	if len(buf) < m*rw+m {
-		buf = make([]float64, m*rw+m)
-	}
-	st, v := buf[:m*rw], buf[m*rw:m*rw+m]
-	for a, ra := range ix.reps {
-		for b, rb := range ix.reps[:a+1] {
-			copy(st[(tri(a)+b)*rw:(tri(a)+b+1)*rw], g.stats[(tri(ra)+rb)*w:])
-		}
-	}
+	rw, m := g.res.NumStats(), tri(len(g.ix.reps))
+	v := d[m*rw:]
 	clear(v)
-	g.res.AddOfStatsRow(st, rw, v)
-	for i, a := range ix.of {
+	g.res.AddOfStatsRow(d, rw, v)
+	for i, a := range g.ix.of {
 		r := g.kres[tri(i):tri(i+1)]
-		for j, b := range ix.of[:i+1] {
+		for j, b := range g.ix.of[:i+1] {
 			r[j] = v[tri(max(a, b))+min(a, b)]
 		}
 	}
 }
 
-// parts splits k into the kernel whose values stay resident and the one
-// evaluated per pair: a contextual GP's Split keeps its configuration
-// kernel resident, and any other GP its whole kernel.
-func (g *GP) parts(k Kernel) (res, rest Kernel) {
+// distinctPairs is rebuild's input: the configuration statistics of each
+// distinct pair of configurations, read at their first rows and packed
+// as a triangle over the distinct configurations, followed by room for
+// their values; nil for a plain GP. The statistics change only with the
+// training set, so a hyperparameter search gathers them once for all
+// its evaluations.
+func (g *GP) distinctPairs() []float64 {
 	if g.ix == nil {
-		return k, nil
+		return nil
 	}
-	s := k.(*Split)
-	return s.KConfig, s.KCtx
+	w, rw, m := g.Kern.NumStats(), g.res.NumStats(), tri(len(g.ix.reps))
+	d := make([]float64, m*rw+m)
+	for a, ra := range g.ix.reps {
+		for b, rb := range g.ix.reps[:a+1] {
+			copy(d[(tri(a)+b)*rw:(tri(a)+b+1)*rw], g.stats[(tri(ra)+rb)*w:])
+		}
+	}
+	return d
 }
 
 // gramRow writes row i of the Gram matrix, noise aside, to row.
@@ -192,7 +191,7 @@ func (g *GP) condition(x [][]float64, y []float64) {
 	g.kres = make([]float64, tri(len(x)))
 	g.ix.reset()
 	for i := range g.x {
-		g.ix.add(g.x[i])
+		g.ix.add(g.x[:i+1])
 		g.measure(i, w)
 	}
 }
@@ -260,7 +259,7 @@ func (g *GP) Append(x []float64, y float64) error {
 		return g.Fit([][]float64{x}, []float64{y})
 	}
 	g.x = append(g.x, x)
-	g.ix.add(x)
+	g.ix.add(g.x)
 	g.yRaw = append(g.yRaw, y)
 	g.standardize()
 	n := len(g.x)
@@ -303,8 +302,8 @@ func (g *GP) Slide(x []float64, y float64) error {
 	}
 	copy(g.x, g.x[1:])
 	g.x[n-1] = x
-	g.ix.shift(g.x)
-	g.ix.add(x)
+	g.ix.shift()
+	g.ix.add(g.x)
 	copy(g.yRaw, g.yRaw[1:])
 	g.yRaw[n-1] = y
 	g.standardize()
@@ -511,7 +510,7 @@ func (g *GP) SetHyperparams(p []float64) error {
 	g.Kern.SetParams(p[:len(p)-1])
 	g.Noise = math.Exp(p[len(p)-1])
 	if len(g.x) > 0 {
-		g.rebuild()
+		g.rebuild(g.distinctPairs())
 		if err := g.refactor(); err != nil {
 			// Roll back so a bad transfer cannot brick a fitted model.
 			g.restore(hyper, noise)
@@ -527,7 +526,7 @@ func (g *GP) SetHyperparams(p []float64) error {
 func (g *GP) restore(hyper []float64, noise float64) {
 	g.Kern.SetHyper(hyper)
 	g.Noise = noise
-	g.rebuild()
+	g.rebuild(g.distinctPairs())
 }
 
 // Refit is what one OptimizeHyperparams installed: the kernel's
@@ -564,28 +563,32 @@ func (g *GP) OptimizeHyperparams(maxEvals int) *Refit {
 	}
 	hyper, noise := g.Kern.Hyper(), g.Noise
 	base := append(g.Kern.Params(), math.Log(g.Noise))
-	// One trial model serves every evaluation: it shares the training set,
-	// its configuration index and its pair statistics read-only (a
-	// likelihood evaluation never reads a coordinate), and keeps one kernel
-	// clone, one value triangle, one factor and one weight vector, rebuilt
-	// in place on one pair of scratch matrices. The clone is resident
-	// whole unless rows repeat a configuration: then it is split as the
-	// model's is, so that its configuration part is evaluated once per
-	// distinct pair.
+	// One trial model serves every evaluation: it shares the training set
+	// and its pair statistics read-only (a likelihood evaluation never
+	// reads a coordinate), and keeps one kernel clone, one value triangle,
+	// one factor and one weight vector, rebuilt in place on one pair of
+	// scratch matrices. A contextual trial is split as the model is, with
+	// the model's index and the distinct pairs' statistics gathered once,
+	// when evaluating the Matérn kernel once per distinct pair saves more
+	// than copying each value to its row pairs costs: when the distinct
+	// pairs are fewer than 4 in 5 of the row pairs. Otherwise the clone is
+	// resident whole. (BenchmarkOptimizeHyperparams on 80 rows: the split
+	// trial is about 20 % faster at 56 distinct configurations, about even
+	// at 64 to 72 and 8–14 % slower at 80.)
 	gram, l := getGram(len(g.x)), getGram(len(g.x))
 	defer gramPool.Put(gram)
 	defer gramPool.Put(l)
 	kern := g.Kern.Clone()
-	trial := &GP{Kern: kern, res: kern, x: g.x, y: g.y, stats: g.stats, ix: g.ix}
-	if g.ix.repeats() {
-		trial.res, trial.rest = g.parts(kern)
-		m := tri(len(g.ix.reps))
-		trial.pairs = make([]float64, m*trial.res.NumStats()+m)
+	trial := &GP{Kern: kern, res: kern, x: g.x, y: g.y, stats: g.stats}
+	d := g.distinctPairs()
+	if g.ix != nil && 5*tri(len(g.ix.reps)) < 4*tri(len(g.x)) {
+		s := kern.(*Split)
+		trial.res, trial.rest, trial.ix = s.KConfig, s.KCtx, g.ix
 	}
 	obj := func(p []float64) float64 {
 		trial.Kern.SetParams(p[:len(p)-1])
 		trial.Noise = math.Exp(p[len(p)-1])
-		trial.rebuild()
+		trial.rebuild(d)
 		if err := trial.factorize(gram, l); err != nil {
 			return math.Inf(1)
 		}
@@ -609,7 +612,7 @@ func (g *GP) OptimizeHyperparams(maxEvals int) *Refit {
 	}
 	g.Kern.SetParams(best[:len(best)-1])
 	g.Noise = math.Exp(best[len(best)-1])
-	g.rebuild()
+	g.rebuild(d)
 	if err := g.factorize(gram, l); err != nil {
 		// Roll back to the previous hyperparameters on numerical failure.
 		g.restore(hyper, noise)

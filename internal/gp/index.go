@@ -10,60 +10,63 @@ import "math"
 // that repeats it. Two rows share an entry only when their first dim
 // coordinates are bitwise equal, so each shared value is the same pure
 // function of the same bits and sharing it changes no result.
-// Configurations are numbered by first appearance, so reps increases.
+// Configurations are numbered by first appearance, so reps increases and
+// of[i] ≤ i: a row's configuration is numbered no higher than the row.
 type configIndex struct {
 	dim  int
-	of   []int       // row → its configuration
-	reps []int       // configuration → its first row
-	rows [][]float64 // configuration → that row's input
+	of   []int // row → its configuration
+	reps []int // configuration → its first row
 }
-
-// repeats reports whether the indexed rows hold fewer configurations
-// than rows; a nil index (a GP that is not contextual) never does.
-func (ix *configIndex) repeats() bool { return ix != nil && len(ix.reps) < len(ix.of) }
 
 // reset empties the index.
 func (ix *configIndex) reset() {
 	if ix != nil {
-		clear(ix.rows)
-		ix.of, ix.reps, ix.rows = ix.of[:0], ix.reps[:0], ix.rows[:0]
+		ix.of, ix.reps = ix.of[:0], ix.reps[:0]
 	}
 }
 
-// add indexes x as the next row.
-func (ix *configIndex) add(x []float64) {
+// add indexes the last row of x; the index must cover the rows before it.
+func (ix *configIndex) add(x [][]float64) {
 	if ix == nil {
 		return
 	}
-	for a, r := range ix.rows {
-		if sameConfig(r[:ix.dim], x[:ix.dim]) {
+	q := x[len(x)-1][:ix.dim]
+	for a, r := range ix.reps {
+		if sameConfig(x[r][:ix.dim], q) {
 			ix.of = append(ix.of, a)
 			return
 		}
 	}
-	ix.of = append(ix.of, len(ix.reps))
-	ix.reps = append(ix.reps, len(ix.of)-1)
-	ix.rows = append(ix.rows, x)
+	ix.reps = append(ix.reps, len(ix.of))
+	ix.of = append(ix.of, len(ix.reps)-1)
 }
 
-// shift drops row 0 and renumbers the rest by first appearance; x is the
-// window already shifted, whose last row add indexes next.
-func (ix *configIndex) shift(x [][]float64) {
+// shift drops row 0 and renumbers the rest by first appearance, in
+// place: reps' storage holds the old-to-new renumbering until reps is
+// read back off the renumbered rows.
+func (ix *configIndex) shift() {
 	if ix == nil {
 		return
 	}
-	next := make([]int, len(ix.reps)) // old configuration → new one + 1
-	clear(ix.rows)
-	ix.reps, ix.rows = ix.reps[:0], ix.rows[:0]
+	next := ix.reps // old configuration → new one, −1 until seen
+	for a := range next {
+		next[a] = -1
+	}
+	k := 0
 	for i, a := range ix.of[1:] {
-		if next[a] == 0 {
-			ix.reps = append(ix.reps, i)
-			ix.rows = append(ix.rows, x[i])
-			next[a] = len(ix.reps)
+		if next[a] < 0 {
+			next[a] = k
+			k++
 		}
-		ix.of[i] = next[a] - 1
+		ix.of[i] = next[a]
 	}
 	ix.of = ix.of[:len(ix.of)-1]
+	ix.reps = ix.reps[:0]
+	for i, a := range ix.of {
+		if a == len(ix.reps) {
+			ix.reps = append(ix.reps, i)
+		}
+	}
 }
 
 func sameConfig(a, b []float64) bool {
