@@ -1,19 +1,17 @@
-// Package repro's top-level benchmarks regenerate every table and figure
-// of the paper's evaluation. Each benchmark runs its experiment once per
-// b.N at a reduced iteration count (override with -benchiters) and
-// reports the generated table through b.Log, so
+// Package repro's top-level benchmarks time the tuner's inference hot
+// paths in isolation: context featurization, DBSCAN over the re-cluster
+// index, incremental GP conditioning and batched candidate scoring.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
-// reproduces the full evaluation at smoke scale, and
+// The paper's tables and figures are regenerated by
 //
 //	go run ./cmd/benchrunner -all
 //
-// reproduces it at paper scale.
+// and pinned exactly by TestBaselines in internal/bench.
 package main
 
 import (
-	"flag"
 	"math/rand"
 	"testing"
 
@@ -24,64 +22,6 @@ import (
 	"repro/internal/knobs"
 	"repro/internal/workload"
 )
-
-var benchIters = flag.Int("benchiters", 60, "iterations per experiment in benchmarks")
-
-func runExperiment(b *testing.B, id string, iters int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.Experiment(id, iters, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s\n%s", rep.Title, rep.Body)
-		}
-	}
-}
-
-func BenchmarkFig1aWorkloadTrace(b *testing.B) { runExperiment(b, "fig1a", *benchIters) }
-func BenchmarkFig1bDataGrowth(b *testing.B)    { runExperiment(b, "fig1b", 400) }
-func BenchmarkFig1cOfflineExploration(b *testing.B) {
-	runExperiment(b, "fig1c", *benchIters)
-}
-func BenchmarkFig1dFixedConfigDrift(b *testing.B) { runExperiment(b, "fig1d", *benchIters) }
-func BenchmarkFig3ContextGeneralization(b *testing.B) {
-	runExperiment(b, "fig3", 0)
-}
-func BenchmarkFig4ClusterBoundary(b *testing.B) { runExperiment(b, "fig4", 0) }
-func BenchmarkFig5DynamicTPCC(b *testing.B)     { runExperiment(b, "fig5tpcc", *benchIters) }
-func BenchmarkFig5DynamicTwitter(b *testing.B)  { runExperiment(b, "fig5twitter", *benchIters) }
-func BenchmarkFig5DynamicJOB(b *testing.B)      { runExperiment(b, "fig5job", *benchIters) }
-func BenchmarkFig6OLTPOLAPCycle(b *testing.B)   { runExperiment(b, "fig6", *benchIters) }
-func BenchmarkFig7RealWorkload(b *testing.B)    { runExperiment(b, "fig7", *benchIters) }
-func BenchmarkFig8Overhead(b *testing.B)        { runExperiment(b, "fig8", *benchIters) }
-func BenchmarkFig9YCSBPattern(b *testing.B)     { runExperiment(b, "fig9", 400) }
-func BenchmarkFig10ThroughputSurface(b *testing.B) {
-	runExperiment(b, "fig10", 0)
-}
-func BenchmarkFig11YCSBCaseStudy(b *testing.B) { runExperiment(b, "fig11", *benchIters) }
-func BenchmarkFig12KnobTraces(b *testing.B)    { runExperiment(b, "fig12", *benchIters) }
-func BenchmarkFig13Visualization(b *testing.B) { runExperiment(b, "fig13", *benchIters) }
-func BenchmarkFig14AblationContext(b *testing.B) {
-	runExperiment(b, "fig14", *benchIters)
-}
-func BenchmarkFig15AblationSafety(b *testing.B) {
-	runExperiment(b, "fig15", *benchIters)
-}
-func BenchmarkFig16IntervalSizes(b *testing.B) { runExperiment(b, "fig16", *benchIters/2) }
-func BenchmarkFig17MySQLDefaultStart(b *testing.B) {
-	runExperiment(b, "fig17", *benchIters)
-}
-func BenchmarkTable1StaticWorkloads(b *testing.B) {
-	runExperiment(b, "table1", *benchIters)
-}
-func BenchmarkTableA1TimeBreakdown(b *testing.B) {
-	runExperiment(b, "tableA1", *benchIters)
-}
-func BenchmarkExt1Stopping(b *testing.B)      { runExperiment(b, "ext1", *benchIters) }
-func BenchmarkExt4CrossEngine(b *testing.B)   { runExperiment(b, "ext4", *benchIters) }
-func BenchmarkExt5CanaryRollout(b *testing.B) { runExperiment(b, "ext5", *benchIters) }
 
 // BenchmarkFeaturizeContext measures context featurization over a
 // repeating-template workload snapshot at paper scale (the per-iteration

@@ -1,13 +1,11 @@
 // Package repo is OnlineTune's data repository (Appendix A1): the store
 // of historical ⟨context, configuration, performance⟩ observations kept
 // on the tuning server. A session's state checkpoint carries it (State),
-// so tuning sessions resume; Save exports it as JSON.
+// so tuning sessions resume.
 package repo
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 
@@ -136,15 +134,4 @@ func (r *Repo) Contexts() [][]float64 {
 		out[i] = c
 	}
 	return out
-}
-
-// Save writes the repository to a JSON file.
-func (r *Repo) Save(path string) error {
-	r.mu.RLock()
-	data, err := json.MarshalIndent(r.st.Obs, "", " ")
-	r.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -2,8 +2,7 @@ package repo
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -40,23 +39,26 @@ func TestContextsCopied(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "repo.json")
+// TestStateJSONRoundTrip: a repository's State, the form a session's
+// checkpoint carries, survives JSON exactly — context vectors bit for
+// bit, the safety verdict and the failure flag.
+func TestStateJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Add(Observation{Iter: 3, Context: []float64{0.1, 0.2}, Unit: []float64{0.9}, Perf: 42, Tau: 40, Safe: true})
 	r.Add(Observation{Iter: 4, Perf: 10, Failed: true})
-	if err := r.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	data, err := json.Marshal(r.State())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var obs []Observation
-	if err := json.Unmarshal(data, &obs); err != nil {
+	var st State
+	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
+	back := New()
+	if err := back.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	obs := back.All()
 	if len(obs) != 2 {
 		t.Fatalf("loaded %d observations", len(obs))
 	}
@@ -65,6 +67,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !obs[1].Failed {
 		t.Fatal("failure flag lost")
+	}
+	if !reflect.DeepEqual(back.State(), r.State()) {
+		t.Fatalf("round trip changed the state:\n%+v\n%+v", back.State(), r.State())
 	}
 }
 

@@ -76,9 +76,6 @@ type Config struct {
 	fleet *fleetKnowledge
 }
 
-// Spaces lists the knob-space names Config.Space accepts.
-func Spaces() []string { return knobs.SpaceNames() }
-
 // OpenSpace resolves a knob-space name ("" defaults to mysql57).
 func OpenSpace(name string) (*knobs.Space, error) {
 	return Config{Space: name}.space()
