@@ -225,7 +225,8 @@ func (g *GP) State() State {
 // training set x, y: the triangles and standardized targets are rebuilt
 // bit for bit, the factor and weights installed as stored. A
 // state whose shapes do not fit the training set or the kernel is
-// rejected.
+// rejected, and so is a factor with a diagonal entry that is not
+// positive, which no factorization or extension produces.
 func (g *GP) SetState(x [][]float64, y []float64, st State) error {
 	n := len(x)
 	switch {
@@ -237,6 +238,13 @@ func (g *GP) SetState(x [][]float64, y []float64, st State) error {
 		return fmt.Errorf("gp: a factor of %d entries and %d weights for %d inputs, want %d and %d", len(st.Chol), len(st.Alpha), n, tri(n), n)
 	case st.Appends < 0:
 		return fmt.Errorf("gp: negative extension count %d", st.Appends)
+	}
+	if st.Fresh {
+		for i := 0; i < n; i++ {
+			if d := st.Chol[tri(i+1)-1]; !(d > 0) {
+				return fmt.Errorf("gp: factor diagonal entry %d (chol[%d]) is %v, want > 0", i, tri(i+1)-1, d)
+			}
+		}
 	}
 	g.Kern.SetHyper(st.Kern)
 	g.Noise = st.Noise
@@ -368,10 +376,10 @@ func (g *GP) refactor() error {
 
 // factorize is refactor on the caller's two n×n scratch matrices: the
 // Gram matrix from the value triangle and the statistics (the lower
-// triangle only, which is all Cholesky reads and writes, so the scratch
-// needs no clearing), its factorization, and the factor's triangle
-// copied over the old one. Every reader of the factor checks fresh
-// first.
+// triangle only, which is all Cholesky reads, so the scratch needs no
+// clearing), and its factorization, packed over the old factor, with l
+// as the factorization's scratch. Every reader of the factor checks
+// fresh first.
 func (g *GP) factorize(gram, l *mathx.Matrix) error {
 	n := len(g.x)
 	w := g.Kern.NumStats()
@@ -387,11 +395,10 @@ func (g *GP) factorize(gram, l *mathx.Matrix) error {
 		g.alpha = make([]float64, n)
 	}
 	g.fresh = false
-	jit, err := mathx.CholeskyJitter(l, gram, 1e-3)
+	jit, err := mathx.CholeskyJitter(g.chol, l, gram, 1e-3)
 	if err != nil {
 		return err
 	}
-	mathx.PackLower(g.chol, l)
 	g.jitter = jit
 	g.appends = 0
 	copy(g.alpha, g.y)

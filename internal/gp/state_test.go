@@ -2,7 +2,10 @@ package gp
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -171,5 +174,40 @@ func TestSetStateRejectsMisshapenState(t *testing.T) {
 		if err := NewContextual(dim, ctxDim).SetState(c, x, y, st); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestSetStateRejectsNonPositivePivot: a stored factor whose diagonal
+// holds an entry that is not positive is refused, with the entry named,
+// as choleskyInto and CholeskyExtend refuse such a pivot; served, it
+// would turn every posterior it touches into garbage.
+func TestSetStateRejectsNonPositivePivot(t *testing.T) {
+	const dim, ctxDim, n = 4, 2, 12
+	rng := rand.New(rand.NewSource(11))
+	configs, perfs := synthData(rng, n, dim)
+	ctxs, _ := synthData(rng, n, ctxDim)
+	live := NewContextual(dim, ctxDim)
+	if err := live.Fit(configs, ctxs, perfs); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 5, n - 1} {
+		for _, bad := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(-1)} {
+			c, x, y, st := live.State()
+			st.Chol[tri(i+1)-1] = bad
+			err := NewContextual(dim, ctxDim).SetState(c, x, y, st)
+			if err == nil {
+				t.Fatalf("diagonal entry %d set to %v: accepted", i, bad)
+			}
+			//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name the entry), not on error identity
+			if want := fmt.Sprintf("diagonal entry %d ", i); !strings.Contains(err.Error(), want) {
+				t.Fatalf("diagonal entry %d set to %v: error %q does not name it", i, bad, err)
+			}
+		}
+	}
+	// An off-diagonal entry may be anything a factorization rounds to.
+	c, x, y, st := live.State()
+	st.Chol[1] = -st.Chol[1]
+	if err := NewContextual(dim, ctxDim).SetState(c, x, y, st); err != nil {
+		t.Fatalf("a negated off-diagonal entry: %v", err)
 	}
 }

@@ -176,12 +176,10 @@ func evalFit(t *testing.T, k Kernel, noise float64, xs [][]float64, y []float64)
 		}
 	}
 	gram.AddDiag(noise)
-	l := mathx.NewMatrix(n, n)
-	if _, err := mathx.CholeskyJitter(l, gram, 1e-3); err != nil {
+	chol = make([]float64, tri(n))
+	if _, err := mathx.CholeskyJitter(chol, mathx.NewMatrix(n, n), gram, 1e-3); err != nil {
 		t.Fatal(err)
 	}
-	chol = make([]float64, tri(n))
-	mathx.PackLower(chol, l)
 	return chol, mathx.CholeskySolve(chol, y)
 }
 

@@ -9,65 +9,97 @@ import (
 // (numerically) symmetric positive definite, even after jitter.
 var ErrNotPositiveDefinite = errors.New("mathx: matrix is not positive definite")
 
-// choleskyInto writes the factor of the n×n matrix a over the lower
-// triangle of the n×n matrix l. It reads a's lower triangle and touches
-// nothing above l's diagonal; on failure l's lower triangle is garbage.
-func choleskyInto(l, a *Matrix) error {
+// tri is the length of the packed lower triangle of an n×n matrix,
+// n(n+1)/2: row i starts at tri(i) and holds i+1 entries.
+func tri(n int) int { return n * (n + 1) / 2 }
+
+// choleskyInto writes the factor of the n×n matrix a into dst, packed
+// row by row. It reads a's lower triangle; on failure dst is garbage.
+//
+// It is the reference the AVX kernel (choleskyT) must match bit for bit,
+// and the only factorization off amd64 or without AVX. Its contract is
+// the order of each entry's arithmetic: L[i][j] starts at a[i][j], has
+// L[i][k]·L[j][k] subtracted for k = 0, 1, …, j-1, each product rounded
+// before its difference (the float64 conversions forbid a fused
+// multiply-add), and is then divided by L[j][j], the square root of the
+// diagonal entry's own running value, which must be positive.
+func choleskyInto(dst []float64, a *Matrix) error {
 	n := a.Rows
 	for j := 0; j < n; j++ {
-		lj := l.Data[j*n : j*n+j]
+		lj := dst[tri(j):][:j]
 		d := a.Data[j*n+j]
 		for _, ljk := range lj {
-			d -= ljk * ljk
+			d -= float64(ljk * ljk)
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(d)
-		l.Data[j*n+j] = ljj
+		dst[tri(j)+j] = ljj
 		// Column j below the diagonal, four rows at a time: each entry's
 		// sum runs over k in the same order as one row at a time would,
 		// but the four running sums do not wait on each other.
 		i := j + 1
 		for ; i+3 < n; i += 4 {
-			l0 := l.Data[i*n:][:len(lj)]
-			l1 := l.Data[(i+1)*n:][:len(lj)]
-			l2 := l.Data[(i+2)*n:][:len(lj)]
-			l3 := l.Data[(i+3)*n:][:len(lj)]
+			l0 := dst[tri(i):][:len(lj)]
+			l1 := dst[tri(i+1):][:len(lj)]
+			l2 := dst[tri(i+2):][:len(lj)]
+			l3 := dst[tri(i+3):][:len(lj)]
 			s0, s1, s2, s3 := a.Data[i*n+j], a.Data[(i+1)*n+j], a.Data[(i+2)*n+j], a.Data[(i+3)*n+j]
 			for k, ljk := range lj {
-				s0 -= l0[k] * ljk
-				s1 -= l1[k] * ljk
-				s2 -= l2[k] * ljk
-				s3 -= l3[k] * ljk
+				s0 -= float64(l0[k] * ljk)
+				s1 -= float64(l1[k] * ljk)
+				s2 -= float64(l2[k] * ljk)
+				s3 -= float64(l3[k] * ljk)
 			}
-			l.Data[i*n+j], l.Data[(i+1)*n+j], l.Data[(i+2)*n+j], l.Data[(i+3)*n+j] = s0/ljj, s1/ljj, s2/ljj, s3/ljj
+			dst[tri(i)+j], dst[tri(i+1)+j], dst[tri(i+2)+j], dst[tri(i+3)+j] = s0/ljj, s1/ljj, s2/ljj, s3/ljj
 		}
 		for ; i < n; i++ {
-			li := l.Data[i*n:][:len(lj)]
+			li := dst[tri(i):][:len(lj)]
 			s := a.Data[i*n+j]
 			for k, ljk := range lj {
-				s -= li[k] * ljk
+				s -= float64(li[k] * ljk)
 			}
-			l.Data[i*n+j] = s / ljj
+			dst[tri(i)+j] = s / ljj
 		}
 	}
 	return nil
 }
 
-// tri is the length of the packed lower triangle of an n×n matrix,
-// n(n+1)/2: row i starts at tri(i) and holds i+1 entries.
-func tri(n int) int { return n * (n + 1) / 2 }
-
-// PackLower copies the lower triangle of the n×n matrix l into dst,
-// row by row; dst has n(n+1)/2 entries. The solves below take a factor in
-// this packed form.
-func PackLower(dst []float64, l *Matrix) {
-	n := l.Rows
-	for i := 0; i < n; i++ {
-		copy(dst[tri(i):tri(i+1)], l.Data[i*n:])
+// choleskyT is choleskyInto on the AVX kernel: the same left-looking
+// algorithm, column by column, over the factor's transpose, which it
+// keeps in the upper triangle of the n×n scratch l (row j holds column j
+// of L from the diagonal on) so that the rows i ≥ j of column j are
+// contiguous. Each of a register's four lanes carries one entry through
+// choleskyInto's exact sequence of roundings, so the factor, packed into
+// dst at the end, is bit-identical. On failure dst is unchanged.
+func choleskyT(dst []float64, l, a *Matrix) error {
+	n := a.Rows
+	transposeLower(&l.Data[0], &a.Data[0], n)
+	for i := n &^ 3; i < n; i++ {
+		for j, v := range a.Data[i*n : i*n+i+1] {
+			l.Data[j*n+i] = v
+		}
 	}
+	for j := 0; j < n; j++ {
+		if !column(&l.Data[j], n, l.Data[j*n+j:j*n+n]) {
+			return ErrNotPositiveDefinite
+		}
+	}
+	packTransposed(&dst[0], &l.Data[0], n)
+	for i := n &^ 3; i < n; i++ {
+		row := dst[tri(i):tri(i+1)]
+		for k := range row {
+			row[k] = l.Data[k*n+i]
+		}
+	}
+	return nil
 }
+
+// vectorFrom is the smallest order CholeskyJitter hands to the AVX
+// kernel: below it the kernel's per-column work outweighs its four lanes
+// (BenchmarkCholesky).
+const vectorFrom = 16
 
 // CholeskyExtend extends the packed lower Cholesky factor L of an n×n
 // matrix A to the factor of the bordered (n+1)×(n+1) matrix
@@ -103,18 +135,28 @@ func CholeskyExtend(l, k []float64, d float64) ([]float64, error) {
 	return out, nil
 }
 
-// CholeskyJitter factors the n×n matrix a into the lower triangle of the
-// n×n matrix l, leaving what is above l's diagonal alone (zeros, in a
-// fresh matrix or an earlier factor). If the factorization fails it
-// retries with 1e-10, 1e-9, ... up to maxJitter added to a's diagonal,
-// in place. It returns the jitter that was finally used; on error l's
-// lower triangle is garbage.
-func CholeskyJitter(l, a *Matrix, maxJitter float64) (float64, error) {
+// CholeskyJitter factors the n×n matrix a into dst, the packed lower
+// factor of n(n+1)/2 entries that the solves take, with the n×n matrix l
+// as scratch (its contents do not matter). It reads only a's lower
+// triangle. If the factorization fails it retries with 1e-10, 1e-9, ...
+// up to maxJitter added to a's diagonal, in place. It returns the jitter
+// that was finally used; on error dst is garbage.
+//
+// The factorization runs on the AVX kernel (choleskyT) where the CPU has
+// AVX and n ≥ vectorFrom, and on the scalar loop (choleskyInto)
+// otherwise. The two are bit-identical, so nothing but the CPU and the
+// size chooses between them.
+func CholeskyJitter(dst []float64, l, a *Matrix, maxJitter float64) (float64, error) {
+	return choleskyJitter(dst, l, a, maxJitter, hasAVX && a.Rows >= vectorFrom)
+}
+
+// choleskyJitter is CholeskyJitter on the AVX kernel when vec is set.
+func choleskyJitter(dst []float64, l, a *Matrix, maxJitter float64, vec bool) (float64, error) {
 	n := a.Rows
-	if a.Cols != n || l.Rows != n || l.Cols != n {
-		return 0, errors.New("mathx: CholeskyJitter requires square matrices of one size")
+	if a.Cols != n || l.Rows != n || l.Cols != n || len(dst) != tri(n) {
+		return 0, errors.New("mathx: CholeskyJitter requires square matrices of one size and a packed triangle of that size")
 	}
-	if choleskyInto(l, a) == nil {
+	if factor(dst, l, a, vec) == nil {
 		return 0, nil
 	}
 	diag := make([]float64, n)
@@ -125,11 +167,18 @@ func CholeskyJitter(l, a *Matrix, maxJitter float64) (float64, error) {
 		for i, d := range diag {
 			a.Data[i*n+i] = d + jit
 		}
-		if choleskyInto(l, a) == nil {
+		if factor(dst, l, a, vec) == nil {
 			return jit, nil
 		}
 	}
 	return 0, ErrNotPositiveDefinite
+}
+
+func factor(dst []float64, l, a *Matrix, vec bool) error {
+	if vec {
+		return choleskyT(dst, l, a)
+	}
+	return choleskyInto(dst, a)
 }
 
 // SolveLowerInPlace solves L x = b in place for the packed

@@ -7,24 +7,33 @@ import (
 	"testing/quick"
 )
 
-// cholesky is the n×n factor of a without jitter.
+// cholesky is the n×n factor of a without jitter, unpacked into the
+// lower triangle of a fresh matrix.
 func cholesky(a *Matrix) (*Matrix, error) {
-	l := NewMatrix(a.Rows, a.Rows)
-	if _, err := CholeskyJitter(l, a, 0); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// packed is cholesky's factor in the packed form the solves take.
-func packed(a *Matrix) ([]float64, error) {
-	l, err := cholesky(a)
+	p, err := packed(a)
 	if err != nil {
 		return nil, err
 	}
+	return unpack(p, a.Rows), nil
+}
+
+// packed is a's factor without jitter, in the packed form the solves
+// take.
+func packed(a *Matrix) ([]float64, error) {
 	p := make([]float64, tri(a.Rows))
-	PackLower(p, l)
+	if _, err := CholeskyJitter(p, NewMatrix(a.Rows, a.Rows), a, 0); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// unpack is the n×n matrix whose lower triangle is the packed p.
+func unpack(p []float64, n int) *Matrix {
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		copy(l.Data[i*n:], p[tri(i):tri(i+1)])
+	}
+	return l
 }
 
 // Property: extending a factor one bordered row at a time reproduces the

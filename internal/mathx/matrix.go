@@ -1,9 +1,11 @@
 // Package mathx provides the dense linear algebra, optimization and
 // statistics primitives used by the Gaussian-process models, neural
 // networks and clustering algorithms in this repository. It is
-// deliberately small: column-major dense matrices, Cholesky
+// deliberately small: row-major dense matrices, Cholesky
 // factorization, triangular solves, Nelder–Mead simplex optimization and
-// a handful of statistical helpers. Everything is stdlib-only.
+// a handful of statistical helpers. Everything is stdlib-only; the one
+// assembly file is the amd64 AVX Cholesky kernel, bit-identical to the
+// scalar loop in cholesky.go that tests hold it to (see CholeskyJitter).
 package mathx
 
 import (

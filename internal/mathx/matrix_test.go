@@ -99,8 +99,8 @@ func TestCholeskyRejectsNonPD(t *testing.T) {
 // jitter: retries restart from the original diagonal, not the last try's.
 func TestCholeskyJitterRecovers(t *testing.T) {
 	a := MatrixFromRows([][]float64{{1, 1}, {1, 1}}) // rank 1
-	l := NewMatrix(2, 2)
-	jit, err := CholeskyJitter(l, a, 1e-3)
+	p := make([]float64, 3)
+	jit, err := CholeskyJitter(p, NewMatrix(2, 2), a, 1e-3)
 	if err != nil {
 		t.Fatalf("jitter failed: %v", err)
 	}
@@ -111,15 +111,16 @@ func TestCholeskyJitterRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Data {
-		if math.Float64bits(l.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("factor %v, want Cholesky of the matrix plus %v on its diagonal: %v", l.Data, jit, want.Data)
-		}
+	if l := unpack(p, 2); !bitsEqual(l.Data, want.Data) {
+		t.Fatalf("factor %v, want Cholesky of the matrix plus %v on its diagonal: %v", l.Data, jit, want.Data)
 	}
-	if _, err := CholeskyJitter(NewMatrix(3, 3), a, 1e-3); err == nil {
+	if _, err := CholeskyJitter(p, NewMatrix(3, 3), a, 1e-3); err == nil {
 		t.Fatal("expected a size-mismatch error")
 	}
-	if _, err := CholeskyJitter(l, MatrixFromRows([][]float64{{1, 2}, {2, 1}}), 1e-3); err != ErrNotPositiveDefinite {
+	if _, err := CholeskyJitter(make([]float64, 4), NewMatrix(2, 2), a, 1e-3); err == nil {
+		t.Fatal("expected a packed-length error")
+	}
+	if _, err := CholeskyJitter(p, NewMatrix(2, 2), MatrixFromRows([][]float64{{1, 2}, {2, 1}}), 1e-3); err != ErrNotPositiveDefinite {
 		t.Fatalf("indefinite input: err = %v, want ErrNotPositiveDefinite", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -260,6 +261,53 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	oc := goldenOutcome(3)
 	if _, _, err := restore(base, tailRecord(event{Kind: eventReport, Outcome: &oc}), nil); err != nil {
 		t.Fatalf("well-formed report tail record: %v", err)
+	}
+}
+
+// TestRestoreRefusesCorruptFactor: a snapshot whose stored GP factor has
+// a diagonal entry that is not positive is refused, naming the entry,
+// instead of serving advice computed from it. The session is aged so
+// that its models hold factors from full factorizations and extensions.
+func TestRestoreRefusesCorruptFactor(t *testing.T) {
+	s, err := NewSession(Config{Space: "case5", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSession(t, s, knobs.CaseStudy5(), workload.NewYCSB(1), 30, 1)
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(data); err != nil {
+		t.Fatalf("the intact snapshot does not restore: %v", err)
+	}
+	for _, bad := range []float64{0, -1, math.NaN()} {
+		doc, err := parseSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged := 0
+		for i := range doc.State.Models {
+			if g := &doc.State.Models[i].GP; g.Fresh && len(g.Chol) > 0 {
+				g.Chol[0] = bad
+				damaged++
+			}
+		}
+		if damaged == 0 {
+			t.Fatal("no model holds a factor")
+		}
+		corrupt, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Restore(corrupt)
+		if err == nil {
+			t.Fatalf("restored a snapshot whose factors start with %v", bad)
+		}
+		//tunevet:ignore errsentinel -- the assertion is on the operator-facing text (it must name the entry), not on error identity
+		if !strings.Contains(err.Error(), "diagonal entry 0 ") {
+			t.Fatalf("chol[0] = %v: error %q does not name the entry", bad, err)
+		}
 	}
 }
 
